@@ -41,10 +41,14 @@ const MAX_TABLE_ENTRIES: usize = 1 << 24;
 /// The predicted arrival rates are fixed for the lifetime of a problem,
 /// so for every (job, trajectory rate) pair the latency at *every*
 /// integer replica count `1..=quota` can be computed with one Erlang-B
-/// recurrence sweep ([`mdc::latency_percentile_sweep`] /
-/// [`RelaxedLatency::latency_sweep`]) instead of re-running the O(c)
-/// recurrence in the solver's innermost loop. Entries are bit-identical
-/// to the direct estimator calls they replace.
+/// recurrence sweep ([`mdc::latency_percentile_sweep`]) instead of
+/// re-running the O(c) recurrence in the solver's innermost loop. Under
+/// relaxed fidelity the counts at which a rate is past the knee
+/// ([`RelaxedLatency::knee_count`] of them, about its offered load) hold
+/// the job's knee latency scaled by the rate; knee latencies cost a
+/// recurrence of their own each, so they are computed for those counts
+/// only, not up to the quota. Entries are bit-identical to the direct
+/// estimator calls they replace.
 #[derive(Debug, Default)]
 struct LatencyTables {
     /// `index[job]`: clamped arrival-rate bits -> row id in `dense`.
@@ -248,8 +252,10 @@ impl MultiTenantProblem {
     }
 
     /// Builds the per-job latency tables from the fixed trajectory
-    /// rates. One recurrence sweep per (job, distinct rate) replaces the
-    /// per-evaluation recurrence in the solver's innermost loop.
+    /// rates: per job one knee-latency prefix as long as its largest
+    /// rate is past the knee, per distinct rate one recurrence sweep.
+    /// Replaces the per-evaluation recurrence in the solver's innermost
+    /// loop.
     fn build_latency_tables(&self) -> Option<LatencyTables> {
         if self.latency_model == LatencyModel::UpperBound {
             return None; // Closed form, O(1): nothing to memoize.
@@ -283,12 +289,7 @@ impl MultiTenantProblem {
         for job in &self.jobs {
             let k = job.slo.percentile;
             let p = job.processing_time;
-            // The knee latency is rate-independent: compute it once per
-            // job and share it across every trajectory rate.
-            let knees = match self.fidelity {
-                Fidelity::Relaxed => Some(self.relaxed_latency.knee_latencies(k, p, quota)),
-                Fidelity::Precise => None,
-            };
+            let knees = self.knee_prefix(job, quota);
             let mut by_rate: BTreeMap<u64, u32> = BTreeMap::new();
             let mut rows: Vec<Vec<f64>> = Vec::new();
             let mut step_rows: Vec<u32> = Vec::new();
@@ -296,16 +297,7 @@ impl MultiTenantProblem {
                 for &raw in traj {
                     let lambda = raw.max(0.0); // Same clamp as `latency`.
                     let id = *by_rate.entry(lambda.to_bits()).or_insert_with(|| {
-                        let row = match &knees {
-                            Some(Ok(kn)) => {
-                                self.relaxed_latency.latency_sweep(k, p, lambda, kn).ok()
-                            }
-                            // Knee computation failed (invalid k/p):
-                            // the direct path errors for every call.
-                            Some(Err(_)) => None,
-                            None => mdc::latency_percentile_sweep(k, p, lambda, quota).ok(),
-                        };
-                        rows.push(row.unwrap_or_else(|| vec![f64::INFINITY; quota.get() as usize]));
+                        rows.push(self.build_latency_row(k, p, lambda, quota, &knees));
                         (rows.len() - 1) as u32
                     });
                     step_rows.push(id);
@@ -321,6 +313,71 @@ impl MultiTenantProblem {
             steps,
             quota: quota.get() as usize,
         })
+    }
+
+    /// The job's knee latencies at replica counts `1..=len`, as far as
+    /// its largest trajectory rate is past the knee — the only counts a
+    /// knee latency is read at, so every row of the job is covered. The
+    /// knee latency is rate-independent: computed once per job, shared
+    /// by every trajectory rate. Empty under precise fidelity.
+    fn knee_prefix(&self, job: &JobWorkload, quota: ReplicaCount) -> Vec<f64> {
+        if self.fidelity == Fidelity::Precise {
+            return Vec::new();
+        }
+        // Non-finite rates are rejected by the estimator whatever the
+        // knee, so they ask for none.
+        let peak = job
+            .lambda_trajectories
+            .iter()
+            .flatten()
+            .map(|raw| raw.max(0.0))
+            .filter(|lambda| lambda.is_finite())
+            .fold(0.0, f64::max);
+        let p = job.processing_time;
+        match self.relaxed_latency.knee_count(p, peak, quota) {
+            0 => Vec::new(),
+            // An error here is an invalid k/p, which fails every row of
+            // the job as well.
+            count => self
+                .relaxed_latency
+                .knee_latencies(job.slo.percentile, p, ReplicaCount::new(count))
+                .unwrap_or_default(),
+        }
+    }
+
+    /// One table row: the M/D/c sweep over `1..=quota`, with the counts
+    /// at which `lambda` is past the relaxed knee taken from the relaxed
+    /// sweep over the job's knee prefix — entry for entry what
+    /// [`RelaxedLatency::latency_sweep`] over full-quota knee latencies
+    /// stores, without the knee latencies it never reads.
+    fn build_latency_row(
+        &self,
+        k: f64,
+        p: f64,
+        lambda: f64,
+        quota: ReplicaCount,
+        knees: &[f64],
+    ) -> Vec<f64> {
+        let Ok(mut row) = mdc::latency_percentile_sweep(k, p, lambda, quota) else {
+            // Invalid k/p/rate: the direct path errors at every count.
+            return vec![f64::INFINITY; quota.get() as usize];
+        };
+        if self.fidelity == Fidelity::Relaxed {
+            // `knees` reaches the job's largest rate's knee count, so it
+            // covers every row's.
+            let past_knee = self.relaxed_latency.knee_count(p, lambda, quota) as usize;
+            if past_knee > 0 {
+                let head = knees
+                    .get(..past_knee)
+                    .map(|knees| self.relaxed_latency.latency_sweep(k, p, lambda, knees));
+                match head {
+                    Some(Ok(head)) => row[..past_knee].copy_from_slice(&head),
+                    // No knee latency to scale: the direct path errors.
+                    _ => row.fill(f64::INFINITY),
+                }
+            }
+        }
+        row
     }
 
     /// M/D/c-family latency for job `i` at an *integer* replica count:
@@ -1015,6 +1072,165 @@ mod tests {
             let cached = p.expected_utility(0, x, d);
             let direct = direct_expected_utility(&p, 0, x, d);
             proptest::prop_assert_eq!(cached.to_bits(), direct.to_bits());
+        }
+    }
+
+    /// Every table lookup must be the direct estimator call, bit for
+    /// bit, at every replica count up to the quota — inside the knee
+    /// region, beyond it, and on rows the estimator rejects.
+    fn assert_tables_match_direct(p: &MultiTenantProblem, relaxed: RelaxedLatency) {
+        let quota = p.resources().replica_quota().get();
+        let tables = p.tables().expect("M/D/c problems are tabulated");
+        for (i, job) in p.jobs().iter().enumerate() {
+            let (k, pt) = (job.slo.percentile, job.processing_time);
+            for &raw in job.lambda_trajectories.iter().flatten() {
+                let lambda = raw.max(0.0);
+                assert!(tables.index[i].contains_key(&lambda.to_bits()));
+                for n in 1..=quota {
+                    let direct = match p.fidelity {
+                        Fidelity::Relaxed => relaxed.latency(k, pt, lambda, ReplicaCount::new(n)),
+                        Fidelity::Precise => {
+                            mdc::latency_percentile(k, pt, lambda, ReplicaCount::new(n))
+                        }
+                    }
+                    .unwrap_or(f64::INFINITY);
+                    let got = p.integer_latency(i, k, pt, lambda, n);
+                    assert_eq!(
+                        got.to_bits(),
+                        direct.to_bits(),
+                        "{:?} job {i} rate {raw} n={n}: table {got} vs direct {direct}",
+                        p.fidelity
+                    );
+                }
+            }
+        }
+        // Nothing above went through the memo: the tables answered.
+        assert!(p.cache.memo.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn bounded_knee_tables_match_direct_estimators_at_every_count() {
+        let quota = if cfg!(miri) { 24 } else { 300 };
+        let job = |rates: Vec<f64>, processing_time: f64, percentile: f64| JobWorkload {
+            lambda_trajectories: vec![rates],
+            processing_time,
+            slo: Slo {
+                latency: 0.720,
+                percentile,
+            },
+            priority: 1.0,
+        };
+        for fidelity in [Fidelity::Relaxed, Fidelity::Precise] {
+            let jobs = vec![
+                // Idle, sub-knee, past the knee, past saturation at the
+                // quota, and rates the estimator rejects or clamps.
+                job(
+                    vec![
+                        0.0,
+                        5.0,
+                        40.0,
+                        250.0,
+                        1500.0,
+                        1e5,
+                        -3.0,
+                        f64::NAN,
+                        f64::INFINITY,
+                    ],
+                    0.180,
+                    0.99,
+                ),
+                job(vec![3.0, 1875.0, 1900.0], 0.050, 0.5),
+                job(vec![12.5, 90.0], 0.090, 0.9999),
+                // Invalid percentile and processing time: every row is
+                // infinite at every count.
+                job(vec![0.0, 10.0, 400.0], 0.150, 1.5),
+                job(vec![0.0, 10.0], f64::INFINITY, 0.99),
+            ];
+            for rho_max in [0.95, 0.6] {
+                let relaxed = RelaxedLatency::new(rho_max).unwrap();
+                let p = MultiTenantProblem::new(
+                    jobs.clone(),
+                    ResourceModel::replicas(ReplicaCount::new(quota)),
+                    ClusterObjective::Sum,
+                    fidelity,
+                )
+                .unwrap()
+                .with_relaxed_latency(relaxed);
+                assert_tables_match_direct(&p, relaxed);
+                let tables = p.tables().unwrap();
+                for i in [3, 4] {
+                    assert!(tables.dense[i].iter().flatten().all(|l| l.is_infinite()));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 32 }))]
+
+        /// Random rates, service times, percentiles and quotas: tables
+        /// built over the bounded knee prefix are the direct estimator
+        /// at every count.
+        #[test]
+        fn bounded_knee_tables_are_bitwise_invisible(
+            loads in proptest::prop::collection::vec(0.0f64..1.6, 1..5),
+            pt in 0.01f64..0.5,
+            k in 0.5f64..0.9999,
+            quota in 1u32..(if cfg!(miri) { 32 } else { 600 }),
+            precise in 0u32..2,
+        ) {
+            let rates: Vec<f64> = loads.iter().map(|l| l * f64::from(quota) / pt).collect();
+            let jobs = vec![JobWorkload {
+                lambda_trajectories: vec![rates],
+                processing_time: pt,
+                slo: Slo { latency: 0.5, percentile: k },
+                priority: 1.0,
+            }];
+            let fidelity = if precise == 1 { Fidelity::Precise } else { Fidelity::Relaxed };
+            let p = MultiTenantProblem::new(
+                jobs,
+                ResourceModel::replicas(ReplicaCount::new(quota)),
+                ClusterObjective::Sum,
+                fidelity,
+            )
+            .unwrap();
+            assert_tables_match_direct(&p, RelaxedLatency::default());
+        }
+    }
+
+    /// The quadratic cannot come back unnoticed: at the top-level split
+    /// of the 1,000-job sharded benchmark (16 pseudo-jobs, each ~62
+    /// jobs of 10-50 req/s at 50 ms, quota 3,200) a job's knee
+    /// latencies — one Erlang recurrence of length `n` each — are
+    /// computed as far as its offered load asks, not as far as the
+    /// quota allows.
+    #[test]
+    fn split_problem_knee_prefix_is_bounded_by_load_not_quota() {
+        let quota = ReplicaCount::new(3_200);
+        let mut rng = crate::rng::SplitMix64::new(7);
+        let jobs: Vec<JobWorkload> = (0..16)
+            .map(|_| {
+                let rate: f64 = (0..62).map(|_| 10.0 + 40.0 * rng.fraction()).sum();
+                JobWorkload::constant(rate, 0.050, slo(), 62.0)
+            })
+            .collect();
+        let p = MultiTenantProblem::new(
+            jobs,
+            ResourceModel::replicas(quota),
+            ClusterObjective::Sum,
+            Fidelity::Relaxed,
+        )
+        .unwrap();
+        for job in p.jobs() {
+            let knees = p.knee_prefix(job, quota).len();
+            assert!(knees > 0, "a pseudo-job's rate is past the knee somewhere");
+            assert!(
+                knees * 20 < quota.get() as usize,
+                "knee prefix {knees} at quota {quota}"
+            );
+            // Recurrence steps: n(n+1)/2 over the prefix against the
+            // same over the quota.
+            assert!(knees * knees * 400 < (quota.get() as usize).pow(2));
         }
     }
 

@@ -19,9 +19,10 @@
 //! 3. **Independent shard solves** — each shard solves its members
 //!    against its own budget (flat COBYLA below
 //!    [`ShardConfig::flat_threshold`] members, the grouped solve above
-//!    it), on `std::thread::scope` workers. Results are merged in shard
-//!    index order, so the output is byte-identical regardless of thread
-//!    count or interleaving.
+//!    it), on the calling thread or, when [`ShardConfig::parallelism`]
+//!    asks for them, on `std::thread::scope` workers. Results are
+//!    merged in shard index order, so the output is byte-identical
+//!    regardless of thread count or interleaving.
 //! 4. **Incremental re-solves** — each solved job's workload signature
 //!    (mean predicted rate, processing time, SLO, priority) is cached;
 //!    a shard re-enters the solver only when a member's rate or
@@ -48,7 +49,7 @@ pub enum SolvePlan {
     /// One cluster-wide solve per round (flat below the hierarchical
     /// threshold, grouped above it) — the paper-faithful default.
     Global,
-    /// Sharded incremental solve with parallel shard workers.
+    /// Sharded incremental solve (shard workers optional).
     Sharded(ShardConfig),
 }
 
@@ -57,8 +58,15 @@ pub enum SolvePlan {
 pub struct ShardConfig {
     /// Shard count (clamped to the job count).
     pub shards: usize,
-    /// Worker threads for shard solves (0 = one per available core).
-    /// The merged result is identical for every value.
+    /// Worker threads for shard solves: 1 (the default) solves on the
+    /// calling thread, 0 means one per available core. The merged
+    /// result is identical for every value; only the round's wall time
+    /// moves. Sequential is the default because a round spread over
+    /// every core is only as steady as the least available one: on a
+    /// shared two-core host a 1,000-job warm round took 0.29 s on one
+    /// thread and 0.17 s on two, but varied twice as much from run to
+    /// run (EXPERIMENTS.md), and both sit far inside the 10 s tick.
+    /// Ask for workers where the round itself nears the tick.
     pub parallelism: usize,
     /// Relative change in a job's mean predicted rate or processing
     /// time that marks its shard dirty. SLO or priority changes always
@@ -77,7 +85,7 @@ impl Default for ShardConfig {
     fn default() -> Self {
         Self {
             shards: 16,
-            parallelism: 0,
+            parallelism: 1,
             dirty_epsilon: 0.05,
             flat_threshold: 50,
             groups: 10,

@@ -179,3 +179,56 @@ fn fresh_solvers_with_equal_seeds_agree_exactly() {
     let b = solve_with_parallelism(&jobs, 4, 1, ClusterObjective::Sum);
     assert_eq!(a, b);
 }
+
+/// FNV-1a over the observable bytes of a sharded round.
+fn round_digest(replicas: &[u32], drop_bits: &[u64], meta: &str) -> u64 {
+    let words = replicas
+        .iter()
+        .map(|&r| u64::from(r))
+        .chain(drop_bits.iter().copied())
+        .chain(meta.bytes().map(u64::from));
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Promise 4: how a solve evaluates is invisible in what it decides.
+/// These digests — replicas, drop-rate bits, and the record with its
+/// evaluation counts — were taken before the latency tables stopped
+/// computing knee latencies they never read; the split, the grouped
+/// shards (above `flat_threshold`) and the flat shards (below it) must
+/// keep reproducing them, evaluation for evaluation, however the
+/// tables come to be built.
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "thousands of 130-job evaluations; the digests are checked natively"
+)]
+fn sharded_rounds_reproduce_their_committed_digests() {
+    let lambdas: Vec<f64> = (0..130)
+        .map(|i| 2.0 + f64::from(i * 37 % 101) * 0.45)
+        .collect();
+    let jobs = workload(&lambdas);
+    let cases = [
+        (2, ClusterObjective::Sum, 0x05ea_10ee_db48_d9d7u64),
+        (
+            2,
+            ClusterObjective::PenaltyFairSum { gamma: 130.0 },
+            0x2254_6996_b096_d56b,
+        ),
+        (
+            5,
+            ClusterObjective::FairSum { gamma: 130.0 },
+            0x1c9d_58bb_5647_ae1c,
+        ),
+        (5, ClusterObjective::PenaltySum, 0x39dd_6a63_fed7_42cc),
+    ];
+    for (shards, objective, want) in cases {
+        let (replicas, drop_bits, meta) = solve_with_parallelism(&jobs, shards, 2, objective);
+        let got = round_digest(&replicas, &drop_bits, &meta);
+        assert_eq!(
+            got, want,
+            "{shards} shards, {objective:?}: digest {got:#018x}, record {meta}"
+        );
+    }
+}

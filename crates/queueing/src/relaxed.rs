@@ -73,13 +73,34 @@ impl RelaxedLatency {
         if servers.is_zero() {
             return Err(Error::ZeroReplicas);
         }
-        let rho = lambda * p / servers.as_f64();
-        if rho <= self.rho_max {
+        if self.below_knee(p, lambda, servers.get()) {
             return mdc::latency_percentile(k, p, lambda, servers);
         }
         let lambda_knee = self.rho_max * servers.as_f64() / p;
         let knee_latency = mdc::latency_percentile(k, p, lambda_knee, servers)?;
         Ok(lambda / lambda_knee * knee_latency)
+    }
+
+    /// Whether `lambda` is at or under the stability knee at `servers`
+    /// — the one float predicate every path of this estimator branches
+    /// on (a NaN utilization is not).
+    fn below_knee(&self, p: f64, lambda: f64, servers: u32) -> bool {
+        lambda * p / f64::from(servers) <= self.rho_max
+    }
+
+    /// How many of the server counts `1..=max_servers` the rate
+    /// `lambda` is past the knee at. Utilization falls as servers are
+    /// added, so those are exactly the counts `1..=knee_count`, and the
+    /// only ones whose knee latency [`RelaxedLatency::latency`] and
+    /// [`RelaxedLatency::latency_sweep`] read; a smaller rate never has
+    /// a larger count. About `lambda * p / rho_max`, capped at
+    /// `max_servers` — so a caller that tabulates
+    /// [`RelaxedLatency::knee_latencies`] (one recurrence of length `n`
+    /// per count, quadratic in all) needs that many, not `max_servers`.
+    pub fn knee_count(&self, p: f64, lambda: f64, max_servers: ReplicaCount) -> u32 {
+        (1..=max_servers.get())
+            .find(|&n| self.below_knee(p, lambda, n))
+            .map_or(max_servers.get(), |n| n - 1)
     }
 
     /// The latency at the stability knee for every server count
@@ -132,8 +153,7 @@ impl RelaxedLatency {
         let below_knee = mdc::latency_percentile_sweep(k, p, lambda, max_servers)?;
         let mut out = Vec::with_capacity(knees.len());
         for n in 1..=max_servers.get() {
-            let rho = lambda * p / f64::from(n);
-            if rho <= self.rho_max {
+            if self.below_knee(p, lambda, n) {
                 out.push(below_knee[(n - 1) as usize]);
             } else {
                 let lambda_knee = self.rho_max * f64::from(n) / p;
@@ -244,6 +264,61 @@ mod tests {
                     direct
                 );
             }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 24 }))]
+
+        /// `knee_count` knee latencies are all a full-length row reads:
+        /// the sweep over that prefix followed by the plain M/D/c sweep
+        /// is the sweep over `max` knee latencies, bit for bit, from
+        /// idle through the knee to past saturation (`load` is the
+        /// utilization at `max`).
+        #[test]
+        fn knee_prefix_then_mdc_sweep_matches_full_sweep_bitwise(
+            load in 0.0f64..1.6,
+            p in 0.01f64..0.5,
+            k in 0.5f64..0.9999,
+            max in 1u32..(if cfg!(miri) { 48 } else { 4096 }),
+            idle in 0u32..8,
+        ) {
+            let est = RelaxedLatency::default();
+            let lambda = if idle == 0 { 0.0 } else { load * f64::from(max) / p };
+            let full_knees = est.knee_latencies(k, p, rc(max)).unwrap();
+            let full = est.latency_sweep(k, p, lambda, &full_knees).unwrap();
+            let past = est.knee_count(p, lambda, rc(max)) as usize;
+            let mut row = mdc::latency_percentile_sweep(k, p, lambda, rc(max)).unwrap();
+            if past > 0 {
+                let head = est.latency_sweep(k, p, lambda, &full_knees[..past]).unwrap();
+                row[..past].copy_from_slice(&head);
+            }
+            for (n, (got, want)) in row.iter().zip(&full).enumerate() {
+                proptest::prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "n={} of {} lambda={} past={}",
+                    n + 1,
+                    max,
+                    lambda,
+                    past
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn knee_count_is_monotone_in_the_rate_and_capped() {
+        let est = RelaxedLatency::default();
+        assert_eq!(est.knee_count(0.15, 0.0, rc(64)), 0);
+        // 1,875 req/s at 50 ms: past the knee up to 93.75 / 0.95 = 98.7.
+        assert_eq!(est.knee_count(0.05, 1875.0, rc(3200)), 98);
+        assert_eq!(est.knee_count(0.05, 1875.0, rc(40)), 40);
+        let mut prev = 0;
+        for i in 0..200 {
+            let count = est.knee_count(0.05, 10.0 * f64::from(i), rc(3200));
+            assert!(count >= prev, "rate step {i}: {count} < {prev}");
+            prev = count;
         }
     }
 
