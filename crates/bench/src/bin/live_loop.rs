@@ -13,7 +13,7 @@
 //!   FARO_QUICK=1        fewer rounds (CI smoke)
 //!   FARO_CHAOS_SEED=n   server fault-stream seed (default 1)
 //!   FARO_BENCH_LABEL=x  entry label (default "dev")
-//!   FARO_BENCH_OUT=path output file (default <repo>/BENCH_perf.json)
+//!   FARO_BENCH_OUT=path output file (default `BENCH_perf.json` at the repo root)
 //!
 //! Appends one `pr10-live-loop`-shaped entry to the JSON array in
 //! `BENCH_perf.json`; existing entries are preserved verbatim.

@@ -14,7 +14,7 @@
 //! Usage: `cargo run --release -p faro-bench --bin perf_baseline`
 //!   FARO_QUICK=1        smaller workload (CI smoke)
 //!   FARO_BENCH_LABEL=x  entry label (default "dev")
-//!   FARO_BENCH_OUT=path output file (default <repo>/BENCH_perf.json)
+//!   FARO_BENCH_OUT=path output file (default `BENCH_perf.json` at the repo root)
 //!
 //! Each run appends one labelled entry to the JSON array in
 //! `BENCH_perf.json`; existing entries are preserved verbatim.

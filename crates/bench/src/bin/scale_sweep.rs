@@ -17,7 +17,7 @@
 //! Usage: `cargo run --release -p faro-bench --bin scale_sweep`
 //!   FARO_QUICK=1        40/100-job rows, fewer warm rounds (CI smoke)
 //!   FARO_BENCH_LABEL=x  entry label (default "pr7-sharded-solver")
-//!   FARO_BENCH_OUT=path output file (default <repo>/BENCH_perf.json)
+//!   FARO_BENCH_OUT=path output file (default `BENCH_perf.json` at the repo root)
 //!
 //! The sharded/global utility gap is asserted under threshold at every
 //! row — CI's `scale-smoke` job runs this binary for exactly that gate.

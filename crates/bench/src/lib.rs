@@ -28,10 +28,13 @@ pub use workloads::WorkloadSet;
 /// `use faro_bench::prelude::*;`.
 ///
 /// Covers the trial runner ([`ExperimentSpec`], [`run_matrix`],
-/// [`summarize`], [`quick_mode`]), policy and workload construction
-/// ([`PolicyKind`], [`Ablation`](crate::policies::Ablation),
-/// [`WorkloadSet`], [`ClusterObjective`], [`FairShare`]), simulation
-/// entry points ([`Simulation`], [`SimConfig`], [`FaultPlan`],
+/// [`summarize`], [`quick_mode`](prelude::quick_mode)), policy and
+/// workload construction ([`PolicyKind`],
+/// [`Ablation`](crate::policies::Ablation), [`WorkloadSet`],
+/// [`ClusterObjective`](prelude::ClusterObjective),
+/// [`FairShare`](prelude::FairShare)), simulation entry points
+/// ([`Simulation`](prelude::Simulation), [`SimConfig`](prelude::SimConfig),
+/// [`FaultPlan`](prelude::FaultPlan),
 /// [`RunOutcome`](faro_sim::RunOutcome)), and telemetry sinks.
 pub mod prelude {
     pub use crate::harness::{

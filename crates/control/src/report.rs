@@ -1,7 +1,8 @@
 //! The unified control-loop run report.
 //!
 //! Three overlapping stats types grew up independently —
-//! [`RunStats`] (reconciler round accounting), [`AdmissionStats`]
+//! [`RunStats`] (reconciler round accounting),
+//! [`AdmissionStats`](crate::reconciler::AdmissionStats)
 //! (quota accounting nested inside it), and [`DriverStats`] (the
 //! resilient driver's failure accounting) — each with its own field
 //! conventions, so answering "how did the run go?" meant knowing

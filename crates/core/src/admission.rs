@@ -81,7 +81,7 @@ pub trait Admission: Send {
 ///
 /// When the cluster has two or more replica classes *and* the
 /// decisions carry per-class allocations, the scalar trim is replaced
-/// by the vector-quota trim of [`clamp_to_capacities`] — decisions
+/// by the vector-quota trim of `clamp_to_capacities` — decisions
 /// without class data (class-blind policies) keep the scalar path
 /// against the binding-resource replica quota, byte-identical to the
 /// homogeneous behavior.

@@ -88,7 +88,10 @@ proptest! {
     }
 
     /// The multi-tenant optimizer's integer output never exceeds the
-    /// quota and never starves a job, for any workload mix.
+    /// quota and never starves a job, for any workload mix — and the
+    /// problem's solve cache is invisible: solving, integerizing and
+    /// shrinking on clones that have evaluated nothing gives the same
+    /// bits as doing all three on the one warm problem.
     #[test]
     fn optimizer_allocation_valid(
         lambdas in prop::collection::vec(0.5f64..60.0, 2..6),
@@ -111,9 +114,18 @@ proptest! {
         let mut xs = p.integerize(&alloc);
         prop_assert!(xs.iter().sum::<u32>() <= quota, "{xs:?} quota {quota}");
         prop_assert!(xs.iter().all(|&x| x >= 1));
+        let integerized = xs.clone();
         p.shrink(&mut xs, &alloc.drop_rates);
         prop_assert!(xs.iter().sum::<u32>() <= quota);
         prop_assert!(xs.iter().all(|&x| x >= 1));
+
+        let cold = p.clone().solve(&Cobyla::fast(), &vec![1; lambdas.len()]).unwrap();
+        prop_assert_eq!(&cold, &alloc);
+        let fresh = p.clone();
+        let mut cold_xs = fresh.integerize(&alloc);
+        prop_assert_eq!(&cold_xs, &integerized);
+        fresh.shrink(&mut cold_xs, &alloc.drop_rates);
+        prop_assert_eq!(cold_xs, xs);
     }
 
     /// All three solvers agree (within tolerance) on a smooth convex
