@@ -8,17 +8,23 @@
 //! A job's latency is scored by reducing its mixed pool to an
 //! effective homogeneous M/D/c queue (the harmonic capacity-weighted
 //! mean of the per-class service times — see [`faro_queueing::mixed`]),
-//! and capacity is the vector quota `[vCPU, GPU, memory]` with
+//! and capacity is the vector quota `[vCPU, GPU, RAM]` with
 //! per-class costs from [`ReplicaClass::cost`].
 //!
 //! Unlike the homogeneous path, latency rows cannot be precomputed per
 //! (job, rate): the effective service time `p_eff` varies continuously
-//! with the class mix, so there is no finite axis to tabulate. Instead
-//! integer evaluations share a bounded keyed memo on
-//! `(job, rate, p_eff, servers)` — single-class pools keep `p_eff = p *
-//! m_c` exactly, so a one-class cluster reproduces the homogeneous
-//! estimates bit-for-bit (which is why [`crate::faro::FaroAutoscaler`]
-//! only routes here when two or more classes are configured).
+//! with the class mix, so there is no finite axis to tabulate, and a
+//! keyed lookup costs more than the few-step Erlang recurrence it would
+//! save. What the scalar tables buy — work that does not depend on the
+//! trajectory step is done once — is had per evaluation instead:
+//! [`HeteroProblem::expected_utility`] reduces the pool once to `p_eff`
+//! and the two integer head counts bracketing the fractional one, then
+//! asks the estimator directly at every step, holding each count's knee
+//! latency (a function of the count alone) from the first step past the
+//! knee on. Single-class pools keep `p_eff = p * m_c` exactly, so a
+//! one-class cluster reproduces the homogeneous estimates bit-for-bit
+//! (which is why [`crate::faro::FaroAutoscaler`] only routes here when
+//! two or more classes are configured).
 //!
 //! The post-processing mirrors the homogeneous pipeline with a class
 //! axis:
@@ -33,26 +39,18 @@
 //!   draining the *slowest* class first so the fast capacity freed
 //!   last is the capacity other jobs actually want.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-
 use crate::error::{Error, Result};
 use crate::objective::{ClusterObjective, JobUtility};
 use crate::opt::{Fidelity, JobWorkload};
 use crate::penalty::{phi, PenaltyShape};
-use crate::types::{ClassAlloc, ReplicaClass, ResourceModel, RESOURCE_DIMS};
+use crate::types::{ClassAlloc, ReplicaClass, ResourceModel, MAX_CLASSES, RESOURCE_DIMS};
 use crate::units::ReplicaCount;
 use crate::utility::{step_utility, RelaxedUtility};
 use faro_queueing::{mdc, RelaxedLatency};
 use faro_solver::{Problem, Solution, Solver};
 
-/// Bound on the mixed-pool latency memo, mirroring the homogeneous
-/// solver's cap: the map is cleared when it fills (entries are cheap
-/// to recompute).
-const MEMO_CAPACITY: usize = 1 << 20;
-
 /// The assembled class-aware optimization problem.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct HeteroProblem {
     jobs: Vec<JobWorkload>,
     resources: ResourceModel,
@@ -63,27 +61,30 @@ pub struct HeteroProblem {
     /// `allowed[job][class]`: whether the job may run on the class
     /// (from [`crate::types::JobSpec::allows_class`]).
     allowed: Vec<Vec<bool>>,
-    /// Keyed memo for integer mixed-pool latencies:
-    /// `(job, rate bits, p_eff bits, servers)`. Ordered map so
-    /// iteration order never depends on hashing
-    /// (faro-lint: nondeterministic-iteration).
-    memo: Mutex<BTreeMap<(usize, u64, u64, u32), f64>>,
 }
 
-impl Clone for HeteroProblem {
-    /// Clones the problem definition with a fresh (empty) memo.
-    fn clone(&self) -> Self {
-        Self {
-            jobs: self.jobs.clone(),
-            resources: self.resources.clone(),
-            objective: self.objective,
-            fidelity: self.fidelity,
-            relaxed_utility: self.relaxed_utility,
-            relaxed_latency: self.relaxed_latency,
-            allowed: self.allowed.clone(),
-            memo: Mutex::new(BTreeMap::new()),
-        }
-    }
+/// A job's mixed pool as every trajectory step of one utility
+/// evaluation reads it: reduced to an effective M/D/c queue at the
+/// integer head counts bracketing the fractional one.
+struct Pool {
+    /// Effective per-request service time of the mix.
+    p_eff: f64,
+    /// `floor` and `ceil` of the head count; equal when it is whole, and
+    /// under [`Fidelity::Precise`], which rounds it.
+    servers: [ReplicaCount; 2],
+    /// How far the head count is from `servers[0]` towards `servers[1]`.
+    frac: f64,
+    /// The knee latency at each of `servers`, from the first step past
+    /// that count's knee on.
+    knees: [Option<f64>; 2],
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Pool reductions this thread's evaluations have performed.
+    static POOL_REDUCTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Knee latencies this thread's evaluations have had computed.
+    static KNEE_RECURRENCES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl HeteroProblem {
@@ -94,9 +95,10 @@ impl HeteroProblem {
     /// # Errors
     ///
     /// Fails when there are no jobs, a job has no trajectory or
-    /// processing time, the resource model has no class table, a class
-    /// has a non-positive service-time multiplier, or the quota cannot
-    /// host one replica per job.
+    /// processing time, the resource model has no class table or one
+    /// longer than [`MAX_CLASSES`], a class has a non-positive
+    /// service-time multiplier, or the quota cannot host one replica per
+    /// job.
     pub fn new(
         jobs: Vec<JobWorkload>,
         resources: ResourceModel,
@@ -120,6 +122,12 @@ impl HeteroProblem {
             return Err(Error::InvalidSnapshot(
                 "hetero solve needs a replica class table".into(),
             ));
+        }
+        if resources.n_classes() > MAX_CLASSES {
+            return Err(Error::InvalidSnapshot(format!(
+                "{} replica classes exceed the {MAX_CLASSES} a decision can carry",
+                resources.n_classes()
+            )));
         }
         for class in &resources.classes {
             if !(class.speed.is_finite() && class.speed > 0.0) {
@@ -145,7 +153,6 @@ impl HeteroProblem {
             relaxed_utility: RelaxedUtility::default(),
             relaxed_latency: RelaxedLatency::default(),
             allowed,
-            memo: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -158,7 +165,6 @@ impl HeteroProblem {
     /// Overrides the relaxed latency knee.
     pub fn with_relaxed_latency(mut self, l: RelaxedLatency) -> Self {
         self.relaxed_latency = l;
-        self.memo = Mutex::new(BTreeMap::new());
         self
     }
 
@@ -221,98 +227,77 @@ impl HeteroProblem {
         order
     }
 
-    /// Reduces a fractional per-class count vector to the pool's total
-    /// head count and effective service time (the fractional mirror of
-    /// [`faro_queueing::mixed::effective_pool`]). `None` for an empty
-    /// pool.
-    fn pool(&self, p: f64, counts: &[f64]) -> Option<(f64, f64)> {
-        let mut total = 0.0;
-        let mut rate = 0.0;
-        let mut first_nonzero = None;
-        let mut mixed = false;
+    /// Reduces a fractional per-class count vector to the pool's head
+    /// count and effective service time (the fractional mirror of
+    /// [`faro_queueing::mixed::effective_pool`]) and brackets the head
+    /// count. `None` for a pool whose latency is infinite at every rate:
+    /// an empty one, or a head count the relaxation cannot bracket.
+    fn pool(&self, p: f64, counts: &[f64]) -> Option<Pool> {
+        #[cfg(test)]
+        POOL_REDUCTIONS.with(|n| n.set(n.get() + 1));
+        let (mut total, mut rate) = (0.0, 0.0);
+        let (mut used, mut speed) = (0, 0.0);
         for (c, &x) in counts.iter().enumerate() {
-            let x = x.max(0.0);
             if x > 0.0 {
+                speed = self.resources.classes[c].speed;
                 total += x;
-                rate += x / (p * self.resources.classes[c].speed);
-                if first_nonzero.is_some() {
-                    mixed = true;
-                } else {
-                    first_nonzero = Some(c);
-                }
+                rate += x / (p * speed);
+                used += 1;
             }
         }
-        let single = first_nonzero?;
-        let p_eff = if !mixed {
+        let p_eff = match used {
+            0 => return None,
             // Single-class pools skip the aggregation round-trip so the
             // reference class stays bit-identical to the homogeneous
             // estimator.
-            p * self.resources.classes[single].speed
-        } else {
-            total / rate
+            1 => p * speed,
+            _ => total / rate,
         };
-        Some((total, p_eff))
+        let x = total.max(1.0);
+        // The relaxed bracket mirrors `RelaxedLatency::latency_fractional`.
+        let (lo, hi) = match self.fidelity {
+            Fidelity::Precise => (x.round(), x.round()),
+            Fidelity::Relaxed if x.is_finite() => (x.floor(), x.ceil()),
+            Fidelity::Relaxed => return None,
+        };
+        Some(Pool {
+            p_eff,
+            servers: [lo, hi].map(|n| ReplicaCount::new(n as u32)),
+            // Zero exactly when `lo == hi`: a whole or a rounded count.
+            frac: if lo == hi { 0.0 } else { x - lo },
+            knees: [None; 2],
+        })
     }
 
-    /// Memoized integer-pool latency at effective service time
-    /// `p_eff`.
-    fn integer_latency(&self, i: usize, k: f64, p_eff: f64, lambda: f64, n: u32) -> f64 {
-        let key = (i, lambda.to_bits(), p_eff.to_bits(), n);
-        if let Some(&v) = self.memo.lock().expect("latency memo").get(&key) {
-            return v;
-        }
-        let v = match self.fidelity {
-            Fidelity::Precise => mdc::latency_percentile(k, p_eff, lambda, ReplicaCount::new(n)),
-            Fidelity::Relaxed => {
-                self.relaxed_latency
-                    .latency(k, p_eff, lambda, ReplicaCount::new(n))
-            }
-        }
-        .unwrap_or(f64::INFINITY);
-        let mut memo = self.memo.lock().expect("latency memo");
-        if memo.len() >= MEMO_CAPACITY {
-            memo.clear();
-        }
-        memo.insert(key, v);
-        v
-    }
-
-    /// Estimated latency for job `i` at fractional per-class counts and
-    /// arrival rate `lambda` (already drop-adjusted).
-    fn latency_counts(&self, i: usize, lambda: f64, counts: &[f64]) -> f64 {
-        let job = &self.jobs[i];
-        let k = job.slo.percentile;
-        let p = job.processing_time;
+    /// Estimated latency of `pool` at percentile `k` and arrival rate
+    /// `lambda` (already drop-adjusted): the estimator at the lower
+    /// bracketing count, interpolated towards the upper one when the
+    /// head count is fractional.
+    fn pool_latency(&self, k: f64, lambda: f64, pool: &mut Pool) -> f64 {
         let lambda = lambda.max(0.0);
-        let Some((total, p_eff)) = self.pool(p, counts) else {
-            return f64::INFINITY;
+        let Pool { p_eff, servers, .. } = *pool;
+        let mut at = |side: usize| {
+            match self.fidelity {
+                Fidelity::Precise => mdc::latency_percentile(k, p_eff, lambda, servers[side]),
+                Fidelity::Relaxed => self.relaxed_latency.latency_with_knee(
+                    k,
+                    p_eff,
+                    lambda,
+                    servers[side],
+                    &mut pool.knees[side],
+                ),
+            }
+            .unwrap_or(f64::INFINITY)
         };
-        match self.fidelity {
-            Fidelity::Precise => {
-                let n = total.max(1.0).round() as u32;
-                self.integer_latency(i, k, p_eff, lambda, n)
-            }
-            Fidelity::Relaxed => {
-                // Mirrors `RelaxedLatency::latency_fractional` at the
-                // effective service time, branch by branch.
-                let x = total.max(1.0);
-                if !x.is_finite() {
-                    return f64::INFINITY;
-                }
-                let lo = x.floor();
-                let hi = x.ceil();
-                let l_lo = self.integer_latency(i, k, p_eff, lambda, lo as u32);
-                if lo == hi {
-                    return l_lo;
-                }
-                let l_hi = self.integer_latency(i, k, p_eff, lambda, hi as u32);
-                if l_lo.is_infinite() || l_hi.is_infinite() {
-                    return f64::INFINITY;
-                }
-                let frac = x - lo;
-                l_lo + (l_hi - l_lo) * frac
-            }
+        let l_lo = at(0);
+        if pool.frac == 0.0 {
+            return l_lo;
         }
+        let l_hi = at(1);
+        if l_lo.is_infinite() || l_hi.is_infinite() {
+            return f64::INFINITY;
+        }
+        l_lo + (l_hi - l_lo) * pool.frac
     }
 
     /// Expected utility of job `i` at fractional per-class counts,
@@ -320,12 +305,15 @@ impl HeteroProblem {
     /// multiplier.
     pub fn expected_utility(&self, i: usize, counts: &[f64], drop_rate: f64) -> f64 {
         let job = &self.jobs[i];
+        let mut pool = self.pool(job.processing_time, counts);
+        let kept = 1.0 - drop_rate.clamp(0.0, 1.0);
         let mut sum = 0.0;
         let mut count = 0usize;
         for traj in &job.lambda_trajectories {
             for &lambda in traj {
-                let lambda_eff = lambda * (1.0 - drop_rate.clamp(0.0, 1.0));
-                let l = self.latency_counts(i, lambda_eff, counts);
+                let l = pool.as_mut().map_or(f64::INFINITY, |pool| {
+                    self.pool_latency(job.slo.percentile, lambda * kept, pool)
+                });
                 let u = match self.fidelity {
                     Fidelity::Precise => step_utility(l, job.slo.latency),
                     Fidelity::Relaxed => self.relaxed_utility.value(l, job.slo.latency),
@@ -334,6 +322,11 @@ impl HeteroProblem {
                 count += 1;
             }
         }
+        #[cfg(test)]
+        KNEE_RECURRENCES.with(|n| {
+            // A knee slot is filled by the one call that computes it.
+            n.set(n.get() + pool.iter().flat_map(|p| p.knees).flatten().count());
+        });
         sum / count.max(1) as f64
     }
 
@@ -353,8 +346,11 @@ impl HeteroProblem {
 
     /// Per-job utility record at an integer per-class allocation.
     fn job_utility_alloc(&self, i: usize, alloc: &ClassAlloc, d: f64) -> JobUtility {
-        let counts: Vec<f64> = alloc.as_slice().iter().map(|&n| f64::from(n)).collect();
-        self.job_utility(i, &counts, d)
+        let mut counts = [0.0; MAX_CLASSES];
+        for (x, &n) in counts.iter_mut().zip(alloc.as_slice()) {
+            *x = f64::from(n);
+        }
+        self.job_utility(i, &counts[..alloc.n_classes()], d)
     }
 
     /// Cluster objective value (maximize convention) at a flat
@@ -453,6 +449,7 @@ impl HeteroProblem {
     pub fn integerize(&self, alloc: &HeteroAllocation) -> Vec<ClassAlloc> {
         let n = self.jobs.len();
         let nc = self.n_classes();
+        let order = self.classes_by_speed();
         let mut allocs: Vec<ClassAlloc> = (0..n)
             .map(|j| {
                 let mut a = ClassAlloc::zero(nc);
@@ -461,11 +458,10 @@ impl HeteroProblem {
                     a.set(c, x.round().max(0.0) as u32);
                 }
                 if a.total() == 0 {
-                    let fastest = self
-                        .classes_by_speed()
-                        .into_iter()
-                        .find(|&(c, _)| self.allowed[j][c])
-                        .map_or(0, |(c, _)| c);
+                    let fastest = order
+                        .iter()
+                        .find(|&&(c, _)| self.allowed[j][c])
+                        .map_or(0, |&(c, _)| c);
                     a.set(fastest, 1);
                 }
                 a
@@ -701,6 +697,66 @@ mod tests {
         assert!(p
             .with_affinity(vec![vec![true, true], vec![false, false]])
             .is_err());
+        // A fifth class has no slot in a `ClassAlloc`: its replicas
+        // would be dropped on the way out of `integerize`.
+        let five = (0..=MAX_CLASSES)
+            .map(|c| ReplicaClass::cpu(format!("cpu{c}"), 1.0 + c as f64))
+            .collect();
+        let err = HeteroProblem::new(
+            vec![JobWorkload::constant(5.0, 0.15, slo(0.6), 1.0)],
+            ResourceModel::heterogeneous(five, 8.0, 0.0, 8.0),
+            ClusterObjective::Sum,
+            Fidelity::Relaxed,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, Error::InvalidSnapshot(m) if m.contains('5') && m.contains('4')),
+            "{err}"
+        );
+    }
+
+    /// What a job evaluation costs does not grow with its trajectories:
+    /// whatever the step count, the pool is reduced once and each of
+    /// the two bracketing counts has its knee latency computed at most
+    /// once (evaluating step by step, 24 reductions here and up to 48
+    /// knee recurrences). No clock is read to say so.
+    #[test]
+    #[cfg_attr(miri, ignore = "counts work, which is checked natively")]
+    fn a_job_evaluation_reduces_its_pool_once_and_holds_its_knees() {
+        let work = || (POOL_REDUCTIONS.get(), KNEE_RECURRENCES.get());
+        for steps in [6, 60] {
+            // 4 trajectories from idle to four times what 2.5 GPU
+            // replicas carry: steps under and past both counts' knees.
+            let job = JobWorkload {
+                lambda_trajectories: (0..4)
+                    .map(|t| {
+                        (0..steps)
+                            .map(|s| f64::from(t * steps + s) * 100.0 / f64::from(4 * steps))
+                            .collect()
+                    })
+                    .collect(),
+                ..JobWorkload::constant(0.0, 0.10, slo(0.4), 1.0)
+            };
+            let p = HeteroProblem::new(
+                vec![job],
+                gpu_cpu_resources(4.0, 4.0),
+                ClusterObjective::Sum,
+                Fidelity::Relaxed,
+            )
+            .unwrap();
+            for (counts, knees) in [([2.5, 0.0], 2), ([1.5, 1.0], 2), ([3.0, 0.0], 1)] {
+                let before = work();
+                let u = p.job_utility(0, &counts, 0.0).utility;
+                let after = work();
+                assert!(u > 0.0 && u < 1.0, "{counts:?}: utility {u}");
+                assert_eq!(after.0 - before.0, 1, "{steps} steps at {counts:?}");
+                assert_eq!(after.1 - before.1, knees, "{steps} steps at {counts:?}");
+            }
+            // Idle at every step: no knee is ever needed.
+            let before = work();
+            p.job_utility(0, &[2.5, 0.0], 1.0);
+            assert_eq!(work().1, before.1, "{steps} steps, all traffic dropped");
+        }
     }
 
     #[test]

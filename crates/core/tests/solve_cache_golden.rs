@@ -6,17 +6,28 @@
 //! none. `Clone` starts with an empty cache, which makes a fresh clone
 //! the uncached reference everywhere below: flat and grouped solves,
 //! the integer post-processing, and concurrent population evaluation.
+//!
+//! The classed `HeteroProblem` has no fresh-clone reference — however it
+//! shares work between the steps of one evaluation, a clone shares it
+//! the same way. Its reference is the estimator itself: the last
+//! section recomputes every value from one public `faro_queueing` call
+//! per trajectory step per bracketing server count, with nothing held
+//! from one step to the next.
 
 use std::sync::Mutex;
 
+use faro_core::hetero::{HeteroAllocation, HeteroProblem};
 use faro_core::hierarchical::solve_hierarchical;
-use faro_core::objective::ClusterObjective;
+use faro_core::objective::{ClusterObjective, JobUtility};
 use faro_core::opt::{
     ContinuousAllocation, Fidelity, JobWorkload, LatencyModel, MultiTenantProblem,
 };
+use faro_core::penalty::{phi, PenaltyShape};
 use faro_core::rng::SplitMix64;
-use faro_core::types::{ResourceModel, Slo};
+use faro_core::types::{ClassAlloc, ReplicaClass, ResourceModel, Slo};
 use faro_core::units::ReplicaCount;
+use faro_core::utility::{step_utility, RelaxedUtility};
+use faro_queueing::{mdc, RelaxedLatency};
 use faro_solver::{Cobyla, DifferentialEvolution, Problem, Solution, Solver};
 
 const QUOTA: u32 = 24;
@@ -319,5 +330,346 @@ fn concurrent_population_evaluation_equals_sequential() {
         // And the whole solve repeats on a problem that starts empty.
         let again = p.clone().solve(&de, &vec![2; n]).expect("solve");
         assert_eq!(alloc, again, "{objective:?}");
+    }
+}
+
+// ------------------------------------------------------- the classed problem
+
+/// Non-default sharpness and knee, so the builders' overrides are read.
+const CLASSED_ALPHA: f64 = 6.0;
+const CLASSED_KNEE: f64 = 0.9;
+
+/// A classed problem beside everything needed to score it without it.
+struct Classed {
+    problem: HeteroProblem,
+    jobs: Vec<JobWorkload>,
+    /// Service-time multiplier per class.
+    speeds: Vec<f64>,
+    /// `masks[job][class]`: whether the job may run on the class.
+    masks: Vec<Vec<bool>>,
+    objective: ClusterObjective,
+    fidelity: Fidelity,
+}
+
+impl Classed {
+    fn new(
+        jobs: Vec<JobWorkload>,
+        resources: ResourceModel,
+        masks: Vec<Vec<bool>>,
+        objective: ClusterObjective,
+        fidelity: Fidelity,
+    ) -> Self {
+        let speeds = resources.classes.iter().map(|c| c.speed).collect();
+        let problem = HeteroProblem::new(jobs.clone(), resources, objective, fidelity)
+            .expect("valid classed problem")
+            .with_utility(RelaxedUtility::new(CLASSED_ALPHA))
+            .with_relaxed_latency(RelaxedLatency::new(CLASSED_KNEE).expect("valid knee"))
+            .with_affinity(masks.clone())
+            .expect("valid masks");
+        Self {
+            problem,
+            jobs,
+            speeds,
+            masks,
+            objective,
+            fidelity,
+        }
+    }
+
+    /// Latency of one trajectory step, from scratch: reduce the pool to
+    /// its head count and effective service time, then one estimator
+    /// call per bracketing integer count.
+    fn step_latency(&self, job: &JobWorkload, lambda: f64, counts: &[f64]) -> f64 {
+        let (k, p) = (job.slo.percentile, job.processing_time);
+        let mut total = 0.0;
+        let mut rate = 0.0;
+        let mut used = Vec::new();
+        for (c, &x) in counts.iter().enumerate() {
+            let x = x.max(0.0);
+            if x > 0.0 {
+                total += x;
+                rate += x / (p * self.speeds[c]);
+                used.push(c);
+            }
+        }
+        let p_eff = match used[..] {
+            [] => return f64::INFINITY,
+            [only] => p * self.speeds[only],
+            _ => total / rate,
+        };
+        let lambda = lambda.max(0.0);
+        let relaxed = RelaxedLatency::new(CLASSED_KNEE).expect("valid knee");
+        let at = |n: f64| {
+            let servers = ReplicaCount::new(n as u32);
+            match self.fidelity {
+                Fidelity::Precise => mdc::latency_percentile(k, p_eff, lambda, servers),
+                Fidelity::Relaxed => relaxed.latency(k, p_eff, lambda, servers),
+            }
+            .unwrap_or(f64::INFINITY)
+        };
+        match self.fidelity {
+            Fidelity::Precise => at(total.max(1.0).round()),
+            Fidelity::Relaxed => {
+                let x = total.max(1.0);
+                if !x.is_finite() {
+                    return f64::INFINITY;
+                }
+                let (lo, hi) = (x.floor(), x.ceil());
+                let l_lo = at(lo);
+                if lo == hi {
+                    return l_lo;
+                }
+                let l_hi = at(hi);
+                if l_lo.is_infinite() || l_hi.is_infinite() {
+                    return f64::INFINITY;
+                }
+                l_lo + (l_hi - l_lo) * (x - lo)
+            }
+        }
+    }
+
+    fn expected_utility(&self, i: usize, counts: &[f64], d: f64) -> f64 {
+        let job = &self.jobs[i];
+        let mut sum = 0.0;
+        let mut steps = 0usize;
+        for &lambda in job.lambda_trajectories.iter().flatten() {
+            let l = self.step_latency(job, lambda * (1.0 - d.clamp(0.0, 1.0)), counts);
+            sum += match self.fidelity {
+                Fidelity::Precise => step_utility(l, job.slo.latency),
+                Fidelity::Relaxed => RelaxedUtility::new(CLASSED_ALPHA).value(l, job.slo.latency),
+            };
+            steps += 1;
+        }
+        sum / steps.max(1) as f64
+    }
+
+    /// The solver's objective (minimize convention) at point `v`.
+    fn objective_at(&self, v: &[f64]) -> f64 {
+        let (n, nc) = (self.jobs.len(), self.speeds.len());
+        let (xs, ds) = v.split_at(n * nc);
+        let shape = match self.fidelity {
+            Fidelity::Precise => PenaltyShape::Step,
+            Fidelity::Relaxed => PenaltyShape::Relaxed,
+        };
+        let utilities: Vec<JobUtility> = (0..n)
+            .map(|i| {
+                let d = ds.get(i).copied().unwrap_or(0.0);
+                let u = self.expected_utility(i, &xs[i * nc..(i + 1) * nc], d);
+                JobUtility {
+                    utility: u,
+                    effective_utility: phi(d, shape) * u,
+                    priority: self.jobs[i].priority,
+                }
+            })
+            .collect();
+        -self.objective.aggregate(&utilities)
+    }
+
+    /// The problem's own expected utility against the reference's, at
+    /// an integer allocation and at each allocation one replica short
+    /// of it (what `integerize` and `shrink` score).
+    fn check_integer_neighbourhood(&self, allocs: &[ClassAlloc], drops: &[f64], what: &str) {
+        for (j, alloc) in allocs.iter().enumerate() {
+            let at = alloc.as_slice().iter().map(|&n| f64::from(n));
+            let mut points = vec![at.clone().collect::<Vec<f64>>()];
+            for c in 0..alloc.n_classes() {
+                if alloc.count(c) > 0 {
+                    let mut short: Vec<f64> = at.clone().collect();
+                    short[c] -= 1.0;
+                    points.push(short);
+                }
+            }
+            for counts in points {
+                let got = self.problem.expected_utility(j, &counts, drops[j]);
+                let want = self.expected_utility(j, &counts, drops[j]);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{:?} {:?} {what}: job {j} at {counts:?}: {got} vs {want}",
+                    self.objective,
+                    self.fidelity
+                );
+            }
+        }
+    }
+}
+
+/// `hetero_mixed`'s shape: loose- and tight-SLO ResNet18 jobs of four
+/// sampled trajectories by six window steps. By `i % 5`: a loose job
+/// some CPU replicas can carry, a tight job that wants GPUs, a job that
+/// is idle for half its steps, a job saturated at any count the cluster
+/// can host, and a light tight job.
+fn classed_jobs(n: usize) -> Vec<JobWorkload> {
+    const SHAPES: [(f64, f64); 5] = [
+        (4.0, 7.0),
+        (0.4, 10.0),
+        (4.0, 0.5),
+        (0.4, 900.0),
+        (0.4, 3.0),
+    ];
+    let mut rng = SplitMix64::new(17);
+    (0..n)
+        .map(|i| {
+            let (slo_latency, base) = SHAPES[i % 5];
+            JobWorkload {
+                lambda_trajectories: (0..4)
+                    .map(|t| {
+                        (0..6)
+                            .map(|s| match (i % 5, (t + s) % 2) {
+                                (2, 0) => 0.0,
+                                _ => base * (0.7 + 0.6 * rng.fraction()),
+                            })
+                            .collect()
+                    })
+                    .collect(),
+                processing_time: 0.100,
+                slo: Slo {
+                    latency: slo_latency,
+                    percentile: 0.99,
+                },
+                priority: 1.0 + (i % 2) as f64,
+            }
+        })
+        .collect()
+}
+
+/// The classed cases: `hetero_mixed`'s GPU and 5x-slower CPU slots with
+/// one GPU-only and one CPU-only job among the unrestricted ones, and a
+/// one-class table (every pool single-class, `p_eff = p * 3`).
+fn classed_cases(objective: ClusterObjective, fidelity: Fidelity) -> Vec<Classed> {
+    let (n, gpus, cpus) = if cfg!(miri) {
+        (3, 4.0, 6.0)
+    } else {
+        (10, 16.0, 24.0)
+    };
+    let mut masks = vec![vec![true, true]; n];
+    masks[1] = vec![true, false];
+    masks[2] = vec![false, true];
+    let mixed = Classed::new(
+        classed_jobs(n),
+        ResourceModel::heterogeneous(
+            vec![ReplicaClass::gpu("gpu"), ReplicaClass::cpu("cpu", 5.0)],
+            gpus + cpus,
+            gpus,
+            4.0 * gpus + cpus,
+        ),
+        masks,
+        objective,
+        fidelity,
+    );
+    let single = Classed::new(
+        classed_jobs(3),
+        ResourceModel::heterogeneous(vec![ReplicaClass::cpu("cpu", 3.0)], 20.0, 0.0, 20.0),
+        vec![vec![true]; 3],
+        objective,
+        fidelity,
+    );
+    vec![mixed, single]
+}
+
+/// FNV-1a over integer allocations.
+fn allocation_digest(h: u64, allocs: &[ClassAlloc]) -> u64 {
+    allocs
+        .iter()
+        .flat_map(|a| a.as_slice().iter().copied().chain([u32::MAX]))
+        .fold(h, |h, w| {
+            (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Every value a default COBYLA solve of the classed problem reads, and
+/// every utility its integer post-processing scores, is the estimator's
+/// own value at that step and count; and the allocations decided from
+/// them are the ones decided when each value was computed (or looked up
+/// in a memo) one step at a time — the digest was taken then.
+#[test]
+fn a_classed_solve_and_its_post_processing_equal_the_direct_estimator() {
+    let solver = Cobyla {
+        max_iters: if cfg!(miri) { 2 } else { 400 },
+        ..Cobyla::default()
+    };
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for objective in objectives() {
+        for fidelity in fidelities() {
+            for case in classed_cases(objective, fidelity) {
+                let p = &case.problem;
+                let n = p.n_jobs();
+                let nc = p.n_classes();
+                let tap = Tap::new(&solver);
+                let alloc = p.solve(&tap, &vec![2; n]).expect("classed solve");
+                for (v, f) in tap.evaluations() {
+                    assert_eq!(
+                        f.to_bits(),
+                        case.objective_at(&v).to_bits(),
+                        "{objective:?} {fidelity:?} {nc} classes at {v:?}"
+                    );
+                }
+                // The solved point, and the same point with every allowed
+                // class pushed up so that integerize has replicas to trim,
+                // under drop rates no objective here settles on.
+                let crowded = HeteroAllocation {
+                    counts: alloc
+                        .counts
+                        .iter()
+                        .zip(case.masks.iter().flatten())
+                        .map(|(x, &allowed)| if allowed { x + 2.6 } else { *x })
+                        .collect(),
+                    drop_rates: (0..n).map(|j| 0.04 * (j % 3) as f64).collect(),
+                    ..alloc.clone()
+                };
+                for alloc in [&alloc, &crowded] {
+                    let mut allocs = p.integerize(alloc);
+                    case.check_integer_neighbourhood(&allocs, &alloc.drop_rates, "integerized");
+                    digest = allocation_digest(digest, &allocs);
+                    p.shrink(&mut allocs, &alloc.drop_rates);
+                    case.check_integer_neighbourhood(&allocs, &alloc.drop_rates, "shrunk");
+                    digest = allocation_digest(digest, &allocs);
+                }
+            }
+        }
+    }
+    if !cfg!(miri) {
+        assert_eq!(
+            digest, 0x54d4_5199_52b6_dab4,
+            "classed allocations moved: digest {digest:#018x}"
+        );
+    }
+}
+
+/// The corners no solve visits: empty, negative, NaN and infinite
+/// counts, pools under one replica, whole and fractional head counts,
+/// single-class and mixed, with drop rates inside and outside `[0, 1]`.
+#[test]
+fn classed_corner_points_equal_the_direct_estimator() {
+    let pools = [
+        [0.0, 0.0],
+        [-1.0, 0.0],
+        [f64::NAN, 2.0],
+        [0.3, 0.2],
+        [0.0, 1e-9],
+        [2.0, 0.0],
+        [2.5, 0.0],
+        [0.0, 7.0],
+        [1.0, 3.0],
+        [1.25, 3.5],
+        [6.0, 11.75],
+        [f64::INFINITY, 1.0],
+    ];
+    let drops = [0.0, 0.3, 1.0, 1.7, -0.4, f64::NAN];
+    for fidelity in fidelities() {
+        let case = &classed_cases(ClusterObjective::Sum, fidelity)[0];
+        for j in 0..case.jobs.len() {
+            for counts in &pools {
+                for &d in &drops {
+                    let got = case.problem.expected_utility(j, counts, d);
+                    let want = case.expected_utility(j, counts, d);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{fidelity:?} job {j} at {counts:?}, drop {d}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 }

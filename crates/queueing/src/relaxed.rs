@@ -67,18 +67,44 @@ impl RelaxedLatency {
     /// knee, the estimate at the knee is scaled by `lambda / lambda_knee`,
     /// penalizing latency proportionally to the queue growth rate.
     pub fn latency(&self, k: f64, p: f64, lambda: f64, servers: ReplicaCount) -> Result<f64> {
+        self.latency_with_knee(k, p, lambda, servers, &mut None)
+    }
+
+    /// [`RelaxedLatency::latency`] for a caller that asks about one
+    /// `(k, p, servers)` at many arrival rates: bit-for-bit the same
+    /// value, with the latency at the knee — which does not depend on
+    /// `lambda` — kept in `knee` between calls. Start with `None`; the
+    /// first call past the knee computes and stores it, later ones read
+    /// it, and calls under the knee never touch it. A `knee` filled
+    /// under one `(k, p, servers)` must not be passed with another.
+    ///
+    /// # Errors
+    ///
+    /// Same domain errors as [`RelaxedLatency::latency`]; `knee` is left
+    /// as it was.
+    pub fn latency_with_knee(
+        &self,
+        k: f64,
+        p: f64,
+        lambda: f64,
+        servers: ReplicaCount,
+        knee: &mut Option<f64>,
+    ) -> Result<f64> {
         let k = percentile(k)?;
         let p = positive("p", p)?;
         let lambda = crate::error::non_negative("lambda", lambda)?;
         if servers.is_zero() {
             return Err(Error::ZeroReplicas);
         }
-        if self.below_knee(p, lambda, servers.get()) {
+        let n = servers.get();
+        if self.below_knee(p, lambda, n) {
             return mdc::latency_percentile(k, p, lambda, servers);
         }
-        let lambda_knee = self.rho_max * servers.as_f64() / p;
-        let knee_latency = mdc::latency_percentile(k, p, lambda_knee, servers)?;
-        Ok(lambda / lambda_knee * knee_latency)
+        let knee_latency = match *knee {
+            Some(held) => held,
+            None => *knee.insert(self.knee_latency(k, p, n)?),
+        };
+        Ok(self.past_knee(p, lambda, n, knee_latency))
     }
 
     /// Whether `lambda` is at or under the stability knee at `servers`
@@ -86,6 +112,23 @@ impl RelaxedLatency {
     /// on (a NaN utilization is not).
     fn below_knee(&self, p: f64, lambda: f64, servers: u32) -> bool {
         lambda * p / f64::from(servers) <= self.rho_max
+    }
+
+    /// The arrival rate that puts `servers` servers exactly at the knee.
+    fn knee_rate(&self, p: f64, servers: u32) -> f64 {
+        self.rho_max * f64::from(servers) / p
+    }
+
+    /// The M/D/c latency of `servers` servers at their knee rate.
+    fn knee_latency(&self, k: f64, p: f64, servers: u32) -> Result<f64> {
+        let lambda_knee = self.knee_rate(p, servers);
+        mdc::latency_percentile(k, p, lambda_knee, ReplicaCount::new(servers))
+    }
+
+    /// The estimate past the knee: the knee latency scaled by how fast
+    /// the queue grows.
+    fn past_knee(&self, p: f64, lambda: f64, servers: u32, knee_latency: f64) -> f64 {
+        lambda / self.knee_rate(p, servers) * knee_latency
     }
 
     /// How many of the server counts `1..=max_servers` the rate
@@ -122,10 +165,7 @@ impl RelaxedLatency {
             return Err(Error::ZeroReplicas);
         }
         (1..=max_servers.get())
-            .map(|n| {
-                let lambda_knee = self.rho_max * f64::from(n) / p;
-                mdc::latency_percentile(k, p, lambda_knee, ReplicaCount::new(n))
-            })
+            .map(|n| self.knee_latency(k, p, n))
             .collect()
     }
 
@@ -156,8 +196,7 @@ impl RelaxedLatency {
             if self.below_knee(p, lambda, n) {
                 out.push(below_knee[(n - 1) as usize]);
             } else {
-                let lambda_knee = self.rho_max * f64::from(n) / p;
-                out.push(lambda / lambda_knee * knees[(n - 1) as usize]);
+                out.push(self.past_knee(p, lambda, n, knees[(n - 1) as usize]));
             }
         }
         Ok(out)
@@ -305,6 +344,87 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// What a result compares as: its bits, or its error.
+    fn bits(r: Result<f64>) -> std::result::Result<u64, String> {
+        r.map(f64::to_bits).map_err(|e| format!("{e:?}"))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 64 }))]
+
+        /// One knee slot held across many rates at one `(k, p, servers)`
+        /// answers every rate as `latency` and as the estimator's
+        /// definition do, bit for bit or error for error — idle, under
+        /// the knee, past it, saturated, rates and parameters the
+        /// estimator rejects — and holds the knee latency from the
+        /// first accepted rate past the knee on, never before.
+        #[test]
+        fn held_knee_matches_latency_bitwise(
+            p in 0.01f64..0.5,
+            k in 0.5f64..0.9999,
+            servers in 1u32..(if cfg!(miri) { 48 } else { 4096 }),
+            loads in proptest::prop::collection::vec(0.0f64..3.0, 1..24),
+            invalid in 0u32..8,
+        ) {
+            let est = RelaxedLatency::default();
+            let (k, p) = match invalid {
+                1 => (1.0, p),
+                2 => (f64::NAN, p),
+                3 => (k, 0.0),
+                4 => (k, f64::INFINITY),
+                _ => (k, p),
+            };
+            let n = f64::from(servers);
+            let lambda_knee = est.rho_max() * n / p;
+            let knee_latency = mdc::latency_percentile(k, p, lambda_knee, rc(servers));
+            let mut rates: Vec<f64> = loads.iter().map(|load| load * n / p).collect();
+            rates.extend([0.0, f64::NAN, f64::INFINITY, -1.0]);
+            let mut knee = None;
+            for lambda in rates {
+                let held = knee;
+                let got = est.latency_with_knee(k, p, lambda, rc(servers), &mut knee);
+                let want = est.latency(k, p, lambda, rc(servers));
+                proptest::prop_assert_eq!(
+                    bits(got.clone()),
+                    bits(want),
+                    "k={} p={} servers={} lambda={} held={:?}",
+                    k, p, servers, lambda, held
+                );
+                let Ok(got) = got else {
+                    proptest::prop_assert_eq!(knee, held, "a rejected call moved the knee");
+                    continue;
+                };
+                if lambda * p / n <= est.rho_max() {
+                    let plain = mdc::latency_percentile(k, p, lambda, rc(servers));
+                    proptest::prop_assert_eq!(Ok(got.to_bits()), bits(plain));
+                    proptest::prop_assert_eq!(knee, held, "a call under the knee moved it");
+                } else {
+                    let knee_latency = knee_latency.clone().unwrap();
+                    let scaled = lambda / lambda_knee * knee_latency;
+                    proptest::prop_assert_eq!(got.to_bits(), scaled.to_bits());
+                    proptest::prop_assert_eq!(knee.map(f64::to_bits), Some(knee_latency.to_bits()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_held_knee_is_read_not_recomputed() {
+        let est = RelaxedLatency::default();
+        // Four servers at 150 ms reach the knee at 25.3 req/s.
+        let mut knee = Some(42.0);
+        let l = est
+            .latency_with_knee(0.99, 0.15, 100.0, rc(4), &mut knee)
+            .unwrap();
+        assert_eq!(l, 100.0 / (0.95 * 4.0 / 0.15) * 42.0);
+        assert_eq!(knee, Some(42.0));
+        let under = est
+            .latency_with_knee(0.99, 0.15, 10.0, rc(4), &mut knee)
+            .unwrap();
+        assert_eq!(under, est.latency(0.99, 0.15, 10.0, rc(4)).unwrap());
+        assert_eq!(knee, Some(42.0));
     }
 
     #[test]
