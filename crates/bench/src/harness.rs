@@ -211,8 +211,9 @@ pub fn summarize(results: &[PolicyResult]) -> String {
 
 /// Appends one serialized entry to the JSON array in `path`,
 /// preserving any existing entries byte-for-byte (the vendored serde
-/// stub has no JSON parser, so this splices text). Used by the perf
-/// bins (`perf_baseline`, `faro-trace`) to grow `BENCH_perf.json`.
+/// stub has no JSON parser, so this splices text). Used by the bins
+/// that record a row (`faro-trace`, `scale_sweep`, `chaos_resilience`,
+/// `hetero_mixed`) to grow `BENCH_perf.json`.
 ///
 /// # Errors
 ///

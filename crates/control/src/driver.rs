@@ -1,13 +1,12 @@
 //! The backend-generic run builder: one entry point for simulated
 //! and live control loops.
 //!
-//! The simulator grew a convenient `Simulation::runner()…run()`
-//! builder, but it was sim-only — driving any other
-//! [`ClusterBackend`] (a chaos-wrapped sim, the in-process HTTP
-//! cluster, eventually a real apiserver) meant hand-composing a
-//! [`Reconciler`], an optional [`ResilientDriver`], and the run loop.
-//! [`Driver`] promotes that builder to the control plane: it works on
-//! any backend, optionally wraps it in resilience, streams into any
+//! Driving a [`ClusterBackend`] — the simulator, a chaos-wrapped sim,
+//! the in-process HTTP cluster, eventually a real apiserver — would
+//! otherwise mean hand-composing a [`Reconciler`], an optional
+//! [`ResilientDriver`], and the run loop. [`Driver`] is that
+//! composition as a builder on the control plane: it works on any
+//! backend, optionally wraps it in resilience, streams into any
 //! telemetry sink, and can bound the run by rounds (a live loop has
 //! no horizon of its own). `Simulation::driver()` in `faro-sim` and
 //! the live loop in `faro-cluster` are both thin layers over this

@@ -88,7 +88,7 @@ impl fmt::Display for BackendError {
 impl std::error::Error for BackendError {}
 
 /// Workspace-wide alias: the one error type control loops and run
-/// entry points (`Simulation::runner().run()`) surface.
+/// entry points surface.
 pub type FaroError = Error;
 
 /// Errors surfaced by the autoscaler and its building blocks.

@@ -1,0 +1,236 @@
+//! How one job is scored: the model's knobs and the one evaluator both
+//! problem formulations, and every organization of the solve, share.
+//!
+//! Everything below the shape of the decision vector lives here. A
+//! problem reduces job `i`'s variables to a pool — an effective
+//! per-request service time and a head count — and asks [`Model`]:
+//! [`crate::hetero::HeteroProblem`] with the harmonic reduction of its
+//! class mix, [`crate::opt::MultiTenantProblem`] with `(p, x)` for
+//! every read its latency tables do not serve (a drop rate, a count past
+//! the quota, a problem past its table budget, the upper-bound
+//! estimator). One class of speed 1 *is* the scalar problem, which is
+//! why there is one of these and why a scalar and a one-class solve
+//! agree bit for bit.
+//!
+//! Work that does not depend on the trajectory step is done once per
+//! evaluation: the head count is bracketed between two integer server
+//! counts, and each count's knee latency (a function of the count
+//! alone) is held from the first step past the knee on. Drop-adjusted
+//! rates are *asked*, not looked up: a solve visits each
+//! `lambda * (1 - d)` about once (a keyed memo in front of this path
+//! answered 27% of a paper-shaped `PenaltySum` solve's reads and cost
+//! more than the few-step recurrence it saved), so nothing here is
+//! shared between evaluations and nothing sits under a lock.
+
+use crate::error::{Error, Result};
+use crate::objective::JobUtility;
+use crate::opt::{Fidelity, JobWorkload, LatencyModel};
+use crate::penalty::{phi, PenaltyShape};
+use crate::types::ResourceModel;
+use crate::units::ReplicaCount;
+use crate::utility::{step_utility, RelaxedUtility};
+use faro_queueing::{mdc, upper_bound, RelaxedLatency};
+
+#[cfg(test)]
+thread_local! {
+    /// Knee latencies this thread's evaluations have had computed.
+    pub(crate) static KNEE_RECURRENCES: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
+/// The modelling knobs of a solve: which formulation is evaluated,
+/// which estimator feeds it, and how the relaxation is shaped. Built
+/// once per long-term round from [`crate::faro::FaroConfig`] and handed
+/// to whichever organization of the solve runs, so none can drop one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Model {
+    pub(crate) fidelity: Fidelity,
+    pub(crate) latency_model: LatencyModel,
+    pub(crate) relaxed_utility: RelaxedUtility,
+    pub(crate) relaxed_latency: RelaxedLatency,
+}
+
+/// A pool as every trajectory step of one utility evaluation reads it:
+/// an effective M/D/c queue at the integer head counts bracketing the
+/// fractional one.
+struct Pool {
+    /// Effective per-request service time.
+    p_eff: f64,
+    /// `floor` and `ceil` of the head count; equal when it is whole, and
+    /// wherever the estimator rounds it.
+    servers: [ReplicaCount; 2],
+    /// How far the head count is from `servers[0]` towards `servers[1]`.
+    frac: f64,
+    /// The knee latency at each of `servers`, from the first step past
+    /// that count's knee on.
+    knees: [Option<f64>; 2],
+}
+
+impl Model {
+    /// The paper's defaults at the given fidelity: M/D/c, `alpha = 4`,
+    /// `rho_max = 0.95`.
+    pub(crate) fn new(fidelity: Fidelity) -> Self {
+        Self {
+            fidelity,
+            latency_model: LatencyModel::MDc,
+            relaxed_utility: RelaxedUtility::default(),
+            relaxed_latency: RelaxedLatency::default(),
+        }
+    }
+
+    /// Utility of one step's latency against the SLO target.
+    #[inline]
+    fn step_value(&self, latency: f64, slo_latency: f64) -> f64 {
+        match self.fidelity {
+            Fidelity::Precise => step_utility(latency, slo_latency),
+            Fidelity::Relaxed => self.relaxed_utility.value(latency, slo_latency),
+        }
+    }
+
+    /// The `phi(d) * u` record of a job at expected utility `utility`.
+    #[inline]
+    pub(crate) fn record(&self, job: &JobWorkload, utility: f64, drop_rate: f64) -> JobUtility {
+        let shape = match self.fidelity {
+            Fidelity::Precise => PenaltyShape::Step,
+            Fidelity::Relaxed => PenaltyShape::Relaxed,
+        };
+        JobUtility {
+            utility,
+            effective_utility: phi(drop_rate, shape) * utility,
+            priority: job.priority,
+        }
+    }
+
+    /// Expected utility of `job` served by `x` (fractional) replicas of
+    /// effective service time `p_eff`, averaged over trajectories and
+    /// window steps (Sec. 4.1), before the drop multiplier.
+    #[inline]
+    pub(crate) fn expected_utility(
+        &self,
+        job: &JobWorkload,
+        p_eff: f64,
+        x: f64,
+        drop_rate: f64,
+    ) -> f64 {
+        let Some(mut pool) = self.bracket(p_eff, x) else {
+            return 0.0; // Infinite latency at every step.
+        };
+        let kept = 1.0 - drop_rate.clamp(0.0, 1.0);
+        let mut sum = 0.0;
+        let mut count = 0usize;
+        for traj in &job.lambda_trajectories {
+            for &lambda in traj {
+                let l = self.latency(job.slo.percentile, lambda * kept, &mut pool);
+                sum += self.step_value(l, job.slo.latency);
+                count += 1;
+            }
+        }
+        #[cfg(test)]
+        KNEE_RECURRENCES.with(|n| {
+            // A knee slot is filled by the one call that computes it.
+            n.set(n.get() + pool.knees.iter().flatten().count());
+        });
+        sum / count.max(1) as f64
+    }
+
+    /// Brackets the head count `x` (at least one replica). The relaxed
+    /// M/D/c bracket mirrors `RelaxedLatency::latency_fractional`; the
+    /// precise and upper-bound estimators round. `None` for a head count
+    /// the relaxation cannot bracket: its latency is infinite at every
+    /// rate.
+    #[inline]
+    fn bracket(&self, p_eff: f64, x: f64) -> Option<Pool> {
+        let x = x.max(1.0);
+        let (lo, hi) = match (self.latency_model, self.fidelity) {
+            (LatencyModel::UpperBound, _) | (LatencyModel::MDc, Fidelity::Precise) => {
+                (x.round(), x.round())
+            }
+            (LatencyModel::MDc, Fidelity::Relaxed) if x.is_finite() => (x.floor(), x.ceil()),
+            (LatencyModel::MDc, Fidelity::Relaxed) => return None,
+        };
+        Some(Pool {
+            p_eff,
+            servers: [lo, hi].map(|n| ReplicaCount::new(n as u32)),
+            // Zero exactly when `lo == hi`: a whole or a rounded count.
+            frac: if lo == hi { 0.0 } else { x - lo },
+            knees: [None; 2],
+        })
+    }
+
+    /// Estimated latency of `pool` at percentile `k` and arrival rate
+    /// `lambda` (already drop-adjusted): the estimator at the lower
+    /// bracketing count, interpolated towards the upper one when the
+    /// head count is fractional.
+    #[inline]
+    fn latency(&self, k: f64, lambda: f64, pool: &mut Pool) -> f64 {
+        let lambda = lambda.max(0.0);
+        let l_lo = self.estimate(k, lambda, pool, 0);
+        if pool.frac == 0.0 {
+            return l_lo;
+        }
+        // The relaxed estimate is finite on valid input, so a non-finite
+        // side means the estimator rejected the call as a whole.
+        let l_hi = self.estimate(k, lambda, pool, 1);
+        if l_lo.is_infinite() || l_hi.is_infinite() {
+            return f64::INFINITY;
+        }
+        l_lo + (l_hi - l_lo) * pool.frac
+    }
+
+    /// The configured estimator at `pool.servers[side]`; infinite where
+    /// it rejects its input.
+    #[inline]
+    fn estimate(&self, k: f64, lambda: f64, pool: &mut Pool, side: usize) -> f64 {
+        let (p_eff, servers) = (pool.p_eff, pool.servers[side]);
+        match (self.latency_model, self.fidelity) {
+            // One second's arrivals treated as a simultaneous burst (the
+            // paper's kappa; Sec. 3.3's example uses kappa = lambda = 40
+            // with p = 150 ms and 600 ms SLO -> 10 replicas), never
+            // faster than one service time.
+            (LatencyModel::UpperBound, _) => {
+                upper_bound::completion_time(p_eff, lambda, servers).map(|w| w.max(p_eff))
+            }
+            (LatencyModel::MDc, Fidelity::Precise) => {
+                mdc::latency_percentile(k, p_eff, lambda, servers)
+            }
+            (LatencyModel::MDc, Fidelity::Relaxed) => self.relaxed_latency.latency_with_knee(
+                k,
+                p_eff,
+                lambda,
+                servers,
+                &mut pool.knees[side],
+            ),
+        }
+        .unwrap_or(f64::INFINITY)
+    }
+}
+
+/// What every problem formulation requires of its input.
+///
+/// # Errors
+///
+/// Fails when there are no jobs, a job has no trajectory or processing
+/// time, or the quota cannot host one replica per job.
+pub(crate) fn validate(jobs: &[JobWorkload], resources: &ResourceModel) -> Result<()> {
+    if jobs.is_empty() {
+        return Err(Error::InvalidSnapshot("no jobs to optimize".into()));
+    }
+    for (i, j) in jobs.iter().enumerate() {
+        if j.lambda_trajectories.is_empty() || j.lambda_trajectories.iter().any(Vec::is_empty) {
+            return Err(Error::InvalidSnapshot(format!("job {i} has no trajectory")));
+        }
+        if j.processing_time.is_nan() || j.processing_time <= 0.0 {
+            return Err(Error::InvalidSnapshot(format!(
+                "job {i} has no processing time"
+            )));
+        }
+    }
+    if (resources.replica_quota().get() as usize) < jobs.len() {
+        return Err(Error::InvalidSnapshot(format!(
+            "quota {} cannot host one replica for each of {} jobs",
+            resources.replica_quota(),
+            jobs.len()
+        )));
+    }
+    Ok(())
+}

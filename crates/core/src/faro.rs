@@ -22,8 +22,9 @@
 
 use crate::admission::{Admission, ClampToQuota};
 use crate::error::Result;
+use crate::evaluate::Model;
 use crate::hetero::HeteroProblem;
-use crate::hierarchical::solve_hierarchical;
+use crate::hierarchical::solve_grouped;
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, LatencyModel, MultiTenantProblem};
 use crate::policy::{Policy, PolicyIntrospection};
@@ -261,26 +262,37 @@ impl FaroAutoscaler {
             .collect()
     }
 
-    /// Stages 2 and 3: solve, integerize, shrink.
+    /// Stages 2 and 3: solve, integerize, shrink. The model is built
+    /// here, once, from the configuration; below this line the round
+    /// branches on how the solve is *organized* — classed, sharded,
+    /// grouped or flat — and every arm is handed the same value.
     fn long_term(&mut self, snapshot: &ClusterSnapshot) -> Result<Vec<JobDecision>> {
         let jobs = self.formulate(snapshot);
         let current: Vec<u32> = snapshot.jobs.iter().map(|j| j.target_replicas).collect();
-        if snapshot.resources.n_classes() > 1 {
-            return self.long_term_hetero(snapshot, jobs, &current);
+        let model = Model {
+            fidelity: self.config.fidelity,
+            latency_model: self.config.latency_model,
+            relaxed_utility: RelaxedUtility::new(self.config.alpha),
+            relaxed_latency: RelaxedLatency::new(self.config.rho_max)
+                .map_err(crate::error::Error::from)?,
+        };
+        let resources = snapshot.resources.clone();
+        let objective = self.config.objective;
+        let use_shrinking = self.config.use_shrinking;
+        if resources.n_classes() > 1 {
+            return self.long_term_hetero(snapshot, jobs, &current, model);
         }
         let (mut replicas, drop_rates) = if let SolvePlan::Sharded(scfg) = self.config.solve_plan {
-            // Like the hierarchical branch, the sharded path sticks to
-            // the problem's default latency model and relaxations: the
-            // within-shard solves own those knobs.
             let seed = self.config.seed;
             let sharded = self
                 .sharded
                 .get_or_insert_with(|| ShardedSolver::new(scfg, seed));
-            let out = sharded.solve(
+            let out = sharded.solve_with(
                 &jobs,
-                snapshot.resources.clone(),
-                self.config.objective,
-                self.config.fidelity,
+                resources,
+                objective,
+                model,
+                use_shrinking,
                 &self.solver,
                 &current,
             )?;
@@ -288,38 +300,23 @@ impl FaroAutoscaler {
             self.intro.shard_record = Some(out.record);
             self.intro.shard_spans = out.shard_spans;
             (out.replicas, out.drop_rates)
-        } else if jobs.len() > self.config.hierarchical_threshold {
-            let out = solve_hierarchical(
-                &jobs,
-                snapshot.resources.clone(),
-                self.config.objective,
-                self.config.fidelity,
-                &self.solver,
-                &current,
-                self.config.groups,
-                self.config.seed,
-            )?;
-            self.intro.solver_evals += out.evals as u64;
-            (out.replicas, out.drop_rates)
         } else {
-            let problem = MultiTenantProblem::new(
-                jobs,
-                snapshot.resources.clone(),
-                self.config.objective,
-                self.config.fidelity,
-            )?
-            .with_latency_model(self.config.latency_model)
-            .with_utility(RelaxedUtility::new(self.config.alpha))
-            .with_relaxed_latency(
-                RelaxedLatency::new(self.config.rho_max).map_err(crate::error::Error::from)?,
-            );
-            let alloc = problem.solve(&self.solver, &current)?;
-            self.intro.solver_evals += alloc.evals as u64;
-            let mut xs = problem.integerize(&alloc);
-            if self.config.use_shrinking {
-                problem.shrink(&mut xs, &alloc.drop_rates);
+            let problem = MultiTenantProblem::with_model(jobs, resources, objective, model)?;
+            if problem.n_jobs() > self.config.hierarchical_threshold {
+                let out = solve_grouped(
+                    &problem,
+                    &self.solver,
+                    &current,
+                    self.config.groups,
+                    self.config.seed,
+                )?;
+                self.intro.solver_evals += out.evals as u64;
+                (out.replicas, out.drop_rates)
+            } else {
+                let (xs, alloc) = problem.solve_integer(&self.solver, &current, use_shrinking)?;
+                self.intro.solver_evals += alloc.evals as u64;
+                (xs, alloc.drop_rates)
             }
-            (xs, alloc.drop_rates)
         };
 
         // Defensive floor (solvers already respect bounds).
@@ -341,14 +338,13 @@ impl FaroAutoscaler {
     /// organizations here — both partition a *scalar* quota, which has
     /// no unique meaning under a vector capacity. A one-class table
     /// never reaches this path: it routes through the scalar pipeline
-    /// (bit-identical by construction) and actuates on class 0. The
-    /// upper-bound latency ablation is likewise scalar-only; the mixed
-    /// pool always scores M/D/c on its effective service time.
+    /// (bit-identical by construction) and actuates on class 0.
     fn long_term_hetero(
         &mut self,
         snapshot: &ClusterSnapshot,
         jobs: Vec<JobWorkload>,
         current: &[u32],
+        model: Model,
     ) -> Result<Vec<JobDecision>> {
         let masks: Vec<Vec<bool>> = snapshot
             .jobs
@@ -362,16 +358,12 @@ impl FaroAutoscaler {
                     .collect()
             })
             .collect();
-        let problem = HeteroProblem::new(
+        let problem = HeteroProblem::with_model(
             jobs,
             snapshot.resources.clone(),
             self.config.objective,
-            self.config.fidelity,
+            model,
         )?
-        .with_utility(RelaxedUtility::new(self.config.alpha))
-        .with_relaxed_latency(
-            RelaxedLatency::new(self.config.rho_max).map_err(crate::error::Error::from)?,
-        )
         .with_affinity(masks)?;
         let alloc = problem.solve(&self.solver, current)?;
         self.intro.solver_evals += alloc.evals as u64;
@@ -953,6 +945,126 @@ mod tests {
         // Reactive ticks between solves report no shard record.
         f.decide(&snapshot(310.0, 60, mk(1)));
         assert!(f.introspect().shard_record.is_none());
+    }
+
+    /// One cold long-term round of `n` mean-trajectory jobs under `cfg`:
+    /// what the autoscaler decided, beside the snapshot and the stage-1
+    /// workloads (from a twin; the mean trajectory draws nothing).
+    fn cold_round(
+        cfg: &FaroConfig,
+        n: usize,
+        quota: u32,
+    ) -> (Vec<u32>, ClusterSnapshot, Vec<JobWorkload>) {
+        let twin = || {
+            let predictors = (0..n)
+                .map(|_| Box::new(FlatPredictor::default()) as Box<dyn RatePredictor>)
+                .collect();
+            FaroAutoscaler::new(cfg.clone(), predictors)
+        };
+        let jobs = (0..n)
+            .map(|i| obs(900.0 + 150.0 * (i % 9) as f64, 1, 0.1))
+            .collect();
+        let snap = snapshot(0.0, quota, jobs);
+        let decided = twin().decide(&snap).targets().collect();
+        let workloads = twin().formulate(&snap);
+        (decided, snap, workloads)
+    }
+
+    fn model_of(cfg: &FaroConfig) -> Model {
+        Model {
+            fidelity: cfg.fidelity,
+            latency_model: cfg.latency_model,
+            relaxed_utility: RelaxedUtility::new(cfg.alpha),
+            relaxed_latency: RelaxedLatency::new(cfg.rho_max).unwrap(),
+        }
+    }
+
+    /// Under each knob a round of `n` jobs organized by `plan` decides
+    /// what the same solve decides on a problem built by hand with that
+    /// model — and not what the default model decides.
+    fn assert_round_reads_every_knob(n: usize, quota: u32, plan: SolvePlan) {
+        let mut base = FaroConfig::new(ClusterObjective::Sum);
+        base.samples = 1;
+        base.solve_plan = plan;
+        let (default, ..) = cold_round(&base, n, quota);
+        let with = |set: fn(&mut FaroConfig)| {
+            let mut cfg = base.clone();
+            set(&mut cfg);
+            cfg
+        };
+        for (knob, cfg) in [
+            ("alpha", with(|c| c.alpha = 8.0)),
+            ("rho_max", with(|c| c.rho_max = 0.6)),
+            (
+                "latency_model",
+                with(|c| c.latency_model = LatencyModel::UpperBound),
+            ),
+        ] {
+            let (decided, snap, jobs) = cold_round(&cfg, n, quota);
+            let (resources, model) = (snap.resources.clone(), model_of(&cfg));
+            let by_hand = match plan {
+                SolvePlan::Sharded(scfg) => {
+                    ShardedSolver::new(scfg, cfg.seed)
+                        .solve_with(
+                            &jobs,
+                            resources,
+                            cfg.objective,
+                            model,
+                            cfg.use_shrinking,
+                            &Cobyla::fast(),
+                            &vec![1; n],
+                        )
+                        .unwrap()
+                        .replicas
+                }
+                SolvePlan::Global => {
+                    let problem =
+                        MultiTenantProblem::with_model(jobs, resources, cfg.objective, model)
+                            .unwrap();
+                    solve_grouped(&problem, &Cobyla::fast(), &vec![1; n], cfg.groups, cfg.seed)
+                        .unwrap()
+                        .replicas
+                }
+            };
+            assert_eq!(decided, by_hand, "{knob}");
+            assert_ne!(decided, default, "{knob} is read");
+        }
+    }
+
+    #[test]
+    fn grouped_round_reads_every_model_knob() {
+        assert_round_reads_every_knob(60, 150, SolvePlan::Global);
+    }
+
+    #[test]
+    fn sharded_round_reads_every_model_knob() {
+        use crate::sharded::ShardConfig;
+        let plan = SolvePlan::Sharded(ShardConfig::with_shards(3));
+        assert_round_reads_every_knob(12, 30, plan);
+    }
+
+    /// Fig. 16's ablation reaches the shards: with shrinking off, a
+    /// (one-shard, so reproducible by hand) sharded round returns the
+    /// integerized solve as it is, replicas shrinking would reclaim
+    /// included.
+    #[test]
+    fn sharded_round_without_shrinking_is_its_unshrunk_integerization() {
+        use crate::sharded::ShardConfig;
+        let (n, quota) = (6, 60);
+        let mut cfg = FaroConfig::new(ClusterObjective::Sum);
+        cfg.samples = 1;
+        cfg.solve_plan = SolvePlan::Sharded(ShardConfig::with_shards(1));
+        cfg.use_shrinking = false;
+        let (decided, snap, jobs) = cold_round(&cfg, n, quota);
+        let problem =
+            MultiTenantProblem::with_model(jobs, snap.resources, cfg.objective, model_of(&cfg))
+                .unwrap();
+        let alloc = problem.solve(&Cobyla::fast(), &vec![1; n]).unwrap();
+        let unshrunk = problem.integerize(&alloc);
+        assert_eq!(decided, unshrunk);
+        let mut shrunk = unshrunk.clone();
+        problem.shrink(&mut shrunk, &alloc.drop_rates);
+        assert_ne!(shrunk, unshrunk, "shrinking had replicas to reclaim");
     }
 
     #[test]

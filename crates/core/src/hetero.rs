@@ -11,20 +11,18 @@
 //! and capacity is the vector quota `[vCPU, GPU, RAM]` with
 //! per-class costs from [`ReplicaClass::cost`].
 //!
-//! Unlike the homogeneous path, latency rows cannot be precomputed per
-//! (job, rate): the effective service time `p_eff` varies continuously
-//! with the class mix, so there is no finite axis to tabulate, and a
-//! keyed lookup costs more than the few-step Erlang recurrence it would
-//! save. What the scalar tables buy — work that does not depend on the
-//! trajectory step is done once — is had per evaluation instead:
-//! [`HeteroProblem::expected_utility`] reduces the pool once to `p_eff`
-//! and the two integer head counts bracketing the fractional one, then
-//! asks the estimator directly at every step, holding each count's knee
-//! latency (a function of the count alone) from the first step past the
-//! knee on. Single-class pools keep `p_eff = p * m_c` exactly, so a
-//! one-class cluster reproduces the homogeneous estimates bit-for-bit
-//! (which is why [`crate::faro::FaroAutoscaler`] only routes here when
-//! two or more classes are configured).
+//! All this module knows about scoring is that reduction, `counts ->
+//! (p_eff, total)`: the pool is then scored by the evaluator of
+//! `evaluate.rs`, the one [`crate::opt::MultiTenantProblem`] asks with
+//! `(p, x)`, under whatever model the solve was given (the upper-bound
+//! estimator included — a mixed pool's burst completes in
+//! `p_eff * kappa / N`). Unlike the homogeneous path, latency rows
+//! cannot be precomputed per (job, rate): `p_eff` varies continuously
+//! with the class mix, so there is no finite axis to tabulate, and
+//! every read is asked. Single-class pools keep `p_eff = p * m_c`
+//! exactly, so a one-class cluster reproduces the homogeneous estimates
+//! bit-for-bit (which is why [`crate::faro::FaroAutoscaler`] only routes
+//! here when two or more classes are configured).
 //!
 //! The post-processing mirrors the homogeneous pipeline with a class
 //! axis:
@@ -40,13 +38,12 @@
 //!   last is the capacity other jobs actually want.
 
 use crate::error::{Error, Result};
+use crate::evaluate::{validate, Model};
 use crate::objective::{ClusterObjective, JobUtility};
 use crate::opt::{Fidelity, JobWorkload};
-use crate::penalty::{phi, PenaltyShape};
 use crate::types::{ClassAlloc, ReplicaClass, ResourceModel, MAX_CLASSES, RESOURCE_DIMS};
-use crate::units::ReplicaCount;
-use crate::utility::{step_utility, RelaxedUtility};
-use faro_queueing::{mdc, RelaxedLatency};
+use crate::utility::RelaxedUtility;
+use faro_queueing::RelaxedLatency;
 use faro_solver::{Problem, Solution, Solver};
 
 /// The assembled class-aware optimization problem.
@@ -55,42 +52,22 @@ pub struct HeteroProblem {
     jobs: Vec<JobWorkload>,
     resources: ResourceModel,
     objective: ClusterObjective,
-    fidelity: Fidelity,
-    relaxed_utility: RelaxedUtility,
-    relaxed_latency: RelaxedLatency,
+    model: Model,
     /// `allowed[job][class]`: whether the job may run on the class
     /// (from [`crate::types::JobSpec::allows_class`]).
     allowed: Vec<Vec<bool>>,
-}
-
-/// A job's mixed pool as every trajectory step of one utility
-/// evaluation reads it: reduced to an effective M/D/c queue at the
-/// integer head counts bracketing the fractional one.
-struct Pool {
-    /// Effective per-request service time of the mix.
-    p_eff: f64,
-    /// `floor` and `ceil` of the head count; equal when it is whole, and
-    /// under [`Fidelity::Precise`], which rounds it.
-    servers: [ReplicaCount; 2],
-    /// How far the head count is from `servers[0]` towards `servers[1]`.
-    frac: f64,
-    /// The knee latency at each of `servers`, from the first step past
-    /// that count's knee on.
-    knees: [Option<f64>; 2],
 }
 
 #[cfg(test)]
 thread_local! {
     /// Pool reductions this thread's evaluations have performed.
     static POOL_REDUCTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    /// Knee latencies this thread's evaluations have had computed.
-    static KNEE_RECURRENCES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl HeteroProblem {
-    /// Builds a class-aware problem over the given jobs and resources.
-    /// Every job is initially allowed on every class; restrict with
-    /// [`HeteroProblem::with_affinity`].
+    /// Builds a class-aware problem over the given jobs and resources,
+    /// under the paper's default model. Every job is initially allowed
+    /// on every class; restrict with [`HeteroProblem::with_affinity`].
     ///
     /// # Errors
     ///
@@ -105,19 +82,17 @@ impl HeteroProblem {
         objective: ClusterObjective,
         fidelity: Fidelity,
     ) -> Result<Self> {
-        if jobs.is_empty() {
-            return Err(Error::InvalidSnapshot("no jobs to optimize".into()));
-        }
-        for (i, j) in jobs.iter().enumerate() {
-            if j.lambda_trajectories.is_empty() || j.lambda_trajectories.iter().any(Vec::is_empty) {
-                return Err(Error::InvalidSnapshot(format!("job {i} has no trajectory")));
-            }
-            if j.processing_time.is_nan() || j.processing_time <= 0.0 {
-                return Err(Error::InvalidSnapshot(format!(
-                    "job {i} has no processing time"
-                )));
-            }
-        }
+        Self::with_model(jobs, resources, objective, Model::new(fidelity))
+    }
+
+    /// [`HeteroProblem::new`] under a given model.
+    pub(crate) fn with_model(
+        jobs: Vec<JobWorkload>,
+        resources: ResourceModel,
+        objective: ClusterObjective,
+        model: Model,
+    ) -> Result<Self> {
+        validate(&jobs, &resources)?;
         if !resources.has_classes() {
             return Err(Error::InvalidSnapshot(
                 "hetero solve needs a replica class table".into(),
@@ -137,34 +112,25 @@ impl HeteroProblem {
                 )));
             }
         }
-        if (resources.replica_quota().get() as usize) < jobs.len() {
-            return Err(Error::InvalidSnapshot(format!(
-                "quota {} cannot host one replica for each of {} jobs",
-                resources.replica_quota(),
-                jobs.len()
-            )));
-        }
         let allowed = vec![vec![true; resources.n_classes()]; jobs.len()];
         Ok(Self {
             jobs,
             resources,
             objective,
-            fidelity,
-            relaxed_utility: RelaxedUtility::default(),
-            relaxed_latency: RelaxedLatency::default(),
+            model,
             allowed,
         })
     }
 
     /// Overrides the relaxed utility sharpness.
     pub fn with_utility(mut self, u: RelaxedUtility) -> Self {
-        self.relaxed_utility = u;
+        self.model.relaxed_utility = u;
         self
     }
 
     /// Overrides the relaxed latency knee.
     pub fn with_relaxed_latency(mut self, l: RelaxedLatency) -> Self {
-        self.relaxed_latency = l;
+        self.model.relaxed_latency = l;
         self
     }
 
@@ -227,12 +193,11 @@ impl HeteroProblem {
         order
     }
 
-    /// Reduces a fractional per-class count vector to the pool's head
-    /// count and effective service time (the fractional mirror of
-    /// [`faro_queueing::mixed::effective_pool`]) and brackets the head
-    /// count. `None` for a pool whose latency is infinite at every rate:
-    /// an empty one, or a head count the relaxation cannot bracket.
-    fn pool(&self, p: f64, counts: &[f64]) -> Option<Pool> {
+    /// Reduces a fractional per-class count vector to the pool's
+    /// effective service time and head count (the fractional mirror of
+    /// [`faro_queueing::mixed::effective_pool`]). `None` for an empty
+    /// pool.
+    fn pool(&self, p: f64, counts: &[f64]) -> Option<(f64, f64)> {
         #[cfg(test)]
         POOL_REDUCTIONS.with(|n| n.set(n.get() + 1));
         let (mut total, mut rate) = (0.0, 0.0);
@@ -245,103 +210,31 @@ impl HeteroProblem {
                 used += 1;
             }
         }
-        let p_eff = match used {
-            0 => return None,
+        match used {
+            0 => None,
             // Single-class pools skip the aggregation round-trip so the
             // reference class stays bit-identical to the homogeneous
             // estimator.
-            1 => p * speed,
-            _ => total / rate,
-        };
-        let x = total.max(1.0);
-        // The relaxed bracket mirrors `RelaxedLatency::latency_fractional`.
-        let (lo, hi) = match self.fidelity {
-            Fidelity::Precise => (x.round(), x.round()),
-            Fidelity::Relaxed if x.is_finite() => (x.floor(), x.ceil()),
-            Fidelity::Relaxed => return None,
-        };
-        Some(Pool {
-            p_eff,
-            servers: [lo, hi].map(|n| ReplicaCount::new(n as u32)),
-            // Zero exactly when `lo == hi`: a whole or a rounded count.
-            frac: if lo == hi { 0.0 } else { x - lo },
-            knees: [None; 2],
-        })
-    }
-
-    /// Estimated latency of `pool` at percentile `k` and arrival rate
-    /// `lambda` (already drop-adjusted): the estimator at the lower
-    /// bracketing count, interpolated towards the upper one when the
-    /// head count is fractional.
-    fn pool_latency(&self, k: f64, lambda: f64, pool: &mut Pool) -> f64 {
-        let lambda = lambda.max(0.0);
-        let Pool { p_eff, servers, .. } = *pool;
-        let mut at = |side: usize| {
-            match self.fidelity {
-                Fidelity::Precise => mdc::latency_percentile(k, p_eff, lambda, servers[side]),
-                Fidelity::Relaxed => self.relaxed_latency.latency_with_knee(
-                    k,
-                    p_eff,
-                    lambda,
-                    servers[side],
-                    &mut pool.knees[side],
-                ),
-            }
-            .unwrap_or(f64::INFINITY)
-        };
-        let l_lo = at(0);
-        if pool.frac == 0.0 {
-            return l_lo;
+            1 => Some((p * speed, total)),
+            _ => Some((total / rate, total)),
         }
-        let l_hi = at(1);
-        if l_lo.is_infinite() || l_hi.is_infinite() {
-            return f64::INFINITY;
-        }
-        l_lo + (l_hi - l_lo) * pool.frac
     }
 
     /// Expected utility of job `i` at fractional per-class counts,
     /// averaged over trajectories and window steps, before the drop
-    /// multiplier.
+    /// multiplier. An empty pool serves nothing.
     pub fn expected_utility(&self, i: usize, counts: &[f64], drop_rate: f64) -> f64 {
         let job = &self.jobs[i];
-        let mut pool = self.pool(job.processing_time, counts);
-        let kept = 1.0 - drop_rate.clamp(0.0, 1.0);
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for traj in &job.lambda_trajectories {
-            for &lambda in traj {
-                let l = pool.as_mut().map_or(f64::INFINITY, |pool| {
-                    self.pool_latency(job.slo.percentile, lambda * kept, pool)
-                });
-                let u = match self.fidelity {
-                    Fidelity::Precise => step_utility(l, job.slo.latency),
-                    Fidelity::Relaxed => self.relaxed_utility.value(l, job.slo.latency),
-                };
-                sum += u;
-                count += 1;
-            }
+        match self.pool(job.processing_time, counts) {
+            Some((p_eff, total)) => self.model.expected_utility(job, p_eff, total, drop_rate),
+            None => 0.0,
         }
-        #[cfg(test)]
-        KNEE_RECURRENCES.with(|n| {
-            // A knee slot is filled by the one call that computes it.
-            n.set(n.get() + pool.iter().flat_map(|p| p.knees).flatten().count());
-        });
-        sum / count.max(1) as f64
     }
 
     /// Per-job utility record at a fractional per-class allocation.
     fn job_utility(&self, i: usize, counts: &[f64], d: f64) -> JobUtility {
         let u = self.expected_utility(i, counts, d);
-        let shape = match self.fidelity {
-            Fidelity::Precise => PenaltyShape::Step,
-            Fidelity::Relaxed => PenaltyShape::Relaxed,
-        };
-        JobUtility {
-            utility: u,
-            effective_utility: phi(d, shape) * u,
-            priority: self.jobs[i].priority,
-        }
+        self.model.record(&self.jobs[i], u, d)
     }
 
     /// Per-job utility record at an integer per-class allocation.
@@ -652,7 +545,11 @@ impl Problem for HeteroAdapter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::KNEE_RECURRENCES;
+    use crate::opt::LatencyModel;
     use crate::types::Slo;
+    use crate::units::ReplicaCount;
+    use faro_queueing::upper_bound;
     use faro_solver::Cobyla;
 
     fn slo(latency: f64) -> Slo {
@@ -756,6 +653,51 @@ mod tests {
             let before = work();
             p.job_utility(0, &[2.5, 0.0], 1.0);
             assert_eq!(work().1, before.1, "{steps} steps, all traffic dropped");
+        }
+    }
+
+    /// The evaluator is one, so the classed path inherits the
+    /// upper-bound arm: a mixed pool's burst of one second's arrivals
+    /// completes in `p_eff * kappa / N`, never under one effective
+    /// service time.
+    #[test]
+    fn upper_bound_scores_a_mixed_pool_by_its_effective_service_time() {
+        let job = JobWorkload {
+            lambda_trajectories: vec![vec![4.0, 30.0, 55.0], vec![80.0]],
+            ..JobWorkload::constant(0.0, 0.10, slo(0.4), 1.0)
+        };
+        let model = Model {
+            latency_model: LatencyModel::UpperBound,
+            ..Model::new(Fidelity::Relaxed)
+        };
+        let p = HeteroProblem::with_model(
+            vec![job.clone()],
+            gpu_cpu_resources(4.0, 4.0),
+            ClusterObjective::Sum,
+            model,
+        )
+        .unwrap();
+        // 2.6 GPU replicas and 3 CPU replicas three times slower.
+        let (gpus, cpus) = (2.6, 3.0);
+        let total: f64 = gpus + cpus;
+        let p_eff = total / (gpus / 0.10 + cpus / (0.10 * 3.0));
+        let servers = ReplicaCount::new(total.round() as u32);
+        for d in [0.0, 0.3] {
+            let want = job
+                .lambda_trajectories
+                .iter()
+                .flatten()
+                .map(|&lambda| {
+                    let burst = upper_bound::completion_time(p_eff, lambda * (1.0 - d), servers);
+                    model
+                        .relaxed_utility
+                        .value(burst.unwrap().max(p_eff), job.slo.latency)
+                })
+                .sum::<f64>()
+                / 4.0;
+            let got = p.expected_utility(0, &[gpus, cpus], d);
+            assert_eq!(got.to_bits(), want.to_bits(), "drop {d}: {got} vs {want}");
+            assert!(got > 0.0 && got < 1.0, "drop {d}: utility {got}");
         }
     }
 

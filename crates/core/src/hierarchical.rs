@@ -7,6 +7,13 @@
 //! replica budget among its members proportionally to their offered
 //! load. The paper reports a 64x speedup at ~2% utility change with a
 //! handful of groups, and uses `G = 10` by default.
+//!
+//! The grouped solve is a `G`-variable *view* of a flat
+//! [`MultiTenantProblem`]: it scores jobs through that problem, under
+//! that problem's model, and hands its expanded point to that problem's
+//! `integerize`. It never runs stage 3 — a grouped allocation is not
+//! shrunk, here or inside a shard (pinned by the `sharded_golden`
+//! digests; a documented limit).
 
 use crate::error::Result;
 use crate::objective::ClusterObjective;
@@ -163,7 +170,8 @@ impl faro_solver::Problem for GroupedProblem<'_> {
     }
 }
 
-/// Solves the multi-tenant problem hierarchically with `groups` groups.
+/// Solves the multi-tenant problem hierarchically with `groups` groups,
+/// under the paper's default model.
 ///
 /// # Errors
 ///
@@ -179,7 +187,26 @@ pub fn solve_hierarchical(
     groups: usize,
     seed: u64,
 ) -> Result<HierarchicalAllocation> {
+    let flat = MultiTenantProblem::new(jobs.to_vec(), resources, objective, fidelity)?;
+    solve_grouped(&flat, solver, current, groups, seed)
+}
+
+/// The grouped solve of `flat` with `groups` groups: what
+/// [`solve_hierarchical`] runs once it has built its problem.
+///
+/// # Errors
+///
+/// Propagates solver failures.
+pub(crate) fn solve_grouped(
+    flat: &MultiTenantProblem,
+    solver: &dyn Solver,
+    current: &[u32],
+    groups: usize,
+    seed: u64,
+) -> Result<HierarchicalAllocation> {
+    let jobs = flat.jobs();
     let n = jobs.len();
+    let uses_drops = flat.objective().uses_drop_rates();
     let assignment = assign_groups(n, groups, seed);
     let g = assignment.iter().copied().max().map_or(1, |m| m + 1);
     let mut member_lists: Vec<Vec<usize>> = vec![Vec::new(); g];
@@ -191,7 +218,7 @@ pub fn solve_hierarchical(
     // estimated M/D/c replica *need* at its mean predicted rate. Raw
     // offered load would starve small jobs (queueing headroom is not
     // linear in load), forcing the group budget far past the true need.
-    let quota = resources.replica_quota().max(ReplicaCount::ONE);
+    let quota = flat.resources().replica_quota().max(ReplicaCount::ONE);
     let need = |j: &JobWorkload| -> f64 { replica_need(j, quota) };
     let mut shares = vec![0.0; n];
     for members in &member_lists {
@@ -201,12 +228,11 @@ pub fn solve_hierarchical(
         }
     }
 
-    let flat = MultiTenantProblem::new(jobs.to_vec(), resources, objective, fidelity)?;
     let grouped = GroupedProblem {
-        flat: &flat,
+        flat,
         member_lists: &member_lists,
         shares: &shares,
-        uses_drops: objective.uses_drop_rates(),
+        uses_drops,
     };
     // Initial point: each group starts from its members' current total.
     let mut v0: Vec<f64> = member_lists
@@ -217,7 +243,7 @@ pub fn solve_hierarchical(
                 .sum()
         })
         .collect();
-    if objective.uses_drop_rates() {
+    if uses_drops {
         v0.extend(std::iter::repeat_n(0.0, g));
     }
     let sol = solver.solve(&grouped, &v0)?;

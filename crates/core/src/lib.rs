@@ -60,6 +60,7 @@ pub mod admission;
 pub mod baselines;
 pub mod cilantro;
 pub mod error;
+mod evaluate;
 pub mod faro;
 pub mod hetero;
 pub mod hierarchical;

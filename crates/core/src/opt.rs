@@ -3,7 +3,7 @@
 //! Decision variables are per-job continuous replica counts `x_i >= 1`
 //! (and, for Penalty objectives, drop rates `d_i` in `[0, 1]`). The
 //! objective aggregates per-job expected utilities over the predicted
-//! arrival-rate trajectories; constraints cap total vCPU and memory.
+//! arrival-rate trajectories; constraints cap total vCPU and RAM.
 //!
 //! Two *fidelities* are provided:
 //!
@@ -13,27 +13,31 @@
 //! - [`Fidelity::Relaxed`]: inverse-power utility, relaxed latency with
 //!   the `rho_max` knee, piecewise-linear penalty — plateau-free and
 //!   solvable in sub-second time by COBYLA.
+//!
+//! How a job is scored is not decided here: the shared evaluator of
+//! `evaluate.rs` owns the fidelity, the estimator and the relaxation,
+//! and [`crate::hetero::HeteroProblem`] asks the same one. This module
+//! keeps what is particular to one replica count per job — the solver
+//! adapter, `integerize`, `shrink` — and two ways of not asking twice:
+//! per-solve latency tables over the fixed trajectory rates, which
+//! serve every zero-drop read inside the quota, and each job's last few
+//! utilities. Every other read goes to the evaluator with `(p, x)`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 
-use crate::error::{Error, Result};
+use crate::error::Result;
+use crate::evaluate::{validate, Model};
 use crate::objective::{ClusterObjective, JobUtility};
-use crate::penalty::{phi, PenaltyShape};
 use crate::types::{ResourceModel, Slo};
 use crate::units::ReplicaCount;
 use crate::utility::{step_utility, RelaxedUtility};
-use faro_queueing::{mdc, upper_bound, RelaxedLatency};
+use faro_queueing::{mdc, RelaxedLatency};
 use faro_solver::{Problem, Solution, Solver};
 
-/// Off-table latency memo entries are bounded so a pathological solver
-/// cannot grow the map without limit; the map is simply cleared when it
-/// fills (entries are cheap to recompute).
-const MEMO_CAPACITY: usize = 1 << 20;
-
 /// Dense latency tables are built only while `distinct rates × quota`
-/// stays under this entry budget (~134 MB of `f64`); beyond it lookups
-/// fall back to the keyed memo, which returns the same bits.
+/// stays under this entry budget (~134 MB of `f64`); beyond it every
+/// read asks the evaluator, which returns the same bits.
 const MAX_TABLE_ENTRIES: usize = 1 << 24;
 
 /// Per-solve latency tables over integer replica counts.
@@ -51,17 +55,12 @@ const MAX_TABLE_ENTRIES: usize = 1 << 24;
 /// estimator calls they replace.
 #[derive(Debug, Default)]
 struct LatencyTables {
-    /// `index[job]`: clamped arrival-rate bits -> row id in `dense`.
-    /// Ordered map so table internals never depend on hash iteration
-    /// order (faro-lint: nondeterministic-iteration).
-    index: Vec<BTreeMap<u64, u32>>,
     /// `dense[job][row]`: latency at every integer replica count
     /// (entry `n - 1` is the latency at `n`).
     dense: Vec<Vec<Vec<f64>>>,
     /// `steps[job]`: one row id per trajectory step, flattened in
-    /// `lambda_trajectories` iteration order. Lets the zero-drop
-    /// utility path walk precomputed rows without hashing the rate
-    /// bits on every step of every objective evaluation.
+    /// `lambda_trajectories` iteration order, so the zero-drop utility
+    /// path walks precomputed rows without keying on the rate.
     steps: Vec<Vec<u32>>,
     /// Row length (the replica quota when the tables were built).
     quota: usize,
@@ -121,17 +120,14 @@ impl UtilitySlots {
 /// problem instance (including parallel solver populations and the
 /// hierarchical grouped solve, which borrows the flat problem).
 ///
-/// Cloning a [`MultiTenantProblem`] resets the cache: it is a pure
-/// memoization layer, never part of the problem's identity. So does
-/// every `with_*` builder, since each changes what an entry would hold.
+/// Cloning a [`MultiTenantProblem`] resets the cache: it holds derived
+/// values only, never part of the problem's identity. So does every
+/// `with_*` builder, since each changes what an entry would hold.
 #[derive(Debug)]
 struct SolveCache {
     /// Lazily built on the first latency evaluation; `None` when the
     /// latency model has nothing worth tabulating (upper bound is O(1)).
     tables: OnceLock<Option<LatencyTables>>,
-    /// Keyed memo for rates outside the tables — drop-adjusted
-    /// `lambda * (1 - d)` with `d > 0`: `(job, rate bits, servers)`.
-    memo: Mutex<BTreeMap<(usize, u64, u32), f64>>,
     /// `utilities[job]`: that job's most recent utility evaluations.
     utilities: Vec<UtilitySlots>,
     /// Job utilities computed rather than served from `utilities`.
@@ -144,7 +140,6 @@ impl SolveCache {
     fn empty(n_jobs: usize) -> Self {
         Self {
             tables: OnceLock::new(),
-            memo: Mutex::default(),
             utilities: (0..n_jobs).map(|_| UtilitySlots::default()).collect(),
             #[cfg(test)]
             utility_misses: std::sync::atomic::AtomicUsize::new(0),
@@ -203,10 +198,7 @@ pub struct MultiTenantProblem {
     jobs: Vec<JobWorkload>,
     resources: ResourceModel,
     objective: ClusterObjective,
-    fidelity: Fidelity,
-    latency_model: LatencyModel,
-    relaxed_utility: RelaxedUtility,
-    relaxed_latency: RelaxedLatency,
+    model: Model,
     cache: SolveCache,
 }
 
@@ -217,17 +209,15 @@ impl Clone for MultiTenantProblem {
             jobs: self.jobs.clone(),
             resources: self.resources.clone(),
             objective: self.objective,
-            fidelity: self.fidelity,
-            latency_model: self.latency_model,
-            relaxed_utility: self.relaxed_utility,
-            relaxed_latency: self.relaxed_latency,
+            model: self.model,
             cache: SolveCache::empty(self.jobs.len()),
         }
     }
 }
 
 impl MultiTenantProblem {
-    /// Builds a problem over the given jobs and resources.
+    /// Builds a problem over the given jobs and resources, under the
+    /// paper's default model (M/D/c, `alpha = 4`, `rho_max = 0.95`).
     ///
     /// # Errors
     ///
@@ -239,56 +229,44 @@ impl MultiTenantProblem {
         objective: ClusterObjective,
         fidelity: Fidelity,
     ) -> Result<Self> {
-        if jobs.is_empty() {
-            return Err(Error::InvalidSnapshot("no jobs to optimize".into()));
-        }
-        for (i, j) in jobs.iter().enumerate() {
-            if j.lambda_trajectories.is_empty() || j.lambda_trajectories.iter().any(Vec::is_empty) {
-                return Err(Error::InvalidSnapshot(format!("job {i} has no trajectory")));
-            }
-            if j.processing_time.is_nan() || j.processing_time <= 0.0 {
-                return Err(Error::InvalidSnapshot(format!(
-                    "job {i} has no processing time"
-                )));
-            }
-        }
-        if (resources.replica_quota().get() as usize) < jobs.len() {
-            return Err(Error::InvalidSnapshot(format!(
-                "quota {} cannot host one replica for each of {} jobs",
-                resources.replica_quota(),
-                jobs.len()
-            )));
-        }
+        Self::with_model(jobs, resources, objective, Model::new(fidelity))
+    }
+
+    /// [`MultiTenantProblem::new`] under a given model.
+    pub(crate) fn with_model(
+        jobs: Vec<JobWorkload>,
+        resources: ResourceModel,
+        objective: ClusterObjective,
+        model: Model,
+    ) -> Result<Self> {
+        validate(&jobs, &resources)?;
         let cache = SolveCache::empty(jobs.len());
         Ok(Self {
             jobs,
             resources,
             objective,
-            fidelity,
-            latency_model: LatencyModel::MDc,
-            relaxed_utility: RelaxedUtility::default(),
-            relaxed_latency: RelaxedLatency::default(),
+            model,
             cache,
         })
     }
 
     /// Overrides the latency model (ablation).
     pub fn with_latency_model(mut self, model: LatencyModel) -> Self {
-        self.latency_model = model;
+        self.model.latency_model = model;
         self.cache = SolveCache::empty(self.jobs.len());
         self
     }
 
     /// Overrides the relaxed utility sharpness.
     pub fn with_utility(mut self, u: RelaxedUtility) -> Self {
-        self.relaxed_utility = u;
+        self.model.relaxed_utility = u;
         self.cache = SolveCache::empty(self.jobs.len());
         self
     }
 
     /// Overrides the relaxed latency knee.
     pub fn with_relaxed_latency(mut self, l: RelaxedLatency) -> Self {
-        self.relaxed_latency = l;
+        self.model.relaxed_latency = l;
         self.cache = SolveCache::empty(self.jobs.len());
         self
     }
@@ -328,8 +306,8 @@ impl MultiTenantProblem {
     /// Replaces the per-evaluation recurrence in the solver's innermost
     /// loop.
     fn build_latency_tables(&self) -> Option<LatencyTables> {
-        if self.latency_model == LatencyModel::UpperBound {
-            return None; // Closed form, O(1): nothing to memoize.
+        if self.model.latency_model == LatencyModel::UpperBound {
+            return None; // Closed form, O(1): nothing to tabulate.
         }
         let quota = self.resources.replica_quota();
         if quota.is_zero() {
@@ -339,8 +317,7 @@ impl MultiTenantProblem {
         // quota-length row per (job, distinct rate). At sweep scale
         // (thousands of jobs, five-digit quotas) that product reaches
         // gigabytes, so past a fixed entry budget skip the tables and
-        // let the keyed memo serve lookups — bit-identical values,
-        // bounded memory.
+        // ask the evaluator — bit-identical values, bounded footprint.
         let mut rows_total: usize = 0;
         for job in &self.jobs {
             let mut distinct: BTreeSet<u64> = BTreeSet::new();
@@ -354,7 +331,6 @@ impl MultiTenantProblem {
         if rows_total.saturating_mul(quota.get() as usize) > MAX_TABLE_ENTRIES {
             return None;
         }
-        let mut index = Vec::with_capacity(self.jobs.len());
         let mut dense = Vec::with_capacity(self.jobs.len());
         let mut steps = Vec::with_capacity(self.jobs.len());
         for job in &self.jobs {
@@ -366,7 +342,7 @@ impl MultiTenantProblem {
             let mut step_rows: Vec<u32> = Vec::new();
             for traj in &job.lambda_trajectories {
                 for &raw in traj {
-                    let lambda = raw.max(0.0); // Same clamp as `latency`.
+                    let lambda = raw.max(0.0); // Same clamp as the evaluator.
                     let id = *by_rate.entry(lambda.to_bits()).or_insert_with(|| {
                         rows.push(self.build_latency_row(k, p, lambda, quota, &knees));
                         (rows.len() - 1) as u32
@@ -374,12 +350,10 @@ impl MultiTenantProblem {
                     step_rows.push(id);
                 }
             }
-            index.push(by_rate);
             dense.push(rows);
             steps.push(step_rows);
         }
         Some(LatencyTables {
-            index,
             dense,
             steps,
             quota: quota.get() as usize,
@@ -392,7 +366,7 @@ impl MultiTenantProblem {
     /// knee latency is rate-independent: computed once per job, shared
     /// by every trajectory rate. Empty under precise fidelity.
     fn knee_prefix(&self, job: &JobWorkload, quota: ReplicaCount) -> Vec<f64> {
-        if self.fidelity == Fidelity::Precise {
+        if self.model.fidelity == Fidelity::Precise {
             return Vec::new();
         }
         // Non-finite rates are rejected by the estimator whatever the
@@ -405,11 +379,12 @@ impl MultiTenantProblem {
             .filter(|lambda| lambda.is_finite())
             .fold(0.0, f64::max);
         let p = job.processing_time;
-        match self.relaxed_latency.knee_count(p, peak, quota) {
+        match self.model.relaxed_latency.knee_count(p, peak, quota) {
             0 => Vec::new(),
             // An error here is an invalid k/p, which fails every row of
             // the job as well.
             count => self
+                .model
                 .relaxed_latency
                 .knee_latencies(job.slo.percentile, p, ReplicaCount::new(count))
                 .unwrap_or_default(),
@@ -433,14 +408,15 @@ impl MultiTenantProblem {
             // Invalid k/p/rate: the direct path errors at every count.
             return vec![f64::INFINITY; quota.get() as usize];
         };
-        if self.fidelity == Fidelity::Relaxed {
+        if self.model.fidelity == Fidelity::Relaxed {
             // `knees` reaches the job's largest rate's knee count, so it
             // covers every row's.
-            let past_knee = self.relaxed_latency.knee_count(p, lambda, quota) as usize;
+            let relaxed = self.model.relaxed_latency;
+            let past_knee = relaxed.knee_count(p, lambda, quota) as usize;
             if past_knee > 0 {
                 let head = knees
                     .get(..past_knee)
-                    .map(|knees| self.relaxed_latency.latency_sweep(k, p, lambda, knees));
+                    .map(|knees| relaxed.latency_sweep(k, p, lambda, knees));
                 match head {
                     Some(Ok(head)) => row[..past_knee].copy_from_slice(&head),
                     // No knee latency to scale: the direct path errors.
@@ -451,137 +427,36 @@ impl MultiTenantProblem {
         row
     }
 
-    /// M/D/c-family latency for job `i` at an *integer* replica count:
-    /// table hit for trajectory rates, keyed memo for drop-adjusted
-    /// rates, direct estimator call as the last resort. Every path
-    /// returns the same bits the direct call would.
-    fn integer_latency(&self, i: usize, k: f64, p: f64, lambda: f64, n: u32) -> f64 {
-        if let Some(tables) = self.tables() {
-            if let Some(&id) = tables.index[i].get(&lambda.to_bits()) {
-                if let Some(&l) = tables.dense[i][id as usize].get((n as usize).wrapping_sub(1)) {
-                    return l;
-                }
-            }
-        }
-        let key = (i, lambda.to_bits(), n);
-        if let Some(&v) = self.cache.memo.lock().expect("latency memo").get(&key) {
-            return v;
-        }
-        let v = match self.fidelity {
-            Fidelity::Precise => mdc::latency_percentile(k, p, lambda, ReplicaCount::new(n)),
-            Fidelity::Relaxed => self
-                .relaxed_latency
-                .latency(k, p, lambda, ReplicaCount::new(n)),
-        }
-        .unwrap_or(f64::INFINITY);
-        let mut memo = self.cache.memo.lock().expect("latency memo");
-        if memo.len() >= MEMO_CAPACITY {
-            memo.clear();
-        }
-        memo.insert(key, v);
-        v
-    }
-
-    /// Estimated latency for job `i` at fractional replicas `x` and
-    /// arrival rate `lambda` (already drop-adjusted).
-    fn latency(&self, i: usize, lambda: f64, x: f64) -> f64 {
-        let job = &self.jobs[i];
-        let k = job.slo.percentile;
-        let p = job.processing_time;
-        let lambda = lambda.max(0.0);
-        match (self.fidelity, self.latency_model) {
-            (_, LatencyModel::UpperBound) => {
-                // One second's arrivals treated as a simultaneous burst
-                // (the paper's kappa; Sec. 3.3's example uses kappa =
-                // lambda = 40 with p = 150 ms and 600 ms SLO -> 10
-                // replicas).
-                upper_bound::completion_time(
-                    p,
-                    lambda,
-                    ReplicaCount::new(x.max(1.0).round() as u32),
-                )
-                .map(|w| w.max(p))
-                .unwrap_or(f64::INFINITY)
-            }
-            (Fidelity::Precise, LatencyModel::MDc) => {
-                let n = x.max(1.0).round() as u32;
-                self.integer_latency(i, k, p, lambda, n)
-            }
-            (Fidelity::Relaxed, LatencyModel::MDc) => {
-                // Mirrors `RelaxedLatency::latency_fractional` over the
-                // cached integer entries, arithmetic branch by branch.
-                let x = x.max(1.0);
-                if !x.is_finite() {
-                    return f64::INFINITY; // The direct path rejects it.
-                }
-                let lo = x.floor();
-                let hi = x.ceil();
-                let l_lo = self.integer_latency(i, k, p, lambda, lo as u32);
-                if lo == hi {
-                    return l_lo;
-                }
-                // The relaxed estimate is finite on valid input, so a
-                // non-finite entry means the direct fractional call
-                // would have errored as a whole (errors do not depend
-                // on the server count here).
-                let l_hi = self.integer_latency(i, k, p, lambda, hi as u32);
-                if l_lo.is_infinite() || l_hi.is_infinite() {
-                    return f64::INFINITY;
-                }
-                let frac = x - lo;
-                l_lo + (l_hi - l_lo) * frac
-            }
-        }
-    }
-
     /// Expected utility of job `i` at fractional replicas `x`, averaged
     /// over trajectories and window steps (Sec. 4.1), before the drop
     /// multiplier.
     pub fn expected_utility(&self, i: usize, x: f64, drop_rate: f64) -> f64 {
-        // Solver hot path: with no drop adjustment every step rate hits
-        // its precomputed table row, so skip the hashing entirely.
-        if drop_rate.clamp(0.0, 1.0) == 0.0 && self.latency_model == LatencyModel::MDc {
-            if let Some(tables) = self.tables() {
-                if let Some(v) = self.tabulated_utility(tables, i, x) {
-                    return v;
-                }
+        // Solver hot path: with no drop adjustment every step rate has
+        // its precomputed table row.
+        if drop_rate.clamp(0.0, 1.0) == 0.0 {
+            if let Some(v) = self.tables().and_then(|t| self.tabulated_utility(t, i, x)) {
+                return v;
             }
         }
         let job = &self.jobs[i];
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for traj in &job.lambda_trajectories {
-            for &lambda in traj {
-                // With `drop_rate == 0` this is exactly `lambda` (the
-                // multiplier is 1.0), so the table rows built from the
-                // trajectory rates are hit bit-for-bit.
-                let lambda_eff = lambda * (1.0 - drop_rate.clamp(0.0, 1.0));
-                let l = self.latency(i, lambda_eff, x);
-                let u = match self.fidelity {
-                    Fidelity::Precise => step_utility(l, job.slo.latency),
-                    Fidelity::Relaxed => self.relaxed_utility.value(l, job.slo.latency),
-                };
-                sum += u;
-                count += 1;
-            }
-        }
-        sum / count.max(1) as f64
+        self.model
+            .expected_utility(job, job.processing_time, x, drop_rate)
     }
 
     /// Zero-drop utility over the precomputed per-step rows: two array
     /// reads plus the interpolation per trajectory step, with the
     /// floor/ceil/frac of `x` hoisted out of the step loop. Returns
     /// `None` when any step would leave the tables (replica count
-    /// beyond the quota, non-finite `x`) so the caller falls back to
-    /// the general path. Bit-identical to that path: same rows, same
-    /// arithmetic, same summation order.
+    /// beyond the quota, non-finite `x`) so the caller asks the
+    /// evaluator. Bit-identical to it: each row entry is the estimator's
+    /// value, under the same arithmetic and summation order.
     fn tabulated_utility(&self, tables: &LatencyTables, i: usize, x: f64) -> Option<f64> {
         let job = &self.jobs[i];
         let steps = &tables.steps[i];
         let rows = &tables.dense[i];
         let slo_latency = job.slo.latency;
         let mut sum = 0.0;
-        match self.fidelity {
+        match self.model.fidelity {
             Fidelity::Precise => {
                 let n = x.max(1.0).round();
                 if !(n >= 1.0 && n <= tables.quota as f64) {
@@ -606,6 +481,7 @@ impl MultiTenantProblem {
                 if lo == hi {
                     for &id in steps {
                         sum += self
+                            .model
                             .relaxed_utility
                             .value(rows[id as usize][lo_i - 1], slo_latency);
                     }
@@ -621,7 +497,7 @@ impl MultiTenantProblem {
                         } else {
                             l_lo + (l_hi - l_lo) * frac
                         };
-                        sum += self.relaxed_utility.value(l, slo_latency);
+                        sum += self.model.relaxed_utility.value(l, slo_latency);
                     }
                 }
             }
@@ -643,15 +519,7 @@ impl MultiTenantProblem {
             .utility_misses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let u = self.expected_utility(i, x, d);
-        let shape = match self.fidelity {
-            Fidelity::Precise => PenaltyShape::Step,
-            Fidelity::Relaxed => PenaltyShape::Relaxed,
-        };
-        let fresh = JobUtility {
-            utility: u,
-            effective_utility: phi(d, shape) * u,
-            priority: self.jobs[i].priority,
-        };
+        let fresh = self.model.record(&self.jobs[i], u, d);
         recent.put(x, d, fresh);
         fresh
     }
@@ -804,6 +672,28 @@ impl MultiTenantProblem {
             }
         }
     }
+
+    /// Stages 2 and 3 as the autoscaler chains them, whichever
+    /// organization of the solve asks: solve from `current`, integerize,
+    /// and shrink unless the ablation turns it off. Returns the integer
+    /// replica counts beside the continuous allocation they came from.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures.
+    pub(crate) fn solve_integer(
+        &self,
+        solver: &dyn Solver,
+        current: &[u32],
+        use_shrinking: bool,
+    ) -> Result<(Vec<u32>, ContinuousAllocation)> {
+        let alloc = self.solve(solver, current)?;
+        let mut xs = self.integerize(&alloc);
+        if use_shrinking {
+            self.shrink(&mut xs, &alloc.drop_rates);
+        }
+        Ok((xs, alloc))
+    }
 }
 
 /// Result of the continuous solve.
@@ -840,7 +730,7 @@ impl Problem for ProblemAdapter<'_> {
     }
 
     fn num_constraints(&self) -> usize {
-        2 // vCPU and memory.
+        2 // vCPU and RAM.
     }
 
     fn constraints(&self, v: &[f64], out: &mut [f64]) {
@@ -866,6 +756,7 @@ impl Problem for ProblemAdapter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faro_queueing::upper_bound;
     use faro_solver::Cobyla;
 
     fn slo() -> Slo {
@@ -1039,34 +930,33 @@ mod tests {
         assert!(p.expected_utility(0, 3.0, 0.0) > p.expected_utility(0, 1.0, 0.0));
     }
 
-    /// Replays the pre-table direct arithmetic of `expected_utility`:
-    /// estimator call per (trajectory, step), same clamps, same mean.
-    fn direct_expected_utility(p: &MultiTenantProblem, i: usize, x: f64, d: f64) -> f64 {
-        let job = &p.jobs()[i];
+    /// The independent reference for `expected_utility`: one public
+    /// `faro_queueing` call per (trajectory, step) —
+    /// `latency_fractional`, `latency_percentile` or `completion_time`
+    /// — under the problem's clamps and mean, with nothing tabulated
+    /// and nothing held between steps. `model` is read as plain data.
+    fn direct_expected_utility(job: &JobWorkload, model: Model, x: f64, d: f64) -> f64 {
+        let (k, p) = (job.slo.percentile, job.processing_time);
+        let whole = || ReplicaCount::new(x.max(1.0).round() as u32);
         let (mut sum, mut count) = (0.0, 0usize);
         for traj in &job.lambda_trajectories {
             for &lambda in traj {
                 let lambda_eff = (lambda * (1.0 - d.clamp(0.0, 1.0))).max(0.0);
-                let l = match p.fidelity {
-                    Fidelity::Relaxed => RelaxedLatency::default()
-                        .latency_fractional(
-                            job.slo.percentile,
-                            job.processing_time,
-                            lambda_eff,
-                            x.max(1.0),
-                        )
-                        .unwrap_or(f64::INFINITY),
-                    Fidelity::Precise => mdc::latency_percentile(
-                        job.slo.percentile,
-                        job.processing_time,
-                        lambda_eff,
-                        ReplicaCount::new(x.max(1.0).round() as u32),
-                    )
-                    .unwrap_or(f64::INFINITY),
-                };
-                sum += match p.fidelity {
+                let l = match (model.latency_model, model.fidelity) {
+                    (LatencyModel::UpperBound, _) => {
+                        upper_bound::completion_time(p, lambda_eff, whole()).map(|w| w.max(p))
+                    }
+                    (LatencyModel::MDc, Fidelity::Relaxed) => model
+                        .relaxed_latency
+                        .latency_fractional(k, p, lambda_eff, x.max(1.0)),
+                    (LatencyModel::MDc, Fidelity::Precise) => {
+                        mdc::latency_percentile(k, p, lambda_eff, whole())
+                    }
+                }
+                .unwrap_or(f64::INFINITY);
+                sum += match model.fidelity {
                     Fidelity::Precise => step_utility(l, job.slo.latency),
-                    Fidelity::Relaxed => RelaxedUtility::default().value(l, job.slo.latency),
+                    Fidelity::Relaxed => model.relaxed_utility.value(l, job.slo.latency),
                 };
                 count += 1;
             }
@@ -1100,22 +990,64 @@ mod tests {
         .unwrap()
     }
 
+    /// Every way a read can leave the tables — a drop rate, a count
+    /// past the quota or not a number, the upper-bound estimator — and
+    /// every read that stays on them is the reference, bit for bit,
+    /// under default and non-default sharpness and knee.
     #[test]
     fn cached_latency_matches_direct_path_bitwise() {
+        let steep = (
+            RelaxedUtility::new(8.0),
+            RelaxedLatency::new(0.6).expect("valid knee"),
+        );
         for fidelity in [Fidelity::Relaxed, Fidelity::Precise] {
-            let p = multi_step_problem(fidelity);
-            for i in 0..p.n_jobs() {
-                for x in [1.0, 1.5, 2.0, 3.25, 7.0, 12.5, 23.0, 24.0, 30.0] {
-                    for d in [0.0, 0.25, 0.9] {
-                        let cached = p.expected_utility(i, x, d);
-                        let direct = direct_expected_utility(&p, i, x, d);
-                        assert_eq!(
-                            cached.to_bits(),
-                            direct.to_bits(),
-                            "{fidelity:?} i={i} x={x} d={d}: {cached} vs {direct}"
-                        );
-                        // Second call (memo/table hit) must be stable.
-                        assert_eq!(p.expected_utility(i, x, d).to_bits(), cached.to_bits());
+            for latency_model in [LatencyModel::MDc, LatencyModel::UpperBound] {
+                for (relaxed_utility, relaxed_latency) in [Default::default(), steep] {
+                    let model = Model {
+                        fidelity,
+                        latency_model,
+                        relaxed_utility,
+                        relaxed_latency,
+                    };
+                    // Built through the public overrides, not from `model`.
+                    let p = multi_step_problem(fidelity)
+                        .with_latency_model(latency_model)
+                        .with_utility(relaxed_utility)
+                        .with_relaxed_latency(relaxed_latency);
+                    let mut xs = vec![
+                        0.2,
+                        1.0,
+                        1.5,
+                        2.0,
+                        3.25,
+                        7.0,
+                        12.5,
+                        23.0,
+                        24.0,
+                        24.5,
+                        30.0,
+                        f64::NAN,
+                    ];
+                    // The precise M/D/c estimator would run a 2^32-step
+                    // recurrence at an infinite count, here and in the
+                    // reference alike.
+                    if (fidelity, latency_model) != (Fidelity::Precise, LatencyModel::MDc) {
+                        xs.push(f64::INFINITY);
+                    }
+                    for (i, job) in p.jobs().iter().enumerate() {
+                        for &x in &xs {
+                            for d in [0.0, 0.25, 0.9, 1.0, 1.5] {
+                                let got = p.expected_utility(i, x, d);
+                                let direct = direct_expected_utility(job, model, x, d);
+                                assert_eq!(
+                                    got.to_bits(),
+                                    direct.to_bits(),
+                                    "{model:?} i={i} x={x} d={d}: {got} vs {direct}"
+                                );
+                                // Asked again, the same answer.
+                                assert_eq!(p.expected_utility(i, x, d).to_bits(), got.to_bits());
+                            }
+                        }
                     }
                 }
             }
@@ -1196,8 +1128,51 @@ mod tests {
         );
     }
 
+    /// What a read that leaves the tables costs does not grow with the
+    /// job's trajectories: whatever the step count, each of the two
+    /// counts bracketing `x` has its knee latency computed at most once
+    /// (keyed per distinct rate and count, these jobs filled up to 48
+    /// and 480 entries). No clock is read to say so.
+    #[test]
+    #[cfg_attr(miri, ignore = "counts work, which is checked natively")]
+    fn a_drop_adjusted_evaluation_holds_its_knees() {
+        use crate::evaluate::KNEE_RECURRENCES;
+        for steps in [6, 60] {
+            // 4 trajectories from idle to four times what 2.5 replicas
+            // carry: steps under and past both counts' knees.
+            let job = JobWorkload {
+                lambda_trajectories: (0..4)
+                    .map(|t| {
+                        (0..steps)
+                            .map(|s| f64::from(t * steps + s) * 100.0 / f64::from(4 * steps))
+                            .collect()
+                    })
+                    .collect(),
+                ..JobWorkload::constant(0.0, 0.10, slo(), 1.0)
+            };
+            let p = MultiTenantProblem::new(
+                vec![job],
+                ResourceModel::replicas(ReplicaCount::new(8)),
+                ClusterObjective::PenaltySum,
+                Fidelity::Relaxed,
+            )
+            .unwrap();
+            for (x, d, knees) in [(2.5, 0.1, 2), (3.0, 0.1, 1), (9.5, 0.0, 2), (2.5, 1.0, 0)] {
+                let before = KNEE_RECURRENCES.get();
+                let u = p.job_utility(0, x, d).utility;
+                let computed = KNEE_RECURRENCES.get() - before;
+                assert!(u > 0.0 && u <= 1.0, "x={x} d={d}: utility {u}");
+                assert_eq!(computed, knees, "{steps} steps at x={x} d={d}");
+            }
+            // A read the tables serve asks nothing.
+            let before = KNEE_RECURRENCES.get();
+            p.job_utility(0, 2.5, 0.0);
+            assert_eq!(KNEE_RECURRENCES.get(), before, "{steps} steps");
+        }
+    }
+
     proptest::proptest! {
-        /// The memo tables must be invisible: random rates, replica
+        /// The tables must be invisible: random rates, replica
         /// counts, and drop rates all evaluate bit-identically to the
         /// direct estimator path.
         #[test]
@@ -1220,42 +1195,44 @@ mod tests {
             )
             .unwrap();
             let cached = p.expected_utility(0, x, d);
-            let direct = direct_expected_utility(&p, 0, x, d);
+            let direct = direct_expected_utility(&p.jobs()[0], p.model, x, d);
             proptest::prop_assert_eq!(cached.to_bits(), direct.to_bits());
         }
     }
 
-    /// Every table lookup must be the direct estimator call, bit for
-    /// bit, at every replica count up to the quota — inside the knee
-    /// region, beyond it, and on rows the estimator rejects.
+    /// Every table entry must be the direct estimator call, bit for bit,
+    /// at every replica count up to the quota — inside the knee region,
+    /// beyond it, and on rows the estimator rejects — read the way the
+    /// utility path reads it: step by step through `steps`.
     fn assert_tables_match_direct(p: &MultiTenantProblem, relaxed: RelaxedLatency) {
         let quota = p.resources().replica_quota().get();
         let tables = p.tables().expect("M/D/c problems are tabulated");
         for (i, job) in p.jobs().iter().enumerate() {
             let (k, pt) = (job.slo.percentile, job.processing_time);
-            for &raw in job.lambda_trajectories.iter().flatten() {
+            let rates = job.lambda_trajectories.iter().flatten();
+            assert_eq!(tables.steps[i].len(), rates.clone().count());
+            for (&raw, &row) in rates.zip(&tables.steps[i]) {
                 let lambda = raw.max(0.0);
-                assert!(tables.index[i].contains_key(&lambda.to_bits()));
+                let row = &tables.dense[i][row as usize];
+                assert_eq!(row.len(), quota as usize);
                 for n in 1..=quota {
-                    let direct = match p.fidelity {
+                    let direct = match p.model.fidelity {
                         Fidelity::Relaxed => relaxed.latency(k, pt, lambda, ReplicaCount::new(n)),
                         Fidelity::Precise => {
                             mdc::latency_percentile(k, pt, lambda, ReplicaCount::new(n))
                         }
                     }
                     .unwrap_or(f64::INFINITY);
-                    let got = p.integer_latency(i, k, pt, lambda, n);
+                    let got = row[(n - 1) as usize];
                     assert_eq!(
                         got.to_bits(),
                         direct.to_bits(),
                         "{:?} job {i} rate {raw} n={n}: table {got} vs direct {direct}",
-                        p.fidelity
+                        p.model.fidelity
                     );
                 }
             }
         }
-        // Nothing above went through the memo: the tables answered.
-        assert!(p.cache.memo.lock().unwrap().is_empty());
     }
 
     #[test]

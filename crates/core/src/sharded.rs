@@ -31,9 +31,17 @@
 //!    budget no longer covers the cached allocation. Clean shards reuse
 //!    their cached decisions, so a warm round's cost is the top-level
 //!    split plus only the shards that actually changed.
+//!
+//! The split problem and every shard problem are built from the one
+//! model value the round was given (`FaroAutoscaler` builds it from its
+//! configuration; the public [`ShardedSolver::solve`] runs the paper's
+//! defaults), and a flat shard runs the same solve, integerize, shrink
+//! function a global flat round does. A shard above the flat threshold
+//! takes the grouped solve, which never shrinks.
 
 use crate::error::Result;
-use crate::hierarchical::{replica_need, solve_hierarchical};
+use crate::evaluate::{validate, Model};
+use crate::hierarchical::{replica_need, solve_grouped};
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use crate::rng::SplitMix64;
@@ -77,8 +85,6 @@ pub struct ShardConfig {
     pub flat_threshold: usize,
     /// Group count for within-shard grouped solves.
     pub groups: usize,
-    /// Stage-3 shrinking on flat within-shard solves.
-    pub use_shrinking: bool,
 }
 
 impl Default for ShardConfig {
@@ -89,7 +95,6 @@ impl Default for ShardConfig {
             dirty_epsilon: 0.05,
             flat_threshold: 50,
             groups: 10,
-            use_shrinking: true,
         }
     }
 }
@@ -288,7 +293,8 @@ struct SolveCtx<'a> {
     jobs: &'a [JobWorkload],
     resources: ResourceModel,
     objective: ClusterObjective,
-    fidelity: Fidelity,
+    model: Model,
+    use_shrinking: bool,
     solver: &'a (dyn Solver + Sync),
     current: &'a [u32],
     cfg: ShardConfig,
@@ -320,8 +326,8 @@ fn sub_resources_for_budget(resources: &ResourceModel, budget: u32) -> ResourceM
     }
 }
 
-/// Solves one shard against its budget: flat COBYLA (+ integerize +
-/// optional shrink) for small member lists, the grouped solve above
+/// Solves one shard against its budget: the flat solve, integerize and
+/// shrink for small member lists, the grouped solve above
 /// [`ShardConfig::flat_threshold`], with a per-shard child seed.
 fn solve_shard(
     ctx: &SolveCtx<'_>,
@@ -335,12 +341,11 @@ fn solve_shard(
         .map(|&i| ctx.current.get(i).copied().unwrap_or(1))
         .collect();
     let sub_resources = sub_resources_for_budget(&ctx.resources, budget);
+    let problem =
+        MultiTenantProblem::with_model(sub_jobs, sub_resources, ctx.objective, ctx.model)?;
     if members.len() > ctx.cfg.flat_threshold {
-        let out = solve_hierarchical(
-            &sub_jobs,
-            sub_resources,
-            ctx.objective,
-            ctx.fidelity,
+        let out = solve_grouped(
+            &problem,
             ctx.solver,
             &sub_current,
             ctx.cfg.groups,
@@ -352,15 +357,10 @@ fn solve_shard(
             evals: out.evals as u64,
         })
     } else {
-        let problem =
-            MultiTenantProblem::new(sub_jobs, sub_resources, ctx.objective, ctx.fidelity)?;
-        let alloc = problem.solve(ctx.solver, &sub_current)?;
-        let mut xs = problem.integerize(&alloc);
-        if ctx.cfg.use_shrinking {
-            problem.shrink(&mut xs, &alloc.drop_rates);
-        }
+        let (replicas, alloc) =
+            problem.solve_integer(ctx.solver, &sub_current, ctx.use_shrinking)?;
         Ok(ShardResult {
-            replicas: xs,
+            replicas,
             drops: alloc.drop_rates,
             evals: alloc.evals as u64,
         })
@@ -456,7 +456,8 @@ impl ShardedSolver {
         self.last_quota = 0;
     }
 
-    /// One sharded long-term round: partition (if stale), dirty-check,
+    /// One sharded long-term round under the paper's default model,
+    /// with stage-3 shrinking on: partition (if stale), dirty-check,
     /// top-level split, parallel dirty-shard solves, deterministic
     /// merge.
     ///
@@ -473,13 +474,26 @@ impl ShardedSolver {
         solver: &(dyn Solver + Sync),
         current: &[u32],
     ) -> Result<ShardedAllocation> {
+        let model = Model::new(fidelity);
+        self.solve_with(jobs, resources, objective, model, true, solver, current)
+    }
+
+    /// [`ShardedSolver::solve`] under a given model, shrinking flat
+    /// shard solves when `use_shrinking` says so.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn solve_with(
+        &mut self,
+        jobs: &[JobWorkload],
+        resources: ResourceModel,
+        objective: ClusterObjective,
+        model: Model,
+        use_shrinking: bool,
+        solver: &(dyn Solver + Sync),
+        current: &[u32],
+    ) -> Result<ShardedAllocation> {
+        validate(jobs, &resources)?;
         let n = jobs.len();
         let quota = resources.replica_quota();
-        // Delegate validation (empty set, quota floor) to the problem
-        // constructor the shards use anyway.
-        if n == 0 || (quota.get() as usize) < n {
-            MultiTenantProblem::new(jobs.to_vec(), resources.clone(), objective, fidelity)?;
-        }
 
         let new_sigs: Vec<JobSignature> = jobs.iter().map(JobSignature::of).collect();
         if n != self.n_jobs || quota.get() != self.last_quota {
@@ -519,11 +533,11 @@ impl ShardedSolver {
             let cont: Vec<f64> = if s == 1 {
                 vec![quota.as_f64()]
             } else {
-                let split_problem = MultiTenantProblem::new(
+                let split_problem = MultiTenantProblem::with_model(
                     pseudo,
                     resources.clone(),
                     objective.drop_free(),
-                    fidelity,
+                    model,
                 )?;
                 let split = split_problem.solve(solver, &x0)?;
                 split_evals = split.evals as u64;
@@ -555,7 +569,8 @@ impl ShardedSolver {
             jobs,
             resources,
             objective,
-            fidelity,
+            model,
+            use_shrinking,
             solver,
             current,
             cfg: self.cfg,

@@ -333,6 +333,83 @@ fn concurrent_population_evaluation_equals_sequential() {
     }
 }
 
+/// `n` paper-shaped jobs: 20 sampled trajectories of 6 window steps
+/// around a per-job mean, ResNet34 service time.
+fn sampled_jobs(n: usize) -> Vec<JobWorkload> {
+    let mut rng = SplitMix64::new(18);
+    (0..n)
+        .map(|i| {
+            let mean = 4.0 + 12.0 * rng.fraction();
+            JobWorkload {
+                lambda_trajectories: (0..20)
+                    .map(|_| {
+                        (0..6)
+                            .map(|_| mean * (0.7 + 0.6 * rng.fraction()))
+                            .collect()
+                    })
+                    .collect(),
+                processing_time: 0.180,
+                slo: Slo::paper_default(),
+                priority: 1.0 + (i % 3) as f64,
+            }
+        })
+        .collect()
+}
+
+/// The drop-rate objectives are the only traffic that leaves the
+/// latency tables in a default configuration: every evaluation asks for
+/// rates `lambda * (1 - d)` no table row holds. What a whole cold-start
+/// `solve -> integerize -> shrink` decides under them — right-sized,
+/// starved and at forty jobs — is pinned here, continuous point
+/// included; the digest was taken when those rates went through a keyed
+/// lookup first.
+#[test]
+#[cfg_attr(miri, ignore = "six default solves; the digest is checked natively")]
+fn drop_objective_solves_decide_what_they_decided() {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |word: u64| digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    for (n, quota) in [(10, 32), (10, 20), (40, 400)] {
+        for objective in [
+            ClusterObjective::PenaltySum,
+            ClusterObjective::PenaltyFairSum { gamma: 4.0 },
+        ] {
+            let p = MultiTenantProblem::new(
+                sampled_jobs(n),
+                ResourceModel::replicas(ReplicaCount::new(quota)),
+                objective,
+                Fidelity::Relaxed,
+            )
+            .expect("valid problem");
+            let alloc = p.solve(&Cobyla::fast(), &vec![1; n]).expect("solve");
+            mix(alloc.evals as u64);
+            mix(alloc.objective_value.to_bits());
+            alloc
+                .replicas
+                .iter()
+                .chain(&alloc.drop_rates)
+                .for_each(|v| mix(v.to_bits()));
+            // The solved point, and the same point pushed past the quota
+            // under drop rates the solve need not settle on, so that the
+            // trim and the shrink score drop-adjusted rates too.
+            let crowded = ContinuousAllocation {
+                replicas: alloc.replicas.iter().map(|x| x + 1.4).collect(),
+                drop_rates: (0..n).map(|j| 0.04 * (j % 3) as f64).collect(),
+                ..alloc.clone()
+            };
+            for alloc in [&alloc, &crowded] {
+                let mut xs = p.integerize(alloc);
+                xs.iter().for_each(|&x| mix(u64::from(x)));
+                p.shrink(&mut xs, &alloc.drop_rates);
+                xs.iter().for_each(|&x| mix(u64::from(x)));
+            }
+        }
+    }
+    assert_eq!(
+        digest, 0x46a4_c32c_c74f_bbda,
+        "drop-objective decisions moved: digest {digest:#018x}"
+    );
+}
+
 // ------------------------------------------------------- the classed problem
 
 /// Non-default sharpness and knee, so the builders' overrides are read.

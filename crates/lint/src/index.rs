@@ -58,8 +58,7 @@ pub struct EnumDef {
 }
 
 /// Per-file facts the index is built from. Extraction is pure over the
-/// sanitized scan, so facts can be cached per file and re-assembled
-/// without re-reading unchanged files.
+/// sanitized scan.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FileFacts {
     /// Candidate workspace-relative paths this file imports from
@@ -94,11 +93,6 @@ pub struct WorkspaceIndex {
     /// Why a propagated file is sensitive: file → the sensitive file
     /// it imports. Seeds are absent from this map.
     pub golden_via: BTreeMap<String, String>,
-    /// FNV-1a hash of every fact the cross-file rules consume. If a
-    /// change leaves this untouched, per-file diagnostics of
-    /// *unchanged* files cannot have changed either — the incremental
-    /// cache's validity condition.
-    pub fingerprint: u64,
 }
 
 impl WorkspaceIndex {
@@ -187,45 +181,6 @@ pub fn build_index(files: BTreeMap<String, FileFacts>, seeds: &[&str]) -> Worksp
         }
     }
 
-    let mut canon = String::new();
-    for (name, sigs) in &fns {
-        for sig in sigs {
-            canon.push_str("fn ");
-            canon.push_str(name);
-            for p in &sig.params {
-                canon.push(',');
-                canon.push_str(p);
-            }
-            canon.push('\n');
-        }
-    }
-    for (name, defs) in &enums {
-        for (file, def) in defs {
-            canon.push_str("enum ");
-            canon.push_str(name);
-            canon.push('@');
-            canon.push_str(file);
-            for v in &def.variants {
-                canon.push(',');
-                canon.push_str(v);
-            }
-            canon.push('\n');
-        }
-    }
-    for (alias, target) in &aliases {
-        canon.push_str("alias ");
-        canon.push_str(alias);
-        canon.push('=');
-        canon.push_str(target);
-        canon.push('\n');
-    }
-    for path in &golden_sensitive {
-        canon.push_str("golden ");
-        canon.push_str(path);
-        canon.push('\n');
-    }
-    let fingerprint = fnv1a64(canon.as_bytes());
-
     WorkspaceIndex {
         files,
         edges,
@@ -234,19 +189,7 @@ pub fn build_index(files: BTreeMap<String, FileFacts>, seeds: &[&str]) -> Worksp
         aliases,
         golden_sensitive,
         golden_via,
-        fingerprint,
     }
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms
-/// — all the cache key needs.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Extracts the per-file facts from a sanitized scan. `path` is
@@ -779,39 +722,6 @@ mod tests {
             let idx = build_index(files, &["crates/core/src/sharded.rs"]);
             assert_eq!(idx.is_golden_sensitive("crates/core/src/policy.rs"), expect);
         }
-    }
-
-    #[test]
-    fn fingerprint_tracks_symbol_table_changes_only() {
-        let base = || {
-            let mut files = BTreeMap::new();
-            files.insert(
-                "crates/core/src/a.rs".to_owned(),
-                facts("crates/core/src/a.rs", "pub fn f(t: SimTimeMs) {}\n"),
-            );
-            files
-        };
-        let idx1 = build_index(base(), &[]);
-        let idx2 = build_index(base(), &[]);
-        assert_eq!(idx1.fingerprint, idx2.fingerprint);
-
-        let mut changed = base();
-        changed.insert(
-            "crates/core/src/a.rs".to_owned(),
-            facts("crates/core/src/a.rs", "pub fn f(t: DurationMs) {}\n"),
-        );
-        assert_ne!(build_index(changed, &[]).fingerprint, idx1.fingerprint);
-
-        // A body-only change leaves the facts — and the print — alone.
-        let mut body_only = base();
-        body_only.insert(
-            "crates/core/src/a.rs".to_owned(),
-            facts(
-                "crates/core/src/a.rs",
-                "pub fn f(t: SimTimeMs) { let _ = t; }\n",
-            ),
-        );
-        assert_eq!(build_index(body_only, &[]).fingerprint, idx1.fingerprint);
     }
 
     #[test]

@@ -71,12 +71,10 @@
 //! audit them — and `unused-allow` deletes them for you when they die.
 //!
 //! Run it with `cargo xtask lint` (wired into CI; `--format json` or
-//! `--format sarif` emit machine-readable reports, `--incremental`
-//! reuses the content-hash cache). The entry points are [`run`] /
-//! [`run_with`] for the workspace and [`lint_source`] /
+//! `--format sarif` emit machine-readable reports). The entry points
+//! are [`run`] for the workspace and [`lint_source`] /
 //! [`lint_sources`] for in-memory files (used by the fixture tests).
 
-mod cache;
 mod diagnostics;
 mod emit;
 mod index;
@@ -92,6 +90,5 @@ pub use index::{
 };
 pub use rules::{index_sources, lint_source, lint_sources, KNOWN_RULES};
 pub use walk::{
-    changed_files, golden_guard, golden_guard_indexed, index_workspace, run, run_with, LintOutcome,
-    Options, GOLDEN_SENSITIVE,
+    changed_files, golden_guard, golden_guard_indexed, index_workspace, run, GOLDEN_SENSITIVE,
 };

@@ -41,12 +41,6 @@ pub const KNOWN_RULES: &[&str] = &[
 /// from the unused-allow audit.
 const DIFF_RULES: &[&str] = &["golden-guard", "golden-sensitivity-propagation"];
 
-/// Interns a rule id from the cache's string form; `None` for ids this
-/// binary does not know (a cache written by a different version).
-pub fn intern_rule(id: &str) -> Option<&'static str> {
-    KNOWN_RULES.iter().find(|r| **r == id).copied()
-}
-
 /// Lints one in-memory file. Equivalent to [`lint_sources`] with a
 /// single entry: the cross-file rules see an index built from this
 /// file alone.
@@ -60,6 +54,14 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
 /// diff-level golden rules are not run — they need a change set, not
 /// file contents (see [`crate::walk::run`]).
 pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+    lint_and_index(files).0
+}
+
+/// [`lint_sources`] beside the index its cross-file rules consulted,
+/// which the workspace driver hands on to the diff-level golden guard.
+pub(crate) fn lint_and_index(
+    files: &[(&str, &str)],
+) -> (Vec<Diagnostic>, crate::index::WorkspaceIndex) {
     let scans: Vec<(&str, FileScan)> = files
         .iter()
         .map(|(path, content)| (*path, sanitize::scan(content)))
@@ -77,7 +79,7 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         out.extend(finish(path, scan, raw));
     }
     out.sort();
-    out
+    (out, index)
 }
 
 /// Builds the phase-1 [`crate::index::WorkspaceIndex`] over a set of

@@ -1,13 +1,9 @@
-//! Workspace walking, the diff-level golden rules, and the cached
-//! two-phase driver.
+//! Workspace walking, the diff-level golden rules, and the two-phase
+//! driver.
 
-use crate::cache::{self, Cache, CacheEntry};
 use crate::diagnostics::Diagnostic;
-use crate::index::{build_index, extract_facts, fnv1a64, FileFacts, WorkspaceIndex};
-use crate::rules::{finish, per_file_rules};
-use crate::sanitize::{self, FileScan};
-use crate::semantic::lint_with_index;
-use std::collections::BTreeMap;
+use crate::index::WorkspaceIndex;
+use crate::rules::{index_sources, lint_and_index};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -19,6 +15,7 @@ use std::process::Command;
 /// only the root of that closure, and a unit test in
 /// `tests/semantic_golden.rs` proves the closure covers it.
 pub const GOLDEN_SENSITIVE: &[&str] = &[
+    "crates/core/src/evaluate.rs",
     "crates/core/src/hetero.rs",
     "crates/core/src/opt.rs",
     "crates/core/src/sharded.rs",
@@ -161,147 +158,31 @@ pub fn changed_files(root: &Path) -> Option<Vec<String>> {
     Some(files)
 }
 
-/// How a lint run uses the on-disk cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Options {
-    /// Reuse cached per-file diagnostics when the file's content hash
-    /// and the index fingerprint both match. Off = every file is
-    /// re-linted (the cache is still refreshed for the next run).
-    pub incremental: bool,
-    /// Neither read nor write the cache.
-    pub no_cache: bool,
-}
-
-/// What a workspace run produced, beyond the diagnostics themselves.
-#[derive(Debug)]
-pub struct LintOutcome {
-    pub diagnostics: Vec<Diagnostic>,
-    /// Files the run looked at.
-    pub files_seen: usize,
-    /// Files whose diagnostics came from the incremental cache.
-    pub files_from_cache: usize,
-    /// Fingerprint of the symbol table the cross-file rules consumed.
-    pub index_fingerprint: u64,
-}
-
-/// Lints the whole workspace rooted at `root` with default options.
-/// Output is sorted by location, compiler style.
-pub fn run(root: &Path) -> Vec<Diagnostic> {
-    run_with(root, Options::default()).diagnostics
-}
-
 /// Builds the phase-1 index for the workspace at `root` without
 /// running any rules — for tests and tooling that want the module
 /// graph or the golden closure.
 pub fn index_workspace(root: &Path) -> WorkspaceIndex {
-    let mut facts = BTreeMap::new();
-    for (rel, content) in read_workspace(root) {
-        facts.insert(rel.clone(), extract_facts(&rel, &sanitize::scan(&content)));
-    }
-    build_index(facts, GOLDEN_SENSITIVE)
+    index_sources(&borrowed(&read_workspace(root)))
 }
 
-/// The full two-phase driver: reads every source file, assembles the
-/// index (reusing cached per-file facts for unchanged files), runs the
-/// per-file and cross-file rules (reusing cached diagnostics when the
-/// file *and* the index are unchanged), appends the diff-level golden
-/// guard, and refreshes the cache.
-pub fn run_with(root: &Path, opts: Options) -> LintOutcome {
-    let sources = read_workspace(root);
-    let cache_path = root.join("target").join("faro-lint-cache.v1");
-    let old_cache = if opts.no_cache {
-        None
-    } else {
-        cache::load(&cache_path)
-    };
-
-    // Phase 1: per-file facts — cached facts are valid whenever the
-    // content hash matches, independent of the rest of the workspace.
-    let mut hashes: BTreeMap<String, u64> = BTreeMap::new();
-    let mut scans: BTreeMap<String, FileScan> = BTreeMap::new();
-    let mut facts: BTreeMap<String, FileFacts> = BTreeMap::new();
-    for (rel, content) in &sources {
-        let hash = fnv1a64(content.as_bytes());
-        hashes.insert(rel.clone(), hash);
-        let cached = old_cache
-            .as_ref()
-            .and_then(|c| c.entries.get(rel))
-            .filter(|e| e.hash == hash);
-        match cached {
-            Some(entry) => {
-                facts.insert(rel.clone(), entry.facts.clone());
-            }
-            None => {
-                let scan = sanitize::scan(content);
-                facts.insert(rel.clone(), extract_facts(rel, &scan));
-                scans.insert(rel.clone(), scan);
-            }
-        }
-    }
-    let index = build_index(facts, GOLDEN_SENSITIVE);
-
-    // Phase 2: rules. A cached diagnostic set is valid only if the
-    // file is unchanged AND the symbol table the cross-file rules saw
-    // is unchanged.
-    let mut files_from_cache = 0usize;
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut new_entries: BTreeMap<String, CacheEntry> = BTreeMap::new();
-    for (rel, content) in &sources {
-        let hash = hashes[rel];
-        let reusable = opts.incremental
-            && old_cache
-                .as_ref()
-                .filter(|c| c.index_fingerprint == index.fingerprint)
-                .and_then(|c| c.entries.get(rel))
-                .filter(|e| e.hash == hash)
-                .is_some();
-        let file_diags = if reusable {
-            files_from_cache += 1;
-            old_cache
-                .as_ref()
-                .and_then(|c| c.entries.get(rel))
-                .map(|e| e.diags.clone())
-                .unwrap_or_default()
-        } else {
-            let scan = scans.remove(rel).unwrap_or_else(|| sanitize::scan(content));
-            let mut raw = Vec::new();
-            per_file_rules(rel, &scan, &mut raw);
-            lint_with_index(rel, &scan, &index, &mut raw);
-            finish(rel, &scan, raw)
-        };
-        new_entries.insert(
-            rel.clone(),
-            CacheEntry {
-                hash,
-                facts: index.files[rel].clone(),
-                diags: file_diags.clone(),
-            },
-        );
-        diagnostics.extend(file_diags);
-    }
-
+/// Lints the whole workspace rooted at `root`: reads every source
+/// file, lints them as one workspace ([`crate::lint_sources`]: scan, index,
+/// per-file and cross-file rules), and appends the diff-level golden
+/// guard. Output is sorted by location, compiler style.
+pub fn run(root: &Path) -> Vec<Diagnostic> {
+    let (mut diagnostics, index) = lint_and_index(&borrowed(&read_workspace(root)));
     if let Some(changed) = changed_files(root) {
         diagnostics.extend(golden_guard_indexed(&changed, &index));
     }
     diagnostics.sort();
+    diagnostics
+}
 
-    if !opts.no_cache {
-        // Best effort: a read-only checkout still lints fine.
-        let _ = cache::store(
-            &cache_path,
-            &Cache {
-                index_fingerprint: index.fingerprint,
-                entries: new_entries,
-            },
-        );
-    }
-
-    LintOutcome {
-        diagnostics,
-        files_seen: sources.len(),
-        files_from_cache,
-        index_fingerprint: index.fingerprint,
-    }
+fn borrowed(sources: &[(String, String)]) -> Vec<(&str, &str)> {
+    sources
+        .iter()
+        .map(|(rel, content)| (rel.as_str(), content.as_str()))
+        .collect()
 }
 
 /// Every `.rs` file under `src/` and `crates/*/src/`, as
@@ -390,13 +271,14 @@ mod tests {
         let changed = vec![
             "crates/sim/src/events.rs".to_owned(),
             "crates/core/src/opt.rs".to_owned(),
+            "crates/core/src/evaluate.rs".to_owned(),
         ];
-        assert_eq!(golden_guard(&changed).len(), 2);
+        assert_eq!(golden_guard(&changed).len(), 3);
     }
 
     #[test]
     fn indexed_guard_flags_propagated_files_with_the_import_chain() {
-        use crate::index::{build_index, extract_facts};
+        use crate::index::{build_index, extract_facts, FileFacts};
         use crate::sanitize;
         let mut facts = std::collections::BTreeMap::new();
         facts.insert(

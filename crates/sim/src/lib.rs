@@ -58,8 +58,6 @@ pub use faults::{
     ColdStartSpike, FaultPlan, MetricOutage, MetricOutageMode, NodeOutage, ReplicaCrashes,
 };
 pub use report::{ClusterReport, JobReport};
-#[allow(deprecated)] // re-exported for the shim's one-release grace period
-pub use simulator::Runner;
 pub use simulator::{JobSetup, RunOutcome, SimConfig, SimRun, Simulation};
 
 /// Result alias for this crate.
@@ -70,18 +68,12 @@ pub type Result<T> = core::result::Result<T, Error>;
 pub enum Error {
     /// The simulation setup was invalid.
     InvalidSetup(String),
-    /// A backend API call failed during the run. The in-process
-    /// [`SimBackend`] never fails, but a wrapped (chaos or live)
-    /// backend driven through the plain reconciler can; the resilient
-    /// driver exists to absorb these instead.
-    Backend(faro_core::BackendError),
 }
 
 impl core::fmt::Display for Error {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             Error::InvalidSetup(m) => write!(f, "invalid simulation setup: {m}"),
-            Error::Backend(e) => write!(f, "simulation run aborted: {e}"),
         }
     }
 }
@@ -91,13 +83,9 @@ impl std::error::Error for Error {}
 // The simulator sits above the core, so its error type cannot appear
 // structurally inside `FaroError`; setup failures convert into the
 // shared `Backend` variant instead (one error type at every run entry
-// point, no ad-hoc stringification at call sites). Typed backend API
-// errors keep their structure through `BackendApi`.
+// point, no ad-hoc stringification at call sites).
 impl From<Error> for faro_core::FaroError {
     fn from(e: Error) -> Self {
-        match e {
-            Error::InvalidSetup(_) => faro_core::FaroError::Backend(e.to_string()),
-            Error::Backend(be) => faro_core::FaroError::BackendApi(be),
-        }
+        faro_core::FaroError::Backend(e.to_string())
     }
 }

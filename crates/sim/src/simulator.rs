@@ -32,23 +32,17 @@
 //! assert!(outcome.report.jobs[0].total_requests > 0);
 //! assert_eq!(outcome.stats.rounds, 30, "one round per 10 s tick");
 //! ```
-//!
-//! The sim-only [`Runner`] builder this replaced is kept as a
-//! deprecated shim for one release.
 
 use crate::backend::SimBackend;
 use crate::faults::FaultPlan;
 use crate::report::ClusterReport;
 use crate::runtime::{JobRuntime, DEFAULT_QUEUE_THRESHOLD};
 use crate::{Error, Result};
-use faro_control::{Driver, DriverError, DriverOutcome, RunStats};
+use faro_control::{Driver, DriverOutcome, RunStats};
 use faro_core::admission::{Admission, OutageClamp};
-use faro_core::policy::Policy;
 use faro_core::types::{JobObservation, JobSpec, ResourceModel};
 use faro_core::units::RatePerMin;
-use faro_core::FaroError;
 use faro_metrics::AvailabilityTracker;
-use faro_telemetry::{NoopSink, TelemetrySink};
 
 /// One job's simulation inputs.
 #[derive(Debug, Clone)]
@@ -295,26 +289,6 @@ impl Simulation {
         })
     }
 
-    /// Starts configuring one run of this simulation: policy, optional
-    /// admission override, fault plan, and telemetry sink, finished by
-    /// [`Runner::run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Simulation::driver()` (the backend-generic \
-                `faro_control::Driver` builder) with \
-                `Simulation::with_faults` and `SimRun::into_outcome`"
-    )]
-    #[allow(deprecated)] // the shim constructs its own deprecated type
-    pub fn runner(self) -> Runner<NoopSink> {
-        Runner {
-            sim: self,
-            policy: None,
-            admission: None,
-            faults: None,
-            sink: NoopSink,
-        }
-    }
-
     /// Validates and attaches a fault schedule. [`FaultPlan::none`]
     /// injects nothing and leaves the event stream byte-identical to
     /// a fault-free run.
@@ -354,36 +328,6 @@ impl Simulation {
         let capacity = self.config.total_replicas;
         Ok(Driver::new(self.into_backend()?)
             .admission(Box::new(OutageClamp::new(capacity)) as Box<dyn Admission>))
-    }
-
-    /// The one run loop behind the deprecated [`Runner`] shim:
-    /// validates and attaches the fault plan, then delegates to the
-    /// [`faro_control::Driver`] builder — the exact loop every other
-    /// entry point runs. Monomorphized per sink: the [`NoopSink`]
-    /// instantiation is the plain untraced run.
-    fn run_impl<S: TelemetrySink>(
-        mut self,
-        policy: Box<dyn Policy>,
-        admission: Option<Box<dyn Admission>>,
-        faults: Option<FaultPlan>,
-        sink: &mut S,
-    ) -> Result<RunOutcome> {
-        if let Some(plan) = faults {
-            self = self.with_faults(plan)?;
-        }
-        let mut driver = self.driver()?.policy(policy);
-        if let Some(admission) = admission {
-            driver = driver.admission(admission);
-        }
-        // The in-process SimBackend never fails; a real error here
-        // means the run is unsalvageable, so surface it typed.
-        let run = driver.telemetry(sink).run().map_err(|e| match e {
-            DriverError::Backend(err) => Error::Backend(err),
-            DriverError::NoPolicy => {
-                Error::InvalidSetup("no policy attached; call Runner::policy first".into())
-            }
-        })?;
-        Ok(run.into_outcome())
     }
 
     /// Primes the discrete-event backend for this simulation without
@@ -427,91 +371,12 @@ impl SimRun for DriverOutcome<SimBackend> {
     }
 }
 
-/// Builder for one run of a [`Simulation`].
-///
-/// Obtained from [`Simulation::runner`]; consumed by [`Runner::run`].
-/// The sink type parameter defaults to [`NoopSink`], which compiles
-/// the instrumentation out entirely — attach a real sink with
-/// [`Runner::telemetry`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Simulation::driver()` (the backend-generic \
-            `faro_control::Driver` builder) with \
-            `Simulation::with_faults` and `SimRun::into_outcome`"
-)]
-pub struct Runner<S: TelemetrySink = NoopSink> {
-    sim: Simulation,
-    policy: Option<Box<dyn Policy>>,
-    admission: Option<Box<dyn Admission>>,
-    faults: Option<FaultPlan>,
-    sink: S,
-}
-
-#[allow(deprecated)] // the shim's own impl block
-impl<S: TelemetrySink> Runner<S> {
-    /// The policy under test (required).
-    pub fn policy(mut self, policy: Box<dyn Policy>) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Overrides the admission controller (default: outage-aware
-    /// [`OutageClamp`] at the configured total quota).
-    pub fn admission(mut self, admission: Box<dyn Admission>) -> Self {
-        self.admission = Some(admission);
-        self
-    }
-
-    /// Attaches a fault schedule, validated at [`Runner::run`].
-    /// [`FaultPlan::none`] injects nothing and leaves the event stream
-    /// byte-identical to a fault-free run.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Attaches a telemetry sink, replacing the current one. The run
-    /// streams phase spans, decision records, drop counters, and
-    /// replica/fault lifecycle events into it; retrieve it back from
-    /// the sink you kept (pass `&mut sink` — sinks are implemented for
-    /// mutable references too) or use an owned sink and inspect it via
-    /// the outcome of a [`faro_telemetry::Tee`].
-    pub fn telemetry<T: TelemetrySink>(self, sink: T) -> Runner<T> {
-        Runner {
-            sim: self.sim,
-            policy: self.policy,
-            admission: self.admission,
-            faults: self.faults,
-            sink,
-        }
-    }
-
-    /// Runs the control loop to the horizon.
-    ///
-    /// # Errors
-    ///
-    /// Fails when no policy was attached or the fault plan is invalid
-    /// for this simulation, surfaced as the workspace-wide
-    /// [`FaroError`].
-    pub fn run(self) -> core::result::Result<RunOutcome, FaroError> {
-        let Runner {
-            sim,
-            policy,
-            admission,
-            faults,
-            mut sink,
-        } = self;
-        let policy = policy.ok_or_else(|| {
-            Error::InvalidSetup("no policy attached; call Runner::policy first".into())
-        })?;
-        Ok(sim.run_impl(policy, admission, faults, &mut sink)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faro_control::DriverError;
     use faro_core::baselines::{Aiad, FairShare};
+    use faro_core::policy::Policy;
     use faro_core::types::{ClusterSnapshot, DesiredState, JobDecision, JobId};
 
     fn setup(rate: f64, minutes: usize, initial: u32) -> JobSetup {
@@ -1061,14 +926,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_runner_still_requires_a_policy() {
-        let sim = Simulation::new(SimConfig::default(), vec![setup(60.0, 2, 1)]).unwrap();
-        let err = sim.runner().run().unwrap_err();
-        assert!(matches!(err, faro_core::FaroError::Backend(_)), "{err}");
-    }
-
-    #[test]
     fn with_faults_validates_the_plan() {
         let sim = Simulation::new(SimConfig::default(), vec![setup(60.0, 2, 1)]).unwrap();
         let plan = FaultPlan {
@@ -1085,29 +942,6 @@ mod tests {
             Ok(_) => panic!("an out-of-range fault plan must be rejected"),
         };
         assert!(err.to_string().contains("only 1 jobs exist"), "{err}");
-    }
-
-    /// The deprecated `runner()` shim must stay byte-equivalent to the
-    /// `driver()` path until it is dropped.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_runner_matches_driver_path() {
-        let mk = || Simulation::new(SimConfig::default(), vec![setup(300.0, 5, 2)]).unwrap();
-        let via_runner = mk()
-            .runner()
-            .policy(Box::new(Aiad::default()))
-            .run()
-            .unwrap();
-        let via_driver = mk()
-            .driver()
-            .unwrap()
-            .policy(Box::new(Aiad::default()))
-            .run()
-            .unwrap()
-            .into_outcome();
-        assert_eq!(via_runner.stats, via_driver.stats);
-        let bytes = |r: &ClusterReport| serde_json::to_string(r).unwrap();
-        assert_eq!(bytes(&via_runner.report), bytes(&via_driver.report));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! deterministic work units (jobs observed, solver evaluations,
 //! replicas started) rather than wall-clock durations, which keeps
 //! replays exact. Wall-clock latency stays the job of the
-//! `perf_baseline` bench bin.
+//! `benchmark/` package.
 //!
 //! [`ClusterReport`]: ../faro_sim/report/struct.ClusterReport.html
 

@@ -31,8 +31,6 @@ fn usage() {
     eprintln!("lint options:");
     eprintln!("  --format text|json|sarif   output format (default text)");
     eprintln!("  --out PATH                 write the report to PATH as well");
-    eprintln!("  --incremental              reuse the content-hash cache under target/");
-    eprintln!("  --no-cache                 neither read nor write the cache");
 }
 
 /// Runs faro-lint's two-phase workspace analysis and prints rustc-style
@@ -44,7 +42,6 @@ fn usage() {
 fn lint(args: &[String]) -> ExitCode {
     let mut format = "text".to_owned();
     let mut out_path: Option<PathBuf> = None;
-    let mut opts = faro_lint::Options::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -64,8 +61,6 @@ fn lint(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--incremental" => opts.incremental = true,
-            "--no-cache" => opts.no_cache = true,
             other => {
                 eprintln!("unknown lint option `{other}`");
                 usage();
@@ -76,50 +71,38 @@ fn lint(args: &[String]) -> ExitCode {
 
     let root = workspace_root();
     let started = std::time::Instant::now();
-    let outcome = faro_lint::run_with(&root, opts);
+    let diags = faro_lint::run(&root);
     let elapsed = started.elapsed().as_secs_f64();
-    let diags = &outcome.diagnostics;
 
     let report = match format.as_str() {
-        "json" => Some(faro_lint::to_json(diags)),
-        "sarif" => Some(faro_lint::to_sarif(diags)),
+        "json" => Some(faro_lint::to_json(&diags)),
+        "sarif" => Some(faro_lint::to_sarif(&diags)),
         _ => None,
     };
     match &report {
         Some(text) => print!("{text}"),
         None => {
-            for d in diags {
+            for d in &diags {
                 println!("{d}\n");
             }
         }
     }
     if let Some(path) = &out_path {
-        let text = report.clone().unwrap_or_else(|| faro_lint::to_json(diags));
+        let text = report.clone().unwrap_or_else(|| faro_lint::to_json(&diags));
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("faro-lint: cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
     }
 
-    let cached = if outcome.files_from_cache > 0 {
-        format!(
-            ", {} of {} files from cache",
-            outcome.files_from_cache, outcome.files_seen
-        )
-    } else {
-        String::new()
-    };
     if diags.is_empty() {
-        eprintln!("faro-lint: clean ({elapsed:.2}s{cached})");
+        eprintln!("faro-lint: clean ({elapsed:.2}s)");
     } else {
-        eprintln!(
-            "faro-lint: {} diagnostic(s) in {elapsed:.2}s{cached}",
-            diags.len()
-        );
+        eprintln!("faro-lint: {} diagnostic(s) in {elapsed:.2}s", diags.len());
     }
 
-    // The perf gate: the whole point of the incremental cache is that
-    // a full run stays interactive. CI pins the full-mode budget.
+    // The perf gate: a full run must stay interactive. CI pins the
+    // budget.
     if let Ok(gate) = std::env::var("FARO_LINT_TIME_GATE_SECS") {
         if let Ok(limit) = gate.parse::<f64>() {
             if elapsed > limit {

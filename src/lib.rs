@@ -99,8 +99,6 @@ pub mod prelude {
     pub use faro_core::types::{ClusterSnapshot, DesiredState, JobSpec};
     pub use faro_core::units::{RatePerMin, ReplicaCount, SimTimeMs, WallTimeMs};
     pub use faro_core::{ClusterObjective, FaroAutoscaler, FaroConfig, FaroError};
-    #[allow(deprecated)] // re-exported for the shim's one-release grace period
-    pub use faro_sim::Runner;
     pub use faro_sim::{
         ClusterReport, FaultPlan, JobSetup, RunOutcome, SimConfig, SimRun, Simulation,
     };
