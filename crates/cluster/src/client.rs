@@ -6,9 +6,11 @@
 //! [`SimTimeMs`], exactly like the simulator, so policies, telemetry,
 //! and the resilient driver's staleness arithmetic behave identically
 //! against a live server. Its [`WallClock`] is the host's physical
-//! clock, used only for pacing sleeps, latency samples, and
-//! wall-tagged telemetry — [`WallTimeMs`] has no conversion into the
-//! logical timeline, so the two cannot be mixed by accident.
+//! clock — the epoch offset read once at connect plus monotonic
+//! elapsed time, so it never steps backwards — used only for pacing
+//! sleeps, latency samples, and wall-tagged telemetry: [`WallTimeMs`]
+//! has no conversion into the logical timeline, so the two cannot be
+//! mixed by accident.
 //!
 //! A server-reported stale snapshot (`age_ms > 0`) is mapped onto the
 //! logical timeline as `snapshot.now = clock.now() − age`, which is
@@ -17,9 +19,10 @@
 //! process boundary.
 
 use crate::http::post;
+use crate::wall::WallAnchor;
 use crate::wire::{
-    ApplyRequest, ApplyResponse, ChaosConfig, ErrorBody, ObserveResponse, APPLY_PATH, CHAOS_PATH,
-    OBSERVE_PATH,
+    write_apply_request, ApplyResponse, ChaosConfig, ErrorBody, ObserveResponse, APPLY_PATH,
+    CHAOS_PATH, OBSERVE_PATH,
 };
 use faro_control::{ActuationReport, BackendError, Clock, ClusterBackend, WallClock};
 use faro_core::types::{ClusterSnapshot, DesiredState};
@@ -27,7 +30,7 @@ use faro_core::units::{DurationMs, ReplicaCount, SimTimeMs, WallTimeMs};
 use faro_telemetry::{TelemetryEvent, TelemetrySink};
 use std::io;
 use std::net::SocketAddr;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 /// How an [`HttpBackend`] paces and bounds its loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +65,8 @@ pub struct HttpBackend {
     addr: SocketAddr,
     cfg: LiveConfig,
     round: u64,
+    /// The host clock behind [`WallClock`], anchored at connect.
+    wall: WallAnchor,
     /// Wall-clock apply latencies, milliseconds, one per successful
     /// or failed attempt — the live loop's p99 comes from here.
     apply_latencies_ms: Vec<f64>, // faro-lint: allow(raw-time-arith): measurement samples feeding the metrics percentile API, raw ms by contract
@@ -74,6 +79,7 @@ impl HttpBackend {
             addr,
             cfg,
             round: 0,
+            wall: WallAnchor::new(),
             apply_latencies_ms: Vec::new(),
         }
     }
@@ -166,11 +172,7 @@ impl Clock for HttpBackend {
 
 impl WallClock for HttpBackend {
     fn wall_now(&self) -> WallTimeMs {
-        let ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as i64)
-            .unwrap_or(0);
-        WallTimeMs::from_millis(ms)
+        WallTimeMs::from_millis(self.wall.now_ms() as i64)
     }
 }
 
@@ -195,11 +197,8 @@ impl ClusterBackend for HttpBackend {
     }
 
     fn apply(&mut self, desired: &DesiredState) -> Result<ActuationReport, BackendError> {
-        let req = ApplyRequest {
-            desired: desired.clone(),
-        };
-        let body = serde_json::to_string(&req)
-            .map_err(|e| unavailable(format!("apply serialization failed: {e:?}")))?;
+        let mut body = String::new();
+        write_apply_request(desired, &mut body);
         let started = Instant::now();
         let result = post(self.addr, APPLY_PATH, &body, self.cfg.request_timeout);
         self.apply_latencies_ms
@@ -279,5 +278,41 @@ mod tests {
         let kinds: Vec<&str> = sink.entries().map(|e| e.event.kind()).collect();
         assert_eq!(kinds, vec!["WallClockTick"]);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_reply_nested_past_the_depth_cap_is_an_unavailable_backend() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let rogue = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut conn, _) = listener.accept().expect("accept");
+                crate::http::read_request(&mut conn).expect("request");
+                crate::http::write_response(&mut conn, 200, &"[".repeat(100_000)).expect("reply");
+            }
+        });
+        let mut backend = HttpBackend::connect(addr, quick());
+        for result in [
+            backend.observe().map(|_| ()),
+            backend.apply(&DesiredState::new()).map(|_| ()),
+        ] {
+            assert!(
+                matches!(result, Err(BackendError::Unavailable { .. })),
+                "{result:?}"
+            );
+        }
+        rogue.join().expect("rogue server thread");
+    }
+
+    #[test]
+    fn wall_time_never_steps_backwards() {
+        let backend = HttpBackend::connect("127.0.0.1:9".parse().expect("address"), quick());
+        let mut last = backend.wall_now();
+        assert!(last.as_millis() > 1_600_000_000_000, "ms since the epoch");
+        for _ in 0..10_000 {
+            let now = backend.wall_now();
+            assert!(now >= last, "{now:?} after {last:?}");
+            last = now;
+        }
     }
 }

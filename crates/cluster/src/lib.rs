@@ -44,6 +44,7 @@ pub mod client;
 pub mod http;
 pub mod model;
 pub mod server;
+mod wall;
 pub mod wire;
 
 pub use client::{HttpBackend, LiveConfig};

@@ -10,6 +10,7 @@
 
 use crate::http::{read_request, write_response, Request};
 use crate::model::{ClusterConfig, ClusterModel, FaultStreams};
+use crate::wall::WallAnchor;
 use crate::wire::{
     ApplyRequest, ChaosConfig, ErrorBody, ObserveResponse, APPLY_PATH, CHAOS_PATH, OBSERVE_PATH,
 };
@@ -19,18 +20,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
-
-/// Milliseconds since the Unix epoch on the host clock.
-pub fn wall_now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
+use std::time::Duration;
 
 struct ServerState {
     model: ClusterModel,
+    /// The clock cold starts run on, anchored when the server spawns.
+    wall: WallAnchor,
     chaos: ChaosConfig,
     streams: FaultStreams,
     /// Last fresh observation, replayed when the stale-observe fault
@@ -66,7 +61,7 @@ impl ServerState {
                 snapshot,
             }
         } else {
-            let (seq, snapshot) = self.model.observe(wall_now_ms());
+            let (seq, snapshot) = self.model.observe(self.wall.now_ms());
             self.cached = Some((seq, snapshot.clone()));
             ObserveResponse {
                 seq,
@@ -90,7 +85,7 @@ impl ServerState {
         let Some(req) = ApplyRequest::from_json(&value) else {
             return error_reply(400, "apply body does not match the v1 schema", false);
         };
-        let resp = self.model.apply(&req.desired, wall_now_ms());
+        let resp = self.model.apply(&req.desired, self.wall.now_ms());
         match serde_json::to_string(&resp) {
             Ok(json) => (200, json),
             Err(e) => error_reply(503, &format!("apply serialization failed: {e:?}"), true),
@@ -156,6 +151,7 @@ impl ClusterServer {
         let flag = Arc::clone(&shutdown);
         let mut state = ServerState {
             model: ClusterModel::new(config),
+            wall: WallAnchor::new(),
             chaos,
             streams: FaultStreams::new(chaos.seed),
             cached: None,
@@ -296,6 +292,27 @@ mod tests {
         )
         .expect("legacy apply");
         assert_eq!(apply.status, 200, "{}", apply.body);
+        server.shutdown();
+    }
+
+    #[test]
+    fn bodies_nested_past_the_depth_cap_get_a_400_and_the_server_keeps_serving() {
+        let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
+        let addr = server.addr();
+        // 100 KB of open brackets: unbounded recursive descent
+        // overflows the serving thread's stack on this and takes the
+        // whole process down.
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(20_000)] {
+            let reply = post(addr, APPLY_PATH, &deep, T).expect("an answer, not a dead server");
+            assert_eq!(reply.status, 400, "{}", reply.body);
+            let err = ErrorBody::from_json(&serde_json::from_str(&reply.body).expect("json"))
+                .expect("v1 error body");
+            assert!(!err.retryable, "the same body can never parse");
+            let chaos = post(addr, CHAOS_PATH, &deep, T).expect("an answer");
+            assert_eq!(chaos.status, 400, "{}", chaos.body);
+        }
+        let obs = post(addr, OBSERVE_PATH, "{}", T).expect("observe after the bad bodies");
+        assert_eq!(obs.status, 200);
         server.shutdown();
     }
 }

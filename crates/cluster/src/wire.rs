@@ -91,12 +91,20 @@ pub struct ApplyRequest {
 
 impl serde::Serialize for ApplyRequest {
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"v\":");
-        WIRE_VERSION.serialize_json(out);
-        out.push_str(",\"desired\":");
-        self.desired.serialize_json(out);
-        out.push('}');
+        write_apply_request(&self.desired, out);
     }
+}
+
+/// Appends the `/v1/apply` request body for `desired` to `out`: the
+/// encoder behind [`ApplyRequest`], taking the state by reference so
+/// the client can send the caller's every round without owning it.
+pub(crate) fn write_apply_request(desired: &DesiredState, out: &mut String) {
+    use serde::Serialize;
+    out.push_str("{\"v\":");
+    WIRE_VERSION.serialize_json(out);
+    out.push_str(",\"desired\":");
+    desired.serialize_json(out);
+    out.push('}');
 }
 
 impl ApplyRequest {

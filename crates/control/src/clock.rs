@@ -50,8 +50,12 @@ pub trait Clock {
 /// milli from ever entering sim-time arithmetic.
 pub trait WallClock {
     /// The host's physical clock, as milliseconds since the Unix
-    /// epoch. Monotonicity is *not* guaranteed (the host clock can
-    /// step); use it for tagging and gating, never for ordering
-    /// rounds.
+    /// epoch. The trait does not promise monotonicity — an
+    /// implementor that reads the host clock on every call steps when
+    /// the host clock does — so use it for tagging and gating, never
+    /// for ordering rounds. `faro-cluster`'s `HttpBackend` (and the
+    /// clock its `ClusterServer` runs cold starts on) reads the epoch
+    /// offset once and adds monotonic elapsed time, so those two never
+    /// decrease.
     fn wall_now(&self) -> WallTimeMs;
 }
