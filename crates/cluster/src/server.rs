@@ -281,6 +281,35 @@ mod tests {
     }
 
     #[test]
+    fn chaos_rates_past_u32_get_a_400_and_arm_nothing() {
+        let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
+        let addr = server.addr();
+        // 2^32 + 1000: narrowed with `as`, this armed 1000 per mille.
+        for knob in ["apply_fail_per_mille", "stale_observe_per_mille"] {
+            let body = format!("{{\"v\":1,\"seed\":9,\"{knob}\":4294968296}}");
+            let plan = post(addr, CHAOS_PATH, &body, T).expect("an answer");
+            assert_eq!(plan.status, 400, "{}", plan.body);
+            let err = ErrorBody::from_json(&serde_json::from_str(&plan.body).expect("json"))
+                .expect("v1 error body");
+            assert!(!err.retryable, "the same body can never match");
+        }
+        let obs = post(addr, OBSERVE_PATH, "{}", T).expect("observe after the bad bodies");
+        assert_eq!(obs.status, 200);
+        let parsed = ObserveResponse::from_json(&serde_json::from_str(&obs.body).expect("json"))
+            .expect("v1 observe body");
+        assert_eq!((parsed.seq, parsed.age_ms), (0, 0), "a fresh snapshot");
+        let apply = post(
+            addr,
+            APPLY_PATH,
+            "{\"v\":1,\"desired\":[{\"job\":0,\"target_replicas\":3,\"drop_rate\":0.0}]}",
+            T,
+        )
+        .expect("apply");
+        assert_eq!(apply.status, 200, "{}", apply.body);
+        server.shutdown();
+    }
+
+    #[test]
     fn legacy_untagged_apply_bodies_are_accepted() {
         let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
         let addr = server.addr();

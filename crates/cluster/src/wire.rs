@@ -146,10 +146,12 @@ impl ApplyResponse {
     /// Parses the envelope; `None` on a shape or version mismatch.
     pub fn from_json(v: &Value) -> Option<Self> {
         check_version(v)?;
+        // A count past `u32` is a malformed reply, not a small count.
+        let count = |name: &str| u32::try_from(v.get(name)?.as_u64()?).ok();
         Some(Self {
-            applied: v.get("applied")?.as_u64()? as u32,
-            failed: v.get("failed")?.as_u64()? as u32,
-            replicas_started: v.get("replicas_started")?.as_u64()? as u32,
+            applied: count("applied")?,
+            failed: count("failed")?,
+            replicas_started: count("replicas_started")?,
         })
     }
 }
@@ -192,11 +194,13 @@ impl ChaosConfig {
     pub fn from_json(v: &Value) -> Option<Self> {
         check_version(v)?;
         let knob = |name: &str| v.get(name).map_or(Some(0), |k| k.as_u64());
+        // A rate past `u32` is a malformed plan, not its low 32 bits.
+        let rate = |name: &str| u32::try_from(knob(name)?).ok();
         Some(Self {
             seed: knob("seed")?,
             api_latency_ms: knob("api_latency_ms")?,
-            apply_fail_per_mille: knob("apply_fail_per_mille")? as u32,
-            stale_observe_per_mille: knob("stale_observe_per_mille")? as u32,
+            apply_fail_per_mille: rate("apply_fail_per_mille")?,
+            stale_observe_per_mille: rate("stale_observe_per_mille")?,
             stale_age_ms: knob("stale_age_ms")?,
         })
     }
@@ -293,6 +297,40 @@ mod tests {
             .expect("round-trips");
         assert_eq!(back, plan);
         assert!(json.starts_with("{\"v\":1,"), "{json}");
+    }
+
+    #[test]
+    fn counts_past_u32_are_a_shape_mismatch() {
+        let fields = ["applied", "failed", "replicas_started"];
+        let reply = |wide: &str, count: u64| {
+            let body: Vec<String> = fields
+                .iter()
+                .map(|&f| format!("\"{f}\":{}", if f == wide { count } else { 1 }))
+                .collect();
+            let json = format!("{{\"v\":1,{}}}", body.join(","));
+            ApplyResponse::from_json(&serde_json::from_str(&json).expect("parses"))
+        };
+        for field in fields {
+            assert!(reply(field, u64::from(u32::MAX)).is_some(), "{field}");
+            assert_eq!(reply(field, 1 << 32), None, "{field}");
+            assert_eq!(
+                reply(field, (1 << 32) + 1),
+                None,
+                "{field}: not a count of 1"
+            );
+        }
+        assert_eq!(
+            reply("applied", u64::from(u32::MAX)).map(|r| r.applied),
+            Some(u32::MAX)
+        );
+        for knob in ["apply_fail_per_mille", "stale_observe_per_mille"] {
+            let at = |rate: u64| {
+                let json = format!("{{\"seed\":7,\"{knob}\":{rate}}}");
+                ChaosConfig::from_json(&serde_json::from_str(&json).expect("parses"))
+            };
+            assert!(at(u64::from(u32::MAX)).is_some());
+            assert_eq!(at((1 << 32) + 1000), None, "not 1000 per mille");
+        }
     }
 
     #[test]

@@ -55,9 +55,10 @@ const MAX_TABLE_ENTRIES: usize = 1 << 24;
 /// estimator calls they replace.
 #[derive(Debug, Default)]
 struct LatencyTables {
-    /// `dense[job][row]`: latency at every integer replica count
-    /// (entry `n - 1` is the latency at `n`).
-    dense: Vec<Vec<Vec<f64>>>,
+    /// `dense[job]`: the job's rows back to back, one per distinct
+    /// trajectory rate. Row `id` starts at `id * quota`; its entry
+    /// `n - 1` is the latency at `n` replicas.
+    dense: Vec<Vec<f64>>,
     /// `steps[job]`: one row id per trajectory step, flattened in
     /// `lambda_trajectories` iteration order, so the zero-drop utility
     /// path walks precomputed rows without keying on the rate.
@@ -133,6 +134,10 @@ struct SolveCache {
     /// Job utilities computed rather than served from `utilities`.
     #[cfg(test)]
     utility_misses: std::sync::atomic::AtomicUsize,
+    /// Tabulated relaxed steps that missed their SLO and so asked
+    /// [`RelaxedUtility::value`].
+    #[cfg(test)]
+    unmet_steps: std::sync::atomic::AtomicUsize,
 }
 
 impl SolveCache {
@@ -143,6 +148,8 @@ impl SolveCache {
             utilities: (0..n_jobs).map(|_| UtilitySlots::default()).collect(),
             #[cfg(test)]
             utility_misses: std::sync::atomic::AtomicUsize::new(0),
+            #[cfg(test)]
+            unmet_steps: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 }
@@ -163,6 +170,11 @@ pub struct JobWorkload {
 }
 
 impl JobWorkload {
+    /// Every trajectory step's rate, in `lambda_trajectories` order.
+    fn rates(&self) -> impl Iterator<Item = f64> + '_ {
+        self.lambda_trajectories.iter().flatten().copied()
+    }
+
     /// A workload with a single constant-rate trajectory.
     pub fn constant(lambda: f64, processing_time: f64, slo: Slo, priority: f64) -> Self {
         Self {
@@ -313,23 +325,33 @@ impl MultiTenantProblem {
         if quota.is_zero() {
             return None;
         }
-        // Exact distinct-rate pre-pass: the dense tables hold one
-        // quota-length row per (job, distinct rate). At sweep scale
-        // (thousands of jobs, five-digit quotas) that product reaches
-        // gigabytes, so past a fixed entry budget skip the tables and
-        // ask the evaluator — bit-identical values, bounded footprint.
-        let mut rows_total: usize = 0;
-        for job in &self.jobs {
-            let mut distinct: BTreeSet<u64> = BTreeSet::new();
-            for traj in &job.lambda_trajectories {
-                for &raw in traj {
-                    distinct.insert(raw.max(0.0).to_bits());
-                }
+        // The dense tables hold one quota-length row per (job, distinct
+        // rate). At sweep scale (thousands of jobs, five-digit quotas)
+        // that product reaches gigabytes, so past a fixed entry budget
+        // skip the tables and ask the evaluator — bit-identical values,
+        // bounded footprint. Every step is at most one row, so the
+        // distinct rates are counted only when `steps × quota` could
+        // pass the budget.
+        let width = quota.get() as usize;
+        let steps_total: usize = self
+            .jobs
+            .iter()
+            .flat_map(|job| &job.lambda_trajectories)
+            .map(Vec::len)
+            .sum();
+        if steps_total.saturating_mul(width) > MAX_TABLE_ENTRIES {
+            let rows_total: usize = self
+                .jobs
+                .iter()
+                .map(|job| {
+                    let distinct: BTreeSet<u64> =
+                        job.rates().map(|raw| raw.max(0.0).to_bits()).collect();
+                    distinct.len()
+                })
+                .sum();
+            if rows_total.saturating_mul(width) > MAX_TABLE_ENTRIES {
+                return None;
             }
-            rows_total += distinct.len();
-        }
-        if rows_total.saturating_mul(quota.get() as usize) > MAX_TABLE_ENTRIES {
-            return None;
         }
         let mut dense = Vec::with_capacity(self.jobs.len());
         let mut steps = Vec::with_capacity(self.jobs.len());
@@ -338,17 +360,20 @@ impl MultiTenantProblem {
             let p = job.processing_time;
             let knees = self.knee_prefix(job, quota);
             let mut by_rate: BTreeMap<u64, u32> = BTreeMap::new();
-            let mut rows: Vec<Vec<f64>> = Vec::new();
-            let mut step_rows: Vec<u32> = Vec::new();
-            for traj in &job.lambda_trajectories {
-                for &raw in traj {
+            let mut rates: Vec<f64> = Vec::new();
+            let step_rows: Vec<u32> = job
+                .rates()
+                .map(|raw| {
                     let lambda = raw.max(0.0); // Same clamp as the evaluator.
-                    let id = *by_rate.entry(lambda.to_bits()).or_insert_with(|| {
-                        rows.push(self.build_latency_row(k, p, lambda, quota, &knees));
-                        (rows.len() - 1) as u32
-                    });
-                    step_rows.push(id);
-                }
+                    *by_rate.entry(lambda.to_bits()).or_insert_with(|| {
+                        rates.push(lambda);
+                        (rates.len() - 1) as u32
+                    })
+                })
+                .collect();
+            let mut rows = vec![0.0; rates.len() * width];
+            for (row, &lambda) in rows.chunks_exact_mut(width).zip(&rates) {
+                self.fill_latency_row(k, p, lambda, row, &knees);
             }
             dense.push(rows);
             steps.push(step_rows);
@@ -356,7 +381,7 @@ impl MultiTenantProblem {
         Some(LatencyTables {
             dense,
             steps,
-            quota: quota.get() as usize,
+            quota: width,
         })
     }
 
@@ -372,9 +397,7 @@ impl MultiTenantProblem {
         // Non-finite rates are rejected by the estimator whatever the
         // knee, so they ask for none.
         let peak = job
-            .lambda_trajectories
-            .iter()
-            .flatten()
+            .rates()
             .map(|raw| raw.max(0.0))
             .filter(|lambda| lambda.is_finite())
             .fold(0.0, f64::max);
@@ -391,27 +414,23 @@ impl MultiTenantProblem {
         }
     }
 
-    /// One table row: the M/D/c sweep over `1..=quota`, with the counts
-    /// at which `lambda` is past the relaxed knee taken from the relaxed
-    /// sweep over the job's knee prefix — entry for entry what
-    /// [`RelaxedLatency::latency_sweep`] over full-quota knee latencies
-    /// stores, without the knee latencies it never reads.
-    fn build_latency_row(
-        &self,
-        k: f64,
-        p: f64,
-        lambda: f64,
-        quota: ReplicaCount,
-        knees: &[f64],
-    ) -> Vec<f64> {
-        let Ok(mut row) = mdc::latency_percentile_sweep(k, p, lambda, quota) else {
+    /// One table row, filled in place: the M/D/c sweep over
+    /// `1..=row.len()`, with the counts at which `lambda` is past the
+    /// relaxed knee taken from the relaxed sweep over the job's knee
+    /// prefix — entry for entry what [`RelaxedLatency::latency_sweep`]
+    /// over full-quota knee latencies stores, without the knee latencies
+    /// it never reads.
+    fn fill_latency_row(&self, k: f64, p: f64, lambda: f64, row: &mut [f64], knees: &[f64]) {
+        if mdc::latency_percentile_sweep_into(k, p, lambda, row).is_err() {
             // Invalid k/p/rate: the direct path errors at every count.
-            return vec![f64::INFINITY; quota.get() as usize];
-        };
+            row.fill(f64::INFINITY);
+            return;
+        }
         if self.model.fidelity == Fidelity::Relaxed {
             // `knees` reaches the job's largest rate's knee count, so it
             // covers every row's.
             let relaxed = self.model.relaxed_latency;
+            let quota = ReplicaCount::new(row.len() as u32);
             let past_knee = relaxed.knee_count(p, lambda, quota) as usize;
             if past_knee > 0 {
                 let head = knees
@@ -424,7 +443,6 @@ impl MultiTenantProblem {
                 }
             }
         }
-        row
     }
 
     /// Expected utility of job `i` at fractional replicas `x`, averaged
@@ -450,21 +468,28 @@ impl MultiTenantProblem {
     /// beyond the quota, non-finite `x`) so the caller asks the
     /// evaluator. Bit-identical to it: each row entry is the estimator's
     /// value, under the same arithmetic and summation order.
+    ///
+    /// A relaxed step that meets its SLO is scored 1 without asking
+    /// [`RelaxedUtility::value`]: for `0 < l <= s` and `alpha > 0`,
+    /// `(s / l)^alpha >= 1` and the `min` there returns exactly 1
+    /// whatever `powf` computed, and for `l <= 0` it returns 1 before
+    /// it. On a paper-shaped solve that is six steps in seven.
     fn tabulated_utility(&self, tables: &LatencyTables, i: usize, x: f64) -> Option<f64> {
         let job = &self.jobs[i];
         let steps = &tables.steps[i];
         let rows = &tables.dense[i];
+        let quota = tables.quota;
         let slo_latency = job.slo.latency;
         let mut sum = 0.0;
         match self.model.fidelity {
             Fidelity::Precise => {
                 let n = x.max(1.0).round();
-                if !(n >= 1.0 && n <= tables.quota as f64) {
+                if !(n >= 1.0 && n <= quota as f64) {
                     return None;
                 }
                 let n = n as usize;
                 for &id in steps {
-                    sum += step_utility(rows[id as usize][n - 1], slo_latency);
+                    sum += step_utility(rows[id as usize * quota + n - 1], slo_latency);
                 }
             }
             Fidelity::Relaxed => {
@@ -474,22 +499,40 @@ impl MultiTenantProblem {
                 }
                 let lo = x.floor();
                 let hi = x.ceil();
-                if hi > tables.quota as f64 {
+                if hi > quota as f64 {
                     return None;
                 }
+                let utility = self.model.relaxed_utility;
+                // The latency at or under which a step scores 1 unasked.
+                // No latency is (NaN) where the argument above fails:
+                // `alpha` is a public field, so it may be zero, negative
+                // or NaN, and against an infinite target an infinite
+                // latency is "met" yet scores 0.
+                let met = if utility.alpha > 0.0 && slo_latency < f64::INFINITY {
+                    slo_latency
+                } else {
+                    f64::NAN
+                };
+                let value = |l: f64| {
+                    if l <= met {
+                        return 1.0;
+                    }
+                    #[cfg(test)]
+                    self.cache
+                        .unmet_steps
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    utility.value(l, slo_latency)
+                };
                 let lo_i = lo as usize;
                 if lo == hi {
                     for &id in steps {
-                        sum += self
-                            .model
-                            .relaxed_utility
-                            .value(rows[id as usize][lo_i - 1], slo_latency);
+                        sum += value(rows[id as usize * quota + lo_i - 1]);
                     }
                 } else {
                     let hi_i = hi as usize;
                     let frac = x - lo;
                     for &id in steps {
-                        let row = &rows[id as usize];
+                        let row = &rows[id as usize * quota..][..quota];
                         let l_lo = row[lo_i - 1];
                         let l_hi = row[hi_i - 1];
                         let l = if l_lo.is_infinite() || l_hi.is_infinite() {
@@ -497,7 +540,7 @@ impl MultiTenantProblem {
                         } else {
                             l_lo + (l_hi - l_lo) * frac
                         };
-                        sum += self.model.relaxed_utility.value(l, slo_latency);
+                        sum += value(l);
                     }
                 }
             }
@@ -1077,27 +1120,17 @@ mod tests {
         assert_ne!(got.to_bits(), flat.to_bits(), "the sharpness is read");
     }
 
-    /// The cache cannot stop paying unnoticed, and no clock is read to
-    /// say so: on the paper's shape (10 jobs, 20 sampled trajectories,
-    /// 32 replicas) a default COBYLA solve of `E` evaluations asks for
-    /// `10 E` job utilities and computes about a seventh of them — a
-    /// coordinate probe moves one job, and a rejected step returns to a
-    /// point every job still holds.
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "a full default solve over 1,000 table rows; the count is checked natively"
-    )]
-    fn a_flat_solve_computes_a_fraction_of_the_utilities_it_reads() {
-        let n = 10;
+    /// The paper's shape — 10 jobs, 20 sampled trajectories of `window`
+    /// steps, 32 replicas — at rates a right-sized cluster carries.
+    fn paper_shaped_problem(window: usize) -> MultiTenantProblem {
         let mut rng = crate::rng::SplitMix64::new(16);
-        let jobs: Vec<JobWorkload> = (0..n)
+        let jobs: Vec<JobWorkload> = (0..10)
             .map(|_| {
                 let mean = 4.0 + 10.0 * rng.fraction();
                 JobWorkload {
                     lambda_trajectories: (0..20)
                         .map(|_| {
-                            (0..5)
+                            (0..window)
                                 .map(|_| mean * (0.75 + 0.5 * rng.fraction()))
                                 .collect()
                         })
@@ -1108,13 +1141,28 @@ mod tests {
                 }
             })
             .collect();
-        let p = MultiTenantProblem::new(
+        MultiTenantProblem::new(
             jobs,
             ResourceModel::replicas(ReplicaCount::new(32)),
             ClusterObjective::Sum,
             Fidelity::Relaxed,
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// The cache cannot stop paying unnoticed, and no clock is read to
+    /// say so: on the paper's shape a default COBYLA solve of `E`
+    /// evaluations asks for `10 E` job utilities and computes about a
+    /// seventh of them — a coordinate probe moves one job, and a
+    /// rejected step returns to a point every job still holds.
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "a full default solve over 1,000 table rows; the count is checked natively"
+    )]
+    fn a_flat_solve_computes_a_fraction_of_the_utilities_it_reads() {
+        let n = 10;
+        let p = paper_shaped_problem(5);
         let alloc = p.solve(&Cobyla::default(), &[3; 10]).unwrap();
         let computed = p
             .cache
@@ -1126,6 +1174,26 @@ mod tests {
             computed * 10 < read * 4,
             "{computed} job utilities computed for {read} read"
         );
+    }
+
+    /// Nor can the met-SLO shortcut: over a default solve of the paper's
+    /// shape (20 × 7 steps a job) under a quarter of the steps scored
+    /// miss their SLO and reach `powf`; the rest are compared and
+    /// counted as 1.
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "a full default solve over 1,400 table rows; the count is checked natively"
+    )]
+    fn a_flat_solve_asks_powf_for_a_fraction_of_its_steps() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let p = paper_shaped_problem(7);
+        let alloc = p.solve(&Cobyla::default(), &[3; 10]).unwrap();
+        assert!(alloc.evals > 50, "the solve iterated: {}", alloc.evals);
+        let scored = p.cache.utility_misses.load(Relaxed) * 20 * 7;
+        let asked = p.cache.unmet_steps.load(Relaxed);
+        assert!(asked > 0, "the solve visited allocations that miss an SLO");
+        assert!(asked * 4 < scored, "{asked} of {scored} steps asked powf");
     }
 
     /// What a read that leaves the tables costs does not grow with the
@@ -1213,7 +1281,7 @@ mod tests {
             assert_eq!(tables.steps[i].len(), rates.clone().count());
             for (&raw, &row) in rates.zip(&tables.steps[i]) {
                 let lambda = raw.max(0.0);
-                let row = &tables.dense[i][row as usize];
+                let row = &tables.dense[i][row as usize * tables.quota..][..tables.quota];
                 assert_eq!(row.len(), quota as usize);
                 for n in 1..=quota {
                     let direct = match p.model.fidelity {
@@ -1286,7 +1354,7 @@ mod tests {
                 assert_tables_match_direct(&p, relaxed);
                 let tables = p.tables().unwrap();
                 for i in [3, 4] {
-                    assert!(tables.dense[i].iter().flatten().all(|l| l.is_infinite()));
+                    assert!(tables.dense[i].iter().all(|l| l.is_infinite()));
                 }
             }
         }
@@ -1358,6 +1426,225 @@ mod tests {
             // Recurrence steps: n(n+1)/2 over the prefix against the
             // same over the quota.
             assert!(knees * knees * 400 < (quota.get() as usize).pow(2));
+        }
+    }
+
+    /// What the met-SLO shortcut rests on, as a test of this platform's
+    /// `powf`: for `0 < l <= s` and `alpha > 0` the quotient is at least
+    /// 1, no power of it is under 1, and `min` returns exactly 1.
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "a million libm calls; the platform's libm is the subject"
+    )]
+    fn a_met_slo_scores_one_whatever_powf_computes() {
+        let mut rng = crate::rng::SplitMix64::new(23);
+        let alphas = [1e-300, 0.5, 1.0, 4.0, 64.0, 1e300, f64::INFINITY];
+        let ulps_below = |s: f64, ulps: u64| f64::from_bits(s.to_bits() - ulps);
+        for case in 0..1_000_000usize {
+            // Targets from the SLO's range and from the whole exponent
+            // range, by turns.
+            let s = if case % 2 == 0 {
+                0.01 + 10.0 * rng.fraction()
+            } else {
+                f64::from_bits(rng.next_u64() >> 2).max(f64::MIN_POSITIVE)
+            };
+            let l = match case % 7 {
+                0 => s,
+                1 => ulps_below(s, 1),
+                2 => ulps_below(s, 2),
+                // Quotients that round to 1.
+                3 => s * (1.0 - f64::EPSILON * rng.fraction()),
+                // Subnormal latencies.
+                4 => f64::from_bits(1 + (rng.next_u64() >> 12)).min(s),
+                5 => s * (1.0 - rng.fraction()).max(f64::MIN_POSITIVE),
+                _ => s * 0.5f64.powi(rng.below(1_000) as i32),
+            };
+            let l = if l > 0.0 { l } else { s };
+            let alpha = match case % 3 {
+                0 => alphas[rng.below(alphas.len())],
+                1 => 8.0 * rng.fraction() + f64::MIN_POSITIVE,
+                _ => f64::from_bits(rng.next_u64() >> 2).max(f64::MIN_POSITIVE),
+            };
+            assert!(0.0 < l && l <= s && alpha > 0.0, "case {case}");
+            let raw = (s / l).powf(alpha).min(1.0);
+            assert_eq!(
+                raw.to_bits(),
+                1.0f64.to_bits(),
+                "l={l:e} s={s:e} alpha={alpha:e}"
+            );
+            let asked = RelaxedUtility { alpha }.value(l, s);
+            assert_eq!(
+                asked.to_bits(),
+                1.0f64.to_bits(),
+                "l={l:e} s={s:e} alpha={alpha:e}"
+            );
+        }
+    }
+
+    /// The scoring loops against `RelaxedUtility::value` on rows no
+    /// estimator would fill — entries at, one ulp either side of and far
+    /// from the target, zero, negative, NaN and both infinities — under
+    /// sharpnesses and targets the shortcut must stand aside for (the
+    /// field is public: zero, negative, NaN; an infinite or NaN target),
+    /// at whole and fractional counts.
+    #[test]
+    fn tabulated_scoring_is_the_utility_of_every_entry_bitwise() {
+        let quota = 4usize;
+        let targets = [0.72, 0.0, -1.0, f64::INFINITY, f64::NAN];
+        let alphas = [4.0, 0.5, 1e-300, f64::INFINITY, 0.0, -0.0, -2.0, f64::NAN];
+        for target in targets {
+            let t = if target.is_finite() { target } else { 0.72 };
+            let (below, above) = (
+                f64::from_bits(0.72f64.to_bits() - 1),
+                f64::from_bits(0.72f64.to_bits() + 1),
+            );
+            let rows: Vec<f64> = [
+                [t, t, t, t],
+                [below, 0.72, above, 0.18],
+                [3.0, 1.5, 0.9, 0.5],
+                [f64::INFINITY, f64::INFINITY, 2.0, 0.7],
+                [f64::NAN, 0.3, f64::NAN, f64::NEG_INFINITY],
+                [0.0, -0.0, -5.0, f64::MIN_POSITIVE],
+            ]
+            .concat();
+            let steps: [u32; 8] = [0, 1, 2, 3, 4, 5, 1, 0];
+            for alpha in alphas {
+                let utility = RelaxedUtility { alpha };
+                let job = JobWorkload {
+                    slo: Slo {
+                        latency: target,
+                        percentile: 0.99,
+                    },
+                    ..JobWorkload::constant(1.0, 0.18, slo(), 1.0)
+                };
+                let p = MultiTenantProblem::new(
+                    vec![job],
+                    ResourceModel::replicas(ReplicaCount::new(quota as u32)),
+                    ClusterObjective::Sum,
+                    Fidelity::Relaxed,
+                )
+                .unwrap()
+                .with_utility(utility);
+                let tables = LatencyTables {
+                    dense: vec![rows.clone()],
+                    steps: vec![steps.to_vec()],
+                    quota,
+                };
+                for x in [0.5, 1.0, 1.5, 2.0, 2.75, 3.0, 3.999, 4.0] {
+                    let got = p
+                        .tabulated_utility(&tables, 0, x)
+                        .expect("inside the quota");
+                    let x: f64 = x.max(1.0);
+                    let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+                    let mut sum = 0.0;
+                    for &id in &steps {
+                        let row = &rows[id as usize * quota..][..quota];
+                        let (l_lo, l_hi) = (row[lo - 1], row[hi - 1]);
+                        let l = if lo == hi {
+                            l_lo
+                        } else if l_lo.is_infinite() || l_hi.is_infinite() {
+                            f64::INFINITY
+                        } else {
+                            l_lo + (l_hi - l_lo) * (x - x.floor())
+                        };
+                        sum += utility.value(l, target);
+                    }
+                    let want = sum / steps.len() as f64;
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "target={target} alpha={alpha} x={x}: {got} vs {want}"
+                    );
+                }
+                assert!(p.tabulated_utility(&tables, 0, 4.5).is_none());
+                assert!(p.tabulated_utility(&tables, 0, f64::INFINITY).is_none());
+            }
+        }
+    }
+
+    /// Through the public path: a target set to exactly the latency the
+    /// estimator gives one of the job's steps, at a whole and at a
+    /// fractional count, under sharpnesses on both sides of the guard.
+    #[test]
+    fn a_step_exactly_at_its_target_matches_the_direct_path_bitwise() {
+        let base = multi_step_problem(Fidelity::Relaxed);
+        let job = &base.jobs()[0];
+        let (k, pt) = (job.slo.percentile, job.processing_time);
+        for (lambda, x) in [(40.0, 9.0), (40.0, 8.5), (90.0, 17.25), (5.0, 1.0)] {
+            let at = base
+                .model
+                .relaxed_latency
+                .latency_fractional(k, pt, lambda, x)
+                .unwrap();
+            assert!(at.is_finite() && at > pt, "a queueing latency: {at}");
+            let mut jobs = base.jobs().to_vec();
+            jobs[0].slo.latency = at;
+            for alpha in [4.0, 0.5, 0.0, -2.0, f64::NAN] {
+                let utility = RelaxedUtility { alpha };
+                let p = MultiTenantProblem::new(
+                    jobs.clone(),
+                    base.resources().clone(),
+                    ClusterObjective::Sum,
+                    Fidelity::Relaxed,
+                )
+                .unwrap()
+                .with_utility(utility);
+                let model = Model {
+                    relaxed_utility: utility,
+                    ..p.model
+                };
+                for probe in [x, x.floor(), x.ceil(), x + 0.125, 1.0, 24.0] {
+                    let got = p.expected_utility(0, probe, 0.0);
+                    let direct = direct_expected_utility(&p.jobs()[0], model, probe, 0.0);
+                    assert_eq!(
+                        got.to_bits(),
+                        direct.to_bits(),
+                        "alpha={alpha} lambda={lambda} target={at} x={probe}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The table budget is decided as at the parent: by steps alone
+    /// while `steps × quota` fits, by the exact distinct-rate count
+    /// once it does not, and past that the evaluator answers.
+    #[test]
+    #[cfg_attr(miri, ignore = "4,096-count sweeps; the decision is checked natively")]
+    fn table_budget_counts_distinct_rates_only_past_the_step_bound() {
+        let quota = 1usize << 12;
+        let fitting_steps = MAX_TABLE_ENTRIES / quota;
+        let problem = |rates: Vec<f64>| {
+            let job = JobWorkload {
+                lambda_trajectories: vec![rates],
+                ..JobWorkload::constant(0.0, 0.180, slo(), 1.0)
+            };
+            MultiTenantProblem::new(
+                vec![job],
+                ResourceModel::replicas(ReplicaCount::new(quota as u32)),
+                ClusterObjective::Sum,
+                Fidelity::Relaxed,
+            )
+            .unwrap()
+        };
+        let two_rates = |steps: usize| (0..steps).map(|s| [5.0, 40.0][s % 2]).collect();
+        let all_distinct = |steps: usize| (0..steps).map(|s| 1.0 + s as f64 / 128.0).collect();
+        // Just under by steps: tabulated unasked; two rows.
+        let under = problem(two_rates(fitting_steps));
+        assert_eq!(under.tables().expect("fits").dense[0].len(), 2 * quota);
+        // Just over by steps, two distinct rates: counted, tabulated.
+        let counted = problem(two_rates(fitting_steps + 1));
+        let tables = counted.tables().expect("two rows fit");
+        assert_eq!(tables.dense[0].len(), 2 * quota);
+        assert_eq!(tables.steps[0].len(), fitting_steps + 1);
+        // Just over by distinct rates: no tables, the same answer.
+        let over = problem(all_distinct(fitting_steps + 1));
+        assert!(over.tables().is_none());
+        for p in [&under, &counted, &over] {
+            let got = p.expected_utility(0, 9.5, 0.0);
+            let direct = direct_expected_utility(&p.jobs()[0], p.model, 9.5, 0.0);
+            assert_eq!(got.to_bits(), direct.to_bits());
         }
     }
 

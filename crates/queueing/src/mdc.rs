@@ -73,20 +73,35 @@ pub fn latency_percentile_sweep(
     lambda: f64,
     max_servers: ReplicaCount,
 ) -> Result<Vec<f64>> {
+    let mut out = vec![0.0; max_servers.get() as usize];
+    latency_percentile_sweep_into(k, p, lambda, &mut out)?;
+    Ok(out)
+}
+
+/// [`latency_percentile_sweep`] into a caller-owned row: `out[n - 1]`
+/// becomes the latency at `n` servers for every `n` in `1..=out.len()`,
+/// so a table of many rates can live in one allocation.
+///
+/// # Errors
+///
+/// Same domain errors as [`latency_percentile`]; an empty row is
+/// [`crate::Error::ZeroReplicas`]. `out` is left untouched on error.
+pub fn latency_percentile_sweep_into(k: f64, p: f64, lambda: f64, out: &mut [f64]) -> Result<()> {
     let k = crate::error::percentile(k)?;
     let p = crate::error::positive("p", p)?;
     let lambda = crate::error::non_negative("lambda", lambda)?;
-    if max_servers.is_zero() {
+    if out.is_empty() {
         return Err(crate::Error::ZeroReplicas);
     }
     let a = lambda * p;
     let tail = 1.0 - k;
-    let mut out = Vec::with_capacity(max_servers.get() as usize);
     let mut b = 1.0f64;
-    for n in 1..=max_servers.get() {
-        // One Erlang-B recurrence step: `b` now equals `erlang_b(n, a)`.
-        b = a * b / (f64::from(n) + a * b);
-        let c = f64::from(n);
+    let mut c = 0.0f64;
+    for entry in out {
+        // One Erlang-B recurrence step: `b` now equals `erlang_b(n, a)`
+        // at the server count `c == n` (whole numbers, exact in `f64`).
+        c += 1.0;
+        b = a * b / (c + a * b);
         // Mirrors mmc::wait_percentile arithmetically, branch by branch,
         // so each entry is bit-identical to the direct call.
         let rho = lambda * p / c;
@@ -102,9 +117,9 @@ pub fn latency_percentile_sweep(
                 (ec / tail).ln() / (c / p - lambda)
             }
         };
-        out.push(0.5 * wait + p);
+        *entry = 0.5 * wait + p;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Smallest replica count `N <= max_replicas` whose estimated `k`-th
@@ -234,6 +249,32 @@ mod tests {
         assert!(table[..15].iter().all(|l| l.is_infinite()), "{table:?}");
         assert!(table[15..].iter().all(|l| l.is_finite()), "{table:?}");
         assert!(latency_percentile_sweep(0.99, 0.15, 1.0, ReplicaCount::ZERO).is_err());
+    }
+
+    #[test]
+    fn sweep_into_fills_exactly_what_the_sweep_returns() {
+        for max in [1usize, 32, 3_200] {
+            for (k, p, lambda) in [(0.99, 0.18, 0.0), (0.99, 0.18, 40.0), (0.5, 0.05, 3e4)] {
+                let sweep = latency_percentile_sweep(k, p, lambda, rc(max as u32)).unwrap();
+                let mut row = vec![f64::NAN; max];
+                latency_percentile_sweep_into(k, p, lambda, &mut row).unwrap();
+                assert_eq!(sweep.len(), max);
+                let direct = latency_percentile(k, p, lambda, rc(max as u32)).unwrap();
+                assert_eq!(row[max - 1].to_bits(), direct.to_bits(), "max={max}");
+                for (n, (got, want)) in row.iter().zip(&sweep).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "max={max} n={}", n + 1);
+                }
+            }
+        }
+        assert_eq!(
+            latency_percentile_sweep_into(0.99, 0.18, 40.0, &mut []),
+            Err(crate::Error::ZeroReplicas)
+        );
+        // A rejected input leaves the row as it was.
+        let mut row = [7.0; 4];
+        assert!(latency_percentile_sweep_into(1.5, 0.18, 40.0, &mut row).is_err());
+        assert!(latency_percentile_sweep_into(0.99, 0.18, f64::NAN, &mut row).is_err());
+        assert_eq!(row, [7.0; 4]);
     }
 
     #[test]

@@ -15,7 +15,22 @@ pub fn micros(seconds: f64) -> Micros {
     if seconds.is_nan() || seconds <= 0.0 {
         return 0;
     }
-    (seconds * 1e6).round().min(u64::MAX as f64) as Micros
+    nearest(seconds * 1e6)
+}
+
+/// `x.round()` as a `u64` for positive `x`, saturating. Baseline x86-64
+/// has no `roundsd`, so `f64::round` is a libm call, and this runs once
+/// per scheduled completion and cold start.
+fn nearest(x: f64) -> u64 {
+    /// From here up every `f64` is whole.
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let whole = x as u64; // Truncates; saturates from 2^64 up.
+    if x < TWO_52 {
+        // `whole as f64` and the difference are both exact here.
+        whole + u64::from(x - whole as f64 >= 0.5)
+    } else {
+        whole
+    }
 }
 
 /// Converts [`Micros`] to seconds.
@@ -153,6 +168,90 @@ mod tests {
         assert_eq!(seconds(2_000_000), 2.0);
         assert_eq!(micros(-1.0), 0);
         assert_eq!(micros(0.0), 0);
+    }
+
+    /// What `nearest` replaced.
+    fn by_round(x: f64) -> u64 {
+        x.round().min(u64::MAX as f64) as u64
+    }
+
+    /// `micros` as it was written before `nearest`.
+    fn micros_by_libm_round(seconds: f64) -> Micros {
+        if seconds.is_nan() || seconds <= 0.0 {
+            return 0;
+        }
+        by_round(seconds * 1e6)
+    }
+
+    #[test]
+    fn nearest_is_round_on_every_positive_input() {
+        let two_52 = 4_503_599_627_370_496.0f64;
+        let mut xs = vec![
+            0.49999999999999994,
+            0.5,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1.0 - f64::EPSILON / 2.0,
+            two_52 - 1.0,
+            two_52 - 0.5,
+            two_52,
+            two_52 + 1.0,
+            2.0 * two_52,
+            1.8e19,
+            u64::MAX as f64,
+            3e19,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for k in [
+            0u64,
+            1,
+            2,
+            3,
+            1_000_000,
+            86_400_000_000,
+            (1 << 51) + 1,
+            (1 << 52) - 1,
+        ] {
+            let k = k as f64;
+            xs.extend([k + 0.5, k + 0.49999999999999994, k + 0.25, k + 0.75, k]);
+            xs.extend([k + 0.5, k + 1.0].map(|x| f64::from_bits(x.to_bits() - 1)));
+        }
+        for x in xs {
+            assert_eq!(nearest(x), by_round(x), "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn micros_is_what_libm_round_gave() {
+        for s in [0.0, -0.0, -1.0, -1e-320, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(micros(s), 0, "{s}");
+        }
+        for s in [
+            5e-324,
+            1e-7,
+            4.999_999_999e-7,
+            5e-7,
+            1.5,
+            86_400.0,
+            1.8e13,
+            1e300,
+            f64::INFINITY,
+        ] {
+            assert_eq!(micros(s), micros_by_libm_round(s), "{s:e}");
+        }
+        // Seeded values across the simulator's range (microseconds to
+        // days) and across every exponent.
+        let mut rng = faro_core::rng::SplitMix64::new(23);
+        for case in 0..1_000_000u32 {
+            let bits = rng.next_u64();
+            let s = match case % 3 {
+                0 => (bits >> 11) as f64 / (1u64 << 53) as f64 * 172_800.0,
+                1 => (bits >> 40) as f64 / 1e6 + 0.5e-6,
+                _ => f64::from_bits(bits),
+            };
+            assert_eq!(micros(s), micros_by_libm_round(s), "{s:e}");
+        }
     }
 
     #[test]
