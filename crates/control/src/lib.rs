@@ -58,6 +58,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A `_` arm over an error enum is how a new failure mode ships unhandled.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod backend;
 pub mod chaos;

@@ -14,7 +14,7 @@ pub struct Diagnostic {
     pub line: usize,
     /// 1-based column (character offset).
     pub col: usize,
-    /// Rule id, e.g. `nondeterministic-iteration`.
+    /// Rule id, e.g. `no-panic-in-lib`.
     pub rule: &'static str,
     /// What is wrong.
     pub message: String,
@@ -40,16 +40,16 @@ mod tests {
             file: "crates/sim/src/backend.rs".into(),
             line: 12,
             col: 5,
-            rule: "nondeterministic-iteration",
-            message: "HashMap iteration order varies run to run".into(),
-            help: "use BTreeMap or a sorted Vec".into(),
+            rule: "no-panic-in-lib",
+            message: "unwrap() in library code".into(),
+            help: "return a typed error".into(),
         };
         let rendered = d.to_string();
         assert_eq!(
             rendered,
-            "error[nondeterministic-iteration]: HashMap iteration order varies run to run\n  \
+            "error[no-panic-in-lib]: unwrap() in library code\n  \
              --> crates/sim/src/backend.rs:12:5\n  \
-             = help: use BTreeMap or a sorted Vec"
+             = help: return a typed error"
         );
     }
 

@@ -3,28 +3,27 @@
 //!
 //! The simulator, solver, and control plane promise byte-identical
 //! output for identical inputs (ROADMAP: "determinism is load
-//! bearing"). That promise is easy to break with one innocent edit: a
-//! `HashMap` iteration in a report loop, an `Instant::now()` in a
-//! policy, a stray `* 60.0` that silently mixes per-second and
-//! per-minute rates. The type system catches some of this (see
-//! `faro_core::units`); this linter catches the rest — the patterns
-//! that are legal Rust but violate project invariants.
+//! bearing"). That promise is easy to break with one innocent edit,
+//! and every invariant behind it has exactly one owner. What rustc or
+//! a configured clippy lint can see is theirs: the unit newtypes keep
+//! their field private, so a bare number in a `SimTimeMs` parameter is
+//! E0308; `crates/{core,sim,solver,control}/clippy.toml` disallow
+//! `HashMap` / `HashSet` / `Instant` / `SystemTime` and the OS-seeded
+//! `rand` entry points; `faro-control` denies
+//! `clippy::wildcard_enum_match_arm`. This linter owns the rest — the
+//! patterns that are legal Rust, invisible to clippy, and still
+//! violate project invariants (a stray `* 60e6` that silently mixes
+//! units, a completion-order float sum). DESIGN.md, "Static analysis
+//! & invariants", has the table.
 //!
 //! The linter runs in two phases. Phase 1 builds a [`WorkspaceIndex`]
-//! over every crate: the module graph from `mod`/`use` declarations,
-//! a symbol table of `pub fn` signatures / `pub enum` variants /
-//! newtype and alias definitions, and the golden-sensitivity closure
-//! (the [`GOLDEN_SENSITIVE`] seeds plus every file that transitively
-//! imports from one). Phase 2 runs the rules — per-file token rules
-//! plus cross-file rules that consult the index.
+//! over every crate: the module graph from `use` declarations and the
+//! golden-sensitivity closure (the [`GOLDEN_SENSITIVE`] seeds plus
+//! every file that transitively imports from one). Phase 2 runs the
+//! rules — per-file token rules plus the rules that consult the index.
 //!
 //! Per-file rules:
 //!
-//! - `nondeterministic-iteration`:
-//!   forbids `HashMap`/`HashSet` and ambient randomness/wall-clock
-//!   reads (`thread_rng`, `rand::random`, `SystemTime`, `Instant`) in
-//!   the determinism-critical crates (`core`, `sim`, `solver`,
-//!   `control`).
 //! - `raw-time-arith`: forbids new raw-`f64`
 //!   time/rate fields (suffixes `_secs`, `_ms`, `_micros`, `_per_min`,
 //!   `_per_minute`) and bare cross-unit conversion constants (`60e6`,
@@ -46,14 +45,6 @@
 //!   in loops) over merged/parallel collections in golden-sensitive
 //!   core/sim/solver files — float addition is not associative, and
 //!   a completion-order sum changes the golden bytes.
-//! - `exhaustive-error-handling`:
-//!   a `match` on `BackendError`/`FaroError` in `crates/control/src/`
-//!   with a `_` arm, resolved against the enum's actual variant list —
-//!   adding a variant turns every wildcard into a finding.
-//! - `unit-flow`: bare numeric literals passed
-//!   to parameters whose declared type is a unit newtype
-//!   (`SimTimeMs`, `DurationMs`, `RatePerMin`, `ReplicaCount`), via
-//!   the signature registry.
 //! - `golden-sensitivity-propagation` / [`golden-guard`](golden_guard)
 //!   (diff level): changing a golden-sensitive file — seed or
 //!   transitive importer — without touching a golden test in the same
@@ -70,13 +61,11 @@
 //! Allows are deliberately loud in review — grep for the marker to
 //! audit them — and `unused-allow` deletes them for you when they die.
 //!
-//! Run it with `cargo xtask lint` (wired into CI; `--format json` or
-//! `--format sarif` emit machine-readable reports). The entry points
+//! Run it with `cargo xtask lint` (wired into CI). The entry points
 //! are [`run`] for the workspace and [`lint_source`] /
 //! [`lint_sources`] for in-memory files (used by the fixture tests).
 
 mod diagnostics;
-mod emit;
 mod index;
 mod rules;
 mod sanitize;
@@ -84,11 +73,9 @@ mod semantic;
 mod walk;
 
 pub use diagnostics::Diagnostic;
-pub use emit::{to_json, to_sarif};
-pub use index::{
-    build_index, extract_facts, EnumDef, FileFacts, FnSig, WorkspaceIndex, UNIT_TYPES,
-};
+pub use index::{build_index, extract_facts, FileFacts, WorkspaceIndex};
 pub use rules::{index_sources, lint_source, lint_sources, KNOWN_RULES};
 pub use walk::{
-    changed_files, golden_guard, golden_guard_indexed, index_workspace, run, GOLDEN_SENSITIVE,
+    changed_files, golden_guard, golden_guard_indexed, index_workspace, lint_workspace, run,
+    GOLDEN_SENSITIVE,
 };

@@ -17,21 +17,18 @@
 use crate::diagnostics::Diagnostic;
 use crate::index::{build_index, extract_facts};
 use crate::sanitize::{self, FileScan};
-use crate::semantic::lint_with_index;
+use crate::semantic::float_order_determinism;
 use crate::walk::GOLDEN_SENSITIVE;
 use std::collections::BTreeMap;
 
 /// Every rule id the linter can emit. Allow annotations naming
 /// anything else are flagged.
 pub const KNOWN_RULES: &[&str] = &[
-    "nondeterministic-iteration",
     "raw-time-arith",
     "no-panic-in-lib",
     "no-unbounded-retry",
     "golden-guard",
     "float-order-determinism",
-    "exhaustive-error-handling",
-    "unit-flow",
     "golden-sensitivity-propagation",
     "unused-allow",
 ];
@@ -49,15 +46,15 @@ pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
 }
 
 /// Lints a set of in-memory files as one workspace: builds the
-/// semantic index over all of them, then runs the per-file rules, the
-/// index-backed rules, and the suppression/unused-allow pass. The
+/// index over all of them, then runs the per-file rules, the
+/// index-backed rule, and the suppression/unused-allow pass. The
 /// diff-level golden rules are not run — they need a change set, not
 /// file contents (see [`crate::walk::run`]).
 pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     lint_and_index(files).0
 }
 
-/// [`lint_sources`] beside the index its cross-file rules consulted,
+/// [`lint_sources`] beside the index its cross-file rule consulted,
 /// which the workspace driver hands on to the diff-level golden guard.
 pub(crate) fn lint_and_index(
     files: &[(&str, &str)],
@@ -75,7 +72,7 @@ pub(crate) fn lint_and_index(
     for (path, scan) in &scans {
         let mut raw = Vec::new();
         per_file_rules(path, scan, &mut raw);
-        lint_with_index(path, scan, &index, &mut raw);
+        float_order_determinism(path, scan, &index, &mut raw);
         out.extend(finish(path, scan, raw));
     }
     out.sort();
@@ -98,10 +95,9 @@ pub fn index_sources(files: &[(&str, &str)]) -> crate::index::WorkspaceIndex {
     build_index(facts, GOLDEN_SENSITIVE)
 }
 
-/// Runs the four per-file rules, emitting raw (unsuppressed)
+/// Runs the three per-file rules, emitting raw (unsuppressed)
 /// diagnostics.
 pub fn per_file_rules(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    nondeterministic_iteration(path, scan, out);
     raw_time_arith(path, scan, out);
     no_panic_in_lib(path, scan, out);
     no_unbounded_retry(path, scan, out);
@@ -197,76 +193,6 @@ fn find_words(line: &str, word: &str) -> Vec<usize> {
 fn scoped(path: &str, prefixes: &[&str]) -> bool {
     let p = path.replace('\\', "/");
     prefixes.iter().any(|s| p.contains(s))
-}
-
-/// Crates whose runs must replay bit-identically.
-const DETERMINISM_SCOPE: &[&str] = &[
-    "crates/core/src/",
-    "crates/sim/src/",
-    "crates/solver/src/",
-    "crates/control/src/",
-];
-
-/// Rule `nondeterministic-iteration`: no unordered containers and no
-/// ambient randomness or wall clocks in the determinism-critical
-/// crates. `HashMap` iteration order changes across runs (SipHash keys
-/// are per-process random), which is exactly the bug class that broke
-/// report ordering before the BTreeMap sweep; `thread_rng`,
-/// `SystemTime`, and `Instant` smuggle the host into the simulation.
-pub fn nondeterministic_iteration(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
-    const RULE: &str = "nondeterministic-iteration";
-    if !scoped(path, DETERMINISM_SCOPE) {
-        return;
-    }
-    const PATTERNS: &[(&str, &str, &str)] = &[
-        (
-            "HashMap",
-            "HashMap iteration order varies run to run",
-            "use BTreeMap or a sorted Vec so iteration order is deterministic",
-        ),
-        (
-            "HashSet",
-            "HashSet iteration order varies run to run",
-            "use BTreeSet or a sorted Vec so iteration order is deterministic",
-        ),
-        (
-            "thread_rng",
-            "thread_rng is seeded from the OS, not the simulation seed",
-            "draw from the seeded RNG owned by the simulation/config",
-        ),
-        (
-            "rand::random",
-            "rand::random draws from the OS-seeded thread RNG",
-            "draw from the seeded RNG owned by the simulation/config",
-        ),
-        (
-            "SystemTime",
-            "wall-clock reads make runs unreplayable",
-            "thread the simulation clock (faro_core::units::SimTimeMs) instead",
-        ),
-        (
-            "Instant",
-            "monotonic-clock reads make runs unreplayable",
-            "thread the simulation clock (faro_core::units::SimTimeMs) instead",
-        ),
-    ];
-    for (idx, line) in scan.clean.iter().enumerate() {
-        if scan.in_test[idx] {
-            continue;
-        }
-        for &(word, message, help) in PATTERNS {
-            for col in find_words(line, word) {
-                out.push(Diagnostic {
-                    file: path.to_owned(),
-                    line: idx + 1,
-                    col: col + 1,
-                    rule: RULE,
-                    message: message.to_owned(),
-                    help: help.to_owned(),
-                });
-            }
-        }
-    }
 }
 
 /// Files that *define* the unit boundary and therefore may do raw
@@ -625,14 +551,14 @@ mod tests {
 
     #[test]
     fn out_of_scope_paths_are_ignored() {
-        let src = "use std::collections::HashMap;\n";
+        let src = "let x = v.first().unwrap();\n";
         assert!(lint_source("crates/metrics/src/lib.rs", src).is_empty());
         assert_eq!(lint_source("crates/sim/src/lib.rs", src).len(), 1);
     }
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    use std::time::Instant;\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    const MICROS: f64 = 60e6;\n}\n";
         assert!(lint_source("crates/core/src/lib.rs", src).is_empty());
     }
 

@@ -1,30 +1,15 @@
-//! Phase 2: cross-file rules over the [`WorkspaceIndex`].
+//! Phase 2: the cross-file rule over the [`WorkspaceIndex`].
 //!
-//! These rules need facts no single file contains: the golden
-//! sensitivity closure (`float-order-determinism` scope), the actual
-//! variant list of an error enum defined two crates away
-//! (`exhaustive-error-handling`), and the unit types of a callee's
-//! parameters (`unit-flow`). Like the per-file rules they are
-//! heuristic token matchers over sanitized text — wrong in the rare
-//! case, loud in the common one, and suppressible with a justified
-//! `faro-lint: allow`.
+//! `float-order-determinism` needs a fact no single file contains: the
+//! golden sensitivity closure that scopes it. Like the per-file rules
+//! it is a heuristic token matcher over sanitized text — wrong in the
+//! rare case, loud in the common one, and suppressible with a
+//! justified `faro-lint: allow`.
 
 use crate::diagnostics::Diagnostic;
-use crate::index::{split_top_level, Joined, WorkspaceIndex, UNIT_TYPES};
+use crate::index::WorkspaceIndex;
 use crate::sanitize::FileScan;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Runs every index-backed rule for one file.
-pub fn lint_with_index(
-    path: &str,
-    scan: &FileScan,
-    index: &WorkspaceIndex,
-    out: &mut Vec<Diagnostic>,
-) {
-    float_order_determinism(path, scan, index, out);
-    exhaustive_error_handling(path, scan, index, out);
-    unit_flow(path, scan, index, out);
-}
+use std::collections::BTreeSet;
 
 fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
@@ -229,289 +214,6 @@ fn enclosing_loop_is_marked(scan: &FileScan, idx: usize) -> bool {
     false
 }
 
-/// Error enums whose matches must stay exhaustive in the control
-/// plane: a `_` arm here is how a new failure mode ships unhandled.
-const EXHAUSTIVE_ENUMS: &[&str] = &["BackendError", "FaroError", "Error"];
-
-/// Rule `exhaustive-error-handling`: a `match` in `crates/control/src/`
-/// that names `BackendError::…`/`FaroError::…` variants and also has a
-/// catch-all `_` arm. The wildcard is resolved against the enum's
-/// *actual* variant list from the index, so the diagnostic names the
-/// variants the wildcard swallows — and adding a variant to the enum
-/// turns every existing wildcard into a finding without touching the
-/// linter.
-pub fn exhaustive_error_handling(
-    path: &str,
-    scan: &FileScan,
-    index: &WorkspaceIndex,
-    out: &mut Vec<Diagnostic>,
-) {
-    const RULE: &str = "exhaustive-error-handling";
-    if !path.starts_with("crates/control/src/") {
-        return;
-    }
-    let joined = Joined::new(&scan.clean);
-    for pos in joined.find_words("match") {
-        let (line, col) = joined.line_col(pos);
-        if scan.in_test[line] {
-            continue;
-        }
-        // The match body: first `{` after the scrutinee expression.
-        let open = match joined.chars[pos..].iter().position(|&c| c == '{') {
-            Some(off) => pos + off,
-            None => continue,
-        };
-        let Some(close) = joined.matching(open) else {
-            continue;
-        };
-        let arms = split_arms(&joined.chars[open + 1..close]);
-        let mut wildcard = false;
-        let mut named: Vec<(String, String)> = Vec::new();
-        for pattern in &arms {
-            let p = pattern.trim();
-            if p == "_" {
-                wildcard = true;
-            }
-            collect_variant_refs(p, &mut named);
-        }
-        if !wildcard {
-            continue;
-        }
-        // Which interest enum does this match scrutinize?
-        let Some(enum_name) = EXHAUSTIVE_ENUMS
-            .iter()
-            .find(|e| named.iter().any(|(n, _)| n == *e))
-        else {
-            continue;
-        };
-        let variants: Vec<String> = named
-            .iter()
-            .filter(|(n, _)| n == enum_name)
-            .map(|(_, v)| v.clone())
-            .collect();
-        let Some(def) = index.resolve_enum(enum_name, &variants) else {
-            continue;
-        };
-        let missing: Vec<&str> = def
-            .variants
-            .iter()
-            .filter(|v| !variants.contains(v))
-            .map(String::as_str)
-            .collect();
-        if missing.is_empty() {
-            // Every variant is already spelled out; the `_` is inert
-            // (or covers bindings) — not worth a finding.
-            continue;
-        }
-        out.push(diag(
-            path,
-            line,
-            col,
-            RULE,
-            format!(
-                "wildcard `_` arm on `{}` silently swallows: {}",
-                enum_name,
-                missing.join(", ")
-            ),
-            "spell every variant explicitly so adding one forces a decision at \
-             each handler instead of inheriting the wildcard's behavior",
-        ));
-    }
-}
-
-/// Splits a match body into arm *patterns* (text before each `=>` at
-/// arm depth). Nested matches, struct patterns, and block bodies are
-/// skipped by depth tracking, so `Err(_)` in a nested arm cannot leak
-/// a wildcard into the outer match.
-fn split_arms(body: &[char]) -> Vec<String> {
-    let mut arms = Vec::new();
-    let mut cur = String::new();
-    let mut brace = 0i64;
-    let mut paren = 0i64;
-    let mut i = 0;
-    let mut in_pattern = true;
-    while i < body.len() {
-        let c = body[i];
-        match c {
-            '{' => brace += 1,
-            '}' => brace -= 1,
-            '(' | '[' => paren += 1,
-            ')' | ']' => paren -= 1,
-            _ => {}
-        }
-        if in_pattern && brace == 0 && paren == 0 && c == '=' && body.get(i + 1) == Some(&'>') {
-            arms.push(std::mem::take(&mut cur));
-            in_pattern = false;
-            i += 2;
-            continue;
-        }
-        if !in_pattern && brace == 0 && paren == 0 && c == ',' {
-            in_pattern = true;
-            i += 1;
-            continue;
-        }
-        // A block body closes back to depth 0: the next arm begins.
-        if !in_pattern && brace == 0 && paren == 0 && c == '}' {
-            in_pattern = true;
-        }
-        if in_pattern {
-            cur.push(c);
-        }
-        i += 1;
-    }
-    arms
-}
-
-/// `Enum::Variant` references inside a pattern, keyed by the enum
-/// path's last segment.
-fn collect_variant_refs(pattern: &str, out: &mut Vec<(String, String)>) {
-    let chars: Vec<char> = pattern.chars().collect();
-    let mut i = 0;
-    while i + 1 < chars.len() {
-        if chars[i] == ':' && chars[i + 1] == ':' {
-            // Walk back for the enum segment, forward for the variant.
-            let mut s = i;
-            while s > 0 && is_ident(chars[s - 1]) {
-                s -= 1;
-            }
-            let mut e = i + 2;
-            while e < chars.len() && is_ident(chars[e]) {
-                e += 1;
-            }
-            let enum_name: String = chars[s..i].iter().collect();
-            let variant: String = chars[i + 2..e].iter().collect();
-            let variant_like = variant.chars().next().is_some_and(char::is_uppercase);
-            if !enum_name.is_empty() && variant_like {
-                out.push((enum_name, variant));
-            }
-            i = e;
-            continue;
-        }
-        i += 1;
-    }
-}
-
-/// Crates where unit-typed call sites are enforced.
-const UNIT_FLOW_SCOPE: &[&str] = &[
-    "crates/core/src/",
-    "crates/sim/src/",
-    "crates/solver/src/",
-    "crates/control/src/",
-    "crates/queueing/src/",
-];
-
-/// Modules that define the unit boundary and may take raw numbers.
-const UNIT_HOME_SUFFIXES: &[&str] = &["/units.rs", "/count.rs", "/events.rs"];
-
-/// Rule `unit-flow`: a bare numeric literal passed where the callee's
-/// signature declares a unit newtype (`SimTimeMs`, `DurationMs`,
-/// `RatePerMin`, `ReplicaCount`). `raw-time-arith` catches raw
-/// *declarations*; this closes the interprocedural half — the call
-/// site that feeds `5.0` into a parameter that means "milliseconds
-/// since sim start". A position is only enforced when *every*
-/// registered signature with that name agrees on the unit type there,
-/// so overloaded-by-convention names (`new`, `with`) never flag on a
-/// coincidence.
-pub fn unit_flow(path: &str, scan: &FileScan, index: &WorkspaceIndex, out: &mut Vec<Diagnostic>) {
-    const RULE: &str = "unit-flow";
-    let p = path.replace('\\', "/");
-    if !UNIT_FLOW_SCOPE.iter().any(|s| p.starts_with(s))
-        || UNIT_HOME_SUFFIXES.iter().any(|s| p.ends_with(s))
-    {
-        return;
-    }
-    let registry = unit_positions(index);
-    if registry.is_empty() {
-        return;
-    }
-    let joined = Joined::new(&scan.clean);
-    for (name, positions) in &registry {
-        for pos in joined.find_words(name) {
-            let (line, col) = joined.line_col(pos);
-            if scan.in_test[line] {
-                continue;
-            }
-            // Skip the definition itself (`fn name(` / `fn name<`).
-            let before: String = joined.chars[pos.saturating_sub(8)..pos].iter().collect();
-            if before.trim_end().ends_with("fn") {
-                continue;
-            }
-            let after = pos + name.chars().count();
-            if joined.chars.get(after) != Some(&'(') {
-                continue;
-            }
-            let Some(close) = joined.matching(after) else {
-                continue;
-            };
-            let body: String = joined.chars[after + 1..close].iter().collect();
-            for (k, arg) in split_top_level(&body).iter().enumerate() {
-                let Some(Some(unit)) = positions.get(k) else {
-                    continue;
-                };
-                let lit = arg.trim();
-                if is_numeric_literal(lit) {
-                    out.push(diag(
-                        path,
-                        line,
-                        col,
-                        RULE,
-                        format!(
-                            "raw literal `{lit}` passed to `{name}` parameter {} declared `{unit}`",
-                            k + 1
-                        ),
-                        "construct the value through the unit type (see faro_core::units / \
-                         faro_queueing::count) so the unit is visible at the call site",
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Per-name unanimous unit positions: `Some(unit)` at index `k` iff
-/// every registered signature has that unit type at parameter `k`.
-fn unit_positions(index: &WorkspaceIndex) -> BTreeMap<String, Vec<Option<String>>> {
-    let mut out = BTreeMap::new();
-    for (name, sigs) in &index.fns {
-        let Some(max_len) = sigs.iter().map(|s| s.params.len()).max() else {
-            continue;
-        };
-        let mut positions: Vec<Option<String>> = Vec::with_capacity(max_len);
-        for k in 0..max_len {
-            let mut tys = sigs.iter().map(|s| s.params.get(k));
-            let first = match tys.next().flatten() {
-                Some(t) => t.clone(),
-                None => {
-                    positions.push(None);
-                    continue;
-                }
-            };
-            let unanimous = sigs.iter().all(|s| s.params.get(k) == Some(&first));
-            let unit = unanimous && UNIT_TYPES.contains(&first.as_str());
-            positions.push(unit.then_some(first));
-        }
-        if positions.iter().any(Option::is_some) {
-            out.insert(name.clone(), positions);
-        }
-    }
-    out
-}
-
-/// `5`, `5.0`, `-3`, `1e6`, `5_000`, `5i64` — but not `x`, `T::MAX`,
-/// `f(1)`.
-fn is_numeric_literal(arg: &str) -> bool {
-    let a = arg.strip_prefix('-').unwrap_or(arg).trim_start();
-    let mut chars = a.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_digit() => {}
-        _ => return false,
-    }
-    !a.contains("::")
-        && !a.contains('(')
-        && a.chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '+' | '-'))
-}
-
 fn substr_all(line: &str, needle: &str) -> Vec<usize> {
     let chars: Vec<char> = line.chars().collect();
     let n: Vec<char> = needle.chars().collect();
@@ -605,107 +307,5 @@ mod tests {
         let path = "crates/core/src/sharded.rs";
         let idx = index_of(&[(path, src)], &[path]);
         assert!(run_rule(float_order_determinism, path, src, &idx).is_empty());
-    }
-
-    #[test]
-    fn wildcard_on_backend_error_lists_missing_variants() {
-        let error_def = "pub enum BackendError {\n    Timeout { elapsed: DurationMs },\n    Unavailable { reason: String },\n    PartialApply { applied: usize },\n    StaleSnapshot { age: DurationMs },\n}\n";
-        let bad = "pub fn landed(e: &BackendError) -> usize {\n    match e {\n        BackendError::PartialApply { applied } => *applied,\n        _ => 0,\n    }\n}\n";
-        let idx = index_of(
-            &[
-                ("crates/core/src/error.rs", error_def),
-                ("crates/control/src/x.rs", bad),
-            ],
-            &[],
-        );
-        let diags = run_rule(
-            exhaustive_error_handling,
-            "crates/control/src/x.rs",
-            bad,
-            &idx,
-        );
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("Timeout"));
-        assert!(diags[0].message.contains("Unavailable"));
-        assert!(diags[0].message.contains("StaleSnapshot"));
-        assert!(!diags[0].message.contains("PartialApply"));
-    }
-
-    #[test]
-    fn explicit_match_and_nested_wildcards_pass() {
-        let error_def = "pub enum BackendError { Timeout, Unavailable }\n";
-        let good = "pub fn f(e: &BackendError) {\n    match e {\n        BackendError::Timeout => {}\n        BackendError::Unavailable => {}\n    }\n    match pair {\n        (Ok(_), Err(_)) => {}\n        _ => {}\n    }\n}\n";
-        let idx = index_of(
-            &[
-                ("crates/core/src/error.rs", error_def),
-                ("crates/control/src/x.rs", good),
-            ],
-            &[],
-        );
-        assert!(run_rule(
-            exhaustive_error_handling,
-            "crates/control/src/x.rs",
-            good,
-            &idx
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn removing_an_arm_turns_the_wildcard_into_a_finding() {
-        let error_def = "pub enum BackendError { Timeout, Unavailable, StaleSnapshot }\n";
-        let full = "match e {\n    BackendError::Timeout => a(),\n    BackendError::Unavailable => b(),\n    BackendError::StaleSnapshot => c(),\n    _ => unreachable(),\n}\n";
-        let dropped = "match e {\n    BackendError::Timeout => a(),\n    BackendError::Unavailable => b(),\n    _ => unreachable(),\n}\n";
-        for (src, expect) in [(full, 0), (dropped, 1)] {
-            let idx = index_of(
-                &[
-                    ("crates/core/src/error.rs", error_def),
-                    ("crates/control/src/x.rs", src),
-                ],
-                &[],
-            );
-            let diags = run_rule(
-                exhaustive_error_handling,
-                "crates/control/src/x.rs",
-                src,
-                &idx,
-            );
-            assert_eq!(diags.len(), expect, "{src}\n{diags:?}");
-        }
-    }
-
-    #[test]
-    fn unit_flow_flags_literals_only_on_unanimous_unit_positions() {
-        let defs = "pub fn with_deadline(t: SimTimeMs) {}\npub fn new(n: usize) {}\n";
-        let calls = "pub fn caller() {\n    with_deadline(5_000);\n    with_deadline(deadline);\n    new(3);\n}\n";
-        let idx = index_of(
-            &[
-                ("crates/core/src/a.rs", defs),
-                ("crates/control/src/b.rs", calls),
-            ],
-            &[],
-        );
-        let diags = run_rule(unit_flow, "crates/control/src/b.rs", calls, &idx);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("5_000"));
-        assert!(diags[0].message.contains("SimTimeMs"));
-    }
-
-    #[test]
-    fn unit_flow_ignores_constructors_and_unit_homes() {
-        let defs = "pub fn from_millis(ms: i64) -> SimTimeMs { SimTimeMs(ms) }\n\
-                    pub fn with_deadline(t: SimTimeMs) {}\n";
-        let calls = "pub fn caller() { let t = SimTimeMs::from_millis(5_000); }\n";
-        let idx = index_of(
-            &[
-                ("crates/core/src/units.rs", defs),
-                ("crates/control/src/b.rs", calls),
-            ],
-            &[],
-        );
-        assert!(run_rule(unit_flow, "crates/control/src/b.rs", calls, &idx).is_empty());
-        // Unit home files may pass raw numbers to their own helpers.
-        let home = "pub fn conv() { with_deadline(5) }\n";
-        assert!(run_rule(unit_flow, "crates/core/src/units.rs", home, &idx).is_empty());
     }
 }

@@ -165,10 +165,17 @@ pub fn index_workspace(root: &Path) -> WorkspaceIndex {
     index_sources(&borrowed(&read_workspace(root)))
 }
 
-/// Lints the whole workspace rooted at `root`: reads every source
-/// file, lints them as one workspace ([`crate::lint_sources`]: scan, index,
-/// per-file and cross-file rules), and appends the diff-level golden
-/// guard. Output is sorted by location, compiler style.
+/// The verdict that depends on file contents alone: every source file
+/// under `root` linted as one workspace ([`crate::lint_sources`]: scan,
+/// index, per-file and cross-file rules), without the diff-level golden
+/// guard — so it does not move with `git status`.
+pub fn lint_workspace(root: &Path) -> Vec<Diagnostic> {
+    lint_and_index(&borrowed(&read_workspace(root))).0
+}
+
+/// Lints the whole workspace rooted at `root`: [`lint_workspace`] plus
+/// the diff-level golden guard. Output is sorted by location, compiler
+/// style.
 pub fn run(root: &Path) -> Vec<Diagnostic> {
     let (mut diagnostics, index) = lint_and_index(&borrowed(&read_workspace(root)));
     if let Some(changed) = changed_files(root) {

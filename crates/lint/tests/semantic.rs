@@ -14,11 +14,6 @@ use std::path::Path;
 /// the float-order rule's golden-sensitive scope.
 const GOLDEN_PATH: &str = "crates/sim/src/report.rs";
 
-/// Shared definitions fixture (the error enum and the unit-typed
-/// signatures), linted as part of every fixture workspace below.
-const DEFS_PATH: &str = "crates/core/src/fixture_defs.rs";
-const DEFS: &str = include_str!("fixtures/semantic_defs.rs");
-
 /// Scope of the control-plane rules.
 const CONTROL_SCOPE: &str = "crates/control/src/fixture.rs";
 
@@ -47,11 +42,6 @@ fn check_snapshot(name: &str, got: &str) {
 }
 
 #[test]
-fn defs_fixture_is_clean() {
-    assert_eq!(lint_sources(&[(DEFS_PATH, DEFS)]), Vec::new());
-}
-
-#[test]
 fn float_order_fires_with_exact_diagnostics() {
     let src = include_str!("fixtures/float_order_violation.rs");
     let diags = lint_sources(&[(GOLDEN_PATH, src)]);
@@ -77,69 +67,6 @@ fn float_order_needs_golden_sensitivity() {
     let src = include_str!("fixtures/float_order_violation.rs");
     assert_eq!(
         lint_sources(&[("crates/sim/src/fixture.rs", src)]),
-        Vec::new()
-    );
-}
-
-#[test]
-fn exhaustive_error_fires_with_exact_diagnostics() {
-    let src = include_str!("fixtures/exhaustive_error_violation.rs");
-    let diags = lint_sources(&[(DEFS_PATH, DEFS), (CONTROL_SCOPE, src)]);
-    assert!(
-        diags.iter().all(|d| d.rule == "exhaustive-error-handling"),
-        "{diags:?}"
-    );
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    // The diagnostic names exactly the variants the `_` swallows.
-    assert!(diags[0].message.contains("Unavailable"), "{diags:?}");
-    assert!(diags[0].message.contains("StaleSnapshot"), "{diags:?}");
-    assert!(!diags[0].message.contains("PartialApply"), "{diags:?}");
-    check_snapshot("exhaustive_error", &render(&diags));
-}
-
-#[test]
-fn exhaustive_error_clean_is_silent() {
-    let src = include_str!("fixtures/exhaustive_error_clean.rs");
-    assert_eq!(
-        lint_sources(&[(DEFS_PATH, DEFS), (CONTROL_SCOPE, src)]),
-        Vec::new()
-    );
-}
-
-#[test]
-fn exhaustive_error_stays_in_the_control_crate() {
-    let src = include_str!("fixtures/exhaustive_error_violation.rs");
-    assert_eq!(
-        lint_sources(&[(DEFS_PATH, DEFS), ("crates/sim/src/fixture.rs", src)]),
-        Vec::new()
-    );
-}
-
-#[test]
-fn unit_flow_fires_with_exact_diagnostics() {
-    let src = include_str!("fixtures/unit_flow_violation.rs");
-    let diags = lint_sources(&[(DEFS_PATH, DEFS), (CONTROL_SCOPE, src)]);
-    assert!(diags.iter().all(|d| d.rule == "unit-flow"), "{diags:?}");
-    // `5_000` into the SimTimeMs position, `250` into DurationMs, a
-    // bare epoch-millis integer into WallTimeMs.
-    assert_eq!(diags.len(), 3, "{diags:?}");
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("5_000") && d.message.contains("SimTimeMs")));
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("250") && d.message.contains("DurationMs")));
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("1_722_000_000_000") && d.message.contains("WallTimeMs")));
-    check_snapshot("unit_flow", &render(&diags));
-}
-
-#[test]
-fn unit_flow_clean_is_silent() {
-    let src = include_str!("fixtures/unit_flow_clean.rs");
-    assert_eq!(
-        lint_sources(&[(DEFS_PATH, DEFS), (CONTROL_SCOPE, src)]),
         Vec::new()
     );
 }

@@ -28,8 +28,8 @@ pub fn kendall_tau_distance<T: Ord>(a: &[T], b: &[T]) -> Option<f64> {
     }
     // Map each item to its rank in `b`. Ordered map: lookups only, but
     // keeping the module free of HashMap means its behavior can never
-    // grow an iteration-order dependence (faro-lint:
-    // nondeterministic-iteration).
+    // grow an iteration-order dependence (what `disallowed-types` in
+    // the determinism-critical crates' `clippy.toml` enforces there).
     let rank_b: std::collections::BTreeMap<&T, usize> =
         b.iter().enumerate().map(|(i, x)| (x, i)).collect();
     if rank_b.len() != n {

@@ -325,79 +325,14 @@ impl JobRuntime {
         let target = target.max(1);
         self.target = target;
         self.class_target = None;
-        let mut live = self.live_replicas();
-        let mut new_ids = Vec::new();
-        // Scale up: add cold replicas.
-        while live < target {
-            let id = self.next_replica;
-            self.next_replica += 1;
-            self.replicas.push((
-                id,
-                Replica {
-                    state: ReplicaState::Cold,
-                    retiring: false,
-                    class: 0,
-                },
-            ));
-            new_ids.push(id);
-            live += 1;
-            self.live_count += 1;
-        }
-        // Scale down: remove idles/colds first, then mark busy ones.
-        if live > target {
-            let mut excess = live - target;
-            // Remove cold (not-yet-serving) replicas before idle ones.
-            let mut removable: Vec<(u64, ReplicaState)> = self
-                .replicas
-                .iter()
-                .filter(|(_, r)| !r.retiring && !matches!(r.state, ReplicaState::Busy { .. }))
-                .map(|&(id, ref r)| (id, r.state))
-                .collect();
-            removable.sort_by_key(|&(id, state)| (state != ReplicaState::Cold, id));
-            let removable: Vec<u64> = removable.into_iter().map(|(id, _)| id).collect();
-            for id in removable {
-                if excess == 0 {
-                    break;
-                }
-                if let Some(pos) = self.replica_pos(id) {
-                    self.replicas.remove(pos);
-                }
-                self.idle_remove(id);
-                self.live_count -= 1;
-                excess -= 1;
-            }
-            if excess > 0 {
-                let busy: Vec<u64> = self
-                    .replicas
-                    .iter()
-                    .filter(|(_, r)| !r.retiring && matches!(r.state, ReplicaState::Busy { .. }))
-                    .map(|&(id, _)| id)
-                    .collect();
-                for id in busy {
-                    if excess == 0 {
-                        break;
-                    }
-                    let pos = self
-                        .replica_pos(id)
-                        .expect("invariant: busy id came from the replica set");
-                    self.replicas[pos].1.retiring = true;
-                    // A retiring replica no longer counts as live: it
-                    // vanishes at its next completion.
-                    self.live_count -= 1;
-                    excess -= 1;
-                }
-            }
-        }
-        new_ids
+        self.scale_pool(None, self.live_replicas(), target)
     }
 
     /// Applies a per-class target; returns `(id, class)` pairs for the
     /// replicas that started cold so the caller can schedule their
-    /// `ReplicaReady` events with per-class cold-start delays.
-    ///
-    /// Scale-down within a class removes cold replicas first, then
-    /// idle ones, then marks busy ones retiring — the same victim
-    /// priority as [`JobRuntime::scale_to`], applied class by class.
+    /// `ReplicaReady` events with per-class cold-start delays. The
+    /// victim priority of [`JobRuntime::scale_to`], applied class by
+    /// class.
     pub fn scale_to_classed(&mut self, alloc: ClassAlloc) -> Vec<(u64, u8)> {
         debug_assert!(alloc.total() >= 1, "classed target must keep >= 1 replica");
         self.target = alloc.total().max(1);
@@ -405,70 +340,76 @@ impl JobRuntime {
         let mut new_ids = Vec::new();
         for c in 0..alloc.n_classes() {
             let class = c as u8;
-            let want = alloc.count(c);
-            let mut live = self.live_of_class(class);
-            while live < want {
-                let id = self.next_replica;
-                self.next_replica += 1;
-                self.replicas.push((
-                    id,
-                    Replica {
-                        state: ReplicaState::Cold,
-                        retiring: false,
-                        class,
-                    },
-                ));
-                new_ids.push((id, class));
-                live += 1;
-                self.live_count += 1;
+            let live = self.live_of_class(class);
+            let started = self.scale_pool(Some(class), live, alloc.count(c));
+            new_ids.extend(started.into_iter().map(|id| (id, class)));
+        }
+        new_ids
+    }
+
+    /// Moves one pool — the replicas of `class`, or every replica when
+    /// `None` — from `live` to `want` and returns the ids started cold
+    /// (on class 0 in scalar mode). Scale-down removes cold replicas
+    /// first, then idle ones, each by ascending id, then marks busy
+    /// ones retiring.
+    fn scale_pool(&mut self, class: Option<u8>, live: u32, want: u32) -> Vec<u64> {
+        let in_pool = |r: &Replica| !r.retiring && class.is_none_or(|c| r.class == c);
+        let mut new_ids = Vec::new();
+        for _ in live..want {
+            let id = self.next_replica;
+            self.next_replica += 1;
+            self.replicas.push((
+                id,
+                Replica {
+                    state: ReplicaState::Cold,
+                    retiring: false,
+                    class: class.unwrap_or(0),
+                },
+            ));
+            new_ids.push(id);
+            self.live_count += 1;
+        }
+        let mut excess = live.saturating_sub(want);
+        if excess == 0 {
+            return new_ids;
+        }
+        let mut removable: Vec<(u64, ReplicaState)> = self
+            .replicas
+            .iter()
+            .filter(|(_, r)| in_pool(r) && !matches!(r.state, ReplicaState::Busy { .. }))
+            .map(|&(id, ref r)| (id, r.state))
+            .collect();
+        removable.sort_by_key(|&(id, state)| (state != ReplicaState::Cold, id));
+        for (id, _) in removable {
+            if excess == 0 {
+                break;
             }
-            if live > want {
-                let mut excess = live - want;
-                let mut removable: Vec<(u64, ReplicaState)> = self
-                    .replicas
-                    .iter()
-                    .filter(|(_, r)| {
-                        !r.retiring
-                            && r.class == class
-                            && !matches!(r.state, ReplicaState::Busy { .. })
-                    })
-                    .map(|&(id, ref r)| (id, r.state))
-                    .collect();
-                removable.sort_by_key(|&(id, state)| (state != ReplicaState::Cold, id));
-                for (id, _) in removable {
-                    if excess == 0 {
-                        break;
-                    }
-                    if let Some(pos) = self.replica_pos(id) {
-                        self.replicas.remove(pos);
-                    }
-                    self.idle_remove(id);
-                    self.live_count -= 1;
-                    excess -= 1;
+            if let Some(pos) = self.replica_pos(id) {
+                self.replicas.remove(pos);
+            }
+            self.idle_remove(id);
+            self.live_count -= 1;
+            excess -= 1;
+        }
+        if excess > 0 {
+            let busy: Vec<u64> = self
+                .replicas
+                .iter()
+                .filter(|(_, r)| in_pool(r) && matches!(r.state, ReplicaState::Busy { .. }))
+                .map(|&(id, _)| id)
+                .collect();
+            for id in busy {
+                if excess == 0 {
+                    break;
                 }
-                if excess > 0 {
-                    let busy: Vec<u64> = self
-                        .replicas
-                        .iter()
-                        .filter(|(_, r)| {
-                            !r.retiring
-                                && r.class == class
-                                && matches!(r.state, ReplicaState::Busy { .. })
-                        })
-                        .map(|&(id, _)| id)
-                        .collect();
-                    for id in busy {
-                        if excess == 0 {
-                            break;
-                        }
-                        let pos = self
-                            .replica_pos(id)
-                            .expect("invariant: busy id came from the replica set");
-                        self.replicas[pos].1.retiring = true;
-                        self.live_count -= 1;
-                        excess -= 1;
-                    }
-                }
+                let pos = self
+                    .replica_pos(id)
+                    .expect("invariant: busy id came from the replica set");
+                // A retiring replica no longer counts as live: it
+                // vanishes at its next completion.
+                self.replicas[pos].1.retiring = true;
+                self.live_count -= 1;
+                excess -= 1;
             }
         }
         new_ids

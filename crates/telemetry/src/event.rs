@@ -12,9 +12,10 @@ use serde::Serialize;
 /// Actuate).
 ///
 /// Phase spans measure *deterministic work units*, not wall-clock
-/// durations: wall clocks are banned from the determinism scope by the
-/// `nondeterministic-iteration` lint, and work units replay
-/// byte-identically while still showing where a round's effort went.
+/// durations: wall clocks are banned from the determinism scope
+/// (`clippy::disallowed_types`, per-crate `clippy.toml`), and work
+/// units replay byte-identically while still showing where a round's
+/// effort went.
 /// The unit per phase is documented on [`TelemetrySink::span`].
 ///
 /// [`TelemetrySink::span`]: crate::TelemetrySink::span

@@ -23,8 +23,8 @@
 //!
 //! Every datum is stamped with [`SimTimeMs`] *by the emitter*; sinks
 //! never read a clock (wall clocks are banned from the determinism
-//! scope by the `nondeterministic-iteration` lint rule). Sinks hold
-//! state only in ordered containers (`Vec`, `VecDeque`, `BTreeMap`),
+//! scope by `clippy::disallowed_types`, per-crate `clippy.toml`). Sinks
+//! hold state only in ordered containers (`Vec`, `VecDeque`, `BTreeMap`),
 //! draw no randomness, and never feed anything back into the control
 //! loop — attaching a sink cannot perturb a run. Two runs of the same
 //! seeded simulation therefore produce byte-identical JSONL traces
