@@ -305,6 +305,34 @@ mod tests {
     }
 
     #[test]
+    fn an_absurd_apply_is_an_unavailable_backend_and_the_next_one_lands() {
+        use faro_core::types::JobDecision;
+        let server = ClusterServer::spawn(ClusterConfig::demo(20)).expect("spawn");
+        let mut backend = HttpBackend::connect(server.addr(), quick());
+        let id = faro_core::types::JobId::new(0);
+        for absurd in [
+            JobDecision::replicas(u32::MAX),
+            JobDecision::replicas(3).with_drop_rate(f64::INFINITY),
+            JobDecision::replicas(3).with_drop_rate(-0.5),
+        ] {
+            let mut desired = DesiredState::new();
+            desired.set(id, absurd);
+            let result = backend.apply(&desired);
+            assert!(
+                matches!(result, Err(BackendError::Unavailable { .. })),
+                "{absurd:?}: {result:?}"
+            );
+        }
+        let mut desired = DesiredState::new();
+        desired.set(id, JobDecision::replicas(5));
+        let report = backend
+            .apply(&desired)
+            .expect("a valid apply after the refusals");
+        assert_eq!(report.replicas_started, ReplicaCount::new(3));
+        server.shutdown();
+    }
+
+    #[test]
     fn wall_time_never_steps_backwards() {
         let backend = HttpBackend::connect("127.0.0.1:9".parse().expect("address"), quick());
         let mut last = backend.wall_now();

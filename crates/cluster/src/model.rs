@@ -248,6 +248,11 @@ impl ClusterModel {
     pub fn tick_ms(&self) -> u64 {
         self.config.tick_ms
     }
+
+    /// The cluster's total replica quota.
+    pub fn total_replicas(&self) -> u32 {
+        self.config.total_replicas
+    }
 }
 
 /// One seeded per-fault-class draw stream (mirrors the control-plane

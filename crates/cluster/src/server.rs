@@ -85,6 +85,17 @@ impl ServerState {
         let Some(req) = ApplyRequest::from_json(&value) else {
             return error_reply(400, "apply body does not match the v1 schema", false);
         };
+        // Each replica a target starts is a pending entry in the model:
+        // a target past the whole cluster is refused, not allocated.
+        let total = self.model.total_replicas();
+        if let Some((id, d)) = req.desired.iter().find(|(_, d)| d.target_replicas > total) {
+            let message = format!(
+                "job {} targets {} replicas, past the cluster's {total}",
+                id.index(),
+                d.target_replicas
+            );
+            return error_reply(400, &message, false);
+        }
         let resp = self.model.apply(&req.desired, self.wall.now_ms());
         match serde_json::to_string(&resp) {
             Ok(json) => (200, json),
@@ -322,6 +333,66 @@ mod tests {
         .expect("legacy apply");
         assert_eq!(apply.status, 200, "{}", apply.body);
         server.shutdown();
+    }
+
+    /// Posts one apply body the server must refuse as the client's
+    /// mistake, then checks the same server still observes and applies.
+    fn refused_then_served(body: &str) {
+        let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
+        let addr = server.addr();
+        let reply = post(addr, APPLY_PATH, body, T).expect("an answer, not a dead server");
+        assert_eq!(reply.status, 400, "{body}: {}", reply.body);
+        let err = ErrorBody::from_json(&serde_json::from_str(&reply.body).expect("json"))
+            .expect("v1 error body");
+        assert!(!err.retryable, "the same body can never be applied");
+        let obs = post(addr, OBSERVE_PATH, "{}", T).expect("observe after the bad body");
+        assert_eq!(obs.status, 200);
+        let parsed = ObserveResponse::from_json(&serde_json::from_str(&obs.body).expect("json"))
+            .expect("v1 observe body");
+        // The refused body moved nothing.
+        for job in &parsed.snapshot.jobs {
+            assert_eq!((job.target_replicas, job.drop_rate), (2, 0.0), "{body}");
+        }
+        let apply = post(
+            addr,
+            APPLY_PATH,
+            "{\"v\":1,\"desired\":[{\"job\":0,\"target_replicas\":3,\"drop_rate\":0.0}]}",
+            T,
+        )
+        .expect("apply");
+        assert_eq!(apply.status, 200, "{}", apply.body);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_target_past_the_cluster_gets_a_400_and_the_server_keeps_serving() {
+        // Applied, this extended one job's pending list by 2^32 - 1
+        // entries: about 34 GB.
+        refused_then_served(
+            "{\"v\":1,\"desired\":[{\"job\":0,\"target_replicas\":4294967295,\"drop_rate\":0.0}]}",
+        );
+        // One past the demo cluster's 16.
+        refused_then_served(
+            "{\"v\":1,\"desired\":[{\"job\":1,\"target_replicas\":17,\"drop_rate\":0.0}]}",
+        );
+    }
+
+    #[test]
+    fn a_job_listed_twice_gets_a_400_and_the_server_keeps_serving() {
+        refused_then_served(
+            "{\"v\":1,\"desired\":[{\"job\":0,\"target_replicas\":4,\"drop_rate\":0.0},\
+             {\"job\":0,\"target_replicas\":5,\"drop_rate\":0.0}]}",
+        );
+    }
+
+    #[test]
+    fn a_drop_rate_outside_zero_to_one_gets_a_400_and_the_server_keeps_serving() {
+        // `1e999` parses to +inf, which every later snapshot echoed.
+        for rate in ["1e999", "-1e999", "1.5", "-0.25"] {
+            refused_then_served(&format!(
+                "{{\"v\":1,\"desired\":[{{\"job\":0,\"target_replicas\":3,\"drop_rate\":{rate}}}]}}"
+            ));
+        }
     }
 
     #[test]

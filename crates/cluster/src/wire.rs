@@ -108,12 +108,19 @@ pub(crate) fn write_apply_request(desired: &DesiredState, out: &mut String) {
 }
 
 impl ApplyRequest {
-    /// Parses the envelope; `None` on a shape or version mismatch.
+    /// Parses the envelope; `None` on a shape or version mismatch, and
+    /// on a body no control plane sends: a job listed twice (which of
+    /// two decisions was meant is not the server's to guess) or a drop
+    /// rate that is not a share in `[0, 1]`.
     pub fn from_json(v: &Value) -> Option<Self> {
         check_version(v)?;
-        Some(Self {
-            desired: DesiredState::from_json(v.get("desired")?)?,
-        })
+        let entries = v.get("desired")?;
+        let desired = DesiredState::from_json(entries)?;
+        let listed = entries.as_array()?.len();
+        let shares = desired
+            .iter()
+            .all(|(_, d)| (0.0..=1.0).contains(&d.drop_rate));
+        (desired.len() == listed && shares).then_some(Self { desired })
     }
 }
 

@@ -15,8 +15,15 @@
 //! Work that does not depend on the trajectory step is done once per
 //! evaluation: the head count is bracketed between two integer server
 //! counts, and each count's knee latency (a function of the count
-//! alone) is held from the first step past the knee on. Drop-adjusted
-//! rates are *asked*, not looked up: a solve visits each
+//! alone) is held from the first step past the knee on. What does
+//! depend on it is done in one pass per step: the two consecutive
+//! counts bracketing a fractional head count are one estimator call
+//! ([`RelaxedLatency::bracket_with_knees`], one Erlang recurrence for
+//! both wherever the lower count is under its knee), and a step that
+//! meets its SLO is scored 1 by a comparison, not by `powf`
+//! ([`RelaxedUtility::met_threshold`]).
+//!
+//! Drop-adjusted rates are *asked*, not looked up: a solve visits each
 //! `lambda * (1 - d)` about once (a keyed memo in front of this path
 //! answered 27% of a paper-shaped `PenaltySum` solve's reads and cost
 //! more than the few-step recurrence it saved), so nothing here is
@@ -35,6 +42,13 @@ use faro_queueing::{mdc, upper_bound, RelaxedLatency};
 thread_local! {
     /// Knee latencies this thread's evaluations have had computed.
     pub(crate) static KNEE_RECURRENCES: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    /// Calls this thread's evaluations have made into the latency
+    /// estimator: one per count asked alone, one per bracket.
+    pub(crate) static ESTIMATOR_CALLS: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+    /// Trajectory steps this thread's evaluations have scored.
+    pub(crate) static STEPS_SCORED: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
 }
 
@@ -126,10 +140,11 @@ impl Model {
             }
         }
         #[cfg(test)]
-        KNEE_RECURRENCES.with(|n| {
+        {
             // A knee slot is filled by the one call that computes it.
-            n.set(n.get() + pool.knees.iter().flatten().count());
-        });
+            KNEE_RECURRENCES.with(|n| n.set(n.get() + pool.knees.iter().flatten().count()));
+            STEPS_SCORED.with(|n| n.set(n.get() + count));
+        }
         sum / count.max(1) as f64
     }
 
@@ -164,13 +179,27 @@ impl Model {
     #[inline]
     fn latency(&self, k: f64, lambda: f64, pool: &mut Pool) -> f64 {
         let lambda = lambda.max(0.0);
-        let l_lo = self.estimate(k, lambda, pool, 0);
         if pool.frac == 0.0 {
-            return l_lo;
+            return self.estimate(k, lambda, pool, 0);
         }
+        // Only the relaxed M/D/c estimator brackets a fractional count,
+        // and its two counts are consecutive unless the head count is
+        // past `u32::MAX`, where both saturate.
+        let [lo, hi] = pool.servers;
+        let [l_lo, l_hi] = if lo.checked_add(ReplicaCount::ONE) == Some(hi) {
+            #[cfg(test)]
+            ESTIMATOR_CALLS.with(|n| n.set(n.get() + 1));
+            self.relaxed_latency
+                .bracket_with_knees(k, pool.p_eff, lambda, lo, &mut pool.knees)
+                .unwrap_or([f64::INFINITY; 2])
+        } else {
+            [
+                self.estimate(k, lambda, pool, 0),
+                self.estimate(k, lambda, pool, 1),
+            ]
+        };
         // The relaxed estimate is finite on valid input, so a non-finite
         // side means the estimator rejected the call as a whole.
-        let l_hi = self.estimate(k, lambda, pool, 1);
         if l_lo.is_infinite() || l_hi.is_infinite() {
             return f64::INFINITY;
         }
@@ -181,6 +210,8 @@ impl Model {
     /// it rejects its input.
     #[inline]
     fn estimate(&self, k: f64, lambda: f64, pool: &mut Pool, side: usize) -> f64 {
+        #[cfg(test)]
+        ESTIMATOR_CALLS.with(|n| n.set(n.get() + 1));
         let (p_eff, servers) = (pool.p_eff, pool.servers[side]);
         match (self.latency_model, self.fidelity) {
             // One second's arrivals treated as a simultaneous burst (the

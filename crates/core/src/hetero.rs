@@ -545,10 +545,11 @@ impl Problem for HeteroAdapter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate::KNEE_RECURRENCES;
+    use crate::evaluate::{ESTIMATOR_CALLS, KNEE_RECURRENCES, STEPS_SCORED};
     use crate::opt::LatencyModel;
     use crate::types::Slo;
     use crate::units::ReplicaCount;
+    use crate::utility::POWF_CALLS;
     use faro_queueing::upper_bound;
     use faro_solver::Cobyla;
 
@@ -654,6 +655,92 @@ mod tests {
             p.job_utility(0, &[2.5, 0.0], 1.0);
             assert_eq!(work().1, before.1, "{steps} steps, all traffic dropped");
         }
+    }
+
+    /// A step is one call into the estimator whatever the pool: a whole
+    /// count is asked alone, and a fractional count's two consecutive
+    /// counts are one bracket (under the knee, one recurrence for
+    /// both). No clock is read to say so.
+    #[test]
+    #[cfg_attr(miri, ignore = "counts work, which is checked natively")]
+    fn a_step_is_one_estimator_call_whole_or_fractional() {
+        let work = || {
+            (
+                STEPS_SCORED.get(),
+                ESTIMATOR_CALLS.get(),
+                KNEE_RECURRENCES.get(),
+            )
+        };
+        // Rates two replicas carry under their knee, and rates past
+        // every count's knee.
+        for (base, past) in [(2.0, false), (400.0, true)] {
+            let job = JobWorkload {
+                lambda_trajectories: (0..3)
+                    .map(|t| (0..5).map(|s| base + 0.2 * f64::from(t * 5 + s)).collect())
+                    .collect(),
+                ..JobWorkload::constant(0.0, 0.10, slo(0.4), 1.0)
+            };
+            let p = HeteroProblem::new(
+                vec![job],
+                gpu_cpu_resources(4.0, 4.0),
+                ClusterObjective::Sum,
+                Fidelity::Relaxed,
+            )
+            .unwrap();
+            for counts in [[2.5, 0.0], [1.5, 1.25], [3.0, 0.0], [2.0, 2.0]] {
+                let before = work();
+                p.job_utility(0, &counts, 0.0);
+                let after = work();
+                let steps = after.0 - before.0;
+                assert_eq!(steps, 15, "{counts:?}");
+                assert_eq!(after.1 - before.1, steps, "{base} req/s at {counts:?}");
+                let knees = after.2 - before.2;
+                if past {
+                    assert!(knees > 0, "{base} req/s at {counts:?}");
+                } else {
+                    assert_eq!(knees, 0, "{base} req/s at {counts:?}");
+                }
+            }
+        }
+    }
+
+    /// A default classed solve of `hetero_mixed`'s shape scores most
+    /// of its steps at or under their SLO, and those are compared, not
+    /// raised to a power: under a quarter of the steps it scores reach
+    /// `powf`. The classed twin of the flat solve's count.
+    #[test]
+    #[cfg_attr(miri, ignore = "a full default solve; the count is checked natively")]
+    fn a_classed_solve_asks_powf_for_a_fraction_of_its_steps() {
+        let mut rng = crate::rng::SplitMix64::new(17);
+        let jobs: Vec<JobWorkload> = (0..10)
+            .map(|i| {
+                let (latency, base) = [(4.0, 7.0), (0.4, 10.0), (4.0, 3.0), (0.4, 4.0)][i % 4];
+                JobWorkload {
+                    lambda_trajectories: (0..4)
+                        .map(|_| {
+                            (0..6)
+                                .map(|_| base * (0.7 + 0.6 * rng.fraction()))
+                                .collect()
+                        })
+                        .collect(),
+                    ..JobWorkload::constant(0.0, 0.10, slo(latency), 1.0)
+                }
+            })
+            .collect();
+        let r = ResourceModel::heterogeneous(
+            vec![ReplicaClass::gpu("gpu"), ReplicaClass::cpu("cpu", 5.0)],
+            40.0,
+            16.0,
+            88.0,
+        );
+        let p = HeteroProblem::new(jobs, r, ClusterObjective::Sum, Fidelity::Relaxed).unwrap();
+        let before = (STEPS_SCORED.get(), POWF_CALLS.get());
+        let alloc = p.solve(&Cobyla::default(), &[2; 10]).unwrap();
+        let scored = STEPS_SCORED.get() - before.0;
+        let asked = POWF_CALLS.get() - before.1;
+        assert!(alloc.evals > 50, "the solve iterated: {}", alloc.evals);
+        assert!(asked > 0, "the solve visited allocations that miss an SLO");
+        assert!(asked * 4 < scored, "{asked} of {scored} steps asked powf");
     }
 
     /// The evaluator is one, so the classed path inherits the

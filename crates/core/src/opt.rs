@@ -421,7 +421,7 @@ impl MultiTenantProblem {
     /// over full-quota knee latencies stores, without the knee latencies
     /// it never reads.
     fn fill_latency_row(&self, k: f64, p: f64, lambda: f64, row: &mut [f64], knees: &[f64]) {
-        if mdc::latency_percentile_sweep_into(k, p, lambda, row).is_err() {
+        if mdc::latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, row).is_err() {
             // Invalid k/p/rate: the direct path errors at every count.
             row.fill(f64::INFINITY);
             return;
@@ -469,11 +469,11 @@ impl MultiTenantProblem {
     /// evaluator. Bit-identical to it: each row entry is the estimator's
     /// value, under the same arithmetic and summation order.
     ///
-    /// A relaxed step that meets its SLO is scored 1 without asking
-    /// [`RelaxedUtility::value`]: for `0 < l <= s` and `alpha > 0`,
-    /// `(s / l)^alpha >= 1` and the `min` there returns exactly 1
-    /// whatever `powf` computed, and for `l <= 0` it returns 1 before
-    /// it. On a paper-shaped solve that is six steps in seven.
+    /// A relaxed step that meets its SLO is scored 1 by one comparison
+    /// with [`RelaxedUtility::met_threshold`], hoisted out of the loop;
+    /// only the rest ask [`RelaxedUtility::value`], where the same
+    /// predicate decides. On a paper-shaped solve that is six steps in
+    /// seven.
     fn tabulated_utility(&self, tables: &LatencyTables, i: usize, x: f64) -> Option<f64> {
         let job = &self.jobs[i];
         let steps = &tables.steps[i];
@@ -503,16 +503,9 @@ impl MultiTenantProblem {
                     return None;
                 }
                 let utility = self.model.relaxed_utility;
-                // The latency at or under which a step scores 1 unasked.
-                // No latency is (NaN) where the argument above fails:
-                // `alpha` is a public field, so it may be zero, negative
-                // or NaN, and against an infinite target an infinite
-                // latency is "met" yet scores 0.
-                let met = if utility.alpha > 0.0 && slo_latency < f64::INFINITY {
-                    slo_latency
-                } else {
-                    f64::NAN
-                };
+                // The latency at or under which a step scores 1 unasked,
+                // hoisted out of the step loop.
+                let met = utility.met_threshold(slo_latency);
                 let value = |l: f64| {
                     if l <= met {
                         return 1.0;
@@ -1426,59 +1419,6 @@ mod tests {
             // Recurrence steps: n(n+1)/2 over the prefix against the
             // same over the quota.
             assert!(knees * knees * 400 < (quota.get() as usize).pow(2));
-        }
-    }
-
-    /// What the met-SLO shortcut rests on, as a test of this platform's
-    /// `powf`: for `0 < l <= s` and `alpha > 0` the quotient is at least
-    /// 1, no power of it is under 1, and `min` returns exactly 1.
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "a million libm calls; the platform's libm is the subject"
-    )]
-    fn a_met_slo_scores_one_whatever_powf_computes() {
-        let mut rng = crate::rng::SplitMix64::new(23);
-        let alphas = [1e-300, 0.5, 1.0, 4.0, 64.0, 1e300, f64::INFINITY];
-        let ulps_below = |s: f64, ulps: u64| f64::from_bits(s.to_bits() - ulps);
-        for case in 0..1_000_000usize {
-            // Targets from the SLO's range and from the whole exponent
-            // range, by turns.
-            let s = if case % 2 == 0 {
-                0.01 + 10.0 * rng.fraction()
-            } else {
-                f64::from_bits(rng.next_u64() >> 2).max(f64::MIN_POSITIVE)
-            };
-            let l = match case % 7 {
-                0 => s,
-                1 => ulps_below(s, 1),
-                2 => ulps_below(s, 2),
-                // Quotients that round to 1.
-                3 => s * (1.0 - f64::EPSILON * rng.fraction()),
-                // Subnormal latencies.
-                4 => f64::from_bits(1 + (rng.next_u64() >> 12)).min(s),
-                5 => s * (1.0 - rng.fraction()).max(f64::MIN_POSITIVE),
-                _ => s * 0.5f64.powi(rng.below(1_000) as i32),
-            };
-            let l = if l > 0.0 { l } else { s };
-            let alpha = match case % 3 {
-                0 => alphas[rng.below(alphas.len())],
-                1 => 8.0 * rng.fraction() + f64::MIN_POSITIVE,
-                _ => f64::from_bits(rng.next_u64() >> 2).max(f64::MIN_POSITIVE),
-            };
-            assert!(0.0 < l && l <= s && alpha > 0.0, "case {case}");
-            let raw = (s / l).powf(alpha).min(1.0);
-            assert_eq!(
-                raw.to_bits(),
-                1.0f64.to_bits(),
-                "l={l:e} s={s:e} alpha={alpha:e}"
-            );
-            let asked = RelaxedUtility { alpha }.value(l, s);
-            assert_eq!(
-                asked.to_bits(),
-                1.0f64.to_bits(),
-                "l={l:e} s={s:e} alpha={alpha:e}"
-            );
         }
     }
 

@@ -6,6 +6,15 @@
 //! common engineering approximation (Tijms 2006) of treating the M/D/c
 //! waiting time as half the M/M/c waiting time, which this module applies
 //! to both the mean and the percentiles.
+//!
+//! [`latency_percentile`] is the reference: one count, through the
+//! M/M/c and Erlang functions. Every other many-count reader — a whole
+//! table row ([`latency_percentile_sweep`], the optimizer's tables) or
+//! the two counts bracketing a fractional head count
+//! ([`crate::RelaxedLatency::bracket_with_knees`]) — goes through the
+//! one loop of [`latency_percentile_range_into`], which reads each
+//! count's Erlang-B value off a single recurrence and equals the
+//! reference bit for bit.
 
 use crate::error::Result;
 use crate::mmc;
@@ -74,29 +83,54 @@ pub fn latency_percentile_sweep(
     max_servers: ReplicaCount,
 ) -> Result<Vec<f64>> {
     let mut out = vec![0.0; max_servers.get() as usize];
-    latency_percentile_sweep_into(k, p, lambda, &mut out)?;
+    latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, &mut out)?;
     Ok(out)
 }
 
-/// [`latency_percentile_sweep`] into a caller-owned row: `out[n - 1]`
-/// becomes the latency at `n` servers for every `n` in `1..=out.len()`,
-/// so a table of many rates can live in one allocation.
+/// The `k`-th percentile M/D/c latency at the consecutive server counts
+/// `first..first + out.len()`, into a caller-owned row: `out[i]` equals
+/// `latency_percentile(k, p, lambda, first + i)` bit-for-bit.
+///
+/// The Erlang-B recurrence has to climb through every count under
+/// `first` anyway, so the row costs one recurrence of length
+/// `first + out.len() - 1`: a whole table row from `first = 1` (many
+/// rates can then live in one allocation), or the two counts
+/// bracketing a fractional head count for the price of the larger.
 ///
 /// # Errors
 ///
-/// Same domain errors as [`latency_percentile`]; an empty row is
-/// [`crate::Error::ZeroReplicas`]. `out` is left untouched on error.
-pub fn latency_percentile_sweep_into(k: f64, p: f64, lambda: f64, out: &mut [f64]) -> Result<()> {
+/// Same domain errors as [`latency_percentile`]; a `first` of zero or
+/// an empty row is [`crate::Error::ZeroReplicas`], and a row reaching
+/// past `u32::MAX` servers is [`crate::Error::InvalidParameter`]. `out`
+/// is left untouched on error.
+pub fn latency_percentile_range_into(
+    k: f64,
+    p: f64,
+    lambda: f64,
+    first: ReplicaCount,
+    out: &mut [f64],
+) -> Result<()> {
     let k = crate::error::percentile(k)?;
     let p = crate::error::positive("p", p)?;
     let lambda = crate::error::non_negative("lambda", lambda)?;
-    if out.is_empty() {
+    if first.is_zero() || out.is_empty() {
         return Err(crate::Error::ZeroReplicas);
+    }
+    let last = u64::from(first.get()) + out.len() as u64 - 1;
+    if last > u64::from(u32::MAX) {
+        return Err(crate::Error::InvalidParameter {
+            name: "servers",
+            value: last as f64,
+        });
     }
     let a = lambda * p;
     let tail = 1.0 - k;
     let mut b = 1.0f64;
     let mut c = 0.0f64;
+    for _ in 1..first.get() {
+        c += 1.0;
+        b = a * b / (c + a * b);
+    }
     for entry in out {
         // One Erlang-B recurrence step: `b` now equals `erlang_b(n, a)`
         // at the server count `c == n` (whole numbers, exact in `f64`).
@@ -251,13 +285,14 @@ mod tests {
         assert!(latency_percentile_sweep(0.99, 0.15, 1.0, ReplicaCount::ZERO).is_err());
     }
 
+    /// A row filled from one server is the sweep.
     #[test]
     fn sweep_into_fills_exactly_what_the_sweep_returns() {
         for max in [1usize, 32, 3_200] {
             for (k, p, lambda) in [(0.99, 0.18, 0.0), (0.99, 0.18, 40.0), (0.5, 0.05, 3e4)] {
                 let sweep = latency_percentile_sweep(k, p, lambda, rc(max as u32)).unwrap();
                 let mut row = vec![f64::NAN; max];
-                latency_percentile_sweep_into(k, p, lambda, &mut row).unwrap();
+                latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, &mut row).unwrap();
                 assert_eq!(sweep.len(), max);
                 let direct = latency_percentile(k, p, lambda, rc(max as u32)).unwrap();
                 assert_eq!(row[max - 1].to_bits(), direct.to_bits(), "max={max}");
@@ -266,15 +301,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        /// A row from any first count is, entry for entry, the direct
+        /// estimator (the M/M/c and Erlang path, which shares no code
+        /// with the row) at that count, from idle through the knee to
+        /// past saturation (`load` is the utilization at `first`).
+        #[test]
+        fn range_matches_direct_calls_bitwise(
+            load in 0.0f64..1.6,
+            p in 0.01f64..0.5,
+            k in 0.5f64..0.9999,
+            first in 1u32..(if cfg!(miri) { 48 } else { 4096 }),
+            len in 1usize..=3,
+            shape in 0u32..8,
+        ) {
+            let lambda = match shape {
+                0 => 0.0,
+                // Exactly at `rho = 1` for the first count.
+                1 => f64::from(first) / p,
+                _ => load * f64::from(first) / p,
+            };
+            let mut row = [f64::NAN; 3];
+            latency_percentile_range_into(k, p, lambda, rc(first), &mut row[..len]).unwrap();
+            for (i, got) in row[..len].iter().enumerate() {
+                let n = first + i as u32;
+                let direct = latency_percentile(k, p, lambda, rc(n)).unwrap();
+                proptest::prop_assert_eq!(
+                    got.to_bits(),
+                    direct.to_bits(),
+                    "n={} row={} direct={}",
+                    n,
+                    got,
+                    direct
+                );
+            }
+            proptest::prop_assert!(row[len..].iter().all(|l| l.is_nan()), "wrote past the row");
+        }
+    }
+
+    #[test]
+    fn a_rejected_range_leaves_the_row_as_it_was() {
+        let mut row = [7.0; 4];
+        for (k, p, lambda) in [
+            (1.5, 0.18, 40.0),
+            (f64::NAN, 0.18, 40.0),
+            (0.99, 0.0, 40.0),
+            (0.99, f64::INFINITY, 40.0),
+            (0.99, 0.18, f64::NAN),
+            (0.99, 0.18, f64::INFINITY),
+            (0.99, 0.18, -1.0),
+        ] {
+            let got = latency_percentile_range_into(k, p, lambda, rc(3), &mut row);
+            let direct = latency_percentile(k, p, lambda, rc(3));
+            // Compared as text: a NaN in an error is not equal to itself.
+            assert_eq!(
+                format!("{:?}", got.unwrap_err()),
+                format!("{:?}", direct.unwrap_err()),
+                "k={k} p={p} lambda={lambda}"
+            );
+            assert_eq!(row, [7.0; 4]);
+        }
         assert_eq!(
-            latency_percentile_sweep_into(0.99, 0.18, 40.0, &mut []),
+            latency_percentile_range_into(0.99, 0.18, 40.0, ReplicaCount::ZERO, &mut row),
             Err(crate::Error::ZeroReplicas)
         );
-        // A rejected input leaves the row as it was.
-        let mut row = [7.0; 4];
-        assert!(latency_percentile_sweep_into(1.5, 0.18, 40.0, &mut row).is_err());
-        assert!(latency_percentile_sweep_into(0.99, 0.18, f64::NAN, &mut row).is_err());
+        assert_eq!(
+            latency_percentile_range_into(0.99, 0.18, 40.0, rc(3), &mut []),
+            Err(crate::Error::ZeroReplicas)
+        );
         assert_eq!(row, [7.0; 4]);
+    }
+
+    /// A row whose last count is past `u32::MAX` has no reference to
+    /// equal, and is refused before its `u32::MAX`-step recurrence.
+    #[test]
+    fn a_row_past_the_last_count_is_refused_before_any_work() {
+        let mut row = [7.0; 2];
+        assert_eq!(
+            latency_percentile_range_into(0.99, 0.18, 40.0, ReplicaCount::MAX, &mut row),
+            Err(crate::Error::InvalidParameter {
+                name: "servers",
+                value: 4_294_967_296.0
+            })
+        );
+        assert_eq!(row, [7.0; 2]);
     }
 
     #[test]

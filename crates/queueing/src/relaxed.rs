@@ -7,6 +7,15 @@
 //! stability knee `rho_max` and scaling the result by how fast the queue
 //! grows (`lambda / lambda_at_rho_max`), which is strictly increasing in
 //! `lambda` and strictly decreasing in the replica count.
+//!
+//! One count at one rate is [`RelaxedLatency::latency`] (or
+//! [`RelaxedLatency::latency_with_knee`], which holds the
+//! rate-independent knee latency between calls); these are the
+//! references. The many-count readers are built on them and equal
+//! them bit for bit: [`RelaxedLatency::latency_sweep`] for a table row,
+//! and [`RelaxedLatency::bracket_with_knees`] for the two consecutive
+//! counts bracketing a fractional head count, which under the knee
+//! reads both off one Erlang recurrence.
 
 use crate::error::{percentile, positive, Error, Result};
 use crate::mdc;
@@ -105,6 +114,54 @@ impl RelaxedLatency {
             None => *knee.insert(self.knee_latency(k, p, n)?),
         };
         Ok(self.past_knee(p, lambda, n, knee_latency))
+    }
+
+    /// [`RelaxedLatency::latency_with_knee`] at the two consecutive
+    /// counts `lo` and `lo + 1`, `knees[0]` held for `lo` and `knees[1]`
+    /// for `lo + 1`: bit for bit and slot for slot what the two calls
+    /// return and hold, for the price of one when `lo` is under the
+    /// knee.
+    ///
+    /// Utilization falls as servers are added (`lambda * p / (lo + 1)
+    /// <= lambda * p / lo` under correctly rounded division), so when
+    /// `lo` is at or under the knee so is `lo + 1`, and both are plain
+    /// M/D/c latencies: one Erlang recurrence of length `lo + 1`
+    /// ([`mdc::latency_percentile_range_into`]) yields the pair, where
+    /// the two calls would run one of length `lo` and one of `lo + 1`.
+    /// Otherwise each count is asked on its own, exactly as the two
+    /// calls do.
+    ///
+    /// # Errors
+    ///
+    /// Those of the two calls, the lower count's first. A `lo` of
+    /// `u32::MAX` has no count above it and is
+    /// [`Error::InvalidParameter`]. Either way `knees` changes only as
+    /// the two calls would change it.
+    pub fn bracket_with_knees(
+        &self,
+        k: f64,
+        p: f64,
+        lambda: f64,
+        lo: ReplicaCount,
+        knees: &mut [Option<f64>; 2],
+    ) -> Result<[f64; 2]> {
+        let Some(hi) = lo.checked_add(ReplicaCount::ONE) else {
+            return Err(Error::InvalidParameter {
+                name: "servers",
+                value: lo.as_f64() + 1.0,
+            });
+        };
+        // A `k`, `p` or `lambda` the estimator rejects is rejected by
+        // the range too, with the same error and before it writes.
+        if !lo.is_zero() && self.below_knee(p, lambda, lo.get()) {
+            let mut pair = [0.0; 2];
+            mdc::latency_percentile_range_into(k, p, lambda, lo, &mut pair)?;
+            return Ok(pair);
+        }
+        let [lo_knee, hi_knee] = knees;
+        let l_lo = self.latency_with_knee(k, p, lambda, lo, lo_knee);
+        let l_hi = self.latency_with_knee(k, p, lambda, hi, hi_knee);
+        Ok([l_lo?, l_hi?])
     }
 
     /// Whether `lambda` is at or under the stability knee at `servers`
@@ -408,6 +465,128 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What a pair compares as: both bits, or the lower count's error
+    /// first — the pair two separate calls make.
+    fn pair_bits(lo: Result<f64>, hi: Result<f64>) -> std::result::Result<[u64; 2], String> {
+        bits(lo).and_then(|lo| Ok([lo, bits(hi)?]))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 64 }))]
+
+        /// A bracket is two `latency_with_knee` calls, one a count with
+        /// a slot of its own: bit for bit or error for error, and slot
+        /// for slot — the same knees filled, none touched at a rate
+        /// under the lower count's knee — across idle, under both
+        /// knees, past the lower count's knee but under the upper's,
+        /// past both, saturated, rates the estimator rejects (NaN,
+        /// infinite, negative), parameters it rejects, a zero lower
+        /// count and slots that arrive already held.
+        #[test]
+        fn a_bracket_is_two_held_knee_calls_bitwise(
+            p in 0.01f64..0.5,
+            k in 0.5f64..0.9999,
+            lo in 0u32..(if cfg!(miri) { 48 } else { 4096 }),
+            loads in proptest::prop::collection::vec(0.0f64..3.0, 1..16),
+            invalid in 0u32..8,
+            held in 0u32..4,
+        ) {
+            let est = RelaxedLatency::default();
+            let (k, p) = match invalid {
+                1 => (1.0, p),
+                2 => (f64::NAN, p),
+                3 => (k, 0.0),
+                4 => (k, -p),
+                _ => (k, p),
+            };
+            let n = f64::from(lo);
+            let mut rates: Vec<f64> = loads.iter().map(|load| load * n.max(1.0) / p).collect();
+            rates.extend([
+                0.0,
+                // Between the two counts' knees.
+                est.rho_max() * (n + 0.5) / p,
+                // On each count's knee.
+                est.rho_max() * n / p,
+                est.rho_max() * (n + 1.0) / p,
+                f64::NAN,
+                f64::INFINITY,
+                -1.0,
+            ]);
+            // A slot may arrive held by an earlier evaluation at the
+            // same count.
+            let mut knees = [None; 2];
+            let mut reference = [None; 2];
+            if held & 1 == 1 && lo > 0 {
+                knees[0] = Some(f64::from(lo) * 0.25);
+                reference[0] = knees[0];
+            }
+            if held & 2 == 2 {
+                knees[1] = Some(f64::from(lo) * 0.5 + 1.0);
+                reference[1] = knees[1];
+            }
+            for lambda in rates {
+                let before = knees;
+                let got = est.bracket_with_knees(k, p, lambda, rc(lo), &mut knees);
+                let [lo_knee, hi_knee] = &mut reference;
+                let want = pair_bits(
+                    est.latency_with_knee(k, p, lambda, rc(lo), lo_knee),
+                    est.latency_with_knee(k, p, lambda, rc(lo + 1), hi_knee),
+                );
+                proptest::prop_assert_eq!(
+                    got.map(|pair| pair.map(f64::to_bits)).map_err(|e| format!("{e:?}")),
+                    want,
+                    "k={} p={} lo={} lambda={} held={:?}",
+                    k, p, lo, lambda, before
+                );
+                proptest::prop_assert_eq!(
+                    knees.map(|h| h.map(f64::to_bits)),
+                    reference.map(|h| h.map(f64::to_bits)),
+                    "k={} p={} lo={} lambda={}",
+                    k, p, lo, lambda
+                );
+                if lo > 0 && lambda * p / n <= est.rho_max() {
+                    proptest::prop_assert_eq!(knees, before, "a rate under the knee moved a slot");
+                }
+            }
+        }
+    }
+
+    /// The top of the count range: a pair ending at `u32::MAX` is two
+    /// calls there too (past the knee, with the knee latencies held, so
+    /// no `u32::MAX`-step recurrence runs), and a pair that would end
+    /// past it is refused with its slots as they were.
+    #[test]
+    fn a_bracket_at_the_last_counts() {
+        let est = RelaxedLatency::default();
+        let lo = rc(u32::MAX - 1);
+        for lambda in [1e12, 3.5e12, f64::NAN, f64::INFINITY, -1.0] {
+            let mut knees = [Some(0.75), Some(0.5)];
+            let mut reference = knees;
+            let got = est.bracket_with_knees(0.99, 0.15, lambda, lo, &mut knees);
+            let [lo_knee, hi_knee] = &mut reference;
+            let want = pair_bits(
+                est.latency_with_knee(0.99, 0.15, lambda, lo, lo_knee),
+                est.latency_with_knee(0.99, 0.15, lambda, ReplicaCount::MAX, hi_knee),
+            );
+            assert_eq!(
+                got.map(|pair| pair.map(f64::to_bits))
+                    .map_err(|e| format!("{e:?}")),
+                want,
+                "lambda={lambda}"
+            );
+            assert_eq!(knees, reference);
+        }
+        let mut knees = [Some(0.75), None];
+        assert_eq!(
+            est.bracket_with_knees(0.99, 0.15, 1e12, ReplicaCount::MAX, &mut knees),
+            Err(Error::InvalidParameter {
+                name: "servers",
+                value: 4_294_967_296.0
+            })
+        );
+        assert_eq!(knees, [Some(0.75), None]);
     }
 
     #[test]
