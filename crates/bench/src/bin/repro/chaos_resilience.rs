@@ -9,13 +9,8 @@
 //! Expected outcome: attainment with retry dominates no-retry at
 //! every non-zero failure rate, and the two curves coincide at rate
 //! zero (the wrapper is pass-through when no fault class fires).
-//!
-//! Usage: `cargo run --release --bin chaos_resilience` (FARO_QUICK=1
-//! for fewer seeds). Writes `results/chaos_resilience.txt` and
-//! `results/chaos_resilience.json`, and appends an entry to
-//! `BENCH_perf.json`.
 
-use faro_bench::prelude::*;
+use crate::Run;
 use faro_control::{
     ApiErrors, ChaosBackend, ChaosPlan, DriverStats, Reconciler, ResilienceConfig, ResilientDriver,
     RetryPolicy,
@@ -118,105 +113,54 @@ fn run_once(apply_rate: f64, retry: RetryPolicy, seed: u64) -> (f64, DriverStats
     (1.0 - report.cluster_violation_rate, stats)
 }
 
-fn main() {
-    let quick = quick_mode();
-    let seeds: Vec<u64> = if quick {
-        vec![1, 2, 3]
-    } else {
-        (1..=10).collect()
-    };
-    let label = std::env::var("FARO_BENCH_LABEL").unwrap_or_else(|_| "dev".to_string());
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
-    let bench_path = std::env::var("FARO_BENCH_OUT").unwrap_or_else(|_| default_path.to_string());
-
+pub fn run() -> Run {
+    let seeds: Vec<u64> = (1..=10).collect();
     let mut rows: Vec<Row> = Vec::new();
+    let mut run = Run::default();
     let mut text =
         String::from("SLO attainment vs injected apply-failure rate (ramp-supply scenario)\n\n");
-    text.push_str(&format!(
+    text += &format!(
         "{:<12} {:>14} {:>14} {:>12} {:>12}\n",
         "apply_fail", "retry_mean", "no_retry_mean", "retry_min", "no_retry_min"
-    ));
+    );
 
     for rate in RATES {
-        let mut per_mode: Vec<(bool, f64, f64, f64, f64, f64)> = Vec::new();
         for (enabled, retry) in [
             (true, RetryPolicy::default()),
             (false, RetryPolicy::no_retry()),
         ] {
-            let mut attainments = Vec::new();
-            let (mut errs, mut retries, mut failed) = (0.0, 0.0, 0.0);
-            for &seed in &seeds {
-                let (attainment, stats) = run_once(rate, retry, seed);
-                attainments.push(attainment);
-                retries += stats.apply_retries as f64;
-                errs += stats.apply_failures as f64;
-                failed += (stats.rounds - stats.ok_rounds) as f64;
-            }
-            let n = seeds.len() as f64;
-            let mean = attainments.iter().sum::<f64>() / n;
-            let min = attainments.iter().cloned().fold(f64::INFINITY, f64::min);
-            per_mode.push((enabled, mean, min, errs / n, retries / n, failed / n));
+            let runs: Vec<_> = seeds.iter().map(|&s| run_once(rate, retry, s)).collect();
+            let mean = |f: fn(&(f64, DriverStats)) -> f64| {
+                runs.iter().map(f).sum::<f64>() / seeds.len() as f64
+            };
             rows.push(Row {
                 apply_failure_rate: rate,
                 retries_enabled: enabled,
                 seeds: seeds.len() as u64,
-                slo_attainment_mean: mean,
-                slo_attainment_min: min,
-                apply_errors_mean: errs / n,
-                apply_retries_mean: retries / n,
-                failed_rounds_mean: failed / n,
+                slo_attainment_mean: mean(|r| r.0),
+                slo_attainment_min: runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min),
+                apply_errors_mean: mean(|r| r.1.apply_failures as f64),
+                apply_retries_mean: mean(|r| r.1.apply_retries as f64),
+                failed_rounds_mean: mean(|r| (r.1.rounds - r.1.ok_rounds) as f64),
             });
         }
-        let with = per_mode.iter().find(|m| m.0).expect("retry row");
-        let without = per_mode.iter().find(|m| !m.0).expect("no-retry row");
-        text.push_str(&format!(
+        let [with, without] = &rows[rows.len() - 2..] else {
+            unreachable!("one row per retry mode")
+        };
+        let (w, wo) = (with.slo_attainment_mean, without.slo_attainment_mean);
+        text += &format!(
             "{:<12.2} {:>14.4} {:>14.4} {:>12.4} {:>12.4}\n",
-            rate, with.1, without.1, with.2, without.2
-        ));
+            rate, w, wo, with.slo_attainment_min, without.slo_attainment_min
+        );
+        // Strictly better once failures are common enough to cost.
+        let ok = if rate >= 0.10 { w > wo } else { w >= wo };
+        run.claim(ok, &format!("retry beats no-retry at {rate:.2}"), (w, wo));
     }
 
     text.push_str(
         "\nretry_mean/no_retry_mean: request-level SLO attainment averaged over seeds;\n\
          *_min: worst seed. Retry should dominate at every non-zero rate.\n",
     );
-
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/chaos_resilience.txt", &text).expect("write text report");
     let json = serde_json::to_string(&rows).expect("serialize rows");
-    std::fs::write("results/chaos_resilience.json", json).expect("write json report");
-    print!("{text}");
-    println!("wrote results/chaos_resilience.{{txt,json}}");
-
-    // Headline numbers for the perf ledger: the 10%-failure point.
-    let at = |enabled: bool| {
-        rows.iter()
-            .find(|r| (r.apply_failure_rate - 0.10).abs() < 1e-9 && r.retries_enabled == enabled)
-            .map(|r| r.slo_attainment_mean)
-            .unwrap_or(f64::NAN)
-    };
-    #[derive(Serialize)]
-    struct Entry {
-        label: String,
-        unix_time_secs: u64,
-        quick: bool,
-        chaos_seeds: u64,
-        attainment_10pct_retry: f64,
-        attainment_10pct_no_retry: f64,
-        attainment_10pct_delta: f64,
-    }
-    let entry = Entry {
-        label,
-        unix_time_secs: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
-        chaos_seeds: seeds.len() as u64,
-        attainment_10pct_retry: at(true),
-        attainment_10pct_no_retry: at(false),
-        attainment_10pct_delta: at(true) - at(false),
-    };
-    let entry_json = serde_json::to_string(&entry).expect("entry serializes");
-    append_bench_entry(&bench_path, &entry_json).expect("BENCH_perf.json is writable");
-    eprintln!("appended entry to {bench_path}");
+    run.text(text).file("json", json)
 }

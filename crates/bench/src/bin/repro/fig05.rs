@@ -6,10 +6,9 @@
 //! while Differential Evolution escapes plateaus at ~15-20 s and is
 //! still suboptimal. After the relaxation, all three find near-optimal
 //! allocations and the local solvers finish sub-second. Nelder-Mead
-//! stands in for SLSQP (see DESIGN.md).
-//!
-//! Usage: `cargo run --release -p faro-bench --bin fig05_solvers`
+//! stands in for SLSQP (see DESIGN.md). Solve times go to stderr.
 
+use crate::Run;
 use faro_bench::prelude::*;
 use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use faro_core::types::ResourceModel;
@@ -35,7 +34,7 @@ fn snapshot_jobs() -> Vec<JobWorkload> {
         .collect()
 }
 
-fn main() {
+pub fn run() -> Run {
     let resources = ResourceModel::replicas(faro_core::units::ReplicaCount::new(40));
     let objective = ClusterObjective::PenaltySum;
     // Start from a minimal allocation: overloaded jobs sit on the
@@ -53,24 +52,28 @@ fn main() {
     )
     .expect("valid snapshot");
 
-    println!(
-        "{:<22} {:<8} {:>10} {:>12} {:>12}",
-        "solver", "form", "time_ms", "evals", "precise_obj"
+    let mut out = format!(
+        "{:<22} {:<8} {:>12} {:>12}\n",
+        "solver", "form", "evals", "precise_obj"
     );
-    for fidelity in [Fidelity::Precise, Fidelity::Relaxed] {
+    // (evaluations, precise objective) in print order: precise COBYLA,
+    // Nelder-Mead, DE, then relaxed.
+    let mut scores = Vec::new();
+    for (fidelity, form) in [
+        (Fidelity::Precise, "precise"),
+        (Fidelity::Relaxed, "relaxed"),
+    ] {
         let problem =
             MultiTenantProblem::new(snapshot_jobs(), resources.clone(), objective, fidelity)
                 .expect("valid snapshot");
+        let de = DifferentialEvolution {
+            max_generations: 400,
+            ..Default::default()
+        };
         let solvers: Vec<(&str, Box<dyn Solver>)> = vec![
             ("COBYLA", Box::new(Cobyla::default())),
             ("NelderMead(SLSQP-sub)", Box::new(NelderMead::default())),
-            (
-                "DifferentialEvolution",
-                Box::new(DifferentialEvolution {
-                    max_generations: 400,
-                    ..Default::default()
-                }),
-            ),
+            ("DifferentialEvolution", Box::new(de)),
         ];
         for (name, solver) in solvers {
             let start = Instant::now();
@@ -80,18 +83,26 @@ fn main() {
             // objective (integer post-processing would mask solver
             // quality differences).
             let score = precise.cluster_value(&alloc.replicas, &alloc.drop_rates);
-            let form = match fidelity {
-                Fidelity::Precise => "precise",
-                Fidelity::Relaxed => "relaxed",
-            };
-            println!(
-                "{name:<22} {form:<8} {elapsed:>10.1} {:>12} {score:>12.3}",
-                alloc.evals
-            );
+            eprintln!("  {name:<22} {form:<8} {elapsed:>10.1} ms");
+            out += &format!("{name:<22} {form:<8} {:>12} {score:>12.3}\n", alloc.evals);
+            scores.push((alloc.evals as f64, score));
         }
     }
-    println!(
-        "\nexpect: precise+local = fast but poor; precise+DE = slow, middling; \
-         relaxed = near-optimal, local solvers sub-second (paper Fig. 5)"
+    out += "\nexpect: precise+local = fast but poor; precise+DE = slow, middling; \
+            relaxed = near-optimal, local solvers sub-second (paper Fig. 5)\n";
+
+    let [(pc_evals, pc), (_, pn), (pd_evals, _), (rc_evals, rc), _, (rd_evals, _)] = scores[..]
+    else {
+        unreachable!("two forms of three solvers")
+    };
+    let mut run = Run::default();
+    run.claim(rc > 9.999, "relaxed COBYLA reaches the max, 10", rc);
+    run.claim(
+        rc > pc.max(pn),
+        "relaxed COBYLA beats precise COBYLA, NM",
+        (pc, pn),
     );
+    let de = (pd_evals / pc_evals, rd_evals / rc_evals);
+    run.claim(de.0.min(de.1) >= 50.0, "DE needs >= 50x COBYLA's evals", de);
+    run.text(out)
 }

@@ -7,19 +7,18 @@
 //!      queue is unstable -> plateau at 0),
 //!   3. second relaxation via the penalized M/D/c estimate (finite and
 //!      strictly decreasing everywhere -> no plateau).
-//!
-//! Usage: `cargo run --release -p faro-bench --bin fig06_relaxation`
 
+use crate::Run;
 use faro_core::utility::{step_utility, RelaxedUtility};
 use faro_queueing::{mdc, RelaxedLatency};
 
-fn main() {
+pub fn run() -> Run {
     let (p, slo, k, n) = (0.180, 0.720, 0.99, faro_queueing::ReplicaCount::new(4));
     let u = RelaxedUtility::default();
     let rel = RelaxedLatency::default();
-    println!("one job: p = 180 ms, SLO = 720 ms @ p99, {n} replicas");
-    println!(
-        "{:>10} {:>9} {:>13} {:>13}",
+    let mut out = format!("one job: p = 180 ms, SLO = 720 ms @ p99, {n} replicas\n");
+    out += &format!(
+        "{:>10} {:>9} {:>13} {:>13}\n",
         "req/s", "precise", "inverse-only", "fully-relaxed"
     );
     let mut rows = Vec::new();
@@ -30,7 +29,7 @@ fn main() {
         let inverse_only = u.value(raw_latency, slo);
         let relaxed_latency = rel.latency(k, p, lambda, n).expect("finite");
         let fully = u.value(relaxed_latency, slo);
-        println!("{lambda:>10.1} {precise:>9.3} {inverse_only:>13.4} {fully:>13.6}");
+        out += &format!("{lambda:>10.1} {precise:>9.3} {inverse_only:>13.4} {fully:>13.6}\n");
         rows.push((precise, inverse_only, fully));
     }
     // Plateau check: count distinct consecutive values in the overload
@@ -41,11 +40,23 @@ fn main() {
             .filter(|w| (pick(&w[0]) - pick(&w[1])).abs() < 1e-12)
             .count()
     };
-    println!(
-        "\nflat (plateau) steps in overload region: precise {}, inverse-only {}, fully-relaxed {}",
-        flat(|r| r.0),
-        flat(|r| r.1),
-        flat(|r| r.2)
+    let (precise, inverse, fully) = (flat(|r| r.0), flat(|r| r.1), flat(|r| r.2));
+    out += &format!("\nflat (plateau) steps in overload region: precise {precise}, inverse-only {inverse}, fully-relaxed {fully}\n"
     );
-    println!("only the fully-relaxed objective keeps a non-zero slope everywhere (paper Fig. 6)");
+    out += "only the fully-relaxed objective keeps a non-zero slope everywhere (paper Fig. 6)\n";
+
+    let steps = tail.len() - 1;
+    let mut run = Run::default();
+    let flat = (precise, inverse);
+    run.claim(
+        flat == (steps, steps),
+        "precise, inverse-only flat throughout",
+        flat,
+    );
+    run.claim(
+        fully == 0,
+        "fully-relaxed objective has no flat step",
+        fully,
+    );
+    run.text(out)
 }

@@ -1,13 +1,13 @@
-//! Figure 7: hierarchical optimization. (a) solve time against the job
-//! count for group counts G; (b) objective value of the grouped solve
-//! normalized to the flat (G = jobs) solve.
+//! Figure 7: hierarchical optimization. (a) solver work against the
+//! job count for group counts G (solve times go to stderr); (b)
+//! objective value of the grouped solve normalized to the flat
+//! (G = jobs) solve.
 //!
 //! Paper: a few groups speed up the flat solve by up to 64x; with > 50
 //! jobs grouping even *improves* utility slightly, while below ~50 jobs
 //! the aggregation loses a little. Faro defaults to G = 10.
-//!
-//! Usage: `cargo run --release -p faro-bench --bin fig07_hierarchical`
 
+use crate::Run;
 use faro_bench::prelude::*;
 use faro_core::hierarchical::solve_hierarchical;
 use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
@@ -31,11 +31,13 @@ fn jobs_from(set: &WorkloadSet, minute: usize) -> Vec<JobWorkload> {
         .collect()
 }
 
-fn main() {
+pub fn run() -> Run {
     let solver = Cobyla::fast();
-    println!(
-        "{:>6} {:>4} {:>12} {:>10} {:>14} {:>12}",
-        "jobs", "G", "time_ms", "evals", "objective", "normalized"
+    let mut out = String::new();
+    let mut run = Run::default();
+    out += &format!(
+        "{:>6} {:>4} {:>10} {:>14} {:>12}\n",
+        "jobs", "G", "evals", "objective", "normalized"
     );
     for n_jobs in [10usize, 20, 50, 100] {
         let set = WorkloadSet::n_jobs(n_jobs, 11, 1600.0);
@@ -59,17 +61,19 @@ fn main() {
         let flat_xs = flat_problem.integerize(&flat);
         let flat_obj = flat_problem.cluster_value_integer(&flat_xs, &flat.drop_rates);
         let flat_ms = start.elapsed().as_secs_f64() * 1e3;
-        println!(
-            "{n_jobs:>6} {:>4} {flat_ms:>12.1} {:>10} {flat_obj:>14.3} {:>12.3}",
+        eprintln!("  {n_jobs:>6} {:>4} {flat_ms:>12.1} ms", "flat");
+        out += &format!(
+            "{n_jobs:>6} {:>4} {:>10} {flat_obj:>14.3} {:>12.3}\n",
             "flat", flat.evals, 1.0
         );
 
+        let mut grouped = Vec::new();
         for groups in [1usize, 2, 5, 10, 20] {
             if groups >= n_jobs {
                 continue;
             }
             let start = Instant::now();
-            let out = solve_hierarchical(
+            let out_g = solve_hierarchical(
                 &jobs,
                 resources.clone(),
                 ClusterObjective::Sum,
@@ -83,14 +87,34 @@ fn main() {
             let ms = start.elapsed().as_secs_f64() * 1e3;
             // Score the grouped allocation with the flat problem for an
             // apples-to-apples objective.
-            let obj = flat_problem.cluster_value_integer(&out.replicas, &out.drop_rates);
-            println!(
-                "{n_jobs:>6} {groups:>4} {ms:>12.1} {:>10} {obj:>14.3} {:>12.3}",
-                out.evals,
-                obj / flat_obj.max(1e-9)
+            let obj = flat_problem.cluster_value_integer(&out_g.replicas, &out_g.drop_rates);
+            let normalized = obj / flat_obj.max(1e-9);
+            eprintln!("  {n_jobs:>6} {groups:>4} {ms:>12.1} ms");
+            out += &format!(
+                "{n_jobs:>6} {groups:>4} {:>10} {obj:>14.3} {normalized:>12.3}\n",
+                out_g.evals
+            );
+            grouped.push((out_g.evals, normalized));
+        }
+        out.push('\n');
+        if n_jobs == 100 {
+            let most = grouped.iter().map(|g| g.0).max().unwrap_or(0);
+            let evals = (most, flat.evals);
+            run.claim(
+                evals.0 < evals.1,
+                "at 100 jobs every G beats flat's evals",
+                evals,
             );
         }
-        println!();
+        if n_jobs == 50 {
+            let best = grouped.iter().map(|g| g.1).fold(0.0, f64::max);
+            run.claim(
+                best >= 1.0,
+                "at 50 jobs some G reaches >= 1.0 normalized",
+                best,
+            );
+        }
     }
-    println!("expect: grouped solves are much faster; normalized objective near 1 (paper Fig. 7)");
+    out += "expect: grouped solves are much faster; normalized objective near 1 (paper Fig. 7)\n";
+    run.text(out)
 }

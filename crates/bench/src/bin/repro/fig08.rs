@@ -5,15 +5,14 @@
 //! view of the point prediction (Fig. 8b's blue line), and the
 //! probabilistic band (min-max, 20-80th, 30-70th percentiles of 100
 //! samples; Fig. 8c), plus coverage statistics.
-//!
-//! Usage: `cargo run --release -p faro-bench --bin fig08_prediction`
 
+use crate::Run;
 use faro_forecast::nhits::{NHits, NHitsConfig};
 use faro_forecast::{rmse, Forecaster, ProbForecaster};
 use faro_trace::generator::{TraceKind, TraceSpec};
 use rand::prelude::*;
 
-fn main() {
+pub fn run() -> Run {
     let spec = TraceSpec {
         kind: TraceKind::AzureLike,
         seed: 8,
@@ -47,8 +46,8 @@ fn main() {
         v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         v[((v.len() - 1) as f64 * q).round() as usize]
     };
-    println!(
-        "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+    let mut out = format!(
+        "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
         "step", "truth", "point", "min", "p20", "p80", "max", "covered"
     );
     let mut covered = 0;
@@ -56,8 +55,8 @@ fn main() {
         let (lo, hi) = (q(k, 0.0), q(k, 1.0));
         let inside = (lo..=hi).contains(&truth[k]);
         covered += usize::from(inside);
-        println!(
-            "{k:>5} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9}",
+        out += &format!(
+            "{k:>5} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9.0} {:>9}\n",
             truth[k],
             point[k],
             lo,
@@ -69,18 +68,29 @@ fn main() {
     }
     let peak_truth = truth.iter().cloned().fold(0.0f64, f64::max);
     let peak_point = point.iter().cloned().fold(0.0f64, f64::max);
-    println!(
-        "\npoint RMSE on this window: {:.1} req/min",
+    out += &format!(
+        "\npoint RMSE on this window: {:.1} req/min\n",
         rmse(&point, truth)
     );
-    println!(
-        "ground-truth max {:.0} vs point-predicted max {:.0} ({:.2}x underestimate)",
+    out += &format!(
+        "ground-truth max {:.0} vs point-predicted max {:.0} ({:.2}x underestimate)\n",
         peak_truth,
         peak_point,
         peak_truth / peak_point.max(1.0)
     );
-    println!(
+    out += &format!(
         "min-max sample band covers {covered}/{horizon} steps \
-         (paper Fig. 8: the band, not the point forecast, captures fluctuation)"
+         (paper Fig. 8: the band, not the point forecast, captures fluctuation)\n"
     );
+
+    let mut run = Run::default();
+    let ok = 10 * covered >= 9 * horizon;
+    run.claim(ok, "min-max band covers >= 90% of steps", covered);
+    let peaks = (peak_point, peak_truth);
+    run.claim(
+        peaks.0 < peaks.1,
+        "point forecast underestimates the peak",
+        peaks,
+    );
+    run.text(out)
 }

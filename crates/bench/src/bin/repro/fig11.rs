@@ -1,20 +1,12 @@
 //! Figure 11: timeline of cluster utility (max 10) with the total
 //! workload below it, for Faro-FairSum and the baselines at 32
 //! replicas.
-//!
-//! Usage: `cargo run --release -p faro-bench --bin fig11_timeline`
-//! (FARO_QUICK=1 for a shorter trace).
 
+use crate::Run;
 use faro_bench::prelude::*;
-fn main() {
-    let quick = quick_mode();
-    let set = if quick {
-        WorkloadSet::paper_ten_jobs(42).truncated_eval(120)
-    } else {
-        WorkloadSet::paper_ten_jobs(42)
-    };
-    eprintln!("training predictors...");
-    let trained = set.train_predictors(7);
+
+pub fn run() -> Run {
+    let (set, trained) = crate::trained(WorkloadSet::paper_ten_jobs(42));
     let gamma = ClusterObjective::recommended_gamma(set.len());
     let spec = ExperimentSpec::new(
         PolicyKind::baselines_plus(ClusterObjective::FairSum { gamma }),
@@ -34,19 +26,31 @@ fn main() {
         })
         .collect();
 
-    print!("{:>7} {:>10}", "minute", "req/min");
+    let mut out = format!("{:>7} {:>10}", "minute", "req/min");
     for r in &results {
-        print!(" {:>22}", r.policy);
+        out += &format!(" {:>22}", r.policy);
     }
-    println!();
+    out.push('\n');
     for m in (0..minutes).step_by(5) {
-        print!("{m:>7} {:>10.0}", total_load[m]);
+        out += &format!("{m:>7} {:>10.0}", total_load[m]);
         for r in &results {
             let s = &r.reports[0].cluster_utility_per_minute;
             let w = &s[m..(m + 5).min(s.len())];
-            print!(" {:>22.2}", w.iter().sum::<f64>() / w.len() as f64);
+            out += &format!(" {:>22.2}", w.iter().sum::<f64>() / w.len() as f64);
         }
-        println!();
+        out.push('\n');
     }
-    println!("\nexpect: Faro holds utility at/near 10 longest and recovers fastest after spikes");
+    out += "\nexpect: Faro holds utility at/near 10 longest and recovers fastest after spikes\n";
+
+    let mut run = Run::default();
+    let mean = |r: &PolicyResult| {
+        let s = &r.reports[0].cluster_utility_per_minute;
+        s.iter().sum::<f64>() / s.len() as f64
+    };
+    let faro = mean(&results[0]);
+    for b in &results[1..] {
+        let claim = format!("Faro's mean timeline utility beats {}'s", b.policy);
+        run.claim(faro > mean(b), &claim, (faro, mean(b)));
+    }
+    run.text(out)
 }

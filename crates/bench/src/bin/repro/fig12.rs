@@ -6,35 +6,31 @@
 //! FairShare is counterintuitively unfair, Oneshot lets one job starve
 //! the rest, Mark is unfair when slightly oversubscribed, and the
 //! Faro-*Fair* variants have the tightest boxes.
-//!
-//! Usage: `cargo run --release -p faro-bench --bin fig12_fairness`
 
+use crate::Run;
 use faro_bench::prelude::*;
+
 fn five_number(mut v: Vec<f64>) -> (f64, f64, f64, f64, f64) {
     v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let q = |f: f64| v[((v.len() - 1) as f64 * f).round() as usize];
     (q(0.0), q(0.25), q(0.5), q(0.75), q(1.0))
 }
 
-fn main() {
-    let quick = quick_mode();
-    let set = if quick {
-        WorkloadSet::paper_ten_jobs(42).truncated_eval(120)
-    } else {
-        WorkloadSet::paper_ten_jobs(42)
-    };
-    eprintln!("training predictors...");
-    let trained = set.train_predictors(7);
-    let spec = ExperimentSpec::new(PolicyKind::standard_nine(set.len()), vec![36, 32, 16])
-        .with_trials(if quick { 1 } else { 3 });
+pub fn run() -> Run {
+    let (set, trained) = crate::trained(WorkloadSet::paper_ten_jobs(42));
+    let spec =
+        ExperimentSpec::new(PolicyKind::standard_nine(set.len()), vec![36, 32, 16]).with_trials(3);
     let results = run_matrix(&spec, &set, Some(&trained));
 
+    let mut out = String::new();
+    let mut run = Run::default();
     for &size in &[36u32, 32, 16] {
-        println!("=== cluster size {size}: per-job lost utility ===");
-        println!(
-            "{:<24} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        out += &format!("=== cluster size {size}: per-job lost utility ===\n");
+        out += &format!(
+            "{:<24} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}\n",
             "policy", "min", "p25", "median", "p75", "max", "spread"
         );
+        let mut spreads = Vec::new();
         for r in results.iter().filter(|r| r.cluster_size == size) {
             // Per-job lost utility averaged across trials.
             let n_jobs = r.reports[0].jobs.len();
@@ -48,13 +44,22 @@ fn main() {
                 })
                 .collect();
             let (min, p25, med, p75, max) = five_number(per_job);
-            println!(
-                "{:<24} {min:>8.3} {p25:>8.3} {med:>8.3} {p75:>8.3} {max:>8.3} {:>8.3}",
+            out += &format!(
+                "{:<24} {min:>8.3} {p25:>8.3} {med:>8.3} {p75:>8.3} {max:>8.3} {:>8.3}\n",
                 r.policy,
                 max - min
             );
+            spreads.push((r.policy == "FairShare", max - min));
         }
-        println!();
+        out.push('\n');
+        if size != 16 {
+            let widest = |fs: bool| spreads.iter().filter(move |s| s.0 == fs).map(|s| s.1);
+            let fs = widest(true).fold(0.0, f64::max);
+            let next = widest(false).fold(0.0, f64::max);
+            let claim = format!("at {size} replicas FairShare's spread is the widest");
+            run.claim(fs > next, &claim, (fs, next));
+        }
     }
-    println!("tighter spread = fairer (paper Fig. 12)");
+    out += "tighter spread = fairer (paper Fig. 12)\n";
+    run.text(out)
 }

@@ -3,7 +3,7 @@
 //!
 //! The cluster holds a fixed pool of fast GPU replica slots and a
 //! sweep-dependent pool of cheap CPU-only slots that serve every
-//! request 3x slower. Tight-SLO jobs only meet their latency target on
+//! request 5x slower. Tight-SLO jobs only meet their latency target on
 //! the fast class (or a fast-heavy mix); loose-SLO jobs have enough
 //! slack to live entirely on the slow class. A class-aware allocator
 //! should therefore push the loose jobs onto CPUs and reserve the
@@ -16,12 +16,10 @@
 //! adversarial placement for a class-blind policy and the natural one
 //! for a cluster operator who onboarded the batch-ish services first.
 //!
-//! Usage: `cargo run --release --bin hetero_mixed` (FARO_QUICK=1 for a
-//! shorter trace; FARO_HETERO_GATE=1 exits non-zero unless Faro's SLO
-//! attainment is at least the best class-blind baseline's on >= 2
-//! ratios — the CI hetero-smoke gate). Appends one entry to
-//! `BENCH_perf.json` labelled via FARO_BENCH_LABEL.
+//! Claimed: Faro's SLO attainment is at least the best class-blind
+//! baseline's on >= 2 of the 4 ratios.
 
+use crate::Run;
 use faro_bench::prelude::*;
 use faro_core::admission::ClampToQuota;
 use faro_core::baselines::{Aiad, Oneshot};
@@ -144,41 +142,30 @@ fn run_cell(
     }
 }
 
-fn main() {
-    let quick = quick_mode();
-    let minutes = if quick { 12 } else { 40 };
+pub fn run() -> Run {
+    let minutes = 40;
     // Fixed total slot count, sweeping how much of it is fast silicon.
     let ratios: &[(u32, u32)] = &[(12, 8), (8, 12), (6, 14), (4, 16)];
 
-    println!(
-        "=== hetero_mixed: GPU:CPU ratio sweep ({CPU_SLOWDOWN}x CPU slowdown, {minutes} min) ==="
+    let mut out = format!(
+        "=== hetero_mixed: GPU:CPU ratio sweep ({CPU_SLOWDOWN}x CPU slowdown, {minutes} min) ===\n"
     );
-    println!("3 loose jobs (4 s SLO) first, 2 tight jobs (0.4 s SLO) last; class-blind");
-    println!("policies are placed by spill-fill, Faro places per class.\n");
+    out += "3 loose jobs (4 s SLO) first, 2 tight jobs (0.4 s SLO) last; class-blind\n";
+    out += "policies are placed by spill-fill, Faro places per class.\n\n";
 
     let mut faro_wins = 0usize;
-    let mut rows = Vec::new();
     for &(gpus, cpu_slots) in ratios {
-        let n = jobs(minutes).len();
-        let cells = vec![
-            run_cell("Faro-Sum", faro_policy(n), gpus, cpu_slots, minutes),
-            run_cell("FairShare", Box::new(FairShare), gpus, cpu_slots, minutes),
-            run_cell(
-                "Oneshot",
-                Box::new(Oneshot::default()),
-                gpus,
-                cpu_slots,
-                minutes,
-            ),
-            run_cell("AIAD", Box::new(Aiad::default()), gpus, cpu_slots, minutes),
-            run_cell(
-                "Cilantro-like",
-                Box::new(CilantroLike::default()),
-                gpus,
-                cpu_slots,
-                minutes,
-            ),
+        let policies: [(&str, Box<dyn Policy>); 5] = [
+            ("Faro-Sum", faro_policy(jobs(minutes).len())),
+            ("FairShare", Box::new(FairShare)),
+            ("Oneshot", Box::new(Oneshot::default())),
+            ("AIAD", Box::new(Aiad::default())),
+            ("Cilantro-like", Box::new(CilantroLike::default())),
         ];
+        let cells: Vec<Cell> = policies
+            .into_iter()
+            .map(|(name, policy)| run_cell(name, policy, gpus, cpu_slots, minutes))
+            .collect();
         let faro = cells[0].attainment;
         let best_blind = cells[1..]
             .iter()
@@ -187,61 +174,29 @@ fn main() {
         if faro >= best_blind {
             faro_wins += 1;
         }
-        println!("--- {gpus} GPU : {cpu_slots} CPU slots ---");
-        println!(
-            "{:<16} {:>12} {:>14}",
+        out += &format!("--- {gpus} GPU : {cpu_slots} CPU slots ---\n");
+        out += &format!(
+            "{:<16} {:>12} {:>14}\n",
             "policy", "attainment", "eff. utility"
         );
         for c in &cells {
-            println!(
-                "{:<16} {:>12.4} {:>14.4}",
+            out += &format!(
+                "{:<16} {:>12.4} {:>14.4}\n",
                 c.policy, c.attainment, c.effective_utility
             );
         }
-        println!();
-        rows.push((gpus, cpu_slots, cells));
+        out.push('\n');
     }
 
-    println!(
-        "Faro >= best class-blind baseline on {faro_wins}/{} ratios",
+    out += &format!(
+        "Faro >= best class-blind baseline on {faro_wins}/{} ratios\n",
         ratios.len()
     );
-
-    let label = std::env::var("FARO_BENCH_LABEL").unwrap_or_else(|_| "dev".to_string());
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let row_json: Vec<String> = rows
-        .iter()
-        .map(|(g, c, cells)| {
-            let cell_json: Vec<String> = cells
-                .iter()
-                .map(|cell| {
-                    format!(
-                        "{{\"policy\":\"{}\",\"attainment\":{},\"effective_utility\":{}}}",
-                        cell.policy, cell.attainment, cell.effective_utility
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"gpus\":{g},\"cpu_slots\":{c},\"cells\":[{}]}}",
-                cell_json.join(",")
-            )
-        })
-        .collect();
-    let entry = format!(
-        "{{\"label\":\"{label}\",\"unix_time_secs\":{now},\"quick\":{quick},\"cpu_slowdown\":{CPU_SLOWDOWN},\"faro_wins\":{faro_wins},\"ratios\":{},\"rows\":[{}]}}",
-        ratios.len(),
-        row_json.join(",")
+    let mut run = Run::default();
+    run.claim(
+        faro_wins >= 2,
+        "Faro >= the best baseline on >= 2 ratios",
+        faro_wins,
     );
-    let path = std::env::var("FARO_BENCH_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json").into());
-    append_bench_entry(&path, &entry).expect("BENCH_perf.json is writable");
-    eprintln!("appended entry to {path}");
-
-    if std::env::var("FARO_HETERO_GATE").is_ok() && faro_wins < 2 {
-        eprintln!("hetero gate FAILED: Faro beat the class-blind field on only {faro_wins} ratios");
-        std::process::exit(1);
-    }
+    run.text(out)
 }

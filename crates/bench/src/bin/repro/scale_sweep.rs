@@ -1,27 +1,21 @@
 //! Scale sweep: global vs sharded solve at 100 / 1,000 / 5,000 jobs.
 //!
-//! ROADMAP item 1 made measurable: synthesized workloads at millions of
-//! requests per minute aggregate, solved by (a) the global path the
-//! autoscaler uses today (flat below 50 jobs, hierarchical above) and
-//! (b) the sharded incremental path (`faro_core::sharded`), over one
-//! cold round plus a sequence of warm rounds where most jobs drift
-//! within the dirty epsilon and a small set takes a persistent step
-//! change. The global path re-solves the whole cluster every round; the
-//! sharded path re-solves only the dirty shards.
+//! Synthesized workloads at millions of requests per minute aggregate,
+//! solved by (a) the global path the autoscaler uses today (flat below
+//! 50 jobs, hierarchical above) and (b) the sharded incremental path
+//! (`faro_core::sharded`), over one cold round plus a sequence of warm
+//! rounds where most jobs drift within the dirty epsilon and a small
+//! set takes a persistent step change. The global path re-solves the
+//! whole cluster every round; the sharded path re-solves only the dirty
+//! shards.
 //!
-//! Reports per-row solve times, the warm-round speedup, the utility gap
-//! against a common flat referee, and predicted SLO attainment; writes
-//! `results/scale_sweep.txt` + `results/scale_sweep_curves.json` and
-//! appends a `pr7-sharded-solver` entry to `BENCH_perf.json`.
-//!
-//! Usage: `cargo run --release -p faro-bench --bin scale_sweep`
-//!   FARO_QUICK=1        40/100-job rows, fewer warm rounds (CI smoke)
-//!   FARO_BENCH_LABEL=x  entry label (default "pr7-sharded-solver")
-//!   FARO_BENCH_OUT=path output file (default `BENCH_perf.json` at the repo root)
-//!
-//! The sharded/global utility gap is asserted under threshold at every
-//! row — CI's `scale-smoke` job runs this binary for exactly that gate.
+//! Prints the utility gap against a common flat referee and predicted
+//! SLO attainment; the solve times and the warm-round speedup go to
+//! stderr. Claimed: the sharded gap stays under [`GAP_THRESHOLD_PCT`]
+//! at every size, and at 5,000 jobs every warm sharded round finishes
+//! inside the 10 s reactive tick (the one wall-time check in `repro`).
 
+use crate::Run;
 use faro_bench::prelude::*;
 use faro_core::hierarchical::solve_hierarchical;
 use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
@@ -30,42 +24,24 @@ use faro_core::sharded::{ShardConfig, ShardedSolver};
 use faro_core::types::{ResourceModel, Slo};
 use faro_core::units::ReplicaCount;
 use faro_solver::Cobyla;
-use serde::Serialize;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Sharded/global utility-gap gate, in percent (paper Sec. 3.4 reports
 /// ~2% for the grouped solve; the sharded split stays in that family).
 const GAP_THRESHOLD_PCT: f64 = 3.0;
 
-/// Per-job-count result row.
-#[derive(Debug, Serialize)]
+/// The reactive tick a warm sharded round must fit in, in milliseconds.
+const TICK_MS: f64 = 10_000.0;
+
+/// Per-job-count result row (its solve times go to stderr).
 struct ScaleRow {
     jobs: usize,
     shards: usize,
     quota: u32,
-    aggregate_req_per_min: f64, // faro-lint: allow(raw-time-arith): serialized wire format
-    global_cold_ms: f64,        // faro-lint: allow(raw-time-arith): serialized wire format
-    global_warm_ms: f64,        // faro-lint: allow(raw-time-arith): serialized wire format
-    sharded_cold_ms: f64,       // faro-lint: allow(raw-time-arith): serialized wire format
-    sharded_warm_ms: f64,       // faro-lint: allow(raw-time-arith): serialized wire format
-    warm_speedup: f64,
+    sharded_warm_max_ms: f64, // faro-lint: allow(raw-time-arith): wall time, checked
     utility_gap_pct: f64,
     global_attainment: f64,
     sharded_attainment: f64,
-    warm_shards_solved_mean: f64,
-    warm_cache_hit_jobs_mean: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct ScaleEntry {
-    label: String,
-    unix_time_secs: u64,
-    quick: bool,
-    headline_jobs: usize,
-    headline_warm_speedup: f64,
-    headline_utility_gap_pct: f64,
-    rows: Vec<ScaleRow>,
 }
 
 /// Synthesized workload: per-job base rate in [10, 50) req/s with a
@@ -239,8 +215,6 @@ fn run_row(n: usize, warm_rounds: usize, seed: u64) -> ScaleRow {
     let mut current = vec![1u32; n];
     let mut sharded_times = Vec::new();
     let mut sharded_final = Vec::new();
-    let mut warm_solved = Vec::new();
-    let mut warm_hits = Vec::new();
     for (r, jobs) in schedule.iter().enumerate() {
         let start = Instant::now();
         let out = sharded
@@ -258,10 +232,6 @@ fn run_row(n: usize, warm_rounds: usize, seed: u64) -> ScaleRow {
             "  sharded round {r}: {:.0} ms ({} of {} shards solved, {} cached jobs)",
             sharded_times[r], out.record.solved, out.record.shards, out.record.cache_hit_jobs
         );
-        if r > 0 {
-            warm_solved.push(f64::from(out.record.solved));
-            warm_hits.push(f64::from(out.record.cache_hit_jobs));
-        }
         current = out.replicas.clone();
         sharded_final = out.replicas;
     }
@@ -280,129 +250,49 @@ fn run_row(n: usize, warm_rounds: usize, seed: u64) -> ScaleRow {
     let s_obj = referee.cluster_value_integer(&sharded_final, &zero_drops);
     let utility_gap_pct = 100.0 * (g_obj - s_obj) / g_obj.abs().max(1e-9);
 
-    let global_warm_ms = mean_ms(&global_times[1..]);
-    let sharded_warm_ms = mean_ms(&sharded_times[1..]);
+    let (global_warm, sharded_warm) = (mean_ms(&global_times[1..]), mean_ms(&sharded_times[1..]));
+    eprintln!(
+        "[{n} jobs] cold / warm ms: global {:.1} / {global_warm:.1}, sharded {:.1} / {sharded_warm:.1}; warm speedup {:.1}x",
+        global_times[0],
+        sharded_times[0],
+        global_warm / sharded_warm.max(1e-9)
+    );
     ScaleRow {
         jobs: n,
         shards,
         quota,
-        aggregate_req_per_min,
-        global_cold_ms: global_times[0],
-        global_warm_ms,
-        sharded_cold_ms: sharded_times[0],
-        sharded_warm_ms,
-        warm_speedup: global_warm_ms / sharded_warm_ms.max(1e-9),
+        sharded_warm_max_ms: sharded_times[1..].iter().cloned().fold(0.0, f64::max),
         utility_gap_pct,
         global_attainment: attainment(&referee, &global_final),
         sharded_attainment: attainment(&referee, &sharded_final),
-        warm_shards_solved_mean: mean_ms(&warm_solved),
-        warm_cache_hit_jobs_mean: mean_ms(&warm_hits),
     }
 }
 
-fn main() {
-    let quick = quick_mode();
-    let label =
-        std::env::var("FARO_BENCH_LABEL").unwrap_or_else(|_| "pr7-sharded-solver".to_string());
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
-    let path = std::env::var("FARO_BENCH_OUT").unwrap_or_else(|_| default_path.to_string());
+pub fn run() -> Run {
     let seed = 42;
-
     // (jobs, warm rounds): the 5,000-job row keeps fewer warm rounds to
     // bound the global baseline's wall-clock, not the sharded path's.
-    let plan: Vec<(usize, usize)> = if quick {
-        vec![(40, 3), (100, 3)]
-    } else {
-        vec![(100, 6), (1000, 6), (5000, 3)]
-    };
-    let rows: Vec<ScaleRow> = plan
-        .iter()
-        .map(|&(n, warm)| run_row(n, warm, seed))
-        .collect();
+    let plan = [(100, 6), (1000, 6), (5000, 3)];
+    let rows: Vec<ScaleRow> = plan.map(|(n, warm)| run_row(n, warm, seed)).into();
 
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "scale sweep: global vs sharded long-term solve (seed {seed}, quick={quick})"
+    let mut text = format!("scale sweep: global vs sharded long-term solve (seed {seed})\n");
+    text += &format!(
+        "{:<7} {:>7} {:>7} {:>8} {:>10} {:>10}\n",
+        "jobs", "shards", "quota", "gap_pct", "glob_slo", "shard_slo"
     );
-    let _ = writeln!(
-        text,
-        "{:<7} {:>7} {:>7} {:>13} {:>13} {:>14} {:>14} {:>9} {:>8} {:>10} {:>10}",
-        "jobs",
-        "shards",
-        "quota",
-        "glob_cold_ms",
-        "glob_warm_ms",
-        "shard_cold_ms",
-        "shard_warm_ms",
-        "speedup",
-        "gap_pct",
-        "glob_slo",
-        "shard_slo"
-    );
+    let mut run = Run::default();
     for r in &rows {
-        let _ = writeln!(
-            text,
-            "{:<7} {:>7} {:>7} {:>13.1} {:>13.1} {:>14.1} {:>14.1} {:>8.1}x {:>8.2} {:>10.3} {:>10.3}",
-            r.jobs,
-            r.shards,
-            r.quota,
-            r.global_cold_ms,
-            r.global_warm_ms,
-            r.sharded_cold_ms,
-            r.sharded_warm_ms,
-            r.warm_speedup,
-            r.utility_gap_pct,
-            r.global_attainment,
-            r.sharded_attainment
+        text += &format!(
+            "{:<7} {:>7} {:>7} {:>8.2} {:>10.3} {:>10.3}\n",
+            r.jobs, r.shards, r.quota, r.utility_gap_pct, r.global_attainment, r.sharded_attainment
         );
+        let (gap, warm) = (r.utility_gap_pct, r.sharded_warm_max_ms);
+        let claim = format!("sharded gap <= {GAP_THRESHOLD_PCT}% at {} jobs", r.jobs);
+        run.claim(gap <= GAP_THRESHOLD_PCT, &claim, gap);
+        if r.jobs == 5000 {
+            run.claim(warm < TICK_MS, "every warm round fits the 10 s tick", warm);
+        }
     }
-    let _ = writeln!(
-        text,
-        "\nwarm rounds: every job jitters within the 5% dirty epsilon; every third round\napplies a persistent 1.3x step to ~0.5% of jobs. The global path re-solves the\nwhole cluster each round; the sharded path re-solves only the dirty shards."
-    );
-    print!("{text}");
-
-    // The gap gate CI's scale-smoke job relies on.
-    for r in &rows {
-        assert!(
-            r.utility_gap_pct <= GAP_THRESHOLD_PCT,
-            "sharded utility gap {:.2}% at {} jobs exceeds {GAP_THRESHOLD_PCT}%",
-            r.utility_gap_pct,
-            r.jobs
-        );
-    }
-
-    let headline = rows
-        .iter()
-        .find(|r| r.jobs == 1000)
-        .or_else(|| rows.last())
-        .expect("at least one row");
-    let entry = ScaleEntry {
-        label,
-        unix_time_secs: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        quick,
-        headline_jobs: headline.jobs,
-        headline_warm_speedup: headline.warm_speedup,
-        headline_utility_gap_pct: headline.utility_gap_pct,
-        rows,
-    };
-    let json = serde_json::to_string(&entry).expect("entry serializes");
-    if !quick {
-        std::fs::write("results/scale_sweep.txt", &text).expect("write text report");
-        std::fs::write(
-            "results/scale_sweep_curves.json",
-            serde_json::to_string_pretty(&entry).expect("entry serializes") + "\n",
-        )
-        .expect("write curves json");
-        append_bench_entry(&path, &json).expect("BENCH_perf.json is writable");
-        eprintln!("wrote results/scale_sweep.txt, results/scale_sweep_curves.json");
-        eprintln!("appended entry to {path}");
-    } else {
-        eprintln!("FARO_QUICK=1: gap gate passed, skipping results/ and BENCH writes");
-    }
-    println!("{json}");
+    text += "\nwarm rounds: every job jitters within the 5% dirty epsilon; every third round\napplies a persistent 1.3x step to ~0.5% of jobs. The global path re-solves the\nwhole cluster each round; the sharded path re-solves only the dirty shards.\n";
+    run.text(text)
 }

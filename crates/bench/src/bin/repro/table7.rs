@@ -7,9 +7,8 @@
 //! comparison structure of the paper's Table 7: do the two imperfectly
 //! matched environments agree on policy utilities (~10%) and rankings
 //! (Kendall-Tau near 0)?
-//!
-//! Usage: `cargo run --release -p faro-bench --bin table7_matched`
 
+use crate::Run;
 use faro_bench::prelude::*;
 use faro_metrics::kendall_tau_distance;
 
@@ -23,17 +22,10 @@ fn ranked(results: &[PolicyResult], size: u32) -> Vec<(String, f64, f64)> {
     rows
 }
 
-fn main() {
-    let quick = quick_mode();
-    let set = if quick {
-        WorkloadSet::paper_ten_jobs(42).truncated_eval(120)
-    } else {
-        WorkloadSet::paper_ten_jobs(42)
-    };
-    eprintln!("training predictors...");
-    let trained = set.train_predictors(7);
+pub fn run() -> Run {
+    let (set, trained) = crate::trained(WorkloadSet::paper_ten_jobs(42));
     let sizes = vec![36u32, 32, 16];
-    let trials = if quick { 1 } else { 3 };
+    let trials = 3;
 
     // Clean "simulation" environment.
     let sim_spec = ExperimentSpec::new(PolicyKind::standard_nine(set.len()), sizes.clone())
@@ -52,17 +44,19 @@ fn main() {
     cluster_spec.trials = (100..100 + trials as u64).collect();
     let cluster_results = run_matrix(&cluster_spec, &set, Some(&trained));
 
+    let mut out = String::new();
+    let mut run = Run::default();
     for (&size, label) in sizes.iter().zip(["RS", "SO", "HO"]) {
-        println!("=== {label} (cluster size {size}) ===");
+        out += &format!("=== {label} (cluster size {size}) ===\n");
         let cl = ranked(&cluster_results, size);
         let si = ranked(&sim_results, size);
-        println!("{:<12} rank 1 -> 9: policy (lost utility, sd)", "env");
+        out += &format!("{:<12} rank 1 -> 9: policy (lost utility, sd)\n", "env");
         for (label, rows) in [("cluster*", &cl), ("simulation", &si)] {
             let line: Vec<String> = rows
                 .iter()
                 .map(|(p, m, sd)| format!("{p} ({m:.2},{sd:.2})"))
                 .collect();
-            println!("{label:<12} {}", line.join(" | "));
+            out += &format!("{label:<12} {}\n", line.join(" | "));
         }
         let cl_names: Vec<&String> = cl.iter().map(|r| &r.0).collect();
         let si_names: Vec<&String> = si.iter().map(|r| &r.0).collect();
@@ -80,10 +74,13 @@ fn main() {
             })
             .sum::<f64>()
             / cl.len() as f64;
-        println!(
-            "Kendall-Tau distance: {tau:.3}   mean relative utility difference: {:.1}%\n",
+        out += &format!(
+            "Kendall-Tau distance: {tau:.3}   mean relative utility difference: {:.1}%\n\n",
             100.0 * diff
         );
+        let claim = format!("{label}: Kendall-Tau <= 0.12, utility difference < 10%");
+        run.claim(tau <= 0.12 && diff < 0.10, &claim, (tau, diff));
     }
-    println!("paper: Kendall-Tau 0 at SO and HO, 0.083 at RS; 9.6% average utility difference");
+    out += "paper: Kendall-Tau 0 at SO and HO, 0.083 at RS; 9.6% average utility difference\n";
+    run.text(out)
 }

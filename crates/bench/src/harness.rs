@@ -34,7 +34,7 @@ impl ExperimentSpec {
         }
     }
 
-    /// Reduces trials (quick runs honouring `FARO_QUICK=1`).
+    /// Sets the number of trials (seeds `0..n`).
     pub fn with_trials(mut self, n: usize) -> Self {
         self.trials = (0..n as u64).collect();
         self
@@ -207,35 +207,6 @@ pub fn summarize(results: &[PolicyResult]) -> String {
         ));
     }
     out
-}
-
-/// Appends one serialized entry to the JSON array in `path`,
-/// preserving any existing entries byte-for-byte (the vendored serde
-/// stub has no JSON parser, so this splices text). Used by the bins
-/// that record a row (`faro-trace`, `scale_sweep`, `chaos_resilience`,
-/// `hetero_mixed`) to grow `BENCH_perf.json`.
-///
-/// # Errors
-///
-/// Propagates the underlying filesystem write error.
-pub fn append_bench_entry(path: &str, entry_json: &str) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let trimmed = existing.trim_end();
-    let merged = match trimmed.strip_suffix(']') {
-        Some(body) if body.trim_end().ends_with('[') => {
-            format!("{}\n  {}\n]\n", body.trim_end(), entry_json)
-        }
-        Some(body) => format!("{},\n  {}\n]\n", body.trim_end(), entry_json),
-        None => format!("[\n  {}\n]\n", entry_json),
-    };
-    std::fs::write(path, merged)
-}
-
-/// Whether quick mode is requested via `FARO_QUICK=1`.
-pub fn quick_mode() -> bool {
-    std::env::var("FARO_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

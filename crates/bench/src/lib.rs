@@ -1,8 +1,8 @@
 //! Experiment harness reproducing the Faro paper's evaluation.
 //!
-//! Binaries under `src/bin/` regenerate every table and figure of the
-//! paper (see `DESIGN.md` for the index); this library holds the shared
-//! machinery:
+//! The `repro` binary (`src/bin/repro/`) regenerates every table and
+//! figure of the paper from one registry and checks its claims (see
+//! `DESIGN.md` for the index); this library holds the shared machinery:
 //!
 //! - [`workloads`]: the paper's 10-job workload set (9 Azure-like + 1
 //!   Twitter-like traces, days 1-10 train / day 11 eval, 4-minute
@@ -24,12 +24,11 @@ pub use harness::{run_matrix, summarize, ExperimentSpec, PolicyResult};
 pub use policies::PolicyKind;
 pub use workloads::WorkloadSet;
 
-/// The imports nearly every bench binary starts with, in one line:
+/// The imports nearly every experiment starts with, in one line:
 /// `use faro_bench::prelude::*;`.
 ///
 /// Covers the trial runner ([`ExperimentSpec`], [`run_matrix`],
-/// [`summarize`], [`quick_mode`](prelude::quick_mode)), policy and
-/// workload construction ([`PolicyKind`],
+/// [`summarize`]), policy and workload construction ([`PolicyKind`],
 /// [`Ablation`](crate::policies::Ablation), [`WorkloadSet`],
 /// [`ClusterObjective`](prelude::ClusterObjective),
 /// [`FairShare`](prelude::FairShare)), simulation entry points
@@ -37,9 +36,7 @@ pub use workloads::WorkloadSet;
 /// [`FaultPlan`](prelude::FaultPlan),
 /// [`RunOutcome`](faro_sim::RunOutcome)), and telemetry sinks.
 pub mod prelude {
-    pub use crate::harness::{
-        append_bench_entry, quick_mode, run_matrix, summarize, ExperimentSpec, PolicyResult,
-    };
+    pub use crate::harness::{run_matrix, summarize, ExperimentSpec, PolicyResult};
     pub use crate::policies::{Ablation, PolicyKind};
     pub use crate::workloads::WorkloadSet;
     pub use faro_core::baselines::FairShare;

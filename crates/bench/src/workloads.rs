@@ -89,7 +89,7 @@ impl WorkloadSet {
         set
     }
 
-    /// Truncates the evaluation series to at most `minutes` (quick runs).
+    /// Truncates the evaluation series to at most `minutes`.
     pub fn truncated_eval(mut self, minutes: usize) -> Self {
         for e in &mut self.eval {
             e.truncate(minutes);

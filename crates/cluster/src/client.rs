@@ -287,7 +287,8 @@ mod tests {
         let rogue = std::thread::spawn(move || {
             for _ in 0..2 {
                 let (mut conn, _) = listener.accept().expect("accept");
-                crate::http::read_request(&mut conn).expect("request");
+                let deadline = Instant::now() + Duration::from_secs(5);
+                crate::http::read_request(&mut conn, deadline).expect("request");
                 crate::http::write_response(&mut conn, 200, &"[".repeat(100_000)).expect("reply");
             }
         });

@@ -10,15 +10,16 @@
 //!
 //! A message's bytes are handled once. Reading: the head comes in
 //! through small reads, each scanned for the terminator once, and is
-//! bounded by its own cap; then one sized read per body, straight into
-//! a buffer reserved to the declared `Content-Length` (itself capped,
-//! and refused when two headers disagree about it). Writing: head and
+//! bounded by its own cap; then the body is read straight into a
+//! buffer sized to the declared `Content-Length` (itself capped, and
+//! refused when two headers disagree about it). A request must arrive
+//! whole before a deadline, checked after every read. Writing: head and
 //! body leave in one vectored write, the body never copied into a
 //! string beside its head.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Largest accepted body, a guard against a runaway peer rather than
 /// a tuning knob.
@@ -28,6 +29,12 @@ const MAX_BODY_BYTES: usize = 4 << 20;
 /// own heads are under 200 bytes; the bound is what a peer that never
 /// sends the terminator can make the serving thread buffer and scan.
 const MAX_HEADER_BYTES: usize = 16 << 10;
+
+/// Longest the server waits for one whole request, head and body. A
+/// socket read timeout restarts with every byte, so without this a peer
+/// that trickles a byte at a time holds the one serving thread for as
+/// long as it likes; a loopback request takes milliseconds.
+pub(crate) const MAX_REQUEST_TIME: Duration = Duration::from_secs(2);
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,21 +64,34 @@ fn closed(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, msg.to_owned())
 }
 
+/// `TimedOut` once `deadline` has passed.
+fn within(deadline: Option<Instant>) -> io::Result<()> {
+    match deadline {
+        Some(at) if Instant::now() >= at => Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "message not complete before its deadline",
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Reads bytes until the `\r\n\r\n` header terminator, then reads the
 /// `Content-Length` body. Shared by both request and response parsing
 /// (the framing is identical; only the first line differs).
 ///
 /// The head arrives in small reads, each scanned once; whatever body
-/// bytes came with it are split off into a buffer reserved to the
+/// bytes came with it are split off into a buffer sized to the
 /// declared length, and the rest of the body is read straight into
-/// that buffer.
-fn read_message(stream: &mut impl Read) -> io::Result<(String, String)> {
+/// that buffer. After every read that leaves the message incomplete,
+/// the `deadline` (when there is one) is checked.
+fn read_message(stream: &mut impl Read, deadline: Option<Instant>) -> io::Result<(String, String)> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut scanned = 0;
     let header_end = loop {
         if let Some(at) = find_terminator(&buf, scanned) {
             break at;
         }
+        within(deadline)?;
         // A terminator can straddle two reads by at most three bytes.
         scanned = buf.len().saturating_sub(3);
         let room = (MAX_HEADER_BYTES - buf.len()).min(1024);
@@ -94,11 +114,15 @@ fn read_message(stream: &mut impl Read) -> io::Result<(String, String)> {
         return Err(invalid("declared body too large"));
     }
     body.truncate(content_length);
-    let missing = content_length - body.len();
-    body.reserve_exact(missing);
-    stream.take(missing as u64).read_to_end(&mut body)?;
-    if body.len() < content_length {
-        return Err(closed("peer closed mid-body"));
+    let mut filled = body.len();
+    body.resize(content_length, 0);
+    while filled < content_length {
+        within(deadline)?;
+        let n = stream.read(&mut body[filled..])?;
+        if n == 0 {
+            return Err(closed("peer closed mid-body"));
+        }
+        filled += n;
     }
     let body = String::from_utf8(body).map_err(|_| invalid("body is not UTF-8"))?;
     Ok((head, body))
@@ -154,9 +178,11 @@ fn write_message(stream: &mut TcpStream, head: &str, body: &str) -> io::Result<(
     stream.flush()
 }
 
-/// Reads and parses one request from an accepted connection.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let (head, body) = read_message(stream)?;
+/// Reads and parses one request from an accepted connection; a request
+/// still incomplete at `deadline` is a `TimedOut` error. A peer that
+/// sends nothing at all is cut off by the socket's read timeout instead.
+pub fn read_request(stream: &mut TcpStream, deadline: Instant) -> io::Result<Request> {
+    let (head, body) = read_message(stream, Some(deadline))?;
     let request_line = head.lines().next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let method = parts.next().ok_or_else(|| invalid("empty request line"))?;
@@ -198,7 +224,7 @@ pub fn post(addr: SocketAddr, path: &str, body: &str, timeout: Duration) -> io::
         body.len()
     );
     write_message(&mut stream, &head, body)?;
-    let (head, body) = read_message(&mut stream)?;
+    let (head, body) = read_message(&mut stream, None)?;
     let status_line = head.lines().next().unwrap_or("");
     let status = status_line
         .split_whitespace()
@@ -213,13 +239,18 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    /// A deadline no test request comes near.
+    fn soon() -> Instant {
+        Instant::now() + Duration::from_secs(5)
+    }
+
     #[test]
     fn round_trips_a_request_over_a_real_socket() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("bound address");
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().expect("accept");
-            let req = read_request(&mut conn).expect("parse request");
+            let req = read_request(&mut conn, soon()).expect("parse request");
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/v1/echo");
             write_response(&mut conn, 200, &req.body).expect("write response");
@@ -236,7 +267,7 @@ mod tests {
         let addr = listener.local_addr().expect("bound address");
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().expect("accept");
-            let req = read_request(&mut conn).expect("parse request");
+            let req = read_request(&mut conn, soon()).expect("parse request");
             assert_eq!(req.body, "");
             write_response(&mut conn, 404, "{}").expect("write response");
         });
@@ -244,7 +275,7 @@ mod tests {
         stream
             .write_all(b"GET /missing HTTP/1.1\r\nHost: x\r\n\r\n")
             .expect("send");
-        let (head, _) = read_message(&mut stream).expect("response");
+        let (head, _) = read_message(&mut stream, None).expect("response");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         server.join().expect("server thread");
     }
@@ -257,7 +288,7 @@ mod tests {
         let addr = listener.local_addr().expect("bound address");
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().expect("accept");
-            let req = read_request(&mut conn).expect("parse request");
+            let req = read_request(&mut conn, soon()).expect("parse request");
             write_response(&mut conn, 200, &req.body).expect("write response");
         });
         let resp = post(addr, "/v1/echo", &big, Duration::from_secs(5)).expect("post");
@@ -299,25 +330,33 @@ mod tests {
     #[test]
     fn every_split_of_the_stream_frames_the_same_message() {
         let message = sample_request();
-        let whole = read_message(&mut Pieces([message.clone()].into())).expect("one piece");
+        let read = |pieces: Vec<Vec<u8>>| read_message(&mut Pieces(pieces.into()), Some(soon()));
+        let whole = read(vec![message.clone()]).expect("one piece");
         assert_eq!(whole.1.len(), 3014, "the body is the declared length");
         for at in 1..message.len() {
             let (a, b) = message.split_at(at);
-            let split = read_message(&mut Pieces([a.to_vec(), b.to_vec()].into()));
+            let split = read(vec![a.to_vec(), b.to_vec()]);
             assert_eq!(split.expect("two pieces"), whole, "split at {at}");
         }
         let bytes = message.iter().map(|&b| vec![b]).collect();
-        assert_eq!(read_message(&mut Pieces(bytes)).expect("bytes"), whole);
+        assert_eq!(read(bytes).expect("bytes"), whole);
         // Bytes past the declared length are not part of the message.
         let mut trailing = message.clone();
         trailing.extend_from_slice(b"GET /next HTTP/1.1\r\n\r\n");
-        let got = read_message(&mut Pieces([trailing].into())).expect("with trailing bytes");
-        assert_eq!(got, whole);
+        assert_eq!(read(vec![trailing]).expect("with trailing bytes"), whole);
     }
 
     /// Accepts one connection, lets `peer` write to it from another
     /// thread, and returns what `read_request` made of it.
     fn receive(peer: impl FnOnce(&mut TcpStream) + Send + 'static) -> io::Result<Request> {
+        receive_within(Duration::from_secs(5), peer)
+    }
+
+    /// [`receive`], with `limit` for the whole request.
+    fn receive_within(
+        limit: Duration,
+        peer: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> io::Result<Request> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("bound address");
         let peer = std::thread::spawn(move || {
@@ -328,7 +367,7 @@ mod tests {
         let (mut conn, _) = listener.accept().expect("accept");
         conn.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
-        let result = read_request(&mut conn);
+        let result = read_request(&mut conn, Instant::now() + limit);
         // Close before joining: a peer still writing must see the
         // connection go away, not a full buffer.
         drop(conn);
@@ -438,6 +477,28 @@ mod tests {
     }
 
     #[test]
+    fn a_peer_that_trickles_bytes_runs_out_of_time() {
+        let started = Instant::now();
+        let result = receive_within(Duration::from_millis(300), |stream| {
+            let head = b"POST /v1/apply HTTP/1.1\r\nX-Pad: ";
+            // One byte every 50 ms restarts any per-read timeout, and
+            // the header cap is 800 s away: only the deadline ends this.
+            for &byte in head.iter().chain(std::iter::repeat(&b'a')) {
+                if stream.write_all(&[byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        assert_eq!(kind_of(result), io::ErrorKind::TimedOut);
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "took {:?}",
+            started.elapsed()
+        );
+    }
+
+    #[test]
     fn a_head_of_exactly_the_cap_is_accepted_and_one_byte_more_is_not() {
         let fixed = "GET / HTTP/1.1\r\nX-Pad: \r\n\r\n".len();
         for (pad, accepted) in [
@@ -445,7 +506,7 @@ mod tests {
             (MAX_HEADER_BYTES - fixed + 1, false),
         ] {
             let message = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(pad));
-            let result = read_message(&mut Pieces([message.into_bytes()].into()));
+            let result = read_message(&mut Pieces([message.into_bytes()].into()), None);
             assert_eq!(result.is_ok(), accepted, "pad {pad}");
         }
     }
@@ -456,7 +517,7 @@ mod tests {
         let addr = listener.local_addr().expect("bound address");
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().expect("accept");
-            read_request(&mut conn).expect("parse request");
+            read_request(&mut conn, soon()).expect("parse request");
             conn.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"v\":1")
                 .expect("send");
         });

@@ -8,7 +8,7 @@
 //! server's behavior replays exactly — determinism across a real
 //! process-style boundary is the whole point.
 
-use crate::http::{read_request, write_response, Request};
+use crate::http::{read_request, write_response, Request, MAX_REQUEST_TIME};
 use crate::model::{ClusterConfig, ClusterModel, FaultStreams};
 use crate::wall::WallAnchor;
 use crate::wire::{
@@ -20,7 +20,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct ServerState {
     model: ClusterModel,
@@ -211,11 +211,15 @@ impl Drop for ClusterServer {
     }
 }
 
+/// Serves one connection. However its peer sends, reading the request
+/// holds the serving thread at most twice [`MAX_REQUEST_TIME`]: the
+/// deadline ends a peer that trickles bytes, the read timeout one that
+/// falls silent.
 fn serve_connection(state: &mut ServerState, conn: &mut TcpStream) {
-    let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
+    let _ = conn.set_read_timeout(Some(MAX_REQUEST_TIME));
     let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
-    let Ok(req) = read_request(conn) else {
-        // Garbled or wakeup connection; nothing to answer.
+    let Ok(req) = read_request(conn, Instant::now() + MAX_REQUEST_TIME) else {
+        // Garbled, too slow, or a wakeup connection; nothing to answer.
         return;
     };
     if state.chaos.api_latency_ms > 0 {
@@ -262,6 +266,36 @@ mod tests {
         let missing = post(addr, "/v2/observe", "{}", T).expect("unknown route");
         assert_eq!(missing.status, 404);
         server.shutdown();
+    }
+
+    #[test]
+    fn a_slow_loris_is_cut_off_and_the_server_keeps_serving() {
+        use std::io::Write;
+        let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
+        let addr = server.addr();
+        // Connected first, so served first: one byte every 50 ms, for
+        // longer than any test would wait.
+        let mut loris = TcpStream::connect(addr).expect("connect");
+        let trickle = std::thread::spawn(move || {
+            for &byte in b"POST /v1/observe HTTP/1.1\r\nX-Pad: ".iter().cycle() {
+                if loris.write_all(&[byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let started = Instant::now();
+        let obs = post(addr, OBSERVE_PATH, "{}", T).expect("observe behind the loris");
+        assert_eq!(obs.status, 200);
+        assert!(
+            started.elapsed() < MAX_REQUEST_TIME + Duration::from_secs(1),
+            "took {:?}",
+            started.elapsed()
+        );
+        server.shutdown();
+        trickle
+            .join()
+            .expect("the loris sees its connection closed");
     }
 
     #[test]
