@@ -11,7 +11,7 @@ use crate::Run;
 use faro_bench::prelude::*;
 use faro_core::hierarchical::solve_hierarchical;
 use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
-use faro_core::types::ResourceModel;
+use faro_core::types::{ClassAlloc, ResourceModel};
 use faro_solver::Cobyla;
 use std::time::Instant;
 
@@ -58,7 +58,11 @@ pub fn run() -> Run {
         .expect("valid problem");
         let start = Instant::now();
         let flat = flat_problem.solve(&solver, &current).expect("solves");
-        let flat_xs = flat_problem.integerize(&flat);
+        let flat_xs: Vec<u32> = flat_problem
+            .integerize(&flat)
+            .iter()
+            .map(ClassAlloc::total)
+            .collect();
         let flat_obj = flat_problem.cluster_value_integer(&flat_xs, &flat.drop_rates);
         let flat_ms = start.elapsed().as_secs_f64() * 1e3;
         eprintln!("  {n_jobs:>6} {:>4} {flat_ms:>12.1} ms", "flat");

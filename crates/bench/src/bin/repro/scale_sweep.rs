@@ -21,7 +21,7 @@ use faro_core::hierarchical::solve_hierarchical;
 use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use faro_core::rng::SplitMix64;
 use faro_core::sharded::{ShardConfig, ShardedSolver};
-use faro_core::types::{ResourceModel, Slo};
+use faro_core::types::{ClassAlloc, ResourceModel, Slo};
 use faro_core::units::ReplicaCount;
 use faro_solver::Cobyla;
 use std::time::Instant;
@@ -142,7 +142,7 @@ fn global_round(
         let alloc = problem.solve(&solver, current).expect("global flat solve");
         let mut xs = problem.integerize(&alloc);
         problem.shrink(&mut xs, &alloc.drop_rates);
-        xs
+        xs.iter().map(ClassAlloc::total).collect()
     }
 }
 
@@ -169,7 +169,7 @@ fn mean_ms(samples: &[f64]) -> f64 {
 fn attainment(problem: &MultiTenantProblem, xs: &[u32]) -> f64 {
     let n = xs.len();
     let attained = (0..n)
-        .filter(|&i| problem.expected_utility(i, f64::from(xs[i]), 0.0) >= 0.99)
+        .filter(|&i| problem.expected_utility(i, &[f64::from(xs[i])], 0.0) >= 0.99)
         .count();
     attained as f64 / n.max(1) as f64
 }

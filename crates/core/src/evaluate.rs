@@ -1,16 +1,13 @@
-//! How one job is scored: the model's knobs and the one evaluator both
-//! problem formulations, and every organization of the solve, share.
+//! How one job is scored: the model's knobs and the one evaluator every
+//! organization of the solve shares.
 //!
-//! Everything below the shape of the decision vector lives here. A
-//! problem reduces job `i`'s variables to a pool — an effective
-//! per-request service time and a head count — and asks [`Model`]:
-//! [`crate::hetero::HeteroProblem`] with the harmonic reduction of its
-//! class mix, [`crate::opt::MultiTenantProblem`] with `(p, x)` for
-//! every read its latency tables do not serve (a drop rate, a count past
-//! the quota, a problem past its table budget, the upper-bound
-//! estimator). One class of speed 1 *is* the scalar problem, which is
-//! why there is one of these and why a scalar and a one-class solve
-//! agree bit for bit.
+//! Everything below the shape of the decision vector lives here.
+//! [`crate::opt::MultiTenantProblem`] reduces job `i`'s variables to a
+//! pool — an effective per-request service time and a head count — and
+//! asks [`Model`]: at C ≥ 2 classes with the harmonic reduction of the
+//! class mix, at C = 1 with `(p × speed, x)` for every read its latency
+//! tables do not serve (a drop rate, a count past the quota, a problem
+//! past its table budget, the upper-bound estimator).
 //!
 //! Work that does not depend on the trajectory step is done once per
 //! evaluation: the head count is bracketed between two integer server
@@ -33,7 +30,7 @@ use crate::error::{Error, Result};
 use crate::objective::JobUtility;
 use crate::opt::{Fidelity, JobWorkload, LatencyModel};
 use crate::penalty::{phi, PenaltyShape};
-use crate::types::ResourceModel;
+use crate::types::{ResourceModel, MAX_CLASSES};
 use crate::units::ReplicaCount;
 use crate::utility::{step_utility, RelaxedUtility};
 use faro_queueing::{mdc, upper_bound, RelaxedLatency};
@@ -236,13 +233,31 @@ impl Model {
     }
 }
 
-/// What every problem formulation requires of its input.
+/// What every organization of the solve requires of its input.
 ///
 /// # Errors
 ///
 /// Fails when there are no jobs, a job has no trajectory or processing
-/// time, or the quota cannot host one replica per job.
+/// time, the class table is longer than the [`MAX_CLASSES`] a decision
+/// can carry or has a non-positive service-time multiplier, or the
+/// quota cannot host one replica per job.
 pub(crate) fn validate(jobs: &[JobWorkload], resources: &ResourceModel) -> Result<()> {
+    if resources.n_classes() > MAX_CLASSES {
+        return Err(Error::InvalidSnapshot(format!(
+            "{} replica classes exceed the {MAX_CLASSES} a decision can carry",
+            resources.n_classes()
+        )));
+    }
+    if let Some(class) = resources
+        .classes
+        .iter()
+        .find(|c| !(c.speed.is_finite() && c.speed > 0.0))
+    {
+        return Err(Error::InvalidSnapshot(format!(
+            "class {} has service-time multiplier {}",
+            class.name, class.speed
+        )));
+    }
     if jobs.is_empty() {
         return Err(Error::InvalidSnapshot("no jobs to optimize".into()));
     }
@@ -264,4 +279,17 @@ pub(crate) fn validate(jobs: &[JobWorkload], resources: &ResourceModel) -> Resul
         )));
     }
     Ok(())
+}
+
+/// C = 1 is the scalar problem at the one class's speed: folds a
+/// one-class table's service-time multiplier into every job's
+/// processing time and leaves the class at speed 1, so that folding
+/// twice is folding once. Anything else is left as it is.
+pub(crate) fn fold_class_speed(jobs: &mut [JobWorkload], resources: &mut ResourceModel) {
+    if let [class] = resources.classes.as_mut_slice() {
+        for job in jobs {
+            job.processing_time *= class.speed;
+        }
+        class.speed = 1.0;
+    }
 }

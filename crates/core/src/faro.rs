@@ -9,8 +9,10 @@
 //!    only become useful after startup).
 //! 2. **Multi-tenant autoscaling** (Sec. 4.2): maximize the configured
 //!    cluster objective under the resource constraints with COBYLA, then
-//!    integerize. Beyond [`FaroConfig::hierarchical_threshold`] jobs the
-//!    grouped solve of Sec. 3.4 is used.
+//!    integerize. The problem is [`MultiTenantProblem`] over the
+//!    cluster's replica classes; on a scalar quota beyond
+//!    [`HIERARCHICAL_THRESHOLD`] jobs the grouped solve of Sec. 3.4 is
+//!    used, and [`FaroConfig::solve_plan`] may shard it.
 //! 3. **Shrinking** (Sec. 4.3): reclaim replicas from jobs at predicted
 //!    utility 1 while the cluster objective is unchanged.
 //!
@@ -23,14 +25,13 @@
 use crate::admission::{Admission, ClampToQuota};
 use crate::error::Result;
 use crate::evaluate::Model;
-use crate::hetero::HeteroProblem;
-use crate::hierarchical::solve_grouped;
+use crate::hierarchical::{solve_grouped, DEFAULT_GROUPS, HIERARCHICAL_THRESHOLD};
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, LatencyModel, MultiTenantProblem};
 use crate::policy::{Policy, PolicyIntrospection};
 use crate::predictor::{sanitize_history, RatePredictor};
 use crate::sharded::{ShardedSolver, SolvePlan};
-use crate::types::{ClassAlloc, ClusterSnapshot, DesiredState, JobDecision};
+use crate::types::{ClassAlloc, ClusterSnapshot, DesiredState, JobDecision, JobObservation};
 use crate::units::{DurationMs, RatePerMin, SimTimeMs};
 use crate::utility::RelaxedUtility;
 use faro_queueing::RelaxedLatency;
@@ -62,10 +63,6 @@ pub struct FaroConfig {
     pub use_shrinking: bool,
     /// Short-term reactive autoscaler on/off (ablation).
     pub use_hybrid: bool,
-    /// Job count beyond which the hierarchical solve kicks in.
-    pub hierarchical_threshold: usize,
-    /// Group count for the hierarchical solve (paper default: 10).
-    pub groups: usize,
     /// How the long-term solve is organized: one global solve per round
     /// (paper-faithful default) or the sharded incremental path
     /// ([`crate::sharded`]). Sharding is opt-in; the default keeps
@@ -102,8 +99,6 @@ impl FaroConfig {
             samples: 20,
             use_shrinking: true,
             use_hybrid: true,
-            hierarchical_threshold: 50,
-            groups: 10,
             solve_plan: SolvePlan::Global,
             alpha: 4.0,
             rho_max: 0.95,
@@ -264,8 +259,10 @@ impl FaroAutoscaler {
 
     /// Stages 2 and 3: solve, integerize, shrink. The model is built
     /// here, once, from the configuration; below this line the round
-    /// branches on how the solve is *organized* — classed, sharded,
-    /// grouped or flat — and every arm is handed the same value.
+    /// branches on how the solve is *organized* — sharded, grouped or
+    /// flat — and every arm is handed the same value. A cluster of two
+    /// or more replica classes has no scalar quota to split, so it
+    /// always solves flat.
     fn long_term(&mut self, snapshot: &ClusterSnapshot) -> Result<Vec<JobDecision>> {
         let jobs = self.formulate(snapshot);
         let current: Vec<u32> = snapshot.jobs.iter().map(|j| j.target_replicas).collect();
@@ -279,102 +276,68 @@ impl FaroAutoscaler {
         let resources = snapshot.resources.clone();
         let objective = self.config.objective;
         let use_shrinking = self.config.use_shrinking;
-        if resources.n_classes() > 1 {
-            return self.long_term_hetero(snapshot, jobs, &current, model);
-        }
-        let (mut replicas, drop_rates) = if let SolvePlan::Sharded(scfg) = self.config.solve_plan {
-            let seed = self.config.seed;
-            let sharded = self
-                .sharded
-                .get_or_insert_with(|| ShardedSolver::new(scfg, seed));
-            let out = sharded.solve_with(
-                &jobs,
-                resources,
-                objective,
-                model,
-                use_shrinking,
-                &self.solver,
-                &current,
-            )?;
-            self.intro.solver_evals += out.record.evals + out.record.split_evals;
-            self.intro.shard_record = Some(out.record);
-            self.intro.shard_spans = out.shard_spans;
-            (out.replicas, out.drop_rates)
-        } else {
-            let problem = MultiTenantProblem::with_model(jobs, resources, objective, model)?;
-            if problem.n_jobs() > self.config.hierarchical_threshold {
-                let out = solve_grouped(
-                    &problem,
+        let classed = resources.n_classes() > 1;
+        let (replicas, drop_rates) = match self.config.solve_plan {
+            SolvePlan::Sharded(scfg) if !classed => {
+                let seed = self.config.seed;
+                let sharded = self
+                    .sharded
+                    .get_or_insert_with(|| ShardedSolver::new(scfg, seed));
+                let out = sharded.solve_with(
+                    &jobs,
+                    resources,
+                    objective,
+                    model,
+                    use_shrinking,
                     &self.solver,
                     &current,
-                    self.config.groups,
-                    self.config.seed,
                 )?;
-                self.intro.solver_evals += out.evals as u64;
+                self.intro.solver_evals += out.record.evals + out.record.split_evals;
+                self.intro.shard_record = Some(out.record);
+                self.intro.shard_spans = out.shard_spans;
                 (out.replicas, out.drop_rates)
-            } else {
-                let (xs, alloc) = problem.solve_integer(&self.solver, &current, use_shrinking)?;
-                self.intro.solver_evals += alloc.evals as u64;
-                (xs, alloc.drop_rates)
+            }
+            _ => {
+                let mut problem =
+                    MultiTenantProblem::with_model(jobs, resources, objective, model)?;
+                if classed {
+                    problem = problem.with_affinity(affinity(snapshot))?;
+                }
+                if !classed && problem.n_jobs() > HIERARCHICAL_THRESHOLD {
+                    let out = solve_grouped(
+                        &problem,
+                        &self.solver,
+                        &current,
+                        DEFAULT_GROUPS,
+                        self.config.seed,
+                    )?;
+                    self.intro.solver_evals += out.evals as u64;
+                    (out.replicas, out.drop_rates)
+                } else {
+                    let (allocs, alloc) =
+                        problem.solve_integer(&self.solver, &current, use_shrinking)?;
+                    self.intro.solver_evals += alloc.evals as u64;
+                    if classed {
+                        return Ok(allocs
+                            .into_iter()
+                            .zip(alloc.drop_rates)
+                            .map(|(a, d)| JobDecision::classed(a).with_drop_rate(d))
+                            .collect());
+                    }
+                    (
+                        allocs.iter().map(ClassAlloc::total).collect(),
+                        alloc.drop_rates,
+                    )
+                }
             }
         };
-
-        // Defensive floor (solvers already respect bounds).
-        for x in replicas.iter_mut() {
-            *x = (*x).max(1);
-        }
+        // One count per job on a scalar quota (a one-class table actuates
+        // on class 0), with a defensive floor (solvers already respect
+        // bounds).
         Ok(replicas
             .into_iter()
             .zip(drop_rates)
-            .map(|(r, d)| JobDecision::replicas(r).with_drop_rate(d))
-            .collect())
-    }
-
-    /// Class-aware stages 2 and 3 for clusters with two or more replica
-    /// classes: one flat [`HeteroProblem`] solve, class-aware
-    /// integerize, class-aware shrink.
-    ///
-    /// The flat classed solve replaces the sharded and hierarchical
-    /// organizations here — both partition a *scalar* quota, which has
-    /// no unique meaning under a vector capacity. A one-class table
-    /// never reaches this path: it routes through the scalar pipeline
-    /// (bit-identical by construction) and actuates on class 0.
-    fn long_term_hetero(
-        &mut self,
-        snapshot: &ClusterSnapshot,
-        jobs: Vec<JobWorkload>,
-        current: &[u32],
-        model: Model,
-    ) -> Result<Vec<JobDecision>> {
-        let masks: Vec<Vec<bool>> = snapshot
-            .jobs
-            .iter()
-            .map(|o| {
-                snapshot
-                    .resources
-                    .classes
-                    .iter()
-                    .map(|c| o.spec.allows_class(&c.name))
-                    .collect()
-            })
-            .collect();
-        let problem = HeteroProblem::with_model(
-            jobs,
-            snapshot.resources.clone(),
-            self.config.objective,
-            model,
-        )?
-        .with_affinity(masks)?;
-        let alloc = problem.solve(&self.solver, current)?;
-        self.intro.solver_evals += alloc.evals as u64;
-        let mut allocs = problem.integerize(&alloc);
-        if self.config.use_shrinking {
-            problem.shrink(&mut allocs, &alloc.drop_rates);
-        }
-        Ok(allocs
-            .into_iter()
-            .zip(alloc.drop_rates)
-            .map(|(a, d)| JobDecision::classed(a).with_drop_rate(d))
+            .map(|(r, d)| JobDecision::replicas(r.max(1)).with_drop_rate(d))
             .collect())
     }
 
@@ -403,15 +366,7 @@ impl FaroAutoscaler {
             // Fastest class first: a reactive boost exists to kill a
             // live SLO violation, so it buys the largest service-rate
             // increment that still fits.
-            let mut order: Vec<usize> = (0..res.n_classes()).collect();
-            order.sort_by(|&a, &b| {
-                res.classes[a]
-                    .speed
-                    .partial_cmp(&res.classes[b].speed)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            for c in order {
+            for c in res.classes_by_speed() {
                 if !snapshot.jobs[i].spec.allows_class(&res.classes[c].name) {
                     continue;
                 }
@@ -530,6 +485,19 @@ const CHURN_WINDOW_SOLVES: f64 = 2.0;
 
 fn per_second(per_minute: &[f64]) -> Vec<f64> {
     per_minute.iter().map(|&r| (r / 60.0).max(0.0)).collect()
+}
+
+/// `masks[job][class]`: which of the cluster's classes each job's spec
+/// allows.
+fn affinity(snapshot: &ClusterSnapshot) -> Vec<Vec<bool>> {
+    let classes = &snapshot.resources.classes;
+    let allows = |o: &JobObservation| {
+        classes
+            .iter()
+            .map(|c| o.spec.allows_class(&c.name))
+            .collect()
+    };
+    snapshot.jobs.iter().map(allows).collect()
 }
 
 impl Policy for FaroAutoscaler {
@@ -1021,9 +989,15 @@ mod tests {
                     let problem =
                         MultiTenantProblem::with_model(jobs, resources, cfg.objective, model)
                             .unwrap();
-                    solve_grouped(&problem, &Cobyla::fast(), &vec![1; n], cfg.groups, cfg.seed)
-                        .unwrap()
-                        .replicas
+                    solve_grouped(
+                        &problem,
+                        &Cobyla::fast(),
+                        &vec![1; n],
+                        DEFAULT_GROUPS,
+                        cfg.seed,
+                    )
+                    .unwrap()
+                    .replicas
                 }
             };
             assert_eq!(decided, by_hand, "{knob}");
@@ -1061,28 +1035,85 @@ mod tests {
                 .unwrap();
         let alloc = problem.solve(&Cobyla::fast(), &vec![1; n]).unwrap();
         let unshrunk = problem.integerize(&alloc);
-        assert_eq!(decided, unshrunk);
+        let totals =
+            |allocs: &[ClassAlloc]| allocs.iter().map(ClassAlloc::total).collect::<Vec<_>>();
+        assert_eq!(decided, totals(&unshrunk));
         let mut shrunk = unshrunk.clone();
         problem.shrink(&mut shrunk, &alloc.drop_rates);
         assert_ne!(shrunk, unshrunk, "shrinking had replicas to reclaim");
     }
 
+    /// Past the threshold a round is the grouped solve of its
+    /// workloads, within the quota.
     #[test]
     fn hierarchical_path_used_for_many_jobs() {
-        let n = 12;
-        let predictors: Vec<Box<dyn RatePredictor>> = (0..n)
-            .map(|_| Box::new(FlatPredictor::default()) as Box<dyn RatePredictor>)
-            .collect();
+        let (n, quota) = (60, 150);
+        assert!(n > HIERARCHICAL_THRESHOLD);
         let mut cfg = FaroConfig::new(ClusterObjective::Sum);
-        cfg.hierarchical_threshold = 8; // Force the grouped path.
-        cfg.groups = 3;
-        cfg.samples = 2;
-        let mut f = FaroAutoscaler::new(cfg, predictors);
-        let jobs = (0..n)
-            .map(|i| obs(600.0 + 100.0 * i as f64, 1, 0.1))
-            .collect();
-        let ds = f.decide(&snapshot(0.0, 60, jobs));
-        assert_eq!(ds.len(), n);
-        assert!(ds.total_replicas() <= 60);
+        cfg.samples = 1;
+        let (decided, snap, jobs) = cold_round(&cfg, n, quota);
+        let problem =
+            MultiTenantProblem::with_model(jobs, snap.resources, cfg.objective, model_of(&cfg))
+                .unwrap();
+        let grouped = solve_grouped(
+            &problem,
+            &Cobyla::fast(),
+            &vec![1; n],
+            DEFAULT_GROUPS,
+            cfg.seed,
+        );
+        assert_eq!(decided, grouped.unwrap().replicas);
+        assert!(decided.iter().sum::<u32>() <= quota);
+    }
+
+    /// A one-class table is planned at its class's speed: `q` replicas
+    /// of a class three times slower than the reference decide what `q`
+    /// reference replicas decide for `n` jobs measured three times
+    /// slower, and not what they decide for the jobs as measured.
+    fn assert_planned_at_class_speed(n: usize, quota: u32, plan: SolvePlan) {
+        use crate::types::ReplicaClass;
+        let p = 0.180;
+        let jobs = |processing_time: f64| {
+            (0..n)
+                .map(|i| {
+                    let mut o = obs(300.0 + 150.0 * (i % 5) as f64, 1, 0.1);
+                    o.mean_processing_time = processing_time;
+                    o
+                })
+                .collect::<Vec<_>>()
+        };
+        let decide = |snap: &ClusterSnapshot| {
+            let mut f = faro(ClusterObjective::Sum, n);
+            f.config.solve_plan = plan;
+            f.decide(snap)
+        };
+        let slow_class = ClusterSnapshot {
+            resources: ResourceModel::heterogeneous(
+                vec![ReplicaClass::cpu("cpu", 3.0)],
+                f64::from(quota),
+                0.0,
+                f64::from(quota),
+            ),
+            ..snapshot(0.0, quota, jobs(p))
+        };
+        let decided = decide(&slow_class);
+        let slow_jobs = decide(&snapshot(0.0, quota, jobs(3.0 * p)));
+        let as_measured = decide(&snapshot(0.0, quota, jobs(p)));
+        assert_eq!(decided, slow_jobs, "{n} jobs, {plan:?}");
+        assert_ne!(
+            decided, as_measured,
+            "{n} jobs, {plan:?}: the class speed is read"
+        );
+    }
+
+    /// Flat, grouped past the threshold, and sharded.
+    #[test]
+    fn a_one_class_cluster_is_planned_at_its_class_speed() {
+        use crate::sharded::ShardConfig;
+        assert_planned_at_class_speed(3, 32, SolvePlan::Global);
+        const { assert!(60 > HIERARCHICAL_THRESHOLD) };
+        assert_planned_at_class_speed(60, 300, SolvePlan::Global);
+        let sharded = SolvePlan::Sharded(ShardConfig::with_shards(3));
+        assert_planned_at_class_speed(12, 60, sharded);
     }
 }

@@ -8,23 +8,28 @@
 //! load. The paper reports a 64x speedup at ~2% utility change with a
 //! handful of groups, and uses `G = 10` by default.
 //!
-//! The grouped solve is a `G`-variable *view* of a flat
+//! The grouped solve is a `G`-variable *view* of a flat one-class
 //! [`MultiTenantProblem`]: it scores jobs through that problem, under
 //! that problem's model, and hands its expanded point to that problem's
 //! `integerize`. It never runs stage 3 — a grouped allocation is not
 //! shrunk, here or inside a shard (pinned by the `sharded_golden`
-//! digests; a documented limit).
+//! digests; a documented limit). A group budget is a share of a scalar
+//! quota, so a problem over two or more replica classes is refused.
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use crate::rng::SplitMix64;
-use crate::types::{DesiredState, JobDecision, JobId, ResourceModel};
+use crate::types::{ClassAlloc, DesiredState, JobDecision, JobId, ResourceModel};
 use crate::units::ReplicaCount;
 use faro_solver::Solver;
 
 /// Default group count (paper Sec. 3.4).
 pub const DEFAULT_GROUPS: usize = 10;
+
+/// Job count above which a solve is grouped instead of flat: the global
+/// round's and each shard's rule alike.
+pub const HIERARCHICAL_THRESHOLD: usize = 50;
 
 /// Assigns `n_jobs` jobs to `groups` random groups (each non-empty when
 /// `n_jobs >= groups`), deterministically from `seed` via the workspace
@@ -196,7 +201,8 @@ pub fn solve_hierarchical(
 ///
 /// # Errors
 ///
-/// Propagates solver failures.
+/// Fails on a problem over two or more replica classes; propagates
+/// solver failures.
 pub(crate) fn solve_grouped(
     flat: &MultiTenantProblem,
     solver: &dyn Solver,
@@ -204,6 +210,11 @@ pub(crate) fn solve_grouped(
     groups: usize,
     seed: u64,
 ) -> Result<HierarchicalAllocation> {
+    if flat.n_classes() > 1 {
+        return Err(Error::InvalidSnapshot(
+            "the grouped solve splits a scalar quota; a classed problem solves flat".into(),
+        ));
+    }
     let jobs = flat.jobs();
     let n = jobs.len();
     let uses_drops = flat.objective().uses_drop_rates();
@@ -257,7 +268,11 @@ pub(crate) fn solve_grouped(
         objective_value: -sol.objective,
         evals: sol.evals,
     };
-    let replicas = flat.integerize(&alloc);
+    let replicas = flat
+        .integerize(&alloc)
+        .iter()
+        .map(ClassAlloc::total)
+        .collect();
     Ok(HierarchicalAllocation {
         replicas,
         drop_rates: alloc.drop_rates,
@@ -308,7 +323,11 @@ mod tests {
         )
         .unwrap();
         let flat_alloc = flat.solve(&Cobyla::fast(), &[1; 12]).unwrap();
-        let flat_xs = flat.integerize(&flat_alloc);
+        let flat_xs: Vec<u32> = flat
+            .integerize(&flat_alloc)
+            .iter()
+            .map(ClassAlloc::total)
+            .collect();
         let flat_obj = flat.cluster_value_integer(&flat_xs, &flat_alloc.drop_rates);
         let grouped = solve_hierarchical(
             &jobs,

@@ -1,9 +1,27 @@
-//! The multi-tenant cluster optimization (paper Sec. 3.4 and 4.2).
+//! The multi-tenant cluster optimization (paper Sec. 3.4 and 4.2), over
+//! `C = max(1, classes)` replica classes.
 //!
-//! Decision variables are per-job continuous replica counts `x_i >= 1`
-//! (and, for Penalty objectives, drop rates `d_i` in `[0, 1]`). The
-//! objective aggregates per-job expected utilities over the predicted
-//! arrival-rate trajectories; constraints cap total vCPU and RAM.
+//! Decision variables are continuous replica counts `x[j·C + c]` of
+//! class `c` for job `j` (and, for Penalty objectives, drop rates `d_j`
+//! in `[0, 1]`). The objective aggregates per-job expected utilities
+//! over the predicted arrival-rate trajectories; constraints cap
+//! capacity. The class count picks the form, and nothing else does:
+//!
+//! - **C = 1**, a classless cluster or a one-class table, is the paper's
+//!   problem: each count lies in `[1, quota]`, capacity is the vCPU/RAM
+//!   pair, `integerize` trims to the replica quota, and a job is scored
+//!   at its one class's service time `p × speed` (speed 1 without a
+//!   table). A one-class table's speed is folded into the jobs when the
+//!   problem is built, so every reader of [`MultiTenantProblem::jobs`]
+//!   sees that service time.
+//! - **C ≥ 2** adds the hardware axis: counts lie in `[0, class quota]`
+//!   on the classes the job's affinity allows, capacity is the vector
+//!   `[vCPU, GPU, RAM]` of [`crate::types::ReplicaClass::cost`] plus a
+//!   one-replica floor per job, a job's mixed pool is reduced to one
+//!   effective M/D/c queue (the harmonic capacity-weighted mean of the
+//!   per-class service times, see [`faro_queueing::mixed`]),
+//!   `integerize` trims the most overcommitted dimension and `shrink`
+//!   drains the slowest class first.
 //!
 //! Two *fidelities* are provided:
 //!
@@ -15,21 +33,21 @@
 //!   solvable in sub-second time by COBYLA.
 //!
 //! How a job is scored is not decided here: the shared evaluator of
-//! `evaluate.rs` owns the fidelity, the estimator and the relaxation,
-//! and [`crate::hetero::HeteroProblem`] asks the same one. This module
-//! keeps what is particular to one replica count per job — the solver
-//! adapter, `integerize`, `shrink` — and two ways of not asking twice:
-//! per-solve latency tables over the fixed trajectory rates, which
-//! serve every zero-drop read inside the quota, and each job's last few
-//! utilities. Every other read goes to the evaluator with `(p, x)`.
+//! `evaluate.rs` owns the fidelity, the estimator and the relaxation.
+//! This module keeps the shape of the decision and, at C = 1, two ways
+//! of not asking twice: per-solve latency tables over the fixed
+//! trajectory rates, which serve every zero-drop read inside the quota,
+//! and each job's last few utilities. Every other read, and every read
+//! at C ≥ 2 (where `p_eff` moves continuously with the mix, so there is
+//! no axis to tabulate), goes to the evaluator with `(p_eff, x)`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 
-use crate::error::Result;
-use crate::evaluate::{validate, Model};
+use crate::error::{Error, Result};
+use crate::evaluate::{fold_class_speed, validate, Model};
 use crate::objective::{ClusterObjective, JobUtility};
-use crate::types::{ResourceModel, Slo};
+use crate::types::{ClassAlloc, ResourceModel, Slo, MAX_CLASSES, RESOURCE_DIMS};
 use crate::units::ReplicaCount;
 use crate::utility::{step_utility, RelaxedUtility};
 use faro_queueing::{mdc, RelaxedLatency};
@@ -118,12 +136,13 @@ impl UtilitySlots {
 }
 
 /// Interior-mutable caches shared by every objective evaluation of one
-/// problem instance (including parallel solver populations and the
-/// hierarchical grouped solve, which borrows the flat problem).
+/// C = 1 problem instance (including parallel solver populations and
+/// the hierarchical grouped solve, which borrows the flat problem).
 ///
 /// Cloning a [`MultiTenantProblem`] resets the cache: it holds derived
 /// values only, never part of the problem's identity. So does every
-/// `with_*` builder, since each changes what an entry would hold.
+/// model builder (`with_latency_model`, `with_utility`,
+/// `with_relaxed_latency`), since each changes what an entry would hold.
 #[derive(Debug)]
 struct SolveCache {
     /// Lazily built on the first latency evaluation; `None` when the
@@ -204,6 +223,12 @@ pub enum LatencyModel {
     UpperBound,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Pool reductions this thread's C ≥ 2 evaluations have performed.
+    pub(crate) static POOL_REDUCTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// The assembled multi-tenant optimization problem.
 #[derive(Debug)]
 pub struct MultiTenantProblem {
@@ -211,6 +236,11 @@ pub struct MultiTenantProblem {
     resources: ResourceModel,
     objective: ClusterObjective,
     model: Model,
+    /// `allowed[job][class]`: whether the job may run on the class (from
+    /// [`crate::types::JobSpec::allows_class`]); empty, and so never
+    /// allocated per job, while every job may run on every class. Read
+    /// at C ≥ 2 only.
+    allowed: Vec<Vec<bool>>,
     cache: SolveCache,
 }
 
@@ -222,6 +252,7 @@ impl Clone for MultiTenantProblem {
             resources: self.resources.clone(),
             objective: self.objective,
             model: self.model,
+            allowed: self.allowed.clone(),
             cache: SolveCache::empty(self.jobs.len()),
         }
     }
@@ -230,11 +261,15 @@ impl Clone for MultiTenantProblem {
 impl MultiTenantProblem {
     /// Builds a problem over the given jobs and resources, under the
     /// paper's default model (M/D/c, `alpha = 4`, `rho_max = 0.95`).
+    /// Every job is allowed on every class; restrict with
+    /// [`MultiTenantProblem::with_affinity`].
     ///
     /// # Errors
     ///
-    /// Fails when there are no jobs, a job has no trajectory, or the
-    /// quota cannot host one replica per job.
+    /// Fails when there are no jobs, a job has no trajectory or
+    /// processing time, the class table is longer than [`MAX_CLASSES`]
+    /// or has a non-positive service-time multiplier, or the quota
+    /// cannot host one replica per job.
     pub fn new(
         jobs: Vec<JobWorkload>,
         resources: ResourceModel,
@@ -246,18 +281,20 @@ impl MultiTenantProblem {
 
     /// [`MultiTenantProblem::new`] under a given model.
     pub(crate) fn with_model(
-        jobs: Vec<JobWorkload>,
-        resources: ResourceModel,
+        mut jobs: Vec<JobWorkload>,
+        mut resources: ResourceModel,
         objective: ClusterObjective,
         model: Model,
     ) -> Result<Self> {
         validate(&jobs, &resources)?;
+        fold_class_speed(&mut jobs, &mut resources);
         let cache = SolveCache::empty(jobs.len());
         Ok(Self {
             jobs,
             resources,
             objective,
             model,
+            allowed: Vec::new(),
             cache,
         })
     }
@@ -283,12 +320,56 @@ impl MultiTenantProblem {
         self
     }
 
+    /// Restricts which classes each job may run on
+    /// (`masks[job][class]`); the C ≥ 2 form bounds a disallowed class
+    /// at zero.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the masks are not one row of C entries per job or a
+    /// job is left with no allowed class.
+    pub fn with_affinity(mut self, masks: Vec<Vec<bool>>) -> Result<Self> {
+        let nc = self.n_classes();
+        if masks.len() != self.jobs.len() || masks.iter().any(|m| m.len() != nc) {
+            return Err(Error::InvalidSnapshot(format!(
+                "affinity mask shape {}x{} does not match {} jobs x {nc} classes",
+                masks.len(),
+                masks.first().map_or(0, Vec::len),
+                self.jobs.len(),
+            )));
+        }
+        if let Some(i) = masks.iter().position(|m| !m.contains(&true)) {
+            return Err(Error::InvalidSnapshot(format!(
+                "job {i} is not allowed on any replica class"
+            )));
+        }
+        self.allowed = masks;
+        Ok(self)
+    }
+
     /// Number of jobs.
     pub fn n_jobs(&self) -> usize {
         self.jobs.len()
     }
 
-    /// The job workloads.
+    /// The class count C: one without a class table.
+    pub fn n_classes(&self) -> usize {
+        self.resources.n_classes().max(1)
+    }
+
+    /// Whether the problem takes the C ≥ 2 form.
+    fn classed(&self) -> bool {
+        self.resources.n_classes() > 1
+    }
+
+    /// Whether job `j` may run on class `c`.
+    fn allows(&self, j: usize, c: usize) -> bool {
+        self.allowed.get(j).is_none_or(|mask| mask[c])
+    }
+
+    /// The job workloads. On a one-class table each processing time is
+    /// the class's service time `p × speed`, and [`Self::resources`]
+    /// holds that class at speed 1.
     pub fn jobs(&self) -> &[JobWorkload] {
         &self.jobs
     }
@@ -445,10 +526,19 @@ impl MultiTenantProblem {
         }
     }
 
-    /// Expected utility of job `i` at fractional replicas `x`, averaged
-    /// over trajectories and window steps (Sec. 4.1), before the drop
-    /// multiplier.
-    pub fn expected_utility(&self, i: usize, x: f64, drop_rate: f64) -> f64 {
+    /// Expected utility of job `i` at fractional per-class replica
+    /// counts (one per class), averaged over trajectories and window
+    /// steps (Sec. 4.1), before the drop multiplier. At C ≥ 2 an empty
+    /// pool serves nothing.
+    pub fn expected_utility(&self, i: usize, counts: &[f64], drop_rate: f64) -> f64 {
+        let job = &self.jobs[i];
+        if self.classed() {
+            return match self.pool(job.processing_time, counts) {
+                Some((p_eff, total)) => self.model.expected_utility(job, p_eff, total, drop_rate),
+                None => 0.0,
+            };
+        }
+        let x = counts[0];
         // Solver hot path: with no drop adjustment every step rate has
         // its precomputed table row.
         if drop_rate.clamp(0.0, 1.0) == 0.0 {
@@ -456,9 +546,34 @@ impl MultiTenantProblem {
                 return v;
             }
         }
-        let job = &self.jobs[i];
         self.model
             .expected_utility(job, job.processing_time, x, drop_rate)
+    }
+
+    /// Reduces a fractional per-class count vector to the pool's
+    /// effective service time and head count (the fractional mirror of
+    /// [`faro_queueing::mixed::effective_pool`]). `None` for an empty
+    /// pool.
+    fn pool(&self, p: f64, counts: &[f64]) -> Option<(f64, f64)> {
+        #[cfg(test)]
+        POOL_REDUCTIONS.with(|n| n.set(n.get() + 1));
+        let (mut total, mut rate) = (0.0, 0.0);
+        let (mut used, mut speed) = (0, 0.0);
+        for (c, &x) in counts.iter().enumerate() {
+            if x > 0.0 {
+                speed = self.resources.classes[c].speed;
+                total += x;
+                rate += x / (p * speed);
+                used += 1;
+            }
+        }
+        match used {
+            0 => None,
+            // Single-class pools skip the aggregation round-trip so that
+            // the class's service time is `p * speed` to the bit.
+            1 => Some((p * speed, total)),
+            _ => Some((total / rate, total)),
+        }
     }
 
     /// Zero-drop utility over the precomputed per-step rows: two array
@@ -541,11 +656,17 @@ impl MultiTenantProblem {
         Some(sum / steps.len().max(1) as f64)
     }
 
-    /// Per-job utility record at an allocation: the job's recent
-    /// evaluations are consulted first, so a solver probe that moved
-    /// one coordinate recomputes one job. Every objective evaluation,
-    /// `integerize` and `shrink` come through here.
-    fn job_utility(&self, i: usize, x: f64, d: f64) -> JobUtility {
+    /// Per-job utility record at per-class counts: every objective
+    /// evaluation, `integerize` and `shrink` come through here. At C = 1
+    /// the job's recent evaluations are consulted first, so a solver
+    /// probe that moved one coordinate recomputes one job; at C ≥ 2
+    /// every read is asked.
+    pub(crate) fn job_utility(&self, i: usize, counts: &[f64], d: f64) -> JobUtility {
+        let record = |u| self.model.record(&self.jobs[i], u, d);
+        if self.classed() {
+            return record(self.expected_utility(i, counts, d));
+        }
+        let x = counts[0];
         let recent = &self.cache.utilities[i];
         if let Some(hit) = recent.get(x, d) {
             return hit;
@@ -554,51 +675,99 @@ impl MultiTenantProblem {
         self.cache
             .utility_misses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let u = self.expected_utility(i, x, d);
-        let fresh = self.model.record(&self.jobs[i], u, d);
+        let fresh = record(self.expected_utility(i, counts, d));
         recent.put(x, d, fresh);
         fresh
     }
 
+    /// Per-job utility record at an integer per-class allocation.
+    pub(crate) fn alloc_utility(&self, i: usize, alloc: &ClassAlloc, d: f64) -> JobUtility {
+        let mut counts = [0.0; MAX_CLASSES];
+        for (x, &n) in counts.iter_mut().zip(alloc.as_slice()) {
+            *x = f64::from(n);
+        }
+        self.job_utility(i, &counts[..alloc.n_classes()], d)
+    }
+
     /// Cluster objective value (maximize convention) at a continuous
-    /// allocation. `drops` may be empty when the objective does not use
-    /// drop rates.
+    /// allocation `xs[j·C + c]`. `drops` may be empty when the objective
+    /// does not use drop rates.
     pub fn cluster_value(&self, xs: &[f64], drops: &[f64]) -> f64 {
+        let nc = self.n_classes();
         let utilities: Vec<JobUtility> = (0..self.jobs.len())
             .map(|i| {
                 let d = drops.get(i).copied().unwrap_or(0.0);
-                self.job_utility(i, xs[i], d)
+                self.job_utility(i, &xs[i * nc..(i + 1) * nc], d)
             })
             .collect();
         self.objective.aggregate(&utilities)
     }
 
-    /// Cluster objective value at an integer allocation.
+    /// [`MultiTenantProblem::cluster_value`] at integer counts `xs[j·C + c]`.
     pub fn cluster_value_integer(&self, xs: &[u32], drops: &[f64]) -> f64 {
         let xf: Vec<f64> = xs.iter().map(|&x| f64::from(x)).collect();
         self.cluster_value(&xf, drops)
     }
 
-    /// Splits a solver variable vector into `(replicas, drops)`.
+    /// Splits a solver variable vector into `(counts, drops)`.
     fn split_vars<'a>(&self, v: &'a [f64]) -> (&'a [f64], &'a [f64]) {
-        let n = self.jobs.len();
+        let nx = self.jobs.len() * self.n_classes();
         if self.objective.uses_drop_rates() {
-            (&v[..n], &v[n..])
+            (&v[..nx], &v[nx..])
         } else {
             (v, &[])
         }
     }
 
+    /// Seeds the solver start point from each job's current total (at
+    /// least one replica). At C ≥ 2 the total is placed into the job's
+    /// allowed classes fastest-first, spilling a class when it alone
+    /// could not host the remainder.
+    fn seed(&self, current: &[u32]) -> Vec<f64> {
+        let n = self.jobs.len();
+        let start = |j: usize| f64::from(current.get(j).copied().unwrap_or(1).max(1));
+        if !self.classed() {
+            return (0..n).map(start).collect();
+        }
+        let nc = self.n_classes();
+        let order = self.resources.classes_by_speed();
+        let mut x0 = vec![0.0; n * nc];
+        for (j, slot) in x0.chunks_mut(nc).enumerate() {
+            let mut remaining = start(j);
+            let mut last_allowed = None;
+            for &c in &order {
+                if !self.allows(j, c) {
+                    continue;
+                }
+                last_allowed = Some(c);
+                let take = remaining.min(self.resources.class_quota(c).as_f64());
+                slot[c] = take;
+                remaining -= take;
+                if remaining <= 0.0 {
+                    break;
+                }
+            }
+            if remaining > 0.0 {
+                // Over-quota starts are legal (COBYLA treats them as
+                // constraint violations); park the excess on the
+                // slowest allowed class.
+                if let Some(c) = last_allowed {
+                    slot[c] += remaining;
+                }
+            }
+        }
+        x0
+    }
+
     /// Solves the continuous problem with the given solver, starting
-    /// from the current allocation (replica counts per job).
+    /// from the current allocation (replica totals per job).
     ///
     /// # Errors
     ///
     /// Propagates solver failures.
     pub fn solve(&self, solver: &dyn Solver, current: &[u32]) -> Result<ContinuousAllocation> {
         let n = self.jobs.len();
-        let mut x0: Vec<f64> = current.iter().map(|&c| f64::from(c).max(1.0)).collect();
-        x0.resize(n, 1.0);
+        let mut x0 = self.seed(current);
         if self.objective.uses_drop_rates() {
             x0.extend(std::iter::repeat_n(0.0, n));
         }
@@ -617,94 +786,150 @@ impl MultiTenantProblem {
         })
     }
 
-    /// Converts a continuous allocation into integer replica counts,
-    /// "staying within the cluster size" (Sec. 4.2): round to nearest
-    /// (at least 1) and, if the rounding overshoots the quota, trim the
-    /// replicas whose removal costs the least cluster objective.
+    /// The capacity dimension `integerize` trims next, or `None` when
+    /// the allocation fits: at C = 1 any overshoot of the replica quota,
+    /// at C ≥ 2 the most overcommitted dimension of the vector capacity.
+    fn overcommitted(&self, allocs: &[ClassAlloc]) -> Option<usize> {
+        if !self.classed() {
+            let total: u32 = allocs.iter().map(ClassAlloc::total).sum();
+            return (total > self.resources.replica_quota().get()).then_some(0);
+        }
+        let mut usage = [0.0; RESOURCE_DIMS];
+        for a in allocs {
+            for (u, v) in usage.iter_mut().zip(self.resources.usage_of(a)) {
+                *u += v;
+            }
+        }
+        if self.resources.fits(&usage) {
+            return None;
+        }
+        let caps = self.resources.capacities();
+        (0..RESOURCE_DIMS).max_by(|&a, &b| {
+            (usage[a] - caps[a])
+                .partial_cmp(&(usage[b] - caps[b]))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+    }
+
+    /// Converts a continuous allocation into integer per-class counts,
+    /// "staying within the cluster size" (Sec. 4.2): round each count to
+    /// nearest, floor every job at one replica (on its fastest allowed
+    /// class), and while the capacity is overcommitted remove the
+    /// replica — of a class that consumes the overcommitted dimension —
+    /// whose removal costs the least cluster objective.
     ///
     /// Deliberately *not* a greedy integer re-optimization: the paper's
     /// post-processing only converts, and a greedy repair would mask
     /// the relaxation's contribution (integer +1 steps can cross the
     /// step utility's threshold even where the continuous problem is a
     /// plateau — see the Figure 16 ablation).
-    pub fn integerize(&self, alloc: &ContinuousAllocation) -> Vec<u32> {
-        let quota = self.resources.replica_quota().get();
+    pub fn integerize(&self, alloc: &ContinuousAllocation) -> Vec<ClassAlloc> {
         let n = self.jobs.len();
-        let mut xs: Vec<u32> = alloc
-            .replicas
-            .iter()
-            .map(|&x| (x.round().max(1.0)) as u32)
+        let nc = self.n_classes();
+        let mut allocs: Vec<ClassAlloc> = (0..n)
+            .map(|j| {
+                let mut a = ClassAlloc::zero(nc);
+                for c in 0..nc {
+                    a.set(c, alloc.replicas[j * nc + c].round().max(0.0) as u32);
+                }
+                if a.total() == 0 {
+                    let mut order = self.resources.classes_by_speed().into_iter();
+                    let fastest = order.find(|&c| self.allows(j, c));
+                    a.set(fastest.unwrap_or(0), 1);
+                }
+                a
+            })
             .collect();
-        // If rounding exceeds the quota, trim from the jobs with the
-        // lowest marginal loss. Only job `i`'s utility changes when
-        // `xs[i]` is decremented, so the per-job utilities are cached
-        // and a candidate is scored by patching one entry before
-        // re-aggregating — the aggregate sees the exact same values a
-        // full recomputation would produce.
-        let mut total: u32 = xs.iter().sum();
-        if total <= quota {
-            return xs;
+        if self.overcommitted(&allocs).is_none() {
+            return allocs;
         }
-        let drop_of = |i: usize| alloc.drop_rates.get(i).copied().unwrap_or(0.0);
+        // Only job `j`'s utility changes when one of its counts is
+        // decremented, so the per-job utilities are cached and a
+        // candidate is scored by patching one entry before re-aggregating
+        // — the aggregate sees the exact same values a full recomputation
+        // would produce.
+        let drop_of = |j: usize| alloc.drop_rates.get(j).copied().unwrap_or(0.0);
         let mut utils: Vec<JobUtility> = (0..n)
-            .map(|i| self.job_utility(i, f64::from(xs[i]), drop_of(i)))
+            .map(|j| self.alloc_utility(j, &allocs[j], drop_of(j)))
             .collect();
-        while total > quota {
+        while let Some(dim) = self.overcommitted(&allocs) {
             let before = self.objective.aggregate(&utils);
-            let mut best: Option<(usize, f64, JobUtility)> = None;
-            for i in 0..n {
-                if xs[i] <= 1 {
+            let mut best: Option<(usize, usize, f64, JobUtility)> = None;
+            for j in 0..n {
+                if allocs[j].total() <= 1 {
                     continue;
                 }
-                let cand = self.job_utility(i, f64::from(xs[i] - 1), drop_of(i));
-                let saved = std::mem::replace(&mut utils[i], cand);
-                let after = self.objective.aggregate(&utils);
-                utils[i] = saved;
-                let loss = before - after;
-                if best.as_ref().is_none_or(|&(_, b, _)| loss < b) {
-                    best = Some((i, loss, cand));
+                for c in 0..nc {
+                    let spares_dim = self.classed() && self.resources.classes[c].cost()[dim] <= 0.0;
+                    if allocs[j].count(c) == 0 || spares_dim {
+                        continue;
+                    }
+                    let mut cand_alloc = allocs[j];
+                    cand_alloc.add(c, -1);
+                    let cand = self.alloc_utility(j, &cand_alloc, drop_of(j));
+                    let saved = std::mem::replace(&mut utils[j], cand);
+                    let after = self.objective.aggregate(&utils);
+                    utils[j] = saved;
+                    let loss = before - after;
+                    if best.as_ref().is_none_or(|&(_, _, b, _)| loss < b) {
+                        best = Some((j, c, loss, cand));
+                    }
                 }
             }
             match best {
-                Some((i, _, cand)) => {
-                    xs[i] -= 1;
-                    utils[i] = cand;
-                    total -= 1;
+                Some((j, c, _, cand)) => {
+                    allocs[j].add(c, -1);
+                    utils[j] = cand;
                 }
-                None => break, // All jobs at one replica already.
+                // Every job is at one replica (or no class consumes the
+                // overcommitted dimension): leave the floor in place and
+                // let admission arbitrate.
+                None => break,
             }
         }
-        xs
+        allocs
     }
 
     /// Stage-3 shrinking (paper Sec. 4.3): iteratively removes replicas
     /// from jobs at full predicted utility while the *cluster* objective
-    /// stays unchanged.
-    pub fn shrink(&self, xs: &mut [u32], drops: &[f64]) {
+    /// stays unchanged, draining the slowest class first so that the
+    /// fast capacity freed last is the capacity other jobs want.
+    pub fn shrink(&self, allocs: &mut [ClassAlloc], drops: &[f64]) {
         let eps = 1e-9;
-        let drop_of = |i: usize| drops.get(i).copied().unwrap_or(0.0);
+        let drop_of = |j: usize| drops.get(j).copied().unwrap_or(0.0);
         // Same incremental scheme as `integerize`: a removal only
-        // changes job `i`'s utility, so cache the vector and patch.
-        let mut utils: Vec<JobUtility> = (0..xs.len())
-            .map(|i| self.job_utility(i, f64::from(xs[i]), drop_of(i)))
+        // changes job `j`'s utility, so cache the vector and patch.
+        let mut utils: Vec<JobUtility> = (0..allocs.len())
+            .map(|j| self.alloc_utility(j, &allocs[j], drop_of(j)))
             .collect();
-        for i in 0..xs.len() {
-            loop {
-                if xs[i] <= 1 {
+        let mut order = self.resources.classes_by_speed();
+        order.reverse(); // Slowest first.
+        for j in 0..allocs.len() {
+            'job: loop {
+                if allocs[j].total() <= 1 {
                     break;
                 }
-                if utils[i].utility < 1.0 - 1e-9 {
+                if utils[j].utility < 1.0 - 1e-9 {
                     break; // Only shrink jobs at (predicted) utility 1.
                 }
                 let before = self.objective.aggregate(&utils);
-                let cand = self.job_utility(i, f64::from(xs[i] - 1), drop_of(i));
-                let saved = std::mem::replace(&mut utils[i], cand);
-                let after = self.objective.aggregate(&utils);
-                if after < before - eps {
-                    utils[i] = saved; // Cluster utility changed: stop here.
-                    break;
+                for &c in &order {
+                    if allocs[j].count(c) == 0 {
+                        continue;
+                    }
+                    let mut cand_alloc = allocs[j];
+                    cand_alloc.add(c, -1);
+                    let cand = self.alloc_utility(j, &cand_alloc, drop_of(j));
+                    let saved = std::mem::replace(&mut utils[j], cand);
+                    let after = self.objective.aggregate(&utils);
+                    if after < before - eps {
+                        utils[j] = saved; // Cluster utility changed.
+                    } else {
+                        allocs[j] = cand_alloc;
+                        continue 'job;
+                    }
                 }
-                xs[i] -= 1;
+                break; // No class can give one up for free.
             }
         }
     }
@@ -712,7 +937,7 @@ impl MultiTenantProblem {
     /// Stages 2 and 3 as the autoscaler chains them, whichever
     /// organization of the solve asks: solve from `current`, integerize,
     /// and shrink unless the ablation turns it off. Returns the integer
-    /// replica counts beside the continuous allocation they came from.
+    /// allocations beside the continuous allocation they came from.
     ///
     /// # Errors
     ///
@@ -722,20 +947,20 @@ impl MultiTenantProblem {
         solver: &dyn Solver,
         current: &[u32],
         use_shrinking: bool,
-    ) -> Result<(Vec<u32>, ContinuousAllocation)> {
+    ) -> Result<(Vec<ClassAlloc>, ContinuousAllocation)> {
         let alloc = self.solve(solver, current)?;
-        let mut xs = self.integerize(&alloc);
+        let mut allocs = self.integerize(&alloc);
         if use_shrinking {
-            self.shrink(&mut xs, &alloc.drop_rates);
+            self.shrink(&mut allocs, &alloc.drop_rates);
         }
-        Ok((xs, alloc))
+        Ok((allocs, alloc))
     }
 }
 
 /// Result of the continuous solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContinuousAllocation {
-    /// Fractional replica counts per job.
+    /// Fractional replica counts, `job * C + class`.
     pub replicas: Vec<f64>,
     /// Drop rates per job (zero when unused).
     pub drop_rates: Vec<f64>,
@@ -753,10 +978,11 @@ struct ProblemAdapter<'a> {
 impl Problem for ProblemAdapter<'_> {
     fn dim(&self) -> usize {
         let n = self.inner.jobs.len();
+        let nx = n * self.inner.n_classes();
         if self.inner.objective.uses_drop_rates() {
-            2 * n
+            nx + n
         } else {
-            n
+            nx
         }
     }
 
@@ -766,22 +992,62 @@ impl Problem for ProblemAdapter<'_> {
     }
 
     fn num_constraints(&self) -> usize {
-        2 // vCPU and RAM.
+        if self.inner.classed() {
+            // One per capacity dimension plus one "at least one replica"
+            // floor per job.
+            RESOURCE_DIMS + self.inner.jobs.len()
+        } else {
+            2 // vCPU and RAM.
+        }
     }
 
     fn constraints(&self, v: &[f64], out: &mut [f64]) {
         let (xs, _) = self.inner.split_vars(v);
         let r = &self.inner.resources;
-        let cpu: f64 = xs.iter().map(|&x| x.max(1.0) * r.cpu_per_replica).sum();
-        let mem: f64 = xs.iter().map(|&x| x.max(1.0) * r.mem_per_replica).sum();
-        out[0] = r.cluster_cpu - cpu;
-        out[1] = r.cluster_mem - mem;
+        if !self.inner.classed() {
+            let cpu: f64 = xs.iter().map(|&x| x.max(1.0) * r.cpu_per_replica).sum();
+            let mem: f64 = xs.iter().map(|&x| x.max(1.0) * r.mem_per_replica).sum();
+            out[0] = r.cluster_cpu - cpu;
+            out[1] = r.cluster_mem - mem;
+            return;
+        }
+        let mut usage = [0.0; RESOURCE_DIMS];
+        for (j, counts) in xs.chunks(self.inner.n_classes()).enumerate() {
+            let mut total = 0.0;
+            for (c, &x) in counts.iter().enumerate() {
+                let x = x.max(0.0);
+                total += x;
+                for (u, k) in usage.iter_mut().zip(r.classes[c].cost()) {
+                    *u += x * k;
+                }
+            }
+            out[RESOURCE_DIMS + j] = total - 1.0;
+        }
+        for (d, cap) in r.capacities().into_iter().enumerate() {
+            out[d] = cap - usage[d];
+        }
     }
 
     fn bounds(&self) -> Vec<(f64, f64)> {
         let n = self.inner.jobs.len();
-        let quota = self.inner.resources.replica_quota().as_f64();
-        let mut b = vec![(1.0, quota); n];
+        let r = &self.inner.resources;
+        let mut b = Vec::with_capacity(self.dim());
+        if self.inner.classed() {
+            for j in 0..n {
+                for c in 0..r.n_classes() {
+                    b.push((
+                        0.0,
+                        if self.inner.allows(j, c) {
+                            r.class_quota(c).as_f64()
+                        } else {
+                            0.0
+                        },
+                    ));
+                }
+            }
+        } else {
+            b.resize(n, (1.0, r.replica_quota().as_f64()));
+        }
         if self.inner.objective.uses_drop_rates() {
             b.extend(std::iter::repeat_n((0.0, 1.0), n));
         }
@@ -797,6 +1063,14 @@ mod tests {
 
     fn slo() -> Slo {
         Slo::paper_default()
+    }
+
+    fn totals(allocs: &[ClassAlloc]) -> Vec<u32> {
+        allocs.iter().map(ClassAlloc::total).collect()
+    }
+
+    fn one_class(xs: &[u32]) -> Vec<ClassAlloc> {
+        xs.iter().map(|&x| ClassAlloc::single(0, x, 1)).collect()
     }
 
     fn two_job_problem(quota: u32, objective: ClusterObjective) -> MultiTenantProblem {
@@ -856,24 +1130,30 @@ mod tests {
         let p = two_job_problem(32, ClusterObjective::Sum);
         let mut prev = 0.0;
         for x in 1..=16 {
-            let u = p.expected_utility(0, f64::from(x), 0.0);
+            let u = p.expected_utility(0, &[f64::from(x)], 0.0);
             assert!(u >= prev - 1e-9, "x={x}");
             prev = u;
         }
         // Many replicas satisfy the SLO fully.
-        assert!((p.expected_utility(0, 16.0, 0.0) - 1.0).abs() < 1e-9);
+        assert!((p.expected_utility(0, &[16.0], 0.0) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn solver_finds_needy_job() {
         let p = two_job_problem(32, ClusterObjective::Sum);
         let alloc = p.solve(&Cobyla::fast(), &[1, 1]).unwrap();
-        let xs = p.integerize(&alloc);
+        let xs = totals(&p.integerize(&alloc));
         assert!(xs[0] > xs[1], "needy job should get more replicas: {xs:?}");
         assert!(xs.iter().sum::<u32>() <= 32);
         // Both jobs should end up satisfied in a right-sized cluster.
-        assert!(p.expected_utility(0, f64::from(xs[0]), 0.0) > 0.9, "{xs:?}");
-        assert!(p.expected_utility(1, f64::from(xs[1]), 0.0) > 0.9, "{xs:?}");
+        assert!(
+            p.expected_utility(0, &[f64::from(xs[0])], 0.0) > 0.9,
+            "{xs:?}"
+        );
+        assert!(
+            p.expected_utility(1, &[f64::from(xs[1])], 0.0) > 0.9,
+            "{xs:?}"
+        );
     }
 
     #[test]
@@ -886,7 +1166,7 @@ mod tests {
             objective_value: 0.0,
             evals: 0,
         };
-        let xs = p.integerize(&alloc);
+        let xs = totals(&p.integerize(&alloc));
         assert!(xs.iter().sum::<u32>() <= 10, "{xs:?}");
         assert!(xs.iter().all(|&x| x >= 1));
     }
@@ -895,14 +1175,15 @@ mod tests {
     fn shrink_removes_waste() {
         let p = two_job_problem(32, ClusterObjective::Sum);
         // Grossly overprovisioned allocation: both at utility 1.
-        let mut xs = vec![20u32, 10u32];
-        p.shrink(&mut xs, &[0.0, 0.0]);
+        let mut allocs = one_class(&[20, 10]);
+        p.shrink(&mut allocs, &[0.0, 0.0]);
+        let xs = totals(&allocs);
         let total: u32 = xs.iter().sum();
         assert!(total < 30, "shrinking should reclaim replicas: {xs:?}");
         // Utility must still be 1 for both.
         for (i, &x) in xs.iter().enumerate() {
             assert!(
-                (p.expected_utility(i, f64::from(x), 0.0) - 1.0).abs() < 1e-9,
+                (p.expected_utility(i, &[f64::from(x)], 0.0) - 1.0).abs() < 1e-9,
                 "{xs:?}"
             );
         }
@@ -922,10 +1203,10 @@ mod tests {
             Fidelity::Relaxed,
         )
         .unwrap();
-        let mut xs = vec![2u32, 2u32];
-        let before = xs.clone();
-        p.shrink(&mut xs, &[0.0, 0.0]);
-        assert_eq!(xs, before);
+        let mut allocs = one_class(&[2, 2]);
+        let before = allocs.clone();
+        p.shrink(&mut allocs, &[0.0, 0.0]);
+        assert_eq!(allocs, before);
     }
 
     #[test]
@@ -950,8 +1231,8 @@ mod tests {
             Fidelity::Precise,
         )
         .unwrap();
-        let u1 = p.expected_utility(0, 1.0, 0.0);
-        let u2 = p.expected_utility(0, 3.0, 0.0);
+        let u1 = p.expected_utility(0, &[1.0], 0.0);
+        let u2 = p.expected_utility(0, &[3.0], 0.0);
         assert_eq!(u1, 0.0);
         assert_eq!(u2, 0.0);
         // The relaxed version distinguishes them.
@@ -963,7 +1244,7 @@ mod tests {
             Fidelity::Relaxed,
         )
         .unwrap();
-        assert!(p.expected_utility(0, 3.0, 0.0) > p.expected_utility(0, 1.0, 0.0));
+        assert!(p.expected_utility(0, &[3.0], 0.0) > p.expected_utility(0, &[1.0], 0.0));
     }
 
     /// The independent reference for `expected_utility`: one public
@@ -1073,7 +1354,7 @@ mod tests {
                     for (i, job) in p.jobs().iter().enumerate() {
                         for &x in &xs {
                             for d in [0.0, 0.25, 0.9, 1.0, 1.5] {
-                                let got = p.expected_utility(i, x, d);
+                                let got = p.expected_utility(i, &[x], d);
                                 let direct = direct_expected_utility(job, model, x, d);
                                 assert_eq!(
                                     got.to_bits(),
@@ -1081,7 +1362,7 @@ mod tests {
                                     "{model:?} i={i} x={x} d={d}: {got} vs {direct}"
                                 );
                                 // Asked again, the same answer.
-                                assert_eq!(p.expected_utility(i, x, d).to_bits(), got.to_bits());
+                                assert_eq!(p.expected_utility(i, &[x], d).to_bits(), got.to_bits());
                             }
                         }
                     }
@@ -1093,9 +1374,9 @@ mod tests {
     #[test]
     fn clone_resets_cache_but_not_results() {
         let p = multi_step_problem(Fidelity::Relaxed);
-        let warm = p.expected_utility(0, 5.5, 0.1); // Populates caches.
+        let warm = p.expected_utility(0, &[5.5], 0.1); // Populates caches.
         let q = p.clone();
-        assert_eq!(q.expected_utility(0, 5.5, 0.1).to_bits(), warm.to_bits());
+        assert_eq!(q.expected_utility(0, &[5.5], 0.1).to_bits(), warm.to_bits());
     }
 
     #[test]
@@ -1220,14 +1501,14 @@ mod tests {
             .unwrap();
             for (x, d, knees) in [(2.5, 0.1, 2), (3.0, 0.1, 1), (9.5, 0.0, 2), (2.5, 1.0, 0)] {
                 let before = KNEE_RECURRENCES.get();
-                let u = p.job_utility(0, x, d).utility;
+                let u = p.job_utility(0, &[x], d).utility;
                 let computed = KNEE_RECURRENCES.get() - before;
                 assert!(u > 0.0 && u <= 1.0, "x={x} d={d}: utility {u}");
                 assert_eq!(computed, knees, "{steps} steps at x={x} d={d}");
             }
             // A read the tables serve asks nothing.
             let before = KNEE_RECURRENCES.get();
-            p.job_utility(0, 2.5, 0.0);
+            p.job_utility(0, &[2.5], 0.0);
             assert_eq!(KNEE_RECURRENCES.get(), before, "{steps} steps");
         }
     }
@@ -1255,7 +1536,7 @@ mod tests {
                 Fidelity::Relaxed,
             )
             .unwrap();
-            let cached = p.expected_utility(0, x, d);
+            let cached = p.expected_utility(0, &[x], d);
             let direct = direct_expected_utility(&p.jobs()[0], p.model, x, d);
             proptest::prop_assert_eq!(cached.to_bits(), direct.to_bits());
         }
@@ -1535,7 +1816,7 @@ mod tests {
                     ..p.model
                 };
                 for probe in [x, x.floor(), x.ceil(), x + 0.125, 1.0, 24.0] {
-                    let got = p.expected_utility(0, probe, 0.0);
+                    let got = p.expected_utility(0, &[probe], 0.0);
                     let direct = direct_expected_utility(&p.jobs()[0], model, probe, 0.0);
                     assert_eq!(
                         got.to_bits(),
@@ -1582,7 +1863,7 @@ mod tests {
         let over = problem(all_distinct(fitting_steps + 1));
         assert!(over.tables().is_none());
         for p in [&under, &counted, &over] {
-            let got = p.expected_utility(0, 9.5, 0.0);
+            let got = p.expected_utility(0, &[9.5], 0.0);
             let direct = direct_expected_utility(&p.jobs()[0], p.model, 9.5, 0.0);
             assert_eq!(got.to_bits(), direct.to_bits());
         }
@@ -1615,7 +1896,7 @@ mod tests {
         let ub_p = mk(LatencyModel::UpperBound);
         let first_full = |p: &MultiTenantProblem| {
             (1..=32)
-                .find(|&x| p.expected_utility(0, f64::from(x), 0.0) > 1.0 - 1e-9)
+                .find(|&x| p.expected_utility(0, &[f64::from(x)], 0.0) > 1.0 - 1e-9)
                 .unwrap_or(33)
         };
         assert!(first_full(&mdc_p) < first_full(&ub_p));

@@ -17,17 +17,17 @@
 //!    replica budget. Budgets are integerized by largest remainder with
 //!    a one-replica-per-member floor, summing exactly to the quota.
 //! 3. **Independent shard solves** — each shard solves its members
-//!    against its own budget (flat COBYLA below
-//!    [`ShardConfig::flat_threshold`] members, the grouped solve above
-//!    it), on the calling thread or, when [`ShardConfig::parallelism`]
+//!    against its own budget (flat COBYLA up to
+//!    [`HIERARCHICAL_THRESHOLD`] members, the grouped solve above it),
+//!    on the calling thread or, when [`ShardConfig::parallelism`]
 //!    asks for them, on `std::thread::scope` workers. Results are
 //!    merged in shard index order, so the output is byte-identical
 //!    regardless of thread count or interleaving.
 //! 4. **Incremental re-solves** — each solved job's workload signature
 //!    (mean predicted rate, processing time, SLO, priority) is cached;
 //!    a shard re-enters the solver only when a member's rate or
-//!    processing time moved beyond [`ShardConfig::dirty_epsilon`]
-//!    (relative) or its SLO/priority changed at all, or when the new
+//!    processing time moved beyond [`DIRTY_EPSILON`] (relative) or its
+//!    SLO/priority changed at all, or when the new
 //!    budget no longer covers the cached allocation. Clean shards reuse
 //!    their cached decisions, so a warm round's cost is the top-level
 //!    split plus only the shards that actually changed.
@@ -36,20 +36,29 @@
 //! model value the round was given (`FaroAutoscaler` builds it from its
 //! configuration; the public [`ShardedSolver::solve`] runs the paper's
 //! defaults), and a flat shard runs the same solve, integerize, shrink
-//! function a global flat round does. A shard above the flat threshold
-//! takes the grouped solve, which never shrinks.
+//! function a global flat round does. A shard above the threshold takes
+//! the grouped solve, which never shrinks. A shard budget is a share of
+//! a scalar quota, so a cluster of two or more replica classes is
+//! refused: it solves flat.
 
-use crate::error::Result;
-use crate::evaluate::{validate, Model};
-use crate::hierarchical::{replica_need, solve_grouped};
+use crate::error::{Error, Result};
+use crate::evaluate::{fold_class_speed, validate, Model};
+use crate::hierarchical::{replica_need, solve_grouped, DEFAULT_GROUPS, HIERARCHICAL_THRESHOLD};
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use crate::rng::SplitMix64;
-use crate::types::{DesiredState, JobDecision, JobId, ResourceModel, Slo};
+use crate::types::{
+    ClassAlloc, DesiredState, JobDecision, JobId, ReplicaClass, ResourceModel, Slo,
+};
 use crate::units::ReplicaCount;
 use faro_solver::Solver;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Relative change in a job's mean predicted rate or processing time
+/// that marks its shard dirty. SLO or priority changes always do.
+pub const DIRTY_EPSILON: f64 = 0.05;
 
 /// How the long-term solve is organized (`FaroConfig::solve_plan`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,13 +85,6 @@ pub struct ShardConfig {
     /// run (EXPERIMENTS.md), and both sit far inside the 10 s tick.
     /// Ask for workers where the round itself nears the tick.
     pub parallelism: usize,
-    /// Relative change in a job's mean predicted rate or processing
-    /// time that marks its shard dirty. SLO or priority changes always
-    /// do.
-    pub dirty_epsilon: f64,
-    /// Member count above which a shard solves with the grouped
-    /// (hierarchical) formulation instead of flat COBYLA.
-    pub flat_threshold: usize,
     /// Group count for within-shard grouped solves.
     pub groups: usize,
 }
@@ -92,9 +94,7 @@ impl Default for ShardConfig {
         Self {
             shards: 16,
             parallelism: 1,
-            dirty_epsilon: 0.05,
-            flat_threshold: 50,
-            groups: 10,
+            groups: DEFAULT_GROUPS,
         }
     }
 }
@@ -190,10 +190,10 @@ impl JobSignature {
     }
 
     /// Whether moving from `self` to `new` invalidates a cached solve.
-    fn dirty_against(&self, new: &JobSignature, epsilon: f64) -> bool {
+    fn dirty_against(&self, new: &JobSignature) -> bool {
         let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-9);
-        rel(new.mean_rate, self.mean_rate) > epsilon
-            || rel(new.processing_time, self.processing_time) > epsilon
+        rel(new.mean_rate, self.mean_rate) > DIRTY_EPSILON
+            || rel(new.processing_time, self.processing_time) > DIRTY_EPSILON
             || new.slo != self.slo
             || new.priority != self.priority
     }
@@ -297,38 +297,29 @@ struct SolveCtx<'a> {
     use_shrinking: bool,
     solver: &'a (dyn Solver + Sync),
     current: &'a [u32],
-    cfg: ShardConfig,
+    groups: usize,
     seed: u64,
 }
 
-/// Scales a cluster's capacity down to a shard's replica budget.
-///
-/// Homogeneous clusters get exact per-replica scaling (identical to the
-/// pre-class arithmetic). Classed clusters scale every capacity
-/// dimension by the budget's share of the total replica quota, so each
-/// shard sees the cluster's GPU:CPU mix in proportion to its budget and
-/// class costs stay representable.
+/// Scales a cluster down to a shard's replica budget: `budget` replicas'
+/// worth of every dimension, at a one-class table's own class costs (so
+/// the shard's quota is the budget whatever the scalar fields say) and
+/// at the per-replica vCPU and RAM without one.
 fn sub_resources_for_budget(resources: &ResourceModel, budget: u32) -> ResourceModel {
-    if resources.has_classes() {
-        let total = resources.replica_quota().get().max(1);
-        let frac = f64::from(budget) / f64::from(total);
-        return ResourceModel {
-            cluster_cpu: resources.cluster_cpu * frac,
-            cluster_gpu: resources.cluster_gpu * frac,
-            cluster_mem: resources.cluster_mem * frac,
-            ..resources.clone()
-        };
-    }
+    let scalar = [resources.cpu_per_replica, 0.0, resources.mem_per_replica];
+    let [cpu, gpu, mem] = resources.classes.first().map_or(scalar, ReplicaClass::cost);
+    let budget = f64::from(budget);
     ResourceModel {
-        cluster_cpu: f64::from(budget) * resources.cpu_per_replica,
-        cluster_mem: f64::from(budget) * resources.mem_per_replica,
+        cluster_cpu: budget * cpu,
+        cluster_gpu: budget * gpu,
+        cluster_mem: budget * mem,
         ..resources.clone()
     }
 }
 
 /// Solves one shard against its budget: the flat solve, integerize and
 /// shrink for small member lists, the grouped solve above
-/// [`ShardConfig::flat_threshold`], with a per-shard child seed.
+/// [`HIERARCHICAL_THRESHOLD`], with a per-shard child seed.
 fn solve_shard(
     ctx: &SolveCtx<'_>,
     members: &[usize],
@@ -343,12 +334,12 @@ fn solve_shard(
     let sub_resources = sub_resources_for_budget(&ctx.resources, budget);
     let problem =
         MultiTenantProblem::with_model(sub_jobs, sub_resources, ctx.objective, ctx.model)?;
-    if members.len() > ctx.cfg.flat_threshold {
+    if members.len() > HIERARCHICAL_THRESHOLD {
         let out = solve_grouped(
             &problem,
             ctx.solver,
             &sub_current,
-            ctx.cfg.groups,
+            ctx.groups,
             SplitMix64::child_seed(ctx.seed, shard as u64),
         )?;
         Ok(ShardResult {
@@ -357,10 +348,9 @@ fn solve_shard(
             evals: out.evals as u64,
         })
     } else {
-        let (replicas, alloc) =
-            problem.solve_integer(ctx.solver, &sub_current, ctx.use_shrinking)?;
+        let (allocs, alloc) = problem.solve_integer(ctx.solver, &sub_current, ctx.use_shrinking)?;
         Ok(ShardResult {
-            replicas,
+            replicas: allocs.iter().map(ClassAlloc::total).collect(),
             drops: alloc.drop_rates,
             evals: alloc.evals as u64,
         })
@@ -445,17 +435,6 @@ impl ShardedSolver {
         &self.cfg
     }
 
-    /// Drops all cached state; the next round re-partitions and solves
-    /// every shard.
-    pub fn invalidate(&mut self) {
-        self.members.clear();
-        self.sigs.clear();
-        self.caches.clear();
-        self.budgets.clear();
-        self.n_jobs = 0;
-        self.last_quota = 0;
-    }
-
     /// One sharded long-term round under the paper's default model,
     /// with stage-3 shrinking on: partition (if stale), dirty-check,
     /// top-level split, parallel dirty-shard solves, deterministic
@@ -463,8 +442,9 @@ impl ShardedSolver {
     ///
     /// # Errors
     ///
-    /// Propagates problem-construction and solver failures; cached
-    /// state is left untouched so the next round retries cleanly.
+    /// Fails on a cluster of two or more replica classes; propagates
+    /// problem-construction and solver failures. Cached state is left
+    /// untouched so the next round retries cleanly.
     pub fn solve(
         &mut self,
         jobs: &[JobWorkload],
@@ -492,6 +472,17 @@ impl ShardedSolver {
         current: &[u32],
     ) -> Result<ShardedAllocation> {
         validate(jobs, &resources)?;
+        if resources.n_classes() > 1 {
+            return Err(Error::InvalidSnapshot(
+                "the sharded solve splits a scalar quota; a classed cluster solves flat".into(),
+            ));
+        }
+        // The partition, the signatures and every shard read a one-class
+        // table's jobs at the class's service time.
+        let (mut jobs, mut resources) = (Cow::Borrowed(jobs), resources);
+        if resources.has_classes() {
+            fold_class_speed(jobs.to_mut(), &mut resources);
+        }
         let n = jobs.len();
         let quota = resources.replica_quota();
 
@@ -518,7 +509,7 @@ impl ShardedSolver {
             dirty[shard] = members.iter().any(|&j| {
                 self.sigs[j]
                     .as_ref()
-                    .is_none_or(|old| old.dirty_against(&new_sigs[j], self.cfg.dirty_epsilon))
+                    .is_none_or(|old| old.dirty_against(&new_sigs[j]))
             });
         }
         let any_dirty = dirty.iter().any(|&d| d) || self.budgets.len() != s;
@@ -566,14 +557,14 @@ impl ShardedSolver {
             self.cfg.parallelism
         };
         let ctx = SolveCtx {
-            jobs,
+            jobs: &jobs,
             resources,
             objective,
             model,
             use_shrinking,
             solver,
             current,
-            cfg: self.cfg,
+            groups: self.cfg.groups,
             seed: self.seed,
         };
         let results = run_shard_solves(&ctx, &self.members, &tasks, threads);
@@ -937,5 +928,33 @@ mod tests {
             .unwrap();
         assert_eq!(out.drop_rates.len(), 8);
         assert!(out.drop_rates.iter().all(|d| (0.0..=1.0).contains(d)));
+    }
+
+    /// A one-class table's shard holds its budget of that class, even
+    /// where the scalar per-replica fields disagree with the class's
+    /// own costs (4 GB a replica against `mem_per_replica` 1).
+    #[test]
+    fn a_one_class_shard_hosts_its_budget_whatever_the_scalar_fields() {
+        let resources = ResourceModel {
+            mem_per_replica: 1.0,
+            ..ResourceModel::heterogeneous(vec![ReplicaClass::gpu("gpu")], 48.0, 48.0, 192.0)
+        };
+        assert_eq!(resources.replica_quota().get(), 48);
+        for budget in [1, 7, 16, 48] {
+            let shard = sub_resources_for_budget(&resources, budget);
+            assert_eq!(shard.replica_quota().get(), budget);
+        }
+        let out = ShardedSolver::new(ShardConfig::with_shards(3), 7)
+            .solve(
+                &jobs(12),
+                resources,
+                ClusterObjective::Sum,
+                Fidelity::Relaxed,
+                &Cobyla::fast(),
+                &[1; 12],
+            )
+            .expect("every shard hosts one replica per member");
+        assert_eq!(out.record.solved, 3);
+        assert!(out.replicas.iter().sum::<u32>() <= 48);
     }
 }

@@ -517,6 +517,21 @@ impl ResourceModel {
         }
     }
 
+    /// The class indices, fastest (lowest service-time multiplier)
+    /// first, ties on the lower index; `[0]` without a class table, the
+    /// one class a scalar decision stands for.
+    pub fn classes_by_speed(&self) -> Vec<usize> {
+        let speed = |c: usize| self.classes.get(c).map_or(1.0, |class| class.speed);
+        let mut order: Vec<usize> = (0..self.n_classes().max(1)).collect();
+        order.sort_by(|&a, &b| {
+            speed(a)
+                .partial_cmp(&speed(b))
+                .unwrap_or(core::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        order
+    }
+
     /// Assigns a *class-blind* replica target to classes by spill-fill:
     /// fill the fastest class (lowest service-time multiplier, ties by
     /// lower index) as far as the remaining vector capacity allows,
@@ -539,14 +554,7 @@ impl ResourceModel {
         if nc == 0 {
             return alloc;
         }
-        let mut order: Vec<usize> = (0..nc).collect();
-        order.sort_by(|&a, &b| {
-            self.classes[a]
-                .speed
-                .partial_cmp(&self.classes[b].speed)
-                .unwrap_or(core::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        let order = self.classes_by_speed();
         let caps = self.capacities();
         let mut remaining = target;
         for &c in &order {

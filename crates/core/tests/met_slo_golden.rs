@@ -83,13 +83,13 @@ fn zero_drop_solves_decide_what_they_decided_through_powf() {
                 mix(alloc.objective_value.to_bits());
                 alloc.replicas.iter().for_each(|x| mix(x.to_bits()));
                 let mut xs = p.integerize(&alloc);
-                xs.iter().for_each(|&x| mix(u64::from(x)));
+                xs.iter().for_each(|x| mix(u64::from(x.total())));
                 p.shrink(&mut xs, &alloc.drop_rates);
-                xs.iter().for_each(|&x| mix(u64::from(x)));
+                xs.iter().for_each(|x| mix(u64::from(x.total())));
                 // The job whose target sits on a table entry, at the
                 // count that reads it and either side.
                 for x in [2.0, 2.5, 3.0] {
-                    mix(p.expected_utility(0, x, 0.0).to_bits());
+                    mix(p.expected_utility(0, &[x], 0.0).to_bits());
                 }
             }
         }
@@ -183,7 +183,7 @@ fn classed_solves_decide_what_they_decided_through_powf() {
                 let alloc = p.solve(&Cobyla::default(), &[2; 6]).expect("solve");
                 mix(alloc.evals as u64);
                 mix(alloc.objective_value.to_bits());
-                alloc.counts.iter().for_each(|x| mix(x.to_bits()));
+                alloc.replicas.iter().for_each(|x| mix(x.to_bits()));
                 alloc.drop_rates.iter().for_each(|d| mix(d.to_bits()));
                 let mut allocs = p.integerize(&alloc);
                 allocs

@@ -16,7 +16,7 @@
 use faro_core::objective::ClusterObjective;
 use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use faro_core::sharded::{ShardConfig, ShardedSolver};
-use faro_core::types::{ResourceModel, Slo};
+use faro_core::types::{ClassAlloc, ResourceModel, Slo};
 use faro_core::units::ReplicaCount;
 use faro_solver::Cobyla;
 use proptest::prelude::*;
@@ -109,8 +109,9 @@ proptest! {
             Fidelity::Relaxed,
         ).expect("valid problem");
         let alloc = problem.solve(&cobyla, &current).expect("global solve");
-        let mut global = problem.integerize(&alloc);
-        problem.shrink(&mut global, &alloc.drop_rates);
+        let mut allocs = problem.integerize(&alloc);
+        problem.shrink(&mut allocs, &alloc.drop_rates);
+        let global: Vec<u32> = allocs.iter().map(ClassAlloc::total).collect();
 
         let cfg = ShardConfig { shards, parallelism: 1, ..ShardConfig::default() };
         let mut sharded = ShardedSolver::new(cfg, 17);
@@ -197,7 +198,7 @@ fn round_digest(replicas: &[u32], drop_bits: &[u64], meta: &str) -> u64 {
 /// These digests — replicas, drop-rate bits, and the record with its
 /// evaluation counts — were taken before the latency tables stopped
 /// computing knee latencies they never read; the split, the grouped
-/// shards (above `flat_threshold`) and the flat shards (below it) must
+/// shards (above `HIERARCHICAL_THRESHOLD`) and the flat shards (below it) must
 /// keep reproducing them, evaluation for evaluation, however the
 /// tables come to be built.
 #[test]

@@ -1,22 +1,24 @@
 //! Bit-identity contracts for `MultiTenantProblem`'s solve cache.
 //!
-//! A job's utility is memoised on the exact bits of its replica count
-//! and drop rate, so a problem that has evaluated a thousand points
-//! must answer the next one exactly as a problem that has evaluated
-//! none. `Clone` starts with an empty cache, which makes a fresh clone
-//! the uncached reference everywhere below: flat and grouped solves,
-//! the integer post-processing, and concurrent population evaluation.
+//! At one replica class a job's utility is memoised on the exact bits of
+//! its replica count and drop rate, so a problem that has evaluated a
+//! thousand points must answer the next one exactly as a problem that
+//! has evaluated none. `Clone` starts with an empty cache, which makes a
+//! fresh clone the uncached reference everywhere below: flat and grouped
+//! solves, the integer post-processing, and concurrent population
+//! evaluation. A one-class table is that same scalar problem at its
+//! class's speed, read for read.
 //!
-//! The classed `HeteroProblem` has no fresh-clone reference — however it
-//! shares work between the steps of one evaluation, a clone shares it
-//! the same way. Its reference is the estimator itself: the last
-//! section recomputes every value from one public `faro_queueing` call
-//! per trajectory step per bracketing server count, with nothing held
-//! from one step to the next.
+//! At two or more classes there is no fresh-clone reference — however
+//! the problem shares work between the steps of one evaluation, a clone
+//! shares it the same way. Its reference is the estimator itself: the
+//! last section recomputes every value from one public `faro_queueing`
+//! call per trajectory step per bracketing server count, with nothing
+//! held from one step to the next.
 
 use std::sync::Mutex;
 
-use faro_core::hetero::{HeteroAllocation, HeteroProblem};
+use faro_core::hetero::HeteroProblem;
 use faro_core::hierarchical::solve_hierarchical;
 use faro_core::objective::{ClusterObjective, JobUtility};
 use faro_core::opt::{
@@ -398,9 +400,9 @@ fn drop_objective_solves_decide_what_they_decided() {
             };
             for alloc in [&alloc, &crowded] {
                 let mut xs = p.integerize(alloc);
-                xs.iter().for_each(|&x| mix(u64::from(x)));
+                xs.iter().for_each(|x| mix(u64::from(x.total())));
                 p.shrink(&mut xs, &alloc.drop_rates);
-                xs.iter().for_each(|&x| mix(u64::from(x)));
+                xs.iter().for_each(|x| mix(u64::from(x.total())));
             }
         }
     }
@@ -408,6 +410,68 @@ fn drop_objective_solves_decide_what_they_decided() {
         digest, 0x46a4_c32c_c74f_bbda,
         "drop-objective decisions moved: digest {digest:#018x}"
     );
+}
+
+/// C = 1 *is* the scalar problem: a one-class table of a class `SPEED`
+/// times slower than the reference, at processing time `p`, and a
+/// classless cluster of as many replicas at `SPEED · p` read the same
+/// bits at every point a solve visits and decide the same integers,
+/// under every objective, both fidelities and both estimators.
+#[test]
+fn a_one_class_table_is_the_scalar_problem_at_its_class_speed() {
+    const SPEED: f64 = 3.0;
+    let n = 5;
+    let slowed: Vec<JobWorkload> = jobs(n)
+        .into_iter()
+        .map(|job| JobWorkload {
+            processing_time: SPEED * job.processing_time,
+            ..job
+        })
+        .collect();
+    let quota = f64::from(QUOTA);
+    let one_class =
+        ResourceModel::heterogeneous(vec![ReplicaClass::cpu("cpu", SPEED)], quota, 0.0, quota);
+    let solver = cobyla();
+    let bits = |log: Vec<(Vec<f64>, f64)>| -> Vec<(Vec<u64>, u64)> {
+        log.into_iter()
+            .map(|(v, f)| (v.iter().map(|x| x.to_bits()).collect(), f.to_bits()))
+            .collect()
+    };
+    for objective in objectives() {
+        for fidelity in fidelities() {
+            for model in [LatencyModel::MDc, LatencyModel::UpperBound] {
+                let build = |jobs: Vec<JobWorkload>, resources: ResourceModel| {
+                    MultiTenantProblem::new(jobs, resources, objective, fidelity)
+                        .expect("valid problem")
+                        .with_latency_model(model)
+                };
+                let classed = build(jobs(n), one_class.clone());
+                let scalar = build(slowed.clone(), resources());
+                let (classed_tap, scalar_tap) = (Tap::new(&solver), Tap::new(&solver));
+                let alloc = classed.solve(&classed_tap, &vec![2; n]).expect("solve");
+                let want = scalar.solve(&scalar_tap, &vec![2; n]).expect("solve");
+                let what = format!("{objective:?} {fidelity:?} {model:?}");
+                assert_eq!(
+                    bits(classed_tap.evaluations()),
+                    bits(scalar_tap.evaluations()),
+                    "{what}"
+                );
+                assert_eq!(alloc, want, "{what}");
+                let crowded = ContinuousAllocation {
+                    replicas: alloc.replicas.iter().map(|x| x + 3.4).collect(),
+                    ..alloc.clone()
+                };
+                for alloc in [&alloc, &crowded] {
+                    let mut got = classed.integerize(alloc);
+                    let mut want = scalar.integerize(alloc);
+                    assert_eq!(got, want, "{what} integerize");
+                    classed.shrink(&mut got, &alloc.drop_rates);
+                    scalar.shrink(&mut want, &alloc.drop_rates);
+                    assert_eq!(got, want, "{what} shrink");
+                }
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------- the classed problem
@@ -544,13 +608,15 @@ impl Classed {
 
     /// The problem's own expected utility against the reference's, at
     /// an integer allocation and at each allocation one replica short
-    /// of it (what `integerize` and `shrink` score).
+    /// of it (what `integerize` and `shrink` score). At one class the
+    /// empty pool is skipped: the scalar form floors a count at one
+    /// replica, where the reference serves nothing.
     fn check_integer_neighbourhood(&self, allocs: &[ClassAlloc], drops: &[f64], what: &str) {
         for (j, alloc) in allocs.iter().enumerate() {
             let at = alloc.as_slice().iter().map(|&n| f64::from(n));
             let mut points = vec![at.clone().collect::<Vec<f64>>()];
             for c in 0..alloc.n_classes() {
-                if alloc.count(c) > 0 {
+                if alloc.count(c) > 0 && (alloc.total() > 1 || alloc.n_classes() > 1) {
                     let mut short: Vec<f64> = at.clone().collect();
                     short[c] -= 1.0;
                     points.push(short);
@@ -654,21 +720,23 @@ fn allocation_digest(h: u64, allocs: &[ClassAlloc]) -> u64 {
         })
 }
 
-/// Every value a default COBYLA solve of the classed problem reads, and
+/// Every value a default COBYLA solve of a classed problem reads, and
 /// every utility its integer post-processing scores, is the estimator's
 /// own value at that step and count; and the allocations decided from
-/// them are the ones decided when each value was computed (or looked up
-/// in a memo) one step at a time — the digest was taken then.
+/// them are pinned, one digest per case. The mixed-class digest was
+/// taken when each value was computed (or looked up in a memo) one step
+/// at a time; the one-class digest when a one-class table took the
+/// scalar form, which the test above holds to the classless solve.
 #[test]
 fn a_classed_solve_and_its_post_processing_equal_the_direct_estimator() {
     let solver = Cobyla {
         max_iters: if cfg!(miri) { 2 } else { 400 },
         ..Cobyla::default()
     };
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digests = [0xcbf2_9ce4_8422_2325u64; 2];
     for objective in objectives() {
         for fidelity in fidelities() {
-            for case in classed_cases(objective, fidelity) {
+            for (case, digest) in classed_cases(objective, fidelity).iter().zip(&mut digests) {
                 let p = &case.problem;
                 let n = p.n_jobs();
                 let nc = p.n_classes();
@@ -684,9 +752,9 @@ fn a_classed_solve_and_its_post_processing_equal_the_direct_estimator() {
                 // The solved point, and the same point with every allowed
                 // class pushed up so that integerize has replicas to trim,
                 // under drop rates no objective here settles on.
-                let crowded = HeteroAllocation {
-                    counts: alloc
-                        .counts
+                let crowded = ContinuousAllocation {
+                    replicas: alloc
+                        .replicas
                         .iter()
                         .zip(case.masks.iter().flatten())
                         .map(|(x, &allowed)| if allowed { x + 2.6 } else { *x })
@@ -697,18 +765,23 @@ fn a_classed_solve_and_its_post_processing_equal_the_direct_estimator() {
                 for alloc in [&alloc, &crowded] {
                     let mut allocs = p.integerize(alloc);
                     case.check_integer_neighbourhood(&allocs, &alloc.drop_rates, "integerized");
-                    digest = allocation_digest(digest, &allocs);
+                    *digest = allocation_digest(*digest, &allocs);
                     p.shrink(&mut allocs, &alloc.drop_rates);
                     case.check_integer_neighbourhood(&allocs, &alloc.drop_rates, "shrunk");
-                    digest = allocation_digest(digest, &allocs);
+                    *digest = allocation_digest(*digest, &allocs);
                 }
             }
         }
     }
     if !cfg!(miri) {
+        let [mixed, single] = digests;
         assert_eq!(
-            digest, 0x54d4_5199_52b6_dab4,
-            "classed allocations moved: digest {digest:#018x}"
+            mixed, 0x8aa6_20e0_0b56_1fcc,
+            "mixed-class allocations moved: digest {mixed:#018x}"
+        );
+        assert_eq!(
+            single, 0x6a87_aa32_2d14_fb39,
+            "one-class allocations moved: digest {single:#018x}"
         );
     }
 }

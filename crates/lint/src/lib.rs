@@ -76,6 +76,6 @@ pub use diagnostics::Diagnostic;
 pub use index::{build_index, extract_facts, FileFacts, WorkspaceIndex};
 pub use rules::{index_sources, lint_source, lint_sources, KNOWN_RULES};
 pub use walk::{
-    changed_files, golden_guard, golden_guard_indexed, index_workspace, lint_workspace, run,
-    GOLDEN_SENSITIVE,
+    changed_files, golden_guard, golden_guard_indexed, index_workspace, lint_workspace,
+    read_workspace, run, GOLDEN_SENSITIVE,
 };

@@ -194,7 +194,7 @@ fn borrowed(sources: &[(String, String)]) -> Vec<(&str, &str)> {
 
 /// Every `.rs` file under `src/` and `crates/*/src/`, as
 /// (workspace-relative path, content), sorted by path.
-fn read_workspace(root: &Path) -> Vec<(String, String)> {
+pub fn read_workspace(root: &Path) -> Vec<(String, String)> {
     let mut files: Vec<PathBuf> = Vec::new();
     collect_rs(&root.join("src"), &mut files);
     if let Ok(entries) = fs::read_dir(root.join("crates")) {

@@ -2,16 +2,18 @@
 //! (the alias lives in `.cargo/config.toml`). Plain std, no deps
 //! beyond the linter itself, so it builds in seconds.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") if args.len() == 1 => return lint(),
-        Some("lint") => eprintln!("`lint` takes no options"),
-        Some(other) => eprintln!("unknown task `{other}`"),
-        None => {}
+    match (args.first().map(String::as_str), args.len()) {
+        (Some("lint"), 1) => return lint(),
+        (Some("ledger"), 1) => return ledger(),
+        (Some(task @ ("lint" | "ledger")), _) => eprintln!("`{task}` takes no options"),
+        (Some(other), _) => eprintln!("unknown task `{other}`"),
+        (None, _) => {}
     }
     usage();
     ExitCode::from(2)
@@ -23,6 +25,8 @@ fn usage() {
     eprintln!("tasks:");
     eprintln!("  lint    run faro-lint over the workspace (determinism &");
     eprintln!("          unit-safety invariants); exits 1 on any diagnostic");
+    eprintln!("  ledger  print the non-test code lines of each crate's src/");
+    eprintln!("          (the root package as `facade`) and their total");
 }
 
 /// Runs faro-lint's two-phase workspace analysis and prints rustc-style
@@ -45,6 +49,40 @@ fn lint() -> ExitCode {
     }
 }
 
+/// Prints the line ledger: [`code_lines`] summed over the `.rs` files
+/// under each crate's `src/`, one row per crate by directory name, the
+/// root package's `src/` as `facade`, then the total.
+fn ledger() -> ExitCode {
+    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+    for (path, content) in faro_lint::read_workspace(&workspace_root()) {
+        let krate = path
+            .strip_prefix("crates/")
+            .and_then(|p| p.split('/').next());
+        let krate = krate.unwrap_or("facade").to_string();
+        *counts.entry(krate).or_default() += code_lines(&content);
+    }
+    for (krate, lines) in &counts {
+        println!("{krate:<10} {lines:>6}");
+    }
+    println!("{:<10} {:>6}", "total", counts.values().sum::<usize>());
+    ExitCode::SUCCESS
+}
+
+/// A file's lines that are neither blank nor comment-only, up to its
+/// `#[cfg(test)] mod tests`. Other `#[cfg(test)]` items, such as
+/// `thread_local!` test counters, count as code.
+fn code_lines(text: &str) -> usize {
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let end = lines
+        .windows(2)
+        .position(|w| w[0] == "#[cfg(test)]" && w[1].starts_with("mod tests"))
+        .unwrap_or(lines.len());
+    lines[..end]
+        .iter()
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .count()
+}
+
 /// The workspace root is two levels above this crate's manifest
 /// (`<root>/crates/xtask`).
 fn workspace_root() -> PathBuf {
@@ -53,4 +91,39 @@ fn workspace_root() -> PathBuf {
         .nth(2)
         .expect("crates/xtask always sits two levels below the workspace root")
         .to_path_buf()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::code_lines;
+
+    /// One line of each kind: code counts (a `#[cfg(test)]` counter
+    /// included); blank lines, every comment style and everything from
+    /// `#[cfg(test)] mod tests` on do not.
+    #[test]
+    fn the_ledger_counts_code_before_the_test_module() {
+        let fixture = "\
+//! Module doc.
+
+/// Item doc.
+pub fn f() -> u32 {
+    // A comment.
+    1 // A trailing comment on code.
+}
+
+#[cfg(test)]
+thread_local! {
+    static CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {}
+}
+";
+        assert_eq!(code_lines(fixture), 7);
+        assert_eq!(code_lines(""), 0);
+        assert_eq!(code_lines("fn g() {}"), 1, "a file with no test module");
+    }
 }

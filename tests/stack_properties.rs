@@ -3,7 +3,7 @@
 
 use faro::core::baselines::Aiad;
 use faro::core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
-use faro::core::types::{JobSpec, ResourceModel, Slo};
+use faro::core::types::{ClassAlloc, JobSpec, ResourceModel, Slo};
 use faro::core::ClusterObjective;
 use faro::sim::{
     ColdStartSpike, FaultPlan, JobSetup, MetricOutage, MetricOutageMode, NodeOutage,
@@ -112,12 +112,13 @@ proptest! {
         .unwrap();
         let alloc = p.solve(&Cobyla::fast(), &vec![1; lambdas.len()]).unwrap();
         let mut xs = p.integerize(&alloc);
-        prop_assert!(xs.iter().sum::<u32>() <= quota, "{xs:?} quota {quota}");
-        prop_assert!(xs.iter().all(|&x| x >= 1));
+        let total = |xs: &[ClassAlloc]| xs.iter().map(ClassAlloc::total).sum::<u32>();
+        prop_assert!(total(&xs) <= quota, "{xs:?} quota {quota}");
+        prop_assert!(xs.iter().all(|x| x.total() >= 1));
         let integerized = xs.clone();
         p.shrink(&mut xs, &alloc.drop_rates);
-        prop_assert!(xs.iter().sum::<u32>() <= quota);
-        prop_assert!(xs.iter().all(|&x| x >= 1));
+        prop_assert!(total(&xs) <= quota);
+        prop_assert!(xs.iter().all(|x| x.total() >= 1));
 
         let cold = p.clone().solve(&Cobyla::fast(), &vec![1; lambdas.len()]).unwrap();
         prop_assert_eq!(&cold, &alloc);
