@@ -205,12 +205,7 @@ fn run_row(n: usize, warm_rounds: usize, seed: u64) -> ScaleRow {
     }
 
     // Sharded path: dirty shards only after the cold round.
-    let cfg = ShardConfig {
-        shards,
-        parallelism: 1,
-        ..ShardConfig::default()
-    };
-    let mut sharded = ShardedSolver::new(cfg, seed);
+    let mut sharded = ShardedSolver::new(ShardConfig::with_shards(shards), seed);
     let solver = Cobyla::fast();
     let mut current = vec![1u32; n];
     let mut sharded_times = Vec::new();

@@ -430,6 +430,16 @@ mod tests {
     }
 
     #[test]
+    fn classes_that_miss_the_target_get_a_400_and_the_server_keeps_serving() {
+        for classes in ["[1,1]", "[2,2]", "[4294967295,4]"] {
+            refused_then_served(&format!(
+                "{{\"v\":1,\"desired\":[{{\"job\":0,\"target_replicas\":3,\"drop_rate\":0.0,\
+                 \"classes\":{classes}}}]}}"
+            ));
+        }
+    }
+
+    #[test]
     fn bodies_nested_past_the_depth_cap_get_a_400_and_the_server_keeps_serving() {
         let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
         let addr = server.addr();

@@ -199,6 +199,35 @@ fn future_versions_are_rejected_by_every_parser() {
     }
 }
 
+/// A decision's `classes` sum to its `target_replicas`: an apply body
+/// that breaks that is refused, not actuated with one count or the
+/// other, while the golden's `[2,1]` for 3 still parses.
+#[test]
+fn apply_bodies_whose_classes_miss_the_target_are_refused() {
+    let body = |target: &str, classes: &str| {
+        format!(
+            "{{\"v\":1,\"desired\":[{{\"job\":1,\"target_replicas\":{target},\
+             \"drop_rate\":0,\"classes\":{classes}}}]}}"
+        )
+    };
+    let parse = |json: &str| ApplyRequest::from_json(&serde_json::from_str(json).expect("JSON"));
+    let golden = parse(&body("3", "[2,1]")).expect("classes that sum to the target");
+    assert_eq!(
+        golden.desired.get(JobId::new(1)).and_then(|d| d.classes),
+        ClassAlloc::from_counts(&[2, 1])
+    );
+    // Short, over, empty for a non-zero target, and a sum that wraps
+    // `u32` to the target.
+    for (target, classes) in [
+        ("3", "[1,1]"),
+        ("3", "[2,2]"),
+        ("3", "[]"),
+        ("2", "[4294967295,3]"),
+    ] {
+        assert_eq!(parse(&body(target, classes)), None, "{target} as {classes}");
+    }
+}
+
 /// Decision bodies inside the committed telemetry trace stay readable
 /// through the wire parsers: every `Decision` record's per-job grants
 /// can be rebuilt into a `DesiredState` and shipped as a v1 apply.

@@ -20,7 +20,7 @@ use crate::error::{Error, Result};
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use crate::rng::SplitMix64;
-use crate::types::{ClassAlloc, DesiredState, JobDecision, JobId, ResourceModel};
+use crate::types::{ClassAlloc, ResourceModel};
 use crate::units::ReplicaCount;
 use faro_solver::Solver;
 
@@ -83,20 +83,6 @@ pub struct HierarchicalAllocation {
     pub group_objective: f64,
     /// Solver function evaluations spent on the grouped solve.
     pub evals: usize,
-}
-
-impl HierarchicalAllocation {
-    /// The allocation as a typed [`DesiredState`] — the boundary where
-    /// solver-space positional vectors become [`JobId`]-keyed decisions
-    /// that can never be applied to the wrong job.
-    pub fn desired_state(&self) -> DesiredState {
-        self.replicas
-            .iter()
-            .zip(self.drop_rates.iter())
-            .enumerate()
-            .map(|(j, (&r, &d))| (JobId::new(j), JobDecision::replicas(r).with_drop_rate(d)))
-            .collect()
-    }
 }
 
 /// A `G`-variable view of the flat problem: each group's replica budget
@@ -365,22 +351,6 @@ mod tests {
         assert_eq!(out.replicas.len(), 12);
         assert!(out.replicas.iter().all(|&x| x >= 1));
         assert!(out.replicas.iter().sum::<u32>() <= 48, "{:?}", out.replicas);
-    }
-
-    #[test]
-    fn desired_state_preserves_job_identity() {
-        let alloc = HierarchicalAllocation {
-            replicas: vec![3, 1, 5],
-            drop_rates: vec![0.0, 0.2, 0.0],
-            group_objective: 1.0,
-            evals: 10,
-        };
-        let ds = alloc.desired_state();
-        assert_eq!(ds.len(), 3);
-        let d1 = ds.get(JobId::new(1)).unwrap();
-        assert_eq!(d1.target_replicas, 1);
-        assert!((d1.drop_rate - 0.2).abs() < 1e-12);
-        assert_eq!(ds.total_replicas(), 9);
     }
 
     #[test]

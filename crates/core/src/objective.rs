@@ -9,7 +9,7 @@
 //! - **Faro-PenaltySum**: sum of *effective* utilities (drop-penalized).
 //! - **Faro-PenaltyFairSum**: effective-utility FairSum.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One job's utility contribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,7 +23,7 @@ pub struct JobUtility {
 }
 
 /// A cluster objective to maximize.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ClusterObjective {
     /// Maximize `sum_i pi_i U_i`.
     Sum,

@@ -11,7 +11,7 @@
 //! interpolates the table piecewise-linearly so the optimizer sees a
 //! slope everywhere (paper Sec. 3.4).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The AWS-style service-credit table: `penalty(availability)`.
 ///
@@ -61,7 +61,7 @@ pub fn relaxed_penalty(availability: f64) -> f64 {
 }
 
 /// Which penalty shape to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PenaltyShape {
     /// The exact step table (precise formulation).
     Step,

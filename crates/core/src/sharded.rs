@@ -19,10 +19,8 @@
 //! 3. **Independent shard solves** — each shard solves its members
 //!    against its own budget (flat COBYLA up to
 //!    [`HIERARCHICAL_THRESHOLD`] members, the grouped solve above it),
-//!    on the calling thread or, when [`ShardConfig::parallelism`]
-//!    asks for them, on `std::thread::scope` workers. Results are
-//!    merged in shard index order, so the output is byte-identical
-//!    regardless of thread count or interleaving.
+//!    in ascending shard index on the calling thread, so every sum
+//!    over shards runs in one fixed order.
 //! 4. **Incremental re-solves** — each solved job's workload signature
 //!    (mean predicted rate, processing time, SLO, priority) is cached;
 //!    a shard re-enters the solver only when a member's rate or
@@ -47,14 +45,10 @@ use crate::hierarchical::{replica_need, solve_grouped, DEFAULT_GROUPS, HIERARCHI
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use crate::rng::SplitMix64;
-use crate::types::{
-    ClassAlloc, DesiredState, JobDecision, JobId, ReplicaClass, ResourceModel, Slo,
-};
+use crate::types::{ClassAlloc, ReplicaClass, ResourceModel, Slo};
 use crate::units::ReplicaCount;
 use faro_solver::Solver;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Relative change in a job's mean predicted rate or processing time
 /// that marks its shard dirty. SLO or priority changes always do.
@@ -66,7 +60,7 @@ pub enum SolvePlan {
     /// One cluster-wide solve per round (flat below the hierarchical
     /// threshold, grouped above it) — the paper-faithful default.
     Global,
-    /// Sharded incremental solve (shard workers optional).
+    /// Sharded incremental solve.
     Sharded(ShardConfig),
 }
 
@@ -75,16 +69,6 @@ pub enum SolvePlan {
 pub struct ShardConfig {
     /// Shard count (clamped to the job count).
     pub shards: usize,
-    /// Worker threads for shard solves: 1 (the default) solves on the
-    /// calling thread, 0 means one per available core. The merged
-    /// result is identical for every value; only the round's wall time
-    /// moves. Sequential is the default because a round spread over
-    /// every core is only as steady as the least available one: on a
-    /// shared two-core host a 1,000-job warm round took 0.29 s on one
-    /// thread and 0.17 s on two, but varied twice as much from run to
-    /// run (EXPERIMENTS.md), and both sit far inside the 10 s tick.
-    /// Ask for workers where the round itself nears the tick.
-    pub parallelism: usize,
     /// Group count for within-shard grouped solves.
     pub groups: usize,
 }
@@ -93,7 +77,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         Self {
             shards: 16,
-            parallelism: 1,
             groups: DEFAULT_GROUPS,
         }
     }
@@ -148,18 +131,6 @@ pub struct ShardedAllocation {
     pub record: ShardSolveRecord,
     /// Per-solved-shard spans, ascending shard index.
     pub shard_spans: Vec<ShardSpan>,
-}
-
-impl ShardedAllocation {
-    /// The allocation as a typed [`DesiredState`].
-    pub fn desired_state(&self) -> DesiredState {
-        self.replicas
-            .iter()
-            .zip(self.drop_rates.iter())
-            .enumerate()
-            .map(|(j, (&r, &d))| (JobId::new(j), JobDecision::replicas(r).with_drop_rate(d)))
-            .collect()
-    }
 }
 
 /// The workload facts a shard solve depends on; equality within epsilon
@@ -288,14 +259,14 @@ fn split_budgets(cont: &[f64], floors: &[u32], quota: u32) -> Vec<u32> {
     floors.iter().zip(&extras).map(|(&f, &e)| f + e).collect()
 }
 
-/// Everything a shard worker needs, shared read-only across threads.
+/// Everything a shard solve reads besides its members and budget.
 struct SolveCtx<'a> {
     jobs: &'a [JobWorkload],
     resources: ResourceModel,
     objective: ClusterObjective,
     model: Model,
     use_shrinking: bool,
-    solver: &'a (dyn Solver + Sync),
+    solver: &'a dyn Solver,
     current: &'a [u32],
     groups: usize,
     seed: u64,
@@ -357,42 +328,6 @@ fn solve_shard(
     }
 }
 
-/// Runs the dirty-shard solves on scoped worker threads. `tasks` holds
-/// `(slot, shard, budget)` triples; the returned vector is indexed by
-/// `slot`, so the caller's merge order never depends on thread
-/// interleaving — only the *schedule* is racy, never the result.
-fn run_shard_solves(
-    ctx: &SolveCtx<'_>,
-    members: &[Vec<usize>],
-    tasks: &[(usize, u32)],
-    threads: usize,
-) -> Vec<Option<Result<ShardResult>>> {
-    let mut results: Vec<Option<Result<ShardResult>>> = Vec::new();
-    results.resize_with(tasks.len(), || None);
-    if threads <= 1 || tasks.len() <= 1 {
-        for (slot, &(shard, budget)) in tasks.iter().enumerate() {
-            results[slot] = Some(solve_shard(ctx, &members[shard], budget, shard));
-        }
-        return results;
-    }
-    let cursor = AtomicUsize::new(0);
-    let shared = Mutex::new(&mut results);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(tasks.len()) {
-            scope.spawn(|| loop {
-                let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                if slot >= tasks.len() {
-                    break;
-                }
-                let (shard, budget) = tasks[slot];
-                let out = solve_shard(ctx, &members[shard], budget, shard);
-                shared.lock().expect("shard results")[slot] = Some(out);
-            });
-        }
-    });
-    results
-}
-
 /// The sharded incremental solver. Owns the partition, the per-job
 /// workload signatures, and the per-shard allocation caches between
 /// rounds; [`ShardedSolver::solve`] is one long-term round.
@@ -437,8 +372,7 @@ impl ShardedSolver {
 
     /// One sharded long-term round under the paper's default model,
     /// with stage-3 shrinking on: partition (if stale), dirty-check,
-    /// top-level split, parallel dirty-shard solves, deterministic
-    /// merge.
+    /// top-level split, dirty-shard solves in shard order, merge.
     ///
     /// # Errors
     ///
@@ -451,7 +385,7 @@ impl ShardedSolver {
         resources: ResourceModel,
         objective: ClusterObjective,
         fidelity: Fidelity,
-        solver: &(dyn Solver + Sync),
+        solver: &dyn Solver,
         current: &[u32],
     ) -> Result<ShardedAllocation> {
         let model = Model::new(fidelity);
@@ -468,7 +402,7 @@ impl ShardedSolver {
         objective: ClusterObjective,
         model: Model,
         use_shrinking: bool,
-        solver: &(dyn Solver + Sync),
+        solver: &dyn Solver,
         current: &[u32],
     ) -> Result<ShardedAllocation> {
         validate(jobs, &resources)?;
@@ -539,23 +473,8 @@ impl ShardedSolver {
 
         // A clean shard still re-solves when its new budget no longer
         // covers the cached allocation (the merged total must respect
-        // the quota).
-        let tasks: Vec<(usize, u32)> = (0..s)
-            .filter(|&shard| {
-                dirty[shard]
-                    || match &self.caches[shard] {
-                        Some(c) => c.used > self.budgets[shard],
-                        None => true,
-                    }
-            })
-            .map(|shard| (shard, self.budgets[shard]))
-            .collect();
-
-        let threads = if self.cfg.parallelism == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            self.cfg.parallelism
-        };
+        // the quota). Solves run in ascending shard index; the first
+        // failure returns before any cache is touched.
         let ctx = SolveCtx {
             jobs: &jobs,
             resources,
@@ -567,19 +486,19 @@ impl ShardedSolver {
             groups: self.cfg.groups,
             seed: self.seed,
         };
-        let results = run_shard_solves(&ctx, &self.members, &tasks, threads);
-
-        // Merge in shard-index order; propagate the first failure (by
-        // task slot, i.e. ascending shard index) without touching the
-        // caches.
-        let mut solved_new: Vec<(usize, ShardResult)> = Vec::with_capacity(tasks.len());
-        for (slot, out) in results.into_iter().enumerate() {
-            let shard = tasks[slot].0;
-            match out.expect("every task slot is filled") {
-                Ok(r) => solved_new.push((shard, r)),
-                Err(e) => return Err(e),
-            }
-        }
+        let solved_new = (0..s)
+            .filter(|&shard| {
+                dirty[shard]
+                    || match &self.caches[shard] {
+                        Some(c) => c.used > self.budgets[shard],
+                        None => true,
+                    }
+            })
+            .map(|shard| {
+                let r = solve_shard(&ctx, &self.members[shard], self.budgets[shard], shard)?;
+                Ok((shard, r))
+            })
+            .collect::<Result<Vec<(usize, ShardResult)>>>()?;
 
         let mut record = ShardSolveRecord {
             shards: s as u32,
@@ -675,7 +594,6 @@ impl ShardedSolver {
             });
             shard_load.push(weight.max(1e-9));
         }
-        // faro-lint: allow(float-order-determinism): shard_load is a Vec filled in shard-index order; the reduction order is fixed for any thread count
         let total_load: f64 = shard_load.iter().sum();
         let x0 = self
             .members
@@ -800,7 +718,6 @@ mod tests {
         assert!(warm.shard_spans.is_empty());
         assert_eq!(warm.replicas, cold.replicas);
         assert_eq!(warm.drop_rates, cold.drop_rates);
-        assert_eq!(warm.desired_state(), cold.desired_state());
     }
 
     #[test]
@@ -879,37 +796,6 @@ mod tests {
         let out = solve(&mut solver, 24);
         assert_eq!(out.record.solved, 2, "quota change re-solves everything");
         assert!(out.replicas.iter().sum::<u32>() <= 24);
-    }
-
-    #[test]
-    fn parallel_and_sequential_merges_are_bit_identical() {
-        let js = jobs(24);
-        let resources = ResourceModel::replicas(ReplicaCount::new(96));
-        let run = |parallelism: usize| {
-            let cfg = ShardConfig {
-                shards: 6,
-                parallelism,
-                ..ShardConfig::default()
-            };
-            let mut solver = ShardedSolver::new(cfg, 11);
-            solver
-                .solve(
-                    &js,
-                    resources.clone(),
-                    ClusterObjective::Sum,
-                    Fidelity::Relaxed,
-                    &Cobyla::fast(),
-                    &[1; 24],
-                )
-                .unwrap()
-        };
-        let seq = run(1);
-        let par = run(8);
-        assert_eq!(seq.replicas, par.replicas);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&seq.drop_rates), bits(&par.drop_rates));
-        assert_eq!(seq.record, par.record);
-        assert_eq!(seq.shard_spans, par.shard_spans);
     }
 
     #[test]

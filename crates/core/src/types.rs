@@ -13,7 +13,7 @@
 //! engages when a class table is configured.
 
 use crate::units::{DurationMs, RatePerMin, ReplicaCount, SimTimeMs};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::btree_map;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -59,7 +59,7 @@ impl fmt::Display for JobId {
 
 /// A latency service-level objective: a target and a percentile
 /// (paper Sec. 3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Slo {
     /// Latency target in seconds (e.g. 0.720).
     pub latency: f64,
@@ -125,8 +125,6 @@ impl serde::Serialize for JobSpec {
         out.push('}');
     }
 }
-
-impl Deserialize for JobSpec {}
 
 impl JobSpec {
     /// A ResNet34-shaped job with the paper's default SLO.
@@ -205,8 +203,6 @@ pub struct ReplicaClass {
     pub mem: f64,
 }
 
-impl Deserialize for ReplicaClass {}
-
 impl ReplicaClass {
     /// A reference-speed GPU class: 1 GPU + 1 vCPU + 4 GB, 60 s cold
     /// start (model load + CUDA warm-up).
@@ -272,8 +268,6 @@ impl serde::Serialize for ClassAlloc {
         self.as_slice().serialize_json(out);
     }
 }
-
-impl Deserialize for ClassAlloc {}
 
 impl ClassAlloc {
     /// An all-zero allocation over `n_classes` classes (capped at
@@ -419,8 +413,6 @@ impl serde::Serialize for ResourceModel {
         out.push('}');
     }
 }
-
-impl Deserialize for ResourceModel {}
 
 impl ResourceModel {
     /// A cluster sized in whole replicas (the paper's framing: "total
@@ -708,8 +700,6 @@ impl serde::Serialize for JobObservation {
     }
 }
 
-impl Deserialize for JobObservation {}
-
 impl JobObservation {
     /// Parses an observation from its wire format. The per-class
     /// fields are optional, so pre-class JSON parses to the
@@ -758,7 +748,7 @@ impl JobObservation {
 }
 
 /// Cluster-wide observation delivered to policies at every tick.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterSnapshot {
     /// Simulation/wall time (serialized as `f64` seconds).
     pub now: SimTimeMs,
@@ -839,8 +829,6 @@ impl serde::Serialize for JobDecision {
     }
 }
 
-impl Deserialize for JobDecision {}
-
 impl JobDecision {
     /// A plain scale decision: `n` replicas, no request drops, no
     /// class placement. The constructor for every drop-free policy —
@@ -884,14 +872,20 @@ impl JobDecision {
 
     /// Parses a decision from its wire format. `classes` is optional,
     /// so pre-class JSON parses to a class-free decision. Returns
-    /// `None` on a shape mismatch.
+    /// `None` on a shape mismatch, and on `classes` that do not sum to
+    /// `target_replicas` (the type's invariant).
     pub fn from_json(v: &serde_json::Value) -> Option<Self> {
+        let target_replicas = u32::try_from(v.get("target_replicas")?.as_u64()?).ok()?;
         let classes = match v.get("classes") {
             None => None,
-            Some(a) => Some(ClassAlloc::from_json(a)?),
+            // Summed wide, so `[u32::MAX, 3]` cannot wrap to a target of 2.
+            Some(a) => Some(ClassAlloc::from_json(a).filter(|alloc| {
+                let total: u64 = alloc.as_slice().iter().map(|&n| u64::from(n)).sum();
+                total == u64::from(target_replicas)
+            })?),
         };
         Some(Self {
-            target_replicas: u32::try_from(v.get("target_replicas")?.as_u64()?).ok()?,
+            target_replicas,
             drop_rate: v.get("drop_rate")?.as_f64()?,
             classes,
         })
@@ -1038,8 +1032,6 @@ impl serde::Serialize for DesiredState {
         out.push(']');
     }
 }
-
-impl Deserialize for DesiredState {}
 
 impl FromIterator<(JobId, JobDecision)> for DesiredState {
     fn from_iter<T: IntoIterator<Item = (JobId, JobDecision)>>(iter: T) -> Self {

@@ -20,7 +20,7 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 pub use faro_queueing::ReplicaCount;
 
@@ -146,8 +146,6 @@ impl Serialize for SimTimeMs {
     }
 }
 
-impl Deserialize for SimTimeMs {}
-
 /// A span between two [`SimTimeMs`] instants, in whole milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DurationMs(i64);
@@ -212,8 +210,6 @@ impl Serialize for DurationMs {
     }
 }
 
-impl Deserialize for DurationMs {}
-
 /// An arrival rate in requests **per minute** — the unit of the paper's
 /// traces and of every `arrival_rate_history` sample.
 ///
@@ -233,8 +229,6 @@ impl Serialize for RatePerMin {
         self.0.serialize_json(out);
     }
 }
-
-impl Deserialize for RatePerMin {}
 
 impl RatePerMin {
     /// Zero requests per minute.
@@ -380,8 +374,6 @@ impl Serialize for WallTimeMs {
         self.0.serialize_json(out);
     }
 }
-
-impl Deserialize for WallTimeMs {}
 
 #[cfg(test)]
 mod tests {

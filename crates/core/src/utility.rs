@@ -7,7 +7,7 @@
 //! `alpha -> infinity` (Figure 4a) and lower-bounds the SLO satisfaction
 //! rate (Figure 4b).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The original step utility: 1 iff the latency meets the target.
 ///
@@ -28,7 +28,7 @@ pub fn step_utility(latency: f64, slo: f64) -> f64 {
 }
 
 /// The relaxed inverse-power utility of Eq. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RelaxedUtility {
     /// Sharpness exponent; the relaxed utility approaches the step
     /// function as `alpha` grows.

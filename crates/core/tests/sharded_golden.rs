@@ -2,10 +2,8 @@
 //!
 //! The sharded path ships with three promises:
 //!
-//! 1. **Thread invariance** — a solve with `parallelism: 8` is
-//!    bit-identical (replicas, drop-rate bits, record, spans) to the
-//!    same solve with `parallelism: 1`, for any workload. Parallelism
-//!    changes wall-clock, never bytes.
+//! 1. **Replay** — two fresh solvers with equal seeds and configs
+//!    return the same bytes (replicas, drop-rate bits, record, spans).
 //! 2. **Bounded utility gap** — sharding loses only a bounded slice of
 //!    cluster utility versus the flat global solve (the paper's
 //!    grouped-solve trade, Sec 3.4).
@@ -32,20 +30,13 @@ fn resources(jobs: usize, per_job: u32) -> ResourceModel {
     ResourceModel::replicas(ReplicaCount::new(jobs as u32 * per_job))
 }
 
-/// Solves `jobs` once with the given parallelism and returns every
-/// observable byte of the answer.
-fn solve_with_parallelism(
+/// Solves `jobs` once and returns every observable byte of the answer.
+fn solve_once(
     jobs: &[JobWorkload],
     shards: usize,
-    parallelism: usize,
     objective: ClusterObjective,
 ) -> (Vec<u32>, Vec<u64>, String) {
-    let cfg = ShardConfig {
-        shards,
-        parallelism,
-        ..ShardConfig::default()
-    };
-    let mut solver = ShardedSolver::new(cfg, 17);
+    let mut solver = ShardedSolver::new(ShardConfig::with_shards(shards), 17);
     let cobyla = Cobyla::fast();
     let current = vec![1u32; jobs.len()];
     let out = solver
@@ -65,26 +56,6 @@ fn solve_with_parallelism(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Promise 1: the merge is bit-stable under any thread count.
-    #[test]
-    fn parallel_solves_are_bit_identical_to_sequential(
-        lambdas in prop::collection::vec(2.0f64..40.0, 4..20),
-        shards in 1usize..6,
-        objective_pick in 0u32..2,
-    ) {
-        let jobs = workload(&lambdas);
-        let objective = if objective_pick == 1 {
-            ClusterObjective::PenaltySum
-        } else {
-            ClusterObjective::Sum
-        };
-        let seq = solve_with_parallelism(&jobs, shards, 1, objective);
-        let par = solve_with_parallelism(&jobs, shards, 8, objective);
-        prop_assert_eq!(&seq.0, &par.0, "replica vectors diverged");
-        prop_assert_eq!(&seq.1, &par.1, "drop-rate bits diverged");
-        prop_assert_eq!(&seq.2, &par.2, "record/span metadata diverged");
-    }
 
     /// Promise 2: sharding keeps the cluster objective within a bounded
     /// gap of the flat global solve on the same workload. The bound is
@@ -113,8 +84,7 @@ proptest! {
         problem.shrink(&mut allocs, &alloc.drop_rates);
         let global: Vec<u32> = allocs.iter().map(ClassAlloc::total).collect();
 
-        let cfg = ShardConfig { shards, parallelism: 1, ..ShardConfig::default() };
-        let mut sharded = ShardedSolver::new(cfg, 17);
+        let mut sharded = ShardedSolver::new(ShardConfig::with_shards(shards), 17);
         let out = sharded
             .solve(&jobs, res.clone(), ClusterObjective::Sum, Fidelity::Relaxed, &cobyla, &current)
             .expect("sharded solve");
@@ -134,12 +104,7 @@ proptest! {
 #[test]
 fn clean_round_returns_cached_bytes_with_zero_solves() {
     let jobs = workload(&[4.0, 9.0, 14.0, 19.0, 24.0, 29.0, 6.0, 11.0]);
-    let cfg = ShardConfig {
-        shards: 3,
-        parallelism: 1,
-        ..ShardConfig::default()
-    };
-    let mut solver = ShardedSolver::new(cfg, 17);
+    let mut solver = ShardedSolver::new(ShardConfig::with_shards(3), 17);
     let cobyla = Cobyla::fast();
     let current = vec![1u32; jobs.len()];
     let res = resources(jobs.len(), 4);
@@ -172,13 +137,14 @@ fn clean_round_returns_cached_bytes_with_zero_solves() {
     assert_eq!(bits(&warm.drop_rates), bits(&cold.drop_rates));
 }
 
-/// Two fresh solvers with the same seed and config produce the same
-/// bytes — the sharded path inherits the repo's replay contract.
+/// Promise 1: two fresh solvers with the same seed and config produce
+/// the same bytes — the sharded path inherits the repo's replay
+/// contract.
 #[test]
 fn fresh_solvers_with_equal_seeds_agree_exactly() {
     let jobs = workload(&[3.0, 8.0, 13.0, 21.0, 34.0, 5.0]);
-    let a = solve_with_parallelism(&jobs, 4, 1, ClusterObjective::Sum);
-    let b = solve_with_parallelism(&jobs, 4, 1, ClusterObjective::Sum);
+    let a = solve_once(&jobs, 4, ClusterObjective::Sum);
+    let b = solve_once(&jobs, 4, ClusterObjective::Sum);
     assert_eq!(a, b);
 }
 
@@ -197,10 +163,11 @@ fn round_digest(replicas: &[u32], drop_bits: &[u64], meta: &str) -> u64 {
 /// Promise 4: how a solve evaluates is invisible in what it decides.
 /// These digests — replicas, drop-rate bits, and the record with its
 /// evaluation counts — were taken before the latency tables stopped
-/// computing knee latencies they never read; the split, the grouped
-/// shards (above `HIERARCHICAL_THRESHOLD`) and the flat shards (below it) must
-/// keep reproducing them, evaluation for evaluation, however the
-/// tables come to be built.
+/// computing knee latencies they never read, and on two shard-solve
+/// threads, which shard order on the calling thread reproduces. The
+/// split, the grouped shards (above `HIERARCHICAL_THRESHOLD`) and the
+/// flat shards (below it) must keep reproducing them, evaluation for
+/// evaluation, however the tables come to be built.
 #[test]
 #[cfg_attr(
     miri,
@@ -226,7 +193,7 @@ fn sharded_rounds_reproduce_their_committed_digests() {
         (5, ClusterObjective::PenaltySum, 0x39dd_6a63_fed7_42cc),
     ];
     for (shards, objective, want) in cases {
-        let (replicas, drop_bits, meta) = solve_with_parallelism(&jobs, shards, 2, objective);
+        let (replicas, drop_bits, meta) = solve_once(&jobs, shards, objective);
         let got = round_digest(&replicas, &drop_bits, &meta);
         assert_eq!(
             got, want,

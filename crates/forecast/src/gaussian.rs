@@ -6,11 +6,11 @@
 
 use rand::prelude::*;
 use rand_distr::StandardNormal;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A forecast of `horizon` future values with independent Gaussian
 /// marginals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GaussianForecast {
     /// Per-step means.
     pub mu: Vec<f64>,

@@ -10,19 +10,15 @@
 //! E0308; `crates/{core,sim,solver,control}/clippy.toml` disallow
 //! `HashMap` / `HashSet` / `Instant` / `SystemTime` and the OS-seeded
 //! `rand` entry points; `faro-control` denies
-//! `clippy::wildcard_enum_match_arm`. This linter owns the rest — the
-//! patterns that are legal Rust, invisible to clippy, and still
+//! `clippy::wildcard_enum_match_arm`. Byte identity itself belongs to
+//! the golden tests and `repro --check all`. This linter owns the rest
+//! — the patterns that are legal Rust, invisible to clippy, and still
 //! violate project invariants (a stray `* 60e6` that silently mixes
-//! units, a completion-order float sum). DESIGN.md, "Static analysis
-//! & invariants", has the table.
+//! units, a retry loop with no bound). DESIGN.md, "Static analysis &
+//! invariants", has the table.
 //!
-//! The linter runs in two phases. Phase 1 builds a [`WorkspaceIndex`]
-//! over every crate: the module graph from `use` declarations and the
-//! golden-sensitivity closure (the [`GOLDEN_SENSITIVE`] seeds plus
-//! every file that transitively imports from one). Phase 2 runs the
-//! rules — per-file token rules plus the rules that consult the index.
-//!
-//! Per-file rules:
+//! Every rule reads one file's contents, so the verdict depends on
+//! nothing else:
 //!
 //! - `raw-time-arith`: forbids new raw-`f64`
 //!   time/rate fields (suffixes `_secs`, `_ms`, `_micros`, `_per_min`,
@@ -37,19 +33,6 @@
 //!   `loop`/`while` blocks in `crates/control/src/` that retry
 //!   `observe()`/`apply()` without a visible attempt counter or
 //!   budget.
-//!
-//! Cross-file rules (phase 2, over the index):
-//!
-//! - `float-order-determinism`:
-//!   order-sensitive `f64` reductions (`sum()`, `fold` with `+`, `+=`
-//!   in loops) over merged/parallel collections in golden-sensitive
-//!   core/sim/solver files — float addition is not associative, and
-//!   a completion-order sum changes the golden bytes.
-//! - `golden-sensitivity-propagation` / [`golden-guard`](golden_guard)
-//!   (diff level): changing a golden-sensitive file — seed or
-//!   transitive importer — without touching a golden test in the same
-//!   change is flagged; the propagated closure supersedes the
-//!   hand-maintained seed list.
 //! - `unused-allow`: an allow annotation that suppresses zero
 //!   diagnostics (or names an unknown rule) is itself an error, so
 //!   suppressions cannot rot.
@@ -62,20 +45,14 @@
 //! audit them — and `unused-allow` deletes them for you when they die.
 //!
 //! Run it with `cargo xtask lint` (wired into CI). The entry points
-//! are [`run`] for the workspace and [`lint_source`] /
+//! are [`lint_workspace`] for the workspace and [`lint_source`] /
 //! [`lint_sources`] for in-memory files (used by the fixture tests).
 
 mod diagnostics;
-mod index;
 mod rules;
 mod sanitize;
-mod semantic;
 mod walk;
 
 pub use diagnostics::Diagnostic;
-pub use index::{build_index, extract_facts, FileFacts, WorkspaceIndex};
-pub use rules::{index_sources, lint_source, lint_sources, KNOWN_RULES};
-pub use walk::{
-    changed_files, golden_guard, golden_guard_indexed, index_workspace, lint_workspace,
-    read_workspace, run, GOLDEN_SENSITIVE,
-};
+pub use rules::{lint_source, lint_sources, KNOWN_RULES};
+pub use walk::{lint_workspace, read_workspace};

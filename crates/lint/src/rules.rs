@@ -1,5 +1,4 @@
-//! The per-file lint rules, plus the suppression/audit pass shared
-//! with the cross-file rules.
+//! The lint rules and the suppression/audit pass.
 //!
 //! Every rule works on a [`FileScan`]: sanitized lines (comments and
 //! strings blanked) for matching, raw lines for the one check that
@@ -15,11 +14,7 @@
 //! the annotation itself the error.
 
 use crate::diagnostics::Diagnostic;
-use crate::index::{build_index, extract_facts};
 use crate::sanitize::{self, FileScan};
-use crate::semantic::float_order_determinism;
-use crate::walk::GOLDEN_SENSITIVE;
-use std::collections::BTreeMap;
 
 /// Every rule id the linter can emit. Allow annotations naming
 /// anything else are flagged.
@@ -27,72 +22,28 @@ pub const KNOWN_RULES: &[&str] = &[
     "raw-time-arith",
     "no-panic-in-lib",
     "no-unbounded-retry",
-    "golden-guard",
-    "float-order-determinism",
-    "golden-sensitivity-propagation",
     "unused-allow",
 ];
 
-/// Diff-level rules fire only when a file appears in a change set, so
-/// an annotation for them is legitimately dormant at HEAD and exempt
-/// from the unused-allow audit.
-const DIFF_RULES: &[&str] = &["golden-guard", "golden-sensitivity-propagation"];
-
 /// Lints one in-memory file. Equivalent to [`lint_sources`] with a
-/// single entry: the cross-file rules see an index built from this
-/// file alone.
+/// single entry.
 pub fn lint_source(path: &str, content: &str) -> Vec<Diagnostic> {
     lint_sources(&[(path, content)])
 }
 
-/// Lints a set of in-memory files as one workspace: builds the
-/// index over all of them, then runs the per-file rules, the
-/// index-backed rule, and the suppression/unused-allow pass. The
-/// diff-level golden rules are not run — they need a change set, not
-/// file contents (see [`crate::walk::run`]).
+/// Lints a set of in-memory files: the per-file rules, then the
+/// suppression/unused-allow pass, on each. Output is sorted by
+/// location.
 pub fn lint_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-    lint_and_index(files).0
-}
-
-/// [`lint_sources`] beside the index its cross-file rule consulted,
-/// which the workspace driver hands on to the diff-level golden guard.
-pub(crate) fn lint_and_index(
-    files: &[(&str, &str)],
-) -> (Vec<Diagnostic>, crate::index::WorkspaceIndex) {
-    let scans: Vec<(&str, FileScan)> = files
-        .iter()
-        .map(|(path, content)| (*path, sanitize::scan(content)))
-        .collect();
-    let mut facts = BTreeMap::new();
-    for (path, scan) in &scans {
-        facts.insert((*path).to_owned(), extract_facts(path, scan));
-    }
-    let index = build_index(facts, GOLDEN_SENSITIVE);
     let mut out = Vec::new();
-    for (path, scan) in &scans {
+    for (path, content) in files {
+        let scan = sanitize::scan(content);
         let mut raw = Vec::new();
-        per_file_rules(path, scan, &mut raw);
-        float_order_determinism(path, scan, &index, &mut raw);
-        out.extend(finish(path, scan, raw));
+        per_file_rules(path, &scan, &mut raw);
+        out.extend(finish(path, &scan, raw));
     }
     out.sort();
-    (out, index)
-}
-
-/// Builds the phase-1 [`crate::index::WorkspaceIndex`] over a set of
-/// in-memory files
-/// with the [`GOLDEN_SENSITIVE`] seeds — the in-memory analogue of
-/// [`crate::walk::index_workspace`], for tests and tooling that want
-/// the module graph or the golden closure without running any rules.
-pub fn index_sources(files: &[(&str, &str)]) -> crate::index::WorkspaceIndex {
-    let mut facts = BTreeMap::new();
-    for (path, content) in files {
-        facts.insert(
-            (*path).to_owned(),
-            extract_facts(path, &sanitize::scan(content)),
-        );
-    }
-    build_index(facts, GOLDEN_SENSITIVE)
+    out
 }
 
 /// Runs the three per-file rules, emitting raw (unsuppressed)
@@ -134,9 +85,6 @@ pub fn finish(path: &str, scan: &FileScan, raw: Vec<Diagnostic>) -> Vec<Diagnost
                        a typo here silently disables nothing"
                     .to_owned(),
             });
-            continue;
-        }
-        if DIFF_RULES.contains(&site.rule.as_str()) {
             continue;
         }
         let used = match site.covers {

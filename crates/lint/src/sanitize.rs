@@ -45,9 +45,6 @@ pub struct FileScan {
     pub raw: Vec<String>,
     /// Comment/string-blanked lines; same line count and columns.
     pub clean: Vec<String>,
-    /// Comment-only lines: plain comment text preserved, code and
-    /// strings blanked. Same line count and columns as `raw`.
-    pub comments: Vec<String>,
     /// Rules allowed per line via `faro-lint: allow(...)` annotations
     /// (same line or the line above) or `allow-file(...)`.
     allowed: Vec<BTreeSet<String>>,
@@ -75,7 +72,6 @@ pub fn scan(content: &str) -> FileScan {
     FileScan {
         raw,
         clean,
-        comments,
         allowed,
         allow_sites,
         in_test,
@@ -426,7 +422,7 @@ mod tests {
     #[test]
     fn allow_sites_record_coverage() {
         let s = scan(
-            "// faro-lint: allow(raw-time-arith): wire\npub a_secs: f64,\nlet x = 1; // faro-lint: allow(no-panic-in-lib): guarded\n// faro-lint: allow-file(golden-guard)\n",
+            "// faro-lint: allow(raw-time-arith): wire\npub a_secs: f64,\nlet x = 1; // faro-lint: allow(no-panic-in-lib): guarded\n// faro-lint: allow-file(no-unbounded-retry)\n",
         );
         assert_eq!(s.allow_sites.len(), 3);
         assert_eq!(s.allow_sites[0].covers, Some(1));
@@ -473,8 +469,9 @@ mod tests {
 
     #[test]
     fn raw_string_spanning_lines_blanks_comment_markers_inside() {
-        let s = scan("let q = r#\"line one // not a comment\nline two /* not open */\"#;\nlet z = Instant;\n");
-        assert!(!s.comments[0].contains("not a comment"));
+        let src = "let q = r#\"line one // not a comment\nline two /* not open */\"#;\nlet z = Instant;\n";
+        let s = scan(src);
+        assert!(!blank_comments_and_strings(src).1[0].contains("not a comment"));
         assert!(!s.clean[1].contains("not open"));
         assert!(s.clean[2].contains("Instant"));
     }
@@ -509,23 +506,22 @@ mod tests {
 
     #[test]
     fn block_comment_opener_inside_string_does_not_open_a_comment() {
-        let s = scan("let s = \"/*\"; let h = HashMap; // trailing\n");
+        let src = "let s = \"/*\"; let h = HashMap; // trailing\n";
+        let s = scan(src);
         assert!(s.clean[0].contains("HashMap"), "{}", s.clean[0]);
         assert!(!s.clean[0].contains("trailing"));
-        assert!(s.comments[0].contains("trailing"));
+        assert!(blank_comments_and_strings(src).1[0].contains("trailing"));
     }
 
     #[test]
     fn comment_mask_excludes_code_and_strings() {
-        let s = scan("let x = \"in string\"; // in comment\n");
-        assert!(!s.comments[0].contains("let x"));
-        assert!(!s.comments[0].contains("in string"));
-        assert!(s.comments[0].contains("in comment"));
+        let src = "let x = \"in string\"; // in comment\n";
+        let comments = blank_comments_and_strings(src).1;
+        assert!(!comments[0].contains("let x"));
+        assert!(!comments[0].contains("in string"));
+        assert!(comments[0].contains("in comment"));
         // Columns line up with the raw text.
-        assert_eq!(
-            s.raw[0].find("in comment"),
-            s.comments[0].find("in comment")
-        );
+        assert_eq!(src.find("in comment"), comments[0].find("in comment"));
     }
 
     #[test]

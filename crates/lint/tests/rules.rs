@@ -1,12 +1,12 @@
-//! Fixture tests: each rule fires on its violation fixture with
-//! exactly the snapshotted diagnostics, and stays silent on the clean
-//! twin.
+//! Fixture tests: each rule, the suppression audit included, fires on
+//! its violation fixture with exactly the snapshotted diagnostics, and
+//! stays silent on the clean twin.
 //!
 //! Snapshots live in `tests/expected/*.txt`; refresh after an
 //! intentional diagnostic change with
 //! `FARO_UPDATE_EXPECT=1 cargo test -p faro-lint --test rules`.
 
-use faro_lint::{golden_guard, lint_source, Diagnostic};
+use faro_lint::{lint_source, Diagnostic};
 use std::path::Path;
 
 /// The logical path fixtures are linted under: inside `crates/sim/src/`
@@ -134,31 +134,17 @@ fn rules_stay_out_of_unscoped_crates() {
 }
 
 #[test]
-fn golden_guard_fixture_diffs() {
-    // Sensitive edit with no golden update: one diagnostic per file.
-    let bad = vec![
-        "crates/sim/src/events.rs".to_owned(),
-        "crates/sim/src/runtime.rs".to_owned(),
-        "DESIGN.md".to_owned(),
-    ];
-    let diags = golden_guard(&bad);
-    assert_eq!(diags.len(), 2, "{diags:?}");
-    assert!(diags.iter().all(|d| d.rule == "golden-guard"));
-    check_snapshot("golden_guard", &render(&diags));
+fn unused_allow_fires_with_exact_diagnostics() {
+    let src = include_str!("fixtures/unused_allow_violation.rs");
+    let diags = lint_source(CONTROL_SCOPE, src);
+    assert!(diags.iter().all(|d| d.rule == "unused-allow"), "{diags:?}");
+    // A dead allow, an unknown rule id, a dead allow-file.
+    assert_eq!(diags.len(), 3, "{diags:?}");
+    check_snapshot("unused_allow", &render(&diags));
+}
 
-    // Same edit plus a refreshed snapshot: silent.
-    let mut good = bad;
-    good.push("crates/sim/tests/golden/report_small.json".to_owned());
-    assert_eq!(golden_guard(&good), Vec::new());
-
-    // The class-table files (PR 8) are sensitive too: the hetero solve
-    // and the mixed-pool estimator feed every classed golden run.
-    let classed = vec![
-        "crates/core/src/hetero.rs".to_owned(),
-        "crates/queueing/src/mixed.rs".to_owned(),
-    ];
-    assert_eq!(golden_guard(&classed).len(), 2);
-    let mut classed_ok = classed;
-    classed_ok.push("crates/sim/tests/golden_hetero.rs".to_owned());
-    assert_eq!(golden_guard(&classed_ok), Vec::new());
+#[test]
+fn unused_allow_clean_is_silent() {
+    let src = include_str!("fixtures/unused_allow_clean.rs");
+    assert_eq!(lint_source(CONTROL_SCOPE, src), Vec::new());
 }

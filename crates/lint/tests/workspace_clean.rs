@@ -1,7 +1,6 @@
 //! The lint verdict is part of `cargo test`: a tree `cargo xtask lint`
-//! would reject on its contents fails here too. The diff-level golden
-//! guard is left out — it reads `git status`, so it would fail on any
-//! uncommitted edit to a golden-sensitive file.
+//! would reject fails here too. Both read file contents only, so the
+//! two verdicts are one.
 
 use faro_lint::{lint_workspace, Diagnostic};
 use std::path::Path;

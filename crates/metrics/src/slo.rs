@@ -8,10 +8,10 @@
 //! inverse utility function; *lost utility* is max utility minus actual.
 
 use crate::percentile::PercentileBuffer;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-job counter of SLO-violating requests.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SloAccounting {
     slo: f64,
     total: u64,

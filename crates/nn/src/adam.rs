@@ -3,10 +3,10 @@
 //! Each parameter tensor owns one [`Adam`] state; layers call
 //! [`Adam::step`] with their accumulated gradients.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Adam hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AdamConfig {
     /// Learning rate.
     pub lr: f64,
@@ -30,7 +30,7 @@ impl Default for AdamConfig {
 }
 
 /// Per-tensor Adam state (first and second moment estimates).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Adam {
     m: Vec<f64>,
     v: Vec<f64>,

@@ -4,13 +4,13 @@
 use crate::adam::{Adam, AdamConfig};
 use crate::tensor::Matrix;
 use rand::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A fully-connected layer `y = x W + b` with Adam state.
 ///
 /// Activations are batch-major: `x` is `(batch, in_features)`, `y` is
 /// `(batch, out_features)`, `W` is `(in_features, out_features)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Linear {
     w: Matrix,
     b: Vec<f64>,
@@ -119,7 +119,7 @@ impl Linear {
 }
 
 /// The rectified linear unit, `max(0, x)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Relu {
     #[serde(skip)]
     mask: Option<Matrix>,

@@ -3,10 +3,10 @@
 //! Shapes follow the batch-major convention: activations are
 //! `(batch, features)`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -9,10 +9,10 @@
 
 use faro_core::penalty::{phi, PenaltyShape};
 use faro_core::utility::RelaxedUtility;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-job outcome of a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct JobReport {
     /// Job name.
     pub name: String,
@@ -56,7 +56,7 @@ impl JobReport {
 }
 
 /// Cluster-wide outcome of a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ClusterReport {
     /// Policy that produced this run.
     pub policy: String,

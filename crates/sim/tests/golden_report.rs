@@ -1,12 +1,12 @@
 //! Golden report test: locks the *bytes* of a small deterministic
 //! run's serialized report.
 //!
-//! This is the determinism contract the `faro-lint` `golden-guard`
-//! rule enforces: any edit to the event-ordering-sensitive files
-//! (`sim/src/events.rs`, `sim/src/backend.rs`, `sim/src/runtime.rs`,
-//! `core/src/opt.rs`) must either leave these bytes alone or update
-//! the snapshot in the same change — making an intentional ordering
-//! change visible in review and an accidental one a test failure.
+//! This test is the determinism contract: any edit to the
+//! event-ordering-sensitive files (`sim/src/events.rs`,
+//! `sim/src/backend.rs`, `sim/src/runtime.rs`, `core/src/opt.rs`) must
+//! either leave these bytes alone or update the snapshot in the same
+//! change — making an intentional ordering change visible in review
+//! and an accidental one a test failure.
 //!
 //! Refresh after an intentional change with:
 //! `FARO_UPDATE_GOLDEN=1 cargo test -p faro-sim --test golden_report`

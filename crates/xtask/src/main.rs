@@ -29,13 +29,11 @@ fn usage() {
     eprintln!("          (the root package as `facade`) and their total");
 }
 
-/// Runs faro-lint's two-phase workspace analysis and prints rustc-style
-/// diagnostics. `FARO_LINT_DIFF_BASE=origin/main` switches the golden
-/// rules from uncommitted-changes mode to whole-branch mode (what CI
-/// uses).
+/// Runs faro-lint over the workspace's file contents and prints
+/// rustc-style diagnostics.
 fn lint() -> ExitCode {
     let started = std::time::Instant::now();
-    let diags = faro_lint::run(&workspace_root());
+    let diags = faro_lint::lint_workspace(&workspace_root());
     let elapsed = started.elapsed().as_secs_f64();
     for d in &diags {
         println!("{d}\n");
