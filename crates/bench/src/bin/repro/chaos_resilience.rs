@@ -12,8 +12,7 @@
 
 use crate::Run;
 use faro_control::{
-    ApiErrors, ChaosBackend, ChaosPlan, DriverStats, Reconciler, ResilienceConfig, ResilientDriver,
-    RetryPolicy,
+    ApiErrors, ChaosBackend, ChaosPlan, Driver, DriverStats, ResilienceConfig, RetryPolicy,
 };
 use faro_core::admission::OutageClamp;
 use faro_core::types::{ClusterSnapshot, DesiredState, JobDecision, JobSpec};
@@ -101,15 +100,17 @@ fn run_once(apply_rate: f64, retry: RetryPolicy, seed: u64) -> (f64, DriverStats
         retry,
         ..Default::default()
     };
-    let mut driver = ResilientDriver::new(chaos, cfg);
     let policy = RampSupply {
         round: 0,
         ceiling: 19,
     };
-    let mut reconciler = Reconciler::new(Box::new(policy), Box::new(OutageClamp::new(QUOTA)));
-    driver.run(&mut reconciler);
-    let stats = *driver.stats();
-    let report = driver.into_inner().into_inner().finish("ramp-supply");
+    let out = Driver::new(chaos, Box::new(policy))
+        .admission(Box::new(OutageClamp::new(QUOTA)))
+        .resilience(cfg)
+        .run()
+        .expect("a resilient run never stops on a backend error");
+    let stats = out.driver_stats.expect("a resilient run counts its rounds");
+    let report = out.backend.into_inner().finish("ramp-supply");
     (1.0 - report.cluster_violation_rate, stats)
 }
 

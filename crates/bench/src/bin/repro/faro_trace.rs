@@ -75,9 +75,8 @@ fn replay_and_dump(set: &WorkloadSet, cfg: &SimConfig) -> Run {
         .expect("valid setup")
         .with_faults(faults())
         .unwrap()
-        .driver()
+        .driver(policy)
         .unwrap()
-        .policy(policy)
         .telemetry(&mut tee)
         .run()
         .expect("traced replay completes")
@@ -164,9 +163,8 @@ fn measure_overhead(set: &WorkloadSet) -> (f64, f64) {
         let policy = PolicyKind::faro(ClusterObjective::Sum).build(set, None, cfg.seed);
         let runner = Simulation::new(cfg, set.setups(1))
             .expect("valid setup")
-            .driver()
-            .unwrap()
-            .policy(policy);
+            .driver(policy)
+            .unwrap();
         let mut sink = TraceSink::new();
         let outcome = if traced {
             runner.telemetry(&mut sink).run()

@@ -60,6 +60,6 @@ pub fn fixed_size(set: &WorkloadSet, replicas: u32, seed: u64) -> ClusterReport 
         ..Default::default()
     };
     let sim = Simulation::new(config, set.setups(replicas)).expect("valid setup");
-    let outcome = sim.driver().unwrap().policy(Box::new(FairShare)).run();
+    let outcome = sim.driver(Box::new(FairShare)).unwrap().run();
     outcome.expect("runs").into_outcome().report
 }

@@ -127,9 +127,8 @@ fn run_cell(
     };
     let report = Simulation::new(config, jobs(minutes))
         .expect("hetero sweep setup is valid")
-        .driver()
+        .driver(policy)
         .unwrap()
-        .policy(policy)
         .admission(Box::new(ClampToQuota))
         .run()
         .expect("hetero sweep run completes")

@@ -98,9 +98,8 @@ fn run_trial(
         .expect("valid experiment setup")
         .with_faults(spec.faults.clone())
         .unwrap()
-        .driver()
+        .driver(policy)
         .unwrap()
-        .policy(policy)
         .run()
         .expect("simulation runs to completion")
         .into_outcome()

@@ -7,9 +7,10 @@
 //! boundary under the same [`faro_control::ClusterBackend`] trait:
 //!
 //! ```text
-//!   Driver ── Reconciler ── ResilientDriver
-//!                                │ observe()/apply()
-//!                           HttpBackend            (this crate)
+//!   Driver::run ── Reconciler (plain) or ResilientDriver (resilient)
+//!                                │ observe()/apply(), one round per tick
+//!                           HttpBackend            (this crate; its Clock
+//!                                │                  ends at horizon_rounds)
 //!                                │ HTTP/1.1 + JSON over loopback TCP
 //!                           ClusterServer          (this crate)
 //!                                │
@@ -31,7 +32,7 @@
 //!   bodies reuse the workspace's committed serializers byte-for-byte,
 //!   and untagged (pre-versioning) payloads are accepted as v1.
 //!
-//! The resilient driver composes over all of it unchanged: retries,
+//! The resilient arm of the run loop works across it unchanged: retries,
 //! circuit breaking, staleness tolerance, and desired-vs-observed
 //! drift repair all act across the process boundary exactly as they
 //! do in simulation — the loopback integration tests pin that down

@@ -96,6 +96,15 @@ impl ServerState {
             );
             return error_reply(400, &message, false);
         }
+        // The cluster has no class table: an allocation over classes
+        // cannot be actuated, so it is refused rather than dropped.
+        if let Some((id, _)) = req.desired.iter().find(|(_, d)| d.classes.is_some()) {
+            let message = format!(
+                "job {} carries a class allocation, but the cluster has no replica classes",
+                id.index()
+            );
+            return error_reply(400, &message, false);
+        }
         let resp = self.model.apply(&req.desired, self.wall.now_ms());
         match serde_json::to_string(&resp) {
             Ok(json) => (200, json),
@@ -371,7 +380,8 @@ mod tests {
 
     /// Posts one apply body the server must refuse as the client's
     /// mistake, then checks the same server still observes and applies.
-    fn refused_then_served(body: &str) {
+    /// Returns the refusal.
+    fn refused_then_served(body: &str) -> ErrorBody {
         let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
         let addr = server.addr();
         let reply = post(addr, APPLY_PATH, body, T).expect("an answer, not a dead server");
@@ -396,6 +406,7 @@ mod tests {
         .expect("apply");
         assert_eq!(apply.status, 200, "{}", apply.body);
         server.shutdown();
+        err
     }
 
     #[test]
@@ -437,6 +448,17 @@ mod tests {
                  \"classes\":{classes}}}]}}"
             ));
         }
+    }
+
+    #[test]
+    fn a_class_allocation_gets_a_400_naming_the_job_and_the_server_keeps_serving() {
+        // Well formed (the classes sum to the target), but the cluster
+        // has no class table to actuate it on.
+        let err = refused_then_served(
+            "{\"v\":1,\"desired\":[{\"job\":0,\"target_replicas\":3,\"drop_rate\":0.0,\
+             \"classes\":[1,2]}]}",
+        );
+        assert!(err.error.contains("job 0"), "{}", err.error);
     }
 
     #[test]

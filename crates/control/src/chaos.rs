@@ -154,9 +154,10 @@ pub struct ChaosStats {
 type FaultStream = faro_core::rng::SplitMix64;
 
 /// Wraps a [`ClusterBackend`] and injects API faults per a seeded
-/// [`ChaosPlan`]. Composes with the resilient driver:
-/// `ResilientDriver::new(ChaosBackend::new(backend, plan, seed), cfg)`
-/// is the deterministic testbed for every retry/breaker/degraded path.
+/// [`ChaosPlan`]. Composes with the resilient arm of the run loop:
+/// `Driver::new(ChaosBackend::new(backend, plan, seed)?, policy)
+/// .resilience(cfg).run()` is the deterministic testbed for every
+/// retry/breaker/degraded path.
 pub struct ChaosBackend<B: ClusterBackend> {
     inner: B,
     plan: ChaosPlan,

@@ -1,20 +1,17 @@
-//! The backend-generic run builder: one entry point for simulated
-//! and live control loops.
+//! The one run loop: [`Driver`] drives a policy over any
+//! [`ClusterBackend`] until the backend's clock ends.
 //!
-//! Driving a [`ClusterBackend`] — the simulator, a chaos-wrapped sim,
-//! the in-process HTTP cluster, eventually a real apiserver — would
-//! otherwise mean hand-composing a [`Reconciler`], an optional
-//! [`ResilientDriver`], and the run loop. [`Driver`] is that
-//! composition as a builder on the control plane: it works on any
-//! backend, optionally wraps it in resilience, streams into any
-//! telemetry sink, and can bound the run by rounds (a live loop has
-//! no horizon of its own). `Simulation::driver()` in `faro-sim` and
-//! the live loop in `faro-cluster` are both thin layers over this
-//! type.
+//! Each round is `Clock::advance_with`, then either
+//! [`Reconciler::reconcile_with`] (the plain arm, which stops at the
+//! first [`BackendError`]) or [`ResilientDriver::round_with`] (the
+//! resilient arm, which retries, degrades and never stops). The run
+//! ends when the backend's [`Clock`](crate::Clock) does: the simulator
+//! at the end of its trace, `faro-cluster`'s `HttpBackend` after
+//! `LiveConfig::horizon_rounds`. A caller that has to act between
+//! rounds (inject drift, time one round) steps those two calls itself.
 
 use crate::backend::ClusterBackend;
 use crate::reconciler::{Reconciler, RunStats};
-use crate::report::RunReport;
 use crate::resilient::{BreakerState, DriverStats, ResilienceConfig, ResilientDriver};
 use crate::BackendError;
 use core::fmt;
@@ -22,23 +19,17 @@ use faro_core::admission::{Admission, ClampToQuota};
 use faro_core::policy::Policy;
 use faro_telemetry::{NoopSink, TelemetrySink};
 
-/// Why a [`Driver`] run could not produce an outcome.
+/// Why a plain [`Driver`] run stopped before its clock ended.
+/// Resilient runs absorb backend errors into their [`DriverStats`].
 #[derive(Debug)]
 pub enum DriverError {
-    /// No policy was attached; call [`Driver::policy`] first.
-    NoPolicy,
-    /// A plain (non-resilient) run hit a backend error and stopped.
-    /// Resilient runs absorb backend errors into their
-    /// [`RunReport`] instead.
+    /// The backend failed a call and the run stopped there.
     Backend(BackendError),
 }
 
 impl fmt::Display for DriverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DriverError::NoPolicy => {
-                write!(f, "no policy attached; call Driver::policy first")
-            }
             DriverError::Backend(e) => write!(f, "backend error: {e}"),
         }
     }
@@ -52,63 +43,48 @@ impl From<BackendError> for DriverError {
     }
 }
 
-/// Builder for one control-loop run over any [`ClusterBackend`].
+/// One control-loop run of a policy over a [`ClusterBackend`].
 ///
-/// Obtained from [`Driver::new`]; consumed by [`Driver::run`] or
-/// [`Driver::run_rounds`]. The sink type parameter defaults to
-/// [`NoopSink`], which compiles the instrumentation out entirely —
-/// attach a real sink with [`Driver::telemetry`] (pass `&mut sink` to
-/// keep it; sinks are implemented for mutable references too).
+/// Built by [`Driver::new`], consumed by [`Driver::run`]. The sink type
+/// parameter defaults to [`NoopSink`], which compiles the
+/// instrumentation out entirely — attach a real sink with
+/// [`Driver::telemetry`] (pass `&mut sink` to keep it; sinks are
+/// implemented for mutable references too).
 pub struct Driver<B: ClusterBackend, S: TelemetrySink = NoopSink> {
     backend: B,
-    policy: Option<Box<dyn Policy>>,
-    admission: Option<Box<dyn Admission>>,
+    policy: Box<dyn Policy>,
+    admission: Box<dyn Admission>,
     resilience: Option<ResilienceConfig>,
-    max_rounds: Option<u64>,
     sink: S,
 }
 
 impl<B: ClusterBackend> Driver<B> {
-    /// Starts configuring a run over `backend`.
-    pub fn new(backend: B) -> Self {
+    /// A plain run of `policy` over `backend`, admitted by
+    /// [`ClampToQuota`] and untraced.
+    pub fn new(backend: B, policy: Box<dyn Policy>) -> Self {
         Self {
             backend,
-            policy: None,
-            admission: None,
+            policy,
+            admission: Box::new(ClampToQuota),
             resilience: None,
-            max_rounds: None,
             sink: NoopSink,
         }
     }
 }
 
 impl<B: ClusterBackend, S: TelemetrySink> Driver<B, S> {
-    /// The policy under test (required).
-    pub fn policy(mut self, policy: Box<dyn Policy>) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
     /// Overrides the admission controller (default: [`ClampToQuota`],
     /// which trims requests to the snapshot's replica quota).
     pub fn admission(mut self, admission: Box<dyn Admission>) -> Self {
-        self.admission = Some(admission);
+        self.admission = admission;
         self
     }
 
-    /// Wraps the backend in a [`ResilientDriver`] with this tuning:
-    /// backend errors are retried/degraded per the config instead of
-    /// aborting the run, and the outcome carries [`DriverStats`].
+    /// Runs the resilient arm with this tuning: backend errors are
+    /// retried or degraded around instead of ending the run, and the
+    /// outcome carries [`DriverStats`].
     pub fn resilience(mut self, cfg: ResilienceConfig) -> Self {
         self.resilience = Some(cfg);
-        self
-    }
-
-    /// Bounds the run to at most `n` reconcile rounds. Without a
-    /// bound the run continues until the backend's clock is exhausted
-    /// — which a wall-clock backend may never be.
-    pub fn max_rounds(mut self, n: u64) -> Self {
-        self.max_rounds = Some(n);
         self
     }
 
@@ -121,102 +97,67 @@ impl<B: ClusterBackend, S: TelemetrySink> Driver<B, S> {
             policy: self.policy,
             admission: self.admission,
             resilience: self.resilience,
-            max_rounds: self.max_rounds,
             sink,
         }
     }
 
-    /// Runs the control loop until the backend's clock is exhausted
-    /// (or the round bound set by [`Driver::max_rounds`] is reached).
+    /// Runs the control loop until the backend's clock ends.
     ///
     /// # Errors
     ///
-    /// [`DriverError::NoPolicy`] when no policy was attached;
     /// [`DriverError::Backend`] when a plain run hits a backend error
     /// (resilient runs absorb backend errors and keep going).
     pub fn run(self) -> Result<DriverOutcome<B>, DriverError> {
         let Driver {
-            backend,
+            mut backend,
             policy,
             admission,
             resilience,
-            max_rounds,
             mut sink,
         } = self;
-        let policy = policy.ok_or(DriverError::NoPolicy)?;
-        let admission = admission.unwrap_or_else(|| Box::new(ClampToQuota) as Box<dyn Admission>);
         let mut reconciler = Reconciler::new(policy, admission);
-        let budget = max_rounds.unwrap_or(u64::MAX);
-        match resilience {
+        let (backend, driver_stats, breaker) = match resilience {
             None => {
-                let mut backend = backend;
-                let mut rounds = 0u64;
-                while rounds < budget && backend.advance_with(&mut sink).is_some() {
+                while backend.advance_with(&mut sink).is_some() {
                     reconciler.reconcile_with(&mut backend, &mut sink)?;
-                    rounds += 1;
                 }
-                let stats = *reconciler.stats();
-                Ok(DriverOutcome {
-                    policy_name: reconciler.policy_name().to_string(),
-                    report: RunReport::from_stats(&stats),
-                    stats,
-                    driver_stats: None,
-                    breaker: None,
-                    backend,
-                })
+                (backend, None, None)
             }
             Some(cfg) => {
                 let mut driver = ResilientDriver::new(backend, cfg);
-                let mut rounds = 0u64;
-                while rounds < budget && driver.backend_mut().advance_with(&mut sink).is_some() {
+                while driver.backend_mut().advance_with(&mut sink).is_some() {
                     driver.round_with(&mut reconciler, &mut sink);
-                    rounds += 1;
                 }
-                let stats = *reconciler.stats();
-                let driver_stats = *driver.stats();
-                Ok(DriverOutcome {
-                    policy_name: reconciler.policy_name().to_string(),
-                    report: RunReport::compose(&stats, &driver_stats),
-                    stats,
-                    driver_stats: Some(driver_stats),
-                    breaker: Some(driver.breaker_state()),
-                    backend: driver.into_inner(),
-                })
+                let (stats, breaker) = (*driver.stats(), driver.breaker_state());
+                (driver.into_inner(), Some(stats), Some(breaker))
             }
-        }
-    }
-
-    /// [`Driver::max_rounds`] + [`Driver::run`] in one call — the
-    /// natural shape for live loops, which tick until told to stop.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Driver::run`].
-    pub fn run_rounds(self, n: u64) -> Result<DriverOutcome<B>, DriverError> {
-        self.max_rounds(n).run()
+        };
+        Ok(DriverOutcome {
+            policy_name: reconciler.policy_name().to_string(),
+            stats: *reconciler.stats(),
+            driver_stats,
+            breaker,
+            backend,
+        })
     }
 }
 
 /// Everything one [`Driver`] run produced.
 ///
 /// The backend is handed back for backend-specific harvesting (e.g.
-/// `SimBackend::finish` builds the cluster report); the stats come in
-/// both the unified [`RunReport`] form and the layer-level
-/// [`RunStats`] / [`DriverStats`] forms until the latter shims are
-/// dropped.
+/// `SimBackend::finish` builds the cluster report).
 #[derive(Debug)]
 pub struct DriverOutcome<B> {
     /// The backend, handed back after the run.
     pub backend: B,
     /// The composed policy's display name.
     pub policy_name: String,
-    /// The unified run report.
-    pub report: RunReport,
-    /// The reconciler's own accounting (legacy view; every field is
-    /// mirrored in [`DriverOutcome::report`]).
+    /// The reconciler's accounting: completed rounds, admission, and
+    /// actuation.
     pub stats: RunStats,
-    /// The resilient driver's accounting when [`Driver::resilience`]
-    /// was configured (legacy view; mirrored in the report).
+    /// The resilient arm's accounting: every round seen, retries,
+    /// degraded and skipped rounds, breaker opens, drift repairs.
+    /// `None` on a plain run.
     pub driver_stats: Option<DriverStats>,
     /// Final circuit-breaker state of a resilient run.
     pub breaker: Option<BreakerState>,
@@ -309,45 +250,23 @@ mod tests {
     }
 
     #[test]
-    fn run_requires_a_policy() {
-        let err = Driver::new(MemBackend::new(3)).run().err();
-        assert!(matches!(err, Some(DriverError::NoPolicy)));
-        assert!(format!("{}", DriverError::NoPolicy).contains("policy"));
-    }
-
-    #[test]
     fn plain_run_drives_to_the_horizon() {
-        let out = Driver::new(MemBackend::new(5))
-            .policy(Box::new(Aiad::default()))
+        let out = Driver::new(MemBackend::new(5), Box::new(Aiad::default()))
             .admission(Box::new(Unlimited))
             .run()
             .expect("mem backend never fails");
         assert_eq!(out.stats.rounds, 5);
-        assert_eq!(out.report.total_rounds, 5);
-        assert_eq!(out.report.ok_rounds, 5);
         assert_eq!(out.backend.applies, 5);
+        assert_eq!(out.backend.rounds_left, 0);
         assert_eq!(out.policy_name, "AIAD");
         assert!(out.driver_stats.is_none());
         assert!(out.breaker.is_none());
     }
 
     #[test]
-    fn run_rounds_bounds_an_unbounded_clock() {
-        // 100-round horizon, bounded to 4: the driver must stop at
-        // the bound, not the horizon.
-        let out = Driver::new(MemBackend::new(100))
-            .policy(Box::new(Aiad::default()))
-            .run_rounds(4)
-            .expect("mem backend never fails");
-        assert_eq!(out.stats.rounds, 4);
-        assert_eq!(out.backend.rounds_left, 96);
-    }
-
-    #[test]
     fn resilient_run_reports_composed_stats() {
         let mut sink = TraceSink::new();
-        let out = Driver::new(MemBackend::new(6))
-            .policy(Box::new(Aiad::default()))
+        let out = Driver::new(MemBackend::new(6), Box::new(Aiad::default()))
             .resilience(ResilienceConfig::default())
             .telemetry(&mut sink)
             .run()
@@ -357,7 +276,7 @@ mod tests {
             .expect("resilient run records driver stats");
         assert_eq!(driver_stats.rounds, 6);
         assert_eq!(driver_stats.ok_rounds, 6);
-        assert_eq!(out.report, RunReport::compose(&out.stats, &driver_stats));
+        assert_eq!(out.stats.rounds, 6);
         assert_eq!(out.breaker, Some(BreakerState::Closed));
         assert!(!sink.is_empty(), "telemetry streamed through the driver");
     }

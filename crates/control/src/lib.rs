@@ -25,26 +25,24 @@
 //!   typed [`faro_core::ClusterSnapshot`], `apply()` actuates a
 //!   [`faro_core::DesiredState`] keyed by [`faro_core::JobId`].
 //! * [`Reconciler`] composes a [`faro_core::Policy`] with an
-//!   [`faro_core::Admission`] strategy and runs
-//!   Observe → Decide → Admit → Actuate until the clock runs out,
-//!   accumulating [`RunStats`] (including the granted-vs-requested
-//!   admission accounting that quota enforcement used to swallow).
+//!   [`faro_core::Admission`] strategy and runs one
+//!   Observe → Decide → Admit → Actuate round, accumulating
+//!   [`RunStats`] (including the granted-vs-requested admission
+//!   accounting that quota enforcement used to swallow).
 //!
 //! Both backend calls are fallible ([`backend::BackendError`]): a live
 //! API times out, refuses calls, serves stale snapshots, and actuates
 //! partially. The plain [`Reconciler`] propagates the first error;
-//! [`resilient::ResilientDriver`] wraps any backend with bounded
-//! deterministic retry, a circuit breaker, degraded-mode rounds, and
-//! drift repair, and [`chaos::ChaosBackend`] injects exactly those
-//! failures from a seeded plan so every resilience path is exercised
-//! reproducibly.
+//! [`resilient::ResilientDriver`] runs a round over any backend with
+//! bounded deterministic retry, a circuit breaker, degraded-mode
+//! rounds, and drift repair, counted in [`DriverStats`]; and
+//! [`chaos::ChaosBackend`] injects exactly those failures from a
+//! seeded plan so every resilience path is exercised reproducibly.
 //!
-//! [`driver::Driver`] is the one run entry point over all of this: a
-//! builder that composes a policy, admission, optional resilience,
-//! and a telemetry sink over any backend and drives the loop to the
-//! clock's horizon or a round bound — the simulator's run path and
-//! the live HTTP loop (`faro-cluster`) are both thin layers over it,
-//! and [`report::RunReport`] is its unified accounting view.
+//! [`Driver::run`] is the one run loop over all of this: it advances
+//! the backend's clock and runs one plain or resilient round per tick
+//! until the clock ends, for the simulator, a mock, and the live HTTP
+//! backend (`faro-cluster`) alike.
 //!
 //! Time is split across two traits: [`Clock`] is the run's logical
 //! timeline ([`faro_core::units::SimTimeMs`]), and [`clock::WallClock`]
@@ -53,8 +51,8 @@
 //! leak into sim-time arithmetic.
 //!
 //! The discrete-event simulator (`faro-sim`) provides the first
-//! backend; `examples/custom_backend.rs` in the workspace root drives
-//! the same reconciler against a mock with no simulator dependency.
+//! backend; `examples/custom_backend.rs` in the workspace root runs
+//! the same [`Driver`] over a mock with no simulator dependency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,7 +64,6 @@ pub mod chaos;
 pub mod clock;
 pub mod driver;
 pub mod reconciler;
-pub mod report;
 pub mod resilient;
 
 pub use backend::{ActuationReport, BackendError, ClusterBackend};
@@ -76,5 +73,4 @@ pub use chaos::{
 pub use clock::{Clock, WallClock};
 pub use driver::{Driver, DriverError, DriverOutcome};
 pub use reconciler::{AdmissionStats, PlannedRound, ReconcileOutcome, Reconciler, RunStats};
-pub use report::RunReport;
 pub use resilient::{BreakerState, DriverStats, ResilienceConfig, ResilientDriver, RetryPolicy};

@@ -1,4 +1,4 @@
-//! The Observe → Decide → Admit → Actuate loop.
+//! One Observe → Decide → Admit → Actuate round.
 
 use crate::backend::{ActuationReport, BackendError, ClusterBackend};
 use faro_core::admission::{Admission, AdmissionOutcome};
@@ -90,9 +90,10 @@ pub struct ReconcileOutcome {
     pub actuation: ActuationReport,
 }
 
-/// Runs the control loop: each round observes the backend, asks the
-/// policy for a desired state, admits it against the cluster quota,
-/// and actuates the result.
+/// One control-loop round: observe the backend, ask the policy for a
+/// desired state, admit it against the cluster quota, and actuate the
+/// result. [`Driver::run`](crate::Driver::run) repeats it until the
+/// backend's clock ends.
 ///
 /// The reconciler owns the policy and the admission strategy; the
 /// backend is borrowed per call so one reconciler can drive simulated
@@ -270,46 +271,6 @@ impl Reconciler {
             actuation: *actuation,
         }
     }
-
-    /// Runs the loop until the backend's clock runs out, returning the
-    /// run report.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first [`BackendError`] and propagates it; rounds
-    /// already completed stay recorded in [`Reconciler::stats`].
-    pub fn run<B: ClusterBackend + ?Sized>(
-        &mut self,
-        backend: &mut B,
-    ) -> Result<RunStats, BackendError> {
-        while backend.advance().is_some() {
-            self.reconcile(backend)?;
-        }
-        Ok(self.stats)
-    }
-
-    /// Like [`Reconciler::run`], streaming the whole run — including
-    /// the backend's between-round activity via
-    /// [`Clock::advance_with`](crate::Clock::advance_with) — into a
-    /// telemetry sink.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Reconciler::run`].
-    pub fn run_with<B, S>(
-        &mut self,
-        backend: &mut B,
-        sink: &mut S,
-    ) -> Result<RunStats, BackendError>
-    where
-        B: ClusterBackend + ?Sized,
-        S: TelemetrySink,
-    {
-        while backend.advance_with(sink).is_some() {
-            self.reconcile_with(backend, sink)?;
-        }
-        Ok(self.stats)
-    }
 }
 
 /// Assembles the per-round decision record from the observed snapshot,
@@ -478,21 +439,33 @@ mod tests {
         }
     }
 
+    /// A whole plain run of `policy` over `backend` through the one
+    /// run loop.
+    fn drive(
+        backend: MemBackend,
+        policy: Want,
+        admission: Box<dyn Admission>,
+    ) -> crate::DriverOutcome<MemBackend> {
+        crate::Driver::new(backend, Box::new(policy))
+            .admission(admission)
+            .run()
+            .expect("mem backend never fails")
+    }
+
     #[test]
     fn runs_until_the_clock_expires_and_accumulates_stats() {
-        let mut backend = MemBackend::new(16, 2);
-        let mut rec = Reconciler::new(Box::new(Want(4)), Box::new(Unlimited));
-        let stats = rec.run(&mut backend).unwrap();
+        let out = drive(MemBackend::new(16, 2), Want(4), Box::new(Unlimited));
+        let stats = out.stats;
         // Ticks at 0, 10, ..., 90 -> 10 rounds.
         assert_eq!(stats.rounds, 10);
-        assert_eq!(backend.applies.len(), 10);
-        assert_eq!(backend.targets, vec![4, 4]);
+        assert_eq!(out.backend.applies.len(), 10);
+        assert_eq!(out.backend.targets, vec![4, 4]);
         // Round 1 started 3 replicas per job; later rounds none.
         assert_eq!(stats.replicas_started, 6);
         assert_eq!(stats.admission.requested_replicas, 80);
         assert_eq!(stats.admission.granted_replicas, 80);
         assert_eq!(stats.admission.shortfall(), 0);
-        assert_eq!(rec.policy_name(), "want");
+        assert_eq!(out.policy_name, "want");
     }
 
     #[test]
@@ -513,9 +486,12 @@ mod tests {
     #[test]
     fn unsatisfiable_rounds_are_reported_not_swallowed() {
         // 3 jobs, quota 2: even the all-ones floor exceeds the quota.
-        let mut backend = MemBackend::new(2, 3);
-        let mut rec = Reconciler::new(Box::new(Want(1)), Box::new(OutageClamp::new(16)));
-        let stats = rec.run(&mut backend).unwrap();
+        let stats = drive(
+            MemBackend::new(2, 3),
+            Want(1),
+            Box::new(OutageClamp::new(16)),
+        )
+        .stats;
         assert_eq!(stats.admission.unsatisfiable_rounds, stats.rounds);
         assert!(stats.admission.shortfall() == 0, "nothing was trimmed");
     }
@@ -547,10 +523,12 @@ mod tests {
 
     #[test]
     fn reconcile_with_spans_measure_deterministic_work() {
-        let mut backend = MemBackend::new(16, 3);
-        let mut rec = Reconciler::new(Box::new(Want(4)), Box::new(Unlimited));
         let mut sink = faro_telemetry::AggregateSink::new();
-        rec.run_with(&mut backend, &mut sink).unwrap();
+        crate::Driver::new(MemBackend::new(16, 3), Box::new(Want(4)))
+            .admission(Box::new(Unlimited))
+            .telemetry(&mut sink)
+            .run()
+            .unwrap();
         let observe = sink.span_stats(Phase::Observe);
         assert_eq!(observe.rounds, 10);
         assert_eq!(observe.max_work, 3, "observe work = jobs observed");
@@ -563,20 +541,22 @@ mod tests {
     #[test]
     fn noop_sink_path_matches_plain_reconcile() {
         let mut plain = MemBackend::new(6, 2);
-        let mut traced = MemBackend::new(6, 2);
-        let mut rec_a = Reconciler::new(Box::new(Want(8)), Box::new(OutageClamp::new(16)));
-        let mut rec_b = Reconciler::new(Box::new(Want(8)), Box::new(OutageClamp::new(16)));
-        let a = rec_a.run(&mut plain).unwrap();
-        let b = rec_b.run_with(&mut traced, &mut NoopSink).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(plain.applies, traced.applies);
+        let mut rec = Reconciler::new(Box::new(Want(8)), Box::new(OutageClamp::new(16)));
+        while plain.advance().is_some() {
+            rec.reconcile(&mut plain).unwrap();
+        }
+        let driven = drive(
+            MemBackend::new(6, 2),
+            Want(8),
+            Box::new(OutageClamp::new(16)),
+        );
+        assert_eq!(*rec.stats(), driven.stats);
+        assert_eq!(plain.applies, driven.backend.applies);
     }
 
     #[test]
     fn run_stats_serialize() {
-        let mut backend = MemBackend::new(16, 1);
-        let mut rec = Reconciler::new(Box::new(Want(2)), Box::new(Unlimited));
-        let stats = rec.run(&mut backend).unwrap();
+        let stats = drive(MemBackend::new(16, 1), Want(2), Box::new(Unlimited)).stats;
         let json = serde_json::to_string(&stats).unwrap();
         assert!(json.contains("\"rounds\":10"), "{json}");
         assert!(json.contains("unsatisfiable_rounds"), "{json}");

@@ -4,10 +4,11 @@
 //!
 //! The plain [`Reconciler`] stops at the first [`BackendError`]; that
 //! is correct for the in-process simulator (which never fails) but not
-//! for the live backends ROADMAP item 2 targets, where the API *will*
-//! time out, refuse calls, and serve stale snapshots. The
-//! [`ResilientDriver`] wraps any [`ClusterBackend`] and keeps the loop
-//! alive through those failures without ever touching a wall clock:
+//! for a live backend, whose API *will* time out, refuse calls, and
+//! serve stale snapshots. The [`ResilientDriver`] is the resilient arm
+//! of [`Driver::run`](crate::Driver::run): it wraps any
+//! [`ClusterBackend`] and keeps each round alive through those
+//! failures without ever touching a wall clock:
 //!
 //! * **Bounded retry with backoff.** Each `observe`/`apply` is retried
 //!   up to [`RetryPolicy::max_attempts`] times. Backoff delays double
@@ -34,14 +35,14 @@
 //!   apply is the repair and is counted as one.
 //!
 //! Every retry attempt, breaker transition, degraded round, and drift
-//! repair is emitted as a [`TelemetryEvent`], so chaos runs are as
-//! auditable as clean ones.
+//! repair is emitted as a [`TelemetryEvent`] and counted once in
+//! [`DriverStats`], so chaos runs are as auditable as clean ones.
 
 use crate::backend::{ActuationReport, BackendError, ClusterBackend};
-use crate::reconciler::{Reconciler, RunStats};
+use crate::reconciler::Reconciler;
 use faro_core::types::{ClusterSnapshot, DesiredState};
 use faro_core::units::{DurationMs, SimTimeMs};
-use faro_telemetry::{NoopSink, TelemetryEvent, TelemetrySink};
+use faro_telemetry::{TelemetryEvent, TelemetrySink};
 
 /// Bounded-retry parameters for one backend call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +133,8 @@ impl BreakerState {
 }
 
 /// What the driver did across a run, beyond the reconciler's
-/// [`RunStats`] (which only counts fully completed rounds).
+/// [`RunStats`](crate::RunStats) (which only counts fully completed
+/// rounds).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriverStats {
     /// Rounds the driver saw (ticks), including skipped ones.
@@ -175,12 +177,13 @@ struct Retried<T> {
     retries: u64,
 }
 
-/// Wraps a fallible [`ClusterBackend`] and drives the
-/// Observe → Decide → Admit → Actuate loop through failures.
+/// Wraps a fallible [`ClusterBackend`] and carries each
+/// Observe → Decide → Admit → Actuate round through failures.
 ///
 /// The driver owns the backend; [`ResilientDriver::into_inner`] hands
 /// it back (e.g. for `SimBackend::finish`). The reconciler stays
-/// outside and is borrowed per call, mirroring [`Reconciler::run`].
+/// outside and is borrowed per round; the loop around the rounds is
+/// [`Driver::run`](crate::Driver::run).
 pub struct ResilientDriver<B: ClusterBackend> {
     backend: B,
     cfg: ResilienceConfig,
@@ -234,28 +237,11 @@ impl<B: ClusterBackend> ResilientDriver<B> {
         self.breaker
     }
 
-    /// Runs the loop until the backend's clock runs out. Unlike
-    /// [`Reconciler::run`] this never aborts on a backend error: every
-    /// failure is retried, degraded around, or skipped-and-reported.
-    pub fn run(&mut self, reconciler: &mut Reconciler) -> RunStats {
-        self.run_with(reconciler, &mut NoopSink)
-    }
-
-    /// Like [`ResilientDriver::run`], streaming rounds, retries,
-    /// breaker transitions, and degraded-round events into `sink`.
-    pub fn run_with<S: TelemetrySink>(
-        &mut self,
-        reconciler: &mut Reconciler,
-        sink: &mut S,
-    ) -> RunStats {
-        while self.backend.advance_with(sink).is_some() {
-            self.round_with(reconciler, sink);
-        }
-        *reconciler.stats()
-    }
-
     /// One driver round at the backend's current time: breaker
-    /// bookkeeping, then the observe/plan/apply ladder.
+    /// bookkeeping, then the observe/plan/apply ladder. Unlike
+    /// [`Reconciler::reconcile`] this never fails: every backend error
+    /// is retried, degraded around, or skipped and counted. Retries,
+    /// breaker transitions, and degraded rounds stream into `sink`.
     pub fn round_with<S: TelemetrySink>(&mut self, reconciler: &mut Reconciler, sink: &mut S) {
         self.stats.rounds += 1;
         let at = self.backend.now();

@@ -1,10 +1,13 @@
-//! Integration tests for the resilient driver and the chaos backend:
-//! retry recovery, breaker schedules, degraded rounds, drift repair,
-//! and the no-mutation guarantee for breaker-open rounds.
+//! Integration tests for the resilient arm of the run loop and the
+//! chaos backend: retry recovery, breaker schedules, degraded rounds,
+//! drift repair, the no-mutation guarantee for breaker-open rounds, and
+//! `Driver::run` as the very program a caller stepping rounds by hand
+//! runs.
 
 use faro_control::{
-    ActuationReport, BackendError, BreakerState, ChaosBackend, ChaosPlan, Clock, ClusterBackend,
-    Reconciler, ResilienceConfig, ResilientDriver, RetryPolicy,
+    ActuationReport, ApiErrors, BackendError, BreakerState, ChaosBackend, ChaosPlan, Clock,
+    ClusterBackend, Driver, DriverError, DriverOutcome, DriverStats, PartialApplies, Reconciler,
+    ResilienceConfig, ResilientDriver, RetryPolicy, StaleSnapshots,
 };
 use faro_core::admission::ClampToQuota;
 use faro_core::types::{
@@ -12,7 +15,7 @@ use faro_core::types::{
 };
 use faro_core::units::{DurationMs, RatePerMin, ReplicaCount, SimTimeMs};
 use faro_core::Policy;
-use faro_telemetry::TelemetryEvent;
+use faro_telemetry::{NoopSink, TelemetryEvent, TelemetrySink, TraceSink};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -152,23 +155,43 @@ fn reconciler(target: u32) -> Reconciler {
     Reconciler::new(Box::new(Want(target)), Box::new(ClampToQuota))
 }
 
+/// A run of [`Want`] over `backend`, admitted by [`ClampToQuota`] like
+/// [`reconciler`].
+fn driver<B: ClusterBackend>(backend: B, target: u32) -> Driver<B> {
+    Driver::new(backend, Box::new(Want(target)))
+}
+
+/// A resilient run to the horizon, and its driver accounting.
+fn resilient<B: ClusterBackend, S: TelemetrySink>(
+    run: Driver<B, S>,
+    cfg: ResilienceConfig,
+) -> (DriverOutcome<B>, DriverStats) {
+    let out = run
+        .resilience(cfg)
+        .run()
+        .expect("a resilient run never stops on a backend error");
+    let stats = out.driver_stats.expect("a resilient run counts its rounds");
+    (out, stats)
+}
+
 #[test]
 fn clean_backend_matches_the_plain_reconciler() {
-    let mut plain = reconciler(4);
-    let plain_stats = plain.run(&mut ScriptBackend::new(10, 2)).unwrap();
-
-    let mut rec = reconciler(4);
-    let mut driver = ResilientDriver::new(ScriptBackend::new(10, 2), ResilienceConfig::default());
-    let stats = driver.run(&mut rec);
-
-    assert_eq!(stats, plain_stats, "no faults: the driver is transparent");
-    assert_eq!(driver.stats().ok_rounds, 10);
-    assert_eq!(driver.stats().skipped_rounds, 0);
-    assert_eq!(
-        driver.stats().observe_retries + driver.stats().apply_retries,
-        0
+    let plain = driver(ScriptBackend::new(10, 2), 4)
+        .run()
+        .expect("no faults scripted");
+    let (out, stats) = resilient(
+        driver(ScriptBackend::new(10, 2), 4),
+        ResilienceConfig::default(),
     );
-    assert_eq!(driver.breaker_state(), BreakerState::Closed);
+
+    assert_eq!(
+        out.stats, plain.stats,
+        "no faults: the driver is transparent"
+    );
+    assert_eq!(stats.ok_rounds, 10);
+    assert_eq!(stats.skipped_rounds, 0);
+    assert_eq!(stats.observe_retries + stats.apply_retries, 0);
+    assert_eq!(out.breaker, Some(BreakerState::Closed));
 }
 
 #[test]
@@ -181,19 +204,14 @@ fn transient_errors_are_retried_within_the_round() {
         None,
     ]);
     backend.apply_plan = VecDeque::from(vec![Some(ScriptBackend::unavailable())]);
-    let mut rec = reconciler(4);
-    let mut driver = ResilientDriver::new(backend, ResilienceConfig::default());
-    let stats = driver.run(&mut rec);
+    let (out, stats) = resilient(driver(backend, 4), ResilienceConfig::default());
 
-    assert_eq!(stats.rounds, 6, "every round completed despite faults");
-    assert_eq!(driver.stats().ok_rounds, 6);
-    assert_eq!(driver.stats().observe_retries, 2);
-    assert_eq!(driver.stats().apply_retries, 1);
-    assert_eq!(
-        driver.stats().observe_failures + driver.stats().apply_failures,
-        0
-    );
-    assert_eq!(driver.backend().targets, vec![4, 4]);
+    assert_eq!(out.stats.rounds, 6, "every round completed despite faults");
+    assert_eq!(stats.ok_rounds, 6);
+    assert_eq!(stats.observe_retries, 2);
+    assert_eq!(stats.apply_retries, 1);
+    assert_eq!(stats.observe_failures + stats.apply_failures, 0);
+    assert_eq!(out.backend.targets, vec![4, 4]);
 }
 
 #[test]
@@ -205,14 +223,12 @@ fn retry_schedules_replay_byte_identically() {
             None,
             Some(ScriptBackend::unavailable()),
         ]);
-        let mut rec = reconciler(3);
-        let mut sink = faro_telemetry::TraceSink::new();
+        let mut sink = TraceSink::new();
         let cfg = ResilienceConfig {
             jitter_seed: 7,
             ..ResilienceConfig::default()
         };
-        let mut driver = ResilientDriver::new(backend, cfg);
-        driver.run_with(&mut rec, &mut sink);
+        resilient(driver(backend, 3).telemetry(&mut sink), cfg);
         sink.to_jsonl()
     };
     let a = run();
@@ -230,7 +246,6 @@ fn degraded_rounds_plan_on_the_cached_snapshot_then_carry_forward() {
             .chain(std::iter::repeat_with(|| Some(ScriptBackend::unavailable())).take(200))
             .collect::<Vec<_>>(),
     );
-    let mut rec = reconciler(5);
     // A staleness window of one tick: round 2 can still plan on round
     // 1's snapshot; round 3 onward must carry forward.
     let cfg = ResilienceConfig {
@@ -238,19 +253,13 @@ fn degraded_rounds_plan_on_the_cached_snapshot_then_carry_forward() {
         breaker_threshold: 100, // keep the breaker out of this test
         ..ResilienceConfig::default()
     };
-    let mut driver = ResilientDriver::new(backend, cfg);
-    driver.run(&mut rec);
-
-    assert_eq!(driver.stats().ok_rounds, 1);
-    assert_eq!(driver.stats().stale_tolerated_rounds, 1);
-    assert!(driver.stats().carry_forward_rounds >= 1);
+    let (out, stats) = resilient(driver(backend, 5), cfg);
+    assert_eq!(stats.ok_rounds, 1);
+    assert_eq!(stats.stale_tolerated_rounds, 1);
+    assert!(stats.carry_forward_rounds >= 1);
+    assert_eq!(stats.skipped_rounds, 0, "always had state to act on");
     assert_eq!(
-        driver.stats().skipped_rounds,
-        0,
-        "always had state to act on"
-    );
-    assert_eq!(
-        driver.backend().targets,
+        out.backend.targets,
         vec![5, 5],
         "carry-forward kept actuating"
     );
@@ -264,7 +273,6 @@ fn breaker_opens_skips_and_probes_on_schedule() {
             .take(500)
             .collect::<Vec<_>>(),
     );
-    let mut rec = reconciler(4);
     let cfg = ResilienceConfig {
         retry: RetryPolicy::no_retry(),
         staleness_window: DurationMs::ZERO, // no cache tolerance
@@ -272,24 +280,19 @@ fn breaker_opens_skips_and_probes_on_schedule() {
         breaker_cooldown_rounds: 3,
         ..ResilienceConfig::default()
     };
-    let mut sink = faro_telemetry::TraceSink::new();
-    let mut driver = ResilientDriver::new(backend, cfg);
-    driver.run_with(&mut rec, &mut sink);
+    let mut sink = TraceSink::new();
+    let (out, stats) = resilient(driver(backend, 4).telemetry(&mut sink), cfg);
 
     // Rounds 1-3 fail (one attempt each, no state to degrade onto) and
     // trip the breaker; rounds 4-5 are cooldown skips with zero backend
     // calls; round 6 is a half-open probe that fails and re-trips.
-    assert!(driver.stats().breaker_opens >= 2, "{:?}", driver.stats());
-    assert!(
-        driver.stats().skipped_rounds >= 3 + 4,
-        "{:?}",
-        driver.stats()
-    );
+    assert!(stats.breaker_opens >= 2, "{stats:?}");
+    assert!(stats.skipped_rounds >= 3 + 4, "{stats:?}");
     // 12 rounds, cooldowns of 2 skipped rounds each after 3 failures +
     // repeated probes: far fewer observe calls than rounds.
-    assert!(driver.backend().observe_calls < 12);
-    assert_eq!(driver.backend().apply_calls, 0);
-    assert_eq!(driver.backend().mutations, 0);
+    assert!(out.backend.observe_calls < 12);
+    assert_eq!(out.backend.apply_calls, 0);
+    assert_eq!(out.backend.mutations, 0);
     let transitions: Vec<String> = sink
         .entries()
         .filter_map(|e| match &e.event {
@@ -312,21 +315,17 @@ fn breaker_opens_skips_and_probes_on_schedule() {
 fn drift_is_detected_and_repaired() {
     let mut backend = ScriptBackend::new(6, 2);
     backend.sabotage = 1; // every apply is undone by one replica on job 0
-    let mut rec = reconciler(4);
-    let mut driver = ResilientDriver::new(backend, ResilienceConfig::default());
-    driver.run(&mut rec);
-
+    let (_, stats) = resilient(driver(backend, 4), ResilienceConfig::default());
     assert!(
-        driver.stats().drift_repairs >= 4,
-        "sabotaged rounds were flagged: {:?}",
-        driver.stats()
+        stats.drift_repairs >= 4,
+        "sabotaged rounds were flagged: {stats:?}"
     );
 }
 
 #[test]
 fn chaos_plan_rejects_bad_rates() {
     let plan = ChaosPlan {
-        api_errors: Some(faro_control::chaos::ApiErrors {
+        api_errors: Some(ApiErrors {
             observe_rate: 1.5,
             apply_rate: 0.0,
         }),
@@ -341,20 +340,17 @@ fn chaos_plan_rejects_bad_rates() {
 fn chaos_injection_is_deterministic_per_seed() {
     let run = |seed: u64| {
         let plan = ChaosPlan {
-            api_errors: Some(faro_control::chaos::ApiErrors {
+            api_errors: Some(ApiErrors {
                 observe_rate: 0.3,
                 apply_rate: 0.3,
             }),
-            partial_applies: Some(faro_control::chaos::PartialApplies { rate: 0.3 }),
+            partial_applies: Some(PartialApplies { rate: 0.3 }),
             ..ChaosPlan::none()
         };
         let chaos = ChaosBackend::new(ScriptBackend::new(20, 3), plan, seed).unwrap();
-        let mut rec = reconciler(4);
-        let mut driver = ResilientDriver::new(chaos, ResilienceConfig::default());
-        let stats = driver.run(&mut rec);
-        let chaos = driver.into_inner();
-        let chaos_stats = *chaos.stats();
-        (stats, chaos_stats, chaos.into_inner().targets)
+        let (out, _) = resilient(driver(chaos, 4), ResilienceConfig::default());
+        let chaos_stats = *out.backend.stats();
+        (out.stats, chaos_stats, out.backend.into_inner().targets)
     };
     let (stats_a, chaos_a, targets_a) = run(9);
     let (stats_b, chaos_b, targets_b) = run(9);
@@ -365,6 +361,134 @@ fn chaos_injection_is_deterministic_per_seed() {
         chaos_a.observe_errors + chaos_a.apply_errors + chaos_a.partial_applies > 0,
         "the plan actually injected something: {chaos_a:?}"
     );
+}
+
+/// Every API fault class `Driver::run` absorbs on its resilient arm:
+/// refused calls, stale snapshots, and partial applies.
+fn api_chaos() -> ChaosPlan {
+    ChaosPlan {
+        api_errors: Some(ApiErrors {
+            observe_rate: 0.2,
+            apply_rate: 0.2,
+        }),
+        stale_snapshots: Some(StaleSnapshots { rate: 0.2 }),
+        partial_applies: Some(PartialApplies { rate: 0.2 }),
+        ..ChaosPlan::none()
+    }
+}
+
+/// The resilient `Driver::run` is the program a caller stepping
+/// `advance_with` and `ResilientDriver::round_with` by hand runs (the
+/// benchmark steps rounds that way to time each one): same counters,
+/// same breaker, same cluster, same trace bytes, seed for seed.
+#[test]
+fn resilient_driver_run_is_round_with_stepped_by_hand() {
+    for seed in 1..=3 {
+        let chaos = || ChaosBackend::new(ScriptBackend::new(30, 3), api_chaos(), seed).unwrap();
+        let cfg = ResilienceConfig {
+            jitter_seed: seed,
+            ..ResilienceConfig::default()
+        };
+        let mut run_sink = TraceSink::new();
+        let (run, run_stats) = resilient(driver(chaos(), 4).telemetry(&mut run_sink), cfg);
+
+        let mut step_sink = TraceSink::new();
+        let mut rec = reconciler(4);
+        let mut stepped = ResilientDriver::new(chaos(), cfg);
+        while stepped.backend_mut().advance_with(&mut step_sink).is_some() {
+            stepped.round_with(&mut rec, &mut step_sink);
+        }
+        // The benchmark's own stepping: `advance`, untraced rounds.
+        let mut bench_rec = reconciler(4);
+        let mut bench = ResilientDriver::new(chaos(), cfg);
+        while bench.backend_mut().advance().is_some() {
+            bench.round_with(&mut bench_rec, &mut NoopSink);
+        }
+
+        for (stats, driven, breaker, backend) in [
+            (
+                rec.stats(),
+                stepped.stats(),
+                stepped.breaker_state(),
+                stepped.backend(),
+            ),
+            (
+                bench_rec.stats(),
+                bench.stats(),
+                bench.breaker_state(),
+                bench.backend(),
+            ),
+        ] {
+            assert_eq!(&run.stats, stats, "seed {seed}");
+            assert_eq!(&run_stats, driven, "seed {seed}");
+            assert_eq!(run.breaker, Some(breaker), "seed {seed}");
+            assert_eq!(run.backend.stats(), backend.stats(), "seed {seed}");
+            assert_eq!(run.backend.inner().targets, backend.inner().targets);
+        }
+        assert_eq!(run.policy_name, rec.policy_name());
+        assert_eq!(run_sink.to_jsonl(), step_sink.to_jsonl(), "seed {seed}");
+        let injected = run.backend.stats();
+        assert!(
+            injected.observe_errors > 0
+                && injected.stale_serves > 0
+                && injected.partial_applies > 0,
+            "seed {seed} injected every fault class: {injected:?}"
+        );
+    }
+}
+
+/// The plain `Driver::run` is `Reconciler::reconcile_with` stepped by
+/// hand: to the horizon when no call fails (stale snapshots are served
+/// without an error), and to the same first error when one does.
+#[test]
+fn plain_driver_run_is_reconcile_with_stepped_by_hand() {
+    let stale_only = ChaosPlan {
+        stale_snapshots: Some(StaleSnapshots { rate: 0.3 }),
+        ..ChaosPlan::none()
+    };
+    for seed in 1..=3 {
+        for (plan, completes) in [(stale_only, true), (api_chaos(), false)] {
+            let chaos = || ChaosBackend::new(ScriptBackend::new(30, 3), plan, seed).unwrap();
+            let mut run_sink = TraceSink::new();
+            let run = driver(chaos(), 4).telemetry(&mut run_sink).run();
+
+            let mut step_sink = TraceSink::new();
+            let mut rec = reconciler(4);
+            let mut backend = chaos();
+            let mut stepped = Ok(());
+            while backend.advance_with(&mut step_sink).is_some() {
+                if let Err(e) = rec.reconcile_with(&mut backend, &mut step_sink) {
+                    stepped = Err(e);
+                    break;
+                }
+            }
+
+            match (run, stepped) {
+                (Ok(out), Ok(())) => {
+                    assert!(completes, "seed {seed}: an api-error plan never fired");
+                    assert_eq!(out.stats, *rec.stats(), "seed {seed}");
+                    assert_eq!(out.stats.rounds, 30);
+                    assert!(out.driver_stats.is_none() && out.breaker.is_none());
+                    assert_eq!(out.backend.stats(), backend.stats());
+                    assert_eq!(out.backend.inner().targets, backend.inner().targets);
+                }
+                (Err(DriverError::Backend(run_err)), Err(step_err)) => {
+                    assert!(!completes, "seed {seed}: a stale snapshot failed a call");
+                    assert_eq!(run_err, step_err, "seed {seed}");
+                }
+                (run, stepped) => panic!(
+                    "seed {seed}: the run {} and the stepped rounds {}",
+                    if run.is_ok() { "completed" } else { "failed" },
+                    if stepped.is_ok() {
+                        "completed"
+                    } else {
+                        "failed"
+                    },
+                ),
+            }
+            assert_eq!(run_sink.to_jsonl(), step_sink.to_jsonl(), "seed {seed}");
+        }
+    }
 }
 
 proptest! {
@@ -402,7 +526,7 @@ proptest! {
         };
         let mut rec = reconciler(4);
         let mut driver = ResilientDriver::new(backend, cfg);
-        let mut sink = faro_telemetry::TraceSink::new();
+        let mut sink = TraceSink::new();
         let mut seen_events = 0usize;
         let mut open_skips = 0u64;
         while driver.backend_mut().advance().is_some() {

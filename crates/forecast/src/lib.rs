@@ -5,13 +5,12 @@
 //! extended with a Gaussian head, so the autoscaler receives a
 //! *distribution* over future rates rather than a single trajectory —
 //! the paper's "sloppy" probabilistic prediction that captures workload
-//! fluctuation. The comparison models the paper mentions (LSTM, DeepAR,
-//! ARMA for Cilantro, damped moving average) are implemented alongside:
+//! fluctuation. The simple references the paper mentions (ARMA for
+//! Cilantro, damped moving average) are implemented alongside; its
+//! LSTM and DeepAR comparison models are not:
 //!
 //! - [`nhits::NHits`]: multi-rate pooled, hierarchically interpolated MLP
 //!   stacks; point (MSE) or probabilistic (Gaussian NLL) training.
-//! - [`lstm::Lstm`]: single-layer LSTM with a direct multi-horizon head.
-//! - [`deepar::DeepAr`]: LSTM body with a Gaussian head (DeepAR-style).
 //! - [`arma::Ar`]: least-squares AR(p), the ARMA-family stand-in used by
 //!   the Cilantro baseline.
 //! - [`naive`]: seasonal-naive and damped moving-average references.
@@ -37,10 +36,8 @@
 
 pub mod arma;
 pub mod dataset;
-pub mod deepar;
 pub mod error;
 pub mod gaussian;
-pub mod lstm;
 pub mod naive;
 pub mod nhits;
 

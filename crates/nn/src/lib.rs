@@ -2,8 +2,8 @@
 //!
 //! Faro's workload predictor is an N-HiTS network (paper Sec. 3.5). The
 //! paper uses Darts/PyTorch; this crate provides the small set of
-//! building blocks needed to implement N-HiTS, LSTM, and a DeepAR-style
-//! model from scratch in safe Rust:
+//! building blocks needed to implement N-HiTS from scratch in safe
+//! Rust:
 //!
 //! - [`tensor::Matrix`]: a row-major `f64` matrix with the handful of
 //!   BLAS-like kernels the models need.

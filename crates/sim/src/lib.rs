@@ -34,9 +34,8 @@
 //! let config = SimConfig { seed: 1, ..Default::default() };
 //! let outcome = Simulation::new(config, jobs)
 //!     .unwrap()
-//!     .driver()
+//!     .driver(Box::new(FairShare))
 //!     .unwrap()
-//!     .policy(Box::new(FairShare))
 //!     .run()
 //!     .unwrap()
 //!     .into_outcome();

@@ -22,9 +22,8 @@
 //! }];
 //! let outcome = Simulation::new(SimConfig::default(), jobs)
 //!     .unwrap()
-//!     .driver()
+//!     .driver(Box::new(FairShare))
 //!     .unwrap()
-//!     .policy(Box::new(FairShare))
 //!     .telemetry(TraceSink::new())
 //!     .run()
 //!     .unwrap()
@@ -40,6 +39,7 @@ use crate::runtime::{JobRuntime, DEFAULT_QUEUE_THRESHOLD};
 use crate::{Error, Result};
 use faro_control::{Driver, DriverOutcome, RunStats};
 use faro_core::admission::{Admission, OutageClamp};
+use faro_core::policy::Policy;
 use faro_core::types::{JobObservation, JobSpec, ResourceModel};
 use faro_core::units::RatePerMin;
 use faro_metrics::AvailabilityTracker;
@@ -312,9 +312,9 @@ impl Simulation {
         Ok(self)
     }
 
-    /// Primes this simulation's [`SimBackend`] and hands it to the
-    /// backend-generic [`faro_control::Driver`] builder with the
-    /// simulator's default admission attached: an outage-aware
+    /// Primes this simulation's [`SimBackend`] and hands it, with
+    /// `policy`, to the backend-generic [`faro_control::Driver`] with
+    /// the simulator's default admission attached: an outage-aware
     /// [`OutageClamp`] at the configured total quota (the cluster can
     /// host what the policy asked for except during a node outage;
     /// the clamp engages only while the observed quota is below full
@@ -324,9 +324,9 @@ impl Simulation {
     /// # Errors
     ///
     /// Fails when the attached fault plan cannot build its injector.
-    pub fn driver(self) -> Result<Driver<SimBackend>> {
+    pub fn driver(self, policy: Box<dyn Policy>) -> Result<Driver<SimBackend>> {
         let capacity = self.config.total_replicas;
-        Ok(Driver::new(self.into_backend()?)
+        Ok(Driver::new(self.into_backend()?, policy)
             .admission(Box::new(OutageClamp::new(capacity)) as Box<dyn Admission>))
     }
 
@@ -374,9 +374,7 @@ impl SimRun for DriverOutcome<SimBackend> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faro_control::DriverError;
     use faro_core::baselines::{Aiad, FairShare};
-    use faro_core::policy::Policy;
     use faro_core::types::{ClusterSnapshot, DesiredState, JobDecision, JobId};
 
     fn setup(rate: f64, minutes: usize, initial: u32) -> JobSetup {
@@ -410,9 +408,8 @@ mod tests {
         };
         let report = Simulation::new(cfg, vec![setup(300.0, 20, 4)])
             .unwrap()
-            .driver()
+            .driver(Box::new(FairShare))
             .unwrap()
-            .policy(Box::new(FairShare))
             .run()
             .unwrap()
             .into_outcome()
@@ -439,9 +436,8 @@ mod tests {
         };
         let report = Simulation::new(cfg, vec![setup(2400.0, 10, 1)])
             .unwrap()
-            .driver()
+            .driver(Box::new(FairShare))
             .unwrap()
-            .policy(Box::new(FairShare))
             .run()
             .unwrap()
             .into_outcome()
@@ -469,18 +465,16 @@ mod tests {
         };
         let fixed = Simulation::new(cfg.clone(), vec![mk()])
             .unwrap()
-            .driver()
+            .driver(Box::new(StaticPolicy(2)))
             .unwrap()
-            .policy(Box::new(StaticPolicy(2)))
             .run()
             .unwrap()
             .into_outcome()
             .report;
         let scaled = Simulation::new(cfg, vec![mk()])
             .unwrap()
-            .driver()
+            .driver(Box::new(Aiad::default()))
             .unwrap()
-            .policy(Box::new(Aiad::default()))
             .run()
             .unwrap()
             .into_outcome()
@@ -503,9 +497,8 @@ mod tests {
         let run = || {
             Simulation::new(cfg.clone(), vec![setup(600.0, 8, 2)])
                 .unwrap()
-                .driver()
+                .driver(Box::new(Aiad::default()))
                 .unwrap()
-                .policy(Box::new(Aiad::default()))
                 .run()
                 .unwrap()
                 .into_outcome()
@@ -527,9 +520,8 @@ mod tests {
         };
         let report = Simulation::new(cfg, vec![setup(900.0, 12, 2)])
             .unwrap()
-            .driver()
+            .driver(Box::new(FairShare))
             .unwrap()
-            .policy(Box::new(FairShare))
             .run()
             .unwrap()
             .into_outcome()
@@ -568,9 +560,8 @@ mod tests {
         };
         let report = Simulation::new(cfg, vec![setup(2400.0, 8, 1)])
             .unwrap()
-            .driver()
+            .driver(Box::new(JumpPolicy))
             .unwrap()
-            .policy(Box::new(JumpPolicy))
             .run()
             .unwrap()
             .into_outcome()
@@ -676,9 +667,8 @@ mod tests {
         };
         let plain = Simulation::new(cfg.clone(), vec![setup(600.0, 6, 2)])
             .unwrap()
-            .driver()
+            .driver(Box::new(Aiad::default()))
             .unwrap()
-            .policy(Box::new(Aiad::default()))
             .run()
             .unwrap()
             .into_outcome()
@@ -687,9 +677,8 @@ mod tests {
             .unwrap()
             .with_faults(FaultPlan::none())
             .unwrap()
-            .driver()
+            .driver(Box::new(Aiad::default()))
             .unwrap()
-            .policy(Box::new(Aiad::default()))
             .run()
             .unwrap()
             .into_outcome()
@@ -735,9 +724,8 @@ mod tests {
                 .unwrap()
                 .with_faults(full_plan())
                 .unwrap()
-                .driver()
+                .driver(Box::new(Aiad::default()))
                 .unwrap()
-                .policy(Box::new(Aiad::default()))
                 .run()
                 .unwrap()
                 .into_outcome()
@@ -762,9 +750,8 @@ mod tests {
             .unwrap()
             .with_faults(plan)
             .unwrap()
-            .driver()
+            .driver(Box::new(FairShare))
             .unwrap()
-            .policy(Box::new(FairShare))
             .run()
             .unwrap()
             .into_outcome()
@@ -815,9 +802,8 @@ mod tests {
             .unwrap()
             .with_faults(plan)
             .unwrap()
-            .driver()
+            .driver(Box::new(probe))
             .unwrap()
-            .policy(Box::new(probe))
             .run()
             .unwrap()
             .into_outcome()
@@ -856,9 +842,8 @@ mod tests {
             .unwrap()
             .with_faults(plan)
             .unwrap()
-            .driver()
+            .driver(Box::new(probe))
             .unwrap()
-            .policy(Box::new(probe))
             .run()
             .unwrap();
         let seen = rates.lock().unwrap();
@@ -897,9 +882,8 @@ mod tests {
             .unwrap()
             .with_faults(plan)
             .unwrap()
-            .driver()
+            .driver(Box::new(probe))
             .unwrap()
-            .policy(Box::new(probe))
             .run()
             .unwrap();
         let seen = rates.lock().unwrap();
@@ -913,16 +897,6 @@ mod tests {
             frozen.windows(2).all(|w| w[0] == w[1]),
             "stale scrape repeats one value: {frozen:?}"
         );
-    }
-
-    #[test]
-    fn driver_requires_a_policy() {
-        let sim = Simulation::new(SimConfig::default(), vec![setup(60.0, 2, 1)]).unwrap();
-        let err = match sim.driver().unwrap().run() {
-            Err(err) => err,
-            Ok(_) => panic!("a driver without a policy must not run"),
-        };
-        assert!(matches!(err, DriverError::NoPolicy), "{err}");
     }
 
     #[test]
@@ -962,9 +936,8 @@ mod tests {
         };
         let base = Simulation::new(cfg.clone(), vec![mk()])
             .unwrap()
-            .driver()
+            .driver(Box::new(Aiad::default()))
             .unwrap()
-            .policy(Box::new(Aiad::default()))
             .run()
             .unwrap()
             .into_outcome()
@@ -982,9 +955,8 @@ mod tests {
             .unwrap()
             .with_faults(plan)
             .unwrap()
-            .driver()
+            .driver(Box::new(Aiad::default()))
             .unwrap()
-            .policy(Box::new(Aiad::default()))
             .run()
             .unwrap()
             .into_outcome()

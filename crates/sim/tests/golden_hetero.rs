@@ -69,9 +69,8 @@ fn hetero_run(seed: u64) -> RunOutcome {
     let n = jobs.len();
     Simulation::new(cfg, jobs)
         .expect("hetero setup is valid")
-        .driver()
+        .driver(faro_policy(n))
         .unwrap()
-        .policy(faro_policy(n))
         .admission(Box::new(ClampToQuota))
         .run()
         .expect("hetero run completes")
@@ -162,9 +161,8 @@ fn class_blind_decisions_spill_fill_deterministically() {
         };
         Simulation::new(cfg, setups())
             .expect("valid setup")
-            .driver()
+            .driver(Box::new(FairShare))
             .unwrap()
-            .policy(Box::new(FairShare))
             .admission(Box::new(ClampToQuota))
             .run()
             .expect("class-blind hetero run completes")

@@ -36,9 +36,8 @@ fn small_run_json() -> String {
     ];
     let report = Simulation::new(cfg, setups)
         .expect("golden setup is valid")
-        .driver()
+        .driver(Box::new(FairShare))
         .unwrap()
-        .policy(Box::new(FairShare))
         .run()
         .expect("golden run completes")
         .into_outcome()

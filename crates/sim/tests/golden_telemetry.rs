@@ -8,8 +8,8 @@
 //! 3. The aggregate Prometheus snapshot is equally reproducible.
 
 use faro_control::{
-    ApiErrors, ChaosBackend, ChaosPlan, InjectedLatency, PartialApplies, Reconciler,
-    ResilienceConfig, ResilientDriver, StaleSnapshots,
+    ApiErrors, ChaosBackend, ChaosPlan, Driver, InjectedLatency, PartialApplies, ResilienceConfig,
+    StaleSnapshots,
 };
 use faro_core::admission::OutageClamp;
 use faro_core::baselines::Aiad;
@@ -70,9 +70,8 @@ fn traced_run(plan: FaultPlan) -> (RunOutcome, TraceSink) {
     let outcome = sim()
         .with_faults(plan)
         .unwrap()
-        .driver()
+        .driver(Box::new(Aiad::default()))
         .unwrap()
-        .policy(Box::new(Aiad::default()))
         .telemetry(&mut sink)
         .run()
         .expect("traced run completes")
@@ -113,9 +112,8 @@ fn tracing_never_steers_the_run() {
     let plain = sim()
         .with_faults(faults())
         .unwrap()
-        .driver()
+        .driver(Box::new(Aiad::default()))
         .unwrap()
-        .policy(Box::new(Aiad::default()))
         .telemetry(NoopSink)
         .run()
         .expect("noop run completes")
@@ -166,37 +164,36 @@ fn chaos_replays_are_byte_identical_for_a_fixed_seed() {
         stale_snapshots: Some(StaleSnapshots { rate: 0.1 }),
         partial_applies: Some(PartialApplies { rate: 0.1 }),
     };
-    let seed: u64 = std::env::var("FARO_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(7);
-    let run = || {
+    let run = |seed: u64| {
         let backend = sim().into_backend().expect("backend builds");
         let chaos = ChaosBackend::new(backend, plan, seed).expect("valid plan");
-        let mut driver = ResilientDriver::new(chaos, ResilienceConfig::default());
-        let mut reconciler =
-            Reconciler::new(Box::new(Aiad::default()), Box::new(OutageClamp::new(10)));
         let mut sink = TraceSink::new();
-        driver.run_with(&mut reconciler, &mut sink);
-        let stats = *driver.stats();
-        (sink.to_jsonl(), stats, *driver.into_inner().stats())
+        let out = Driver::new(chaos, Box::new(Aiad::default()))
+            .admission(Box::new(OutageClamp::new(10)))
+            .resilience(ResilienceConfig::default())
+            .telemetry(&mut sink)
+            .run()
+            .expect("a resilient run never stops on a backend error");
+        (sink.to_jsonl(), out.driver_stats, *out.backend.stats())
     };
-    let (jsonl_a, driver_a, chaos_a) = run();
-    let (jsonl_b, driver_b, chaos_b) = run();
-    assert!(!jsonl_a.is_empty());
-    assert_eq!(jsonl_a, jsonl_b, "same chaos seed, same trace bytes");
-    assert_eq!(driver_a, driver_b);
-    assert_eq!(chaos_a, chaos_b);
-    // The run exercised the resilience machinery, not a quiet path.
-    assert!(
-        chaos_a.observe_errors
-            + chaos_a.apply_errors
-            + chaos_a.stale_serves
-            + chaos_a.partial_applies
-            > 0,
-        "chaos plan never fired: {chaos_a:?}"
-    );
-    assert!(jsonl_a.contains("BackendRetry"), "no retries traced");
+    for seed in [1, 2, 3, 7] {
+        let (jsonl_a, driver_a, chaos_a) = run(seed);
+        let (jsonl_b, driver_b, chaos_b) = run(seed);
+        assert!(!jsonl_a.is_empty());
+        assert_eq!(jsonl_a, jsonl_b, "same chaos seed {seed}, same trace bytes");
+        assert_eq!(driver_a, driver_b);
+        assert_eq!(chaos_a, chaos_b);
+        // The run exercised the resilience machinery, not a quiet path.
+        assert!(
+            chaos_a.observe_errors
+                + chaos_a.apply_errors
+                + chaos_a.stale_serves
+                + chaos_a.partial_applies
+                > 0,
+            "chaos plan never fired under seed {seed}: {chaos_a:?}"
+        );
+        assert!(jsonl_a.contains("BackendRetry"), "no retries traced");
+    }
 }
 
 #[test]
@@ -212,9 +209,8 @@ fn sharded_solve_traces_are_reproducible() {
             .collect();
         let mut sink = TraceSink::new();
         let outcome = sim()
-            .driver()
+            .driver(Box::new(FaroAutoscaler::new(cfg, predictors)))
             .unwrap()
-            .policy(Box::new(FaroAutoscaler::new(cfg, predictors)))
             .telemetry(&mut sink)
             .run()
             .expect("sharded run completes")
@@ -239,9 +235,8 @@ fn aggregate_snapshot_is_reproducible() {
         sim()
             .with_faults(faults())
             .unwrap()
-            .driver()
+            .driver(Box::new(Aiad::default()))
             .unwrap()
-            .policy(Box::new(Aiad::default()))
             .telemetry(&mut sink)
             .run()
             .expect("aggregated run completes")

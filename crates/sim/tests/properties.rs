@@ -75,9 +75,8 @@ proptest! {
         };
         let policy = ScriptedPolicy { script, step: 0 };
         let report = Simulation::new(cfg, vec![setup]).unwrap()
-            .driver()
+            .driver(Box::new(policy))
             .unwrap()
-            .policy(Box::new(policy))
             .run()
             .unwrap()
             .into_outcome()
@@ -105,9 +104,8 @@ proptest! {
         };
         let policy = ScriptedPolicy { script: vec![(8, drop)], step: 0 };
         let report = Simulation::new(cfg, vec![setup]).unwrap()
-            .driver()
+            .driver(Box::new(policy))
             .unwrap()
-            .policy(Box::new(policy))
             .run()
             .unwrap()
             .into_outcome()
@@ -132,9 +130,8 @@ proptest! {
         let run = |replicas: u32| {
             let cfg = SimConfig { total_replicas: replicas, seed, ..Default::default() };
             Simulation::new(cfg, vec![setup()]).unwrap()
-                .driver()
+                .driver(Box::new(FairShare))
                 .unwrap()
-                .policy(Box::new(FairShare))
                 .run()
                 .unwrap()
                 .into_outcome()

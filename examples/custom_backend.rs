@@ -1,12 +1,12 @@
-//! A custom [`ClusterBackend`] driven by the stock reconciler — no
+//! A custom [`ClusterBackend`] driven by the stock run loop — no
 //! simulator involved.
 //!
 //! The control plane only needs two things from a cluster: a snapshot
 //! (`observe`) and an actuation surface (`apply`), paced by a `Clock`.
 //! This example implements both over a toy in-memory "cluster" whose
-//! load ramps up over time, then runs the same `Reconciler` the
+//! load ramps up over time, then runs the same `Driver` the
 //! discrete-event simulator uses — with a real policy (AIAD) and the
-//! rotating-admission quota — against it. A kube-rs implementation of
+//! outage-aware quota clamp — against it. A kube-rs implementation of
 //! the same trait would slot in identically.
 //!
 //! Run with: `cargo run --example custom_backend`
@@ -125,13 +125,14 @@ impl ClusterBackend for RampBackend {
 }
 
 fn main() {
-    let mut backend = RampBackend::new(12, &["imagenet", "sentiment", "whisper"]);
-    let mut reconciler = Reconciler::new(Box::new(Aiad::default()), Box::new(OutageClamp::new(12)));
-    let stats = reconciler
-        .run(&mut backend)
+    let backend = RampBackend::new(12, &["imagenet", "sentiment", "whisper"]);
+    let out = Driver::new(backend, Box::new(Aiad::default()))
+        .admission(Box::new(OutageClamp::new(12)))
+        .run()
         .expect("in-process mock backend never fails");
+    let stats = out.stats;
 
-    println!("policy:            {}", reconciler.policy_name());
+    println!("policy:            {}", out.policy_name);
     println!("reconcile rounds:  {}", stats.rounds);
     println!("replicas started:  {}", stats.replicas_started);
     println!(
@@ -141,10 +142,10 @@ fn main() {
         stats.admission.clamped_rounds,
         stats.admission.unsatisfiable_rounds,
     );
-    println!("final targets:     {:?}", backend.targets);
+    println!("final targets:     {:?}", out.backend.targets);
     assert_eq!(stats.rounds, 60, "one round per 10 s tick over 600 s");
     assert!(
-        backend.targets.iter().sum::<u32>() <= 12,
+        out.backend.targets.iter().sum::<u32>() <= 12,
         "admission keeps the cluster within quota"
     );
 }

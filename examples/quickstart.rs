@@ -47,9 +47,8 @@ fn main() {
     let mut trace = TraceSink::new();
     let outcome = Simulation::new(config, vec![light, heavy])
         .expect("valid setup")
-        .driver()
+        .driver(Box::new(faro))
         .unwrap()
-        .policy(Box::new(faro))
         .telemetry(&mut trace)
         .run()
         .expect("simulation completes")

@@ -11,8 +11,9 @@
 //!   predictive/reactive loop, admission strategies, and every
 //!   baseline policy.
 //! - [`control`]: the backend-agnostic control plane — the
-//!   `ClusterBackend` and `Clock` traits and the
-//!   Observe → Decide → Admit → Actuate reconciler.
+//!   `ClusterBackend` and `Clock` traits, the
+//!   Observe → Decide → Admit → Actuate reconciler, and `Driver`, the
+//!   one run loop over them.
 //! - [`telemetry`]: the deterministic, sim-time-keyed tracing and
 //!   metrics layer — `TelemetrySink`, the zero-cost `NoopSink`, the
 //!   ring-buffer `TraceSink` (JSONL), and the `AggregateSink`
@@ -22,7 +23,7 @@
 //! - [`solver`]: COBYLA-style, Nelder-Mead, and Differential Evolution
 //!   constrained optimizers.
 //! - [`nn`] and [`forecast`]: the neural substrate and the N-HiTS /
-//!   LSTM / DeepAR-style / AR arrival-rate forecasters.
+//!   AR / naive arrival-rate forecasters.
 //! - [`trace`]: synthetic Azure/Twitter-like workload generation.
 //! - [`sim`]: the deployment-matched discrete-event simulator of Ray
 //!   Serve atop Kubernetes.
@@ -45,9 +46,8 @@
 //! let config = SimConfig { total_replicas: 8, seed: 1, ..Default::default() };
 //! let outcome = Simulation::new(config, set.setups(1))
 //!     .unwrap()
-//!     .driver()
+//!     .driver(policy)
 //!     .unwrap()
-//!     .policy(policy)
 //!     .run()
 //!     .unwrap()
 //!     .into_outcome();
@@ -91,7 +91,7 @@ pub mod prelude {
     pub use faro_bench::{PolicyKind, WorkloadSet};
     pub use faro_control::{
         Clock, ClusterBackend, Driver, DriverError, DriverOutcome, Reconciler, ResilienceConfig,
-        ResilientDriver, RunReport, RunStats, WallClock,
+        ResilientDriver, RunStats, WallClock,
     };
     pub use faro_core::admission::ClampToQuota;
     pub use faro_core::baselines::{Aiad, FairShare};

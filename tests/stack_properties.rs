@@ -31,7 +31,7 @@ proptest! {
             initial_replicas: 1,
         };
         let report = Simulation::new(cfg, vec![setup]).unwrap()
-            .driver().unwrap().policy(Box::new(Aiad::default()))
+            .driver(Box::new(Aiad::default())).unwrap()
             .run()
             .unwrap()
             .into_outcome()
@@ -69,7 +69,7 @@ proptest! {
         };
         let report = Simulation::new(cfg, vec![setup]).unwrap()
             .with_faults(plan).unwrap()
-            .driver().unwrap().policy(Box::new(Aiad::default()))
+            .driver(Box::new(Aiad::default())).unwrap()
             .run()
             .unwrap()
             .into_outcome()
@@ -205,9 +205,8 @@ fn fault_injection_is_deterministic_across_runs() {
             .unwrap()
             .with_faults(plan.clone())
             .unwrap()
-            .driver()
+            .driver(Box::new(Aiad::default()))
             .unwrap()
-            .policy(Box::new(Aiad::default()))
             .run()
             .unwrap()
             .into_outcome()
