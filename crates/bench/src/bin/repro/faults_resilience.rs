@@ -1,15 +1,13 @@
-//! Fault-injection resilience study: Faro (with and without the
-//! resilient control loop) versus the FairShare/Oneshot/AIAD baselines
-//! under each fault scenario the simulator can inject, plus a no-fault
-//! control.
+//! Fault-injection study: Faro versus the FairShare/Oneshot/AIAD
+//! baselines under each fault scenario the simulator can inject, plus a
+//! no-fault control.
 //!
 //! Scenarios: independent replica crashes (exponential MTTF), one
 //! correlated node outage (a quota fraction disappears mid-run), a
 //! cold-start spike window, and a metric outage that blanks half the
-//! jobs' observations. Claimed: the resilient variant equals plain Faro
-//! where no defense triggers and loses strictly less utility under a
-//! metric outage. (Under replica crashes it no longer does; that clause
-//! is recorded as broken in EXPERIMENTS.md, not checked here.)
+//! jobs' observations. Claimed: Faro loses the least utility of the four
+//! policies in every scenario, and its guards make the metric outage
+//! cost it nothing over the no-fault control.
 
 use crate::Run;
 use faro_bench::prelude::*;
@@ -106,7 +104,6 @@ fn availability_stats(r: &PolicyResult) -> (f64, f64, u64) {
 pub fn run() -> Run {
     let set = WorkloadSet::n_jobs(4, 7, 1200.0).truncated_eval(60);
     let policies = vec![
-        PolicyKind::faro_resilient(ClusterObjective::Sum),
         PolicyKind::faro(ClusterObjective::Sum),
         PolicyKind::FairShare,
         PolicyKind::Oneshot,
@@ -116,8 +113,9 @@ pub fn run() -> Run {
     let mut stdout = String::new();
     let mut text = String::new();
     let mut rows: Vec<Row> = Vec::new();
-    // (scenario, lost utility of resilient Faro, of plain Faro)
-    let mut deltas = Vec::new();
+    let mut run = Run::default();
+    // Faro's lost utility in the no-fault control.
+    let mut control = None;
     for (scenario, plan) in scenarios(set.len()) {
         // Slightly oversubscribed (the paper's interesting regime:
         // a static split cannot cover staggered per-job peaks).
@@ -151,31 +149,22 @@ pub fn run() -> Run {
         }
         text.push('\n');
         stdout += &format!("=== Scenario: {scenario} ===\n{}\n", summarize(&results));
-        deltas.push((
-            scenario,
-            results[0].lost_utility_mean,
-            results[1].lost_utility_mean,
-        ));
-    }
 
-    // Acceptance summary: resilient Faro vs plain Faro and baselines.
-    let mut run = Run::default();
-    text.push_str("=== Resilience deltas (lost utility, lower is better) ===\n");
-    for (scenario, res, plain) in deltas {
-        text += &format!(
-            "{scenario:<18} resilient {res:.3} vs plain {plain:.3} ({})\n",
-            if res < plain { "better" } else { "not better" }
+        let lost: Vec<f64> = results.iter().map(|r| r.lost_utility_mean).collect();
+        let faro = lost[0];
+        run.claim(
+            lost[1..].iter().all(|&b| faro < b),
+            &format!("{scenario}: Faro loses the least utility"),
+            &lost,
         );
-        let held = match scenario {
-            "metric-outage" => res < plain,
-            // Broken since before this check existed: omitted, not
-            // loosened (EXPERIMENTS.md, ROADMAP item 5).
-            "replica-crashes" => true,
-            // No defense triggers: the two runs are the same run.
-            _ => res == plain,
-        };
-        let claim = format!("{scenario}: resilient vs plain Faro as claimed");
-        run.claim(held, &claim, (res, plain));
+        let control = *control.get_or_insert(faro);
+        if scenario == "metric-outage" {
+            run.claim(
+                faro <= control,
+                "metric-outage: Faro loses no more than in the control",
+                (faro, control),
+            );
+        }
     }
 
     stdout += &format!("{text}\n");

@@ -1,6 +1,6 @@
 //! Constructors for every policy the evaluation compares.
 
-use crate::workloads::{WorkloadSet, PREDICTOR_HORIZON, PREDICTOR_INPUT};
+use crate::workloads::WorkloadSet;
 use faro_core::baselines::{Aiad, FairShare, MarkCocktailBarista, Oneshot};
 use faro_core::cilantro::CilantroLike;
 use faro_core::faro::{FaroAutoscaler, FaroConfig};
@@ -25,10 +25,6 @@ pub struct Ablation {
     pub no_hybrid: bool,
     /// Disable Stage-3 shrinking.
     pub no_shrinking: bool,
-    /// Enable the failure-resilient control loop (metric sanitization,
-    /// solve carry-forward, desired-state preservation, fast reactive
-    /// path on corroborated deficits).
-    pub resilient: bool,
 }
 
 /// A named policy under test.
@@ -59,17 +55,6 @@ impl PolicyKind {
         PolicyKind::Faro {
             objective,
             ablation: Ablation::default(),
-        }
-    }
-
-    /// Full Faro with the failure-resilient control loop enabled.
-    pub fn faro_resilient(objective: ClusterObjective) -> Self {
-        PolicyKind::Faro {
-            objective,
-            ablation: Ablation {
-                resilient: true,
-                ..Ablation::default()
-            },
         }
     }
 
@@ -122,7 +107,6 @@ impl PolicyKind {
                     (a.no_probabilistic, "-NoProb"),
                     (a.no_hybrid, "-NoHybrid"),
                     (a.no_shrinking, "-NoShrink"),
-                    (a.resilient, "+Resilient"),
                 ] {
                     if on {
                         name.push_str(tag);
@@ -175,7 +159,6 @@ impl PolicyKind {
                 if ablation.no_probabilistic {
                     cfg.samples = 1;
                 }
-                cfg.resilience = ablation.resilient;
                 let predictors: Vec<Box<dyn RatePredictor>> = (0..n)
                     .map(|i| -> Box<dyn RatePredictor> {
                         if ablation.no_prediction {
@@ -213,9 +196,6 @@ fn point_predictor(trained: Option<&[NHits]>, i: usize) -> Box<dyn RatePredictor
         }),
     }
 }
-
-/// Sanity re-export so binaries can size predictors consistently.
-pub const _PREDICTOR_SHAPE: (usize, usize) = (PREDICTOR_INPUT, PREDICTOR_HORIZON);
 
 #[cfg(test)]
 mod tests {

@@ -211,11 +211,6 @@ impl ChaosConfig {
             stale_age_ms: knob("stale_age_ms")?,
         })
     }
-
-    /// Whether any fault class is enabled.
-    pub fn is_active(&self) -> bool {
-        self.api_latency_ms > 0 || self.apply_fail_per_mille > 0 || self.stale_observe_per_mille > 0
-    }
 }
 
 impl serde::Serialize for ChaosConfig {
@@ -279,8 +274,13 @@ mod tests {
         let legacy = serde_json::from_str("{\"seed\":7}").expect("parse");
         assert_eq!(check_version(&legacy), Some(WIRE_VERSION));
         let plan = ChaosConfig::from_json(&legacy).expect("legacy chaos body");
-        assert_eq!(plan.seed, 7);
-        assert!(!plan.is_active());
+        assert_eq!(
+            plan,
+            ChaosConfig {
+                seed: 7,
+                ..ChaosConfig::none()
+            }
+        );
     }
 
     #[test]

@@ -16,11 +16,18 @@
 //! 3. **Shrinking** (Sec. 4.3): reclaim replicas from jobs at predicted
 //!    utility 1 while the cluster objective is unchanged.
 //!
-//! The long-term predictive solve runs every
-//! [`FaroConfig::long_term_interval`] (5 min); between solves, a
-//! short-term reactive loop (Sec. 4.4) adds one replica to any job whose
-//! SLO has been violated for [`FaroConfig::reactive_threshold`] seconds,
-//! and never scales down.
+//! The long-term predictive solve runs every [`LONG_TERM_INTERVAL`]
+//! seconds (5 min); between solves, a short-term reactive loop (Sec. 4.4)
+//! adds one replica to any job whose SLO has been violated for
+//! [`REACTIVE_THRESHOLD`] seconds, and never scales down.
+//!
+//! Faults are absorbed by guards that never fire on a healthy cluster,
+//! so every fault-free run is the paper's controller: corrupted history
+//! minutes are repaired before forecasting, a non-finite measurement
+//! falls back to the last history minute or the spec's processing time,
+//! a NaN tail latency holds the violation clock, a failed or invalid
+//! solve keeps the previous decisions, and the desired state survives a
+//! quota clamp.
 
 use crate::admission::{Admission, ClampToQuota};
 use crate::error::Result;
@@ -33,8 +40,6 @@ use crate::predictor::{sanitize_history, RatePredictor};
 use crate::sharded::{ShardedSolver, SolvePlan};
 use crate::types::{ClassAlloc, ClusterSnapshot, DesiredState, JobDecision, JobObservation};
 use crate::units::{DurationMs, RatePerMin, SimTimeMs};
-use crate::utility::RelaxedUtility;
-use faro_queueing::RelaxedLatency;
 use faro_solver::Cobyla;
 use rand::prelude::*;
 
@@ -47,16 +52,6 @@ pub struct FaroConfig {
     pub fidelity: Fidelity,
     /// M/D/c (default) or upper-bound latency estimation (ablation).
     pub latency_model: LatencyModel,
-    /// Long-term predictive interval in seconds (paper: 5 min).
-    pub long_term_interval: f64,
-    /// Sustained-violation threshold before a reactive upscale (paper:
-    /// 30 s, the same trigger as the baselines).
-    pub reactive_threshold: f64,
-    /// Prediction window in minutes (paper: 7, overlapping the next
-    /// cycle and covering cold start).
-    pub prediction_window_minutes: usize,
-    /// Cold-start time in minutes skipped at the head of the window.
-    pub cold_start_minutes: usize,
     /// Probabilistic trajectories sampled per job (1 = use the mean).
     pub samples: usize,
     /// Stage-3 shrinking on/off (ablation).
@@ -68,22 +63,23 @@ pub struct FaroConfig {
     /// ([`crate::sharded`]). Sharding is opt-in; the default keeps
     /// every global-path output bit-identical.
     pub solve_plan: SolvePlan,
-    /// Relaxed-utility sharpness `alpha`.
-    pub alpha: f64,
-    /// Relaxed-latency knee `rho_max` (paper: 0.95).
-    pub rho_max: f64,
     /// RNG seed (trajectory sampling, grouping).
     pub seed: u64,
-    /// Failure-resilient control loop (off by default, keeping the
-    /// paper-faithful behavior bit-identical): sanitize corrupted
-    /// metric histories before forecasting, carry the last good solve
-    /// forward past solver failures, preserve desired allocations
-    /// across quota dips, fast-track reactive upscales when a
-    /// violation is corroborated by a visible replica deficit, and pad
-    /// standing headroom onto jobs with recent involuntary capacity
-    /// losses (replica churn).
-    pub resilience: bool,
 }
+
+/// Long-term predictive interval in seconds (paper: 5 min).
+pub const LONG_TERM_INTERVAL: f64 = 300.0;
+
+/// Sustained-violation threshold in seconds before a reactive upscale
+/// (paper: 30 s, the same trigger as the baselines).
+pub const REACTIVE_THRESHOLD: f64 = 30.0;
+
+/// Prediction window in minutes (paper: 7, overlapping the next cycle
+/// and covering cold start).
+const PREDICTION_WINDOW_MINUTES: usize = 7;
+
+/// Cold-start time in minutes skipped at the head of the window.
+const COLD_START_MINUTES: usize = 1;
 
 impl FaroConfig {
     /// Paper defaults with the given objective.
@@ -92,18 +88,11 @@ impl FaroConfig {
             objective,
             fidelity: Fidelity::Relaxed,
             latency_model: LatencyModel::MDc,
-            long_term_interval: 300.0,
-            reactive_threshold: 30.0,
-            prediction_window_minutes: 7,
-            cold_start_minutes: 1,
             samples: 20,
             use_shrinking: true,
             use_hybrid: true,
             solve_plan: SolvePlan::Global,
-            alpha: 4.0,
-            rho_max: 0.95,
             seed: 0,
-            resilience: false,
         }
     }
 }
@@ -120,22 +109,9 @@ pub struct FaroAutoscaler {
     violation: Vec<DurationMs>,
     /// Time of the previous tick (for violation accounting).
     last_tick: Option<SimTimeMs>,
-    /// Current decisions, carried between ticks.
+    /// Desired decisions, carried between ticks; never replaced by
+    /// their quota-clamped form.
     current: Vec<JobDecision>,
-    /// Last solve that succeeded and validated (resilience carry-forward
-    /// cache; never clamped by transient quota dips).
-    last_good: Option<Vec<JobDecision>>,
-    /// Per-job time of the last fault-corroborated reactive boost
-    /// (rate-limits the resilient fast path).
-    last_boost: Vec<SimTimeMs>,
-    /// Ready replicas seen at the previous tick (involuntary-loss
-    /// detection).
-    prev_ready: Vec<u32>,
-    /// Quota-clamped target actually applied at the previous tick.
-    prev_applied: Vec<u32>,
-    /// Per-job deadline until which the job counts as churning (crash
-    /// headroom is padded onto long-term solves before this time).
-    churn_until: Vec<SimTimeMs>,
     /// What the last `decide` round did (solve effort, carry-forward,
     /// sanitization), reported through [`Policy::introspect`].
     intro: PolicyIntrospection,
@@ -143,17 +119,11 @@ pub struct FaroAutoscaler {
     /// caches), created lazily on the first sharded long-term round.
     sharded: Option<ShardedSolver>,
     rng: StdRng,
-    name: String,
 }
 
 impl FaroAutoscaler {
     /// Creates the autoscaler with one predictor per job (in job order).
     pub fn new(config: FaroConfig, predictors: Vec<Box<dyn RatePredictor>>) -> Self {
-        let name = if config.resilience {
-            format!("{}+Resilient", config.objective.name())
-        } else {
-            config.objective.name().to_string()
-        };
         Self {
             rng: StdRng::seed_from_u64(config.seed ^ 0xfa60_5eed),
             solver: Cobyla::fast(),
@@ -163,14 +133,8 @@ impl FaroAutoscaler {
             violation: Vec::new(),
             last_tick: None,
             current: Vec::new(),
-            last_good: None,
-            last_boost: Vec::new(),
-            prev_ready: Vec::new(),
-            prev_applied: Vec::new(),
-            churn_until: Vec::new(),
             intro: PolicyIntrospection::default(),
             sharded: None,
-            name,
         }
     }
 
@@ -181,57 +145,40 @@ impl FaroAutoscaler {
 
     /// Stage 1: assembles per-job workloads from predictions.
     ///
-    /// With [`FaroConfig::resilience`] on, metric-outage damage is
-    /// repaired before it can poison the solve: NaN history minutes are
-    /// replaced with the last observed rate (without it, `per_second`'s
-    /// NaN-ignoring `max` silently turns a lost scrape into *zero*
-    /// predicted load and the solver strips the job to one replica).
+    /// Metric-outage damage is repaired before it can poison the solve:
+    /// corrupted history minutes are replaced with the last observed rate
+    /// (unrepaired, `per_second`'s NaN-ignoring `max` would turn a lost
+    /// scrape into *zero* predicted load and strip the job to one
+    /// replica). A clean history is forecast as it is.
     fn formulate(&mut self, snapshot: &ClusterSnapshot) -> Vec<JobWorkload> {
-        let w = self.config.prediction_window_minutes;
-        let skip = self.config.cold_start_minutes.min(w.saturating_sub(1));
-        let resilient = self.config.resilience;
+        let w = PREDICTION_WINDOW_MINUTES;
+        let skip = COLD_START_MINUTES.min(w.saturating_sub(1));
         snapshot
             .jobs
             .iter()
             .enumerate()
             .map(|(i, obs)| {
-                let sanitized;
-                let history: &[RatePerMin] = if resilient {
-                    self.intro.sanitized_samples += obs
-                        .arrival_rate_history
-                        .iter()
-                        .filter(|r| r.is_corrupt())
-                        .count() as u64;
-                    sanitized = sanitize_history(&obs.arrival_rate_history);
-                    &sanitized
+                let raw = &obs.arrival_rate_history;
+                let corrupt = raw.iter().filter(|r| r.is_corrupt()).count();
+                self.intro.sanitized_samples += corrupt as u64;
+                let repaired;
+                let history: &[RatePerMin] = if corrupt == 0 {
+                    raw
                 } else {
-                    &obs.arrival_rate_history
+                    repaired = sanitize_history(raw);
+                    &repaired
                 };
-                let mut forecast = match self.predictors.get_mut(i) {
+                let forecast = match self.predictors.get_mut(i) {
                     Some(p) => p.predict(history, w),
                     None => {
-                        let level = if resilient && !obs.recent_arrival_rate.is_finite() {
-                            history.last().map_or(0.0, |r| r.get())
-                        } else {
+                        let level = if obs.recent_arrival_rate.is_finite() {
                             obs.recent_arrival_rate * 60.0
+                        } else {
+                            history.last().map_or(0.0, |r| r.get())
                         };
                         faro_forecast::GaussianForecast::new(vec![level; w], vec![1e-9; w])
                     }
                 };
-                if resilient {
-                    // Last-resort guard: a predictor fed clean history
-                    // can still emit junk. Reuse the one audited repair
-                    // by round-tripping the raw forecast through the
-                    // rate newtype.
-                    let typed: Vec<RatePerMin> =
-                        forecast.mu.iter().map(|&v| RatePerMin::new(v)).collect();
-                    forecast.mu = sanitize_history(&typed).iter().map(|r| r.get()).collect();
-                    for s in forecast.sigma.iter_mut() {
-                        if !s.is_finite() || *s < 0.0 {
-                            *s = 1e-9;
-                        }
-                    }
-                }
                 let n_samples = self.config.samples.max(1);
                 let mut trajectories = Vec::with_capacity(n_samples);
                 if n_samples == 1 {
@@ -242,10 +189,10 @@ impl FaroAutoscaler {
                         trajectories.push(per_second(&s[skip..]));
                     }
                 }
-                let processing_time = if resilient && !obs.mean_processing_time.is_finite() {
-                    obs.spec.processing_time
-                } else {
+                let processing_time = if obs.mean_processing_time.is_finite() {
                     obs.mean_processing_time
+                } else {
+                    obs.spec.processing_time
                 };
                 JobWorkload {
                     lambda_trajectories: trajectories,
@@ -267,11 +214,8 @@ impl FaroAutoscaler {
         let jobs = self.formulate(snapshot);
         let current: Vec<u32> = snapshot.jobs.iter().map(|j| j.target_replicas).collect();
         let model = Model {
-            fidelity: self.config.fidelity,
             latency_model: self.config.latency_model,
-            relaxed_utility: RelaxedUtility::new(self.config.alpha),
-            relaxed_latency: RelaxedLatency::new(self.config.rho_max)
-                .map_err(crate::error::Error::from)?,
+            ..Model::new(self.config.fidelity)
         };
         let resources = snapshot.resources.clone();
         let objective = self.config.objective;
@@ -398,90 +342,26 @@ impl FaroAutoscaler {
     }
 
     /// Short-term reactive pass: additive upscale on sustained
-    /// violation; never downscales (Sec. 4.4).
-    ///
-    /// With [`FaroConfig::resilience`] on, two failure-aware rules are
-    /// added: a NaN tail latency (metric outage) *holds* the violation
-    /// clock instead of resetting it, and a violation corroborated by a
-    /// visible replica deficit (`ready < target`, i.e. something
-    /// crashed or was evicted) upscales immediately instead of waiting
-    /// out the full threshold — rate-limited to one boost per threshold
-    /// interval per job.
+    /// violation; never downscales (Sec. 4.4). A NaN tail latency (a
+    /// lost scrape) holds the violation clock instead of resetting it.
     fn reactive(&mut self, snapshot: &ClusterSnapshot, dt: DurationMs) {
-        let resilient = self.config.resilience;
         for (i, obs) in snapshot.jobs.iter().enumerate() {
-            if resilient && obs.recent_tail_latency.is_nan() {
-                continue; // Lost scrape: hold the clock, don't reset it.
+            if obs.recent_tail_latency.is_nan() {
+                continue;
             }
-            let violated = obs.recent_tail_latency > obs.spec.slo.latency;
-            if violated {
+            if obs.recent_tail_latency > obs.spec.slo.latency {
                 self.violation[i] = self.violation[i] + dt;
             } else {
                 self.violation[i] = DurationMs::ZERO;
             }
-            let deficit = obs.ready_replicas < self.current[i].target_replicas;
-            let fast_path = resilient
-                && violated
-                && deficit
-                && (snapshot.now - self.last_boost[i]).as_secs() >= self.config.reactive_threshold;
-            if (fast_path || self.violation[i].as_secs() >= self.config.reactive_threshold)
+            if self.violation[i].as_secs() >= REACTIVE_THRESHOLD
                 && self.add_one_replica(snapshot, i)
             {
                 self.violation[i] = DurationMs::ZERO;
-                self.last_boost[i] = snapshot.now;
-            }
-        }
-    }
-
-    /// Detects involuntary capacity loss — the crash signature: ready
-    /// replicas *dropped* since the previous tick, below what the
-    /// previously *applied* (quota-clamped) target requested. Voluntary
-    /// scale-downs never match (the simulator retires replicas down to
-    /// the new target, so ready lands *at* the applied target, not
-    /// below it), quota-dip evictions never match (the clamp lowers the
-    /// applied target first), and cold starts only raise the ready
-    /// count — so the no-fault path never trips this.
-    ///
-    /// A detected loss marks the job as churning for
-    /// [`CHURN_WINDOW_SOLVES`] long-term intervals and, when quota
-    /// allows, boosts the target immediately (sharing the reactive fast
-    /// path's per-job rate limit).
-    fn detect_churn(&mut self, snapshot: &ClusterSnapshot) {
-        for i in 0..snapshot.jobs.len() {
-            let obs = &snapshot.jobs[i];
-            let lost = obs.ready_replicas < self.prev_ready[i]
-                && obs.ready_replicas < self.prev_applied[i];
-            let ready = obs.ready_replicas;
-            if lost {
-                self.churn_until[i] = snapshot.now
-                    + DurationMs::from_secs(CHURN_WINDOW_SOLVES * self.config.long_term_interval);
-                if (snapshot.now - self.last_boost[i]).as_secs() >= self.config.reactive_threshold
-                    && self.add_one_replica(snapshot, i)
-                {
-                    self.last_boost[i] = snapshot.now;
-                }
-            }
-            self.prev_ready[i] = ready;
-        }
-    }
-
-    /// Pads one replica of standing headroom onto each churning job
-    /// after a long-term solve (quota permitting). The solver sizes
-    /// allocations assuming replicas stay up; under churn one replica
-    /// is perpetually mid-cold-start somewhere, and every crash opens a
-    /// cold-start-long capacity hole that the headroom absorbs.
-    fn pad_churn_headroom(&mut self, snapshot: &ClusterSnapshot) {
-        for i in 0..self.current.len() {
-            if self.churn_until[i] > snapshot.now {
-                let _ = self.add_one_replica(snapshot, i);
             }
         }
     }
 }
-
-/// How many long-term intervals a job stays "churning" after an
-/// involuntary capacity loss (crash headroom padding window).
-const CHURN_WINDOW_SOLVES: f64 = 2.0;
 
 fn per_second(per_minute: &[f64]) -> Vec<f64> {
     per_minute.iter().map(|&r| (r / 60.0).max(0.0)).collect()
@@ -502,7 +382,7 @@ fn affinity(snapshot: &ClusterSnapshot) -> Vec<Vec<bool>> {
 
 impl Policy for FaroAutoscaler {
     fn name(&self) -> &str {
-        &self.name
+        self.config.objective.name()
     }
 
     fn introspect(&self) -> PolicyIntrospection {
@@ -515,11 +395,6 @@ impl Policy for FaroAutoscaler {
         if self.current.len() != n {
             self.current = snapshot.jobs.iter().map(JobDecision::keep).collect();
             self.violation = vec![DurationMs::ZERO; n];
-            self.last_boost = vec![SimTimeMs::MIN; n];
-            self.last_good = None;
-            self.prev_ready = snapshot.jobs.iter().map(|j| j.ready_replicas).collect();
-            self.prev_applied = self.current.iter().map(|d| d.target_replicas).collect();
-            self.churn_until = vec![SimTimeMs::MIN; n];
         }
         let dt = self.last_tick.map_or(DurationMs::ZERO, |t| {
             let d = snapshot.now - t;
@@ -530,68 +405,35 @@ impl Policy for FaroAutoscaler {
             }
         });
         self.last_tick = Some(snapshot.now);
-        if self.config.resilience {
-            self.detect_churn(snapshot);
-        }
 
         let due = self
             .last_long_term
-            .is_none_or(|t| (snapshot.now - t).as_secs() >= self.config.long_term_interval);
+            .is_none_or(|t| (snapshot.now - t).as_secs() >= LONG_TERM_INTERVAL);
         if due {
             self.last_long_term = Some(snapshot.now);
             self.intro.long_term_solve = true;
             match self.long_term(snapshot) {
-                Ok(decisions) if !self.config.resilience || decisions_valid(&decisions) => {
-                    if self.config.resilience {
-                        self.last_good = Some(decisions.clone());
-                    }
+                Ok(decisions) if decisions_valid(&decisions) => {
                     self.current = decisions;
                     self.violation
                         .iter_mut()
                         .for_each(|v| *v = DurationMs::ZERO);
-                    if self.config.resilience {
-                        self.pad_churn_headroom(snapshot);
-                    }
                 }
-                _ => {
-                    // Keep the previous allocation on solver failure —
-                    // an autoscaler must not crash the control loop.
-                    // The resilient variant restores the last *good*
-                    // solve, which unlike `current` was never clamped
-                    // by a transient quota dip.
-                    self.intro.carried_forward = true;
-                    if self.config.resilience {
-                        if let Some(good) = &self.last_good {
-                            if good.len() == n {
-                                self.current = good.clone();
-                            }
-                        }
-                    }
-                }
+                // Keep the previous decisions on a failed or invalid
+                // solve: an autoscaler must not crash the control loop.
+                _ => self.intro.carried_forward = true,
             }
         } else if self.config.use_hybrid {
             self.reactive(snapshot, dt);
         }
 
+        // The clamp shapes what is applied, not what is desired, so
+        // capacity snaps back the moment a quota dip ends.
         let mut out: DesiredState = snapshot
             .job_ids()
             .zip(self.current.iter().copied())
             .collect();
         ClampToQuota.admit(snapshot, &mut out);
-        if self.config.resilience {
-            // Record the applied (clamped) targets so the next tick's
-            // churn detection can tell a voluntary shrink or quota
-            // clamp from a crash.
-            for ((_, d), prev) in out.iter().zip(self.prev_applied.iter_mut()) {
-                *prev = d.target_replicas;
-            }
-        } else {
-            // Paper-faithful behavior: the clamped allocation becomes
-            // the carried state. The resilient variant instead keeps
-            // its desired state so capacity snaps back the moment a
-            // node outage ends.
-            self.current = out.iter().map(|(_, d)| d).collect();
-        }
         out
     }
 }
@@ -732,21 +574,6 @@ mod tests {
         assert!(ds.targets().all(|t| t >= 1));
     }
 
-    fn faro_resilient(objective: ClusterObjective, n_jobs: usize) -> FaroAutoscaler {
-        let predictors: Vec<Box<dyn RatePredictor>> = (0..n_jobs)
-            .map(|_| {
-                Box::new(FlatPredictor {
-                    lookback: 3,
-                    sigma_fraction: 0.1,
-                }) as Box<dyn RatePredictor>
-            })
-            .collect();
-        let mut cfg = FaroConfig::new(objective);
-        cfg.samples = 8;
-        cfg.resilience = true;
-        FaroAutoscaler::new(cfg, predictors)
-    }
-
     fn corrupt(mut o: JobObservation) -> JobObservation {
         let n = o.arrival_rate_history.len();
         for v in std::sync::Arc::make_mut(&mut o.arrival_rate_history)
@@ -761,37 +588,28 @@ mod tests {
     }
 
     #[test]
-    fn resilient_name_is_tagged() {
+    fn name_is_the_objectives() {
         assert_eq!(faro(ClusterObjective::Sum, 1).name(), "Faro-Sum");
-        assert_eq!(
-            faro_resilient(ClusterObjective::Sum, 1).name(),
-            "Faro-Sum+Resilient"
-        );
     }
 
     #[test]
-    fn metric_outage_collapses_only_the_nonresilient_variant() {
-        // A NaN history mean flows through per_second's NaN-ignoring
-        // max() as *zero load*, so the plain autoscaler strips the job.
-        let run = |mut f: FaroAutoscaler| {
-            let d0 = f.decide(&snapshot(0.0, 32, vec![obs(2400.0, 1, 0.1)]));
-            let base = t0(&d0);
-            assert!(base >= 8, "healthy solve sizes for the load: {base}");
-            let d1 = f.decide(&snapshot(300.0, 32, vec![corrupt(obs(2400.0, base, 0.1))]));
-            t0(&d1)
-        };
-        let plain = run(faro(ClusterObjective::Sum, 1));
-        let resilient = run(faro_resilient(ClusterObjective::Sum, 1));
-        assert!(plain <= 2, "lost scrape reads as zero load: {plain}");
+    fn metric_outage_keeps_the_allocation() {
+        // Unrepaired, a NaN history mean flows through per_second's
+        // NaN-ignoring max() as *zero load* and the solve strips the job.
+        let mut f = faro(ClusterObjective::Sum, 1);
+        let base = t0(&f.decide(&snapshot(0.0, 32, vec![obs(2400.0, 1, 0.1)])));
+        assert!(base >= 8, "healthy solve sizes for the load: {base}");
+        let d1 = f.decide(&snapshot(300.0, 32, vec![corrupt(obs(2400.0, base, 0.1))]));
         assert!(
-            resilient >= 8,
-            "sanitized history preserves the allocation: {resilient}"
+            t0(&d1) >= 8,
+            "repaired history keeps the allocation: {d1:?}"
         );
+        assert_eq!(f.introspect().sanitized_samples, 5);
     }
 
     #[test]
     fn nan_tail_holds_the_violation_clock() {
-        let mut f = faro_resilient(ClusterObjective::Sum, 1);
+        let mut f = faro(ClusterObjective::Sum, 1);
         let d0 = f.decide(&snapshot(0.0, 16, vec![obs(600.0, 1, 0.1)]));
         let base = t0(&d0);
         // 20 s of violation, then a NaN scrape, then more violation:
@@ -799,9 +617,7 @@ mod tests {
         let o = |tail: f64| obs(600.0, base, tail);
         f.decide(&snapshot(10.0, 16, vec![o(5.0)]));
         f.decide(&snapshot(20.0, 16, vec![o(5.0)]));
-        let mut gap = o(f64::NAN);
-        gap.recent_tail_latency = f64::NAN;
-        f.decide(&snapshot(30.0, 16, vec![gap]));
+        f.decide(&snapshot(30.0, 16, vec![o(f64::NAN)]));
         let d = f.decide(&snapshot(40.0, 16, vec![o(5.0)]));
         assert_eq!(
             t0(&d),
@@ -811,72 +627,39 @@ mod tests {
     }
 
     #[test]
-    fn corroborated_deficit_fast_tracks_the_upscale() {
-        let mk_obs = |base: u32| {
-            let mut o = obs(600.0, base, 5.0);
-            o.ready_replicas = base.saturating_sub(1); // A replica died.
-            o
-        };
-        // Plain: a single violated tick is far below the 30 s threshold.
-        let mut plain = faro(ClusterObjective::Sum, 1);
-        let base = t0(&plain.decide(&snapshot(0.0, 16, vec![obs(600.0, 1, 0.1)])));
-        let d = plain.decide(&snapshot(10.0, 16, vec![mk_obs(base)]));
-        assert_eq!(t0(&d), base, "plain variant waits 30 s");
-        // Resilient: violation + visible deficit upscales immediately,
-        // but only once per threshold interval.
-        let mut res = faro_resilient(ClusterObjective::Sum, 1);
-        let base = t0(&res.decide(&snapshot(0.0, 16, vec![obs(600.0, 1, 0.1)])));
-        let d = res.decide(&snapshot(10.0, 16, vec![mk_obs(base)]));
-        assert_eq!(t0(&d), base + 1, "fast path fired");
-        let d = res.decide(&snapshot(20.0, 16, vec![mk_obs(base + 1)]));
-        assert_eq!(t0(&d), base + 1, "rate-limited");
+    fn a_replica_deficit_alone_waits_out_the_threshold() {
+        let mut f = faro(ClusterObjective::Sum, 1);
+        let base = t0(&f.decide(&snapshot(0.0, 16, vec![obs(600.0, 1, 0.1)])));
+        let mut o = obs(600.0, base, 5.0);
+        o.ready_replicas = base - 1; // A replica died.
+        let d = f.decide(&snapshot(10.0, 16, vec![o]));
+        assert_eq!(t0(&d), base, "one violated tick is below 30 s");
     }
 
     #[test]
-    fn churn_headroom_pads_after_involuntary_loss() {
-        let seq = |mut f: FaroAutoscaler| {
-            let base = t0(&f.decide(&snapshot(0.0, 32, vec![obs(600.0, 1, 0.1)])));
-            assert!(base >= 2);
-            f.decide(&snapshot(10.0, 32, vec![obs(600.0, base, 0.1)]));
-            // A replica dies while latency is still healthy: no
-            // violation, so only loss detection can react.
-            let mut crashed = obs(600.0, base, 0.1);
-            crashed.ready_replicas = base - 1;
-            let d20 = t0(&f.decide(&snapshot(20.0, 32, vec![crashed])));
-            // Next long-term solve, same load and the same solver
-            // starting point for both variants.
-            let d300 = t0(&f.decide(&snapshot(300.0, 32, vec![obs(600.0, base, 0.1)])));
-            (base, d20, d300)
-        };
-        let (pb, p20, p300) = seq(faro(ClusterObjective::Sum, 1));
-        assert_eq!(p20, pb, "plain variant ignores a healthy-latency crash");
-        let (rb, r20, r300) = seq(faro_resilient(ClusterObjective::Sum, 1));
-        assert_eq!(rb, pb, "identical first solve");
-        assert_eq!(r20, rb + 1, "loss detection boosts immediately");
-        assert_eq!(r300, p300 + 1, "long-term solve pads churn headroom");
+    fn a_crash_with_healthy_latency_triggers_no_boost() {
+        let mut f = faro(ClusterObjective::Sum, 1);
+        let base = t0(&f.decide(&snapshot(0.0, 32, vec![obs(600.0, 1, 0.1)])));
+        assert!(base >= 2);
+        f.decide(&snapshot(10.0, 32, vec![obs(600.0, base, 0.1)]));
+        let mut crashed = obs(600.0, base, 0.1);
+        crashed.ready_replicas = base - 1;
+        let d = f.decide(&snapshot(20.0, 32, vec![crashed]));
+        assert_eq!(t0(&d), base);
     }
 
     #[test]
-    fn resilient_variant_restores_desired_state_after_quota_dip() {
+    fn a_quota_dip_snaps_back_at_the_next_tick() {
         let heavy = 2400.0;
-        let run = |mut f: FaroAutoscaler| {
-            let d0 = f.decide(&snapshot(0.0, 32, vec![obs(heavy, 1, 0.1)]));
-            let base = t0(&d0);
-            assert!(base >= 8);
-            // A node outage halves the quota for one tick.
-            let d1 = f.decide(&snapshot(10.0, 4, vec![obs(heavy, base, 0.1)]));
-            assert!(t0(&d1) <= 4, "clamped during the outage");
-            // Outage over; no long-term solve is due until t=300.
-            let d2 = f.decide(&snapshot(20.0, 32, vec![obs(heavy, t0(&d1), 0.1)]));
-            (base, t0(&d2))
-        };
-        let (base, after) = run(faro_resilient(ClusterObjective::Sum, 1));
-        assert_eq!(after, base, "desired state snaps back instantly");
-        let (base, after) = run(faro(ClusterObjective::Sum, 1));
-        assert!(
-            after < base,
-            "paper-faithful variant stays clamped until the next solve"
-        );
+        let mut f = faro(ClusterObjective::Sum, 1);
+        let base = t0(&f.decide(&snapshot(0.0, 32, vec![obs(heavy, 1, 0.1)])));
+        assert!(base >= 8);
+        // A node outage shrinks the quota for one tick.
+        let d1 = f.decide(&snapshot(10.0, 4, vec![obs(heavy, base, 0.1)]));
+        assert!(t0(&d1) <= 4, "clamped during the outage");
+        // Outage over; no long-term solve is due until t=300.
+        let d2 = f.decide(&snapshot(20.0, 32, vec![obs(heavy, t0(&d1), 0.1)]));
+        assert_eq!(t0(&d2), base, "desired state snaps back");
     }
 
     #[test]
@@ -940,81 +723,66 @@ mod tests {
 
     fn model_of(cfg: &FaroConfig) -> Model {
         Model {
-            fidelity: cfg.fidelity,
             latency_model: cfg.latency_model,
-            relaxed_utility: RelaxedUtility::new(cfg.alpha),
-            relaxed_latency: RelaxedLatency::new(cfg.rho_max).unwrap(),
+            ..Model::new(cfg.fidelity)
         }
     }
 
-    /// Under each knob a round of `n` jobs organized by `plan` decides
-    /// what the same solve decides on a problem built by hand with that
-    /// model — and not what the default model decides.
-    fn assert_round_reads_every_knob(n: usize, quota: u32, plan: SolvePlan) {
-        let mut base = FaroConfig::new(ClusterObjective::Sum);
-        base.samples = 1;
-        base.solve_plan = plan;
-        let (default, ..) = cold_round(&base, n, quota);
-        let with = |set: fn(&mut FaroConfig)| {
-            let mut cfg = base.clone();
-            set(&mut cfg);
-            cfg
-        };
-        for (knob, cfg) in [
-            ("alpha", with(|c| c.alpha = 8.0)),
-            ("rho_max", with(|c| c.rho_max = 0.6)),
-            (
-                "latency_model",
-                with(|c| c.latency_model = LatencyModel::UpperBound),
-            ),
-        ] {
-            let (decided, snap, jobs) = cold_round(&cfg, n, quota);
-            let (resources, model) = (snap.resources.clone(), model_of(&cfg));
-            let by_hand = match plan {
-                SolvePlan::Sharded(scfg) => {
-                    ShardedSolver::new(scfg, cfg.seed)
-                        .solve_with(
-                            &jobs,
-                            resources,
-                            cfg.objective,
-                            model,
-                            cfg.use_shrinking,
-                            &Cobyla::fast(),
-                            &vec![1; n],
-                        )
-                        .unwrap()
-                        .replicas
-                }
-                SolvePlan::Global => {
-                    let problem =
-                        MultiTenantProblem::with_model(jobs, resources, cfg.objective, model)
-                            .unwrap();
-                    solve_grouped(
-                        &problem,
+    /// Under the latency-model knob, the one model knob `FaroConfig`
+    /// has, a round of `n` jobs organized by `plan` decides what the same
+    /// solve decides on a problem built by hand with that model — and
+    /// not what the default model decides.
+    fn assert_round_reads_the_model_knob(n: usize, quota: u32, plan: SolvePlan) {
+        let mut cfg = FaroConfig::new(ClusterObjective::Sum);
+        cfg.samples = 1;
+        cfg.solve_plan = plan;
+        let (default, ..) = cold_round(&cfg, n, quota);
+        cfg.latency_model = LatencyModel::UpperBound;
+        let (decided, snap, jobs) = cold_round(&cfg, n, quota);
+        let (resources, model) = (snap.resources, model_of(&cfg));
+        let by_hand = match plan {
+            SolvePlan::Sharded(scfg) => {
+                ShardedSolver::new(scfg, cfg.seed)
+                    .solve_with(
+                        &jobs,
+                        resources,
+                        cfg.objective,
+                        model,
+                        cfg.use_shrinking,
                         &Cobyla::fast(),
                         &vec![1; n],
-                        DEFAULT_GROUPS,
-                        cfg.seed,
                     )
                     .unwrap()
                     .replicas
-                }
-            };
-            assert_eq!(decided, by_hand, "{knob}");
-            assert_ne!(decided, default, "{knob} is read");
-        }
+            }
+            SolvePlan::Global => {
+                let problem =
+                    MultiTenantProblem::with_model(jobs, resources, cfg.objective, model).unwrap();
+                solve_grouped(
+                    &problem,
+                    &Cobyla::fast(),
+                    &vec![1; n],
+                    DEFAULT_GROUPS,
+                    cfg.seed,
+                )
+                .unwrap()
+                .replicas
+            }
+        };
+        assert_eq!(decided, by_hand);
+        assert_ne!(decided, default, "the latency model is read");
     }
 
     #[test]
     fn grouped_round_reads_every_model_knob() {
-        assert_round_reads_every_knob(60, 150, SolvePlan::Global);
+        assert_round_reads_the_model_knob(60, 150, SolvePlan::Global);
     }
 
     #[test]
     fn sharded_round_reads_every_model_knob() {
         use crate::sharded::ShardConfig;
         let plan = SolvePlan::Sharded(ShardConfig::with_shards(3));
-        assert_round_reads_every_knob(12, 30, plan);
+        assert_round_reads_the_model_knob(12, 30, plan);
     }
 
     /// Fig. 16's ablation reaches the shards: with shrinking off, a

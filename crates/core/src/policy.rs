@@ -24,11 +24,10 @@ pub struct PolicyIntrospection {
     pub solver_evals: u64,
     /// Whether the round ran a long-term solve.
     pub long_term_solve: bool,
-    /// Whether the solve failed or produced junk and a previous good
-    /// allocation was carried forward instead.
+    /// Whether the solve failed or produced junk and the previous
+    /// allocation was kept instead.
     pub carried_forward: bool,
-    /// Corrupt history samples repaired before forecasting (resilient
-    /// metric sanitization).
+    /// Corrupt history samples repaired before forecasting.
     pub sanitized_samples: u64,
     /// What the sharded solve did, when the round ran one (`None` for
     /// the global path and for reactive rounds).

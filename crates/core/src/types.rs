@@ -764,14 +764,6 @@ impl ClusterSnapshot {
         self.resources.replica_quota()
     }
 
-    /// Sum of current target replicas.
-    pub fn total_target_replicas(&self) -> ReplicaCount {
-        self.jobs
-            .iter()
-            .map(|j| ReplicaCount::new(j.target_replicas))
-            .sum()
-    }
-
     /// Identifiers of every job in the snapshot, in ascending order.
     pub fn job_ids(&self) -> impl Iterator<Item = JobId> + '_ {
         (0..self.jobs.len()).map(JobId::new)
@@ -1225,7 +1217,6 @@ mod tests {
             resources: ResourceModel::replicas(ReplicaCount::new(16)),
             jobs: vec![mk(3), mk(5)],
         };
-        assert_eq!(snap.total_target_replicas(), ReplicaCount::new(8));
         assert_eq!(snap.replica_quota(), ReplicaCount::new(16));
         assert_eq!(snap.job_ids().collect::<Vec<_>>().len(), 2);
         assert_eq!(snap.job(JobId::new(1)).unwrap().target_replicas, 5);

@@ -312,9 +312,6 @@ impl fmt::Display for RatePerMin {
 pub struct WallTimeMs(i64);
 
 impl WallTimeMs {
-    /// The Unix epoch.
-    pub const EPOCH: Self = Self(0);
-
     /// An instant from whole milliseconds since the Unix epoch.
     pub const fn from_millis(ms: i64) -> Self {
         Self(ms)
@@ -425,7 +422,7 @@ mod tests {
         assert_eq!(t1 - t0, DurationMs::from_millis(250));
         assert_eq!(t1.saturating_duration_since(t0).as_millis(), 250);
         assert_eq!(
-            WallTimeMs::EPOCH.checked_duration_since(WallTimeMs::from_millis(i64::MIN)),
+            WallTimeMs::from_millis(0).checked_duration_since(WallTimeMs::from_millis(i64::MIN)),
             None
         );
         // ...and serializes as integer millis, not f64 seconds: an

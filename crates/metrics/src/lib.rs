@@ -1,9 +1,7 @@
 //! Metric collection and accounting primitives shared by the Faro
 //! autoscaler, simulator, and experiment harness.
 //!
-//! - [`percentile`]: exact nearest-rank percentiles and the streaming P²
-//!   quantile estimator.
-//! - [`window`]: time-stamped sliding windows for rates and means.
+//! - [`percentile`]: exact nearest-rank percentiles.
 //! - [`slo`]: per-job SLO violation accounting and per-minute tail-latency
 //!   series (the paper's main experimental metrics, Sec. 6).
 //! - [`rank`]: the Kendall-Tau rank distance used to compare simulator
@@ -30,10 +28,8 @@ pub mod availability;
 pub mod percentile;
 pub mod rank;
 pub mod slo;
-pub mod window;
 
 pub use availability::AvailabilityTracker;
 pub use percentile::{percentile_by_selection, percentile_of_sorted, PercentileBuffer};
 pub use rank::kendall_tau_distance;
 pub use slo::{MinuteSeries, SloAccounting};
-pub use window::SlidingWindow;

@@ -1,10 +1,8 @@
-//! Exact and streaming percentile estimation.
+//! Exact nearest-rank percentiles.
 //!
 //! The paper tracks 99th-percentile latency measured every minute
 //! (Sec. 6, "Metrics"). Within a minute the request count is small enough
-//! for exact nearest-rank percentiles ([`PercentileBuffer`]); for long
-//! windows the P² algorithm ([`P2Quantile`]) gives a constant-memory
-//! estimate.
+//! for exact nearest-rank percentiles ([`PercentileBuffer`]).
 
 /// Returns the `k`-th percentile (`0 <= k <= 1`) of an **ascending
 /// sorted** slice using the nearest-rank method, or `None` when empty.
@@ -113,16 +111,6 @@ impl PercentileBuffer {
         percentile_of_sorted(&self.samples, k)
     }
 
-    /// Arithmetic mean of the *finite* samples, or `None` if none exist.
-    pub fn finite_mean(&self) -> Option<f64> {
-        let (sum, n) = self
-            .samples
-            .iter()
-            .filter(|s| s.is_finite())
-            .fold((0.0, 0usize), |(s, n), &x| (s + x, n + 1));
-        (n > 0).then(|| sum / n as f64)
-    }
-
     /// Clears all samples.
     pub fn clear(&mut self) {
         self.samples.clear();
@@ -135,131 +123,6 @@ impl PercentileBuffer {
                 .sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered at record"));
             self.sorted = true;
         }
-    }
-}
-
-/// Streaming quantile estimation with the P² algorithm (Jain & Chlamtac,
-/// 1985): five markers track the target quantile in O(1) memory.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `q` in `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not strictly between 0 and 1.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
-        Self {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds one observation.
-    pub fn record(&mut self, x: f64) {
-        if x.is_nan() {
-            return;
-        }
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights
-                    .sort_by(|a, b| a.partial_cmp(b).expect("NaN rejected above"));
-            }
-            return;
-        }
-        self.count += 1;
-        // Find the cell containing x and update extreme markers.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut cell = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    cell = i;
-                    break;
-                }
-            }
-            cell
-        };
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments) {
-            *d += inc;
-        }
-        // Adjust the three interior markers with parabolic interpolation.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right = self.positions[i + 1] - self.positions[i];
-            let left = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let s = d.signum();
-                let candidate = self.parabolic(i, s);
-                let new_h = if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                    candidate
-                } else {
-                    self.linear(i, s)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += s;
-            }
-        }
-    }
-
-    /// Current estimate of the target quantile, or `None` before any
-    /// observation.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count < 5 {
-            let mut v: Vec<f64> = self.heights[..self.count].to_vec();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("NaN rejected at record"));
-            return percentile_of_sorted(&v, self.q);
-        }
-        Some(self.heights[2])
-    }
-
-    fn parabolic(&self, i: usize, s: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + s / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + s) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - s) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, s: f64) -> f64 {
-        let j = if s > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + s * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
     }
 }
 
@@ -316,10 +179,8 @@ mod tests {
         }
         assert_eq!(b.percentile(0.99), Some(99.0));
         assert_eq!(b.percentile(0.5), Some(50.0));
-        assert!((b.finite_mean().unwrap() - 50.5).abs() < 1e-12);
         b.record(f64::INFINITY);
         assert_eq!(b.percentile(1.0), Some(f64::INFINITY));
-        assert!((b.finite_mean().unwrap() - 50.5).abs() < 1e-12);
     }
 
     #[test]
@@ -345,50 +206,5 @@ mod tests {
         }
         assert_eq!(b.percentile(0.99), Some(f64::INFINITY));
         assert_eq!(b.percentile(0.97), Some(0.1));
-    }
-
-    #[test]
-    fn p2_median_of_uniform_stream() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut est = P2Quantile::new(0.5);
-        for _ in 0..50_000 {
-            est.record(rng.gen::<f64>());
-        }
-        let m = est.estimate().unwrap();
-        assert!((m - 0.5).abs() < 0.02, "median estimate {m}");
-    }
-
-    #[test]
-    fn p2_p99_close_to_exact() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut est = P2Quantile::new(0.99);
-        let mut all = Vec::new();
-        for _ in 0..50_000 {
-            // Skewed (exponential-like) data via inverse transform.
-            let x: f64 = -(1.0 - rng.gen::<f64>()).ln();
-            est.record(x);
-            all.push(x);
-        }
-        all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let exact = percentile_of_sorted(&all, 0.99).unwrap();
-        let approx = est.estimate().unwrap();
-        assert!(
-            (approx - exact).abs() < 0.15 * exact,
-            "p99 exact={exact} approx={approx}"
-        );
-    }
-
-    #[test]
-    fn p2_small_counts_fall_back_to_exact() {
-        let mut est = P2Quantile::new(0.9);
-        assert_eq!(est.estimate(), None);
-        est.record(3.0);
-        assert_eq!(est.estimate(), Some(3.0));
-        est.record(1.0);
-        est.record(2.0);
-        assert_eq!(est.count(), 3);
-        assert_eq!(est.estimate(), Some(3.0));
     }
 }

@@ -82,18 +82,6 @@ impl SloAccounting {
             self.drops as f64 / self.total as f64
         }
     }
-
-    /// Fraction of requests satisfied within the SLO.
-    pub fn satisfaction_rate(&self) -> f64 {
-        1.0 - self.violation_rate()
-    }
-
-    /// Merges another accounting (same SLO assumed) into this one.
-    pub fn merge(&mut self, other: &SloAccounting) {
-        self.total += other.total;
-        self.violations += other.violations;
-        self.drops += other.drops;
-    }
 }
 
 /// Accumulates request latencies into per-minute buckets and reports the
@@ -149,26 +137,6 @@ impl MinuteSeries {
     }
 }
 
-/// Converts a per-minute utility series into the paper's *lost utility*
-/// scalar: the average over minutes of `max_utility - utility`.
-///
-/// # Examples
-///
-/// ```
-/// let lost = faro_metrics::slo::average_lost_utility(&[1.0, 0.5, 0.75], 1.0);
-/// assert!((lost - 0.25).abs() < 1e-12);
-/// ```
-pub fn average_lost_utility(utilities: &[f64], max_utility: f64) -> f64 {
-    if utilities.is_empty() {
-        return 0.0;
-    }
-    utilities
-        .iter()
-        .map(|u| (max_utility - u).max(0.0))
-        .sum::<f64>()
-        / utilities.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +153,6 @@ mod tests {
         assert_eq!(a.violations(), 2);
         assert_eq!(a.drops(), 1);
         assert!((a.violation_rate() - 0.5).abs() < 1e-12);
-        assert!((a.satisfaction_rate() - 0.5).abs() < 1e-12);
         assert!((a.drop_rate() - 0.25).abs() < 1e-12);
     }
 
@@ -194,19 +161,6 @@ mod tests {
         let mut a = SloAccounting::new(0.5);
         a.record_latency(f64::NAN);
         assert_eq!(a.violations(), 1);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = SloAccounting::new(0.5);
-        a.record_latency(1.0);
-        let mut b = SloAccounting::new(0.5);
-        b.record_drop();
-        b.record_latency(0.1);
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.violations(), 2);
-        assert_eq!(a.drops(), 1);
     }
 
     #[test]
@@ -235,12 +189,5 @@ mod tests {
         assert_eq!(series[0], Some(0.1));
         assert_eq!(series[1], None);
         assert_eq!(series[3], Some(0.2));
-    }
-
-    #[test]
-    fn lost_utility_clamps_negative() {
-        let lost = average_lost_utility(&[1.2, 1.0], 1.0);
-        assert_eq!(lost, 0.0);
-        assert_eq!(average_lost_utility(&[], 1.0), 0.0);
     }
 }

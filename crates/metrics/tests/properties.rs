@@ -1,8 +1,6 @@
 //! Property-based tests for metric primitives.
 
-use faro_metrics::percentile::P2Quantile;
-use faro_metrics::slo::average_lost_utility;
-use faro_metrics::{kendall_tau_distance, percentile_of_sorted, PercentileBuffer, SlidingWindow};
+use faro_metrics::{kendall_tau_distance, percentile_of_sorted, PercentileBuffer};
 use proptest::prelude::*;
 
 proptest! {
@@ -32,35 +30,6 @@ proptest! {
         }
     }
 
-    /// P² estimates stay within the observed data range.
-    #[test]
-    fn p2_within_range(values in prop::collection::vec(0.0f64..100.0, 5..500), q in 0.05f64..0.95) {
-        let mut est = P2Quantile::new(q);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &v in &values {
-            est.record(v);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let e = est.estimate().unwrap();
-        prop_assert!(e >= lo - 1e-9 && e <= hi + 1e-9, "estimate {e} outside [{lo}, {hi}]");
-    }
-
-    /// Sliding window sum equals the sum of in-horizon samples.
-    #[test]
-    fn window_sum_consistent(samples in prop::collection::vec((0.0f64..1000.0, -10.0f64..10.0), 0..100)) {
-        let mut w = SlidingWindow::new(100.0);
-        let mut newest: f64 = 0.0;
-        for &(t, v) in &samples {
-            w.push(t, v);
-            newest = newest.max(t);
-        }
-        let expect: f64 = samples.iter().filter(|(t, _)| *t >= newest - 100.0).map(|(_, v)| v).sum();
-        let got = w.sum(newest);
-        prop_assert!((got - expect).abs() < 1e-6, "got {got} expect {expect}");
-    }
-
     /// Kendall-Tau is zero iff identical, symmetric, and in [0, 1].
     #[test]
     fn kendall_axioms(perm in prop::sample::subsequence((0..12usize).collect::<Vec<_>>(), 2..12)) {
@@ -73,14 +42,5 @@ proptest! {
         let d1 = kendall_tau_distance(&identity, &reversed);
         let d2 = kendall_tau_distance(&reversed, &identity);
         prop_assert_eq!(d1, d2);
-    }
-
-    /// Lost utility is within [0, max] and zero for perfect utility.
-    #[test]
-    fn lost_utility_bounds(utils in prop::collection::vec(0.0f64..=1.0, 1..50)) {
-        let lost = average_lost_utility(&utils, 1.0);
-        prop_assert!((0.0..=1.0).contains(&lost));
-        let perfect = vec![1.0; utils.len()];
-        prop_assert_eq!(average_lost_utility(&perfect, 1.0), 0.0);
     }
 }

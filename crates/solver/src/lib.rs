@@ -66,10 +66,3 @@ pub trait Solver {
     /// malformed (empty bounds, inverted bounds).
     fn solve(&self, problem: &(dyn Problem + Sync), x0: &[f64]) -> Result<Solution>;
 }
-
-/// Maximum constraint violation at `x` (zero when feasible).
-pub fn max_violation(problem: &dyn Problem, x: &[f64]) -> f64 {
-    let mut buf = vec![0.0; problem.num_constraints()];
-    problem.constraints(x, &mut buf);
-    buf.iter().fold(0.0f64, |acc, &c| acc.max(-c)).max(0.0)
-}

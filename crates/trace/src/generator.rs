@@ -120,11 +120,6 @@ impl Trace {
         self.rates_per_minute.iter().sum()
     }
 
-    /// Peak per-minute rate.
-    pub fn peak_rate(&self) -> f64 {
-        self.rates_per_minute.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Mean per-minute rate.
     pub fn mean_rate(&self) -> f64 {
         if self.rates_per_minute.is_empty() {
@@ -258,10 +253,8 @@ mod tests {
                         "{kind:?} seed {seed}: rate {r}"
                     );
                 }
-                assert!(
-                    (t.peak_rate() - 1600.0).abs() < 1e-9,
-                    "peak is scaled to max"
-                );
+                let peak = t.rates_per_minute.iter().copied().fold(0.0, f64::max);
+                assert!((peak - 1600.0).abs() < 1e-9, "peak is scaled to max");
             }
         }
     }
@@ -350,7 +343,6 @@ mod tests {
             rates_per_minute: vec![1.0, 3.0, 2.0],
         };
         assert_eq!(t.total_requests(), 6.0);
-        assert_eq!(t.peak_rate(), 3.0);
         assert_eq!(t.mean_rate(), 2.0);
         let empty = Trace {
             rates_per_minute: vec![],

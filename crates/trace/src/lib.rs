@@ -13,8 +13,6 @@
 //! - [`generator`]: Azure-like and Twitter-like per-minute rate series.
 //! - [`scale`]: range rescaling, the paper's 4-minute window compression,
 //!   and train/eval day splitting.
-//! - [`arrivals`]: Poisson expansion of per-minute rates into request
-//!   timestamps (the paper's load generator uses a Poisson distribution).
 //!
 //! # Examples
 //!
@@ -32,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arrivals;
 pub mod generator;
 pub mod scale;
 

@@ -81,10 +81,20 @@ fn code_lines(text: &str) -> usize {
         .count()
 }
 
-/// The workspace root is two levels above this crate's manifest
-/// (`<root>/crates/xtask`).
+/// The workspace root of the tree the task runs in. The manifest
+/// directory is read at run time from the `CARGO_MANIFEST_DIR` that
+/// `cargo run` exports, not baked in at compile time: cargo does not
+/// rebuild a binary copied along with its checkout's `target/`, and a
+/// baked-in path would point the copy's tasks at the original tree.
 fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+    let manifest_dir = std::env::var_os("CARGO_MANIFEST_DIR")
+        .expect("CARGO_MANIFEST_DIR is unset: run the task as `cargo xtask <task>`");
+    root_of(Path::new(&manifest_dir))
+}
+
+/// Two levels above this crate's manifest (`<root>/crates/xtask`).
+fn root_of(manifest_dir: &Path) -> PathBuf {
+    manifest_dir
         .ancestors()
         .nth(2)
         .expect("crates/xtask always sits two levels below the workspace root")
@@ -93,7 +103,18 @@ fn workspace_root() -> PathBuf {
 
 #[cfg(test)]
 mod tests {
-    use super::code_lines;
+    use super::{code_lines, root_of, workspace_root};
+    use std::path::Path;
+
+    #[test]
+    fn the_root_is_two_levels_above_the_manifest_read_at_run_time() {
+        assert_eq!(
+            root_of(Path::new("/copy/of/repo/crates/xtask")),
+            Path::new("/copy/of/repo")
+        );
+        let root = workspace_root();
+        assert!(root.join("crates/xtask/Cargo.toml").is_file(), "{root:?}");
+    }
 
     /// One line of each kind: code counts (a `#[cfg(test)]` counter
     /// included); blank lines, every comment style and everything from
