@@ -1,13 +1,13 @@
 //! Scale sweep: global vs sharded solve at 100 / 1,000 / 5,000 jobs.
 //!
 //! Synthesized workloads at millions of requests per minute aggregate,
-//! solved by (a) the global path the autoscaler uses today (flat below
-//! 50 jobs, hierarchical above) and (b) the sharded incremental path
-//! (`faro_core::sharded`), over one cold round plus a sequence of warm
-//! rounds where most jobs drift within the dirty epsilon and a small
-//! set takes a persistent step change. The global path re-solves the
-//! whole cluster every round; the sharded path re-solves only the dirty
-//! shards.
+//! solved by one `faro_core::sharded::ShardedSolver` at two shard
+//! counts: (a) one shard, the global plan the autoscaler runs by
+//! default (the grouped solve at every size here), and (b) many shards,
+//! over one cold round plus a sequence of warm rounds where most jobs
+//! drift within the dirty epsilon and a small set takes a persistent
+//! step change. One shard re-solves the whole cluster every round; many
+//! shards re-solve only the dirty ones.
 //!
 //! Prints the utility gap against a common flat referee and predicted
 //! SLO attainment; the solve times and the warm-round speedup go to
@@ -17,11 +17,10 @@
 
 use crate::Run;
 use faro_bench::prelude::*;
-use faro_core::hierarchical::solve_hierarchical;
 use faro_core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use faro_core::rng::SplitMix64;
 use faro_core::sharded::{ShardConfig, ShardedSolver};
-use faro_core::types::{ClassAlloc, ResourceModel, Slo};
+use faro_core::types::{ResourceModel, Slo};
 use faro_core::units::ReplicaCount;
 use faro_solver::Cobyla;
 use std::time::Instant;
@@ -105,47 +104,6 @@ fn round_schedule(base: &[JobWorkload], warm_rounds: usize, seed: u64) -> Vec<Ve
     rounds
 }
 
-/// One global solve round: the path `FaroAutoscaler::long_term` takes
-/// today — flat relaxed COBYLA below 50 jobs, hierarchical above.
-fn global_round(
-    jobs: &[JobWorkload],
-    resources: ResourceModel,
-    current: &[u32],
-    seed: u64,
-) -> Vec<u32> {
-    let solver = Cobyla::fast();
-    if jobs.len() > 50 {
-        // Keep group size near the paper's ~100 jobs: COBYLA cost grows
-        // superlinearly in variables, so fixed groups=10 at 5,000 jobs
-        // would mean 500-variable group solves.
-        let groups = (jobs.len() / 100).clamp(10, 64);
-        let out = solve_hierarchical(
-            jobs,
-            resources,
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
-            &solver,
-            current,
-            groups,
-            seed,
-        )
-        .expect("global hierarchical solve");
-        out.replicas
-    } else {
-        let problem = MultiTenantProblem::new(
-            jobs.to_vec(),
-            resources,
-            ClusterObjective::Sum,
-            Fidelity::Relaxed,
-        )
-        .expect("valid problem");
-        let alloc = problem.solve(&solver, current).expect("global flat solve");
-        let mut xs = problem.integerize(&alloc);
-        problem.shrink(&mut xs, &alloc.drop_rates);
-        xs.iter().map(ClassAlloc::total).collect()
-    }
-}
-
 /// Shard count for a row: enough shards that a handful of step-changed
 /// jobs dirties a small fraction of the cluster, few enough that the
 /// top-level split stays a cheap solve.
@@ -174,6 +132,43 @@ fn attainment(problem: &MultiTenantProblem, xs: &[u32]) -> f64 {
     attained as f64 / n.max(1) as f64
 }
 
+/// Every round of `schedule` through `solver`, each from the previous
+/// round's allocation: the round times in ms and the last allocation.
+fn run_rounds(
+    mut solver: ShardedSolver,
+    schedule: &[Vec<JobWorkload>],
+    resources: &ResourceModel,
+    name: &str,
+) -> (Vec<f64>, Vec<u32>) {
+    let cobyla = Cobyla::fast();
+    let mut current = vec![1u32; schedule[0].len()];
+    let mut times = Vec::new();
+    for (r, jobs) in schedule.iter().enumerate() {
+        let start = Instant::now();
+        let out = solver
+            .solve(
+                jobs,
+                resources.clone(),
+                ClusterObjective::Sum,
+                Fidelity::Relaxed,
+                &cobyla,
+                &current,
+            )
+            .expect("long-term round");
+        times.push(start.elapsed().as_secs_f64() * 1000.0);
+        let (rec, ms) = (out.record, times[r]);
+        match rec.shards {
+            0 => eprintln!("  {name} round {r}: {ms:.0} ms"),
+            s => eprintln!(
+                "  {name} round {r}: {ms:.0} ms ({} of {s} shards solved, {} cached jobs)",
+                rec.solved, rec.cache_hit_jobs
+            ),
+        }
+        current = out.replicas;
+    }
+    (times, current)
+}
+
 fn run_row(n: usize, warm_rounds: usize, seed: u64) -> ScaleRow {
     let base = synth_jobs(n, seed);
     // faro-lint: allow(raw-time-arith): reported wire-format aggregate
@@ -191,45 +186,14 @@ fn run_row(n: usize, warm_rounds: usize, seed: u64) -> ScaleRow {
         schedule.len()
     );
 
-    // Global path: full re-solve every round.
-    let mut current = vec![1u32; n];
-    let mut global_times = Vec::new();
-    let mut global_final = Vec::new();
-    for (r, jobs) in schedule.iter().enumerate() {
-        let start = Instant::now();
-        let xs = global_round(jobs, resources.clone(), &current, seed);
-        global_times.push(start.elapsed().as_secs_f64() * 1000.0);
-        eprintln!("  global round {r}: {:.0} ms", global_times[r]);
-        current = xs.clone();
-        global_final = xs;
-    }
-
-    // Sharded path: dirty shards only after the cold round.
-    let mut sharded = ShardedSolver::new(ShardConfig::with_shards(shards), seed);
-    let solver = Cobyla::fast();
-    let mut current = vec![1u32; n];
-    let mut sharded_times = Vec::new();
-    let mut sharded_final = Vec::new();
-    for (r, jobs) in schedule.iter().enumerate() {
-        let start = Instant::now();
-        let out = sharded
-            .solve(
-                jobs,
-                resources.clone(),
-                ClusterObjective::Sum,
-                Fidelity::Relaxed,
-                &solver,
-                &current,
-            )
-            .expect("sharded solve");
-        sharded_times.push(start.elapsed().as_secs_f64() * 1000.0);
-        eprintln!(
-            "  sharded round {r}: {:.0} ms ({} of {} shards solved, {} cached jobs)",
-            sharded_times[r], out.record.solved, out.record.shards, out.record.cache_hit_jobs
-        );
-        current = out.replicas.clone();
-        sharded_final = out.replicas;
-    }
+    // Keep group size near the paper's ~100 jobs: COBYLA cost grows
+    // superlinearly in variables, so fixed groups=10 at 5,000 jobs would
+    // mean 500-variable group solves.
+    let groups = (n / 100).clamp(10, 64);
+    let global = ShardedSolver::new(ShardConfig { shards: 1, groups }, seed);
+    let (global_times, global_final) = run_rounds(global, &schedule, &resources, "global");
+    let sharded = ShardedSolver::new(ShardConfig::with_shards(shards), seed);
+    let (sharded_times, sharded_final) = run_rounds(sharded, &schedule, &resources, "sharded");
 
     // Common referee on the final round's workload: the flat problem
     // with the default latency model scores both integer allocations.

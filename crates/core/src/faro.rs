@@ -10,9 +10,11 @@
 //! 2. **Multi-tenant autoscaling** (Sec. 4.2): maximize the configured
 //!    cluster objective under the resource constraints with COBYLA, then
 //!    integerize. The problem is [`MultiTenantProblem`] over the
-//!    cluster's replica classes; on a scalar quota beyond
-//!    [`HIERARCHICAL_THRESHOLD`] jobs the grouped solve of Sec. 3.4 is
-//!    used, and [`FaroConfig::solve_plan`] may shard it.
+//!    cluster's replica classes, solved by the autoscaler's one
+//!    [`ShardedSolver`]: one shard under [`SolvePlan::Global`], flat or,
+//!    on a scalar quota past
+//!    [`HIERARCHICAL_THRESHOLD`](crate::hierarchical::HIERARCHICAL_THRESHOLD)
+//!    jobs, the grouped solve of Sec. 3.4.
 //! 3. **Shrinking** (Sec. 4.3): reclaim replicas from jobs at predicted
 //!    utility 1 while the cluster objective is unchanged.
 //!
@@ -32,12 +34,11 @@
 use crate::admission::{Admission, ClampToQuota};
 use crate::error::Result;
 use crate::evaluate::Model;
-use crate::hierarchical::{solve_grouped, DEFAULT_GROUPS, HIERARCHICAL_THRESHOLD};
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, LatencyModel, MultiTenantProblem};
 use crate::policy::{Policy, PolicyIntrospection};
 use crate::predictor::{sanitize_history, RatePredictor};
-use crate::sharded::{ShardedSolver, SolvePlan};
+use crate::sharded::{Round, ShardedSolver, SolvePlan};
 use crate::types::{ClassAlloc, ClusterSnapshot, DesiredState, JobDecision, JobObservation};
 use crate::units::{DurationMs, RatePerMin, SimTimeMs};
 use faro_solver::Cobyla;
@@ -58,10 +59,9 @@ pub struct FaroConfig {
     pub use_shrinking: bool,
     /// Short-term reactive autoscaler on/off (ablation).
     pub use_hybrid: bool,
-    /// How the long-term solve is organized: one global solve per round
-    /// (paper-faithful default) or the sharded incremental path
-    /// ([`crate::sharded`]). Sharding is opt-in; the default keeps
-    /// every global-path output bit-identical.
+    /// How the long-term solve is organized ([`crate::sharded`]):
+    /// `Global` is the one-shard plan, the paper's default.
+    /// [`FaroAutoscaler::new`] reads it once.
     pub solve_plan: SolvePlan,
     /// RNG seed (trajectory sampling, grouping).
     pub seed: u64,
@@ -115,9 +115,9 @@ pub struct FaroAutoscaler {
     /// What the last `decide` round did (solve effort, carry-forward,
     /// sanitization), reported through [`Policy::introspect`].
     intro: PolicyIntrospection,
-    /// The sharded solver's persistent state (partition, signatures,
-    /// caches), created lazily on the first sharded long-term round.
-    sharded: Option<ShardedSolver>,
+    /// Every long-term solve, with its state across rounds (partition,
+    /// signatures, caches) when the plan has more than one shard.
+    sharded: ShardedSolver,
     rng: StdRng,
 }
 
@@ -127,20 +127,15 @@ impl FaroAutoscaler {
         Self {
             rng: StdRng::seed_from_u64(config.seed ^ 0xfa60_5eed),
             solver: Cobyla::fast(),
-            config,
             predictors,
             last_long_term: None,
             violation: Vec::new(),
             last_tick: None,
             current: Vec::new(),
             intro: PolicyIntrospection::default(),
-            sharded: None,
+            sharded: ShardedSolver::new(config.solve_plan.shard_config(), config.seed),
+            config,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &FaroConfig {
-        &self.config
     }
 
     /// Stage 1: assembles per-job workloads from predictions.
@@ -205,11 +200,9 @@ impl FaroAutoscaler {
     }
 
     /// Stages 2 and 3: solve, integerize, shrink. The model is built
-    /// here, once, from the configuration; below this line the round
-    /// branches on how the solve is *organized* — sharded, grouped or
-    /// flat — and every arm is handed the same value. A cluster of two
-    /// or more replica classes has no scalar quota to split, so it
-    /// always solves flat.
+    /// here, once, from the configuration, and a classed problem carries
+    /// each job's class affinity; the round is one call to the
+    /// autoscaler's [`ShardedSolver`].
     fn long_term(&mut self, snapshot: &ClusterSnapshot) -> Result<Vec<JobDecision>> {
         let jobs = self.formulate(snapshot);
         let current: Vec<u32> = snapshot.jobs.iter().map(|j| j.target_replicas).collect();
@@ -218,70 +211,38 @@ impl FaroAutoscaler {
             ..Model::new(self.config.fidelity)
         };
         let resources = snapshot.resources.clone();
-        let objective = self.config.objective;
+        let mut problem =
+            MultiTenantProblem::with_model(jobs, resources, self.config.objective, model)?;
+        let classed = problem.n_classes() > 1;
+        if classed {
+            problem = problem.with_affinity(affinity(snapshot))?;
+        }
         let use_shrinking = self.config.use_shrinking;
-        let classed = resources.n_classes() > 1;
-        let (replicas, drop_rates) = match self.config.solve_plan {
-            SolvePlan::Sharded(scfg) if !classed => {
-                let seed = self.config.seed;
-                let sharded = self
-                    .sharded
-                    .get_or_insert_with(|| ShardedSolver::new(scfg, seed));
-                let out = sharded.solve_with(
-                    &jobs,
-                    resources,
-                    objective,
-                    model,
-                    use_shrinking,
-                    &self.solver,
-                    &current,
-                )?;
-                self.intro.solver_evals += out.record.evals + out.record.split_evals;
-                self.intro.shard_record = Some(out.record);
-                self.intro.shard_spans = out.shard_spans;
-                (out.replicas, out.drop_rates)
-            }
-            _ => {
-                let mut problem =
-                    MultiTenantProblem::with_model(jobs, resources, objective, model)?;
-                if classed {
-                    problem = problem.with_affinity(affinity(snapshot))?;
-                }
-                if !classed && problem.n_jobs() > HIERARCHICAL_THRESHOLD {
-                    let out = solve_grouped(
-                        &problem,
-                        &self.solver,
-                        &current,
-                        DEFAULT_GROUPS,
-                        self.config.seed,
-                    )?;
-                    self.intro.solver_evals += out.evals as u64;
-                    (out.replicas, out.drop_rates)
-                } else {
-                    let (allocs, alloc) =
-                        problem.solve_integer(&self.solver, &current, use_shrinking)?;
-                    self.intro.solver_evals += alloc.evals as u64;
-                    if classed {
-                        return Ok(allocs
-                            .into_iter()
-                            .zip(alloc.drop_rates)
-                            .map(|(a, d)| JobDecision::classed(a).with_drop_rate(d))
-                            .collect());
-                    }
-                    (
-                        allocs.iter().map(ClassAlloc::total).collect(),
-                        alloc.drop_rates,
-                    )
-                }
+        let Round {
+            solved,
+            record,
+            spans,
+        } = self
+            .sharded
+            .solve_problem(&problem, &self.solver, &current, use_shrinking)?;
+        self.intro.solver_evals += solved.evals;
+        self.intro.shard_record = record;
+        self.intro.shard_spans = spans;
+        // A class split per job on a classed cluster, else one count (a
+        // one-class table actuates on class 0) with a defensive floor
+        // (solvers already respect bounds).
+        let decision = |a: ClassAlloc| {
+            if classed {
+                JobDecision::classed(a)
+            } else {
+                JobDecision::replicas(a.total().max(1))
             }
         };
-        // One count per job on a scalar quota (a one-class table actuates
-        // on class 0), with a defensive floor (solvers already respect
-        // bounds).
-        Ok(replicas
+        Ok(solved
+            .allocs
             .into_iter()
-            .zip(drop_rates)
-            .map(|(r, d)| JobDecision::replicas(r.max(1)).with_drop_rate(d))
+            .zip(solved.drops)
+            .map(|(a, d)| decision(a).with_drop_rate(d))
             .collect())
     }
 
@@ -481,6 +442,10 @@ mod tests {
     }
 
     fn faro(objective: ClusterObjective, n_jobs: usize) -> FaroAutoscaler {
+        faro_planned(objective, n_jobs, SolvePlan::Global)
+    }
+
+    fn faro_planned(objective: ClusterObjective, n_jobs: usize, plan: SolvePlan) -> FaroAutoscaler {
         let predictors: Vec<Box<dyn RatePredictor>> = (0..n_jobs)
             .map(|_| {
                 Box::new(FlatPredictor {
@@ -491,6 +456,7 @@ mod tests {
             .collect();
         let mut cfg = FaroConfig::new(objective);
         cfg.samples = 8;
+        cfg.solve_plan = plan;
         FaroAutoscaler::new(cfg, predictors)
     }
 
@@ -739,37 +705,14 @@ mod tests {
         let (default, ..) = cold_round(&cfg, n, quota);
         cfg.latency_model = LatencyModel::UpperBound;
         let (decided, snap, jobs) = cold_round(&cfg, n, quota);
-        let (resources, model) = (snap.resources, model_of(&cfg));
-        let by_hand = match plan {
-            SolvePlan::Sharded(scfg) => {
-                ShardedSolver::new(scfg, cfg.seed)
-                    .solve_with(
-                        &jobs,
-                        resources,
-                        cfg.objective,
-                        model,
-                        cfg.use_shrinking,
-                        &Cobyla::fast(),
-                        &vec![1; n],
-                    )
-                    .unwrap()
-                    .replicas
-            }
-            SolvePlan::Global => {
-                let problem =
-                    MultiTenantProblem::with_model(jobs, resources, cfg.objective, model).unwrap();
-                solve_grouped(
-                    &problem,
-                    &Cobyla::fast(),
-                    &vec![1; n],
-                    DEFAULT_GROUPS,
-                    cfg.seed,
-                )
-                .unwrap()
-                .replicas
-            }
-        };
-        assert_eq!(decided, by_hand);
+        let problem =
+            MultiTenantProblem::with_model(jobs, snap.resources, cfg.objective, model_of(&cfg))
+                .unwrap();
+        let by_hand = ShardedSolver::new(plan.shard_config(), cfg.seed)
+            .solve_problem(&problem, &Cobyla::fast(), &vec![1; n], cfg.use_shrinking)
+            .unwrap();
+        let totals = by_hand.solved.allocs.iter().map(ClassAlloc::total);
+        assert_eq!(decided, totals.collect::<Vec<_>>());
         assert_ne!(decided, default, "the latency model is read");
     }
 
@@ -811,12 +754,12 @@ mod tests {
         assert_ne!(shrunk, unshrunk, "shrinking had replicas to reclaim");
     }
 
-    /// Past the threshold a round is the grouped solve of its
-    /// workloads, within the quota.
+    /// Past the hierarchical threshold (60 jobs) a round is the grouped
+    /// solve of its workloads, within the quota.
     #[test]
     fn hierarchical_path_used_for_many_jobs() {
+        use crate::hierarchical::{solve_grouped, DEFAULT_GROUPS};
         let (n, quota) = (60, 150);
-        assert!(n > HIERARCHICAL_THRESHOLD);
         let mut cfg = FaroConfig::new(ClusterObjective::Sum);
         cfg.samples = 1;
         let (decided, snap, jobs) = cold_round(&cfg, n, quota);
@@ -850,11 +793,8 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let decide = |snap: &ClusterSnapshot| {
-            let mut f = faro(ClusterObjective::Sum, n);
-            f.config.solve_plan = plan;
-            f.decide(snap)
-        };
+        let decide =
+            |snap: &ClusterSnapshot| faro_planned(ClusterObjective::Sum, n, plan).decide(snap);
         let slow_class = ClusterSnapshot {
             resources: ResourceModel::heterogeneous(
                 vec![ReplicaClass::cpu("cpu", 3.0)],
@@ -874,14 +814,65 @@ mod tests {
         );
     }
 
-    /// Flat, grouped past the threshold, and sharded.
+    /// Flat, grouped past the hierarchical threshold (60 jobs), and
+    /// sharded.
     #[test]
     fn a_one_class_cluster_is_planned_at_its_class_speed() {
         use crate::sharded::ShardConfig;
         assert_planned_at_class_speed(3, 32, SolvePlan::Global);
-        const { assert!(60 > HIERARCHICAL_THRESHOLD) };
         assert_planned_at_class_speed(60, 300, SolvePlan::Global);
         let sharded = SolvePlan::Sharded(ShardConfig::with_shards(3));
         assert_planned_at_class_speed(12, 60, sharded);
+    }
+
+    /// `Global` is the one-shard plan: on a flat (10 jobs), a grouped
+    /// (60 jobs) and a two-class cluster, over a cold round and a warm
+    /// one with unchanged loads, it and `Sharded` at one shard decide
+    /// alike, and neither records a shard round.
+    #[test]
+    fn the_global_plan_is_the_one_shard_plan() {
+        use crate::sharded::ShardConfig;
+        use crate::types::ReplicaClass;
+        let jobs = |n: usize| {
+            (0..n)
+                .map(|i| obs(900.0 + 150.0 * (i % 9) as f64, 1, 0.1))
+                .collect::<Vec<_>>()
+        };
+        let classes = vec![ReplicaClass::gpu("gpu"), ReplicaClass::cpu("cpu", 3.0)];
+        let classed = ClusterSnapshot {
+            resources: ResourceModel::heterogeneous(classes, 40.0, 8.0, 64.0),
+            ..snapshot(0.0, 40, jobs(6))
+        };
+        for cold in [
+            snapshot(0.0, 40, jobs(10)),
+            snapshot(0.0, 150, jobs(60)),
+            classed,
+        ] {
+            let n = cold.jobs.len();
+            let one_shard = SolvePlan::Sharded(ShardConfig::with_shards(1));
+            let mut global = faro_planned(ClusterObjective::Sum, n, SolvePlan::Global);
+            let mut sharded = faro_planned(ClusterObjective::Sum, n, one_shard);
+            for now in [0.0, LONG_TERM_INTERVAL] {
+                let snap = ClusterSnapshot {
+                    now: SimTimeMs::from_secs(now),
+                    ..cold.clone()
+                };
+                assert_eq!(
+                    global.decide(&snap),
+                    sharded.decide(&snap),
+                    "{n} jobs at {now} s"
+                );
+                assert!(sharded.introspect().long_term_solve, "{n} jobs at {now} s");
+                assert_eq!(
+                    global.introspect(),
+                    sharded.introspect(),
+                    "{n} jobs at {now} s"
+                );
+                assert!(
+                    global.introspect().shard_record.is_none(),
+                    "{n} jobs at {now} s"
+                );
+            }
+        }
     }
 }

@@ -11,10 +11,12 @@
 //! The grouped solve is a `G`-variable *view* of a flat one-class
 //! [`MultiTenantProblem`]: it scores jobs through that problem, under
 //! that problem's model, and hands its expanded point to that problem's
-//! `integerize`. It never runs stage 3 — a grouped allocation is not
-//! shrunk, here or inside a shard (pinned by the `sharded_golden`
-//! digests; a documented limit). A group budget is a share of a scalar
-//! quota, so a problem over two or more replica classes is refused.
+//! `integerize`. [`crate::sharded`] is its one caller in a long-term
+//! round: a solve of the whole problem or of a shard takes it past
+//! [`HIERARCHICAL_THRESHOLD`] jobs. It never runs stage 3 — a grouped
+//! allocation is not shrunk (pinned by the `sharded_golden` digests; a
+//! documented limit). A group budget is a share of a scalar quota, so a
+//! problem over two or more replica classes is refused.
 
 use crate::error::{Error, Result};
 use crate::objective::ClusterObjective;
@@ -27,8 +29,8 @@ use faro_solver::Solver;
 /// Default group count (paper Sec. 3.4).
 pub const DEFAULT_GROUPS: usize = 10;
 
-/// Job count above which a solve is grouped instead of flat: the global
-/// round's and each shard's rule alike.
+/// Job count above which a solve on a scalar quota is grouped instead
+/// of flat, for the whole problem and for each shard alike.
 pub const HIERARCHICAL_THRESHOLD: usize = 50;
 
 /// Assigns `n_jobs` jobs to `groups` random groups (each non-empty when
@@ -53,14 +55,7 @@ pub fn assign_groups(n_jobs: usize, groups: usize, seed: u64) -> Vec<usize> {
 /// when even the quota cannot. Shared by the within-group share split
 /// here and the shard partitioner in [`crate::sharded`].
 pub(crate) fn replica_need(job: &JobWorkload, quota: ReplicaCount) -> f64 {
-    let total: f64 = job.lambda_trajectories.iter().flat_map(|t| t.iter()).sum();
-    let count = job
-        .lambda_trajectories
-        .iter()
-        .map(Vec::len)
-        .sum::<usize>()
-        .max(1);
-    let mean_lambda = total / count as f64;
+    let mean_lambda = job.mean_rate();
     faro_queueing::mdc::replicas_for_slo(
         job.slo.percentile,
         job.processing_time,

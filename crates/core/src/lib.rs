@@ -13,8 +13,9 @@
 //! - [`opt`]: the precise and relaxed multi-tenant optimization with
 //!   integerization and Stage-3 shrinking (Sec. 3.4, 4.2, 4.3).
 //! - [`hierarchical`]: the grouped solve for large job counts (Sec. 3.4).
-//! - [`sharded`]: the sharded incremental solve past Table 8's scale —
-//!   deterministic partitioning, parallel shard solves, dirty tracking.
+//! - [`sharded`]: the one organization of a long-term solve — the whole
+//!   problem on one shard, else deterministic partitioning, a quota
+//!   split, shard solves in shard order and dirty tracking.
 //! - [`predictor`]: arrival-rate predictor adapters over
 //!   [`faro_forecast`] (Sec. 3.5).
 //! - [`faro`]: the staged hybrid autoscaler (Sec. 4).

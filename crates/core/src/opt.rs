@@ -194,6 +194,12 @@ impl JobWorkload {
         self.lambda_trajectories.iter().flatten().copied()
     }
 
+    /// The mean rate over every trajectory step.
+    pub(crate) fn mean_rate(&self) -> f64 {
+        let steps = self.lambda_trajectories.iter().map(Vec::len).sum::<usize>();
+        self.rates().sum::<f64>() / steps.max(1) as f64
+    }
+
     /// A workload with a single constant-rate trajectory.
     pub fn constant(lambda: f64, processing_time: f64, slo: Slo, priority: f64) -> Self {
         Self {
@@ -382,6 +388,11 @@ impl MultiTenantProblem {
     /// The resource model in use.
     pub fn resources(&self) -> &ResourceModel {
         &self.resources
+    }
+
+    /// The model the problem scores jobs under.
+    pub(crate) fn model(&self) -> Model {
+        self.model
     }
 
     /// The lazily built per-solve latency tables (`None` when the

@@ -29,8 +29,8 @@ pub struct PolicyIntrospection {
     pub carried_forward: bool,
     /// Corrupt history samples repaired before forecasting.
     pub sanitized_samples: u64,
-    /// What the sharded solve did, when the round ran one (`None` for
-    /// the global path and for reactive rounds).
+    /// What the sharded solve did, when the round ran one (`None` for a
+    /// one-shard round, the global plan's, and for reactive rounds).
     pub shard_record: Option<ShardSolveRecord>,
     /// Per-solved-shard spans (ascending shard index) from the round's
     /// sharded solve, empty otherwise.

@@ -1,10 +1,14 @@
-//! Sharded incremental solving: the scale path past the hierarchical
-//! grouped solve (ROADMAP item 1, "millions of users").
+//! Sharded incremental solving: the one organization of a long-term
+//! solve. The paper scales the solve one way, by splitting the cluster
+//! and solving the parts (Sec. 3.4); every long-term round is one
+//! [`ShardedSolver`] call on one [`MultiTenantProblem`].
 //!
-//! The grouped solve of Sec. 3.4 collapses the *variable count* but
-//! still evaluates every job's utility inside the solver loop and still
-//! re-solves the whole cluster every long-term round. At thousands of
-//! jobs both costs dominate. The sharded path splits them:
+//! **One shard** is the global plan ([`SolvePlan::Global`]): when
+//! `min(shards, jobs) ≤ 1`, or the cluster has two or more replica
+//! classes (a shard budget is a share of a scalar quota), the round
+//! solves the whole problem with the solver's own seed. It has no
+//! partition, no split, no signatures, no cache and no
+//! [`ShardSolveRecord`]. More shards run four steps:
 //!
 //! 1. **Partition** — jobs are assigned to shards by a deterministic
 //!    longest-processing-time (LPT) greedy over each job's estimated
@@ -17,10 +21,9 @@
 //!    replica budget. Budgets are integerized by largest remainder with
 //!    a one-replica-per-member floor, summing exactly to the quota.
 //! 3. **Independent shard solves** — each shard solves its members
-//!    against its own budget (flat COBYLA up to
-//!    [`HIERARCHICAL_THRESHOLD`] members, the grouped solve above it),
-//!    in ascending shard index on the calling thread, so every sum
-//!    over shards runs in one fixed order.
+//!    against its own budget with a per-shard child seed, in ascending
+//!    shard index on the calling thread, so every sum over shards runs
+//!    in one fixed order.
 //! 4. **Incremental re-solves** — each solved job's workload signature
 //!    (mean predicted rate, processing time, SLO, priority) is cached;
 //!    a shard re-enters the solver only when a member's rate or
@@ -30,25 +33,23 @@
 //!    their cached decisions, so a warm round's cost is the top-level
 //!    split plus only the shards that actually changed.
 //!
-//! The split problem and every shard problem are built from the one
-//! model value the round was given (`FaroAutoscaler` builds it from its
-//! configuration; the public [`ShardedSolver::solve`] runs the paper's
-//! defaults), and a flat shard runs the same solve, integerize, shrink
-//! function a global flat round does. A shard above the threshold takes
-//! the grouped solve, which never shrinks. A shard budget is a share of
-//! a scalar quota, so a cluster of two or more replica classes is
-//! refused: it solves flat.
+//! The split problem and every shard problem are built from the round's
+//! problem: its jobs, resources, objective and model. Every solve, of
+//! the whole problem or of a shard, is flat (solve, integerize, shrink)
+//! up to
+//! [`HIERARCHICAL_THRESHOLD`](hierarchical::HIERARCHICAL_THRESHOLD)
+//! jobs and grouped above it on a scalar quota; the grouped solve never
+//! shrinks. A round that fails commits nothing, so the next round
+//! retries from the last successful round's state.
 
 use crate::error::{Error, Result};
-use crate::evaluate::{fold_class_speed, validate, Model};
-use crate::hierarchical::{replica_need, solve_grouped, DEFAULT_GROUPS, HIERARCHICAL_THRESHOLD};
+use crate::hierarchical::{self, replica_need, solve_grouped, DEFAULT_GROUPS};
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use crate::rng::SplitMix64;
 use crate::types::{ClassAlloc, ReplicaClass, ResourceModel, Slo};
 use crate::units::ReplicaCount;
 use faro_solver::Solver;
-use std::borrow::Cow;
 
 /// Relative change in a job's mean predicted rate or processing time
 /// that marks its shard dirty. SLO or priority changes always do.
@@ -57,19 +58,30 @@ pub const DIRTY_EPSILON: f64 = 0.05;
 /// How the long-term solve is organized (`FaroConfig::solve_plan`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolvePlan {
-    /// One cluster-wide solve per round (flat below the hierarchical
-    /// threshold, grouped above it) — the paper-faithful default.
+    /// The one-shard plan: the whole problem every round (flat below
+    /// the hierarchical threshold, grouped above it), the paper's
+    /// default.
     Global,
     /// Sharded incremental solve.
     Sharded(ShardConfig),
 }
 
+impl SolvePlan {
+    /// The shard configuration the plan runs: `Global` is one shard.
+    pub(crate) fn shard_config(self) -> ShardConfig {
+        match self {
+            Self::Global => ShardConfig::with_shards(1),
+            Self::Sharded(cfg) => cfg,
+        }
+    }
+}
+
 /// Configuration for the sharded solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
-    /// Shard count (clamped to the job count).
+    /// Shard count (clamped to the job count; one is the global plan).
     pub shards: usize,
-    /// Group count for within-shard grouped solves.
+    /// Group count for grouped solves.
     pub groups: usize,
 }
 
@@ -96,7 +108,8 @@ impl ShardConfig {
 /// `ShardSolve` event and the per-shard solve spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardSolveRecord {
-    /// Total shards in the partition.
+    /// Total shards in the partition (0 on a one-shard round, which has
+    /// none).
     pub shards: u32,
     /// Shards that entered the solver this round.
     pub solved: u32,
@@ -133,6 +146,25 @@ pub struct ShardedAllocation {
     pub shard_spans: Vec<ShardSpan>,
 }
 
+/// An integer solve's answer: per-job allocations and drop rates, and
+/// the objective evaluations it took.
+#[derive(Debug, Clone)]
+pub(crate) struct Solved {
+    pub(crate) allocs: Vec<ClassAlloc>,
+    pub(crate) drops: Vec<f64>,
+    pub(crate) evals: u64,
+}
+
+/// One long-term round: what [`ShardedSolver::solve_problem`] returns.
+pub(crate) struct Round {
+    /// The merged answer; `evals` counts the split's evaluations too.
+    pub(crate) solved: Solved,
+    /// What a partitioned round did; `None` on one shard.
+    pub(crate) record: Option<ShardSolveRecord>,
+    /// Per-solved-shard spans, ascending shard index.
+    pub(crate) spans: Vec<ShardSpan>,
+}
+
 /// The workload facts a shard solve depends on; equality within epsilon
 /// means the cached allocation is still valid.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,15 +177,8 @@ struct JobSignature {
 
 impl JobSignature {
     fn of(job: &JobWorkload) -> Self {
-        let total: f64 = job.lambda_trajectories.iter().flat_map(|t| t.iter()).sum();
-        let count = job
-            .lambda_trajectories
-            .iter()
-            .map(Vec::len)
-            .sum::<usize>()
-            .max(1);
         Self {
-            mean_rate: total / count as f64,
+            mean_rate: job.mean_rate(),
             processing_time: job.processing_time,
             slo: job.slo,
             priority: job.priority,
@@ -168,23 +193,6 @@ impl JobSignature {
             || new.slo != self.slo
             || new.priority != self.priority
     }
-}
-
-/// A shard's cached solve: member decisions in member-list order.
-#[derive(Debug, Clone)]
-struct ShardCache {
-    replicas: Vec<u32>,
-    drops: Vec<f64>,
-    /// Total replicas the cached allocation uses (re-solve trigger when
-    /// the new budget dips below it).
-    used: u32,
-}
-
-/// One shard solve's raw output.
-struct ShardResult {
-    replicas: Vec<u32>,
-    drops: Vec<f64>,
-    evals: u64,
 }
 
 /// Deterministic LPT partition: jobs sorted by `need` descending (ties
@@ -259,19 +267,6 @@ fn split_budgets(cont: &[f64], floors: &[u32], quota: u32) -> Vec<u32> {
     floors.iter().zip(&extras).map(|(&f, &e)| f + e).collect()
 }
 
-/// Everything a shard solve reads besides its members and budget.
-struct SolveCtx<'a> {
-    jobs: &'a [JobWorkload],
-    resources: ResourceModel,
-    objective: ClusterObjective,
-    model: Model,
-    use_shrinking: bool,
-    solver: &'a dyn Solver,
-    current: &'a [u32],
-    groups: usize,
-    seed: u64,
-}
-
 /// Scales a cluster down to a shard's replica budget: `budget` replicas'
 /// worth of every dimension, at a one-class table's own class costs (so
 /// the shard's quota is the budget whatever the scalar fields say) and
@@ -288,265 +283,73 @@ fn sub_resources_for_budget(resources: &ResourceModel, budget: u32) -> ResourceM
     }
 }
 
-/// Solves one shard against its budget: the flat solve, integerize and
-/// shrink for small member lists, the grouped solve above
-/// [`HIERARCHICAL_THRESHOLD`], with a per-shard child seed.
-fn solve_shard(
-    ctx: &SolveCtx<'_>,
-    members: &[usize],
-    budget: u32,
-    shard: usize,
-) -> Result<ShardResult> {
-    let sub_jobs: Vec<JobWorkload> = members.iter().map(|&i| ctx.jobs[i].clone()).collect();
-    let sub_current: Vec<u32> = members
-        .iter()
-        .map(|&i| ctx.current.get(i).copied().unwrap_or(1))
-        .collect();
-    let sub_resources = sub_resources_for_budget(&ctx.resources, budget);
-    let problem =
-        MultiTenantProblem::with_model(sub_jobs, sub_resources, ctx.objective, ctx.model)?;
-    if members.len() > HIERARCHICAL_THRESHOLD {
-        let out = solve_grouped(
-            &problem,
-            ctx.solver,
-            &sub_current,
-            ctx.groups,
-            SplitMix64::child_seed(ctx.seed, shard as u64),
-        )?;
-        Ok(ShardResult {
-            replicas: out.replicas,
+/// The one place a solve is chosen flat or grouped: the grouped solve
+/// with `groups` groups and `seed` on a scalar quota past
+/// [`HIERARCHICAL_THRESHOLD`](hierarchical::HIERARCHICAL_THRESHOLD)
+/// jobs, else solve, integerize and shrink (unless `use_shrinking` is
+/// off). The whole problem of a one-shard round and every shard's
+/// problem go through here.
+fn solve_flat_or_grouped(
+    problem: &MultiTenantProblem,
+    solver: &dyn Solver,
+    current: &[u32],
+    use_shrinking: bool,
+    groups: usize,
+    seed: u64,
+) -> Result<Solved> {
+    if problem.n_classes() == 1 && problem.n_jobs() > hierarchical::HIERARCHICAL_THRESHOLD {
+        let out = solve_grouped(problem, solver, current, groups, seed)?;
+        let allocs = out.replicas.iter().map(|&r| ClassAlloc::single(0, r, 1));
+        return Ok(Solved {
+            allocs: allocs.collect(),
             drops: out.drop_rates,
             evals: out.evals as u64,
-        })
-    } else {
-        let (allocs, alloc) = problem.solve_integer(ctx.solver, &sub_current, ctx.use_shrinking)?;
-        Ok(ShardResult {
-            replicas: allocs.iter().map(ClassAlloc::total).collect(),
-            drops: alloc.drop_rates,
-            evals: alloc.evals as u64,
-        })
+        });
     }
+    let (allocs, alloc) = problem.solve_integer(solver, current, use_shrinking)?;
+    Ok(Solved {
+        allocs,
+        drops: alloc.drop_rates,
+        evals: alloc.evals as u64,
+    })
 }
 
-/// The sharded incremental solver. Owns the partition, the per-job
-/// workload signatures, and the per-shard allocation caches between
-/// rounds; [`ShardedSolver::solve`] is one long-term round.
-#[derive(Debug)]
-pub struct ShardedSolver {
-    cfg: ShardConfig,
-    seed: u64,
+/// A partition and what was solved on it: the state a sharded round
+/// reads and, once every shard it solves has succeeded, commits.
+#[derive(Debug, Default)]
+struct Partition {
     /// Shard member lists (job indices, ascending within a shard).
     members: Vec<Vec<usize>>,
     /// Signatures backing the cached allocations (`None` = never
     /// solved).
     sigs: Vec<Option<JobSignature>>,
-    /// Cached per-shard allocations.
-    caches: Vec<Option<ShardCache>>,
+    /// Cached per-shard solves, member decisions in member-list order.
+    caches: Vec<Option<Solved>>,
     /// Budgets from the last top-level split.
     budgets: Vec<u32>,
     /// Job count and quota the partition was built for.
     n_jobs: usize,
-    last_quota: u32,
+    quota: u32,
 }
 
-impl ShardedSolver {
-    /// A solver with no cached state; the first round solves every
-    /// shard.
-    pub fn new(cfg: ShardConfig, seed: u64) -> Self {
+impl Partition {
+    /// The LPT partition of `jobs` at `quota`, nothing solved yet.
+    fn lpt(jobs: &[JobWorkload], quota: ReplicaCount, shards: usize) -> Self {
+        let needs: Vec<f64> = jobs.iter().map(|j| replica_need(j, quota)).collect();
+        let assignment = assign_shards(&needs, shards);
+        let s = assignment.iter().copied().max().map_or(1, |m| m + 1);
+        let mut members = vec![Vec::new(); s];
+        for (job, &shard) in assignment.iter().enumerate() {
+            members[shard].push(job);
+        }
         Self {
-            cfg,
-            seed,
-            members: Vec::new(),
-            sigs: Vec::new(),
-            caches: Vec::new(),
+            members,
+            sigs: vec![None; jobs.len()],
+            caches: vec![None; s],
             budgets: Vec::new(),
-            n_jobs: 0,
-            last_quota: 0,
+            n_jobs: jobs.len(),
+            quota: quota.get(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ShardConfig {
-        &self.cfg
-    }
-
-    /// One sharded long-term round under the paper's default model,
-    /// with stage-3 shrinking on: partition (if stale), dirty-check,
-    /// top-level split, dirty-shard solves in shard order, merge.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a cluster of two or more replica classes; propagates
-    /// problem-construction and solver failures. Cached state is left
-    /// untouched so the next round retries cleanly.
-    pub fn solve(
-        &mut self,
-        jobs: &[JobWorkload],
-        resources: ResourceModel,
-        objective: ClusterObjective,
-        fidelity: Fidelity,
-        solver: &dyn Solver,
-        current: &[u32],
-    ) -> Result<ShardedAllocation> {
-        let model = Model::new(fidelity);
-        self.solve_with(jobs, resources, objective, model, true, solver, current)
-    }
-
-    /// [`ShardedSolver::solve`] under a given model, shrinking flat
-    /// shard solves when `use_shrinking` says so.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn solve_with(
-        &mut self,
-        jobs: &[JobWorkload],
-        resources: ResourceModel,
-        objective: ClusterObjective,
-        model: Model,
-        use_shrinking: bool,
-        solver: &dyn Solver,
-        current: &[u32],
-    ) -> Result<ShardedAllocation> {
-        validate(jobs, &resources)?;
-        if resources.n_classes() > 1 {
-            return Err(Error::InvalidSnapshot(
-                "the sharded solve splits a scalar quota; a classed cluster solves flat".into(),
-            ));
-        }
-        // The partition, the signatures and every shard read a one-class
-        // table's jobs at the class's service time.
-        let (mut jobs, mut resources) = (Cow::Borrowed(jobs), resources);
-        if resources.has_classes() {
-            fold_class_speed(jobs.to_mut(), &mut resources);
-        }
-        let n = jobs.len();
-        let quota = resources.replica_quota();
-
-        let new_sigs: Vec<JobSignature> = jobs.iter().map(JobSignature::of).collect();
-        if n != self.n_jobs || quota.get() != self.last_quota {
-            let needs: Vec<f64> = jobs.iter().map(|j| replica_need(j, quota)).collect();
-            let assignment = assign_shards(&needs, self.cfg.shards);
-            let s = assignment.iter().copied().max().map_or(1, |m| m + 1);
-            self.members = vec![Vec::new(); s];
-            for (job, &shard) in assignment.iter().enumerate() {
-                self.members[shard].push(job);
-            }
-            self.sigs = vec![None; n];
-            self.caches = vec![None; s];
-            self.budgets = Vec::new();
-            self.n_jobs = n;
-            self.last_quota = quota.get();
-        }
-        let s = self.members.len();
-
-        // A shard is dirty when any member's signature moved.
-        let mut dirty = vec![false; s];
-        for (shard, members) in self.members.iter().enumerate() {
-            dirty[shard] = members.iter().any(|&j| {
-                self.sigs[j]
-                    .as_ref()
-                    .is_none_or(|old| old.dirty_against(&new_sigs[j]))
-            });
-        }
-        let any_dirty = dirty.iter().any(|&d| d) || self.budgets.len() != s;
-
-        // Top-level quota split: one S-variable solve over per-shard
-        // pseudo-jobs. Skipped on fully clean rounds — the previous
-        // budgets still describe the cluster within epsilon.
-        let mut split_evals = 0u64;
-        if any_dirty {
-            let floors: Vec<u32> = self.members.iter().map(|m| m.len() as u32).collect();
-            let (pseudo, x0) = self.pseudo_jobs(&new_sigs, quota);
-            let cont: Vec<f64> = if s == 1 {
-                vec![quota.as_f64()]
-            } else {
-                let split_problem = MultiTenantProblem::with_model(
-                    pseudo,
-                    resources.clone(),
-                    objective.drop_free(),
-                    model,
-                )?;
-                let split = split_problem.solve(solver, &x0)?;
-                split_evals = split.evals as u64;
-                split.replicas
-            };
-            self.budgets = split_budgets(&cont, &floors, quota.get());
-        }
-
-        // A clean shard still re-solves when its new budget no longer
-        // covers the cached allocation (the merged total must respect
-        // the quota). Solves run in ascending shard index; the first
-        // failure returns before any cache is touched.
-        let ctx = SolveCtx {
-            jobs: &jobs,
-            resources,
-            objective,
-            model,
-            use_shrinking,
-            solver,
-            current,
-            groups: self.cfg.groups,
-            seed: self.seed,
-        };
-        let solved_new = (0..s)
-            .filter(|&shard| {
-                dirty[shard]
-                    || match &self.caches[shard] {
-                        Some(c) => c.used > self.budgets[shard],
-                        None => true,
-                    }
-            })
-            .map(|shard| {
-                let r = solve_shard(&ctx, &self.members[shard], self.budgets[shard], shard)?;
-                Ok((shard, r))
-            })
-            .collect::<Result<Vec<(usize, ShardResult)>>>()?;
-
-        let mut record = ShardSolveRecord {
-            shards: s as u32,
-            solved: solved_new.len() as u32,
-            skipped: (s - solved_new.len()) as u32,
-            ..ShardSolveRecord::default()
-        };
-        let mut spans = Vec::with_capacity(solved_new.len());
-        for (shard, r) in &solved_new {
-            record.evals += r.evals;
-            spans.push(ShardSpan {
-                shard: *shard as u32,
-                evals: r.evals,
-            });
-        }
-        record.split_evals = split_evals;
-
-        // Commit: caches and signatures update only for solved shards.
-        for (shard, r) in solved_new {
-            let used = r.replicas.iter().sum();
-            for &j in &self.members[shard] {
-                self.sigs[j] = Some(new_sigs[j]);
-            }
-            self.caches[shard] = Some(ShardCache {
-                replicas: r.replicas,
-                drops: r.drops,
-                used,
-            });
-        }
-
-        let mut replicas = vec![1u32; n];
-        let mut drop_rates = vec![0.0f64; n];
-        for (shard, members) in self.members.iter().enumerate() {
-            let cache = self.caches[shard].as_ref().expect("every shard solved");
-            if !spans.iter().any(|sp| sp.shard == shard as u32) {
-                record.cache_hit_jobs += members.len() as u32;
-            }
-            for (pos, &j) in members.iter().enumerate() {
-                replicas[j] = cache.replicas[pos].max(1);
-                drop_rates[j] = cache.drops[pos];
-            }
-        }
-        Ok(ShardedAllocation {
-            replicas,
-            drop_rates,
-            record,
-            shard_spans: spans,
-        })
     }
 
     /// Per-shard pseudo-jobs for the top-level split: aggregated mean
@@ -610,6 +413,222 @@ impl ShardedSolver {
             })
             .collect();
         (pseudo, x0)
+    }
+}
+
+/// The sharded incremental solver. Owns the partition, the per-job
+/// workload signatures, and the per-shard allocation caches between
+/// rounds; [`ShardedSolver::solve`] is one long-term round.
+#[derive(Debug)]
+pub struct ShardedSolver {
+    cfg: ShardConfig,
+    seed: u64,
+    /// The last successful sharded round's partition and caches.
+    part: Partition,
+}
+
+impl ShardedSolver {
+    /// A solver with no cached state; the first round solves every
+    /// shard.
+    pub fn new(cfg: ShardConfig, seed: u64) -> Self {
+        Self {
+            cfg,
+            seed,
+            part: Partition::default(),
+        }
+    }
+
+    /// One long-term round under the paper's default model, with
+    /// stage-3 shrinking on, of the problem these arguments build: the
+    /// whole problem on one shard, else partition (if stale),
+    /// dirty-check, split, solve the dirty shards in shard order, commit
+    /// and merge. A one-shard round's record is all zero.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a cluster of two or more replica classes, whose class
+    /// split a `Vec<u32>` cannot carry; propagates problem-construction
+    /// and solver failures.
+    pub fn solve(
+        &mut self,
+        jobs: &[JobWorkload],
+        resources: ResourceModel,
+        objective: ClusterObjective,
+        fidelity: Fidelity,
+        solver: &dyn Solver,
+        current: &[u32],
+    ) -> Result<ShardedAllocation> {
+        let problem = MultiTenantProblem::new(jobs.to_vec(), resources, objective, fidelity)?;
+        if problem.n_classes() > 1 {
+            return Err(Error::InvalidSnapshot(
+                "a replica count per job cannot carry a classed cluster's class split".into(),
+            ));
+        }
+        let Round {
+            solved,
+            record,
+            spans,
+        } = self.solve_problem(&problem, solver, current, true)?;
+        Ok(ShardedAllocation {
+            replicas: solved.allocs.iter().map(ClassAlloc::total).collect(),
+            drop_rates: solved.drops,
+            record: record.unwrap_or_default(),
+            shard_spans: spans,
+        })
+    }
+
+    /// One long-term round of `problem`, shrinking flat solves when
+    /// `use_shrinking` says so. One shard solves the whole problem; more
+    /// partition (if stale), dirty-check, split, solve the dirty shards
+    /// in shard order, commit and merge.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shard-problem construction and solver failures. A
+    /// failed round commits nothing: the partition, budgets, signatures
+    /// and caches stay the last successful round's.
+    pub(crate) fn solve_problem(
+        &mut self,
+        problem: &MultiTenantProblem,
+        solver: &dyn Solver,
+        current: &[u32],
+        use_shrinking: bool,
+    ) -> Result<Round> {
+        let (jobs, n) = (problem.jobs(), problem.n_jobs());
+        let (groups, seed) = (self.cfg.groups, self.seed);
+        if self.cfg.shards.min(n) <= 1 || problem.n_classes() > 1 {
+            let solved =
+                solve_flat_or_grouped(problem, solver, current, use_shrinking, groups, seed)?;
+            return Ok(Round {
+                solved,
+                record: None,
+                spans: Vec::new(),
+            });
+        }
+        let resources = problem.resources();
+        let quota = resources.replica_quota();
+        let new_sigs: Vec<JobSignature> = jobs.iter().map(JobSignature::of).collect();
+        // A stale partition is rebuilt aside and committed with the rest.
+        let fresh = (n != self.part.n_jobs || quota.get() != self.part.quota)
+            .then(|| Partition::lpt(jobs, quota, self.cfg.shards));
+        let part = fresh.as_ref().unwrap_or(&self.part);
+        let s = part.members.len();
+
+        // A shard is dirty when any member's signature moved.
+        let dirty: Vec<bool> = part
+            .members
+            .iter()
+            .map(|members| {
+                members.iter().any(|&j| {
+                    part.sigs[j]
+                        .as_ref()
+                        .is_none_or(|old| old.dirty_against(&new_sigs[j]))
+                })
+            })
+            .collect();
+
+        // Top-level quota split: one S-variable solve over per-shard
+        // pseudo-jobs. Skipped on fully clean rounds — the previous
+        // budgets still describe the cluster within epsilon.
+        let mut split_evals = 0u64;
+        let budgets = if dirty.contains(&true) || part.budgets.len() != s {
+            let floors: Vec<u32> = part.members.iter().map(|m| m.len() as u32).collect();
+            let (pseudo, x0) = part.pseudo_jobs(&new_sigs, quota);
+            let split_problem = MultiTenantProblem::with_model(
+                pseudo,
+                resources.clone(),
+                problem.objective().drop_free(),
+                problem.model(),
+            )?;
+            let split = split_problem.solve(solver, &x0)?;
+            split_evals = split.evals as u64;
+            split_budgets(&split.replicas, &floors, quota.get())
+        } else {
+            part.budgets.clone()
+        };
+
+        // A clean shard still re-solves when its new budget no longer
+        // covers the cached allocation (the merged total must respect
+        // the quota). Solves run in ascending shard index; the first
+        // failure returns before anything is committed.
+        let covers =
+            |c: &Solved, budget: u32| c.allocs.iter().map(ClassAlloc::total).sum::<u32>() <= budget;
+        let solved_new = (0..s)
+            .filter(|&shard| {
+                dirty[shard]
+                    || part.caches[shard]
+                        .as_ref()
+                        .is_none_or(|c| !covers(c, budgets[shard]))
+            })
+            .map(|shard| {
+                let members = &part.members[shard];
+                let sub_jobs = members.iter().map(|&i| jobs[i].clone()).collect();
+                let sub_current: Vec<u32> = members
+                    .iter()
+                    .map(|&i| current.get(i).copied().unwrap_or(1))
+                    .collect();
+                let sub = MultiTenantProblem::with_model(
+                    sub_jobs,
+                    sub_resources_for_budget(resources, budgets[shard]),
+                    problem.objective(),
+                    problem.model(),
+                )?;
+                let seed = SplitMix64::child_seed(seed, shard as u64);
+                let r =
+                    solve_flat_or_grouped(&sub, solver, &sub_current, use_shrinking, groups, seed)?;
+                Ok((shard, r))
+            })
+            .collect::<Result<Vec<(usize, Solved)>>>()?;
+
+        // Commit: a rebuilt partition, the budgets, and the solved
+        // shards' signatures and caches.
+        if let Some(fresh) = fresh {
+            self.part = fresh;
+        }
+        self.part.budgets = budgets;
+        let mut record = ShardSolveRecord {
+            shards: s as u32,
+            solved: solved_new.len() as u32,
+            skipped: (s - solved_new.len()) as u32,
+            split_evals,
+            ..ShardSolveRecord::default()
+        };
+        let mut spans = Vec::with_capacity(solved_new.len());
+        for (shard, r) in solved_new {
+            record.evals += r.evals;
+            spans.push(ShardSpan {
+                shard: shard as u32,
+                evals: r.evals,
+            });
+            for &j in &self.part.members[shard] {
+                self.part.sigs[j] = Some(new_sigs[j]);
+            }
+            self.part.caches[shard] = Some(r);
+        }
+
+        let mut allocs = vec![ClassAlloc::zero(1); n];
+        let mut drops = vec![0.0f64; n];
+        for (shard, members) in self.part.members.iter().enumerate() {
+            let cache = self.part.caches[shard]
+                .as_ref()
+                .expect("every shard solved");
+            if !spans.iter().any(|sp| sp.shard == shard as u32) {
+                record.cache_hit_jobs += members.len() as u32;
+            }
+            for (pos, &j) in members.iter().enumerate() {
+                allocs[j] = cache.allocs[pos];
+                drops[j] = cache.drops[pos];
+            }
+        }
+        Ok(Round {
+            solved: Solved {
+                allocs,
+                drops,
+                evals: record.evals + split_evals,
+            },
+            record: Some(record),
+            spans,
+        })
     }
 }
 
@@ -842,5 +861,57 @@ mod tests {
             .expect("every shard hosts one replica per member");
         assert_eq!(out.record.solved, 3);
         assert!(out.replicas.iter().sum::<u32>() <= 48);
+    }
+
+    /// Cobyla, except that its `fail_at`-th call (counting from 1) fails
+    /// as a NaN objective at the start point would.
+    struct FailingCall {
+        calls: std::cell::Cell<usize>,
+        fail_at: usize,
+    }
+
+    impl Solver for FailingCall {
+        fn solve(
+            &self,
+            problem: &(dyn faro_solver::Problem + Sync),
+            x0: &[f64],
+        ) -> faro_solver::Result<faro_solver::Solution> {
+            self.calls.set(self.calls.get() + 1);
+            if self.calls.get() == self.fail_at {
+                return Err(faro_solver::Error::NanObjective);
+            }
+            Cobyla::fast().solve(problem, x0)
+        }
+    }
+
+    /// A round that fails part-way commits nothing: its retry is, byte
+    /// for byte, the round of a solver that never failed. Quota 70 after
+    /// 120 rebuilds the partition, and the failing call is the third
+    /// shard's solve, after the split has set the budgets.
+    #[test]
+    fn a_failed_round_leaves_no_state_behind() {
+        let js: Vec<JobWorkload> = (0..30u32)
+            .map(|i| {
+                let lambda = 1.0 + f64::from(i * 37 % 23) * 1.7;
+                JobWorkload::constant(lambda, 0.180, Slo::paper_default(), 1.0 + f64::from(i % 3))
+            })
+            .collect();
+        let round = |solver: &mut ShardedSolver, quota: u32, cobyla: &dyn Solver| {
+            let resources = ResourceModel::replicas(ReplicaCount::new(quota));
+            let (objective, fidelity) = (ClusterObjective::Sum, Fidelity::Relaxed);
+            solver.solve(&js, resources, objective, fidelity, cobyla, &[1; 30])
+        };
+        let mut never_failed = ShardedSolver::new(ShardConfig::with_shards(5), 7);
+        round(&mut never_failed, 120, &Cobyla::fast()).unwrap();
+        let want = round(&mut never_failed, 70, &Cobyla::fast()).unwrap();
+        let mut failed = ShardedSolver::new(ShardConfig::with_shards(5), 7);
+        round(&mut failed, 120, &Cobyla::fast()).unwrap();
+        let failing = FailingCall {
+            calls: std::cell::Cell::new(0),
+            fail_at: 4,
+        };
+        assert!(round(&mut failed, 70, &failing).is_err());
+        let retried = round(&mut failed, 70, &Cobyla::fast()).unwrap();
+        assert_eq!(format!("{retried:?}"), format!("{want:?}"));
     }
 }
