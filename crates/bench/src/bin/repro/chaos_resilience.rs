@@ -96,10 +96,7 @@ fn run_once(apply_rate: f64, retry: RetryPolicy, seed: u64) -> (f64, DriverStats
     };
     let backend = ramp_sim().into_backend().expect("backend builds");
     let chaos = ChaosBackend::new(backend, plan, seed).expect("valid plan");
-    let cfg = ResilienceConfig {
-        retry,
-        ..Default::default()
-    };
+    let cfg = ResilienceConfig { retry };
     let policy = RampSupply {
         round: 0,
         ceiling: 19,

@@ -8,7 +8,7 @@
 //! against a live server. Its [`WallClock`] is the host's physical
 //! clock — the epoch offset read once at connect plus monotonic
 //! elapsed time, so it never steps backwards — used only for pacing
-//! sleeps, latency samples, and wall-tagged telemetry: [`WallTimeMs`]
+//! sleeps and wall-tagged telemetry: [`WallTimeMs`]
 //! has no conversion into the logical timeline, so the two cannot be
 //! mixed by accident.
 //!
@@ -16,7 +16,10 @@
 //! logical timeline as `snapshot.now = clock.now() − age`, which is
 //! precisely what [`faro_control::ResilientDriver`]'s staleness window
 //! checks — the cache-tolerance ladder works unchanged across the
-//! process boundary.
+//! process boundary. A refusal whose error body says `"retryable":
+//! false` (a 400 for a body the server can never apply, a 404) is
+//! [`BackendError::Rejected`], which the ladder does not retry; every
+//! other failure is transient.
 
 use crate::http::post;
 use crate::wall::WallAnchor;
@@ -30,7 +33,7 @@ use faro_core::units::{DurationMs, ReplicaCount, SimTimeMs, WallTimeMs};
 use faro_telemetry::{TelemetryEvent, TelemetrySink};
 use std::io;
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How an [`HttpBackend`] paces and bounds its loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,9 +70,6 @@ pub struct HttpBackend {
     round: u64,
     /// The host clock behind [`WallClock`], anchored at connect.
     wall: WallAnchor,
-    /// Wall-clock apply latencies, milliseconds, one per successful
-    /// or failed attempt — the live loop's p99 comes from here.
-    apply_latencies_ms: Vec<f64>, // faro-lint: allow(raw-time-arith): measurement samples feeding the metrics percentile API, raw ms by contract
 }
 
 impl HttpBackend {
@@ -80,7 +80,6 @@ impl HttpBackend {
             cfg,
             round: 0,
             wall: WallAnchor::new(),
-            apply_latencies_ms: Vec::new(),
         }
     }
 
@@ -101,16 +100,6 @@ impl HttpBackend {
         }
     }
 
-    /// Wall-clock apply latencies recorded so far, milliseconds.
-    pub fn apply_latencies_ms(&self) -> &[f64] {
-        &self.apply_latencies_ms
-    }
-
-    /// Rounds completed so far on the logical timeline.
-    pub fn rounds(&self) -> u64 {
-        self.round
-    }
-
     fn transport_error(&self, e: io::Error) -> BackendError {
         match e.kind() {
             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => BackendError::Timeout {
@@ -125,18 +114,24 @@ fn unavailable(reason: String) -> BackendError {
     BackendError::Unavailable { reason }
 }
 
-/// Maps a non-200 reply onto the backend error taxonomy. The error
-/// body's `retryable` flag is advisory here — every v1 server error
-/// is transport-shaped and the resilient driver's budget bounds the
-/// retries either way.
+/// Maps a non-200 reply onto the backend error taxonomy: a body that
+/// says `"retryable": false` is [`BackendError::Rejected`], anything
+/// else (an injected 503, an unparseable body) is `Unavailable`.
 fn reply_error(status: u16, body: &str) -> BackendError {
-    let detail = serde_json::from_str(body)
+    let parsed = serde_json::from_str(body)
         .ok()
         .as_ref()
-        .and_then(ErrorBody::from_json)
+        .and_then(ErrorBody::from_json);
+    let retryable = parsed.as_ref().is_none_or(|e| e.retryable);
+    let detail = parsed
         .map(|e| e.error)
         .unwrap_or_else(|| format!("status {status} with unparseable body"));
-    unavailable(format!("server refused ({status}): {detail}"))
+    let reason = format!("server refused ({status}): {detail}");
+    if retryable {
+        unavailable(reason)
+    } else {
+        BackendError::Rejected { reason }
+    }
 }
 
 impl Clock for HttpBackend {
@@ -199,11 +194,8 @@ impl ClusterBackend for HttpBackend {
     fn apply(&mut self, desired: &DesiredState) -> Result<ActuationReport, BackendError> {
         let mut body = String::new();
         write_apply_request(desired, &mut body);
-        let started = Instant::now();
-        let result = post(self.addr, APPLY_PATH, &body, self.cfg.request_timeout);
-        self.apply_latencies_ms
-            .push(started.elapsed().as_secs_f64() * 1e3);
-        let resp = result.map_err(|e| self.transport_error(e))?;
+        let resp = post(self.addr, APPLY_PATH, &body, self.cfg.request_timeout)
+            .map_err(|e| self.transport_error(e))?;
         if resp.status != 200 {
             return Err(reply_error(resp.status, &resp.body));
         }
@@ -225,6 +217,7 @@ mod tests {
     use crate::model::ClusterConfig;
     use crate::server::ClusterServer;
     use faro_telemetry::TraceSink;
+    use std::time::Instant;
 
     fn quick() -> LiveConfig {
         LiveConfig {
@@ -265,7 +258,6 @@ mod tests {
         let report = backend.apply(&desired).expect("apply");
         assert_eq!(report.jobs_applied, 1);
         assert_eq!(report.replicas_started, ReplicaCount::new(3));
-        assert_eq!(backend.apply_latencies_ms().len(), 1);
         server.shutdown();
     }
 
@@ -306,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn an_absurd_apply_is_an_unavailable_backend_and_the_next_one_lands() {
+    fn an_absurd_apply_is_rejected_and_the_next_one_lands() {
         use faro_core::types::JobDecision;
         let server = ClusterServer::spawn(ClusterConfig::demo(20)).expect("spawn");
         let mut backend = HttpBackend::connect(server.addr(), quick());
@@ -320,7 +312,7 @@ mod tests {
             desired.set(id, absurd);
             let result = backend.apply(&desired);
             assert!(
-                matches!(result, Err(BackendError::Unavailable { .. })),
+                matches!(&result, Err(e @ BackendError::Rejected { .. }) if !e.is_retryable()),
                 "{absurd:?}: {result:?}"
             );
         }

@@ -244,11 +244,6 @@ impl ClusterModel {
         resp
     }
 
-    /// The configured logical tick, milliseconds.
-    pub fn tick_ms(&self) -> u64 {
-        self.config.tick_ms
-    }
-
     /// The cluster's total replica quota.
     pub fn total_replicas(&self) -> u32 {
         self.config.total_replicas

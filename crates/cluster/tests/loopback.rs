@@ -1,7 +1,7 @@
 //! End-to-end loopback integration: real TCP server, real HTTP
 //! client, the resilient driver steering through seeded server-side
-//! chaos, and externally injected drift that must be detected and
-//! healed.
+//! chaos, externally injected drift that must be detected and healed,
+//! and refusals the server marks final that must not be retried.
 //!
 //! Each chaos test runs under every seed in [`CHAOS_SEEDS`]; for any
 //! fixed seed the run is deterministic — one server thread serves
@@ -15,8 +15,10 @@ use faro_cluster::{
     ChaosConfig, ClusterConfig, ClusterServer, HttpBackend, LiveConfig, ObserveResponse,
 };
 use faro_control::{Clock, Driver, Reconciler, ResilienceConfig, ResilientDriver};
-use faro_core::admission::ClampToQuota;
+use faro_core::admission::{ClampToQuota, Unlimited};
 use faro_core::baselines::Aiad;
+use faro_core::types::{ClusterSnapshot, DesiredState, JobDecision};
+use faro_core::Policy;
 use faro_telemetry::{TelemetryEvent, TraceSink};
 use std::time::{Duration, Instant};
 
@@ -182,9 +184,39 @@ fn plain_reconciler_runs_clean_over_http() {
         .run()
         .expect("clean backend never fails");
     assert_eq!(out.stats.rounds, 20);
-    assert!(
-        !out.backend.apply_latencies_ms().is_empty(),
-        "apply latency samples were recorded"
-    );
     server.shutdown();
+}
+
+/// Asks every job for a fixed target, every round.
+struct Want(u32);
+
+impl Policy for Want {
+    fn name(&self) -> &str {
+        "want"
+    }
+
+    fn decide(&mut self, snapshot: &ClusterSnapshot) -> DesiredState {
+        snapshot
+            .job_ids()
+            .map(|id| (id, JobDecision::replicas(self.0)))
+            .collect()
+    }
+}
+
+/// A target past the 16-replica demo cluster gets a 400 the server
+/// marks non-retryable; the client reports it as `Rejected` and the
+/// resilient driver spends no retry on it.
+#[test]
+fn refused_applies_are_not_retried() {
+    let server = ClusterServer::spawn(ClusterConfig::demo(30)).expect("spawn server");
+    let backend = HttpBackend::connect(server.addr(), live_config(6));
+    let out = Driver::new(backend, Box::new(Want(17)))
+        .admission(Box::new(Unlimited))
+        .resilience(ResilienceConfig::default())
+        .run()
+        .expect("a resilient run never stops on a backend error");
+    server.shutdown();
+    let stats = out.driver_stats.expect("a resilient run counts its rounds");
+    assert_eq!(stats.apply_retries, 0, "{stats:?}");
+    assert!(stats.apply_failures > 0, "{stats:?}");
 }

@@ -86,14 +86,6 @@ impl ChaosPlan {
         Self::default()
     }
 
-    /// Whether the plan injects nothing.
-    pub fn is_none(&self) -> bool {
-        self.api_errors.is_none()
-            && self.latency.is_none()
-            && self.stale_snapshots.is_none()
-            && self.partial_applies.is_none()
-    }
-
     /// Validates rates and durations.
     ///
     /// # Errors

@@ -8,27 +8,29 @@
 //! serve stale snapshots. The [`ResilientDriver`] is the resilient arm
 //! of [`Driver::run`](crate::Driver::run): it wraps any
 //! [`ClusterBackend`] and keeps each round alive through those
-//! failures without ever touching a wall clock:
+//! failures without ever touching a wall clock. Its tuning is
+//! [`ResilienceConfig`] (the retry policy); every other knob is a
+//! constant of this module:
 //!
-//! * **Bounded retry with backoff.** Each `observe`/`apply` is retried
+//! * **Bounded retry with backoff.** Each `observe`/`apply` is tried
 //!   up to [`RetryPolicy::max_attempts`] times. Backoff delays double
-//!   from [`RetryPolicy::base_backoff`] up to
-//!   [`RetryPolicy::max_backoff`], jittered into `[d/2, d)` by a
-//!   seeded splitmix64 stream, and are *virtual*: expressed in
-//!   [`DurationMs`], charged against a per-phase budget, never slept.
-//!   Two runs with the same seed retry identically.
-//! * **Circuit breaker.** After [`ResilienceConfig::breaker_threshold`]
-//!   consecutive failed rounds the breaker opens: whole rounds are
-//!   skipped (no backend call at all — an open round provably cannot
-//!   mutate cluster state) for
-//!   [`ResilienceConfig::breaker_cooldown_rounds`] rounds, then a
+//!   from [`BASE_BACKOFF`] up to [`MAX_BACKOFF`], jittered into
+//!   `[d/2, d)` by a fixed-seed splitmix64 stream, and are *virtual*:
+//!   expressed in [`DurationMs`], charged against [`CALL_BUDGET`] per
+//!   call, never slept. Two runs with the same failures retry
+//!   identically. An error that is not
+//!   [retryable](BackendError::is_retryable) ends the call at once.
+//! * **Circuit breaker.** After [`BREAKER_THRESHOLD`] consecutive
+//!   failed rounds the breaker opens: whole rounds are skipped (no
+//!   backend call at all — an open round provably cannot mutate
+//!   cluster state) for [`BREAKER_COOLDOWN_ROUNDS`] rounds, then a
 //!   half-open probe round tests the water.
 //! * **Degraded-mode ladder.** When `observe` gives up, the driver
-//!   extends PR 1's solve carry-forward to the API layer: it first
-//!   re-plans on the last good snapshot if that is younger than
-//!   [`ResilienceConfig::staleness_window`]; failing that it
-//!   re-applies the last desired state verbatim (carry-forward);
-//!   failing that it skips the round and reports it.
+//!   extends the solver's carry-forward to the API layer: it first
+//!   re-plans on the last good snapshot if that is no older than
+//!   [`STALENESS_WINDOW`]; failing that it re-applies the last desired
+//!   state verbatim (carry-forward); failing that it skips the round
+//!   and reports it.
 //! * **Drift detection.** A fresh snapshot whose per-job targets
 //!   disagree with the last applied desired state (external
 //!   interference, an earlier partial apply) is flagged; the round's
@@ -44,71 +46,50 @@ use faro_core::types::{ClusterSnapshot, DesiredState};
 use faro_core::units::{DurationMs, SimTimeMs};
 use faro_telemetry::{TelemetryEvent, TelemetrySink};
 
+/// Backoff before the first retry; doubles per subsequent retry.
+pub const BASE_BACKOFF: DurationMs = DurationMs::from_millis(100);
+/// Ceiling on a single backoff delay.
+pub const MAX_BACKOFF: DurationMs = DurationMs::from_millis(2_000);
+/// Cumulative virtual backoff budget per call and round, for `observe`
+/// and `apply` alike; retries stop once the next delay would exceed it.
+pub const CALL_BUDGET: DurationMs = DurationMs::from_millis(5_000);
+/// How old a snapshot (cached or served) may be and still be planned
+/// on; beyond this the round degrades to carry-forward.
+pub const STALENESS_WINDOW: DurationMs = DurationMs::from_millis(60_000);
+/// Consecutive failed rounds before the breaker opens.
+pub const BREAKER_THRESHOLD: u32 = 3;
+/// Open rounds (fully skipped) before a half-open probe.
+pub const BREAKER_COOLDOWN_ROUNDS: u32 = 5;
+/// Seed of the backoff jitter stream: runs with equal failure patterns
+/// produce byte-identical retry schedules.
+const JITTER_SEED: u64 = 0xd81f_7e77;
+
 /// Bounded-retry parameters for one backend call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per call, including the first (1 = no retry).
     pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub base_backoff: DurationMs,
-    /// Ceiling on a single backoff delay.
-    pub max_backoff: DurationMs,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: 4,
-            base_backoff: DurationMs::from_millis(100),
-            max_backoff: DurationMs::from_secs(2.0),
-        }
+        Self { max_attempts: 4 }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries (first failure is final).
     pub fn no_retry() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
+        Self { max_attempts: 1 }
     }
 }
 
-/// Tuning for the [`ResilientDriver`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Tuning for the [`ResilientDriver`]: everything else on the ladder is
+/// a constant of this module.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// Retry policy shared by `observe` and `apply`.
     pub retry: RetryPolicy,
-    /// Cumulative virtual backoff budget per round for `observe`;
-    /// retries stop once the next delay would exceed it.
-    pub observe_budget: DurationMs,
-    /// Cumulative virtual backoff budget per round for `apply`.
-    pub apply_budget: DurationMs,
-    /// How old a snapshot (cached or served) may be and still be
-    /// planned on; beyond this the round degrades to carry-forward.
-    pub staleness_window: DurationMs,
-    /// Consecutive failed rounds before the breaker opens.
-    pub breaker_threshold: u32,
-    /// Open rounds (fully skipped) before a half-open probe.
-    pub breaker_cooldown_rounds: u32,
-    /// Seed for the backoff jitter stream. Runs with equal seeds and
-    /// equal failure patterns produce byte-identical retry schedules.
-    pub jitter_seed: u64,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self {
-            retry: RetryPolicy::default(),
-            observe_budget: DurationMs::from_secs(5.0),
-            apply_budget: DurationMs::from_secs(5.0),
-            staleness_window: DurationMs::from_secs(60.0),
-            breaker_threshold: 3,
-            breaker_cooldown_rounds: 5,
-            jitter_seed: 0,
-        }
-    }
 }
 
 /// Circuit-breaker state.
@@ -163,19 +144,10 @@ pub struct DriverStats {
 }
 
 /// Deterministic jitter: the workspace splitmix64 stream
-/// ([`faro_core::rng::SplitMix64`]), advanced once per backoff draw.
-/// No external RNG dependency, no global state — the stream is part of
-/// the driver and therefore of the run's seed, and its draws are
-/// bit-identical to the private stream this module carried before the
-/// generator moved to `faro-core`.
+/// ([`faro_core::rng::SplitMix64`]) seeded with [`JITTER_SEED`],
+/// advanced once per backoff draw. No external RNG dependency, no
+/// global state: the stream is part of the driver.
 type JitterStream = faro_core::rng::SplitMix64;
-
-/// Outcome of one retried call: the value, plus how many retries and
-/// how much virtual delay it took.
-struct Retried<T> {
-    value: Result<T, BackendError>,
-    retries: u64,
-}
 
 /// Wraps a fallible [`ClusterBackend`] and carries each
 /// Observe → Decide → Admit → Actuate round through failures.
@@ -202,7 +174,7 @@ impl<B: ClusterBackend> ResilientDriver<B> {
         Self {
             backend,
             cfg,
-            jitter: JitterStream::new(cfg.jitter_seed ^ 0xd81f_7e77),
+            jitter: JitterStream::new(JITTER_SEED),
             breaker: BreakerState::Closed,
             consecutive_failures: 0,
             cooldown_left: 0,
@@ -242,6 +214,10 @@ impl<B: ClusterBackend> ResilientDriver<B> {
     /// [`Reconciler::reconcile`] this never fails: every backend error
     /// is retried, degraded around, or skipped and counted. Retries,
     /// breaker transitions, and degraded rounds stream into `sink`.
+    /// On a backend that never fails it is `observe` → `plan_with` →
+    /// `apply_with` → `complete_round_with` plus the drift check, which
+    /// still reports any observed target that disagrees with the last
+    /// applied one.
     pub fn round_with<S: TelemetrySink>(&mut self, reconciler: &mut Reconciler, sink: &mut S) {
         self.stats.rounds += 1;
         let at = self.backend.now();
@@ -264,9 +240,21 @@ impl<B: ClusterBackend> ResilientDriver<B> {
         } else {
             self.cfg.retry.max_attempts
         };
-        let observed = self.observe_with_retry(at, attempts, sink);
-        self.stats.observe_retries += observed.retries;
-        match observed.value {
+        let (observed, retries) = self.with_retry(at, "observe", attempts, sink, |backend, _| {
+            backend.observe().and_then(|snapshot| {
+                // A served snapshot can itself be stale (a chaos or
+                // live backend replaying a cache); past the window it
+                // counts as a failure and is retried like one.
+                let age = at.saturating_duration_since(snapshot.now);
+                if age > STALENESS_WINDOW {
+                    Err(BackendError::StaleSnapshot { age })
+                } else {
+                    Ok(snapshot)
+                }
+            })
+        });
+        self.stats.observe_retries += retries;
+        match observed {
             Ok(snapshot) => {
                 self.detect_drift(&snapshot, sink);
                 self.plan_and_apply(snapshot, reconciler, attempts, false, sink);
@@ -298,9 +286,9 @@ impl<B: ClusterBackend> ResilientDriver<B> {
         }
         let planned = reconciler.plan_with(&snapshot, sink);
         let desired = planned.desired.clone();
-        let applied = self.apply_with_retry(at, &desired, attempts, sink);
-        self.stats.apply_retries += applied.retries;
-        match applied.value {
+        let (applied, retries) = self.apply(at, &desired, attempts, sink);
+        self.stats.apply_retries += retries;
+        match applied {
             Ok(actuation) => {
                 reconciler.complete_round_with(&snapshot, planned, &actuation, sink);
                 self.last_desired = Some(desired);
@@ -321,6 +309,7 @@ impl<B: ClusterBackend> ResilientDriver<B> {
                     // anything, landed before the failure.
                     BackendError::Timeout { .. }
                     | BackendError::Unavailable { .. }
+                    | BackendError::Rejected { .. }
                     | BackendError::StaleSnapshot { .. } => 0,
                 };
                 let actuation = ActuationReport {
@@ -348,7 +337,7 @@ impl<B: ClusterBackend> ResilientDriver<B> {
     ) {
         let tolerable = self.last_snapshot.as_ref().and_then(|cached| {
             let age = at.saturating_duration_since(cached.now);
-            (age <= self.cfg.staleness_window).then(|| cached.clone())
+            (age <= STALENESS_WINDOW).then(|| cached.clone())
         });
         if let Some(snapshot) = tolerable {
             self.stats.stale_tolerated_rounds += 1;
@@ -373,9 +362,9 @@ impl<B: ClusterBackend> ResilientDriver<B> {
                     },
                 );
             }
-            let applied = self.apply_with_retry(at, &desired, attempts, sink);
-            self.stats.apply_retries += applied.retries;
-            if applied.value.is_err() {
+            let (applied, retries) = self.apply(at, &desired, attempts, sink);
+            self.stats.apply_retries += retries;
+            if applied.is_err() {
                 self.stats.apply_failures += 1;
             }
             self.round_failed(at, sink);
@@ -437,12 +426,12 @@ impl<B: ClusterBackend> ResilientDriver<B> {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let trip = match self.breaker {
             BreakerState::HalfOpen => true,
-            BreakerState::Closed => self.consecutive_failures >= self.cfg.breaker_threshold,
+            BreakerState::Closed => self.consecutive_failures >= BREAKER_THRESHOLD,
             BreakerState::Open => false,
         };
         if trip {
             self.stats.breaker_opens += 1;
-            self.cooldown_left = self.cfg.breaker_cooldown_rounds.max(1);
+            self.cooldown_left = BREAKER_COOLDOWN_ROUNDS;
             self.transition(at, BreakerState::Open, sink);
         }
     }
@@ -461,101 +450,52 @@ impl<B: ClusterBackend> ResilientDriver<B> {
         }
     }
 
-    fn observe_with_retry<S: TelemetrySink>(
-        &mut self,
-        at: SimTimeMs,
-        max_attempts: u32,
-        sink: &mut S,
-    ) -> Retried<ClusterSnapshot> {
-        let budget = self.cfg.observe_budget;
-        let mut spent = DurationMs::ZERO;
-        let mut attempt = 0u32;
-        let mut retries = 0u64;
-        loop {
-            attempt += 1;
-            let value = self.backend.observe().and_then(|snapshot| {
-                // A served snapshot can itself be stale (a chaos or
-                // live backend replaying a cache); past the window it
-                // counts as a failure and is retried like one.
-                let age = at.saturating_duration_since(snapshot.now);
-                if age > self.cfg.staleness_window {
-                    Err(BackendError::StaleSnapshot { age })
-                } else {
-                    Ok(snapshot)
-                }
-            });
-            let err = match value {
-                Ok(snapshot) => {
-                    return Retried {
-                        value: Ok(snapshot),
-                        retries,
-                    }
-                }
-                Err(e) => e,
-            };
-            let Some(delay) = self.next_backoff(attempt, max_attempts, spent, budget, &err) else {
-                return Retried {
-                    value: Err(err),
-                    retries,
-                };
-            };
-            spent = spent + delay;
-            retries += 1;
-            if sink.enabled() {
-                sink.event(
-                    at,
-                    &TelemetryEvent::BackendRetry {
-                        phase: "observe".to_owned(),
-                        attempt,
-                        backoff_ms: delay.as_millis(),
-                        error: err.to_string(),
-                    },
-                );
-            }
-        }
-    }
-
-    fn apply_with_retry<S: TelemetrySink>(
+    /// `apply` with retry. Replicas started by a failed partial attempt
+    /// did start (and emitted their `ColdStartBegan` events); the report
+    /// of the eventually-successful attempt covers only its own starts,
+    /// so replica accounting can undercount under chaos. Acceptable:
+    /// the event stream is the source of truth for lifecycle.
+    fn apply<S: TelemetrySink>(
         &mut self,
         at: SimTimeMs,
         desired: &DesiredState,
+        attempts: u32,
+        sink: &mut S,
+    ) -> (Result<ActuationReport, BackendError>, u64) {
+        self.with_retry(at, "apply", attempts, sink, |backend, sink| {
+            backend.apply_with(desired, sink)
+        })
+    }
+
+    /// Runs one backend `call` up to `max_attempts` times within
+    /// [`CALL_BUDGET`] of virtual backoff, emitting a `BackendRetry`
+    /// event tagged `phase` per retry. Returns the last result and the
+    /// number of retries beyond the first attempt.
+    fn with_retry<T, S: TelemetrySink>(
+        &mut self,
+        at: SimTimeMs,
+        phase: &str,
         max_attempts: u32,
         sink: &mut S,
-    ) -> Retried<ActuationReport> {
-        let budget = self.cfg.apply_budget;
+        mut call: impl FnMut(&mut B, &mut S) -> Result<T, BackendError>,
+    ) -> (Result<T, BackendError>, u64) {
         let mut spent = DurationMs::ZERO;
         let mut attempt = 0u32;
-        let mut retries = 0u64;
-        // Replicas started by a failed partial attempt did start (and
-        // emitted their ColdStartBegan events); the report of the
-        // eventually-successful attempt covers only its own starts, so
-        // replica accounting can undercount under chaos. Acceptable:
-        // the events stream is the source of truth for lifecycle.
         loop {
             attempt += 1;
-            let value = self.backend.apply_with(desired, dyn_sink(sink));
-            let err = match value {
-                Ok(report) => {
-                    return Retried {
-                        value: Ok(report),
-                        retries,
-                    };
-                }
+            let err = match call(&mut self.backend, sink) {
+                Ok(value) => return (Ok(value), u64::from(attempt - 1)),
                 Err(e) => e,
             };
-            let Some(delay) = self.next_backoff(attempt, max_attempts, spent, budget, &err) else {
-                return Retried {
-                    value: Err(err),
-                    retries,
-                };
+            let Some(delay) = self.next_backoff(attempt, max_attempts, spent, &err) else {
+                return (Err(err), u64::from(attempt - 1));
             };
             spent = spent + delay;
-            retries += 1;
             if sink.enabled() {
                 sink.event(
                     at,
                     &TelemetryEvent::BackendRetry {
-                        phase: "apply".to_owned(),
+                        phase: phase.to_owned(),
                         attempt,
                         backoff_ms: delay.as_millis(),
                         error: err.to_string(),
@@ -567,35 +507,26 @@ impl<B: ClusterBackend> ResilientDriver<B> {
 
     /// The next virtual backoff delay, or `None` when retrying must
     /// stop (attempts exhausted, budget exhausted, or the error is not
-    /// retryable). Exponential from `base`, capped at `max`, jittered
-    /// into `[d/2, d)` by the seeded stream.
+    /// retryable). Exponential from [`BASE_BACKOFF`], capped at
+    /// [`MAX_BACKOFF`], jittered into `[d/2, d)` by the seeded stream.
     fn next_backoff(
         &mut self,
         attempt: u32,
         max_attempts: u32,
         spent: DurationMs,
-        budget: DurationMs,
         err: &BackendError,
     ) -> Option<DurationMs> {
         if !err.is_retryable() || attempt >= max_attempts {
             return None;
         }
-        let base = self.cfg.retry.base_backoff.as_millis().max(1);
-        let cap = self.cfg.retry.max_backoff.as_millis().max(base);
+        let base = BASE_BACKOFF.as_millis();
         let exp = base.saturating_mul(1i64.checked_shl(attempt - 1).unwrap_or(i64::MAX));
-        let d = exp.min(cap);
-        let half = (d / 2).max(1);
-        let jittered = half + (self.jitter.next_u64() % (half as u64).max(1)) as i64;
-        let delay = DurationMs::from_millis(jittered.min(d));
-        if spent + delay > budget {
+        let d = exp.min(MAX_BACKOFF.as_millis());
+        let half = d / 2;
+        let delay = DurationMs::from_millis(half + (self.jitter.next_u64() % half as u64) as i64);
+        if spent + delay > CALL_BUDGET {
             return None;
         }
         Some(delay)
     }
-}
-
-/// Reborrows a generic sink as the `&mut dyn` the object-safe
-/// `apply_with` entry point takes.
-fn dyn_sink<S: TelemetrySink>(sink: &mut S) -> &mut dyn TelemetrySink {
-    sink
 }

@@ -4,6 +4,7 @@
 //! `Driver::run` as the very program a caller stepping rounds by hand
 //! runs.
 
+use faro_control::resilient::{BREAKER_COOLDOWN_ROUNDS, BREAKER_THRESHOLD, STALENESS_WINDOW};
 use faro_control::{
     ActuationReport, ApiErrors, BackendError, BreakerState, ChaosBackend, ChaosPlan, Clock,
     ClusterBackend, Driver, DriverError, DriverOutcome, DriverStats, PartialApplies, Reconciler,
@@ -224,21 +225,20 @@ fn retry_schedules_replay_byte_identically() {
             Some(ScriptBackend::unavailable()),
         ]);
         let mut sink = TraceSink::new();
-        let cfg = ResilienceConfig {
-            jitter_seed: 7,
-            ..ResilienceConfig::default()
-        };
-        resilient(driver(backend, 3).telemetry(&mut sink), cfg);
+        resilient(
+            driver(backend, 3).telemetry(&mut sink),
+            ResilienceConfig::default(),
+        );
         sink.to_jsonl()
     };
     let a = run();
     assert!(a.contains("BackendRetry"), "retries were traced");
-    assert_eq!(a, run(), "same seed, same failures: same trace bytes");
+    assert_eq!(a, run(), "same failures: same trace bytes");
 }
 
 #[test]
 fn degraded_rounds_plan_on_the_cached_snapshot_then_carry_forward() {
-    let mut backend = ScriptBackend::new(8, 2);
+    let mut backend = ScriptBackend::new(9, 2);
     // Round 1 observes fine; every later observe fails (4 attempts per
     // round under the default policy).
     backend.observe_plan = VecDeque::from(
@@ -246,17 +246,17 @@ fn degraded_rounds_plan_on_the_cached_snapshot_then_carry_forward() {
             .chain(std::iter::repeat_with(|| Some(ScriptBackend::unavailable())).take(200))
             .collect::<Vec<_>>(),
     );
-    // A staleness window of one tick: round 2 can still plan on round
-    // 1's snapshot; round 3 onward must carry forward.
-    let cfg = ResilienceConfig {
-        staleness_window: DurationMs::from_secs(10.0),
-        breaker_threshold: 100, // keep the breaker out of this test
-        ..ResilienceConfig::default()
-    };
-    let (out, stats) = resilient(driver(backend, 5), cfg);
+    // Ticks every 10 s: the rounds at 10..=60 s still plan on round 1's
+    // snapshot (the 60 s staleness window); the rounds at 70 and 80 s
+    // must carry forward. Stale-tolerated rounds do not count toward
+    // the breaker, and two carry-forwards stay under its threshold.
+    assert_eq!(STALENESS_WINDOW, DurationMs::from_secs(60.0));
+    const { assert!(BREAKER_THRESHOLD > 2) };
+    let (out, stats) = resilient(driver(backend, 5), ResilienceConfig::default());
     assert_eq!(stats.ok_rounds, 1);
-    assert_eq!(stats.stale_tolerated_rounds, 1);
-    assert!(stats.carry_forward_rounds >= 1);
+    assert_eq!(stats.stale_tolerated_rounds, 6);
+    assert_eq!(stats.carry_forward_rounds, 2);
+    assert_eq!(stats.breaker_opens, 0);
     assert_eq!(stats.skipped_rounds, 0, "always had state to act on");
     assert_eq!(
         out.backend.targets,
@@ -275,22 +275,18 @@ fn breaker_opens_skips_and_probes_on_schedule() {
     );
     let cfg = ResilienceConfig {
         retry: RetryPolicy::no_retry(),
-        staleness_window: DurationMs::ZERO, // no cache tolerance
-        breaker_threshold: 3,
-        breaker_cooldown_rounds: 3,
-        ..ResilienceConfig::default()
     };
     let mut sink = TraceSink::new();
     let (out, stats) = resilient(driver(backend, 4).telemetry(&mut sink), cfg);
 
     // Rounds 1-3 fail (one attempt each, no state to degrade onto) and
-    // trip the breaker; rounds 4-5 are cooldown skips with zero backend
-    // calls; round 6 is a half-open probe that fails and re-trips.
-    assert!(stats.breaker_opens >= 2, "{stats:?}");
-    assert!(stats.skipped_rounds >= 3 + 4, "{stats:?}");
-    // 12 rounds, cooldowns of 2 skipped rounds each after 3 failures +
-    // repeated probes: far fewer observe calls than rounds.
-    assert!(out.backend.observe_calls < 12);
+    // trip the breaker; rounds 4-7 are cooldown skips with zero backend
+    // calls; round 8 is a half-open probe that fails and re-trips, and
+    // rounds 9-12 are the next cooldown.
+    assert_eq!((BREAKER_THRESHOLD, BREAKER_COOLDOWN_ROUNDS), (3, 5));
+    assert_eq!(stats.breaker_opens, 2, "{stats:?}");
+    assert_eq!(stats.skipped_rounds, 12, "{stats:?}");
+    assert_eq!(out.backend.observe_calls, 4, "three failures and one probe");
     assert_eq!(out.backend.apply_calls, 0);
     assert_eq!(out.backend.mutations, 0);
     let transitions: Vec<String> = sink
@@ -332,7 +328,6 @@ fn chaos_plan_rejects_bad_rates() {
         ..ChaosPlan::none()
     };
     assert!(ChaosBackend::new(ScriptBackend::new(2, 1), plan, 1).is_err());
-    assert!(ChaosPlan::none().is_none());
     assert!(ChaosPlan::none().validate().is_ok());
 }
 
@@ -385,10 +380,7 @@ fn api_chaos() -> ChaosPlan {
 fn resilient_driver_run_is_round_with_stepped_by_hand() {
     for seed in 1..=3 {
         let chaos = || ChaosBackend::new(ScriptBackend::new(30, 3), api_chaos(), seed).unwrap();
-        let cfg = ResilienceConfig {
-            jitter_seed: seed,
-            ..ResilienceConfig::default()
-        };
+        let cfg = ResilienceConfig::default();
         let mut run_sink = TraceSink::new();
         let (run, run_stats) = resilient(driver(chaos(), 4).telemetry(&mut run_sink), cfg);
 
@@ -499,15 +491,13 @@ proptest! {
     #[test]
     fn breaker_open_rounds_never_touch_the_cluster(
         seed in 0u64..50,
-        threshold in 1u32..4,
-        cooldown in 2u32..5,
         fail_frac in 0.5f64..1.0,
     ) {
         let mut backend = ScriptBackend::new(20, 2);
         // A guaranteed failure run trips the breaker early (so the
         // property is never vacuous), then a dense pseudo-random tail.
         let mut s = seed.wrapping_mul(0x9e37_79b9).wrapping_add(1);
-        backend.observe_plan = (0..threshold as usize + 1)
+        backend.observe_plan = (0..=BREAKER_THRESHOLD as usize)
             .map(|_| Some(ScriptBackend::unavailable()))
             .chain((0..400).map(|_| {
                 s ^= s << 13;
@@ -519,10 +509,6 @@ proptest! {
             .collect();
         let cfg = ResilienceConfig {
             retry: RetryPolicy::no_retry(),
-            staleness_window: DurationMs::ZERO,
-            breaker_threshold: threshold,
-            breaker_cooldown_rounds: cooldown,
-            ..ResilienceConfig::default()
         };
         let mut rec = reconciler(4);
         let mut driver = ResilientDriver::new(backend, cfg);
@@ -551,7 +537,7 @@ proptest! {
                 prop_assert_eq!(&driver.backend().targets, &targets_before);
             }
         }
-        // With mostly-failing observes and small thresholds the breaker
+        // With mostly-failing observes from the first round the breaker
         // does open, so the property is not vacuous.
         prop_assert!(open_skips > 0, "breaker never opened: {:?}", driver.stats());
     }

@@ -21,8 +21,9 @@ pub type Result<T> = core::result::Result<T, Error>;
 /// maps to a distinct recovery strategy in the resilient driver
 /// (`faro-control`): timeouts and unavailability are retried with
 /// backoff, a partial apply is retried to convergence (apply is
-/// idempotent), and a stale snapshot is tolerated up to a staleness
-/// window before the round degrades.
+/// idempotent), a stale snapshot is tolerated up to a staleness
+/// window before the round degrades, and a rejected call is not
+/// retried at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendError {
     /// The call did not complete within its deadline.
@@ -49,19 +50,26 @@ pub enum BackendError {
         /// Age of the snapshot relative to the backend clock.
         age: DurationMs,
     },
+    /// The backend refused the call and says the same call can never
+    /// succeed (an invalid desired state, an unknown route): retrying
+    /// it only spends the round's budget.
+    Rejected {
+        /// Backend-specific detail (HTTP status and the server's
+        /// message, ...).
+        reason: String,
+    },
 }
 
 impl BackendError {
-    /// Whether retrying the same call can possibly succeed. Every
-    /// variant in the current taxonomy is transient; the method exists
-    /// so future non-retryable variants (auth failures, invalid
-    /// desired states) get a single dispatch point.
+    /// Whether retrying the same call can possibly succeed: every
+    /// variant but [`BackendError::Rejected`] is transient.
     pub fn is_retryable(&self) -> bool {
         match self {
             BackendError::Timeout { .. }
             | BackendError::Unavailable { .. }
             | BackendError::PartialApply { .. }
             | BackendError::StaleSnapshot { .. } => true,
+            BackendError::Rejected { .. } => false,
         }
     }
 }
@@ -80,6 +88,9 @@ impl fmt::Display for BackendError {
             }
             BackendError::StaleSnapshot { age } => {
                 write!(f, "snapshot is stale by {age}")
+            }
+            BackendError::Rejected { reason } => {
+                write!(f, "backend rejected the call: {reason}")
             }
         }
     }
@@ -217,5 +228,10 @@ mod tests {
         }
         .to_string()
         .contains("conn refused"));
+        let r = BackendError::Rejected {
+            reason: "bad target".into(),
+        };
+        assert!(!r.is_retryable());
+        assert!(r.to_string().contains("bad target"), "{r}");
     }
 }

@@ -536,9 +536,9 @@ mod tests {
 
     #[test]
     fn float_method_paths_do_not_trip_the_field_check() {
-        // `tick_secs: f64::NAN` in a struct literal is a value, not a
+        // `cold_start_secs: f64::NAN` in a struct literal is a value, not a
         // declaration.
-        let src = "let c = SimConfig { tick_secs: f64::NAN, ..Default::default() };\n";
+        let src = "let c = SimConfig { cold_start_secs: f64::NAN, ..Default::default() };\n";
         assert!(lint_source("crates/forecast/src/x.rs", src).is_empty());
     }
 

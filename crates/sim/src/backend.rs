@@ -8,14 +8,17 @@
 //! * [`Clock::advance`] drains events (arrivals, completions, replica
 //!   readiness, crashes, outage windows, minute boundaries) until the
 //!   next [`Event::PolicyTick`] pops, then schedules the following tick
-//!   and returns its time. The reconciler never sees an event; it only
-//!   sees reconcile rounds — and because the tick cadence is owned by
+//!   (a fixed 10 s later, Faro's reactive interval) and returns its
+//!   time. The reconciler never sees an event; it only sees reconcile
+//!   rounds — and because the tick cadence is owned by
 //!   the clock, not by actuation, a round whose `apply` is retried,
 //!   skipped (circuit breaker open), or repeated (degraded
 //!   carry-forward) neither stalls nor double-schedules the loop.
 //! * [`ClusterBackend::observe`] builds the same [`ClusterSnapshot`]
 //!   the old monolithic loop handed to policies, including fault-plan
-//!   metric degradation (stale/missing scrapes).
+//!   metric degradation (stale/missing scrapes). A stale scrape replays
+//!   the job's whole frozen observation, target included, so the
+//!   resilient driver's drift check reports those rounds as drift.
 //! * [`ClusterBackend::apply`] actuates a [`DesiredState`]: sets drop
 //!   rates and scales each listed job toward its target (new replicas
 //!   enter cold start and get a crash time). Jobs absent from the
@@ -46,6 +49,9 @@ use faro_core::units::{RatePerMin, ReplicaCount, SimTimeMs};
 use faro_metrics::AvailabilityTracker;
 use faro_telemetry::{Counter, NoopSink, Sample, TelemetryEvent, TelemetrySink};
 use rand::prelude::*;
+
+/// The policy tick: Faro's 10 s reactive interval.
+const TICK: Micros = 10_000_000;
 
 /// The discrete-event simulator behind the [`ClusterBackend`] surface.
 ///
@@ -83,7 +89,6 @@ pub struct SimBackend {
     arr_at: Micros,
     arr_job: usize,
     end: Micros,
-    tick: Micros,
     cold: Micros,
     now: Micros,
     finished: bool,
@@ -114,7 +119,6 @@ impl SimBackend {
         let mut queue = EventQueue::new();
         let rng = StdRng::seed_from_u64(config.seed ^ 0x51b0_11fe);
         let end: Micros = duration_minutes as u64 * 60_000_000; // faro-lint: allow(raw-time-arith): micros-domain event-loop horizon, minutes->micros at the boundary
-        let tick = micros(config.tick_secs);
         let cold = micros(config.cold_start_secs);
 
         // The fault layer is strictly opt-in: with an empty plan no
@@ -174,7 +178,6 @@ impl SimBackend {
             arr_at: Micros::MAX,
             arr_job: 0,
             end,
-            tick,
             cold,
             now: 0,
             finished: false,
@@ -486,7 +489,7 @@ impl SimBackend {
                     // colliding with a future tick were pushed at least
                     // a round earlier still, so the tie-break order is
                     // unchanged.
-                    self.queue.push(now + self.tick, Event::PolicyTick);
+                    self.queue.push(now + TICK, Event::PolicyTick);
                     if sink.enabled() {
                         self.emit_metric_outage_transition(now, sink);
                     }
@@ -616,7 +619,6 @@ impl SimBackend {
         for job in &mut self.jobs {
             job.on_minute_boundary();
         }
-        let alpha = self.config.report_alpha;
         let end_secs = self.duration_minutes as f64 * 60.0;
         let mut trackers = std::mem::take(&mut self.trackers);
         let mut jobs = Vec::with_capacity(self.jobs.len());
@@ -627,7 +629,7 @@ impl SimBackend {
             let arrivals: Vec<f64> = job.arrivals_per_minute().iter().map(|r| r.get()).collect();
             let drops = job.drops_per_minute().to_vec();
             let (utility, effective) =
-                utilities_from_minutes(&tails, &arrivals, &drops, slo.latency, alpha);
+                utilities_from_minutes(&tails, &arrivals, &drops, slo.latency);
             let minutes = utility.len().max(1) as f64;
             let acc = job.slo_accounting();
             jobs.push(JobReport {

@@ -78,7 +78,8 @@ pub struct ClusterReport {
     pub crash_killed_total: u64,
 }
 
-/// Builds per-minute utilities from tail-latency and drop series.
+/// Builds per-minute utilities from tail-latency and drop series,
+/// scored by the default [`RelaxedUtility`] (Eq. 1, alpha 4).
 ///
 /// Minutes with no requests have utility 1 (the SLO is trivially met).
 pub fn utilities_from_minutes(
@@ -86,9 +87,8 @@ pub fn utilities_from_minutes(
     arrivals: &[f64],
     drops: &[u64],
     slo: f64,
-    alpha: f64,
 ) -> (Vec<f64>, Vec<f64>) {
-    let u = RelaxedUtility::new(alpha);
+    let u = RelaxedUtility::default();
     let n = tail_latency.len().max(arrivals.len());
     let mut utility = Vec::with_capacity(n);
     let mut effective = Vec::with_capacity(n);
@@ -174,21 +174,21 @@ mod tests {
 
     #[test]
     fn idle_minutes_get_full_utility() {
-        let (u, e) = utilities_from_minutes(&[None, Some(0.1)], &[0.0, 10.0], &[0, 0], 0.72, 4.0);
+        let (u, e) = utilities_from_minutes(&[None, Some(0.1)], &[0.0, 10.0], &[0, 0], 0.72);
         assert_eq!(u, vec![1.0, 1.0]);
         assert_eq!(e, vec![1.0, 1.0]);
     }
 
     #[test]
     fn violating_minutes_lose_utility() {
-        let (u, _) = utilities_from_minutes(&[Some(1.44)], &[10.0], &[0], 0.72, 4.0);
+        let (u, _) = utilities_from_minutes(&[Some(1.44)], &[10.0], &[0], 0.72);
         assert!((u[0] - 0.0625).abs() < 1e-9); // (0.5)^4.
     }
 
     #[test]
     fn drops_reduce_effective_utility() {
         // 10% drops -> availability 90% -> penalty 50% -> phi 0.5.
-        let (u, e) = utilities_from_minutes(&[Some(0.1)], &[100.0], &[10], 0.72, 4.0);
+        let (u, e) = utilities_from_minutes(&[Some(0.1)], &[100.0], &[10], 0.72);
         assert_eq!(u[0], 1.0);
         assert!((e[0] - 0.5).abs() < 1e-9);
     }

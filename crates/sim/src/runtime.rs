@@ -15,9 +15,12 @@ use faro_metrics::slo::{MinuteSeries, SloAccounting};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Default router tail-drop threshold (paper Sec. 5; values in
-/// [20, 100] behaved similarly).
-pub const DEFAULT_QUEUE_THRESHOLD: usize = 50;
+/// Router tail-drop threshold (paper Sec. 5; values in [20, 100]
+/// behaved similarly).
+pub const QUEUE_THRESHOLD: usize = 50;
+
+/// Metrics window for "recent" observations: 30 s.
+const RECENT_WINDOW: Micros = 30_000_000;
 
 /// State of one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +87,6 @@ pub struct JobRuntime {
     /// deep-copying the name/SLO every tick.
     pub spec: Arc<JobSpec>,
     queue: VecDeque<Micros>,
-    queue_threshold: usize,
     /// Live replicas, sorted ascending by id. Ids are handed out
     /// monotonically so inserts are pushes; lookups are binary searches
     /// over a few dozen contiguous entries, which beats a `BTreeMap`'s
@@ -125,7 +127,6 @@ pub struct JobRuntime {
     /// (time, latency or +inf) of recently finished/dropped requests.
     recent: VecDeque<(Micros, f64)>,
     recent_arrivals: VecDeque<Micros>,
-    recent_window: Micros,
     proc_sum: f64,
     proc_count: u64,
     /// In-flight requests killed by replica crashes/evictions.
@@ -141,18 +142,12 @@ impl JobRuntime {
     /// the runtime. Callers must validate — [`crate::Simulation::new`]
     /// rejects `initial_replicas == 0` with a typed error instead of
     /// clamping it here.
-    pub fn new(
-        spec: JobSpec,
-        initial: u32,
-        queue_threshold: usize,
-        recent_window_secs: f64, // faro-lint: allow(raw-time-arith): legacy ctor param, seconds by contract
-    ) -> Self {
+    pub fn new(spec: JobSpec, initial: u32) -> Self {
         debug_assert!(initial >= 1, "initial replicas must be >= 1");
         let mut rt = Self {
             slo: SloAccounting::new(spec.slo.latency),
             spec: Arc::new(spec),
             queue: VecDeque::new(),
-            queue_threshold,
             replicas: Vec::new(),
             idle: Vec::new(),
             live_count: 0,
@@ -169,7 +164,6 @@ impl JobRuntime {
             current_minute_done: 0,
             recent: VecDeque::new(),
             recent_arrivals: VecDeque::new(),
-            recent_window: crate::events::micros(recent_window_secs),
             proc_sum: 0.0,
             proc_count: 0,
             crash_killed: 0,
@@ -236,7 +230,7 @@ impl JobRuntime {
             self.record_drop(now);
             return ArrivalOutcome::ExplicitDrop;
         }
-        if self.queue.len() >= self.queue_threshold {
+        if self.queue.len() >= QUEUE_THRESHOLD {
             self.record_drop(now);
             return ArrivalOutcome::TailDrop;
         }
@@ -579,7 +573,7 @@ impl JobRuntime {
         self.trim_recent(now);
         let mut latencies: Vec<f64> = self.recent.iter().map(|&(_, l)| l).collect();
         let tail = percentile_by_selection(&mut latencies, self.spec.slo.percentile).unwrap_or(0.0);
-        let window_secs = seconds(self.recent_window).max(1e-9);
+        let window_secs = seconds(RECENT_WINDOW);
         JobObservation {
             spec: Arc::clone(&self.spec),
             target_replicas: self.target,
@@ -663,7 +657,7 @@ impl JobRuntime {
     /// most one tick's worth of requests beyond the window, and the
     /// observation is identical because it trims before reading.
     fn trim_recent(&mut self, now: Micros) {
-        let cutoff = now.saturating_sub(self.recent_window);
+        let cutoff = now.saturating_sub(RECENT_WINDOW);
         while matches!(self.recent.front(), Some(&(t, _)) if t < cutoff) {
             self.recent.pop_front();
         }
@@ -679,7 +673,7 @@ mod tests {
     use crate::events::micros;
 
     fn rt(initial: u32) -> JobRuntime {
-        JobRuntime::new(JobSpec::resnet34("t"), initial, 50, 30.0)
+        JobRuntime::new(JobSpec::resnet34("t"), initial)
     }
 
     #[test]
@@ -703,12 +697,12 @@ mod tests {
 
     #[test]
     fn tail_drop_at_threshold() {
-        let mut j = JobRuntime::new(JobSpec::resnet34("t"), 1, 3, 30.0);
+        let mut j = rt(1);
         // Make the replica busy first.
         assert_eq!(j.on_arrival(0, 0.9), ArrivalOutcome::Queued);
         let _ = j.dispatch(0);
-        // Fill the queue to its threshold of 3.
-        for i in 0..3 {
+        // Fill the queue to its threshold.
+        for i in 0..QUEUE_THRESHOLD as u64 {
             assert_eq!(j.on_arrival(i, 0.9), ArrivalOutcome::Queued, "i={i}");
         }
         assert_eq!(j.on_arrival(10, 0.9), ArrivalOutcome::TailDrop);
@@ -857,7 +851,7 @@ mod tests {
 
     #[test]
     fn conservation_holds_under_crashes() {
-        let mut j = JobRuntime::new(JobSpec::resnet34("t"), 3, 5, 30.0);
+        let mut j = rt(3);
         let mut arrivals = 0u64;
         let mut completions = 0u64;
         for i in 0..300u64 {
@@ -896,7 +890,7 @@ mod tests {
 
     #[test]
     fn conservation_arrivals_eq_done_plus_drops_plus_inflight() {
-        let mut j = JobRuntime::new(JobSpec::resnet34("t"), 2, 5, 30.0);
+        let mut j = rt(2);
         let mut arrivals = 0u64;
         let mut completions = 0u64;
         for i in 0..200u64 {

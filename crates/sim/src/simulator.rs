@@ -35,7 +35,7 @@
 use crate::backend::SimBackend;
 use crate::faults::FaultPlan;
 use crate::report::ClusterReport;
-use crate::runtime::{JobRuntime, DEFAULT_QUEUE_THRESHOLD};
+use crate::runtime::JobRuntime;
 use crate::{Error, Result};
 use faro_control::{Driver, DriverOutcome, RunStats};
 use faro_core::admission::{Admission, OutageClamp};
@@ -56,25 +56,21 @@ pub struct JobSetup {
 }
 
 /// Simulator configuration; defaults follow the paper's deployment
-/// (Sec. 5 and 6).
+/// (Sec. 5 and 6). What no experiment varies is fixed in the
+/// simulator: the 10 s policy tick, the router's tail-drop threshold
+/// ([`QUEUE_THRESHOLD`](crate::runtime::QUEUE_THRESHOLD)), the 30 s
+/// window of "recent" metrics, and the report's utility sharpness
+/// (the default `RelaxedUtility`, Eq. 1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Total replica quota (Kubernetes resource quota).
     pub total_replicas: u32,
-    /// Policy tick in seconds (Faro's reactive interval).
-    pub tick_secs: f64, // faro-lint: allow(raw-time-arith): legacy public config API, seconds by contract
     /// Replica cold-start delay in seconds (paper: up to 70 s; 60 s
     /// default).
     pub cold_start_secs: f64, // faro-lint: allow(raw-time-arith): legacy public config API, seconds by contract
-    /// Router tail-drop threshold.
-    pub queue_threshold: usize,
     /// Coefficient of variation of service times (ML inference is
     /// near-deterministic).
     pub service_cv: f64,
-    /// Metrics window for "recent" observations in seconds.
-    pub recent_window_secs: f64, // faro-lint: allow(raw-time-arith): legacy public config API, seconds by contract
-    /// Utility sharpness used in reports (Eq. 1).
-    pub report_alpha: f64,
     /// RNG seed.
     pub seed: u64,
     /// Heterogeneous cluster description. `None` (the default) keeps
@@ -97,12 +93,8 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             total_replicas: 32,
-            tick_secs: 10.0,
             cold_start_secs: 60.0,
-            queue_threshold: DEFAULT_QUEUE_THRESHOLD,
             service_cv: 0.05,
-            recent_window_secs: 30.0,
-            report_alpha: 4.0,
             seed: 0,
             hetero_resources: None,
         }
@@ -137,12 +129,6 @@ pub struct Simulation {
 }
 
 fn validate_config(config: &SimConfig) -> Result<()> {
-    if !config.tick_secs.is_finite() || config.tick_secs <= 0.0 {
-        return Err(Error::InvalidSetup(format!(
-            "tick_secs must be positive and finite, got {}",
-            config.tick_secs
-        )));
-    }
     if !config.cold_start_secs.is_finite() || config.cold_start_secs < 0.0 {
         return Err(Error::InvalidSetup(format!(
             "cold_start_secs must be non-negative and finite, got {}",
@@ -154,11 +140,6 @@ fn validate_config(config: &SimConfig) -> Result<()> {
             "service_cv must be non-negative and finite, got {}",
             config.service_cv
         )));
-    }
-    if config.queue_threshold == 0 {
-        return Err(Error::InvalidSetup(
-            "queue_threshold must be at least 1 (0 would drop every request)".into(),
-        ));
     }
     if let Some(resources) = &config.hetero_resources {
         if !resources.has_classes() {
@@ -193,8 +174,8 @@ impl Simulation {
     /// Fails when no jobs are given, rates are empty or contain
     /// NaN/negative entries, a job starts with zero replicas, the
     /// quota cannot host one replica per job, or the [`SimConfig`]
-    /// itself is out of domain (non-positive/NaN `tick_secs`, negative
-    /// `cold_start_secs` or `service_cv`, zero `queue_threshold`).
+    /// itself is out of domain (negative or NaN `cold_start_secs` or
+    /// `service_cv`, an invalid replica class).
     pub fn new(config: SimConfig, setups: Vec<JobSetup>) -> Result<Self> {
         validate_config(&config)?;
         if setups.is_empty() {
@@ -257,12 +238,7 @@ impl Simulation {
                 )));
             }
             service_params.push((mu, sigma));
-            jobs.push(JobRuntime::new(
-                s.spec,
-                s.initial_replicas,
-                config.queue_threshold,
-                config.recent_window_secs,
-            ));
+            jobs.push(JobRuntime::new(s.spec, s.initial_replicas));
             // Into the typed domain at the boundary: rates validated
             // finite and non-negative above.
             rates.push(
@@ -626,23 +602,11 @@ mod tests {
         let run = |cfg: SimConfig| Simulation::new(cfg, vec![setup(60.0, 2, 1)]);
         for cfg in [
             SimConfig {
-                tick_secs: f64::NAN,
-                ..Default::default()
-            },
-            SimConfig {
-                tick_secs: 0.0,
-                ..Default::default()
-            },
-            SimConfig {
                 cold_start_secs: -1.0,
                 ..Default::default()
             },
             SimConfig {
                 service_cv: f64::NAN,
-                ..Default::default()
-            },
-            SimConfig {
-                queue_threshold: 0,
                 ..Default::default()
             },
         ] {
@@ -774,7 +738,7 @@ mod tests {
 
     fn cfg_slack() -> usize {
         // Residual in-flight + queued requests at end of run.
-        32 + DEFAULT_QUEUE_THRESHOLD
+        32 + crate::runtime::QUEUE_THRESHOLD
     }
 
     #[test]

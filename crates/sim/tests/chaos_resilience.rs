@@ -81,10 +81,7 @@ fn chaos_run(
 ) -> (TraceSink, ChaosBackend<SimBackend>) {
     let backend = ramp_sim().into_backend().expect("backend builds");
     let chaos = ChaosBackend::new(backend, plan, seed).expect("valid plan");
-    let cfg = ResilienceConfig {
-        retry,
-        ..Default::default()
-    };
+    let cfg = ResilienceConfig { retry };
     let policy = RampSupply {
         round: 0,
         ceiling: 19,

@@ -23,7 +23,7 @@ fn classed(j: &mut JobRuntime, n: u32) -> Vec<u64> {
 /// live ids after each scale-down, and whether each busy replica
 /// survived its completion.
 fn script(scale: fn(&mut JobRuntime, u32) -> Vec<u64>) -> (Vec<Vec<u64>>, Vec<bool>) {
-    let mut j = JobRuntime::new(JobSpec::resnet34("t"), 3, 50, 30.0);
+    let mut j = JobRuntime::new(JobSpec::resnet34("t"), 3);
     j.on_arrival(0, 0.9);
     j.on_arrival(0, 0.9);
     let busy: Vec<u64> = j.dispatch(0).iter().map(|d| d.replica).collect();

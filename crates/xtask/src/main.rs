@@ -23,8 +23,10 @@ fn usage() {
     eprintln!("usage: cargo xtask <task>");
     eprintln!();
     eprintln!("tasks:");
-    eprintln!("  lint    run faro-lint over the workspace (determinism &");
-    eprintln!("          unit-safety invariants); exits 1 on any diagnostic");
+    eprintln!("  lint    run faro-lint over the workspace: typed time/rate");
+    eprintln!("          state, no panics in sim/control library code,");
+    eprintln!("          bounded retry loops, no stale allow annotations;");
+    eprintln!("          exits 1 on any diagnostic");
     eprintln!("  ledger  print the non-test code lines of each crate's src/");
     eprintln!("          (the root package as `facade`) and their total");
 }

@@ -4,7 +4,14 @@
 use faro::bench::harness::{run_matrix, ExperimentSpec};
 use faro::bench::policies::{Ablation, PolicyKind};
 use faro::bench::WorkloadSet;
-use faro::core::ClusterObjective;
+use faro::control::{BreakerState, DriverStats, ResilienceConfig, RunStats};
+use faro::core::types::{JobId, ReplicaClass, ResourceModel};
+use faro::core::{ClusterObjective, Policy};
+use faro::sim::{
+    FaultPlan, MetricOutage, MetricOutageMode, NodeOutage, ReplicaCrashes, SimConfig, SimRun,
+    Simulation,
+};
+use faro::telemetry::TraceSink;
 
 fn small_set() -> WorkloadSet {
     WorkloadSet::n_jobs(4, 21, 1200.0).truncated_eval(45)
@@ -128,4 +135,146 @@ fn oversubscription_degrades_everyone_but_faro_least() {
     assert!(get("AIAD", 6) >= get("AIAD", 16) - 0.01);
     // Faro stays ahead in the constrained cluster.
     assert!(get("Faro-Sum", 6) <= get("AIAD", 6) * 1.15 + 0.01);
+}
+
+/// What one traced simulator run leaves behind: the reconciler's
+/// stats, the report and trace bytes, and the resilient arm's
+/// accounting (`None` on the plain arm).
+type Traced = (
+    RunStats,
+    String,
+    String,
+    Option<DriverStats>,
+    Option<BreakerState>,
+);
+
+fn traced_run(
+    config: &SimConfig,
+    set: &WorkloadSet,
+    faults: &FaultPlan,
+    policy: Box<dyn Policy>,
+    resilient: bool,
+) -> Traced {
+    let mut sink = TraceSink::new();
+    let driver = Simulation::new(config.clone(), set.setups(1))
+        .expect("valid setup")
+        .with_faults(faults.clone())
+        .expect("valid plan")
+        .driver(policy)
+        .expect("backend builds")
+        .telemetry(&mut sink);
+    let driver = if resilient {
+        driver.resilience(ResilienceConfig::default())
+    } else {
+        driver
+    };
+    let out = driver.run().expect("the simulator never fails a call");
+    let (driver_stats, breaker) = (out.driver_stats, out.breaker);
+    let outcome = out.into_outcome();
+    (
+        outcome.stats,
+        serde_json::to_string(&outcome.report).expect("report serializes"),
+        sink.to_jsonl(),
+        driver_stats,
+        breaker,
+    )
+}
+
+/// The resilient arm on a simulator that never fails a call: the same
+/// decisions, stats, report and trace as the plain arm, with every
+/// round clean and the breaker closed. The one difference is drift
+/// detection: a stale-mode metric outage replays a job's frozen
+/// observation, target included, so the ladder reports each such round
+/// as drift (one `DriftDetected` event, nothing else). The counts are
+/// pinned here; they are why `Driver::run` still has a plain arm.
+#[test]
+fn resilient_arm_matches_the_plain_arm_on_a_clean_simulator() {
+    let faults = FaultPlan {
+        replica_crashes: Some(ReplicaCrashes { mttf_secs: 600.0 }),
+        node_outage: Some(NodeOutage {
+            start_secs: 600.0,
+            duration_secs: 120.0,
+            quota_fraction: 0.25,
+        }),
+        metric_outage: Some(MetricOutage {
+            start_secs: 1200.0,
+            duration_secs: 120.0,
+            jobs: vec![JobId::new(3)],
+            mode: MetricOutageMode::Stale,
+        }),
+        ..FaultPlan::none()
+    };
+    let paper = WorkloadSet::paper_ten_jobs(42).truncated_eval(30);
+    let scalar = SimConfig {
+        total_replicas: 32,
+        seed: 7,
+        ..Default::default()
+    };
+    let hetero_set = WorkloadSet::n_jobs(4, 21, 1200.0).truncated_eval(20);
+    let hetero = SimConfig {
+        total_replicas: 16,
+        seed: 7,
+        hetero_resources: Some(ResourceModel::heterogeneous(
+            vec![ReplicaClass::gpu("gpu"), ReplicaClass::cpu("cpu", 3.0)],
+            16.0,
+            4.0,
+            32.0,
+        )),
+        ..Default::default()
+    };
+    let faro = || PolicyKind::faro(ClusterObjective::Sum);
+    let cells: [(&str, &SimConfig, &WorkloadSet, &FaultPlan, PolicyKind, u64); 3] = [
+        ("AIAD", &scalar, &paper, &faults, PolicyKind::Aiad, 0),
+        ("Faro-Sum", &scalar, &paper, &faults, faro(), 11),
+        (
+            "Faro-Sum classed",
+            &hetero,
+            &hetero_set,
+            &FaultPlan::none(),
+            faro(),
+            0,
+        ),
+    ];
+    for (name, config, set, plan, kind, drift) in cells {
+        let run = |resilient| {
+            traced_run(
+                config,
+                set,
+                plan,
+                kind.build(set, None, config.seed),
+                resilient,
+            )
+        };
+        let (plain_stats, plain_report, plain_trace, plain_driver, plain_breaker) = run(false);
+        let (stats, report, trace, driver, breaker) = run(true);
+        assert!(plain_driver.is_none() && plain_breaker.is_none());
+        assert_eq!(stats, plain_stats, "{name}");
+        assert_eq!(report, plain_report, "{name}");
+        let drift_events = trace
+            .lines()
+            .filter(|l| l.contains("\"DriftDetected\""))
+            .count();
+        let undrifted: Vec<&str> = trace
+            .lines()
+            .filter(|l| !l.contains("\"DriftDetected\""))
+            .collect();
+        assert_eq!(undrifted, plain_trace.lines().collect::<Vec<_>>(), "{name}");
+        let driver = driver.expect("the resilient arm counts its rounds");
+        assert_eq!(
+            driver,
+            DriverStats {
+                rounds: stats.rounds,
+                ok_rounds: stats.rounds,
+                drift_repairs: driver.drift_repairs,
+                ..DriverStats::default()
+            },
+            "{name}: no retry, degraded round or skip"
+        );
+        assert_eq!(breaker, Some(BreakerState::Closed), "{name}");
+        assert_eq!(
+            (driver.drift_repairs, drift_events as u64),
+            (drift, drift),
+            "{name}"
+        );
+    }
 }
