@@ -76,10 +76,8 @@ fn replay_and_dump(set: &WorkloadSet, cfg: &SimConfig) -> Run {
         .with_faults(faults())
         .unwrap()
         .driver(policy)
-        .unwrap()
         .telemetry(&mut tee)
         .run()
-        .expect("traced replay completes")
         .into_outcome();
     let (trace, agg) = tee.into_parts();
 
@@ -163,15 +161,14 @@ fn measure_overhead(set: &WorkloadSet) -> (f64, f64) {
         let policy = PolicyKind::faro(ClusterObjective::Sum).build(set, None, cfg.seed);
         let runner = Simulation::new(cfg, set.setups(1))
             .expect("valid setup")
-            .driver(policy)
-            .unwrap();
+            .driver(policy);
         let mut sink = TraceSink::new();
         let outcome = if traced {
             runner.telemetry(&mut sink).run()
         } else {
             runner.run()
         };
-        let report = outcome.expect("sweep cell completes").into_outcome().report;
+        let report = outcome.into_outcome().report;
         assert!(!report.jobs.is_empty());
         assert_eq!(
             sink.is_empty(),

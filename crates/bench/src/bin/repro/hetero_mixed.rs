@@ -128,10 +128,8 @@ fn run_cell(
     let report = Simulation::new(config, jobs(minutes))
         .expect("hetero sweep setup is valid")
         .driver(policy)
-        .unwrap()
         .admission(Box::new(ClampToQuota))
         .run()
-        .expect("hetero sweep run completes")
         .into_outcome()
         .report;
     Cell {

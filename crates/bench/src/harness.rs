@@ -99,9 +99,7 @@ fn run_trial(
         .with_faults(spec.faults.clone())
         .unwrap()
         .driver(policy)
-        .unwrap()
         .run()
-        .expect("simulation runs to completion")
         .into_outcome()
         .report
 }

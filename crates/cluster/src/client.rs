@@ -5,21 +5,21 @@
 //! apart. Its [`Clock`] is *logical*: round `n` is at `n · tick`
 //! [`SimTimeMs`], exactly like the simulator, so policies, telemetry,
 //! and the resilient driver's staleness arithmetic behave identically
-//! against a live server. Its [`WallClock`] is the host's physical
-//! clock — the epoch offset read once at connect plus monotonic
-//! elapsed time, so it never steps backwards — used only for pacing
-//! sleeps and wall-tagged telemetry: [`WallTimeMs`]
-//! has no conversion into the logical timeline, so the two cannot be
-//! mixed by accident.
+//! against a live server. [`HttpBackend::wall_now`] is the host's
+//! physical clock — the epoch offset read once at connect plus
+//! monotonic elapsed time, so it never steps backwards — used only for
+//! wall-tagged telemetry: [`WallTimeMs`] has no conversion into the
+//! logical timeline, so the two cannot be mixed by accident.
 //!
 //! A server-reported stale snapshot (`age_ms > 0`) is mapped onto the
 //! logical timeline as `snapshot.now = clock.now() − age`, which is
 //! precisely what [`faro_control::ResilientDriver`]'s staleness window
 //! checks — the cache-tolerance ladder works unchanged across the
-//! process boundary. A refusal whose error body says `"retryable":
-//! false` (a 400 for a body the server can never apply, a 404) is
-//! [`BackendError::Rejected`], which the ladder does not retry; every
-//! other failure is transient.
+//! process boundary. An age past `i64::MAX` milliseconds saturates
+//! there: it reads as ancient, never as fresh. A refusal whose error
+//! body says `"retryable": false` (a 400 for a body the server can
+//! never apply, a 404) is [`BackendError::Rejected`], which the ladder
+//! does not retry; every other failure is transient.
 
 use crate::http::post;
 use crate::wall::WallAnchor;
@@ -27,7 +27,7 @@ use crate::wire::{
     write_apply_request, ApplyResponse, ChaosConfig, ErrorBody, ObserveResponse, APPLY_PATH,
     CHAOS_PATH, OBSERVE_PATH,
 };
-use faro_control::{ActuationReport, BackendError, Clock, ClusterBackend, WallClock};
+use faro_control::{ActuationReport, BackendError, Clock, ClusterBackend};
 use faro_core::types::{ClusterSnapshot, DesiredState};
 use faro_core::units::{DurationMs, ReplicaCount, SimTimeMs, WallTimeMs};
 use faro_telemetry::{TelemetryEvent, TelemetrySink};
@@ -68,7 +68,8 @@ pub struct HttpBackend {
     addr: SocketAddr,
     cfg: LiveConfig,
     round: u64,
-    /// The host clock behind [`WallClock`], anchored at connect.
+    /// The host clock behind [`HttpBackend::wall_now`], anchored at
+    /// connect.
     wall: WallAnchor,
 }
 
@@ -81,6 +82,14 @@ impl HttpBackend {
             round: 0,
             wall: WallAnchor::new(),
         }
+    }
+
+    /// The host's physical clock, as milliseconds since the Unix epoch:
+    /// the epoch offset read at connect plus monotonic elapsed time, so
+    /// it never decreases. For tagging and gating, never for ordering
+    /// rounds; that is [`Clock::now`]'s logical timeline.
+    pub fn wall_now(&self) -> WallTimeMs {
+        WallTimeMs::from_millis(self.wall.now_ms() as i64)
     }
 
     /// Reconfigures the server's fault injection (`POST /v1/chaos`).
@@ -165,12 +174,6 @@ impl Clock for HttpBackend {
     }
 }
 
-impl WallClock for HttpBackend {
-    fn wall_now(&self) -> WallTimeMs {
-        WallTimeMs::from_millis(self.wall.now_ms() as i64)
-    }
-}
-
 impl ClusterBackend for HttpBackend {
     fn observe(&mut self) -> Result<ClusterSnapshot, BackendError> {
         let resp = post(self.addr, OBSERVE_PATH, "{}", self.cfg.request_timeout)
@@ -186,8 +189,10 @@ impl ClusterBackend for HttpBackend {
         // Re-key the server's report onto this clock's logical
         // timeline: fresh snapshots land at `now`, stale ones land
         // `age_ms` behind it, where the resilient driver's staleness
-        // window can judge them.
-        snapshot.now = self.now() - DurationMs::from_millis(parsed.age_ms as i64);
+        // window can judge them. An age past `i64` saturates rather
+        // than wrapping negative, which would land it after `now`.
+        let age = i64::try_from(parsed.age_ms).unwrap_or(i64::MAX);
+        snapshot.now = self.now() - DurationMs::from_millis(age);
         Ok(snapshot)
     }
 
@@ -294,6 +299,33 @@ mod tests {
                 "{result:?}"
             );
         }
+        rogue.join().expect("rogue server thread");
+    }
+
+    #[test]
+    fn an_age_past_i64_reads_as_stale_not_fresh() {
+        use crate::model::{ClusterConfig, ClusterModel};
+        use faro_control::resilient::STALENESS_WINDOW;
+        let (seq, snapshot) = ClusterModel::new(ClusterConfig::demo(20)).observe(0);
+        let reply = serde_json::to_string(&crate::wire::ObserveResponse {
+            seq,
+            age_ms: 10_000_000_000_000_000_000,
+            snapshot,
+        })
+        .expect("serializes");
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let rogue = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let deadline = Instant::now() + Duration::from_secs(5);
+            crate::http::read_request(&mut conn, deadline).expect("request");
+            crate::http::write_response(&mut conn, 200, &reply).expect("reply");
+        });
+        let mut backend = HttpBackend::connect(addr, quick());
+        backend.advance();
+        let snapshot = backend.observe().expect("a well-formed reply");
+        let age = backend.now().saturating_duration_since(snapshot.now);
+        assert!(age >= STALENESS_WINDOW, "{age:?} at {:?}", snapshot.now);
         rogue.join().expect("rogue server thread");
     }
 

@@ -23,16 +23,16 @@
 //!   start on the *host's* clock — actuation visibly lags intent, as
 //!   it does on a real cluster.
 //! * [`client::HttpBackend`] implements [`faro_control::Clock`] (the
-//!   logical `round · tick` timeline), [`faro_control::WallClock`]
-//!   (the host clock, as [`faro_core::units::WallTimeMs`]), and
+//!   logical `round · tick` timeline) and
 //!   [`faro_control::ClusterBackend`] (observe/apply over the socket,
 //!   every transport failure mapped into the
-//!   [`faro_control::BackendError`] taxonomy).
+//!   [`faro_control::BackendError`] taxonomy); its `wall_now` reads
+//!   the host clock as a [`faro_core::units::WallTimeMs`].
 //! * [`wire`] defines the v1 envelopes. Snapshot and desired-state
 //!   bodies reuse the workspace's committed serializers byte-for-byte,
 //!   and untagged (pre-versioning) payloads are accepted as v1.
 //!
-//! The resilient arm of the run loop works across it unchanged: retries,
+//! The run loop's retry ladder works across it unchanged: retries,
 //! circuit breaking, staleness tolerance, and desired-vs-observed
 //! drift repair all act across the process boundary exactly as they
 //! do in simulation — the loopback integration tests pin that down

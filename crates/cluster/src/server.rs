@@ -364,6 +364,27 @@ mod tests {
     }
 
     #[test]
+    fn a_latency_past_the_cap_gets_a_400_and_the_server_keeps_answering() {
+        use crate::wire::MAX_API_LATENCY_MS;
+        let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
+        let addr = server.addr();
+        // Just past the cap: armed, it would hold the next reply past
+        // `T`.
+        let body = format!(
+            "{{\"v\":1,\"seed\":9,\"api_latency_ms\":{}}}",
+            MAX_API_LATENCY_MS + 1
+        );
+        let plan = post(addr, CHAOS_PATH, &body, T).expect("an answer");
+        assert_eq!(plan.status, 400, "{}", plan.body);
+        let err = ErrorBody::from_json(&serde_json::from_str(&plan.body).expect("json"))
+            .expect("v1 error body");
+        assert!(!err.retryable, "the same body can never be armed");
+        let obs = post(addr, OBSERVE_PATH, "{}", T).expect("observe within T");
+        assert_eq!(obs.status, 200);
+        server.shutdown();
+    }
+
+    #[test]
     fn legacy_untagged_apply_bodies_are_accepted() {
         let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
         let addr = server.addr();

@@ -26,6 +26,11 @@ pub const OBSERVE_PATH: &str = "/v1/observe";
 pub const APPLY_PATH: &str = "/v1/apply";
 /// Chaos-injection endpoint path.
 pub const CHAOS_PATH: &str = "/v1/chaos";
+/// The largest [`ChaosConfig::api_latency_ms`] a plan may carry: the
+/// server's 10 s write timeout. The server sleeps the latency on its one
+/// serving thread before every reply, so an unbounded one would stop it
+/// answering anything, shutdown included.
+pub const MAX_API_LATENCY_MS: u64 = 10_000;
 
 /// Reads the envelope's version tag: absent means v1 (legacy), any
 /// other value must equal [`WIRE_VERSION`].
@@ -172,7 +177,8 @@ impl ApplyResponse {
 pub struct ChaosConfig {
     /// Seed for the server's fault streams.
     pub seed: u64,
-    /// Artificial latency added to every API reply, wall milliseconds.
+    /// Artificial latency added to every API reply, wall milliseconds,
+    /// at most [`MAX_API_LATENCY_MS`].
     pub api_latency_ms: u64,
     /// Per-mille of `apply` calls refused with a retryable 503 before
     /// touching cluster state.
@@ -197,7 +203,8 @@ impl ChaosConfig {
     }
 
     /// Parses the envelope. Absent knobs default to off, so a legacy
-    /// `{"seed":7}` body is a valid plan.
+    /// `{"seed":7}` body is a valid plan. A latency past
+    /// [`MAX_API_LATENCY_MS`] is refused like a malformed plan.
     pub fn from_json(v: &Value) -> Option<Self> {
         check_version(v)?;
         let knob = |name: &str| v.get(name).map_or(Some(0), |k| k.as_u64());
@@ -205,7 +212,7 @@ impl ChaosConfig {
         let rate = |name: &str| u32::try_from(knob(name)?).ok();
         Some(Self {
             seed: knob("seed")?,
-            api_latency_ms: knob("api_latency_ms")?,
+            api_latency_ms: knob("api_latency_ms").filter(|&ms| ms <= MAX_API_LATENCY_MS)?,
             apply_fail_per_mille: rate("apply_fail_per_mille")?,
             stale_observe_per_mille: rate("stale_observe_per_mille")?,
             stale_age_ms: knob("stale_age_ms")?,
@@ -338,6 +345,20 @@ mod tests {
             assert!(at(u64::from(u32::MAX)).is_some());
             assert_eq!(at((1 << 32) + 1000), None, "not 1000 per mille");
         }
+    }
+
+    #[test]
+    fn api_latency_is_capped() {
+        let at = |ms: u64| {
+            let json = format!("{{\"seed\":7,\"api_latency_ms\":{ms}}}");
+            ChaosConfig::from_json(&serde_json::from_str(&json).expect("parses"))
+        };
+        assert_eq!(
+            at(MAX_API_LATENCY_MS).map(|plan| plan.api_latency_ms),
+            Some(MAX_API_LATENCY_MS)
+        );
+        assert_eq!(at(MAX_API_LATENCY_MS + 1), None);
+        assert_eq!(at(u64::MAX), None);
     }
 
     #[test]

@@ -14,7 +14,9 @@ use faro_cluster::wire::{APPLY_PATH, OBSERVE_PATH};
 use faro_cluster::{
     ChaosConfig, ClusterConfig, ClusterServer, HttpBackend, LiveConfig, ObserveResponse,
 };
-use faro_control::{Clock, Driver, Reconciler, ResilienceConfig, ResilientDriver};
+use faro_control::{
+    BreakerState, Clock, Driver, DriverStats, Reconciler, ResilienceConfig, ResilientDriver,
+};
 use faro_core::admission::{ClampToQuota, Unlimited};
 use faro_core::baselines::Aiad;
 use faro_core::types::{ClusterSnapshot, DesiredState, JobDecision};
@@ -158,12 +160,9 @@ fn loopback_round_accounting_replays_per_seed() {
         let server =
             ClusterServer::spawn_with_chaos(ClusterConfig::demo(30), chaos).expect("spawn server");
         let backend = HttpBackend::connect(server.addr(), live_config(16));
-        let out = Driver::new(backend, Box::new(Aiad::default()))
-            .resilience(ResilienceConfig::default())
-            .run()
-            .expect("a resilient run never stops on a backend error");
+        let out = Driver::new(backend, Box::new(Aiad::default())).run();
         server.shutdown();
-        out.driver_stats.expect("a resilient run counts its rounds")
+        out.driver_stats
     };
     for seed in CHAOS_SEEDS {
         let a = run(seed);
@@ -173,18 +172,25 @@ fn loopback_round_accounting_replays_per_seed() {
     }
 }
 
-/// The plain (non-resilient) path also works end to end when chaos is
-/// off: a plain run over the HTTP backend completes its horizon and
-/// scales the surge job up.
+/// With chaos off, a run over the HTTP backend completes its horizon
+/// without touching a rung of the retry ladder: every round clean, no
+/// retry, no drift, the breaker closed.
 #[test]
-fn plain_reconciler_runs_clean_over_http() {
+fn a_clean_run_over_http_takes_no_rung_of_the_ladder() {
     let server = ClusterServer::spawn(ClusterConfig::demo(30)).expect("spawn server");
     let backend = HttpBackend::connect(server.addr(), live_config(20));
-    let out = Driver::new(backend, Box::new(Aiad::default()))
-        .run()
-        .expect("clean backend never fails");
-    assert_eq!(out.stats.rounds, 20);
+    let out = Driver::new(backend, Box::new(Aiad::default())).run();
     server.shutdown();
+    assert_eq!(out.stats.rounds, 20);
+    assert_eq!(
+        out.driver_stats,
+        DriverStats {
+            rounds: 20,
+            ok_rounds: 20,
+            ..DriverStats::default()
+        }
+    );
+    assert_eq!(out.breaker, BreakerState::Closed);
 }
 
 /// Asks every job for a fixed target, every round.
@@ -212,11 +218,9 @@ fn refused_applies_are_not_retried() {
     let backend = HttpBackend::connect(server.addr(), live_config(6));
     let out = Driver::new(backend, Box::new(Want(17)))
         .admission(Box::new(Unlimited))
-        .resilience(ResilienceConfig::default())
-        .run()
-        .expect("a resilient run never stops on a backend error");
+        .run();
     server.shutdown();
-    let stats = out.driver_stats.expect("a resilient run counts its rounds");
+    let stats = out.driver_stats;
     assert_eq!(stats.apply_retries, 0, "{stats:?}");
     assert!(stats.apply_failures > 0, "{stats:?}");
 }

@@ -34,12 +34,11 @@ pub struct ActuationReport {
 /// unreachable, actuate only part of a desired state, or serve a
 /// snapshot too old to act on — the [`BackendError`] taxonomy covers
 /// exactly these. In-process backends (the simulator, test mocks)
-/// simply never return `Err`. The plain [`Reconciler`] propagates the
-/// first error and stops; wrap the backend in a
-/// [`ResilientDriver`] for bounded retry, circuit breaking, and
-/// degraded-mode rounds.
+/// simply never return `Err`. [`Driver::run`] runs every round through
+/// the [`ResilientDriver`]'s bounded retry, circuit breaking, and
+/// degraded-mode rounds, so no error ends a run.
 ///
-/// [`Reconciler`]: crate::Reconciler
+/// [`Driver::run`]: crate::Driver::run
 /// [`ResilientDriver`]: crate::ResilientDriver
 pub trait ClusterBackend: Clock {
     /// A consistent snapshot of the cluster at the current time.

@@ -1,47 +1,20 @@
 //! The one run loop: [`Driver`] drives a policy over any
 //! [`ClusterBackend`] until the backend's clock ends.
 //!
-//! Each round is `Clock::advance_with`, then either
-//! [`Reconciler::reconcile_with`] (the plain arm, which stops at the
-//! first [`BackendError`]) or [`ResilientDriver::round_with`] (the
-//! resilient arm, which retries, degrades and never stops). The run
-//! ends when the backend's [`Clock`](crate::Clock) does: the simulator
-//! at the end of its trace, `faro-cluster`'s `HttpBackend` after
+//! Each round is `Clock::advance_with`, then
+//! [`ResilientDriver::round_with`]: the retry ladder, which retries,
+//! degrades and never stops, so a run cannot fail. The run ends when
+//! the backend's [`Clock`](crate::Clock) does: the simulator at the end
+//! of its trace, `faro-cluster`'s `HttpBackend` after
 //! `LiveConfig::horizon_rounds`. A caller that has to act between
 //! rounds (inject drift, time one round) steps those two calls itself.
 
 use crate::backend::ClusterBackend;
 use crate::reconciler::{Reconciler, RunStats};
 use crate::resilient::{BreakerState, DriverStats, ResilienceConfig, ResilientDriver};
-use crate::BackendError;
-use core::fmt;
 use faro_core::admission::{Admission, ClampToQuota};
 use faro_core::policy::Policy;
 use faro_telemetry::{NoopSink, TelemetrySink};
-
-/// Why a plain [`Driver`] run stopped before its clock ended.
-/// Resilient runs absorb backend errors into their [`DriverStats`].
-#[derive(Debug)]
-pub enum DriverError {
-    /// The backend failed a call and the run stopped there.
-    Backend(BackendError),
-}
-
-impl fmt::Display for DriverError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DriverError::Backend(e) => write!(f, "backend error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DriverError {}
-
-impl From<BackendError> for DriverError {
-    fn from(e: BackendError) -> Self {
-        DriverError::Backend(e)
-    }
-}
 
 /// One control-loop run of a policy over a [`ClusterBackend`].
 ///
@@ -54,19 +27,19 @@ pub struct Driver<B: ClusterBackend, S: TelemetrySink = NoopSink> {
     backend: B,
     policy: Box<dyn Policy>,
     admission: Box<dyn Admission>,
-    resilience: Option<ResilienceConfig>,
+    resilience: ResilienceConfig,
     sink: S,
 }
 
 impl<B: ClusterBackend> Driver<B> {
-    /// A plain run of `policy` over `backend`, admitted by
-    /// [`ClampToQuota`] and untraced.
+    /// A run of `policy` over `backend`, admitted by [`ClampToQuota`],
+    /// with the default [`ResilienceConfig`] and untraced.
     pub fn new(backend: B, policy: Box<dyn Policy>) -> Self {
         Self {
             backend,
             policy,
             admission: Box::new(ClampToQuota),
-            resilience: None,
+            resilience: ResilienceConfig::default(),
             sink: NoopSink,
         }
     }
@@ -80,11 +53,10 @@ impl<B: ClusterBackend, S: TelemetrySink> Driver<B, S> {
         self
     }
 
-    /// Runs the resilient arm with this tuning: backend errors are
-    /// retried or degraded around instead of ending the run, and the
-    /// outcome carries [`DriverStats`].
+    /// Overrides the retry ladder's tuning (default:
+    /// [`ResilienceConfig::default`]).
     pub fn resilience(mut self, cfg: ResilienceConfig) -> Self {
-        self.resilience = Some(cfg);
+        self.resilience = cfg;
         self
     }
 
@@ -101,44 +73,29 @@ impl<B: ClusterBackend, S: TelemetrySink> Driver<B, S> {
         }
     }
 
-    /// Runs the control loop until the backend's clock ends.
-    ///
-    /// # Errors
-    ///
-    /// [`DriverError::Backend`] when a plain run hits a backend error
-    /// (resilient runs absorb backend errors and keep going).
-    pub fn run(self) -> Result<DriverOutcome<B>, DriverError> {
+    /// Runs the control loop until the backend's clock ends. Backend
+    /// errors are retried, degraded around or skipped, and counted in
+    /// [`DriverOutcome::driver_stats`]; none ends the run.
+    pub fn run(self) -> DriverOutcome<B> {
         let Driver {
-            mut backend,
+            backend,
             policy,
             admission,
             resilience,
             mut sink,
         } = self;
         let mut reconciler = Reconciler::new(policy, admission);
-        let (backend, driver_stats, breaker) = match resilience {
-            None => {
-                while backend.advance_with(&mut sink).is_some() {
-                    reconciler.reconcile_with(&mut backend, &mut sink)?;
-                }
-                (backend, None, None)
-            }
-            Some(cfg) => {
-                let mut driver = ResilientDriver::new(backend, cfg);
-                while driver.backend_mut().advance_with(&mut sink).is_some() {
-                    driver.round_with(&mut reconciler, &mut sink);
-                }
-                let (stats, breaker) = (*driver.stats(), driver.breaker_state());
-                (driver.into_inner(), Some(stats), Some(breaker))
-            }
-        };
-        Ok(DriverOutcome {
+        let mut driver = ResilientDriver::new(backend, resilience);
+        while driver.backend_mut().advance_with(&mut sink).is_some() {
+            driver.round_with(&mut reconciler, &mut sink);
+        }
+        DriverOutcome {
             policy_name: reconciler.policy_name().to_string(),
             stats: *reconciler.stats(),
-            driver_stats,
-            breaker,
-            backend,
-        })
+            driver_stats: *driver.stats(),
+            breaker: driver.breaker_state(),
+            backend: driver.into_inner(),
+        }
     }
 }
 
@@ -155,20 +112,18 @@ pub struct DriverOutcome<B> {
     /// The reconciler's accounting: completed rounds, admission, and
     /// actuation.
     pub stats: RunStats,
-    /// The resilient arm's accounting: every round seen, retries,
+    /// The retry ladder's accounting: every round seen, retries,
     /// degraded and skipped rounds, breaker opens, drift repairs.
-    /// `None` on a plain run.
-    pub driver_stats: Option<DriverStats>,
-    /// Final circuit-breaker state of a resilient run.
-    pub breaker: Option<BreakerState>,
+    pub driver_stats: DriverStats,
+    /// Final circuit-breaker state.
+    pub breaker: BreakerState,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ActuationReport;
+    use crate::backend::{ActuationReport, BackendError};
     use crate::clock::Clock;
-    use crate::ResilienceConfig;
     use faro_core::admission::Unlimited;
     use faro_core::baselines::Aiad;
     use faro_core::types::{ClusterSnapshot, JobObservation, JobSpec, ResourceModel};
@@ -250,34 +205,20 @@ mod tests {
     }
 
     #[test]
-    fn plain_run_drives_to_the_horizon() {
-        let out = Driver::new(MemBackend::new(5), Box::new(Aiad::default()))
-            .admission(Box::new(Unlimited))
-            .run()
-            .expect("mem backend never fails");
-        assert_eq!(out.stats.rounds, 5);
-        assert_eq!(out.backend.applies, 5);
-        assert_eq!(out.backend.rounds_left, 0);
-        assert_eq!(out.policy_name, "AIAD");
-        assert!(out.driver_stats.is_none());
-        assert!(out.breaker.is_none());
-    }
-
-    #[test]
     fn resilient_run_reports_composed_stats() {
         let mut sink = TraceSink::new();
         let out = Driver::new(MemBackend::new(6), Box::new(Aiad::default()))
+            .admission(Box::new(Unlimited))
             .resilience(ResilienceConfig::default())
             .telemetry(&mut sink)
-            .run()
-            .expect("mem backend never fails");
-        let driver_stats = out
-            .driver_stats
-            .expect("resilient run records driver stats");
-        assert_eq!(driver_stats.rounds, 6);
-        assert_eq!(driver_stats.ok_rounds, 6);
+            .run();
+        assert_eq!(out.driver_stats.rounds, 6);
+        assert_eq!(out.driver_stats.ok_rounds, 6);
         assert_eq!(out.stats.rounds, 6);
-        assert_eq!(out.breaker, Some(BreakerState::Closed));
+        assert_eq!(out.backend.applies, 6);
+        assert_eq!(out.backend.rounds_left, 0, "ran to the horizon");
+        assert_eq!(out.policy_name, "AIAD");
+        assert_eq!(out.breaker, BreakerState::Closed);
         assert!(!sink.is_empty(), "telemetry streamed through the driver");
     }
 }

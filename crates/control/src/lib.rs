@@ -32,23 +32,25 @@
 //!
 //! Both backend calls are fallible ([`backend::BackendError`]): a live
 //! API times out, refuses calls, serves stale snapshots, and actuates
-//! partially. The plain [`Reconciler`] propagates the first error;
-//! [`resilient::ResilientDriver`] runs a round over any backend with
-//! bounded deterministic retry, a circuit breaker, degraded-mode
-//! rounds, and drift repair, counted in [`DriverStats`]; and
-//! [`chaos::ChaosBackend`] injects exactly those failures from a
-//! seeded plan so every resilience path is exercised reproducibly.
+//! partially. [`resilient::ResilientDriver`] runs each round over any
+//! backend with bounded deterministic retry, a circuit breaker,
+//! degraded-mode rounds, and drift repair, counted in
+//! [`DriverStats`]; and [`chaos::ChaosBackend`] injects exactly those
+//! failures from a seeded plan so every resilience path is exercised
+//! reproducibly.
 //!
 //! [`Driver::run`] is the one run loop over all of this: it advances
-//! the backend's clock and runs one plain or resilient round per tick
-//! until the clock ends, for the simulator, a mock, and the live HTTP
-//! backend (`faro-cluster`) alike.
+//! the backend's clock and runs one retry-ladder round per tick until
+//! the clock ends, for the simulator, a mock, and the live HTTP
+//! backend (`faro-cluster`) alike. It cannot fail: on a backend that
+//! never fails a call its [`RunStats`] are those of
+//! [`Reconciler::reconcile`] stepped by hand.
 //!
-//! Time is split across two traits: [`Clock`] is the run's logical
-//! timeline ([`faro_core::units::SimTimeMs`]), and [`clock::WallClock`]
-//! is the host's physical clock ([`faro_core::units::WallTimeMs`]) —
-//! separate types with no conversion, so wall-clock millis cannot
-//! leak into sim-time arithmetic.
+//! [`Clock`] is the run's logical timeline
+//! ([`faro_core::units::SimTimeMs`]). A live backend's host clock reads
+//! [`faro_core::units::WallTimeMs`], a separate type with no
+//! conversion, so wall-clock millis cannot leak into sim-time
+//! arithmetic.
 //!
 //! The discrete-event simulator (`faro-sim`) provides the first
 //! backend; `examples/custom_backend.rs` in the workspace root runs
@@ -70,7 +72,7 @@ pub use backend::{ActuationReport, BackendError, ClusterBackend};
 pub use chaos::{
     ApiErrors, ChaosBackend, ChaosPlan, ChaosStats, InjectedLatency, PartialApplies, StaleSnapshots,
 };
-pub use clock::{Clock, WallClock};
-pub use driver::{Driver, DriverError, DriverOutcome};
-pub use reconciler::{AdmissionStats, PlannedRound, ReconcileOutcome, Reconciler, RunStats};
+pub use clock::Clock;
+pub use driver::{Driver, DriverOutcome};
+pub use reconciler::{AdmissionStats, Reconciler, RunStats};
 pub use resilient::{BreakerState, DriverStats, ResilienceConfig, ResilientDriver, RetryPolicy};

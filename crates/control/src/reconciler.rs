@@ -4,7 +4,6 @@ use crate::backend::{ActuationReport, BackendError, ClusterBackend};
 use faro_core::admission::{Admission, AdmissionOutcome};
 use faro_core::policy::{Policy, PolicyIntrospection};
 use faro_core::types::{ClusterSnapshot, DesiredState, JobId};
-use faro_core::units::SimTimeMs;
 use faro_telemetry::{
     DecisionRecord, JobRound, NoopSink, Phase, Sample, TelemetryEvent, TelemetrySink,
 };
@@ -65,35 +64,24 @@ pub struct RunStats {
 /// The Decide + Admit half of a round, produced by
 /// [`Reconciler::plan_with`] on a caller-provided snapshot and
 /// consumed by [`Reconciler::complete_round_with`] once actuation has
-/// (or has not) happened. Splitting the round this way lets a
-/// resilient driver own the fallible Observe/Actuate edges while the
-/// reconciler keeps owning policy, admission, and accounting.
-pub struct PlannedRound {
+/// (or has not) happened. Splitting the round this way lets the retry
+/// ladder own the fallible Observe/Actuate edges while the reconciler
+/// keeps owning policy, admission, and accounting.
+pub(crate) struct PlannedRound {
     /// The admitted desired state — what actuation should apply.
-    pub desired: DesiredState,
+    pub(crate) desired: DesiredState,
     /// What admission granted this round.
-    pub admission: AdmissionOutcome,
+    admission: AdmissionOutcome,
     /// The pre-admission request, kept only when a sink is listening
     /// (it exists solely for the decision record).
-    pub(crate) requested: Option<DesiredState>,
-    pub(crate) intro: PolicyIntrospection,
-}
-
-/// What one reconcile round produced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReconcileOutcome {
-    /// Time of the round.
-    pub at: SimTimeMs,
-    /// What admission granted this round.
-    pub admission: AdmissionOutcome,
-    /// What actuation changed this round.
-    pub actuation: ActuationReport,
+    requested: Option<DesiredState>,
+    intro: PolicyIntrospection,
 }
 
 /// One control-loop round: observe the backend, ask the policy for a
 /// desired state, admit it against the cluster quota, and actuate the
-/// result. [`Driver::run`](crate::Driver::run) repeats it until the
-/// backend's clock ends.
+/// result. [`Driver::run`](crate::Driver::run) runs it once per tick,
+/// inside the retry ladder, until the backend's clock ends.
 ///
 /// The reconciler owns the policy and the admission strategy; the
 /// backend is borrowed per call so one reconciler can drive simulated
@@ -124,60 +112,41 @@ impl Reconciler {
         &self.stats
     }
 
-    /// One Observe → Decide → Admit → Actuate round at the backend's
-    /// current time.
+    /// One untraced Observe → Decide → Admit → Actuate round at the
+    /// backend's current time, with no retry: `observe`? → `plan_with`
+    /// → `apply_with`? → `complete_round_with`, all on [`NoopSink`].
+    /// [`Driver::run`](crate::Driver::run) runs the same halves inside
+    /// [`ResilientDriver`](crate::ResilientDriver)'s retry ladder,
+    /// which is where a traced round's spans, samples and
+    /// [`DecisionRecord`] come from. On a backend that never fails,
+    /// stepping this by hand yields the run's [`RunStats`].
     ///
     /// # Errors
     ///
     /// Propagates the first [`BackendError`] from `observe` or `apply`
-    /// untouched; the round's stats are not recorded. Retry/degraded
-    /// handling is deliberately not done here — wrap the backend in a
-    /// [`ResilientDriver`](crate::ResilientDriver) for that.
+    /// untouched; the round's stats are not recorded.
     pub fn reconcile<B: ClusterBackend + ?Sized>(
         &mut self,
         backend: &mut B,
-    ) -> Result<ReconcileOutcome, BackendError> {
-        self.reconcile_with(backend, &mut NoopSink)
-    }
-
-    /// Like [`Reconciler::reconcile`], streaming the round into a
-    /// telemetry sink: one deterministic work span per phase (jobs
-    /// observed, solver evaluations, replicas trimmed, replicas
-    /// started), per-job queue-depth samples, and a full
-    /// [`DecisionRecord`] of requested-vs-granted allocations with the
-    /// policy's solve introspection.
-    ///
-    /// With [`NoopSink`] this monomorphizes to exactly the un-traced
-    /// round: every sink call is an empty inlined body and the
-    /// requested-state clone is skipped (`sink.enabled()` is `false`).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Reconciler::reconcile`].
-    pub fn reconcile_with<B, S>(
-        &mut self,
-        backend: &mut B,
-        sink: &mut S,
-    ) -> Result<ReconcileOutcome, BackendError>
-    where
-        B: ClusterBackend + ?Sized,
-        S: TelemetrySink,
-    {
+    ) -> Result<(), BackendError> {
         let snapshot = backend.observe()?;
-        let planned = self.plan_with(&snapshot, sink);
-        let actuation = backend.apply_with(&planned.desired, sink)?;
-        Ok(self.complete_round_with(&snapshot, planned, &actuation, sink))
+        let planned = self.plan_with(&snapshot, &mut NoopSink);
+        let actuation = backend.apply_with(&planned.desired, &mut NoopSink)?;
+        self.complete_round_with(&snapshot, planned, &actuation, &mut NoopSink);
+        Ok(())
     }
 
     /// The Decide + Admit half of a round on a caller-provided
     /// snapshot: emits the Observe/Decide/Admit spans, runs the policy
     /// and admission, and returns the admitted state plus the context
     /// [`Reconciler::complete_round_with`] needs to finish the round's
-    /// accounting. [`Reconciler::reconcile_with`] is exactly
-    /// `observe`? → `plan_with` → `apply_with`? →
-    /// `complete_round_with`; resilient drivers call the halves
-    /// directly so they can retry the fallible edges in between.
-    pub fn plan_with<S: TelemetrySink>(
+    /// accounting. The retry ladder calls the two halves directly so
+    /// it can retry the fallible edges in between.
+    ///
+    /// With [`NoopSink`] every sink call is an empty inlined body and
+    /// the requested-state clone is skipped (`sink.enabled()` is
+    /// `false`).
+    pub(crate) fn plan_with<S: TelemetrySink>(
         &mut self,
         snapshot: &ClusterSnapshot,
         sink: &mut S,
@@ -223,14 +192,15 @@ impl Reconciler {
 
     /// Commits a planned round's actuation outcome: emits the Actuate
     /// span, folds the round into [`RunStats`], and emits the per-job
-    /// samples and the [`DecisionRecord`] when a sink is listening.
-    pub fn complete_round_with<S: TelemetrySink>(
+    /// samples and the [`DecisionRecord`] of requested-vs-granted
+    /// allocations when a sink is listening.
+    pub(crate) fn complete_round_with<S: TelemetrySink>(
         &mut self,
         snapshot: &ClusterSnapshot,
         planned: PlannedRound,
         actuation: &ActuationReport,
         sink: &mut S,
-    ) -> ReconcileOutcome {
+    ) {
         let at = snapshot.now;
         let PlannedRound {
             desired,
@@ -264,11 +234,6 @@ impl Reconciler {
                 intro,
             );
             sink.event(at, &TelemetryEvent::Decision { record });
-        }
-        ReconcileOutcome {
-            at,
-            admission,
-            actuation: *actuation,
         }
     }
 }
@@ -335,6 +300,7 @@ mod tests {
     use faro_core::types::{
         ClusterSnapshot, DesiredState, JobDecision, JobObservation, JobSpec, ResourceModel,
     };
+    use faro_core::units::SimTimeMs;
     use std::sync::Arc;
 
     /// A minimal in-memory backend: fixed tick, fixed horizon, targets
@@ -439,7 +405,7 @@ mod tests {
         }
     }
 
-    /// A whole plain run of `policy` over `backend` through the one
+    /// A whole run of `policy` over `backend` through the one
     /// run loop.
     fn drive(
         backend: MemBackend,
@@ -449,7 +415,6 @@ mod tests {
         crate::Driver::new(backend, Box::new(policy))
             .admission(admission)
             .run()
-            .expect("mem backend never fails")
     }
 
     #[test]
@@ -475,12 +440,12 @@ mod tests {
         let mut backend = MemBackend::new(6, 2);
         let mut rec = Reconciler::new(Box::new(Want(8)), Box::new(OutageClamp::new(16)));
         backend.advance();
-        let out = rec.reconcile(&mut backend).unwrap();
-        assert!(out.admission.clamped());
-        assert_eq!(out.admission.granted_replicas, 6);
+        rec.reconcile(&mut backend).unwrap();
+        let admission = rec.stats().admission;
+        assert_eq!(admission.clamped_rounds, 1);
+        assert_eq!(admission.granted_replicas, 6);
         assert_eq!(backend.targets.iter().sum::<u32>(), 6);
-        assert_eq!(out.actuation.jobs_applied, 2);
-        assert_eq!(rec.stats().admission.clamped_rounds, 1);
+        assert_eq!(backend.applies, vec![vec![(0, 3), (1, 3)]]);
     }
 
     #[test]
@@ -497,12 +462,13 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_with_records_requested_vs_granted() {
+    fn a_traced_round_records_requested_vs_granted() {
         let mut backend = MemBackend::new(6, 2);
         let mut rec = Reconciler::new(Box::new(Want(8)), Box::new(OutageClamp::new(16)));
         let mut sink = faro_telemetry::TraceSink::new();
         backend.advance();
-        rec.reconcile_with(&mut backend, &mut sink).unwrap();
+        crate::ResilientDriver::new(backend, crate::ResilienceConfig::default())
+            .round_with(&mut rec, &mut sink);
         assert_eq!(sink.len(), 1);
         let entry = sink.entries().next().unwrap();
         let TelemetryEvent::Decision { record } = &entry.event else {
@@ -522,13 +488,12 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_with_spans_measure_deterministic_work() {
+    fn traced_spans_measure_deterministic_work() {
         let mut sink = faro_telemetry::AggregateSink::new();
         crate::Driver::new(MemBackend::new(16, 3), Box::new(Want(4)))
             .admission(Box::new(Unlimited))
             .telemetry(&mut sink)
-            .run()
-            .unwrap();
+            .run();
         let observe = sink.span_stats(Phase::Observe);
         assert_eq!(observe.rounds, 10);
         assert_eq!(observe.max_work, 3, "observe work = jobs observed");

@@ -2,15 +2,14 @@
 //! deterministic backoff, a circuit breaker, degraded-mode rounds, and
 //! desired-vs-observed drift detection.
 //!
-//! The plain [`Reconciler`] stops at the first [`BackendError`]; that
-//! is correct for the in-process simulator (which never fails) but not
-//! for a live backend, whose API *will* time out, refuse calls, and
-//! serve stale snapshots. The [`ResilientDriver`] is the resilient arm
-//! of [`Driver::run`](crate::Driver::run): it wraps any
+//! A live backend's API *will* time out, refuse calls, and serve
+//! stale snapshots. The [`ResilientDriver`] runs every round of
+//! [`Driver::run`](crate::Driver::run): it wraps any
 //! [`ClusterBackend`] and keeps each round alive through those
-//! failures without ever touching a wall clock. Its tuning is
-//! [`ResilienceConfig`] (the retry policy); every other knob is a
-//! constant of this module:
+//! failures without ever touching a wall clock, so a run never stops
+//! on a [`BackendError`]. On a backend that never fails (the in-process
+//! simulator) no rung below fires. Its tuning is [`ResilienceConfig`]
+//! (the retry policy); every other knob is a constant of this module:
 //!
 //! * **Bounded retry with backoff.** Each `observe`/`apply` is tried
 //!   up to [`RetryPolicy::max_attempts`] times. Backoff delays double
@@ -214,10 +213,9 @@ impl<B: ClusterBackend> ResilientDriver<B> {
     /// [`Reconciler::reconcile`] this never fails: every backend error
     /// is retried, degraded around, or skipped and counted. Retries,
     /// breaker transitions, and degraded rounds stream into `sink`.
-    /// On a backend that never fails it is `observe` → `plan_with` →
-    /// `apply_with` → `complete_round_with` plus the drift check, which
-    /// still reports any observed target that disagrees with the last
-    /// applied one.
+    /// On a backend that never fails it is [`Reconciler::reconcile`]
+    /// traced into `sink`, plus the drift check, which still reports
+    /// any observed target that disagrees with the last applied one.
     pub fn round_with<S: TelemetrySink>(&mut self, reconciler: &mut Reconciler, sink: &mut S) {
         self.stats.rounds += 1;
         let at = self.backend.now();

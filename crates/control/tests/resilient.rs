@@ -1,13 +1,13 @@
-//! Integration tests for the resilient arm of the run loop and the
-//! chaos backend: retry recovery, breaker schedules, degraded rounds,
-//! drift repair, the no-mutation guarantee for breaker-open rounds, and
+//! Integration tests for the run loop's retry ladder and the chaos
+//! backend: retry recovery, breaker schedules, degraded rounds, drift
+//! repair, the no-mutation guarantee for breaker-open rounds, and
 //! `Driver::run` as the very program a caller stepping rounds by hand
 //! runs.
 
 use faro_control::resilient::{BREAKER_COOLDOWN_ROUNDS, BREAKER_THRESHOLD, STALENESS_WINDOW};
 use faro_control::{
     ActuationReport, ApiErrors, BackendError, BreakerState, ChaosBackend, ChaosPlan, Clock,
-    ClusterBackend, Driver, DriverError, DriverOutcome, DriverStats, PartialApplies, Reconciler,
+    ClusterBackend, Driver, DriverOutcome, DriverStats, PartialApplies, Reconciler,
     ResilienceConfig, ResilientDriver, RetryPolicy, StaleSnapshots,
 };
 use faro_core::admission::ClampToQuota;
@@ -162,37 +162,47 @@ fn driver<B: ClusterBackend>(backend: B, target: u32) -> Driver<B> {
     Driver::new(backend, Box::new(Want(target)))
 }
 
-/// A resilient run to the horizon, and its driver accounting.
+/// A run to the horizon with this tuning, and its driver accounting.
 fn resilient<B: ClusterBackend, S: TelemetrySink>(
     run: Driver<B, S>,
     cfg: ResilienceConfig,
 ) -> (DriverOutcome<B>, DriverStats) {
-    let out = run
-        .resilience(cfg)
-        .run()
-        .expect("a resilient run never stops on a backend error");
-    let stats = out.driver_stats.expect("a resilient run counts its rounds");
+    let out = run.resilience(cfg).run();
+    let stats = out.driver_stats;
     (out, stats)
 }
 
 #[test]
 fn clean_backend_matches_the_plain_reconciler() {
-    let plain = driver(ScriptBackend::new(10, 2), 4)
-        .run()
-        .expect("no faults scripted");
+    let mut plain = ScriptBackend::new(10, 2);
+    let mut rec = reconciler(4);
+    while plain.advance().is_some() {
+        rec.reconcile(&mut plain).expect("no faults scripted");
+    }
     let (out, stats) = resilient(
         driver(ScriptBackend::new(10, 2), 4),
         ResilienceConfig::default(),
     );
 
     assert_eq!(
-        out.stats, plain.stats,
+        out.stats,
+        *rec.stats(),
         "no faults: the driver is transparent"
     );
-    assert_eq!(stats.ok_rounds, 10);
-    assert_eq!(stats.skipped_rounds, 0);
-    assert_eq!(stats.observe_retries + stats.apply_retries, 0);
-    assert_eq!(out.breaker, Some(BreakerState::Closed));
+    assert_eq!(out.backend.targets, plain.targets);
+    assert_eq!(
+        (out.backend.observe_calls, out.backend.apply_calls),
+        (plain.observe_calls, plain.apply_calls)
+    );
+    assert_eq!(
+        stats,
+        DriverStats {
+            rounds: 10,
+            ok_rounds: 10,
+            ..DriverStats::default()
+        }
+    );
+    assert_eq!(out.breaker, BreakerState::Closed);
 }
 
 #[test]
@@ -358,7 +368,7 @@ fn chaos_injection_is_deterministic_per_seed() {
     );
 }
 
-/// Every API fault class `Driver::run` absorbs on its resilient arm:
+/// Every API fault class `Driver::run`'s retry ladder absorbs:
 /// refused calls, stale snapshots, and partial applies.
 fn api_chaos() -> ChaosPlan {
     ChaosPlan {
@@ -413,7 +423,7 @@ fn resilient_driver_run_is_round_with_stepped_by_hand() {
         ] {
             assert_eq!(&run.stats, stats, "seed {seed}");
             assert_eq!(&run_stats, driven, "seed {seed}");
-            assert_eq!(run.breaker, Some(breaker), "seed {seed}");
+            assert_eq!(run.breaker, breaker, "seed {seed}");
             assert_eq!(run.backend.stats(), backend.stats(), "seed {seed}");
             assert_eq!(run.backend.inner().targets, backend.inner().targets);
         }
@@ -426,60 +436,6 @@ fn resilient_driver_run_is_round_with_stepped_by_hand() {
                 && injected.partial_applies > 0,
             "seed {seed} injected every fault class: {injected:?}"
         );
-    }
-}
-
-/// The plain `Driver::run` is `Reconciler::reconcile_with` stepped by
-/// hand: to the horizon when no call fails (stale snapshots are served
-/// without an error), and to the same first error when one does.
-#[test]
-fn plain_driver_run_is_reconcile_with_stepped_by_hand() {
-    let stale_only = ChaosPlan {
-        stale_snapshots: Some(StaleSnapshots { rate: 0.3 }),
-        ..ChaosPlan::none()
-    };
-    for seed in 1..=3 {
-        for (plan, completes) in [(stale_only, true), (api_chaos(), false)] {
-            let chaos = || ChaosBackend::new(ScriptBackend::new(30, 3), plan, seed).unwrap();
-            let mut run_sink = TraceSink::new();
-            let run = driver(chaos(), 4).telemetry(&mut run_sink).run();
-
-            let mut step_sink = TraceSink::new();
-            let mut rec = reconciler(4);
-            let mut backend = chaos();
-            let mut stepped = Ok(());
-            while backend.advance_with(&mut step_sink).is_some() {
-                if let Err(e) = rec.reconcile_with(&mut backend, &mut step_sink) {
-                    stepped = Err(e);
-                    break;
-                }
-            }
-
-            match (run, stepped) {
-                (Ok(out), Ok(())) => {
-                    assert!(completes, "seed {seed}: an api-error plan never fired");
-                    assert_eq!(out.stats, *rec.stats(), "seed {seed}");
-                    assert_eq!(out.stats.rounds, 30);
-                    assert!(out.driver_stats.is_none() && out.breaker.is_none());
-                    assert_eq!(out.backend.stats(), backend.stats());
-                    assert_eq!(out.backend.inner().targets, backend.inner().targets);
-                }
-                (Err(DriverError::Backend(run_err)), Err(step_err)) => {
-                    assert!(!completes, "seed {seed}: a stale snapshot failed a call");
-                    assert_eq!(run_err, step_err, "seed {seed}");
-                }
-                (run, stepped) => panic!(
-                    "seed {seed}: the run {} and the stepped rounds {}",
-                    if run.is_ok() { "completed" } else { "failed" },
-                    if stepped.is_ok() {
-                        "completed"
-                    } else {
-                        "failed"
-                    },
-                ),
-            }
-            assert_eq!(run_sink.to_jsonl(), step_sink.to_jsonl(), "seed {seed}");
-        }
     }
 }
 

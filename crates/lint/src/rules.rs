@@ -285,12 +285,16 @@ fn find_literals(chars: &[char], lit: &str) -> Vec<usize> {
 }
 
 /// Crates whose library code must not panic: the simulator and the
-/// control plane run unattended inside long sweeps and (eventually)
-/// against live clusters.
-const NO_PANIC_SCOPE: &[&str] = &["crates/sim/src/", "crates/control/src/"];
+/// control plane run unattended inside long sweeps and against live
+/// clusters, and the cluster crate faces a socket.
+const NO_PANIC_SCOPE: &[&str] = &[
+    "crates/sim/src/",
+    "crates/control/src/",
+    "crates/cluster/src/",
+];
 
-/// Rule `no-panic-in-lib`: non-test library code in `sim` and
-/// `control` must not `unwrap()`, `panic!`, or index with a literal.
+/// Rule `no-panic-in-lib`: non-test library code in `sim`, `control`
+/// and `cluster` must not `unwrap()`, `panic!`, or index with a literal.
 /// `expect` is allowed only when the message starts with
 /// `"invariant: "` — i.e. the author states *why* it cannot fire.
 pub fn no_panic_in_lib(path: &str, scan: &FileScan, out: &mut Vec<Diagnostic>) {
@@ -502,6 +506,7 @@ mod tests {
         let src = "let x = v.first().unwrap();\n";
         assert!(lint_source("crates/metrics/src/lib.rs", src).is_empty());
         assert_eq!(lint_source("crates/sim/src/lib.rs", src).len(), 1);
+        assert_eq!(lint_source("crates/cluster/src/server.rs", src).len(), 1);
     }
 
     #[test]

@@ -42,7 +42,6 @@ use crate::faults::{FaultInjector, MetricOutageMode};
 use crate::report::{cluster_report, utilities_from_minutes, ClusterReport, JobReport};
 use crate::runtime::{ArrivalOutcome, JobRuntime};
 use crate::simulator::{SimConfig, Simulation};
-use crate::Result;
 use faro_control::{ActuationReport, BackendError, Clock, ClusterBackend};
 use faro_core::types::{ClusterSnapshot, DesiredState, JobId, JobObservation, ResourceModel};
 use faro_core::units::{RatePerMin, ReplicaCount, SimTimeMs};
@@ -103,7 +102,7 @@ impl SimBackend {
     /// initial-fleet crash times and the outage window (when a fault
     /// plan is attached), records the t=0 availability samples, and
     /// seeds the queue with the first minute boundary and policy tick.
-    pub(crate) fn new(sim: Simulation) -> Result<Self> {
+    pub(crate) fn new(sim: Simulation) -> Self {
         let Simulation {
             config,
             mut jobs,
@@ -127,7 +126,7 @@ impl SimBackend {
         let mut injector = if faults.is_none() {
             None
         } else {
-            Some(FaultInjector::new(faults.clone(), config.seed, jobs.len())?)
+            Some(FaultInjector::new(faults.clone(), config.seed))
         };
         if let Some(inj) = injector.as_mut() {
             // Every replica gets its crash time at creation, in creation
@@ -159,7 +158,7 @@ impl SimBackend {
         queue.push(0, Event::PolicyTick);
 
         let n = jobs.len();
-        Ok(Self {
+        Self {
             config,
             jobs,
             rates,
@@ -182,7 +181,7 @@ impl SimBackend {
             now: 0,
             finished: false,
             metric_outage_active: false,
-        })
+        }
     }
 
     /// Recomputes the cached earliest pending arrival.
@@ -675,7 +674,7 @@ impl ClusterBackend for SimBackend {
     /// Infallible in practice: the in-process simulator always has a
     /// fresh snapshot. Inject [`BackendError`]s by wrapping the backend
     /// in `faro_control::ChaosBackend`.
-    fn observe(&mut self) -> std::result::Result<ClusterSnapshot, BackendError> {
+    fn observe(&mut self) -> Result<ClusterSnapshot, BackendError> {
         let now = self.now;
         let active_outage = self.injector.as_ref().and_then(|i| i.metric_outage_at(now));
         // While a stale-mode outage has not started yet, keep caching
@@ -733,10 +732,7 @@ impl ClusterBackend for SimBackend {
         })
     }
 
-    fn apply(
-        &mut self,
-        desired: &DesiredState,
-    ) -> std::result::Result<ActuationReport, BackendError> {
+    fn apply(&mut self, desired: &DesiredState) -> Result<ActuationReport, BackendError> {
         Ok(self.apply_impl(desired, &mut NoopSink))
     }
 
@@ -744,7 +740,7 @@ impl ClusterBackend for SimBackend {
         &mut self,
         desired: &DesiredState,
         sink: &mut dyn TelemetrySink,
-    ) -> std::result::Result<ActuationReport, BackendError> {
+    ) -> Result<ActuationReport, BackendError> {
         Ok(self.apply_impl(desired, sink))
     }
 }

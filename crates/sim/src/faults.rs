@@ -194,13 +194,10 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// Builds an injector for a validated plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FaultPlan::validate`] failures.
-    pub fn new(plan: FaultPlan, seed: u64, n_jobs: usize) -> Result<Self> {
-        plan.validate(n_jobs)?;
+    /// Builds an injector for a plan that
+    /// [`Simulation::with_faults`](crate::Simulation::with_faults), the
+    /// only way to attach one, has already validated.
+    pub(crate) fn new(plan: FaultPlan, seed: u64) -> Self {
         let crash_dist = plan.replica_crashes.as_ref().map(|c| {
             Exp::new(1.0 / c.mttf_secs).expect("invariant: validate() checked the MTTF is positive")
         });
@@ -208,12 +205,12 @@ impl FaultInjector {
             LogNormal::new(s.median_multiplier.ln(), s.sigma.max(1e-12))
                 .expect("invariant: validate() checked the spike parameters")
         });
-        Ok(Self {
+        Self {
             plan,
             rng: StdRng::seed_from_u64(seed ^ 0xfa17_5eed),
             crash_dist,
             spike_dist,
-        })
+        }
     }
 
     /// The plan being injected.
@@ -380,7 +377,7 @@ mod tests {
     #[test]
     fn crash_sampling_is_deterministic_and_positive() {
         let draw = |seed| {
-            let mut inj = FaultInjector::new(crash_plan(300.0), seed, 1).unwrap();
+            let mut inj = FaultInjector::new(crash_plan(300.0), seed);
             (0..10)
                 .map(|_| inj.crash_after().unwrap())
                 .collect::<Vec<_>>()
@@ -406,7 +403,7 @@ mod tests {
             }),
             ..FaultPlan::none()
         };
-        let mut inj = FaultInjector::new(plan, 1, 1).unwrap();
+        let mut inj = FaultInjector::new(plan, 1);
         assert_eq!(inj.cold_start_multiplier(micros(10.0)), 1.0);
         let inside = inj.cold_start_multiplier(micros(120.0));
         assert!((inside - 4.0).abs() < 1e-9, "sigma 0 gives the median");
@@ -424,7 +421,7 @@ mod tests {
             }),
             ..FaultPlan::none()
         };
-        let inj = FaultInjector::new(plan, 0, 1).unwrap();
+        let inj = FaultInjector::new(plan, 0);
         assert!(inj.metric_outage_at(micros(30.0)).is_none());
         assert!(inj.metric_outage_at(micros(90.0)).is_some());
         assert!(inj.metric_outage_at(micros(180.0)).is_none());

@@ -35,9 +35,7 @@
 //! let outcome = Simulation::new(config, jobs)
 //!     .unwrap()
 //!     .driver(Box::new(FairShare))
-//!     .unwrap()
 //!     .run()
-//!     .unwrap()
 //!     .into_outcome();
 //! assert!(outcome.report.jobs[0].total_requests > 0);
 //! ```

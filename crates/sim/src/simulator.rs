@@ -1,10 +1,14 @@
 //! Simulation setup and entry points.
 //!
-//! [`Simulation`] validates a configuration and job set, then either
-//! runs the whole control loop itself ([`Simulation::driver`], which
-//! hands the primed [`SimBackend`] to the backend-generic
+//! [`Simulation`] validates a configuration, a job set and (in
+//! [`Simulation::with_faults`]) a fault plan, then either runs the
+//! whole control loop itself ([`Simulation::driver`], which hands the
+//! primed [`SimBackend`] to the backend-generic
 //! [`faro_control::Driver`] builder) or hands the backend out for
-//! fully external driving ([`Simulation::into_backend`]).
+//! fully external driving ([`Simulation::into_backend`]). Everything
+//! that can be refused is refused before the backend is built, so
+//! neither step fails, and neither does the run: the simulator never
+//! fails a call, so the run loop's retry ladder never fires on it.
 //!
 //! One run is configured through the [`faro_control::Driver`]
 //! builder; [`SimRun::into_outcome`] harvests the cluster report:
@@ -23,10 +27,8 @@
 //! let outcome = Simulation::new(SimConfig::default(), jobs)
 //!     .unwrap()
 //!     .driver(Box::new(FairShare))
-//!     .unwrap()
 //!     .telemetry(TraceSink::new())
 //!     .run()
-//!     .unwrap()
 //!     .into_outcome();
 //! assert!(outcome.report.jobs[0].total_requests > 0);
 //! assert_eq!(outcome.stats.rounds, 30, "one round per 10 s tick");
@@ -296,14 +298,10 @@ impl Simulation {
     /// the clamp engages only while the observed quota is below full
     /// capacity). Override with [`Driver::admission`]; harvest the
     /// cluster report from the outcome with [`SimRun::into_outcome`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when the attached fault plan cannot build its injector.
-    pub fn driver(self, policy: Box<dyn Policy>) -> Result<Driver<SimBackend>> {
+    pub fn driver(self, policy: Box<dyn Policy>) -> Driver<SimBackend> {
         let capacity = self.config.total_replicas;
-        Ok(Driver::new(self.into_backend()?, policy)
-            .admission(Box::new(OutageClamp::new(capacity)) as Box<dyn Admission>))
+        Driver::new(SimBackend::new(self), policy)
+            .admission(Box::new(OutageClamp::new(capacity)) as Box<dyn Admission>)
     }
 
     /// Primes the discrete-event backend for this simulation without
@@ -311,9 +309,12 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Fails when the attached fault plan cannot build its injector.
+    /// Never: [`Simulation::new`] and [`Simulation::with_faults`] have
+    /// refused everything that could fail. The `Result` stays only
+    /// because the benchmark, whose sources are frozen, calls `.expect`
+    /// on it; it goes with the benchmark re-base (ROADMAP item 1(e)).
     pub fn into_backend(self) -> Result<SimBackend> {
-        SimBackend::new(self)
+        Ok(SimBackend::new(self))
     }
 }
 
@@ -385,9 +386,7 @@ mod tests {
         let report = Simulation::new(cfg, vec![setup(300.0, 20, 4)])
             .unwrap()
             .driver(Box::new(FairShare))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         // FairShare gives all 8 replicas to the single job.
@@ -413,9 +412,7 @@ mod tests {
         let report = Simulation::new(cfg, vec![setup(2400.0, 10, 1)])
             .unwrap()
             .driver(Box::new(FairShare))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let job = &report.jobs[0];
@@ -442,17 +439,13 @@ mod tests {
         let fixed = Simulation::new(cfg.clone(), vec![mk()])
             .unwrap()
             .driver(Box::new(StaticPolicy(2)))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let scaled = Simulation::new(cfg, vec![mk()])
             .unwrap()
             .driver(Box::new(Aiad::default()))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         assert!(
@@ -474,9 +467,7 @@ mod tests {
             Simulation::new(cfg.clone(), vec![setup(600.0, 8, 2)])
                 .unwrap()
                 .driver(Box::new(Aiad::default()))
-                .unwrap()
                 .run()
-                .unwrap()
                 .into_outcome()
                 .report
         };
@@ -497,9 +488,7 @@ mod tests {
         let report = Simulation::new(cfg, vec![setup(900.0, 12, 2)])
             .unwrap()
             .driver(Box::new(FairShare))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let job = &report.jobs[0];
@@ -537,9 +526,7 @@ mod tests {
         let report = Simulation::new(cfg, vec![setup(2400.0, 8, 1)])
             .unwrap()
             .driver(Box::new(JumpPolicy))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let u = &report.jobs[0].utility_per_minute;
@@ -632,9 +619,7 @@ mod tests {
         let plain = Simulation::new(cfg.clone(), vec![setup(600.0, 6, 2)])
             .unwrap()
             .driver(Box::new(Aiad::default()))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let with_none = Simulation::new(cfg, vec![setup(600.0, 6, 2)])
@@ -642,9 +627,7 @@ mod tests {
             .with_faults(FaultPlan::none())
             .unwrap()
             .driver(Box::new(Aiad::default()))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         assert_eq!(
@@ -689,9 +672,7 @@ mod tests {
                 .with_faults(full_plan())
                 .unwrap()
                 .driver(Box::new(Aiad::default()))
-                .unwrap()
                 .run()
-                .unwrap()
                 .into_outcome()
                 .report;
             serde_json::to_string(&report).unwrap()
@@ -715,9 +696,7 @@ mod tests {
             .with_faults(plan)
             .unwrap()
             .driver(Box::new(FairShare))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let job = &report.jobs[0];
@@ -767,9 +746,7 @@ mod tests {
             .with_faults(plan)
             .unwrap()
             .driver(Box::new(probe))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let seen = quotas.lock().unwrap();
@@ -807,9 +784,7 @@ mod tests {
             .with_faults(plan)
             .unwrap()
             .driver(Box::new(probe))
-            .unwrap()
-            .run()
-            .unwrap();
+            .run();
         let seen = rates.lock().unwrap();
         for &(t, r) in seen.iter() {
             if (120.0..240.0).contains(&t) {
@@ -847,9 +822,7 @@ mod tests {
             .with_faults(plan)
             .unwrap()
             .driver(Box::new(probe))
-            .unwrap()
-            .run()
-            .unwrap();
+            .run();
         let seen = rates.lock().unwrap();
         let frozen: Vec<f64> = seen
             .iter()
@@ -901,9 +874,7 @@ mod tests {
         let base = Simulation::new(cfg.clone(), vec![mk()])
             .unwrap()
             .driver(Box::new(Aiad::default()))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let plan = FaultPlan {
@@ -920,9 +891,7 @@ mod tests {
             .with_faults(plan)
             .unwrap()
             .driver(Box::new(Aiad::default()))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         assert!(

@@ -70,10 +70,8 @@ fn hetero_run(seed: u64) -> RunOutcome {
     Simulation::new(cfg, jobs)
         .expect("hetero setup is valid")
         .driver(faro_policy(n))
-        .unwrap()
         .admission(Box::new(ClampToQuota))
         .run()
-        .expect("hetero run completes")
         .into_outcome()
 }
 
@@ -162,10 +160,8 @@ fn class_blind_decisions_spill_fill_deterministically() {
         Simulation::new(cfg, setups())
             .expect("valid setup")
             .driver(Box::new(FairShare))
-            .unwrap()
             .admission(Box::new(ClampToQuota))
             .run()
-            .expect("class-blind hetero run completes")
             .into_outcome()
     };
     let a = serde_json::to_string(&run(5).report).expect("serializes");

@@ -37,9 +37,7 @@ fn small_run_json() -> String {
     let report = Simulation::new(cfg, setups)
         .expect("golden setup is valid")
         .driver(Box::new(FairShare))
-        .unwrap()
         .run()
-        .expect("golden run completes")
         .into_outcome()
         .report;
     serde_json::to_string(&report).expect("report serializes")

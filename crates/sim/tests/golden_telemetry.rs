@@ -8,8 +8,7 @@
 //! 3. The aggregate Prometheus snapshot is equally reproducible.
 
 use faro_control::{
-    ApiErrors, ChaosBackend, ChaosPlan, Driver, InjectedLatency, PartialApplies, ResilienceConfig,
-    StaleSnapshots,
+    ApiErrors, ChaosBackend, ChaosPlan, Driver, InjectedLatency, PartialApplies, StaleSnapshots,
 };
 use faro_core::admission::OutageClamp;
 use faro_core::baselines::Aiad;
@@ -71,10 +70,8 @@ fn traced_run(plan: FaultPlan) -> (RunOutcome, TraceSink) {
         .with_faults(plan)
         .unwrap()
         .driver(Box::new(Aiad::default()))
-        .unwrap()
         .telemetry(&mut sink)
         .run()
-        .expect("traced run completes")
         .into_outcome();
     (outcome, sink)
 }
@@ -113,10 +110,8 @@ fn tracing_never_steers_the_run() {
         .with_faults(faults())
         .unwrap()
         .driver(Box::new(Aiad::default()))
-        .unwrap()
         .telemetry(NoopSink)
         .run()
-        .expect("noop run completes")
         .into_outcome();
     let bytes = |o: &RunOutcome| serde_json::to_string(&o.report).expect("report serializes");
     assert_eq!(
@@ -129,7 +124,7 @@ fn tracing_never_steers_the_run() {
 }
 
 #[test]
-fn decision_records_reconcile_with_run_stats() {
+fn decision_records_agree_with_run_stats() {
     let (outcome, sink) = traced_run(FaultPlan::none());
     let decisions: Vec<_> = sink
         .entries()
@@ -170,10 +165,8 @@ fn chaos_replays_are_byte_identical_for_a_fixed_seed() {
         let mut sink = TraceSink::new();
         let out = Driver::new(chaos, Box::new(Aiad::default()))
             .admission(Box::new(OutageClamp::new(10)))
-            .resilience(ResilienceConfig::default())
             .telemetry(&mut sink)
-            .run()
-            .expect("a resilient run never stops on a backend error");
+            .run();
         (sink.to_jsonl(), out.driver_stats, *out.backend.stats())
     };
     for seed in [1, 2, 3, 7] {
@@ -210,10 +203,8 @@ fn sharded_solve_traces_are_reproducible() {
         let mut sink = TraceSink::new();
         let outcome = sim()
             .driver(Box::new(FaroAutoscaler::new(cfg, predictors)))
-            .unwrap()
             .telemetry(&mut sink)
             .run()
-            .expect("sharded run completes")
             .into_outcome();
         let report = serde_json::to_string(&outcome.report).expect("report serializes");
         (sink.to_jsonl(), report)
@@ -236,10 +227,8 @@ fn aggregate_snapshot_is_reproducible() {
             .with_faults(faults())
             .unwrap()
             .driver(Box::new(Aiad::default()))
-            .unwrap()
             .telemetry(&mut sink)
             .run()
-            .expect("aggregated run completes")
             .into_outcome();
         sink.prometheus_snapshot()
     };

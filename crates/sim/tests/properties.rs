@@ -76,9 +76,7 @@ proptest! {
         let policy = ScriptedPolicy { script, step: 0 };
         let report = Simulation::new(cfg, vec![setup]).unwrap()
             .driver(Box::new(policy))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let job = &report.jobs[0];
@@ -105,9 +103,7 @@ proptest! {
         let policy = ScriptedPolicy { script: vec![(8, drop)], step: 0 };
         let report = Simulation::new(cfg, vec![setup]).unwrap()
             .driver(Box::new(policy))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let job = &report.jobs[0];
@@ -131,9 +127,7 @@ proptest! {
             let cfg = SimConfig { total_replicas: replicas, seed, ..Default::default() };
             Simulation::new(cfg, vec![setup()]).unwrap()
                 .driver(Box::new(FairShare))
-                .unwrap()
                 .run()
-                .unwrap()
                 .into_outcome()
                 .report
                 .cluster_violation_rate

@@ -128,8 +128,7 @@ fn main() {
     let backend = RampBackend::new(12, &["imagenet", "sentiment", "whisper"]);
     let out = Driver::new(backend, Box::new(Aiad::default()))
         .admission(Box::new(OutageClamp::new(12)))
-        .run()
-        .expect("in-process mock backend never fails");
+        .run();
     let stats = out.stats;
 
     println!("policy:            {}", out.policy_name);

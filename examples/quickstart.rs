@@ -48,10 +48,8 @@ fn main() {
     let outcome = Simulation::new(config, vec![light, heavy])
         .expect("valid setup")
         .driver(Box::new(faro))
-        .unwrap()
         .telemetry(&mut trace)
         .run()
-        .expect("simulation completes")
         .into_outcome();
     let report = &outcome.report;
 

@@ -47,9 +47,7 @@
 //! let outcome = Simulation::new(config, set.setups(1))
 //!     .unwrap()
 //!     .driver(policy)
-//!     .unwrap()
 //!     .run()
-//!     .unwrap()
 //!     .into_outcome();
 //! assert!(outcome.report.cluster_violation_rate < 0.5);
 //! ```
@@ -90,8 +88,8 @@ pub use faro_trace as trace;
 pub mod prelude {
     pub use faro_bench::{PolicyKind, WorkloadSet};
     pub use faro_control::{
-        Clock, ClusterBackend, Driver, DriverError, DriverOutcome, Reconciler, ResilienceConfig,
-        ResilientDriver, RunStats, WallClock,
+        Clock, ClusterBackend, Driver, DriverOutcome, Reconciler, ResilienceConfig,
+        ResilientDriver, RunStats,
     };
     pub use faro_core::admission::ClampToQuota;
     pub use faro_core::baselines::{Aiad, FairShare};

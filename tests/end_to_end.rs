@@ -4,12 +4,13 @@
 use faro::bench::harness::{run_matrix, ExperimentSpec};
 use faro::bench::policies::{Ablation, PolicyKind};
 use faro::bench::WorkloadSet;
-use faro::control::{BreakerState, DriverStats, ResilienceConfig, RunStats};
+use faro::control::{BreakerState, Clock, DriverStats, Reconciler};
+use faro::core::admission::OutageClamp;
 use faro::core::types::{JobId, ReplicaClass, ResourceModel};
-use faro::core::{ClusterObjective, Policy};
+use faro::core::ClusterObjective;
 use faro::sim::{
-    FaultPlan, MetricOutage, MetricOutageMode, NodeOutage, ReplicaCrashes, SimConfig, SimRun,
-    Simulation,
+    ClusterReport, FaultPlan, MetricOutage, MetricOutageMode, NodeOutage, ReplicaCrashes,
+    SimConfig, SimRun, Simulation,
 };
 use faro::telemetry::TraceSink;
 
@@ -137,58 +138,11 @@ fn oversubscription_degrades_everyone_but_faro_least() {
     assert!(get("Faro-Sum", 6) <= get("AIAD", 6) * 1.15 + 0.01);
 }
 
-/// What one traced simulator run leaves behind: the reconciler's
-/// stats, the report and trace bytes, and the resilient arm's
-/// accounting (`None` on the plain arm).
-type Traced = (
-    RunStats,
-    String,
-    String,
-    Option<DriverStats>,
-    Option<BreakerState>,
-);
-
-fn traced_run(
-    config: &SimConfig,
-    set: &WorkloadSet,
-    faults: &FaultPlan,
-    policy: Box<dyn Policy>,
-    resilient: bool,
-) -> Traced {
-    let mut sink = TraceSink::new();
-    let driver = Simulation::new(config.clone(), set.setups(1))
-        .expect("valid setup")
-        .with_faults(faults.clone())
-        .expect("valid plan")
-        .driver(policy)
-        .expect("backend builds")
-        .telemetry(&mut sink);
-    let driver = if resilient {
-        driver.resilience(ResilienceConfig::default())
-    } else {
-        driver
-    };
-    let out = driver.run().expect("the simulator never fails a call");
-    let (driver_stats, breaker) = (out.driver_stats, out.breaker);
-    let outcome = out.into_outcome();
-    (
-        outcome.stats,
-        serde_json::to_string(&outcome.report).expect("report serializes"),
-        sink.to_jsonl(),
-        driver_stats,
-        breaker,
-    )
-}
-
-/// The resilient arm on a simulator that never fails a call: the same
-/// decisions, stats, report and trace as the plain arm, with every
-/// round clean and the breaker closed. The one difference is drift
-/// detection: a stale-mode metric outage replays a job's frozen
-/// observation, target included, so the ladder reports each such round
-/// as drift (one `DriftDetected` event, nothing else). The counts are
-/// pinned here; they are why `Driver::run` still has a plain arm.
+/// One traced run through `Driver::run`, the one arm, beside the same
+/// cell stepped by hand with `Reconciler::reconcile`: the simulator
+/// never fails a call, so the two must agree on every round.
 #[test]
-fn resilient_arm_matches_the_plain_arm_on_a_clean_simulator() {
+fn the_one_arm_on_a_clean_simulator_is_reconcile_stepped_by_hand() {
     let faults = FaultPlan {
         replica_crashes: Some(ReplicaCrashes { mttf_secs: 600.0 }),
         node_outage: Some(NodeOutage {
@@ -223,6 +177,11 @@ fn resilient_arm_matches_the_plain_arm_on_a_clean_simulator() {
         ..Default::default()
     };
     let faro = || PolicyKind::faro(ClusterObjective::Sum);
+    // A stale-mode metric outage replays a job's whole frozen
+    // observation, target included, so the ladder's drift check reports
+    // each such round as drift (one `DriftDetected` event and nothing
+    // else): 11 rounds of job 3 (1210-1310 s) for Faro-Sum, none for
+    // AIAD.
     let cells: [(&str, &SimConfig, &WorkloadSet, &FaultPlan, PolicyKind, u64); 3] = [
         ("AIAD", &scalar, &paper, &faults, PolicyKind::Aiad, 0),
         ("Faro-Sum", &scalar, &paper, &faults, faro(), 11),
@@ -236,41 +195,50 @@ fn resilient_arm_matches_the_plain_arm_on_a_clean_simulator() {
         ),
     ];
     for (name, config, set, plan, kind, drift) in cells {
-        let run = |resilient| {
-            traced_run(
-                config,
-                set,
-                plan,
-                kind.build(set, None, config.seed),
-                resilient,
-            )
+        let sim = || {
+            Simulation::new(config.clone(), set.setups(1))
+                .expect("valid setup")
+                .with_faults(plan.clone())
+                .expect("valid plan")
         };
-        let (plain_stats, plain_report, plain_trace, plain_driver, plain_breaker) = run(false);
-        let (stats, report, trace, driver, breaker) = run(true);
-        assert!(plain_driver.is_none() && plain_breaker.is_none());
-        assert_eq!(stats, plain_stats, "{name}");
-        assert_eq!(report, plain_report, "{name}");
-        let drift_events = trace
-            .lines()
-            .filter(|l| l.contains("\"DriftDetected\""))
-            .count();
-        let undrifted: Vec<&str> = trace
-            .lines()
-            .filter(|l| !l.contains("\"DriftDetected\""))
-            .collect();
-        assert_eq!(undrifted, plain_trace.lines().collect::<Vec<_>>(), "{name}");
-        let driver = driver.expect("the resilient arm counts its rounds");
+        let policy = || kind.build(set, None, config.seed);
+
+        let mut sink = TraceSink::new();
+        let out = sim().driver(policy()).telemetry(&mut sink).run();
+        let (driver, breaker) = (out.driver_stats, out.breaker);
+        let run = out.into_outcome();
+
+        let mut backend = sim().into_backend().expect("backend builds");
+        let admission = Box::new(OutageClamp::new(config.total_replicas));
+        let mut rec = Reconciler::new(policy(), admission);
+        while backend.advance().is_some() {
+            rec.reconcile(&mut backend)
+                .expect("the simulator never fails a call");
+        }
+        let report = |r: &ClusterReport| serde_json::to_string(r).expect("report serializes");
+
+        assert_eq!(run.stats, *rec.stats(), "{name}");
+        assert_eq!(
+            report(&run.report),
+            report(&backend.finish(rec.policy_name())),
+            "{name}"
+        );
         assert_eq!(
             driver,
             DriverStats {
-                rounds: stats.rounds,
-                ok_rounds: stats.rounds,
+                rounds: run.stats.rounds,
+                ok_rounds: run.stats.rounds,
                 drift_repairs: driver.drift_repairs,
                 ..DriverStats::default()
             },
             "{name}: no retry, degraded round or skip"
         );
-        assert_eq!(breaker, Some(BreakerState::Closed), "{name}");
+        assert_eq!(breaker, BreakerState::Closed, "{name}");
+        let drift_events = sink
+            .to_jsonl()
+            .lines()
+            .filter(|l| l.contains("\"DriftDetected\""))
+            .count();
         assert_eq!(
             (driver.drift_repairs, drift_events as u64),
             (drift, drift),

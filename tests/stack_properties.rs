@@ -31,9 +31,8 @@ proptest! {
             initial_replicas: 1,
         };
         let report = Simulation::new(cfg, vec![setup]).unwrap()
-            .driver(Box::new(Aiad::default())).unwrap()
+            .driver(Box::new(Aiad::default()))
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let job = &report.jobs[0];
@@ -69,9 +68,8 @@ proptest! {
         };
         let report = Simulation::new(cfg, vec![setup]).unwrap()
             .with_faults(plan).unwrap()
-            .driver(Box::new(Aiad::default())).unwrap()
+            .driver(Box::new(Aiad::default()))
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         let job = &report.jobs[0];
@@ -206,9 +204,7 @@ fn fault_injection_is_deterministic_across_runs() {
             .with_faults(plan.clone())
             .unwrap()
             .driver(Box::new(Aiad::default()))
-            .unwrap()
             .run()
-            .unwrap()
             .into_outcome()
             .report;
         serde_json::to_string(&report).unwrap()
