@@ -54,6 +54,7 @@ impl ServerState {
             false
         };
         let body = if stale {
+            #[expect(clippy::expect_used, reason = "invariant: checked above")]
             let (seq, snapshot) = self.cached.clone().expect("invariant: checked above");
             ObserveResponse {
                 seq,

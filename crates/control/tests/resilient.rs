@@ -1,10 +1,12 @@
 //! Integration tests for the run loop's retry ladder and the chaos
 //! backend: retry recovery, breaker schedules, degraded rounds, drift
-//! repair, the no-mutation guarantee for breaker-open rounds, and
-//! `Driver::run` as the very program a caller stepping rounds by hand
-//! runs.
+//! repair, the no-mutation guarantee for breaker-open rounds, the bound
+//! on the one retry loop, and `Driver::run` as the very program a
+//! caller stepping rounds by hand runs.
 
-use faro_control::resilient::{BREAKER_COOLDOWN_ROUNDS, BREAKER_THRESHOLD, STALENESS_WINDOW};
+use faro_control::resilient::{
+    BASE_BACKOFF, BREAKER_COOLDOWN_ROUNDS, BREAKER_THRESHOLD, CALL_BUDGET, STALENESS_WINDOW,
+};
 use faro_control::{
     ActuationReport, ApiErrors, BackendError, BreakerState, ChaosBackend, ChaosPlan, Clock,
     ClusterBackend, Driver, DriverOutcome, DriverStats, PartialApplies, Reconciler,
@@ -22,8 +24,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// An in-memory cluster with a scripted failure schedule: each backend
-/// call pops the next planned error (`None` = succeed). Counts calls
-/// and mutations so tests can assert what a round touched.
+/// call pops the next planned error (`None` = succeed). Counts calls,
+/// in total and per round, and mutations so tests can assert what a
+/// round touched.
 struct ScriptBackend {
     now: SimTimeMs,
     tick: DurationMs,
@@ -34,6 +37,8 @@ struct ScriptBackend {
     apply_plan: VecDeque<Option<BackendError>>,
     observe_calls: u64,
     apply_calls: u64,
+    /// Each round's time and its `[observe, apply]` call counts.
+    per_round: Vec<(SimTimeMs, [u64; 2])>,
     mutations: u64,
     /// External interference: after each successful apply, knock this
     /// many replicas off job 0 (drift for the next observe to catch).
@@ -52,6 +57,7 @@ impl ScriptBackend {
             apply_plan: VecDeque::new(),
             observe_calls: 0,
             apply_calls: 0,
+            per_round: Vec::new(),
             mutations: 0,
             sabotage: 0,
         }
@@ -60,6 +66,12 @@ impl ScriptBackend {
     fn unavailable() -> BackendError {
         BackendError::Unavailable {
             reason: "scripted".into(),
+        }
+    }
+
+    fn count_call(&mut self, phase: usize) {
+        if let Some((_, calls)) = self.per_round.last_mut() {
+            calls[phase] += 1;
         }
     }
 }
@@ -75,6 +87,7 @@ impl Clock for ScriptBackend {
             return None;
         }
         self.now = next;
+        self.per_round.push((next, [0, 0]));
         Some(next)
     }
 }
@@ -82,6 +95,7 @@ impl Clock for ScriptBackend {
 impl ClusterBackend for ScriptBackend {
     fn observe(&mut self) -> Result<ClusterSnapshot, BackendError> {
         self.observe_calls += 1;
+        self.count_call(0);
         if let Some(Some(e)) = self.observe_plan.pop_front() {
             return Err(e);
         }
@@ -111,6 +125,7 @@ impl ClusterBackend for ScriptBackend {
 
     fn apply(&mut self, desired: &DesiredState) -> Result<ActuationReport, BackendError> {
         self.apply_calls += 1;
+        self.count_call(1);
         if let Some(Some(e)) = self.apply_plan.pop_front() {
             return Err(e);
         }
@@ -314,6 +329,84 @@ fn breaker_opens_skips_and_probes_on_schedule() {
             "half-open->open".to_owned(),
         ],
         "breaker walked the closed → open → half-open → open schedule"
+    );
+}
+
+/// Asserts the bound on the one retry loop, `with_retry`, which every
+/// backend call of `Driver::run` goes through. Each of `observe` and
+/// `apply` in turn fails with `Unavailable` on each of its next 1,000
+/// calls over a 30-round run: no round makes more than `bound` calls in
+/// either phase, and a round with the breaker open makes none. Returns
+/// the most calls one round made in each failing phase. The failures
+/// are finite, so a loop that ignores its bounds ends (with a round of
+/// 1,001 calls) and fails here instead of hanging.
+fn most_calls_per_round(cfg: ResilienceConfig, bound: u64) -> [u64; 2] {
+    [0, 1].map(|phase| {
+        let mut backend = ScriptBackend::new(30, 2);
+        let plan = std::iter::repeat_with(|| Some(ScriptBackend::unavailable()))
+            .take(1_000)
+            .collect();
+        if phase == 0 {
+            backend.observe_plan = plan;
+        } else {
+            backend.apply_plan = plan;
+        }
+        let mut sink = TraceSink::new();
+        let (out, stats) = resilient(driver(backend, 4).telemetry(&mut sink), cfg);
+        assert!(
+            stats.breaker_opens > 0,
+            "the breaker never opened: {stats:?}"
+        );
+        let open: Vec<SimTimeMs> = sink
+            .entries()
+            .filter(|e| {
+                matches!(&e.event, TelemetryEvent::DegradedRound { kind } if kind == "breaker-open")
+            })
+            .map(|e| e.at)
+            .collect();
+        for (at, calls) in &out.backend.per_round {
+            let limit = if open.contains(at) { 0 } else { bound };
+            assert!(
+                calls.iter().all(|&c| c <= limit),
+                "phase {phase}, round at {at:?}: {calls:?} calls, limit {limit}"
+            );
+        }
+        out.backend
+            .per_round
+            .iter()
+            .map(|(_, calls)| calls[phase])
+            .max()
+            .unwrap_or(0)
+    })
+}
+
+#[test]
+fn no_round_makes_more_than_max_attempts_calls_per_phase() {
+    let cfg = ResilienceConfig::default();
+    let max = u64::from(cfg.retry.max_attempts);
+    assert_eq!(
+        most_calls_per_round(cfg, max),
+        [max, max],
+        "failures were retried"
+    );
+}
+
+/// With no attempt limit, [`CALL_BUDGET`] alone ends the loop: every
+/// backoff is at least half of [`BASE_BACKOFF`], so a round makes at
+/// most one call plus one per such delay the budget holds.
+#[test]
+fn the_call_budget_alone_bounds_an_unlimited_retry_policy() {
+    let cfg = ResilienceConfig {
+        retry: RetryPolicy {
+            max_attempts: u32::MAX,
+        },
+    };
+    let bound = 1 + (CALL_BUDGET.as_millis() / (BASE_BACKOFF.as_millis() / 2)) as u64;
+    let most = most_calls_per_round(cfg, bound);
+    let default = u64::from(RetryPolicy::default().max_attempts);
+    assert!(
+        most.iter().all(|&m| m > default),
+        "the budget, not an attempt limit, ended the retries: {most:?}"
     );
 }
 

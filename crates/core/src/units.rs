@@ -4,9 +4,9 @@
 //! minute**, service times are **milliseconds**, SLOs are **seconds** —
 //! and a raw `f64` cannot tell them apart. These newtypes give each
 //! quantity a distinct type so unit mix-ups are compile errors, and give
-//! every conversion one audited home. The `raw-time-arith` rule of
-//! `cargo xtask lint` rejects new raw-`f64` time/rate fields outside
-//! this module.
+//! every conversion one audited home. `raw-time-arith`, the one check
+//! `cargo xtask lint` runs, rejects new raw-`f64` time/rate fields and
+//! bare cross-unit conversion constants outside this module.
 //!
 //! All conversions are chosen to be *bit-preserving* with respect to the
 //! arithmetic the simulator previously performed on raw `f64`s:

@@ -198,9 +198,17 @@ impl FaultInjector {
     /// [`Simulation::with_faults`](crate::Simulation::with_faults), the
     /// only way to attach one, has already validated.
     pub(crate) fn new(plan: FaultPlan, seed: u64) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: validate() checked the MTTF is positive"
+        )]
         let crash_dist = plan.replica_crashes.as_ref().map(|c| {
             Exp::new(1.0 / c.mttf_secs).expect("invariant: validate() checked the MTTF is positive")
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: validate() checked the spike parameters"
+        )]
         let spike_dist = plan.cold_start_spike.as_ref().map(|s| {
             LogNormal::new(s.median_multiplier.ln(), s.sigma.max(1e-12))
                 .expect("invariant: validate() checked the spike parameters")
@@ -240,6 +248,10 @@ impl FaultInjector {
         if now < start || now >= end {
             return 1.0;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: spike_dist is built whenever the plan has a spike"
+        )]
         let d = self
             .spike_dist
             .as_ref()

@@ -42,6 +42,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code of this crate runs unattended inside long sweeps and
+// against live clusters: a panic is a typed error not yet written. An
+// `expect` that cannot fire carries `#[expect(clippy::expect_used,
+// reason = "invariant: …")]`; test code is exempt through clippy.toml.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 pub mod backend;
 pub mod events;

@@ -250,10 +250,18 @@ impl JobRuntime {
             return None;
         }
         let id = self.idle.remove(0);
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: queue checked non-empty above"
+        )]
         let arrival = self
             .queue
             .pop_front()
             .expect("invariant: queue checked non-empty above");
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: idle set mirrors the live replica set"
+        )]
         let pos = self
             .replica_pos(id)
             .expect("invariant: idle set mirrors the live replica set");
@@ -396,6 +404,10 @@ impl JobRuntime {
                 if excess == 0 {
                     break;
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: busy id came from the replica set"
+                )]
                 let pos = self
                     .replica_pos(id)
                     .expect("invariant: busy id came from the replica set");

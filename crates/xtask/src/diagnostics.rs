@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// One finding: a rule, a location, and how to fix it.
+/// One finding: a location and how to fix it.
 ///
 /// Ordered by location first (file, line, col) so sorted output reads
 /// like a compiler's: top of the file downward.
@@ -14,8 +14,6 @@ pub struct Diagnostic {
     pub line: usize,
     /// 1-based column (character offset).
     pub col: usize,
-    /// Rule id, e.g. `no-panic-in-lib`.
-    pub rule: &'static str,
     /// What is wrong.
     pub message: String,
     /// How to fix it.
@@ -24,7 +22,7 @@ pub struct Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "error[{}]: {}", self.rule, self.message)?;
+        writeln!(f, "error[raw-time-arith]: {}", self.message)?;
         writeln!(f, "  --> {}:{}:{}", self.file, self.line, self.col)?;
         write!(f, "  = help: {}", self.help)
     }
@@ -40,37 +38,42 @@ mod tests {
             file: "crates/sim/src/backend.rs".into(),
             line: 12,
             col: 5,
-            rule: "no-panic-in-lib",
-            message: "unwrap() in library code".into(),
-            help: "return a typed error".into(),
+            message: "bare cross-unit conversion constant `60e6`".into(),
+            help: "convert in faro_core::units".into(),
         };
         let rendered = d.to_string();
         assert_eq!(
             rendered,
-            "error[no-panic-in-lib]: unwrap() in library code\n  \
+            "error[raw-time-arith]: bare cross-unit conversion constant `60e6`\n  \
              --> crates/sim/src/backend.rs:12:5\n  \
-             = help: return a typed error"
+             = help: convert in faro_core::units"
         );
     }
 
     #[test]
-    fn sorts_by_location_then_rule() {
-        let mk = |file: &str, line, rule: &'static str| Diagnostic {
+    fn sorts_by_location() {
+        let mk = |file: &str, line, col| Diagnostic {
             file: file.into(),
             line,
-            col: 1,
-            rule,
+            col,
             message: String::new(),
             help: String::new(),
         };
         let mut v = [
-            mk("b.rs", 1, "raw-time-arith"),
-            mk("a.rs", 9, "no-panic-in-lib"),
-            mk("a.rs", 2, "raw-time-arith"),
+            mk("b.rs", 1, 1),
+            mk("a.rs", 9, 1),
+            mk("a.rs", 2, 7),
+            mk("a.rs", 2, 3),
         ];
         v.sort();
-        assert_eq!(v[0].file, "a.rs");
-        assert_eq!(v[0].line, 2);
-        assert_eq!(v[2].file, "b.rs");
+        assert_eq!(
+            v,
+            [
+                mk("a.rs", 2, 3),
+                mk("a.rs", 2, 7),
+                mk("a.rs", 9, 1),
+                mk("b.rs", 1, 1)
+            ]
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Workspace task runner, cargo-xtask style: `cargo xtask <task>`
-//! (the alias lives in `.cargo/config.toml`). Plain std, no deps
-//! beyond the linter itself, so it builds in seconds.
+//! (the alias lives in `.cargo/config.toml`). Plain std, no
+//! dependencies, so it builds in seconds.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -23,28 +23,32 @@ fn usage() {
     eprintln!("usage: cargo xtask <task>");
     eprintln!();
     eprintln!("tasks:");
-    eprintln!("  lint    run faro-lint over the workspace: typed time/rate");
-    eprintln!("          state, no panics in sim/control library code,");
-    eprintln!("          bounded retry loops, no stale allow annotations;");
-    eprintln!("          exits 1 on any diagnostic");
+    eprintln!("  lint    run raw-time-arith over the workspace: no raw-f64");
+    eprintln!("          time/rate fields or bare unit-conversion constants,");
+    eprintln!("          no stale or foreign `faro-lint:` annotations (clippy");
+    eprintln!("          and rustc own the other invariants); exits 1 on any");
+    eprintln!("          diagnostic");
     eprintln!("  ledger  print the non-test code lines of each crate's src/");
     eprintln!("          (the root package as `facade`) and their total");
 }
 
-/// Runs faro-lint over the workspace's file contents and prints
-/// rustc-style diagnostics.
+/// Runs the `raw-time-arith` check over the workspace's file contents
+/// and prints rustc-style diagnostics.
 fn lint() -> ExitCode {
     let started = std::time::Instant::now();
-    let diags = faro_lint::lint_workspace(&workspace_root());
+    let diags = xtask::lint_workspace(&workspace_root());
     let elapsed = started.elapsed().as_secs_f64();
     for d in &diags {
         println!("{d}\n");
     }
     if diags.is_empty() {
-        eprintln!("faro-lint: clean ({elapsed:.2}s)");
+        eprintln!("raw-time-arith: clean ({elapsed:.2}s)");
         ExitCode::SUCCESS
     } else {
-        eprintln!("faro-lint: {} diagnostic(s) in {elapsed:.2}s", diags.len());
+        eprintln!(
+            "raw-time-arith: {} diagnostic(s) in {elapsed:.2}s",
+            diags.len()
+        );
         ExitCode::FAILURE
     }
 }
@@ -54,7 +58,7 @@ fn lint() -> ExitCode {
 /// root package's `src/` as `facade`, then the total.
 fn ledger() -> ExitCode {
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-    for (path, content) in faro_lint::read_workspace(&workspace_root()) {
+    for (path, content) in xtask::read_workspace(&workspace_root()) {
         let krate = path
             .strip_prefix("crates/")
             .and_then(|p| p.split('/').next());

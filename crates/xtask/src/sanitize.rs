@@ -1,78 +1,78 @@
-//! Source sanitization: the rules match on *code*, never on comments
+//! Source sanitization: the check matches on *code*, never on comments
 //! or string literals.
 //!
 //! The scanner rewrites a file so that every comment and string
 //! literal is blanked to spaces while newlines and column positions
-//! are preserved exactly. Rules then pattern-match on the sanitized
-//! lines and report columns that are valid in the original file. This
-//! is deliberately not a full parser: it only has to agree with rustc
-//! about where comments and literals *end*, which takes a small state
-//! machine (nested block comments, raw strings, and the
+//! are preserved exactly. The check then pattern-matches on the
+//! sanitized lines and reports columns that are valid in the original
+//! file. This is deliberately not a full parser: it only has to agree
+//! with rustc about where comments and literals *end*, which takes a
+//! small state machine (nested block comments, raw strings, and the
 //! char-versus-lifetime ambiguity are the only subtle cases).
 //!
 //! Alongside the code-only `clean` lines the scanner produces a
 //! *comment-only* mask: plain `//` and `/* */` comment text preserved,
-//! everything else (code, strings, doc comments) blanked. Allow
-//! annotations are collected from that mask, so a
-//! `faro-lint: allow(...)` inside a string literal — the linter's own
-//! help strings, say — is never mistaken for a real suppression, and
-//! doc comments that merely *describe* the syntax do not create
-//! phantom annotations for `unused-allow` to flag.
+//! everything else (code, strings, doc comments) blanked. Annotations
+//! are collected from that mask, so a `faro-lint: allow(...)` inside a
+//! string literal — the check's own help strings, say — is never
+//! mistaken for a real suppression, and doc comments that merely
+//! *describe* the syntax do not create phantom annotations for the
+//! audit to flag.
 
-use std::collections::BTreeSet;
+/// The marker every annotation starts with.
+const MARKER: &str = "faro-lint:";
 
-/// One `faro-lint: allow(rule)` annotation, as written in the source.
+/// The one annotation that suppresses anything, after [`MARKER`].
+const ALLOW: &str = "allow(raw-time-arith)";
+
+/// One `faro-lint:` annotation, as written in a plain comment.
 ///
-/// `unused-allow` audits these: an annotation that never suppresses a
-/// diagnostic is itself an error, so suppressions cannot rot.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The check audits these: an allow that never suppresses a finding,
+/// and any annotation that is not an allow of `raw-time-arith`, is
+/// itself a finding, so suppressions cannot rot.
+#[derive(Debug)]
 pub struct AllowSite {
     /// 0-based line of the annotation comment.
     pub line: usize,
     /// 0-based column where the `faro-lint:` marker starts.
     pub col: usize,
-    /// The rule the annotation names.
-    pub rule: String,
-    /// The 0-based line the annotation covers, or `None` for an
-    /// `allow-file` annotation covering the whole file.
+    /// What follows the marker, up to the first `)` or the comment's end.
+    pub text: String,
+    /// The 0-based line an `allow(raw-time-arith)` covers; `None` for
+    /// any other annotation, which covers nothing.
     pub covers: Option<usize>,
 }
 
-/// A scanned file: original lines, sanitized lines, per-line allowed
-/// rules, and which lines sit inside test-only code.
+/// A scanned file: sanitized lines, its annotations, and which lines
+/// sit inside test-only code.
 pub struct FileScan {
-    /// Original lines, verbatim.
-    pub raw: Vec<String>,
     /// Comment/string-blanked lines; same line count and columns.
     pub clean: Vec<String>,
-    /// Rules allowed per line via `faro-lint: allow(...)` annotations
-    /// (same line or the line above) or `allow-file(...)`.
-    allowed: Vec<BTreeSet<String>>,
-    /// Every allow annotation, for the `unused-allow` audit.
+    /// Every `faro-lint:` annotation, for the audit.
     pub allow_sites: Vec<AllowSite>,
     /// True for lines inside `#[cfg(test)]` or `#[test]` items.
     pub in_test: Vec<bool>,
 }
 
 impl FileScan {
-    /// Does an allow annotation cover `rule` on 0-based line `idx`?
-    pub fn allows(&self, idx: usize, rule: &str) -> bool {
-        self.allowed.get(idx).is_some_and(|s| s.contains(rule))
+    /// Does an `allow(raw-time-arith)` annotation cover 0-based line `idx`?
+    pub fn allows(&self, idx: usize) -> bool {
+        self.allow_sites.iter().any(|a| a.covers == Some(idx))
     }
 }
 
-/// Scans `content` into sanitized lines plus allow/test metadata.
+/// Scans `content` into sanitized lines plus annotation/test metadata.
 pub fn scan(content: &str) -> FileScan {
-    let raw: Vec<String> = content.split('\n').map(str::to_owned).collect();
     let (clean, comments) = blank_comments_and_strings(content);
-    debug_assert_eq!(raw.len(), clean.len(), "sanitizer changed line count");
-    debug_assert_eq!(raw.len(), comments.len(), "comment mask changed line count");
-    let (allowed, allow_sites) = collect_allows(&comments, &clean);
+    debug_assert_eq!(
+        clean.len(),
+        comments.len(),
+        "comment mask changed line count"
+    );
+    let allow_sites = collect_allows(&comments, &clean);
     let in_test = test_spans(&clean);
     FileScan {
-        raw,
         clean,
-        allowed,
         allow_sites,
         in_test,
     }
@@ -263,71 +263,38 @@ fn prev_is_ident(b: &[char], i: usize) -> bool {
     i > 0 && (b[i - 1].is_alphanumeric() || b[i - 1] == '_')
 }
 
-/// Collects `faro-lint: allow(rule, ...)` annotations from the
-/// comment-only mask. A trailing allow covers its own line; an allow on
-/// a comment-only line covers the next line instead; `allow-file(rule)`
-/// covers the whole file.
-fn collect_allows(
-    comments: &[String],
-    clean: &[String],
-) -> (Vec<BTreeSet<String>>, Vec<AllowSite>) {
+/// Collects every `faro-lint:` annotation from the comment-only mask.
+/// A trailing `allow(raw-time-arith)` covers its own line; one on a
+/// comment-only line covers the next line instead. Any other text after
+/// the marker covers nothing.
+fn collect_allows(comments: &[String], clean: &[String]) -> Vec<AllowSite> {
     let n = comments.len();
-    let mut allowed = vec![BTreeSet::new(); n];
     let mut sites = Vec::new();
-    let mut file_wide: BTreeSet<String> = BTreeSet::new();
     for (idx, line) in comments.iter().enumerate() {
-        for (marker, whole_file) in [
-            ("faro-lint: allow-file(", true),
-            ("faro-lint: allow(", false),
-        ] {
-            let Some(pos) = line.find(marker) else {
-                continue;
-            };
-            let rest = &line[pos + marker.len()..];
-            let Some(close) = rest.find(')') else {
-                continue;
-            };
-            let rules = rest[..close]
-                .split(',')
-                .map(str::trim)
-                .filter(|r| !r.is_empty());
-            let col = line[..pos].chars().count();
+        for (pos, _) in line.match_indices(MARKER) {
+            let rest = line[pos + MARKER.len()..].trim();
+            let text = rest.find(')').map_or(rest, |close| &rest[..=close]);
             let comment_only = clean.get(idx).is_none_or(|l| l.trim().is_empty());
-            for rule in rules {
-                let covers = if whole_file {
-                    None
-                } else if comment_only && idx + 1 < n {
-                    Some(idx + 1)
-                } else {
-                    Some(idx)
-                };
-                sites.push(AllowSite {
-                    line: idx,
-                    col,
-                    rule: rule.to_owned(),
-                    covers,
-                });
-                match covers {
-                    None => {
-                        file_wide.insert(rule.to_owned());
-                    }
-                    Some(l) => {
-                        allowed[l].insert(rule.to_owned());
-                    }
-                }
-            }
+            let covers = (text == ALLOW).then_some(if comment_only && idx + 1 < n {
+                idx + 1
+            } else {
+                idx
+            });
+            sites.push(AllowSite {
+                line: idx,
+                col: line[..pos].chars().count(),
+                text: text.to_owned(),
+                covers,
+            });
         }
     }
-    if !file_wide.is_empty() {
-        for set in &mut allowed {
-            set.extend(file_wide.iter().cloned());
-        }
-    }
-    (allowed, sites)
+    sites
 }
 
-/// Marks the lines of `#[cfg(test)]` / `#[test]` items by brace
-/// matching from the attribute to the close of the item it gates.
+/// Marks the lines of `#[cfg(test)]` / `#[test]` items, from the
+/// attribute to the end of the item it gates: the `}` that closes the
+/// item's first `{`, or, for an item with no braces of its own (a
+/// gated statement or field), the first `;` or `,` outside brackets.
 fn test_spans(clean: &[String]) -> Vec<bool> {
     let n = clean.len();
     let mut in_test = vec![false; n];
@@ -349,7 +316,9 @@ fn test_spans(clean: &[String]) -> Vec<bool> {
                         depth += 1;
                         opened = true;
                     }
-                    '}' => depth -= 1,
+                    '(' | '[' => depth += 1,
+                    '}' | ')' | ']' => depth -= 1,
+                    ';' | ',' if depth == 0 && !opened => break 'item,
                     _ => {}
                 }
                 if opened && depth == 0 {
@@ -369,12 +338,14 @@ mod tests {
 
     #[test]
     fn blanks_line_and_block_comments() {
-        let s = scan("let x = 1; // HashMap here\n/* HashSet /* nested */ still */ let y = 2;\n");
+        let src = "let x = 1; // HashMap here\n/* HashSet /* nested */ still */ let y = 2;\n";
+        let s = scan(src);
         assert!(!s.clean[0].contains("HashMap"));
         assert!(!s.clean[1].contains("HashSet"));
         assert!(s.clean[1].contains("let y = 2;"));
         // Columns survive: `let y` sits where it sat.
-        assert_eq!(s.raw[1].find("let y"), s.clean[1].find("let y"));
+        let raw = src.lines().nth(1).unwrap_or_default();
+        assert_eq!(raw.find("let y"), s.clean[1].find("let y"));
     }
 
     #[test]
@@ -401,32 +372,46 @@ mod tests {
         let s = scan(
             "// faro-lint: allow(raw-time-arith): wire format\npub start_secs: f64,\npub end_secs: f64,\n",
         );
-        assert!(s.allows(1, "raw-time-arith"));
-        assert!(!s.allows(2, "raw-time-arith"));
+        assert!(s.allows(1));
+        assert!(!s.allows(2));
     }
 
     #[test]
     fn trailing_allow_covers_its_own_line_only() {
         let s = scan("pub a_secs: f64, // faro-lint: allow(raw-time-arith)\npub b_secs: f64,\n");
-        assert!(s.allows(0, "raw-time-arith"));
-        assert!(!s.allows(1, "raw-time-arith"));
+        assert!(s.allows(0));
+        assert!(!s.allows(1));
     }
 
     #[test]
-    fn allow_file_covers_everything() {
-        let s = scan("// faro-lint: allow-file(no-panic-in-lib)\nfn f() {}\nfn g() {}\n");
-        assert!(s.allows(2, "no-panic-in-lib"));
-        assert!(!s.allows(2, "raw-time-arith"));
+    fn other_annotations_cover_nothing() {
+        let s = scan(
+            "// faro-lint: allow-file(raw-time-arith)\n\
+             // faro-lint: allow(no-panic-in-lib): retired\n\
+             pub a_secs: f64, // faro-lint: allow(raw-time-arith, other)\n",
+        );
+        let texts: Vec<&str> = s.allow_sites.iter().map(|a| a.text.as_str()).collect();
+        assert_eq!(
+            texts,
+            [
+                "allow-file(raw-time-arith)",
+                "allow(no-panic-in-lib)",
+                "allow(raw-time-arith, other)"
+            ]
+        );
+        assert!(s.allow_sites.iter().all(|a| a.covers.is_none()));
+        assert!((0..3).all(|idx| !s.allows(idx)));
     }
 
     #[test]
     fn allow_sites_record_coverage() {
         let s = scan(
-            "// faro-lint: allow(raw-time-arith): wire\npub a_secs: f64,\nlet x = 1; // faro-lint: allow(no-panic-in-lib): guarded\n// faro-lint: allow-file(no-unbounded-retry)\n",
+            "// faro-lint: allow(raw-time-arith): wire\npub a_secs: f64,\nlet x = 60e6; // faro-lint: allow(raw-time-arith): micros\n// faro-lint: allow-file(raw-time-arith)\n",
         );
         assert_eq!(s.allow_sites.len(), 3);
         assert_eq!(s.allow_sites[0].covers, Some(1));
-        assert_eq!(s.allow_sites[0].rule, "raw-time-arith");
+        assert_eq!(s.allow_sites[0].text, "allow(raw-time-arith)");
+        assert_eq!((s.allow_sites[0].line, s.allow_sites[0].col), (0, 3));
         assert_eq!(s.allow_sites[1].covers, Some(2));
         assert_eq!(s.allow_sites[2].covers, None);
     }
@@ -438,8 +423,8 @@ mod tests {
         // as an (unused) annotation.
         let s = scan("let help = \"annotate with `// faro-lint: allow(raw-time-arith)`\";\nlet t_secs: f64 = 1.0;\n");
         assert!(s.allow_sites.is_empty(), "{:?}", s.allow_sites);
-        assert!(!s.allows(0, "raw-time-arith"));
-        assert!(!s.allows(1, "raw-time-arith"));
+        assert!(!s.allows(0));
+        assert!(!s.allows(1));
     }
 
     #[test]
@@ -545,5 +530,24 @@ fn more_lib() {}
         assert!(s.in_test[6], "test body");
         assert!(s.in_test[8], "closing brace");
         assert!(!s.in_test[10], "code after the module");
+
+        // A gated statement or field has no braces of its own: its span
+        // ends at its `;` or `,`, not at the next item's closing brace.
+        let src = "\
+pub fn f(r: f64) -> f64 {
+    #[cfg(test)]
+    COUNTER.with(|c| c.set(c.get() + 1));
+    r / 60e6
+}
+pub struct S {
+    #[cfg(test)] misses: Vec<(u32, u32)>,
+    pub rate_per_min: f64,
+}
+";
+        let s = scan(src);
+        assert_eq!(
+            s.in_test,
+            [false, true, true, false, false, false, true, false, false, false]
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! Fixture: raw f64 time/rate declarations and bare cross-unit
-//! constants. Linted as `crates/sim/src/fixture.rs`.
+//! constants, suffixed ones included. Linted as
+//! `crates/sim/src/fixture.rs`.
 
 pub struct Window {
     pub start_secs: f64,
@@ -13,4 +14,8 @@ pub fn to_micros(start_secs: f64) -> u64 {
 
 pub fn per_minute_to_per_micro(rate: f64) -> f64 {
     rate / 60e6
+}
+
+pub fn suffixed(rate: f64) -> (f64, f64, u64) {
+    (rate / 60e6_f64, rate / 60e6f64, 60_000_000u64)
 }

@@ -1,12 +1,12 @@
-//! The lint verdict is part of `cargo test`: a tree `cargo xtask lint`
-//! would reject fails here too. Both read file contents only, so the
-//! two verdicts are one. Both also take the tree from the
+//! The check's verdict is part of `cargo test`: a tree `cargo xtask
+//! lint` would reject fails here too. Both read file contents only, so
+//! the two verdicts are one. Both also take the tree from the
 //! `CARGO_MANIFEST_DIR` cargo exports at run time: a test binary copied
 //! with its checkout's `target/` is not rebuilt, so a compile-time path
-//! would lint the tree it was built in.
+//! would check the tree it was built in.
 
-use faro_lint::{lint_workspace, Diagnostic};
 use std::path::Path;
+use xtask::{lint_workspace, Diagnostic};
 
 #[test]
 fn workspace_is_lint_clean() {
