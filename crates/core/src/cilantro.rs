@@ -15,6 +15,7 @@
 
 use crate::admission::{Admission, ClampToQuota};
 use crate::policy::Policy;
+use crate::predictor::sanitize_history;
 use crate::types::{ClusterSnapshot, DesiredState, JobDecision};
 use crate::units::{RatePerMin, SimTimeMs};
 use faro_forecast::arma::Ar;
@@ -108,9 +109,10 @@ impl Default for CilantroLike {
 
 impl CilantroLike {
     /// Forecasts the mean next-window rate (requests/minute) by
-    /// refitting AR(8) on the recent fixed-size window.
+    /// refitting AR(8) on the recent fixed-size window, after the repair
+    /// Faro's predictor applies to minutes a metric outage lost.
     fn forecast_rate(&self, history: &[RatePerMin]) -> f64 {
-        let history: Vec<f64> = history.iter().map(|r| r.get()).collect();
+        let history: Vec<f64> = sanitize_history(history).iter().map(|r| r.get()).collect();
         let window = &history[history.len().saturating_sub(self.ar_window)..];
         if window.len() < 12 {
             return window.last().copied().unwrap_or(0.0);

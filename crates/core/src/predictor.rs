@@ -6,7 +6,7 @@
 //! [`RatePredictor`] interface:
 //!
 //! - [`ProbabilisticPredictor`]: a fitted [`ProbForecaster`] (N-HiTS
-//!   with the Gaussian head, DeepAR) — Faro's default.
+//!   with the Gaussian head) — Faro's default.
 //! - [`PointPredictor`]: a fitted point [`Forecaster`] with zero sigma —
 //!   the "no probabilistic prediction" ablation (Sec. 6.4) and the
 //!   predictor used by the Mark/Cocktail/Barista baseline.
@@ -186,7 +186,34 @@ impl RatePredictor for FlatPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faro_forecast::naive::DampedMovingAverage;
+
+    /// Predicts two steps of the last context value, once fitted.
+    struct LastValue {
+        input_len: usize,
+        fitted: bool,
+    }
+
+    impl Forecaster for LastValue {
+        fn input_len(&self) -> usize {
+            self.input_len
+        }
+
+        fn horizon(&self) -> usize {
+            2
+        }
+
+        fn fit(&mut self, _series: &[f64]) -> faro_forecast::Result<()> {
+            self.fitted = true;
+            Ok(())
+        }
+
+        fn predict(&self, context: &[f64]) -> faro_forecast::Result<Vec<f64>> {
+            match context.last() {
+                Some(&v) if self.fitted => Ok(vec![v; 2]),
+                _ => Err(faro_forecast::Error::NotFitted),
+            }
+        }
+    }
 
     fn rpm(v: &[f64]) -> Vec<RatePerMin> {
         v.iter().map(|&v| RatePerMin::new(v)).collect()
@@ -212,7 +239,10 @@ mod tests {
 
     #[test]
     fn point_predictor_wraps_forecaster() {
-        let mut model = DampedMovingAverage::new(0.5, 4, 2).unwrap();
+        let mut model = LastValue {
+            input_len: 4,
+            fitted: false,
+        };
         model.fit(&[1.0]).unwrap();
         let mut p = PointPredictor::new(Box::new(model));
         let f = p.predict(&rpm(&[8.0, 8.0, 8.0, 8.0]), 5);
@@ -226,7 +256,10 @@ mod tests {
 
     #[test]
     fn point_predictor_pads_short_history() {
-        let mut model = DampedMovingAverage::new(0.5, 8, 2).unwrap();
+        let mut model = LastValue {
+            input_len: 8,
+            fitted: false,
+        };
         model.fit(&[1.0]).unwrap();
         let mut p = PointPredictor::new(Box::new(model));
         let f = p.predict(&rpm(&[4.0]), 2);
@@ -236,7 +269,10 @@ mod tests {
 
     #[test]
     fn unfitted_model_degrades_to_flat() {
-        let model = DampedMovingAverage::new(0.5, 4, 2).unwrap(); // Not fitted.
+        let model = LastValue {
+            input_len: 4,
+            fitted: false,
+        };
         let mut p = PointPredictor::new(Box::new(model));
         let f = p.predict(&rpm(&[6.0, 6.0]), 3);
         assert_eq!(f.mu, vec![6.0; 3]);

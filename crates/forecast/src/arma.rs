@@ -54,15 +54,17 @@ impl Ar {
 }
 
 /// Solves `A x = b` by Gaussian elimination with partial pivoting.
-/// Returns `None` for (near-)singular systems.
+/// Returns `None` for (near-)singular systems, and for a system whose
+/// pivot is not finite (a NaN or infinite input) as well.
 fn solve_linear(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
     let n = b.len();
     for col in 0..n {
-        // Pivot.
+        // Pivot. `total_cmp` ranks a NaN above every number, so a
+        // non-finite entry in the column is always the one picked.
         let (pivot_row, pivot_val) = (col..n)
             .map(|r| (r, a[r][col].abs()))
-            .max_by(|x, y| x.1.partial_cmp(&y.1).expect("finite pivots"))?;
-        if pivot_val < 1e-12 {
+            .max_by(|x, y| x.1.total_cmp(&y.1))?;
+        if !pivot_val.is_finite() || pivot_val < 1e-12 {
             return None;
         }
         a.swap(col, pivot_row);
@@ -221,5 +223,18 @@ mod tests {
         assert!((sol[1] - 1.0).abs() < 1e-12);
         // Singular system rejected.
         assert!(solve_linear(vec![vec![1.0, 1.0], vec![1.0, 1.0]], vec![1.0, 2.0]).is_none());
+    }
+
+    #[test]
+    fn nan_minute_fails_the_fit() {
+        // A lost scrape leaves a NaN minute: the normal equations carry
+        // it into every pivot, and the fit reports a singular system.
+        let mut series: Vec<f64> = (0..40).map(|i| 50.0 + f64::from(i % 7)).collect();
+        series[20] = f64::NAN;
+        let mut ar = Ar::new(8, 10, 7).unwrap();
+        assert!(matches!(ar.fit(&series), Err(Error::InvalidConfig(_))));
+        assert!(ar.coefficients().is_none());
+        series[20] = f64::INFINITY;
+        assert!(ar.fit(&series).is_err());
     }
 }

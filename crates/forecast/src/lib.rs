@@ -5,15 +5,14 @@
 //! extended with a Gaussian head, so the autoscaler receives a
 //! *distribution* over future rates rather than a single trajectory —
 //! the paper's "sloppy" probabilistic prediction that captures workload
-//! fluctuation. The simple references the paper mentions (ARMA for
-//! Cilantro, damped moving average) are implemented alongside; its
-//! LSTM and DeepAR comparison models are not:
+//! fluctuation. The ARMA model the paper's Cilantro baseline uses is
+//! implemented alongside; its LSTM and DeepAR comparison models are
+//! not:
 //!
 //! - [`nhits::NHits`]: multi-rate pooled, hierarchically interpolated MLP
-//!   stacks; point (MSE) or probabilistic (Gaussian NLL) training.
+//!   stacks trained with Gaussian negative log-likelihood.
 //! - [`arma::Ar`]: least-squares AR(p), the ARMA-family stand-in used by
 //!   the Cilantro baseline.
-//! - [`naive`]: seasonal-naive and damped moving-average references.
 //!
 //! # Examples
 //!
@@ -33,12 +32,23 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code of this crate trains and runs the predictor inside long
+// sweeps: a panic is a typed error not yet written. An `expect` that
+// cannot fire carries `#[expect(clippy::expect_used, reason =
+// "invariant: …")]`; test code is exempt through clippy.toml.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 pub mod arma;
 pub mod dataset;
 pub mod error;
 pub mod gaussian;
-pub mod naive;
 pub mod nhits;
 
 pub use error::{Error, Result};

@@ -17,25 +17,22 @@ use crate::dataset::{StandardScaler, WindowDataset};
 use crate::error::{Error, Result};
 use crate::gaussian::GaussianForecast;
 use crate::{Forecaster, ProbForecaster};
-use faro_nn::adam::AdamConfig;
-use faro_nn::layer::{Linear, Relu};
-use faro_nn::loss::{gaussian_nll, mse, softplus};
+use faro_nn::layer::{relu, relu_backward, Linear};
+use faro_nn::loss::{gaussian_nll, softplus};
 use faro_nn::ops::{avg_pool1d, avg_pool1d_backward, interp1d, interp1d_backward};
 use faro_nn::Matrix;
 use rand::prelude::*;
 
-/// Configuration of one N-HiTS stack block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockConfig {
-    /// Average-pooling kernel applied to the block input.
-    pub pool_kernel: usize,
-    /// Number of forecast expansion coefficients (interpolated up to the
-    /// horizon).
-    pub forecast_knots: usize,
-    /// Number of backcast expansion coefficients (interpolated up to the
-    /// input length).
-    pub backcast_knots: usize,
-}
+/// Minibatch size.
+const BATCH_SIZE: usize = 64;
+
+/// Additive floor on the predicted standard deviation (scaled units).
+const SIGMA_FLOOR: f64 = 1e-3;
+
+/// The three stacks, coarsest pooling first (the N-HiTS convention):
+/// each block's pooling kernel and the divisor of `input_len` and
+/// `horizon` that gives its backcast and forecast knot counts.
+const STACKS: [(usize, usize); 3] = [(4, 8), (2, 4), (1, 2)];
 
 /// N-HiTS model configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,20 +41,12 @@ pub struct NHitsConfig {
     pub input_len: usize,
     /// Forecast horizon.
     pub horizon: usize,
-    /// Stack blocks, coarsest pooling first (the N-HiTS convention).
-    pub blocks: Vec<BlockConfig>,
     /// MLP hidden width.
     pub hidden: usize,
     /// Training epochs.
     pub epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f64,
-    /// Train the Gaussian head (probabilistic) in addition to the mean.
-    pub probabilistic: bool,
-    /// Additive floor on predicted standard deviation (scaled units).
-    pub sigma_floor: f64,
     /// RNG seed for initialization and batching.
     pub seed: u64,
 }
@@ -65,34 +54,12 @@ pub struct NHitsConfig {
 impl NHitsConfig {
     /// The paper-shaped default: three stacks with multi-rate pooling.
     pub fn standard(input_len: usize, horizon: usize, seed: u64) -> Self {
-        let fk = |d: usize| (horizon / d).max(1);
-        let bk = |d: usize| (input_len / d).max(1);
         Self {
             input_len,
             horizon,
-            blocks: vec![
-                BlockConfig {
-                    pool_kernel: 4,
-                    forecast_knots: fk(8),
-                    backcast_knots: bk(8),
-                },
-                BlockConfig {
-                    pool_kernel: 2,
-                    forecast_knots: fk(4),
-                    backcast_knots: bk(4),
-                },
-                BlockConfig {
-                    pool_kernel: 1,
-                    forecast_knots: fk(2),
-                    backcast_knots: bk(2),
-                },
-            ],
             hidden: 64,
             epochs: 60,
-            batch_size: 64,
             lr: 1e-3,
-            probabilistic: true,
-            sigma_floor: 1e-3,
             seed,
         }
     }
@@ -103,145 +70,115 @@ impl NHitsConfig {
                 "input_len and horizon must be positive",
             ));
         }
-        if self.blocks.is_empty() {
-            return Err(Error::InvalidConfig("at least one block is required"));
-        }
-        if self.hidden == 0 || self.batch_size == 0 || self.epochs == 0 {
-            return Err(Error::InvalidConfig(
-                "hidden, batch_size, epochs must be positive",
-            ));
-        }
-        for b in &self.blocks {
-            if b.pool_kernel == 0 || b.forecast_knots == 0 || b.backcast_knots == 0 {
-                return Err(Error::InvalidConfig("block sizes must be positive"));
-            }
+        if self.hidden == 0 || self.epochs == 0 {
+            return Err(Error::InvalidConfig("hidden and epochs must be positive"));
         }
         Ok(())
     }
 }
 
-/// One stack block: pooling, a two-layer MLP, and interpolated heads.
+/// The shape of one stack block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlockConfig {
+    /// Average-pooling kernel applied to the block input.
+    pool_kernel: usize,
+    /// Number of forecast expansion coefficients (interpolated up to the
+    /// horizon).
+    forecast_knots: usize,
+    /// Number of backcast expansion coefficients (interpolated up to the
+    /// input length).
+    backcast_knots: usize,
+}
+
+/// One stack block: pooling, a two-layer MLP, and a head laid out as
+/// backcast | mu | raw sigma knots.
 #[derive(Debug, Clone)]
 struct Block {
     cfg: BlockConfig,
     l1: Linear,
-    r1: Relu,
     l2: Linear,
-    r2: Relu,
     head: Linear,
-    /// Width of the mu/sigma section of the head output.
-    prob: bool,
+}
+
+/// The activations of one block's forward pass that its backward pass
+/// reads: the pooled input and each layer's output before and after its
+/// ReLU.
+struct Tape {
+    pooled: Matrix,
+    a1: Matrix,
+    h1: Matrix,
+    a2: Matrix,
+    h2: Matrix,
 }
 
 impl Block {
-    fn new(cfg: BlockConfig, input_len: usize, hidden: usize, prob: bool, seed: u64) -> Self {
+    fn new(cfg: BlockConfig, input_len: usize, hidden: usize, seed: u64) -> Self {
         let pooled = input_len.div_ceil(cfg.pool_kernel);
-        let head_out = cfg.backcast_knots + cfg.forecast_knots * if prob { 2 } else { 1 };
+        let head_out = cfg.backcast_knots + cfg.forecast_knots * 2;
         Self {
             cfg,
             l1: Linear::new(pooled, hidden, seed.wrapping_mul(31).wrapping_add(1)),
-            r1: Relu::default(),
             l2: Linear::new(hidden, hidden, seed.wrapping_mul(31).wrapping_add(2)),
-            r2: Relu::default(),
             head: Linear::new(hidden, head_out, seed.wrapping_mul(31).wrapping_add(3)),
-            prob,
         }
     }
 
-    /// Forward with caching; returns `(backcast, mu, raw_sigma)` already
-    /// interpolated to full lengths. `raw_sigma` is zeros when the block
-    /// is not probabilistic.
+    /// Returns `(backcast, mu, raw_sigma)`, already interpolated to full
+    /// lengths, and the tape the backward pass needs.
     fn forward(
-        &mut self,
-        x: &Matrix,
-        input_len: usize,
-        horizon: usize,
-    ) -> (Matrix, Matrix, Matrix) {
-        let pooled = avg_pool1d(x, self.cfg.pool_kernel);
-        let h = self
-            .r2
-            .forward(&self.l2.forward(&self.r1.forward(&self.l1.forward(&pooled))));
-        let theta = self.head.forward(&h);
-        let (theta_back, rest) = theta.hsplit(self.cfg.backcast_knots);
-        let backcast = interp1d(&theta_back, input_len);
-        if self.prob {
-            let (theta_mu, theta_sig) = rest.hsplit(self.cfg.forecast_knots);
-            (
-                backcast,
-                interp1d(&theta_mu, horizon),
-                interp1d(&theta_sig, horizon),
-            )
-        } else {
-            (
-                backcast,
-                interp1d(&rest, horizon),
-                Matrix::zeros(x.rows(), horizon),
-            )
-        }
-    }
-
-    /// Inference-only forward (no caches).
-    fn forward_inference(
         &self,
         x: &Matrix,
         input_len: usize,
         horizon: usize,
-    ) -> (Matrix, Matrix, Matrix) {
+    ) -> (Matrix, Matrix, Matrix, Tape) {
         let pooled = avg_pool1d(x, self.cfg.pool_kernel);
-        let h = self.r2.forward_inference(
-            &self.l2.forward_inference(
-                &self
-                    .r1
-                    .forward_inference(&self.l1.forward_inference(&pooled)),
-            ),
-        );
-        let theta = self.head.forward_inference(&h);
+        let a1 = self.l1.forward(&pooled);
+        let h1 = relu(&a1);
+        let a2 = self.l2.forward(&h1);
+        let h2 = relu(&a2);
+        let theta = self.head.forward(&h2);
         let (theta_back, rest) = theta.hsplit(self.cfg.backcast_knots);
-        let backcast = interp1d(&theta_back, input_len);
-        if self.prob {
-            let (theta_mu, theta_sig) = rest.hsplit(self.cfg.forecast_knots);
-            (
-                backcast,
-                interp1d(&theta_mu, horizon),
-                interp1d(&theta_sig, horizon),
-            )
-        } else {
-            (
-                backcast,
-                interp1d(&rest, horizon),
-                Matrix::zeros(x.rows(), horizon),
-            )
-        }
+        let (theta_mu, theta_sig) = rest.hsplit(self.cfg.forecast_knots);
+        (
+            interp1d(&theta_back, input_len),
+            interp1d(&theta_mu, horizon),
+            interp1d(&theta_sig, horizon),
+            Tape {
+                pooled,
+                a1,
+                h1,
+                a2,
+                h2,
+            },
+        )
     }
 
-    /// Backward from `(d_backcast, d_mu, d_raw_sigma)`; returns the
-    /// gradient with respect to the block input (pooling path only).
+    /// Backward from `(d_backcast, d_mu, d_raw_sigma)` over the tape of
+    /// the matching forward pass; returns the gradient with respect to
+    /// the block input (pooling path only).
     fn backward(
         &mut self,
+        tape: &Tape,
         d_backcast: &Matrix,
         d_mu: &Matrix,
         d_sig: &Matrix,
         input_len: usize,
     ) -> Matrix {
-        let d_theta_back = interp1d_backward(d_backcast, self.cfg.backcast_knots);
-        let d_theta_mu = interp1d_backward(d_mu, self.cfg.forecast_knots);
-        let d_theta = if self.prob {
-            let d_theta_sig = interp1d_backward(d_sig, self.cfg.forecast_knots);
-            d_theta_back.hcat(&d_theta_mu).hcat(&d_theta_sig)
-        } else {
-            d_theta_back.hcat(&d_theta_mu)
-        };
-        let d_h = self.head.backward(&d_theta);
+        let d_theta = interp1d_backward(d_backcast, self.cfg.backcast_knots)
+            .hcat(&interp1d_backward(d_mu, self.cfg.forecast_knots))
+            .hcat(&interp1d_backward(d_sig, self.cfg.forecast_knots));
+        let d_h2 = self.head.backward(&tape.h2, &d_theta);
+        let d_h1 = self.l2.backward(&tape.h1, &relu_backward(&tape.a2, &d_h2));
         let d_pooled = self
             .l1
-            .backward(&self.r1.backward(&self.l2.backward(&self.r2.backward(&d_h))));
+            .backward(&tape.pooled, &relu_backward(&tape.a1, &d_h1));
         avg_pool1d_backward(&d_pooled, input_len, self.cfg.pool_kernel)
     }
 
-    fn apply_grads(&mut self, cfg: &AdamConfig) {
-        self.l1.apply_grads(cfg);
-        self.l2.apply_grads(cfg);
-        self.head.apply_grads(cfg);
+    fn apply_grads(&mut self, lr: f64) {
+        self.l1.apply_grads(lr);
+        self.l2.apply_grads(lr);
+        self.head.apply_grads(lr);
     }
 }
 
@@ -263,18 +200,16 @@ impl NHits {
     /// Fails on a structurally invalid configuration.
     pub fn new(cfg: NHitsConfig) -> Result<Self> {
         cfg.validate()?;
-        let blocks = cfg
-            .blocks
+        let blocks = STACKS
             .iter()
             .enumerate()
-            .map(|(i, &b)| {
-                Block::new(
-                    b,
-                    cfg.input_len,
-                    cfg.hidden,
-                    cfg.probabilistic,
-                    cfg.seed + i as u64,
-                )
+            .map(|(i, &(pool_kernel, knot_divisor))| {
+                let shape = BlockConfig {
+                    pool_kernel,
+                    forecast_knots: (cfg.horizon / knot_divisor).max(1),
+                    backcast_knots: (cfg.input_len / knot_divisor).max(1),
+                };
+                Block::new(shape, cfg.input_len, cfg.hidden, cfg.seed + i as u64)
             })
             .collect();
         Ok(Self {
@@ -289,7 +224,11 @@ impl NHits {
     ///
     /// # Panics
     ///
-    /// Panics only if the hard-coded configuration were invalid.
+    /// Panics when `input_len` or `horizon` is zero.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: quick config is valid for positive sizes"
+    )]
     pub fn quick(input_len: usize, horizon: usize, seed: u64) -> Self {
         let mut cfg = NHitsConfig::standard(input_len, horizon, seed);
         cfg.hidden = 32;
@@ -303,50 +242,44 @@ impl NHits {
         self.last_loss
     }
 
-    /// Full forward over all blocks with caching; returns summed
-    /// `(mu, raw_sigma)`. Layer activations needed by the backward pass
-    /// are cached inside each layer.
-    fn forward_train(&mut self, x0: &Matrix) -> (Matrix, Matrix) {
+    /// Runs every block over a batch of scaled contexts; returns the
+    /// summed `(mu, raw_sigma)` and each block's tape, which training
+    /// keeps for [`NHits::backward`] and inference drops.
+    fn forward(&self, x0: &Matrix) -> (Matrix, Matrix, Vec<Tape>) {
         let (input_len, horizon) = (self.cfg.input_len, self.cfg.horizon);
         let mut x = x0.clone();
         let mut mu = Matrix::zeros(x0.rows(), horizon);
         let mut sig = Matrix::zeros(x0.rows(), horizon);
-        for b in &mut self.blocks {
-            let (backcast, m, s) = b.forward(&x, input_len, horizon);
+        let mut tapes = Vec::with_capacity(self.blocks.len());
+        for b in &self.blocks {
+            let (backcast, m, s, tape) = b.forward(&x, input_len, horizon);
             x = x.sub(&backcast);
             mu = mu.add(&m);
             sig = sig.add(&s);
+            tapes.push(tape);
         }
-        (mu, sig)
+        (mu, sig, tapes)
     }
 
-    /// Backward over all blocks given head gradients.
-    fn backward_train(&mut self, d_mu: &Matrix, d_sig: &Matrix) {
+    /// Backward over all blocks given head gradients and the tapes of
+    /// the matching [`NHits::forward`].
+    fn backward(&mut self, tapes: &[Tape], d_mu: &Matrix, d_sig: &Matrix) {
         let input_len = self.cfg.input_len;
-        let batch = d_mu.rows();
         // Gradient with respect to the running residual after the last
         // block (unused downstream): zero.
-        let mut d_x_next = Matrix::zeros(batch, input_len);
-        for b in self.blocks.iter_mut().rev() {
+        let mut d_x_next = Matrix::zeros(d_mu.rows(), input_len);
+        for (b, tape) in self.blocks.iter_mut().zip(tapes).rev() {
             // x_{b+1} = x_b - backcast_b  =>  d_backcast = -d_x_next.
             let d_backcast = d_x_next.scale(-1.0);
-            let d_pool_path = b.backward(&d_backcast, d_mu, d_sig, input_len);
+            let d_pool_path = b.backward(tape, &d_backcast, d_mu, d_sig, input_len);
             d_x_next = d_pool_path.add(&d_x_next);
         }
     }
 
-    /// Scaled-forecast inference over all blocks.
-    fn forward_inference_scaled(&self, context_scaled: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let (input_len, horizon) = (self.cfg.input_len, self.cfg.horizon);
-        let mut x = Matrix::from_vec(1, input_len, context_scaled.to_vec());
-        let mut mu = Matrix::zeros(1, horizon);
-        let mut sig = Matrix::zeros(1, horizon);
-        for b in &self.blocks {
-            let (backcast, m, s) = b.forward_inference(&x, input_len, horizon);
-            x = x.sub(&backcast);
-            mu = mu.add(&m);
-            sig = sig.add(&s);
-        }
+    /// Scaled `(mu, raw_sigma)` for one scaled context.
+    fn predict_scaled(&self, context_scaled: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let x = Matrix::from_vec(1, self.cfg.input_len, context_scaled.to_vec());
+        let (mu, sig, _) = self.forward(&x);
         (mu.data().to_vec(), sig.data().to_vec())
     }
 
@@ -375,29 +308,19 @@ impl Forecaster for NHits {
         let scaler = StandardScaler::fit(series)?;
         let scaled = scaler.transform_slice(series);
         let ds = WindowDataset::build(&scaled, self.cfg.input_len, self.cfg.horizon, 1)?;
-        let adam = AdamConfig {
-            lr: self.cfg.lr,
-            ..Default::default()
-        };
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x0da7_a5e7);
         let mut order: Vec<usize> = (0..ds.len()).collect();
         for _epoch in 0..self.cfg.epochs {
             order.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut batches: f64 = 0.0;
-            for chunk in order.chunks(self.cfg.batch_size) {
+            for chunk in order.chunks(BATCH_SIZE) {
                 let (x, y) = ds.batch(chunk);
-                let (mu, raw_sig) = self.forward_train(&x);
-                let (loss, d_mu, d_sig) = if self.cfg.probabilistic {
-                    gaussian_nll(&mu, &raw_sig, &y, self.cfg.sigma_floor)
-                } else {
-                    let (l, g) = mse(&mu, &y);
-                    let zero = Matrix::zeros(mu.rows(), mu.cols());
-                    (l, g, zero)
-                };
-                self.backward_train(&d_mu, &d_sig);
+                let (mu, raw_sig, tapes) = self.forward(&x);
+                let (loss, d_mu, d_sig) = gaussian_nll(&mu, &raw_sig, &y, SIGMA_FLOOR);
+                self.backward(&tapes, &d_mu, &d_sig);
                 for b in &mut self.blocks {
-                    b.apply_grads(&adam);
+                    b.apply_grads(self.cfg.lr);
                 }
                 epoch_loss += loss;
                 batches += 1.0;
@@ -411,7 +334,7 @@ impl Forecaster for NHits {
     fn predict(&self, context: &[f64]) -> Result<Vec<f64>> {
         let scaler = self.check_context(context)?;
         let scaled = scaler.transform_slice(context);
-        let (mu, _) = self.forward_inference_scaled(&scaled);
+        let (mu, _) = self.predict_scaled(&scaled);
         Ok(mu.into_iter().map(|m| scaler.inverse(m)).collect())
     }
 }
@@ -420,11 +343,11 @@ impl ProbForecaster for NHits {
     fn predict_distribution(&self, context: &[f64]) -> Result<GaussianForecast> {
         let scaler = self.check_context(context)?;
         let scaled = scaler.transform_slice(context);
-        let (mu, raw_sig) = self.forward_inference_scaled(&scaled);
+        let (mu, raw_sig) = self.predict_scaled(&scaled);
         let mu: Vec<f64> = mu.into_iter().map(|m| scaler.inverse(m)).collect();
         let sigma: Vec<f64> = raw_sig
             .into_iter()
-            .map(|r| scaler.inverse_scale(softplus(r) + self.cfg.sigma_floor))
+            .map(|r| scaler.inverse_scale(softplus(r) + SIGMA_FLOOR))
             .collect();
         Ok(GaussianForecast::new(mu, sigma))
     }
@@ -449,7 +372,7 @@ mod tests {
     #[test]
     fn config_validation() {
         let mut cfg = NHitsConfig::standard(24, 8, 0);
-        cfg.blocks.clear();
+        cfg.hidden = 0;
         assert!(NHits::new(cfg).is_err());
         let mut cfg = NHitsConfig::standard(24, 8, 0);
         cfg.horizon = 0;

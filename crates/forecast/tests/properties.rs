@@ -2,8 +2,6 @@
 
 use faro_forecast::dataset::{StandardScaler, WindowDataset};
 use faro_forecast::gaussian::{normal_quantile, GaussianForecast};
-use faro_forecast::naive::{DampedMovingAverage, SeasonalNaive};
-use faro_forecast::Forecaster;
 use proptest::prelude::*;
 
 proptest! {
@@ -54,38 +52,5 @@ proptest! {
             prop_assert!(q20[k] <= q50[k] && q50[k] <= q80[k]);
             prop_assert!((q50[k] - mu[k]).abs() < 1e-6);
         }
-    }
-
-    /// Seasonal naive is exactly periodic and bounded by its context.
-    #[test]
-    fn seasonal_naive_periodic(
-        period in 1usize..6,
-        reps in 2usize..4,
-        horizon in 1usize..12,
-        base in prop::collection::vec(0.0f64..100.0, 1..6),
-    ) {
-        let period = period.min(base.len());
-        let season: Vec<f64> = base[..period].to_vec();
-        let input_len = period * reps;
-        let ctx: Vec<f64> = season.iter().cycle().take(input_len).copied().collect();
-        let mut m = SeasonalNaive::new(period, input_len, horizon).unwrap();
-        m.fit(&[0.0]).unwrap();
-        let pred = m.predict(&ctx).unwrap();
-        for (h, v) in pred.iter().enumerate() {
-            prop_assert!((v - season[h % period]).abs() < 1e-12);
-        }
-    }
-
-    /// The damped average lies within the context's range.
-    #[test]
-    fn damped_average_bounded(
-        alpha in 0.01f64..=1.0,
-        ctx in prop::collection::vec(0.0f64..1000.0, 1..50),
-    ) {
-        let m = DampedMovingAverage::new(alpha, ctx.len(), 1).unwrap();
-        let level = m.level(&ctx);
-        let lo = ctx.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = ctx.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(level >= lo - 1e-9 && level <= hi + 1e-9);
     }
 }

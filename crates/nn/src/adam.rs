@@ -3,34 +3,15 @@
 //! Each parameter tensor owns one [`Adam`] state; layers call
 //! [`Adam::step`] with their accumulated gradients.
 
-use serde::Serialize;
-
-/// Adam hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct AdamConfig {
-    /// Learning rate.
-    pub lr: f64,
-    /// First-moment decay.
-    pub beta1: f64,
-    /// Second-moment decay.
-    pub beta2: f64,
-    /// Numerical-stability epsilon.
-    pub eps: f64,
-}
-
-impl Default for AdamConfig {
-    fn default() -> Self {
-        Self {
-            lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-        }
-    }
-}
+/// First-moment decay.
+pub const BETA1: f64 = 0.9;
+/// Second-moment decay.
+pub const BETA2: f64 = 0.999;
+/// Numerical-stability epsilon.
+pub const EPS: f64 = 1e-8;
 
 /// Per-tensor Adam state (first and second moment estimates).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     m: Vec<f64>,
     v: Vec<f64>,
@@ -47,31 +28,27 @@ impl Adam {
         }
     }
 
-    /// Number of update steps applied so far.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// Applies one Adam update to `params` given `grads`.
+    /// Applies one Adam update at learning rate `lr` to `params` given
+    /// `grads`.
     ///
     /// # Panics
     ///
     /// Panics when the lengths of `params`, `grads`, and the state do not
     /// match.
-    pub fn step(&mut self, cfg: &AdamConfig, params: &mut [f64], grads: &[f64]) {
+    pub fn step(&mut self, lr: f64, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), self.m.len(), "param/state length mismatch");
         assert_eq!(grads.len(), self.m.len(), "grad/state length mismatch");
         self.t += 1;
         let t = self.t as i32;
-        let bc1 = 1.0 - cfg.beta1.powi(t);
-        let bc2 = 1.0 - cfg.beta2.powi(t);
+        let bc1 = 1.0 - BETA1.powi(t);
+        let bc2 = 1.0 - BETA2.powi(t);
         for i in 0..params.len() {
             let g = if grads[i].is_finite() { grads[i] } else { 0.0 };
-            self.m[i] = cfg.beta1 * self.m[i] + (1.0 - cfg.beta1) * g;
-            self.v[i] = cfg.beta2 * self.v[i] + (1.0 - cfg.beta2) * g * g;
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g;
             let m_hat = self.m[i] / bc1;
             let v_hat = self.v[i] / bc2;
-            params[i] -= cfg.lr * m_hat / (v_hat.sqrt() + cfg.eps);
+            params[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 }
@@ -85,13 +62,9 @@ mod tests {
         // Minimize (x - 3)^2 by gradient descent with Adam.
         let mut x = vec![0.0f64];
         let mut adam = Adam::new(1);
-        let cfg = AdamConfig {
-            lr: 0.1,
-            ..Default::default()
-        };
         for _ in 0..500 {
             let g = vec![2.0 * (x[0] - 3.0)];
-            adam.step(&cfg, &mut x, &g);
+            adam.step(0.1, &mut x, &g);
         }
         assert!((x[0] - 3.0).abs() < 1e-3, "x = {}", x[0]);
     }
@@ -102,20 +75,16 @@ mod tests {
         // the gradient direction regardless of gradient magnitude.
         let mut x = vec![0.0f64];
         let mut adam = Adam::new(1);
-        let cfg = AdamConfig {
-            lr: 0.01,
-            ..Default::default()
-        };
-        adam.step(&cfg, &mut x, &[1234.5]);
+        adam.step(0.01, &mut x, &[1234.5]);
         assert!((x[0] + 0.01).abs() < 1e-6, "x = {}", x[0]);
-        assert_eq!(adam.steps(), 1);
+        assert_eq!(adam.t, 1);
     }
 
     #[test]
     fn nonfinite_gradients_are_ignored() {
         let mut x = vec![1.0f64];
         let mut adam = Adam::new(1);
-        adam.step(&AdamConfig::default(), &mut x, &[f64::NAN]);
+        adam.step(1e-3, &mut x, &[f64::NAN]);
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!(x[0].is_finite());
     }
@@ -125,6 +94,6 @@ mod tests {
     fn length_mismatch_panics() {
         let mut adam = Adam::new(2);
         let mut p = vec![0.0];
-        adam.step(&AdamConfig::default(), &mut p, &[0.0]);
+        adam.step(1e-3, &mut p, &[0.0]);
     }
 }

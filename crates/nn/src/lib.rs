@@ -7,12 +7,12 @@
 //!
 //! - [`tensor::Matrix`]: a row-major `f64` matrix with the handful of
 //!   BLAS-like kernels the models need.
-//! - [`layer`]: `Linear` and `ReLU` layers with cached activations and
-//!   exact backward passes.
+//! - [`layer`]: the `Linear` layer and the `relu` activation. They keep
+//!   no activations: a backward pass takes the input its forward pass
+//!   saw, so training and inference run the same forward pass.
 //! - [`ops`]: average pooling (multi-rate signal sampling) and linear
 //!   interpolation (hierarchical interpolation), both differentiable.
-//! - [`loss`]: mean-squared error and Gaussian negative-log-likelihood
-//!   (the probabilistic head).
+//! - [`loss`]: Gaussian negative-log-likelihood (the probabilistic head).
 //! - [`adam`]: the Adam optimizer, one state per parameter tensor.
 //!
 //! Gradient correctness is enforced by finite-difference checks in the
@@ -21,26 +21,40 @@
 //! # Examples
 //!
 //! ```
-//! use faro_nn::layer::{Linear, Relu};
-//! use faro_nn::loss::mse;
+//! use faro_nn::layer::{relu, relu_backward, Linear};
+//! use faro_nn::loss::gaussian_nll;
 //! use faro_nn::tensor::Matrix;
 //!
 //! let mut l1 = Linear::new(4, 8, 1);
-//! let mut act = Relu::default();
-//! let mut l2 = Linear::new(8, 1, 2);
+//! let mut l2 = Linear::new(8, 2, 2);
 //!
+//! // One (mu, raw_sigma) pair for one target.
 //! let x = Matrix::from_rows(&[&[0.1, -0.2, 0.3, 0.4]]);
 //! let y = Matrix::from_rows(&[&[1.0]]);
-//! let h = l2.forward(&act.forward(&l1.forward(&x)));
-//! let (loss, grad) = mse(&h, &y);
-//! assert!(loss >= 0.0);
-//! let g = l2.backward(&grad);
-//! let g = act.backward(&g);
-//! let _ = l1.backward(&g);
+//! let a = l1.forward(&x);
+//! let h = relu(&a);
+//! let (mu, raw_sigma) = l2.forward(&h).hsplit(1);
+//! let (loss, d_mu, d_sigma) = gaussian_nll(&mu, &raw_sigma, &y, 1e-3);
+//! assert!(loss.is_finite());
+//! let g = l2.backward(&h, &d_mu.hcat(&d_sigma));
+//! let _ = l1.backward(&x, &relu_backward(&a, &g));
+//! l1.apply_grads(1e-3);
+//! l2.apply_grads(1e-3);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code of this crate trains and runs the predictor inside long
+// sweeps: a panic is a typed error not yet written. Test code is exempt
+// through clippy.toml.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 
 pub mod adam;
 pub mod layer;
@@ -48,6 +62,6 @@ pub mod loss;
 pub mod ops;
 pub mod tensor;
 
-pub use adam::{Adam, AdamConfig};
-pub use layer::{Linear, Relu};
+pub use adam::Adam;
+pub use layer::Linear;
 pub use tensor::Matrix;

@@ -1,31 +1,11 @@
-//! Loss functions and their gradients.
+//! The training loss and its gradients.
 //!
-//! The point predictor trains with mean-squared error; the probabilistic
-//! predictor trains with Gaussian negative log-likelihood over a
-//! `(mu, softplus-sigma)` head (paper Sec. 3.5.2).
+//! Faro's predictor trains with Gaussian negative log-likelihood over a
+//! `(mu, softplus-sigma)` head (paper Sec. 3.5.2). Mean-squared error
+//! lives in this module's tests, as the loss of the layer gradient
+//! checks.
 
 use crate::tensor::Matrix;
-
-/// Mean-squared error and its gradient with respect to the prediction.
-///
-/// Returns `(loss, d loss / d pred)` where the loss averages over all
-/// elements.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
-    assert_eq!(
-        (pred.rows(), pred.cols()),
-        (target.rows(), target.cols()),
-        "mse shape mismatch"
-    );
-    let n = (pred.rows() * pred.cols()) as f64;
-    let diff = pred.sub(target);
-    let loss = diff.data().iter().map(|d| d * d).sum::<f64>() / n;
-    let grad = diff.scale(2.0 / n);
-    (loss, grad)
-}
 
 /// Numerically-stable softplus, `ln(1 + e^x)`.
 pub fn softplus(x: f64) -> f64 {
@@ -91,8 +71,26 @@ pub fn gaussian_nll(
 }
 
 #[cfg(test)]
+pub(crate) use tests::mse;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean-squared error over all elements and its gradient with
+    /// respect to `pred`.
+    pub(crate) fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
+        assert_eq!(
+            (pred.rows(), pred.cols()),
+            (target.rows(), target.cols()),
+            "mse shape mismatch"
+        );
+        let n = (pred.rows() * pred.cols()) as f64;
+        let diff = pred.sub(target);
+        let loss = diff.data().iter().map(|d| d * d).sum::<f64>() / n;
+        let grad = diff.scale(2.0 / n);
+        (loss, grad)
+    }
 
     #[test]
     fn mse_zero_for_perfect_prediction() {

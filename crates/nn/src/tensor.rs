@@ -3,10 +3,8 @@
 //! Shapes follow the batch-major convention: activations are
 //! `(batch, features)`.
 
-use serde::Serialize;
-
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

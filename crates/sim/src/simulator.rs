@@ -352,6 +352,7 @@ impl SimRun for DriverOutcome<SimBackend> {
 mod tests {
     use super::*;
     use faro_core::baselines::{Aiad, FairShare};
+    use faro_core::cilantro::CilantroLike;
     use faro_core::types::{ClusterSnapshot, DesiredState, JobDecision, JobId};
 
     fn setup(rate: f64, minutes: usize, initial: u32) -> JobSetup {
@@ -793,6 +794,60 @@ mod tests {
                 assert!(r.is_finite(), "rate at t={t} should be finite");
             }
         }
+    }
+
+    /// Runs the Cilantro baseline and records every target it sets.
+    struct RecordCilantro {
+        inner: CilantroLike,
+        targets: Arc<Mutex<Vec<u32>>>,
+    }
+    impl Policy for RecordCilantro {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn decide(&mut self, s: &ClusterSnapshot) -> DesiredState {
+            let out = self.inner.decide(s);
+            let mut targets = self.targets.lock().unwrap();
+            targets.extend(out.iter().map(|(_, d)| d.target_replicas));
+            out
+        }
+    }
+
+    #[test]
+    fn cilantro_survives_missing_metric_outage() {
+        // The outage poisons the history's tail with NaN minutes while
+        // the AR(8) refit at 900 s and 1200 s reads them.
+        let targets = Arc::new(Mutex::new(Vec::new()));
+        let policy = RecordCilantro {
+            inner: CilantroLike::default(),
+            targets: targets.clone(),
+        };
+        let cfg = SimConfig {
+            total_replicas: 6,
+            seed: 29,
+            ..Default::default()
+        };
+        let plan = FaultPlan {
+            metric_outage: Some(MetricOutage {
+                start_secs: 600.0,
+                duration_secs: 700.0,
+                jobs: vec![JobId::new(0)],
+                mode: MetricOutageMode::Missing,
+            }),
+            ..FaultPlan::none()
+        };
+        let report = Simulation::new(cfg, vec![setup(300.0, 25, 2), setup(200.0, 25, 2)])
+            .unwrap()
+            .with_faults(plan)
+            .unwrap()
+            .driver(Box::new(policy))
+            .run()
+            .into_outcome()
+            .report;
+        assert!(report.jobs.iter().all(|j| j.total_requests > 0));
+        let targets = targets.lock().unwrap();
+        assert!(!targets.is_empty());
+        assert!(targets.iter().all(|&t| t >= 1), "{targets:?}");
     }
 
     #[test]

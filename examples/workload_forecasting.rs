@@ -1,11 +1,11 @@
 //! Probabilistic workload forecasting: train Faro's N-HiTS predictor
 //! (Gaussian head) on a synthetic Azure-like trace, compare its point
-//! prediction against a damped moving average, and show how the
+//! prediction against an AR(8) model, and show how the
 //! sampled prediction band covers the real fluctuation (paper Fig. 8).
 //!
 //! Run with: `cargo run --release --example workload_forecasting`
 
-use faro::forecast::naive::DampedMovingAverage;
+use faro::forecast::arma::Ar;
 use faro::forecast::nhits::NHits;
 use faro::forecast::{rmse, Forecaster, ProbForecaster};
 use faro::trace::generator::{TraceKind, TraceSpec};
@@ -28,16 +28,14 @@ fn main() {
         .fit(&train.rates_per_minute)
         .expect("long enough series");
 
-    let mut naive = DampedMovingAverage::new(0.3, input, horizon).expect("valid config");
-    naive
-        .fit(&train.rates_per_minute)
-        .expect("non-empty series");
+    let mut ar = Ar::new(8, input, horizon).expect("valid config");
+    ar.fit(&train.rates_per_minute).expect("long enough series");
 
     // Evaluate on a handful of day-11 windows.
     let series = &eval.rates_per_minute;
     let mut rng = StdRng::seed_from_u64(1);
     let mut nhits_err = 0.0;
-    let mut naive_err = 0.0;
+    let mut ar_err = 0.0;
     let mut covered = 0usize;
     let mut total = 0usize;
     let mut windows = 0.0;
@@ -45,9 +43,9 @@ fn main() {
         let ctx = &series[start - input..start];
         let truth = &series[start..start + horizon];
         let point = model.predict(ctx).expect("fitted");
-        let flat = naive.predict(ctx).expect("fitted");
+        let ar_point = ar.predict(ctx).expect("fitted");
         nhits_err += rmse(&point, truth);
-        naive_err += rmse(&flat, truth);
+        ar_err += rmse(&ar_point, truth);
         windows += 1.0;
 
         // 100 samples -> min/max band (Figure 8c).
@@ -70,10 +68,7 @@ fn main() {
         "  N-HiTS               {:>8.2} req/min",
         nhits_err / windows
     );
-    println!(
-        "  damped moving average{:>8.2} req/min",
-        naive_err / windows
-    );
+    println!("  AR(8)                {:>8.2} req/min", ar_err / windows);
     println!(
         "probabilistic min-max band covers {:.1}% of ground-truth minutes",
         100.0 * covered as f64 / total as f64

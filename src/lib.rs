@@ -22,8 +22,8 @@
 //!   plateau-free estimator.
 //! - [`solver`]: COBYLA-style, Nelder-Mead, and Differential Evolution
 //!   constrained optimizers.
-//! - [`nn`] and [`forecast`]: the neural substrate and the N-HiTS /
-//!   AR / naive arrival-rate forecasters.
+//! - [`nn`] and [`forecast`]: the neural substrate and the N-HiTS and
+//!   AR arrival-rate forecasters.
 //! - [`trace`]: synthetic Azure/Twitter-like workload generation.
 //! - [`sim`]: the deployment-matched discrete-event simulator of Ray
 //!   Serve atop Kubernetes.
