@@ -18,10 +18,15 @@ impl StandardScaler {
     ///
     /// # Errors
     ///
-    /// Fails on an empty series.
+    /// Fails on an empty series, and on a NaN or infinite value, which
+    /// would make the mean and the deviation non-finite and so every
+    /// scaled value and every prediction.
     pub fn fit(series: &[f64]) -> Result<Self> {
         if series.is_empty() {
             return Err(Error::SeriesTooShort { got: 0, need: 1 });
+        }
+        if let Some(index) = series.iter().position(|x| !x.is_finite()) {
+            return Err(Error::NonFinite { index });
         }
         let n = series.len() as f64;
         let mean = series.iter().sum::<f64>() / n;
@@ -145,6 +150,19 @@ mod tests {
         let z = s.transform(5.0);
         assert!(z.abs() < 1e-6);
         assert!(s.inverse(z).is_finite());
+    }
+
+    #[test]
+    fn scaler_rejects_non_finite_values() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut series = vec![1.0, 2.0, 3.0, 4.0, 5.0];
+            series[3] = bad;
+            series[4] = bad;
+            assert_eq!(
+                StandardScaler::fit(&series).unwrap_err(),
+                Error::NonFinite { index: 3 }
+            );
+        }
     }
 
     #[test]

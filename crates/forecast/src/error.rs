@@ -24,6 +24,11 @@ pub enum Error {
         /// Model input length.
         need: usize,
     },
+    /// The training series holds a NaN or an infinite value.
+    NonFinite {
+        /// Position of the first such value.
+        index: usize,
+    },
     /// A structural configuration parameter was invalid (zero sizes,
     /// empty stacks, and similar).
     InvalidConfig(&'static str),
@@ -38,6 +43,9 @@ impl fmt::Display for Error {
             }
             Error::BadContextLength { got, need } => {
                 write!(f, "context has {got} observations, model expects {need}")
+            }
+            Error::NonFinite { index } => {
+                write!(f, "series value at index {index} is not finite")
             }
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
@@ -55,5 +63,7 @@ mod tests {
         assert!(Error::NotFitted.to_string().contains("fitted"));
         let e = Error::SeriesTooShort { got: 3, need: 10 };
         assert!(e.to_string().contains('3') && e.to_string().contains("10"));
+        let e = Error::NonFinite { index: 7 };
+        assert!(e.to_string().contains("index 7") && e.to_string().contains("finite"));
     }
 }

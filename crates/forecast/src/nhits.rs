@@ -386,6 +386,17 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_series_is_refused() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut series = sine_series(400, 24.0, 1.0, 1);
+            series[123] = bad;
+            let mut m = NHits::quick(12, 4, 0);
+            assert_eq!(m.fit(&series), Err(Error::NonFinite { index: 123 }));
+            assert_eq!(m.predict(&[0.0; 12]).unwrap_err(), Error::NotFitted);
+        }
+    }
+
+    #[test]
     fn wrong_context_length_errors() {
         let mut m = NHits::quick(12, 4, 0);
         m.fit(&sine_series(200, 24.0, 1.0, 1)).unwrap();

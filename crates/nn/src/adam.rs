@@ -42,13 +42,14 @@ impl Adam {
         let t = self.t as i32;
         let bc1 = 1.0 - BETA1.powi(t);
         let bc2 = 1.0 - BETA2.powi(t);
-        for i in 0..params.len() {
-            let g = if grads[i].is_finite() { grads[i] } else { 0.0 };
-            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
-            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
-            params[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
+        let state = self.m.iter_mut().zip(&mut self.v);
+        for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(state) {
+            let g = if g.is_finite() { g } else { 0.0 };
+            *m = BETA1 * *m + (1.0 - BETA1) * g;
+            *v = BETA2 * *v + (1.0 - BETA2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 }

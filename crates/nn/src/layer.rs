@@ -48,7 +48,11 @@ impl Linear {
     ///
     /// Panics when `x.cols() != in_features`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.w).add_bias(&self.b)
+        let mut y = x.matmul(&self.w);
+        for (v, b) in y.data_mut().iter_mut().zip(self.b.iter().cycle()) {
+            *v += b;
+        }
+        y
     }
 
     /// Backward pass: given the input `x` of the forward pass and the
@@ -60,10 +64,13 @@ impl Linear {
     /// Panics when the shapes of `x` and `grad_out` do not match the
     /// layer.
     pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Matrix {
-        self.dw = self.dw.add(&x.transpose().matmul(grad_out));
-        let db = grad_out.column_sums();
-        for (a, b) in self.db.iter_mut().zip(db) {
-            *a += b;
+        self.dw.add_t_matmul(x, grad_out);
+        let cols = grad_out.cols();
+        for (c, db) in self.db.iter_mut().enumerate() {
+            // Summed from `0.0`, then added (`f64`'s `Sum` starts from
+            // `-0.0`, which an all-`-0.0` column would keep).
+            let column = grad_out.data().iter().skip(c).step_by(cols);
+            *db += column.fold(0.0, |sum, g| sum + g);
         }
         grad_out.matmul(&self.w.transpose())
     }
@@ -73,8 +80,8 @@ impl Linear {
     pub fn apply_grads(&mut self, lr: f64) {
         self.adam_w.step(lr, self.w.data_mut(), self.dw.data());
         self.adam_b.step(lr, &mut self.b, &self.db);
-        self.dw = Matrix::zeros(self.w.rows(), self.w.cols());
-        self.db = vec![0.0; self.b.len()];
+        self.dw.data_mut().fill(0.0);
+        self.db.fill(0.0);
     }
 }
 
@@ -112,9 +119,10 @@ mod tests {
     fn linear_forward_known_values() {
         let mut l = Linear::new(2, 2, 0);
         l.w = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let x = Matrix::from_rows(&[&[1.0, 1.0]]);
+        l.b = vec![10.0, 20.0];
+        let x = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0]]);
         let y = l.forward(&x);
-        assert_eq!(y.data(), &[4.0, 6.0]);
+        assert_eq!(y.data(), &[14.0, 26.0, 11.0, 22.0]);
     }
 
     /// Finite-difference gradient check on a 2-layer MLP.
@@ -147,6 +155,19 @@ mod tests {
             assert!(
                 (analytic - numeric).abs() < 1e-5 * (1.0 + numeric.abs()),
                 "l1[{r},{c}]: analytic={analytic} numeric={numeric}"
+            );
+        }
+        for c in 0..2 {
+            let analytic = l2.db[c];
+            let mut lp = l2.clone();
+            lp.b[c] += eps;
+            let up = loss_of(&l1, &lp);
+            lp.b[c] -= 2.0 * eps;
+            let down = loss_of(&l1, &lp);
+            let numeric = (up - down) / (2.0 * eps);
+            assert!(
+                (analytic - numeric).abs() < 1e-5 * (1.0 + numeric.abs()),
+                "l2.b[{c}]: analytic={analytic} numeric={numeric}"
             );
         }
         for (r, c) in [(0usize, 0usize), (4, 1)] {

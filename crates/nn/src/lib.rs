@@ -18,6 +18,19 @@
 //! Gradient correctness is enforced by finite-difference checks in the
 //! test-suite of every module.
 //!
+//! # Bit contract
+//!
+//! Training is deterministic to the bit, and the kernels keep it so.
+//! Every element of a matrix product ([`Matrix::matmul`], and the
+//! `xᵀ·g` weight gradient of [`Linear::backward`]) is the naive loop's
+//! sum: it starts from `0.0` and adds `a·b` for `k` ascending, skipping
+//! exactly the terms whose left factor `a` is `0.0` or `-0.0` (a NaN is
+//! kept), with no fused multiply-add. The register-blocked kernel only
+//! reorders which sums run side by side; a property test holds it to
+//! the naive loop bit for bit on inputs full of zeros, `-0.0`, NaN and
+//! infinities (a NaN result is only checked to be NaN: Rust leaves the
+//! sign and payload of an arithmetic NaN unspecified).
+//!
 //! # Examples
 //!
 //! ```

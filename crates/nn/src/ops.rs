@@ -91,12 +91,17 @@ pub fn avg_pool1d_backward(grad: &Matrix, in_len: usize, kernel: usize) -> Matri
 /// ```
 pub fn interp1d(x: &Matrix, out_len: usize) -> Matrix {
     assert!(x.cols() > 0 && out_len > 0, "empty interpolation");
+    let weights: Vec<_> = (0..out_len)
+        .map(|o| interp_indices(x.cols(), out_len, o))
+        .collect();
     let mut out = Matrix::zeros(x.rows(), out_len);
-    for r in 0..x.rows() {
-        for o in 0..out_len {
-            let (i0, i1, w1) = interp_indices(x.cols(), out_len, o);
-            let v = x.get(r, i0) * (1.0 - w1) + x.get(r, i1) * w1;
-            out.set(r, o, v);
+    let rows = out
+        .data_mut()
+        .chunks_exact_mut(out_len)
+        .zip(x.data().chunks_exact(x.cols()));
+    for (out_row, row) in rows {
+        for (o, &(i0, i1, w1)) in out_row.iter_mut().zip(&weights) {
+            *o = row[i0] * (1.0 - w1) + row[i1] * w1;
         }
     }
     out
@@ -111,13 +116,18 @@ pub fn interp1d(x: &Matrix, out_len: usize) -> Matrix {
 pub fn interp1d_backward(grad: &Matrix, in_len: usize) -> Matrix {
     assert!(in_len > 0 && grad.cols() > 0, "empty interpolation");
     let out_len = grad.cols();
+    let weights: Vec<_> = (0..out_len)
+        .map(|o| interp_indices(in_len, out_len, o))
+        .collect();
     let mut out = Matrix::zeros(grad.rows(), in_len);
-    for r in 0..grad.rows() {
-        for o in 0..out_len {
-            let (i0, i1, w1) = interp_indices(in_len, out_len, o);
-            let g = grad.get(r, o);
-            out.set(r, i0, out.get(r, i0) + g * (1.0 - w1));
-            out.set(r, i1, out.get(r, i1) + g * w1);
+    let rows = out
+        .data_mut()
+        .chunks_exact_mut(in_len)
+        .zip(grad.data().chunks_exact(out_len));
+    for (out_row, row) in rows {
+        for (&g, &(i0, i1, w1)) in row.iter().zip(&weights) {
+            out_row[i0] += g * (1.0 - w1);
+            out_row[i1] += g * w1;
         }
     }
     out
