@@ -84,7 +84,10 @@ struct JobState {
     /// replicas become ready, unordered.
     pending: Vec<u64>,
     drop_rate: f64,
-    history: Vec<RatePerMin>,
+    /// Per-minute arrival rates, shared copy-on-write with the
+    /// observations: a snapshot clones the `Arc`, and a new minute
+    /// copies the vector only while a snapshot still holds it.
+    history: Arc<Vec<RatePerMin>>,
 }
 
 /// The cluster-in-a-process: pods, load, and the observation math.
@@ -113,7 +116,7 @@ impl ClusterModel {
                 ready: j.initial_replicas,
                 pending: Vec::new(),
                 drop_rate: 0.0,
-                history: Vec::new(),
+                history: Arc::new(Vec::new()),
             })
             .collect();
         Self {
@@ -156,6 +159,7 @@ impl ClusterModel {
             {
                 let history = &mut self.jobs[i].history;
                 if history.len() <= minute {
+                    let history = Arc::make_mut(history);
                     for m in history.len()..=minute {
                         let r = self.config.jobs[i].rates_per_minute.get(m).copied();
                         history.push(r.unwrap_or(rate));
@@ -185,7 +189,7 @@ impl ClusterModel {
                 target_replicas: job.target,
                 ready_replicas: job.ready,
                 queue_len,
-                arrival_rate_history: Arc::new(job.history.clone()),
+                arrival_rate_history: Arc::clone(&job.history),
                 recent_arrival_rate: per_sec,
                 mean_processing_time: processing,
                 recent_tail_latency: tail,

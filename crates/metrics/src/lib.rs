@@ -30,6 +30,6 @@ pub mod rank;
 pub mod slo;
 
 pub use availability::AvailabilityTracker;
-pub use percentile::{percentile_by_selection, percentile_of_sorted, PercentileBuffer};
+pub use percentile::{percentile_by_selection, percentile_of_sorted};
 pub use rank::kendall_tau_distance;
 pub use slo::{MinuteSeries, SloAccounting};

@@ -2,7 +2,8 @@
 //!
 //! The paper tracks 99th-percentile latency measured every minute
 //! (Sec. 6, "Metrics"). Within a minute the request count is small enough
-//! for exact nearest-rank percentiles ([`PercentileBuffer`]).
+//! for exact nearest-rank percentiles;
+//! [`MinuteSeries`](crate::slo::MinuteSeries) selects one per minute.
 
 /// Returns the `k`-th percentile (`0 <= k <= 1`) of an **ascending
 /// sorted** slice using the nearest-rank method, or `None` when empty.
@@ -68,64 +69,6 @@ pub fn percentile_by_selection(samples: &mut [f64], k: f64) -> Option<f64> {
     Some(*nth)
 }
 
-/// A collect-then-sort percentile buffer for bounded sample batches.
-///
-/// Samples accumulate unsorted; queries sort lazily and cache the sorted
-/// order until the next insertion.
-#[derive(Debug, Clone, Default)]
-pub struct PercentileBuffer {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl PercentileBuffer {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample. Non-finite positive values (infinity for dropped
-    /// requests) are accepted; NaN is silently dropped to keep ordering
-    /// total.
-    pub fn record(&mut self, sample: f64) {
-        if sample.is_nan() {
-            return;
-        }
-        self.samples.push(sample);
-        self.sorted = false;
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The `k`-th percentile, or `None` when empty.
-    pub fn percentile(&mut self, k: f64) -> Option<f64> {
-        self.ensure_sorted();
-        percentile_of_sorted(&self.samples, k)
-    }
-
-    /// Clears all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.sorted = false;
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered at record"));
-            self.sorted = true;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,39 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn buffer_percentiles_and_mean() {
-        let mut b = PercentileBuffer::new();
-        for i in 1..=100 {
-            b.record(f64::from(i));
-        }
-        assert_eq!(b.percentile(0.99), Some(99.0));
-        assert_eq!(b.percentile(0.5), Some(50.0));
-        b.record(f64::INFINITY);
-        assert_eq!(b.percentile(1.0), Some(f64::INFINITY));
-    }
-
-    #[test]
-    fn buffer_ignores_nan_and_clears() {
-        let mut b = PercentileBuffer::new();
-        b.record(f64::NAN);
-        assert!(b.is_empty());
-        b.record(1.0);
-        assert_eq!(b.len(), 1);
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.percentile(0.5), None);
-    }
-
-    #[test]
     fn drops_push_tail_to_infinity() {
-        let mut b = PercentileBuffer::new();
-        for _ in 0..98 {
-            b.record(0.1);
-        }
-        for _ in 0..2 {
-            b.record(f64::INFINITY);
-        }
-        assert_eq!(b.percentile(0.99), Some(f64::INFINITY));
-        assert_eq!(b.percentile(0.97), Some(0.1));
+        let mut b = vec![0.1; 98];
+        b.extend([f64::INFINITY; 2]);
+        assert_eq!(percentile_by_selection(&mut b, 0.99), Some(f64::INFINITY));
+        assert_eq!(percentile_by_selection(&mut b, 0.97), Some(0.1));
     }
 }

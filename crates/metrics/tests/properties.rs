@@ -1,21 +1,9 @@
 //! Property-based tests for metric primitives.
 
-use faro_metrics::{kendall_tau_distance, percentile_of_sorted, PercentileBuffer};
+use faro_metrics::{kendall_tau_distance, percentile_of_sorted};
 use proptest::prelude::*;
 
 proptest! {
-    /// The buffer percentile equals the nearest-rank percentile of the
-    /// sorted data, for any insertion order.
-    #[test]
-    fn buffer_matches_exact_sort(mut values in prop::collection::vec(0.0f64..1e6, 1..200), k in 0.0f64..=1.0) {
-        let mut buf = PercentileBuffer::new();
-        for &v in &values {
-            buf.record(v);
-        }
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(buf.percentile(k), percentile_of_sorted(&values, k));
-    }
-
     /// Percentiles are monotone in k and bracketed by min/max.
     #[test]
     fn percentile_monotone(mut values in prop::collection::vec(-1e3f64..1e3, 2..100)) {

@@ -624,7 +624,7 @@ impl SimBackend {
         for (job, tracker) in self.jobs.iter_mut().zip(trackers.iter_mut()) {
             tracker.finish(end_secs);
             let slo = job.spec.slo;
-            let tails = job.minute_percentiles(slo.percentile);
+            let tails = job.minute_percentiles();
             let arrivals: Vec<f64> = job.arrivals_per_minute().iter().map(|r| r.get()).collect();
             let drops = job.drops_per_minute().to_vec();
             let (utility, effective) =
@@ -742,5 +742,137 @@ impl ClusterBackend for SimBackend {
         sink: &mut dyn TelemetrySink,
     ) -> Result<ActuationReport, BackendError> {
         Ok(self.apply_impl(desired, sink))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::QUEUE_THRESHOLD;
+    use crate::simulator::JobSetup;
+    use faro_core::baselines::FairShare;
+    use faro_core::policy::Policy;
+    use faro_core::types::JobSpec;
+    use faro_trace::generator::MINUTES_PER_DAY;
+    use faro_trace::{TraceKind, TraceSpec};
+
+    /// `n` jobs replaying `days` of seeded traces (every tenth
+    /// Twitter-like, as in Table 8's duplicated set).
+    fn traced_jobs(n: usize, days: usize, max_rate: f64) -> Vec<JobSetup> {
+        (0..n)
+            .map(|i| {
+                let kind = if (i + 1) % 10 == 0 {
+                    TraceKind::TwitterLike
+                } else {
+                    TraceKind::AzureLike
+                };
+                let trace = TraceSpec {
+                    kind,
+                    seed: 42 + i as u64 * 7919,
+                    days,
+                    min_rate: 1.0,
+                    max_rate,
+                }
+                .generate();
+                JobSetup {
+                    spec: JobSpec::resnet34(format!("job-{i}")),
+                    rates_per_minute: trace.rates_per_minute,
+                    initial_replicas: 1,
+                }
+            })
+            .collect()
+    }
+
+    /// Runs FairShare tick by tick, handing the backend to `at_tick`
+    /// after every round.
+    fn run_fair_share(
+        setups: Vec<JobSetup>,
+        total_replicas: u32,
+        mut at_tick: impl FnMut(&SimBackend),
+    ) -> SimBackend {
+        let config = SimConfig {
+            total_replicas,
+            seed: 7,
+            ..SimConfig::default()
+        };
+        let mut backend = SimBackend::new(Simulation::new(config, setups).unwrap());
+        let mut policy = FairShare;
+        while backend.advance().is_some() {
+            let snapshot = backend.observe().unwrap();
+            backend.apply(&policy.decide(&snapshot)).unwrap();
+            at_tick(&backend);
+        }
+        backend
+    }
+
+    /// The per-minute series keeps one open minute: over a two-day run
+    /// no job ever holds more latency samples than its busiest minute's
+    /// arrivals plus the requests a minute can inherit from the one
+    /// before (a full queue and every replica busy).
+    #[test]
+    fn latency_samples_held_never_exceed_the_busiest_minute() {
+        let quota = 12;
+        let mut peak = [0usize; 3];
+        let backend = run_fair_share(traced_jobs(3, 2, 600.0), quota, |b| {
+            for (p, job) in peak.iter_mut().zip(&b.jobs) {
+                *p = (*p).max(job.retained_latencies());
+            }
+        });
+        for (p, job) in peak.iter().zip(&backend.jobs) {
+            let busiest = job
+                .arrivals_per_minute()
+                .iter()
+                .map(|r| r.get() as usize)
+                .max()
+                .unwrap();
+            let bound = busiest + QUEUE_THRESHOLD + quota as usize;
+            assert!(*p > 0 && *p <= bound, "{p} samples held, bound {bound}");
+            assert!(job.slo_accounting().total() > 100 * bound as u64);
+        }
+    }
+
+    /// `VmHWM` (peak resident set) of this process in kB.
+    fn peak_rss_kb() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+            .unwrap()
+    }
+
+    /// A simulated week at Table 8's 100 jobs under FairShare: the
+    /// latency samples held and the peak resident set after day 7 stay
+    /// within a band of day 1. The band on memory is what the run's
+    /// per-minute stores (arrivals, drops, tails: 32 bytes a job-minute)
+    /// may add, with room for vector doubling; storing every latency
+    /// instead adds about 8 bytes per request, over 1 KB a job-minute
+    /// here. Run with `cargo test --release -p faro-sim --lib --
+    /// --ignored --exact backend::tests::a_simulated_week_stays_within_its_day_one_band`.
+    #[test]
+    #[ignore = "a simulated week: about 35 s in release on 2 vCPUs"]
+    fn a_simulated_week_stays_within_its_day_one_band() {
+        const JOBS: usize = 100;
+        const DAYS: usize = 7;
+        const BYTES_PER_JOB_MINUTE: u64 = 128;
+        let mut held_by_day = [0usize; DAYS];
+        let mut rss_kb_by_day = [0u64; DAYS];
+        run_fair_share(traced_jobs(JOBS, DAYS, 400.0), 320, |b| {
+            let day = (seconds(b.now) / 60.0) as usize / MINUTES_PER_DAY;
+            let held = b.jobs.iter().map(JobRuntime::retained_latencies).sum();
+            held_by_day[day] = held_by_day[day].max(held);
+            rss_kb_by_day[day] = peak_rss_kb();
+        });
+        let (held_1, held_7) = (held_by_day[0], held_by_day[DAYS - 1]);
+        assert!(
+            held_7 <= 2 * held_1,
+            "samples held: day 1 {held_1}, day 7 {held_7}"
+        );
+        let (rss_1, rss_7) = (rss_kb_by_day[0], rss_kb_by_day[DAYS - 1]);
+        let growth_kb = (JOBS * (DAYS - 1) * MINUTES_PER_DAY) as u64 * BYTES_PER_JOB_MINUTE / 1024;
+        assert!(
+            rss_7 <= rss_1 + growth_kb,
+            "VmHWM: day 1 {rss_1} kB, day 7 {rss_7} kB, band {growth_kb} kB"
+        );
     }
 }

@@ -120,12 +120,13 @@ pub struct JobRuntime {
     /// One-minute buckets make the count per minute a rate per minute.
     arrivals_per_minute: Arc<Vec<RatePerMin>>,
     drops_per_minute: Vec<u64>,
-    requests_per_minute_done: Vec<u64>,
     current_minute_arrivals: u64,
     current_minute_drops: u64,
-    current_minute_done: u64,
     /// (time, latency or +inf) of recently finished/dropped requests.
     recent: VecDeque<(Micros, f64)>,
+    /// Scratch for the recent window's tail selection, reused across
+    /// observations.
+    recent_scratch: Vec<f64>,
     recent_arrivals: VecDeque<Micros>,
     proc_sum: f64,
     proc_count: u64,
@@ -146,6 +147,7 @@ impl JobRuntime {
         debug_assert!(initial >= 1, "initial replicas must be >= 1");
         let mut rt = Self {
             slo: SloAccounting::new(spec.slo.latency),
+            minute_latencies: MinuteSeries::new(spec.slo.percentile),
             spec: Arc::new(spec),
             queue: VecDeque::new(),
             replicas: Vec::new(),
@@ -155,14 +157,12 @@ impl JobRuntime {
             target: initial,
             class_target: None,
             drop_rate: 0.0,
-            minute_latencies: MinuteSeries::new(),
             arrivals_per_minute: Arc::new(Vec::new()),
             drops_per_minute: Vec::new(),
-            requests_per_minute_done: Vec::new(),
             current_minute_arrivals: 0,
             current_minute_drops: 0,
-            current_minute_done: 0,
             recent: VecDeque::new(),
+            recent_scratch: Vec::new(),
             recent_arrivals: VecDeque::new(),
             proc_sum: 0.0,
             proc_count: 0,
@@ -299,7 +299,6 @@ impl JobRuntime {
         let latency = seconds(now.saturating_sub(arrival));
         self.minute_latencies.record(seconds(now), latency);
         self.slo.record_latency(latency);
-        self.current_minute_done += 1;
         self.recent.push_back((now, latency));
         self.proc_sum += service_time;
         self.proc_count += 1;
@@ -571,20 +570,21 @@ impl JobRuntime {
         Arc::make_mut(&mut self.arrivals_per_minute)
             .push(RatePerMin::new(self.current_minute_arrivals as f64));
         self.drops_per_minute.push(self.current_minute_drops);
-        self.requests_per_minute_done.push(self.current_minute_done);
         self.current_minute_arrivals = 0;
         self.current_minute_drops = 0;
-        self.current_minute_done = 0;
     }
 
     /// Builds the policy-facing observation. O(recent window), not
     /// O(elapsed trace): the spec and arrival history are shared via
-    /// `Arc`, and the tail percentile uses O(n) selection instead of a
-    /// full sort.
+    /// `Arc`, and the tail percentile uses O(n) selection in a reused
+    /// buffer instead of a full sort.
     pub fn observe(&mut self, now: Micros) -> JobObservation {
         self.trim_recent(now);
-        let mut latencies: Vec<f64> = self.recent.iter().map(|&(_, l)| l).collect();
-        let tail = percentile_by_selection(&mut latencies, self.spec.slo.percentile).unwrap_or(0.0);
+        self.recent_scratch.clear();
+        self.recent_scratch
+            .extend(self.recent.iter().map(|&(_, l)| l));
+        let tail = percentile_by_selection(&mut self.recent_scratch, self.spec.slo.percentile)
+            .unwrap_or(0.0);
         let window_secs = seconds(RECENT_WINDOW);
         JobObservation {
             spec: Arc::clone(&self.spec),
@@ -610,10 +610,17 @@ impl JobRuntime {
         &self.slo
     }
 
-    /// Per-minute tail-latency percentile series (drops count as
-    /// infinite latency).
-    pub fn minute_percentiles(&mut self, k: f64) -> Vec<Option<f64>> {
-        self.minute_latencies.percentile_series(k)
+    /// Per-minute tail latency at the job's SLO percentile (drops
+    /// count as infinite latency).
+    pub fn minute_percentiles(&mut self) -> Vec<Option<f64>> {
+        self.minute_latencies.percentile_series()
+    }
+
+    /// Latency samples held for the open minute (test-only
+    /// introspection of the series' memory).
+    #[cfg(test)]
+    pub(crate) fn retained_latencies(&self) -> usize {
+        self.minute_latencies.retained()
     }
 
     /// Finalized per-minute arrival counts.
@@ -792,7 +799,7 @@ mod tests {
         j.on_minute_boundary();
         assert_eq!(j.arrivals_per_minute(), &[RatePerMin::new(1.0)]);
         assert_eq!(j.drops_per_minute(), &[0]);
-        let p = j.minute_percentiles(0.99);
+        let p = j.minute_percentiles();
         assert!((p[0].unwrap() - 0.1).abs() < 1e-9);
     }
 
