@@ -4,7 +4,6 @@ use crate::policies::PolicyKind;
 use crate::workloads::WorkloadSet;
 use faro_forecast::nhits::NHits;
 use faro_sim::{ClusterReport, FaultPlan, SimConfig, SimRun, Simulation};
-use serde::Serialize;
 
 /// One experiment's grid.
 #[derive(Debug, Clone)]
@@ -48,7 +47,7 @@ impl ExperimentSpec {
 }
 
 /// Aggregated outcome for one (policy, cluster size) cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyResult {
     /// Policy display name.
     pub policy: String,
@@ -65,7 +64,6 @@ pub struct PolicyResult {
     /// Mean effective cluster utility (drop-penalized).
     pub effective_utility_mean: f64,
     /// Per-trial full reports (for plots and per-job fairness).
-    #[serde(skip)]
     pub reports: Vec<ClusterReport>,
 }
 

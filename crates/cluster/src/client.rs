@@ -336,6 +336,7 @@ mod tests {
         let mut backend = HttpBackend::connect(server.addr(), quick());
         let id = faro_core::types::JobId::new(0);
         for absurd in [
+            JobDecision::replicas(0),
             JobDecision::replicas(u32::MAX),
             JobDecision::replicas(3).with_drop_rate(f64::INFINITY),
             JobDecision::replicas(3).with_drop_rate(-0.5),

@@ -115,17 +115,18 @@ pub(crate) fn write_apply_request(desired: &DesiredState, out: &mut String) {
 impl ApplyRequest {
     /// Parses the envelope; `None` on a shape or version mismatch, and
     /// on a body no control plane sends: a job listed twice (which of
-    /// two decisions was meant is not the server's to guess) or a drop
-    /// rate that is not a share in `[0, 1]`.
+    /// two decisions was meant is not the server's to guess), a target
+    /// under one replica (every admission floors at one, as the
+    /// simulator does) or a drop rate that is not a share in `[0, 1]`.
     pub fn from_json(v: &Value) -> Option<Self> {
         check_version(v)?;
         let entries = v.get("desired")?;
         let desired = DesiredState::from_json(entries)?;
         let listed = entries.as_array()?.len();
-        let shares = desired
+        let sane = desired
             .iter()
-            .all(|(_, d)| (0.0..=1.0).contains(&d.drop_rate));
-        (desired.len() == listed && shares).then_some(Self { desired })
+            .all(|(_, d)| d.target_replicas >= 1 && (0.0..=1.0).contains(&d.drop_rate));
+        (desired.len() == listed && sane).then_some(Self { desired })
     }
 }
 
@@ -359,6 +360,19 @@ mod tests {
         );
         assert_eq!(at(MAX_API_LATENCY_MS + 1), None);
         assert_eq!(at(u64::MAX), None);
+    }
+
+    #[test]
+    fn an_apply_under_one_replica_is_refused() {
+        use faro_core::types::{JobDecision, JobId};
+        let parse = |target: u32| {
+            let mut desired = DesiredState::new();
+            desired.set(JobId::new(0), JobDecision::replicas(target));
+            let json = serde_json::to_string(&ApplyRequest { desired }).expect("serializes");
+            ApplyRequest::from_json(&serde_json::from_str(&json).expect("parses"))
+        };
+        assert_eq!(parse(0), None);
+        assert!(parse(1).is_some(), "one replica is a target");
     }
 
     #[test]

@@ -7,13 +7,12 @@ use faro_core::types::{ClusterSnapshot, DesiredState, JobId};
 use faro_telemetry::{
     DecisionRecord, JobRound, NoopSink, Phase, Sample, TelemetryEvent, TelemetrySink,
 };
-use serde::Serialize;
 
 /// Cumulative admission accounting across a run — the reconciler's
 /// answer to quota enforcement that used to fail silently: every
 /// trimmed or unsatisfiable round is counted here instead of being
 /// dropped on the floor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     /// Total replicas requested across all rounds.
     pub requested_replicas: u64,
@@ -47,7 +46,7 @@ impl AdmissionStats {
 
 /// The reconciler's run report: how many rounds ran and what admission
 /// and actuation did over the run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Reconcile rounds executed.
     pub rounds: u64,
@@ -517,13 +516,5 @@ mod tests {
         );
         assert_eq!(*rec.stats(), driven.stats);
         assert_eq!(plain.applies, driven.backend.applies);
-    }
-
-    #[test]
-    fn run_stats_serialize() {
-        let stats = drive(MemBackend::new(16, 1), Want(2), Box::new(Unlimited)).stats;
-        let json = serde_json::to_string(&stats).unwrap();
-        assert!(json.contains("\"rounds\":10"), "{json}");
-        assert!(json.contains("unsatisfiable_rounds"), "{json}");
     }
 }

@@ -23,11 +23,10 @@
 use crate::types::{
     ClassAlloc, ClusterSnapshot, DesiredState, JobId, ResourceModel, RESOURCE_DIMS,
 };
-use serde::Serialize;
 
 /// What admission did to one round of decisions: how much was asked
 /// for, how much was granted, and against which quota.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionOutcome {
     /// Total replicas requested (after flooring each job at 1).
     pub requested_replicas: u32,

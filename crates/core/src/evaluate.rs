@@ -4,21 +4,26 @@
 //! Everything below the shape of the decision vector lives here.
 //! [`crate::opt::MultiTenantProblem`] reduces job `i`'s variables to a
 //! pool — an effective per-request service time and a head count — and
-//! asks [`Model`]: at C ≥ 2 classes with the harmonic reduction of the
-//! class mix, at C = 1 with `(p × speed, x)` for every read its latency
-//! tables do not serve (a drop rate, a count past the quota, a problem
-//! past its table budget, the upper-bound estimator).
+//! asks [`Model::expected_utility`], whose one loop scores every step of
+//! every read: at C ≥ 2 classes with the harmonic reduction of the class
+//! mix, at C = 1 with `(p × speed, x)`. A step's latency has two
+//! sources. A C = 1 problem's per-solve latency tables ([`Rows`], filled
+//! by [`Model::fill_latency_row`]) hold the estimator's answer at every
+//! whole count for every trajectory rate, so a zero-drop read inside the
+//! quota takes two row reads a step; every other read (a drop rate, a
+//! count past the quota, a problem past its table budget, the
+//! upper-bound estimator, C ≥ 2) asks the estimator.
 //!
 //! Work that does not depend on the trajectory step is done once per
 //! evaluation: the head count is bracketed between two integer server
 //! counts, and each count's knee latency (a function of the count
 //! alone) is held from the first step past the knee on. What does
 //! depend on it is done in one pass per step: the two consecutive
-//! counts bracketing a fractional head count are one estimator call
-//! ([`RelaxedLatency::bracket_with_knees`], one Erlang recurrence for
-//! both wherever the lower count is under its knee), and a step that
-//! meets its SLO is scored 1 by a comparison, not by `powf`
-//! ([`RelaxedUtility::met_threshold`]).
+//! counts bracketing a fractional head count are one row pair or one
+//! estimator call ([`RelaxedLatency::bracket_with_knees`], one Erlang
+//! recurrence for both wherever the lower count is under its knee),
+//! one interpolation between them, and a step that meets its SLO is
+//! scored 1 by a comparison, not by `powf` ([`RelaxedUtility::value`]).
 //!
 //! Drop-adjusted rates are *asked*, not looked up: a solve visits each
 //! `lambda * (1 - d)` about once (a keyed memo in front of this path
@@ -59,6 +64,20 @@ pub(crate) struct Model {
     pub(crate) latency_model: LatencyModel,
     pub(crate) relaxed_utility: RelaxedUtility,
     pub(crate) relaxed_latency: RelaxedLatency,
+}
+
+/// One job's latency table, as the evaluator reads it: the estimator's
+/// answer at every whole count from one up to `width`, one row per
+/// distinct trajectory rate, and which row each step reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rows<'a> {
+    /// The rows back to back; row `id` starts at `id * width`, and its
+    /// entry `n - 1` is the latency at `n` replicas.
+    pub(crate) rows: &'a [f64],
+    /// One row id per trajectory step, in `lambda_trajectories` order.
+    pub(crate) steps: &'a [u32],
+    /// Row length: the largest count a row holds.
+    pub(crate) width: usize,
 }
 
 /// A pool as every trajectory step of one utility evaluation reads it:
@@ -114,7 +133,10 @@ impl Model {
 
     /// Expected utility of `job` served by `x` (fractional) replicas of
     /// effective service time `p_eff`, averaged over trajectories and
-    /// window steps (Sec. 4.1), before the drop multiplier.
+    /// window steps (Sec. 4.1), before the drop multiplier. Each step's
+    /// latency is read from `table` when its rows reach the upper
+    /// bracketing count, and asked of the estimator otherwise. A table
+    /// holds undropped rates, so it is given for zero-drop reads only.
     #[inline]
     pub(crate) fn expected_utility(
         &self,
@@ -122,18 +144,34 @@ impl Model {
         p_eff: f64,
         x: f64,
         drop_rate: f64,
+        table: Option<Rows<'_>>,
     ) -> f64 {
         let Some(mut pool) = self.bracket(p_eff, x) else {
             return 0.0; // Infinite latency at every step.
         };
         let kept = 1.0 - drop_rate.clamp(0.0, 1.0);
+        debug_assert!(
+            table.is_none() || kept == 1.0,
+            "a table read at drop {drop_rate}"
+        );
+        let slo_latency = job.slo.latency;
         let mut sum = 0.0;
         let mut count = 0usize;
-        for traj in &job.lambda_trajectories {
-            for &lambda in traj {
-                let l = self.latency(job.slo.percentile, lambda * kept, &mut pool);
-                sum += self.step_value(l, job.slo.latency);
-                count += 1;
+        let [lo, hi] = pool.servers.map(|n| n.get() as usize);
+        if let Some(t) = table.filter(|t| hi <= t.width) {
+            for &id in t.steps {
+                let row = &t.rows[id as usize * t.width..][..t.width];
+                let l = interpolate([row[lo - 1], row[hi - 1]], pool.frac);
+                sum += self.step_value(l, slo_latency);
+            }
+            count = t.steps.len();
+        } else {
+            for traj in &job.lambda_trajectories {
+                for &lambda in traj {
+                    let l = self.latencies(job.slo.percentile, lambda * kept, &mut pool);
+                    sum += self.step_value(interpolate(l, pool.frac), slo_latency);
+                    count += 1;
+                }
             }
         }
         #[cfg(test)]
@@ -169,21 +207,22 @@ impl Model {
         })
     }
 
-    /// Estimated latency of `pool` at percentile `k` and arrival rate
-    /// `lambda` (already drop-adjusted): the estimator at the lower
-    /// bracketing count, interpolated towards the upper one when the
-    /// head count is fractional.
+    /// Estimated latencies of `pool` at percentile `k` and arrival rate
+    /// `lambda` (already drop-adjusted) at its two bracketing counts:
+    /// one estimate for a whole or rounded head count, one bracket
+    /// otherwise.
     #[inline]
-    fn latency(&self, k: f64, lambda: f64, pool: &mut Pool) -> f64 {
+    fn latencies(&self, k: f64, lambda: f64, pool: &mut Pool) -> [f64; 2] {
         let lambda = lambda.max(0.0);
         if pool.frac == 0.0 {
-            return self.estimate(k, lambda, pool, 0);
+            let l = self.estimate(k, lambda, pool, 0);
+            return [l, l];
         }
         // Only the relaxed M/D/c estimator brackets a fractional count,
         // and its two counts are consecutive unless the head count is
         // past `u32::MAX`, where both saturate.
         let [lo, hi] = pool.servers;
-        let [l_lo, l_hi] = if lo.checked_add(ReplicaCount::ONE) == Some(hi) {
+        if lo.checked_add(ReplicaCount::ONE) == Some(hi) {
             #[cfg(test)]
             ESTIMATOR_CALLS.with(|n| n.set(n.get() + 1));
             self.relaxed_latency
@@ -194,13 +233,7 @@ impl Model {
                 self.estimate(k, lambda, pool, 0),
                 self.estimate(k, lambda, pool, 1),
             ]
-        };
-        // The relaxed estimate is finite on valid input, so a non-finite
-        // side means the estimator rejected the call as a whole.
-        if l_lo.is_infinite() || l_hi.is_infinite() {
-            return f64::INFINITY;
         }
-        l_lo + (l_hi - l_lo) * pool.frac
     }
 
     /// The configured estimator at `pool.servers[side]`; infinite where
@@ -230,6 +263,93 @@ impl Model {
             ),
         }
         .unwrap_or(f64::INFINITY)
+    }
+
+    /// The job's knee latencies at replica counts `1..=len`, as far as
+    /// its largest trajectory rate is past the knee — the only counts a
+    /// knee latency is read at, so every row of the job is covered. The
+    /// knee latency is rate-independent: computed once per job, shared
+    /// by every trajectory rate. Empty under precise fidelity.
+    pub(crate) fn knee_prefix(&self, job: &JobWorkload, quota: ReplicaCount) -> Vec<f64> {
+        if self.fidelity == Fidelity::Precise {
+            return Vec::new();
+        }
+        // Non-finite rates are rejected by the estimator whatever the
+        // knee, so they ask for none.
+        let peak = job
+            .rates()
+            .map(|raw| raw.max(0.0))
+            .filter(|lambda| lambda.is_finite())
+            .fold(0.0, f64::max);
+        let p = job.processing_time;
+        match self.relaxed_latency.knee_count(p, peak, quota) {
+            0 => Vec::new(),
+            // An error here is an invalid k/p, which fails every row of
+            // the job as well.
+            count => self
+                .relaxed_latency
+                .knee_latencies(job.slo.percentile, p, ReplicaCount::new(count))
+                .unwrap_or_default(),
+        }
+    }
+
+    /// One table row, filled in place with what [`Self::estimate`]
+    /// answers at rate `lambda` and every count `1..=row.len()`: the
+    /// M/D/c sweep, with the counts at which `lambda` is past the
+    /// relaxed knee taken from the relaxed sweep over the job's knee
+    /// prefix — entry for entry what [`RelaxedLatency::latency_sweep`]
+    /// over full-quota knee latencies stores, without the knee latencies
+    /// it never reads.
+    pub(crate) fn fill_latency_row(
+        &self,
+        k: f64,
+        p: f64,
+        lambda: f64,
+        row: &mut [f64],
+        knees: &[f64],
+    ) {
+        if mdc::latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, row).is_err() {
+            // Invalid k/p/rate: the direct path errors at every count.
+            row.fill(f64::INFINITY);
+            return;
+        }
+        if self.fidelity == Fidelity::Relaxed {
+            // `knees` reaches the job's largest rate's knee count, so it
+            // covers every row's.
+            let relaxed = self.relaxed_latency;
+            let quota = ReplicaCount::new(row.len() as u32);
+            let past_knee = relaxed.knee_count(p, lambda, quota) as usize;
+            if past_knee > 0 {
+                let head = knees
+                    .get(..past_knee)
+                    .map(|knees| relaxed.latency_sweep(k, p, lambda, knees));
+                match head {
+                    Some(Ok(head)) => row[..past_knee].copy_from_slice(&head),
+                    // No knee latency to scale: the direct path errors.
+                    _ => row.fill(f64::INFINITY),
+                }
+            }
+        }
+    }
+}
+
+/// The latency `frac` of the way from the lower bracketing count's
+/// to the upper one's. At a whole count both are the same entry or
+/// estimate, returned as it is (a finite one plus a zero difference: a
+/// negative zero comes back positive, which scores the same). The
+/// relaxed estimate is finite on valid input, so a non-finite side of a
+/// fractional count means the estimator rejected the call as a whole.
+/// The finiteness test comes first because it is the one a step pays.
+#[inline]
+fn interpolate([l_lo, l_hi]: [f64; 2], frac: f64) -> f64 {
+    if l_lo.is_infinite() || l_hi.is_infinite() {
+        if frac == 0.0 {
+            l_lo
+        } else {
+            f64::INFINITY
+        }
+    } else {
+        l_lo + (l_hi - l_lo) * frac
     }
 }
 

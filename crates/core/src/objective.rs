@@ -9,8 +9,6 @@
 //! - **Faro-PenaltySum**: sum of *effective* utilities (drop-penalized).
 //! - **Faro-PenaltyFairSum**: effective-utility FairSum.
 
-use serde::Serialize;
-
 /// One job's utility contribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobUtility {
@@ -23,7 +21,7 @@ pub struct JobUtility {
 }
 
 /// A cluster objective to maximize.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClusterObjective {
     /// Maximize `sum_i pi_i U_i`.
     Sum,

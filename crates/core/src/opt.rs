@@ -32,25 +32,27 @@
 //!   the `rho_max` knee, piecewise-linear penalty — plateau-free and
 //!   solvable in sub-second time by COBYLA.
 //!
-//! How a job is scored is not decided here: the shared evaluator of
-//! `evaluate.rs` owns the fidelity, the estimator and the relaxation.
-//! This module keeps the shape of the decision and, at C = 1, two ways
-//! of not asking twice: per-solve latency tables over the fixed
-//! trajectory rates, which serve every zero-drop read inside the quota,
-//! and each job's last few utilities. Every other read, and every read
-//! at C ≥ 2 (where `p_eff` moves continuously with the mix, so there is
-//! no axis to tabulate), goes to the evaluator with `(p_eff, x)`.
+//! How a job is scored is not decided here: the one loop of the shared
+//! evaluator in `evaluate.rs` scores every read, and owns the fidelity,
+//! the estimator, the relaxation and what a table entry holds. This
+//! module keeps the shape of the decision and, at C = 1, two ways of not
+//! asking twice: per-solve latency tables over the fixed trajectory
+//! rates, where the evaluator's loop reads a step's latency on every
+//! zero-drop read inside the quota, and each job's last few utilities.
+//! The tables' entry budget, their distinct-rate rows and their flat
+//! layout are decided here. On every other read, and on every read at
+//! C ≥ 2 (where `p_eff` moves continuously with the mix, so there is no
+//! axis to tabulate), the evaluator asks the estimator at `(p_eff, x)`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, OnceLock};
 
 use crate::error::{Error, Result};
-use crate::evaluate::{fold_class_speed, validate, Model};
+use crate::evaluate::{fold_class_speed, validate, Model, Rows};
 use crate::objective::{ClusterObjective, JobUtility};
 use crate::types::{ClassAlloc, ResourceModel, Slo, MAX_CLASSES, RESOURCE_DIMS};
-use crate::units::ReplicaCount;
-use crate::utility::{step_utility, RelaxedUtility};
-use faro_queueing::{mdc, RelaxedLatency};
+use crate::utility::RelaxedUtility;
+use faro_queueing::RelaxedLatency;
 use faro_solver::{Problem, Solution, Solver};
 
 /// Dense latency tables are built only while `distinct rates × quota`
@@ -63,14 +65,14 @@ const MAX_TABLE_ENTRIES: usize = 1 << 24;
 /// The predicted arrival rates are fixed for the lifetime of a problem,
 /// so for every (job, trajectory rate) pair the latency at *every*
 /// integer replica count `1..=quota` can be computed with one Erlang-B
-/// recurrence sweep ([`mdc::latency_percentile_sweep`]) instead of
-/// re-running the O(c) recurrence in the solver's innermost loop. Under
-/// relaxed fidelity the counts at which a rate is past the knee
-/// ([`RelaxedLatency::knee_count`] of them, about its offered load) hold
-/// the job's knee latency scaled by the rate; knee latencies cost a
-/// recurrence of their own each, so they are computed for those counts
-/// only, not up to the quota. Entries are bit-identical to the direct
-/// estimator calls they replace.
+/// recurrence sweep ([`faro_queueing::mdc::latency_percentile_sweep`])
+/// instead of re-running the O(c) recurrence in the solver's innermost
+/// loop. Under relaxed fidelity the counts at which a rate is past the
+/// knee ([`RelaxedLatency::knee_count`] of them, about its offered load)
+/// hold the job's knee latency scaled by the rate; knee latencies cost
+/// a recurrence of their own each, so they are computed for those
+/// counts only, not up to the quota. Entries are bit-identical to the
+/// direct estimator calls they replace ([`Model::fill_latency_row`]).
 #[derive(Debug, Default)]
 struct LatencyTables {
     /// `dense[job]`: the job's rows back to back, one per distinct
@@ -83,6 +85,17 @@ struct LatencyTables {
     steps: Vec<Vec<u32>>,
     /// Row length (the replica quota when the tables were built).
     quota: usize,
+}
+
+impl LatencyTables {
+    /// Job `i`'s rows, as the evaluator reads them.
+    fn rows(&self, i: usize) -> Rows<'_> {
+        Rows {
+            rows: &self.dense[i],
+            steps: &self.steps[i],
+            width: self.quota,
+        }
+    }
 }
 
 /// How many recent evaluations each job's [`UtilitySlots`] keep. A
@@ -153,10 +166,6 @@ struct SolveCache {
     /// Job utilities computed rather than served from `utilities`.
     #[cfg(test)]
     utility_misses: std::sync::atomic::AtomicUsize,
-    /// Tabulated relaxed steps that missed their SLO and so asked
-    /// [`RelaxedUtility::value`].
-    #[cfg(test)]
-    unmet_steps: std::sync::atomic::AtomicUsize,
 }
 
 impl SolveCache {
@@ -167,8 +176,6 @@ impl SolveCache {
             utilities: (0..n_jobs).map(|_| UtilitySlots::default()).collect(),
             #[cfg(test)]
             utility_misses: std::sync::atomic::AtomicUsize::new(0),
-            #[cfg(test)]
-            unmet_steps: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 }
@@ -190,7 +197,7 @@ pub struct JobWorkload {
 
 impl JobWorkload {
     /// Every trajectory step's rate, in `lambda_trajectories` order.
-    fn rates(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn rates(&self) -> impl Iterator<Item = f64> + '_ {
         self.lambda_trajectories.iter().flatten().copied()
     }
 
@@ -450,7 +457,7 @@ impl MultiTenantProblem {
         for job in &self.jobs {
             let k = job.slo.percentile;
             let p = job.processing_time;
-            let knees = self.knee_prefix(job, quota);
+            let knees = self.model.knee_prefix(job, quota);
             let mut by_rate: BTreeMap<u64, u32> = BTreeMap::new();
             let mut rates: Vec<f64> = Vec::new();
             let step_rows: Vec<u32> = job
@@ -465,7 +472,7 @@ impl MultiTenantProblem {
                 .collect();
             let mut rows = vec![0.0; rates.len() * width];
             for (row, &lambda) in rows.chunks_exact_mut(width).zip(&rates) {
-                self.fill_latency_row(k, p, lambda, row, &knees);
+                self.model.fill_latency_row(k, p, lambda, row, &knees);
             }
             dense.push(rows);
             steps.push(step_rows);
@@ -477,66 +484,6 @@ impl MultiTenantProblem {
         })
     }
 
-    /// The job's knee latencies at replica counts `1..=len`, as far as
-    /// its largest trajectory rate is past the knee — the only counts a
-    /// knee latency is read at, so every row of the job is covered. The
-    /// knee latency is rate-independent: computed once per job, shared
-    /// by every trajectory rate. Empty under precise fidelity.
-    fn knee_prefix(&self, job: &JobWorkload, quota: ReplicaCount) -> Vec<f64> {
-        if self.model.fidelity == Fidelity::Precise {
-            return Vec::new();
-        }
-        // Non-finite rates are rejected by the estimator whatever the
-        // knee, so they ask for none.
-        let peak = job
-            .rates()
-            .map(|raw| raw.max(0.0))
-            .filter(|lambda| lambda.is_finite())
-            .fold(0.0, f64::max);
-        let p = job.processing_time;
-        match self.model.relaxed_latency.knee_count(p, peak, quota) {
-            0 => Vec::new(),
-            // An error here is an invalid k/p, which fails every row of
-            // the job as well.
-            count => self
-                .model
-                .relaxed_latency
-                .knee_latencies(job.slo.percentile, p, ReplicaCount::new(count))
-                .unwrap_or_default(),
-        }
-    }
-
-    /// One table row, filled in place: the M/D/c sweep over
-    /// `1..=row.len()`, with the counts at which `lambda` is past the
-    /// relaxed knee taken from the relaxed sweep over the job's knee
-    /// prefix — entry for entry what [`RelaxedLatency::latency_sweep`]
-    /// over full-quota knee latencies stores, without the knee latencies
-    /// it never reads.
-    fn fill_latency_row(&self, k: f64, p: f64, lambda: f64, row: &mut [f64], knees: &[f64]) {
-        if mdc::latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, row).is_err() {
-            // Invalid k/p/rate: the direct path errors at every count.
-            row.fill(f64::INFINITY);
-            return;
-        }
-        if self.model.fidelity == Fidelity::Relaxed {
-            // `knees` reaches the job's largest rate's knee count, so it
-            // covers every row's.
-            let relaxed = self.model.relaxed_latency;
-            let quota = ReplicaCount::new(row.len() as u32);
-            let past_knee = relaxed.knee_count(p, lambda, quota) as usize;
-            if past_knee > 0 {
-                let head = knees
-                    .get(..past_knee)
-                    .map(|knees| relaxed.latency_sweep(k, p, lambda, knees));
-                match head {
-                    Some(Ok(head)) => row[..past_knee].copy_from_slice(&head),
-                    // No knee latency to scale: the direct path errors.
-                    _ => row.fill(f64::INFINITY),
-                }
-            }
-        }
-    }
-
     /// Expected utility of job `i` at fractional per-class replica
     /// counts (one per class), averaged over trajectories and window
     /// steps (Sec. 4.1), before the drop multiplier. At C ≥ 2 an empty
@@ -545,20 +492,21 @@ impl MultiTenantProblem {
         let job = &self.jobs[i];
         if self.classed() {
             return match self.pool(job.processing_time, counts) {
-                Some((p_eff, total)) => self.model.expected_utility(job, p_eff, total, drop_rate),
+                Some((p_eff, total)) => self
+                    .model
+                    .expected_utility(job, p_eff, total, drop_rate, None),
                 None => 0.0,
             };
         }
-        let x = counts[0];
         // Solver hot path: with no drop adjustment every step rate has
         // its precomputed table row.
-        if drop_rate.clamp(0.0, 1.0) == 0.0 {
-            if let Some(v) = self.tables().and_then(|t| self.tabulated_utility(t, i, x)) {
-                return v;
-            }
-        }
+        let table = if drop_rate.clamp(0.0, 1.0) == 0.0 {
+            self.tables().map(|t| t.rows(i))
+        } else {
+            None
+        };
         self.model
-            .expected_utility(job, job.processing_time, x, drop_rate)
+            .expected_utility(job, job.processing_time, counts[0], drop_rate, table)
     }
 
     /// Reduces a fractional per-class count vector to the pool's
@@ -585,86 +533,6 @@ impl MultiTenantProblem {
             1 => Some((p * speed, total)),
             _ => Some((total / rate, total)),
         }
-    }
-
-    /// Zero-drop utility over the precomputed per-step rows: two array
-    /// reads plus the interpolation per trajectory step, with the
-    /// floor/ceil/frac of `x` hoisted out of the step loop. Returns
-    /// `None` when any step would leave the tables (replica count
-    /// beyond the quota, non-finite `x`) so the caller asks the
-    /// evaluator. Bit-identical to it: each row entry is the estimator's
-    /// value, under the same arithmetic and summation order.
-    ///
-    /// A relaxed step that meets its SLO is scored 1 by one comparison
-    /// with [`RelaxedUtility::met_threshold`], hoisted out of the loop;
-    /// only the rest ask [`RelaxedUtility::value`], where the same
-    /// predicate decides. On a paper-shaped solve that is six steps in
-    /// seven.
-    fn tabulated_utility(&self, tables: &LatencyTables, i: usize, x: f64) -> Option<f64> {
-        let job = &self.jobs[i];
-        let steps = &tables.steps[i];
-        let rows = &tables.dense[i];
-        let quota = tables.quota;
-        let slo_latency = job.slo.latency;
-        let mut sum = 0.0;
-        match self.model.fidelity {
-            Fidelity::Precise => {
-                let n = x.max(1.0).round();
-                if !(n >= 1.0 && n <= quota as f64) {
-                    return None;
-                }
-                let n = n as usize;
-                for &id in steps {
-                    sum += step_utility(rows[id as usize * quota + n - 1], slo_latency);
-                }
-            }
-            Fidelity::Relaxed => {
-                let x = x.max(1.0);
-                if !x.is_finite() {
-                    return None;
-                }
-                let lo = x.floor();
-                let hi = x.ceil();
-                if hi > quota as f64 {
-                    return None;
-                }
-                let utility = self.model.relaxed_utility;
-                // The latency at or under which a step scores 1 unasked,
-                // hoisted out of the step loop.
-                let met = utility.met_threshold(slo_latency);
-                let value = |l: f64| {
-                    if l <= met {
-                        return 1.0;
-                    }
-                    #[cfg(test)]
-                    self.cache
-                        .unmet_steps
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    utility.value(l, slo_latency)
-                };
-                let lo_i = lo as usize;
-                if lo == hi {
-                    for &id in steps {
-                        sum += value(rows[id as usize * quota + lo_i - 1]);
-                    }
-                } else {
-                    let hi_i = hi as usize;
-                    let frac = x - lo;
-                    for &id in steps {
-                        let row = &rows[id as usize * quota..][..quota];
-                        let l_lo = row[lo_i - 1];
-                        let l_hi = row[hi_i - 1];
-                        let l = if l_lo.is_infinite() || l_hi.is_infinite() {
-                            f64::INFINITY
-                        } else {
-                            l_lo + (l_hi - l_lo) * frac
-                        };
-                        sum += value(l);
-                    }
-                }
-            }
-        }
-        Some(sum / steps.len().max(1) as f64)
     }
 
     /// Per-job utility record at per-class counts: every objective
@@ -1069,7 +937,9 @@ impl Problem for ProblemAdapter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faro_queueing::upper_bound;
+    use crate::units::ReplicaCount;
+    use crate::utility::step_utility;
+    use faro_queueing::{mdc, upper_bound};
     use faro_solver::Cobyla;
 
     fn slo() -> Slo {
@@ -1471,14 +1341,40 @@ mod tests {
         ignore = "a full default solve over 1,400 table rows; the count is checked natively"
     )]
     fn a_flat_solve_asks_powf_for_a_fraction_of_its_steps() {
-        use std::sync::atomic::Ordering::Relaxed;
+        use crate::evaluate::STEPS_SCORED;
+        use crate::utility::POWF_CALLS;
         let p = paper_shaped_problem(7);
+        let before = (STEPS_SCORED.get(), POWF_CALLS.get());
         let alloc = p.solve(&Cobyla::default(), &[3; 10]).unwrap();
         assert!(alloc.evals > 50, "the solve iterated: {}", alloc.evals);
-        let scored = p.cache.utility_misses.load(Relaxed) * 20 * 7;
-        let asked = p.cache.unmet_steps.load(Relaxed);
+        let scored = STEPS_SCORED.get() - before.0;
+        let asked = POWF_CALLS.get() - before.1;
         assert!(asked > 0, "the solve visited allocations that miss an SLO");
         assert!(asked * 4 < scored, "{asked} of {scored} steps asked powf");
+    }
+
+    /// One loop scores every read: a read the tables serve scores each
+    /// step once and asks the estimator nothing, and a drop-adjusted
+    /// read of the same job asks it once a step and scores as many.
+    #[test]
+    #[cfg_attr(miri, ignore = "counts work, which is checked natively")]
+    fn a_table_served_read_is_scored_by_the_one_loop() {
+        use crate::evaluate::{ESTIMATOR_CALLS, STEPS_SCORED};
+        let p = paper_shaped_problem(7);
+        let steps = 20 * 7;
+        let work = |x: f64, d: f64| {
+            let before = (STEPS_SCORED.get(), ESTIMATOR_CALLS.get());
+            let u = p.expected_utility(0, &[x], d);
+            assert!(u > 0.0 && u <= 1.0, "x={x} d={d}: utility {u}");
+            (
+                STEPS_SCORED.get() - before.0,
+                ESTIMATOR_CALLS.get() - before.1,
+            )
+        };
+        for x in [1.0, 2.5, 3.0, 32.0] {
+            assert_eq!(work(x, 0.0), (steps, 0), "tabulated at x={x}");
+            assert_eq!(work(x, 0.1), (steps, steps), "asked at x={x}");
+        }
     }
 
     /// What a read that leaves the tables costs does not grow with the
@@ -1702,7 +1598,7 @@ mod tests {
         )
         .unwrap();
         for job in p.jobs() {
-            let knees = p.knee_prefix(job, quota).len();
+            let knees = p.model.knee_prefix(job, quota).len();
             assert!(knees > 0, "a pseudo-job's rate is past the knee somewhere");
             assert!(
                 knees * 20 < quota.get() as usize,
@@ -1714,15 +1610,16 @@ mod tests {
         }
     }
 
-    /// The scoring loops against `RelaxedUtility::value` on rows no
-    /// estimator would fill — entries at, one ulp either side of and far
-    /// from the target, zero, negative, NaN and both infinities — under
-    /// sharpnesses and targets the shortcut must stand aside for (the
-    /// field is public: zero, negative, NaN; an infinite or NaN target),
-    /// at whole and fractional counts.
+    /// The evaluator's table arm against `RelaxedUtility::value` on rows
+    /// no estimator would fill — entries at, one ulp either side of and
+    /// far from the target, zero, negative, NaN and both infinities —
+    /// under sharpnesses and targets the shortcut must stand aside for
+    /// (the field is public: zero, negative, NaN; an infinite or NaN
+    /// target), at whole and fractional counts. A count the rows do not
+    /// reach is the estimator-only read, bit for bit.
     #[test]
     fn tabulated_scoring_is_the_utility_of_every_entry_bitwise() {
-        let quota = 4usize;
+        let width = 4usize;
         let targets = [0.72, 0.0, -1.0, f64::INFINITY, f64::NAN];
         let alphas = [4.0, 0.5, 1e-300, f64::INFINITY, 0.0, -0.0, -2.0, f64::NAN];
         for target in targets {
@@ -1741,8 +1638,17 @@ mod tests {
             ]
             .concat();
             let steps: [u32; 8] = [0, 1, 2, 3, 4, 5, 1, 0];
+            let table = Rows {
+                rows: &rows,
+                steps: &steps,
+                width,
+            };
             for alpha in alphas {
                 let utility = RelaxedUtility { alpha };
+                let model = Model {
+                    relaxed_utility: utility,
+                    ..Model::new(Fidelity::Relaxed)
+                };
                 let job = JobWorkload {
                     slo: Slo {
                         latency: target,
@@ -1750,28 +1656,14 @@ mod tests {
                     },
                     ..JobWorkload::constant(1.0, 0.18, slo(), 1.0)
                 };
-                let p = MultiTenantProblem::new(
-                    vec![job],
-                    ResourceModel::replicas(ReplicaCount::new(quota as u32)),
-                    ClusterObjective::Sum,
-                    Fidelity::Relaxed,
-                )
-                .unwrap()
-                .with_utility(utility);
-                let tables = LatencyTables {
-                    dense: vec![rows.clone()],
-                    steps: vec![steps.to_vec()],
-                    quota,
-                };
+                let read = |x: f64, table| model.expected_utility(&job, 0.18, x, 0.0, table);
                 for x in [0.5, 1.0, 1.5, 2.0, 2.75, 3.0, 3.999, 4.0] {
-                    let got = p
-                        .tabulated_utility(&tables, 0, x)
-                        .expect("inside the quota");
+                    let got = read(x, Some(table));
                     let x: f64 = x.max(1.0);
                     let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
                     let mut sum = 0.0;
                     for &id in &steps {
-                        let row = &rows[id as usize * quota..][..quota];
+                        let row = &rows[id as usize * width..][..width];
                         let (l_lo, l_hi) = (row[lo - 1], row[hi - 1]);
                         let l = if lo == hi {
                             l_lo
@@ -1789,8 +1681,14 @@ mod tests {
                         "target={target} alpha={alpha} x={x}: {got} vs {want}"
                     );
                 }
-                assert!(p.tabulated_utility(&tables, 0, 4.5).is_none());
-                assert!(p.tabulated_utility(&tables, 0, f64::INFINITY).is_none());
+                for x in [4.5, 7.0, f64::INFINITY] {
+                    let (got, asked) = (read(x, Some(table)), read(x, None));
+                    assert_eq!(
+                        got.to_bits(),
+                        asked.to_bits(),
+                        "target={target} alpha={alpha} x={x}: {got} vs {asked}"
+                    );
+                }
             }
         }
     }

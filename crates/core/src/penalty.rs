@@ -11,8 +11,6 @@
 //! interpolates the table piecewise-linearly so the optimizer sees a
 //! slope everywhere (paper Sec. 3.4).
 
-use serde::Serialize;
-
 /// The AWS-style service-credit table: `penalty(availability)`.
 ///
 /// # Examples
@@ -61,7 +59,7 @@ pub fn relaxed_penalty(availability: f64) -> f64 {
 }
 
 /// Which penalty shape to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PenaltyShape {
     /// The exact step table (precise formulation).
     Step,

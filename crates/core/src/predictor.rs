@@ -96,13 +96,12 @@ impl ProbabilisticPredictor {
 
 impl RatePredictor for ProbabilisticPredictor {
     fn predict(&mut self, history: &[RatePerMin], horizon: usize) -> GaussianForecast {
-        let history = raw_rates(history);
-        let ctx = fit_context(&history, self.model.input_len());
+        let ctx = fit_context(&raw_rates(history), self.model.input_len());
         match self.model.predict_distribution(&ctx) {
             Ok(f) => fit_horizon(f, horizon),
             // An unfitted or mis-sized model degrades to a flat guess
             // rather than failing the control loop.
-            Err(_) => flat_forecast(&history, horizon, 0.0),
+            Err(_) => FlatPredictor::default().predict(history, horizon),
         }
     }
 }
@@ -121,14 +120,13 @@ impl PointPredictor {
 
 impl RatePredictor for PointPredictor {
     fn predict(&mut self, history: &[RatePerMin], horizon: usize) -> GaussianForecast {
-        let history = raw_rates(history);
-        let ctx = fit_context(&history, self.model.input_len());
+        let ctx = fit_context(&raw_rates(history), self.model.input_len());
         match self.model.predict(&ctx) {
             Ok(mu) => {
                 let sigma = vec![1e-9; mu.len()];
                 fit_horizon(GaussianForecast::new(mu, sigma), horizon)
             }
-            Err(_) => flat_forecast(&history, horizon, 0.0),
+            Err(_) => FlatPredictor::default().predict(history, horizon),
         }
     }
 }
@@ -149,22 +147,6 @@ impl Default for FlatPredictor {
             sigma_fraction: 0.0,
         }
     }
-}
-
-fn flat_forecast(history: &[f64], horizon: usize, sigma_fraction: f64) -> GaussianForecast {
-    let lookback = 3.min(history.len()).max(1);
-    let level = if history.is_empty() {
-        0.0
-    } else {
-        history[history.len() - lookback.min(history.len())..]
-            .iter()
-            .sum::<f64>()
-            / lookback as f64
-    };
-    GaussianForecast::new(
-        vec![level; horizon],
-        vec![(level * sigma_fraction).max(1e-9); horizon],
-    )
 }
 
 impl RatePredictor for FlatPredictor {

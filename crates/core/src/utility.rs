@@ -7,8 +7,6 @@
 //! `alpha -> infinity` (Figure 4a) and lower-bounds the SLO satisfaction
 //! rate (Figure 4b).
 
-use serde::Serialize;
-
 /// The original step utility: 1 iff the latency meets the target.
 ///
 /// # Examples
@@ -28,7 +26,7 @@ pub fn step_utility(latency: f64, slo: f64) -> f64 {
 }
 
 /// The relaxed inverse-power utility of Eq. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelaxedUtility {
     /// Sharpness exponent; the relaxed utility approaches the step
     /// function as `alpha` grows.
@@ -59,7 +57,7 @@ impl RelaxedUtility {
     /// that meets the target (see [`RelaxedUtility::met_threshold`]).
     #[inline]
     pub fn value(&self, latency: f64, slo: f64) -> f64 {
-        if latency <= 0.0 || latency <= self.met_threshold(slo) {
+        if latency <= self.met_threshold(slo) || latency <= 0.0 {
             return 1.0;
         }
         if latency.is_infinite() || latency.is_nan() {

@@ -6,11 +6,10 @@
 
 use rand::prelude::*;
 use rand_distr::StandardNormal;
-use serde::Serialize;
 
 /// A forecast of `horizon` future values with independent Gaussian
 /// marginals.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianForecast {
     /// Per-step means.
     pub mu: Vec<f64>,

@@ -8,10 +8,9 @@
 //! inverse utility function; *lost utility* is max utility minus actual.
 
 use crate::percentile::percentile_by_selection;
-use serde::Serialize;
 
 /// Per-job counter of SLO-violating requests.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SloAccounting {
     slo: f64,
     total: u64,

@@ -9,13 +9,12 @@
 
 use rand::prelude::*;
 use rand_distr::{Distribution, LogNormal};
-use serde::Serialize;
 
 /// Minutes per day.
 pub const MINUTES_PER_DAY: usize = 24 * 60;
 
 /// Which published trace family to imitate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Azure Functions 2019-like: bursty diurnal invocation counts.
     AzureLike,
@@ -24,7 +23,7 @@ pub enum TraceKind {
 }
 
 /// Parameters of one synthetic trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSpec {
     /// Trace family.
     pub kind: TraceKind,
@@ -52,7 +51,7 @@ impl Default for TraceSpec {
 }
 
 /// A per-minute arrival-rate series (requests per minute).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Requests per minute, one entry per minute.
     pub rates_per_minute: Vec<f64>, // faro-lint: allow(raw-time-arith): legacy public trace API, per-minute by contract
