@@ -4,15 +4,17 @@
 //! Everything below the shape of the decision vector lives here.
 //! [`crate::opt::MultiTenantProblem`] reduces job `i`'s variables to a
 //! pool — an effective per-request service time and a head count — and
-//! asks [`Model::expected_utility`], whose one loop scores every step of
-//! every read: at C ≥ 2 classes with the harmonic reduction of the class
-//! mix, at C = 1 with `(p × speed, x)`. A step's latency has two
-//! sources. A C = 1 problem's per-solve latency tables ([`Rows`], filled
-//! by [`Model::fill_latency_row`]) hold the estimator's answer at every
+//! asks [`Model::expected_utility`], the one evaluator, which scores
+//! every step of every read: at C ≥ 2 classes with the harmonic
+//! reduction of the class mix, at C = 1 with `(p × speed, x)`. A step's
+//! latency has two sources, one arm of the evaluator each; both arms
+//! share one interpolation and one step score. In the table arm, a C = 1
+//! problem's per-solve latency tables ([`Rows`], filled by
+//! [`Model::fill_latency_row`]) hold the estimator's answer at every
 //! whole count for every trajectory rate, so a zero-drop read inside the
-//! quota takes two row reads a step; every other read (a drop rate, a
-//! count past the quota, a problem past its table budget, the
-//! upper-bound estimator, C ≥ 2) asks the estimator.
+//! quota takes two row reads a step. In the estimator arm, every other
+//! read (a drop rate, a count past the quota, a problem past its table
+//! budget, the upper-bound estimator, C ≥ 2) asks the estimator.
 //!
 //! Work that does not depend on the trajectory step is done once per
 //! evaluation: the head count is bracketed between two integer server

@@ -32,13 +32,14 @@
 //!   the `rho_max` knee, piecewise-linear penalty — plateau-free and
 //!   solvable in sub-second time by COBYLA.
 //!
-//! How a job is scored is not decided here: the one loop of the shared
-//! evaluator in `evaluate.rs` scores every read, and owns the fidelity,
-//! the estimator, the relaxation and what a table entry holds. This
-//! module keeps the shape of the decision and, at C = 1, two ways of not
+//! How a job is scored is not decided here: the shared evaluator in
+//! `evaluate.rs` scores every read, and owns the fidelity, the
+//! estimator, the relaxation and what a table entry holds. This module
+//! keeps the shape of the decision and, at C = 1, two ways of not
 //! asking twice: per-solve latency tables over the fixed trajectory
-//! rates, where the evaluator's loop reads a step's latency on every
-//! zero-drop read inside the quota, and each job's last few utilities.
+//! rates, which the evaluator's table arm reads a step's latency from on
+//! every zero-drop read inside the quota, and each job's last few
+//! utilities.
 //! The tables' entry budget, their distinct-rate rows and their flat
 //! layout are decided here. On every other read, and on every read at
 //! C ≥ 2 (where `p_eff` moves continuously with the mix, so there is no
@@ -1353,12 +1354,13 @@ mod tests {
         assert!(asked * 4 < scored, "{asked} of {scored} steps asked powf");
     }
 
-    /// One loop scores every read: a read the tables serve scores each
-    /// step once and asks the estimator nothing, and a drop-adjusted
-    /// read of the same job asks it once a step and scores as many.
+    /// One evaluator scores every read: a read the tables serve scores
+    /// each step once and asks the estimator nothing, and a
+    /// drop-adjusted read of the same job asks it once a step and scores
+    /// as many.
     #[test]
     #[cfg_attr(miri, ignore = "counts work, which is checked natively")]
-    fn a_table_served_read_is_scored_by_the_one_loop() {
+    fn a_table_served_read_is_scored_by_the_one_evaluator() {
         use crate::evaluate::{ESTIMATOR_CALLS, STEPS_SCORED};
         let p = paper_shaped_problem(7);
         let steps = 20 * 7;

@@ -54,7 +54,7 @@ impl RelaxedUtility {
 
     /// `U(l, s) = min((s/l)^alpha, 1)`; 0 for infinite latency, 1 for
     /// non-positive latency (instantaneous response) and for a latency
-    /// that meets the target (see [`RelaxedUtility::met_threshold`]).
+    /// that meets the target, which costs a comparison, not a `powf`.
     #[inline]
     pub fn value(&self, latency: f64, slo: f64) -> f64 {
         if latency <= self.met_threshold(slo) || latency <= 0.0 {
@@ -77,10 +77,9 @@ impl RelaxedUtility {
     /// computed. The argument fails where the threshold is NaN: `alpha`
     /// is a public field, so it may be zero, negative or NaN, and
     /// against an infinite target an infinite latency is "met" yet
-    /// scores 0. A caller scoring many steps against one target hoists
-    /// this out of its loop and asks `value` only above it.
+    /// scores 0.
     #[inline]
-    pub fn met_threshold(&self, slo: f64) -> f64 {
+    fn met_threshold(&self, slo: f64) -> f64 {
         if self.alpha > 0.0 && slo < f64::INFINITY {
             slo
         } else {

@@ -3,14 +3,17 @@
 
 Runs PAIRS alternating parent/change pairs (parent first in even pairs,
 change first in odd ones) on one workload and seed, optionally pinned to
-one CPU with `taskset`, and prints for every end-to-end metric of
-BENCHMARK.json the median and quartiles of each side, the ratio of the
-medians (change / parent), the pairs the change won in the metric's
-direction, and whether the change's median is inside the metric's bound.
-It also prints every run's digest line.
+one CPU with `taskset`, for BENCHMARK.json's `run_seconds` each. It
+prints for every end-to-end metric of BENCHMARK.json the median and
+quartiles of each side, the ratio of the medians (change / parent), the
+pairs the change won in the metric's direction, and whether the change's
+median is inside the metric's bound. It also prints every run's digest
+line.
 
 Exits 1 if the two executables disagree on a digest, if any run reports
-`"correct": false` or exits non-zero, and 0 otherwise. A metric outside
+`"correct": false` or exits non-zero, and 0 otherwise. If any run failed,
+no metric table is printed: the pairs would not be like for like. A
+metric outside
 its bound is printed, not failed: what counts as a regression is the
 reader's call. BENCHMARK.json is read, never written.
 
@@ -18,7 +21,7 @@ Usage (both executables built with `cargo build --release --offline
 --manifest-path benchmark/Cargo.toml` into separate target directories):
 
     python3 tools/ab.py --parent A/faro-benchmark --change B/faro-benchmark \\
-        --workload paper10-sim [--seed 1] [--seconds 10] [--pairs 10] [--cpu 1]
+        --workload paper10-sim [--seed 1] [--pairs 10] [--cpu 1]
 
 Python 3 standard library only.
 """
@@ -35,10 +38,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIGEST = re.compile(r"^(\S+): rounds_attempted (\d+) rounds_failed (\d+) digest (\S+)$")
 
 
-def run(exe, args):
+def run(exe, args, seconds):
     """One benchmark run: (digest line fields, JSON report, exit code)."""
     cmd = [str(exe), "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     if args.cpu is not None:
         cmd = ["taskset", "-c", str(args.cpu)] + cmd
     proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
@@ -72,7 +75,6 @@ def main():
     parser.add_argument("--change", required=True, type=pathlib.Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--cpu", type=int, help="pin every run to this CPU")
     args = parser.parse_args()
@@ -87,7 +89,7 @@ def main():
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            digest, report, code = run(sides[side], args)
+            digest, report, code = run(sides[side], args, spec["run_seconds"])
             label = " ".join(digest) if digest else "no digest line"
             print(f"pair {i + 1:>2} {side:<6} {label}", flush=True)
             if code != 0 or report is None or not report.get("correct", False):
@@ -102,15 +104,19 @@ def main():
     if len(digests["parent"] | digests["change"]) > 1:
         print("DIGEST MISMATCH:", sorted(digests["parent"] | digests["change"]))
         ok = False
+    if not ok:
+        print("\nno metric table: a run failed or the digests differ")
+        return 1
 
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs"
+    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of"
+          f" {spec['run_seconds']} s"
           + (f", pinned to CPU {args.cpu}" if args.cpu is not None else ""))
     print(f"{'metric':<18} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36}"
           f" {'ratio':>6} {'won':>5}  bound")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         base, new = values["parent"][name], values["change"][name]
-        if not base or not new:
+        if len(base) != args.pairs or len(new) != args.pairs:
             continue
         median = statistics.median(base)
         ratio = statistics.median(new) / median if median else float("nan")
@@ -118,8 +124,8 @@ def main():
         worse = (ratio - 1.0) if lower else (1.0 - ratio)
         verdict = "ok" if worse <= m["bound"] else f"OUTSIDE {m['bound']:.0%}"
         print(f"{name:<18} {spread(base):>36} {spread(new):>36} {ratio:>6.3f}"
-              f" {won:>2}/{min(len(base), len(new)):<2}  {verdict}")
-    return 0 if ok else 1
+              f" {won:>2}/{len(base):<2}  {verdict}")
+    return 0
 
 
 if __name__ == "__main__":
