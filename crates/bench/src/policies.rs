@@ -6,7 +6,7 @@ use faro_core::cilantro::CilantroLike;
 use faro_core::faro::{FaroAutoscaler, FaroConfig};
 use faro_core::opt::{Fidelity, LatencyModel};
 use faro_core::policy::Policy;
-use faro_core::predictor::{FlatPredictor, PointPredictor, ProbabilisticPredictor, RatePredictor};
+use faro_core::predictor::{FlatPredictor, ProbabilisticPredictor, RatePredictor};
 use faro_core::ClusterObjective;
 use faro_forecast::nhits::NHits;
 
@@ -135,7 +135,7 @@ impl PolicyKind {
             PolicyKind::Cilantro => Box::new(CilantroLike::default()),
             PolicyKind::Mark => {
                 let predictors: Vec<Box<dyn RatePredictor>> =
-                    (0..n).map(|i| point_predictor(trained, i)).collect();
+                    (0..n).map(|i| trained_predictor(trained, i, 0.0)).collect();
                 Box::new(MarkCocktailBarista::new(predictors))
             }
             PolicyKind::Faro {
@@ -167,17 +167,9 @@ impl PolicyKind {
                                 sigma_fraction: 0.1,
                             })
                         } else if ablation.no_probabilistic {
-                            point_predictor(trained, i)
+                            trained_predictor(trained, i, 0.0)
                         } else {
-                            match trained.and_then(|t| t.get(i)) {
-                                Some(m) => {
-                                    Box::new(ProbabilisticPredictor::new(Box::new(m.clone())))
-                                }
-                                None => Box::new(FlatPredictor {
-                                    lookback: 3,
-                                    sigma_fraction: 0.25,
-                                }),
-                            }
+                            trained_predictor(trained, i, 0.25)
                         }
                     })
                     .collect();
@@ -187,12 +179,19 @@ impl PolicyKind {
     }
 }
 
-fn point_predictor(trained: Option<&[NHits]>, i: usize) -> Box<dyn RatePredictor> {
+/// Job `i`'s trained model, or without one a flat guess with the given
+/// sigma fraction. A point-forecast reader (Mark, Faro at one sample)
+/// reads the model's mean.
+fn trained_predictor(
+    trained: Option<&[NHits]>,
+    i: usize,
+    sigma_fraction: f64,
+) -> Box<dyn RatePredictor> {
     match trained.and_then(|t| t.get(i)) {
-        Some(m) => Box::new(PointPredictor::new(Box::new(m.clone()))),
+        Some(m) => Box::new(ProbabilisticPredictor::new(Box::new(m.clone()))),
         None => Box::new(FlatPredictor {
             lookback: 3,
-            sigma_fraction: 0.0,
+            sigma_fraction,
         }),
     }
 }

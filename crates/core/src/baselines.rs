@@ -11,63 +11,14 @@
 //!
 //! Scale-up triggers after 30 s of sustained overload and scale-down
 //! after 5 min of sustained underload (the suggested values the paper
-//! adopts for both the baselines and Faro's short-term autoscaler).
+//! adopts for both the baselines and Faro's short-term autoscaler),
+//! counted by the one [`Persistence`] clock.
 
 use crate::admission::{Admission, ClampToQuota, RotatingQuota};
-use crate::policy::Policy;
-use crate::predictor::RatePredictor;
+use crate::policy::{carry, emit, Cadence, Persistence, Policy, PREDICTION_WINDOW_MINUTES};
+use crate::predictor::{sanitize_history, RatePredictor};
 use crate::types::{ClusterSnapshot, DesiredState, JobDecision};
-use crate::units::{DurationMs, ReplicaCount, SimTimeMs};
-
-/// Default sustained-overload threshold before scale-up (seconds).
-pub const UP_THRESHOLD_SECS: f64 = 30.0;
-/// Default sustained-underload threshold before scale-down (seconds).
-pub const DOWN_THRESHOLD_SECS: f64 = 300.0;
-
-/// Tracks per-job overload/underload persistence across ticks.
-#[derive(Debug, Clone, Default)]
-struct Persistence {
-    overload: Vec<DurationMs>,
-    underload: Vec<DurationMs>,
-    last_tick: Option<SimTimeMs>,
-}
-
-impl Persistence {
-    fn tick(&mut self, snapshot: &ClusterSnapshot) -> DurationMs {
-        let n = snapshot.jobs.len();
-        if self.overload.len() != n {
-            self.overload = vec![DurationMs::ZERO; n];
-            self.underload = vec![DurationMs::ZERO; n];
-        }
-        let dt = self.last_tick.map_or(DurationMs::ZERO, |t| {
-            let d = snapshot.now - t;
-            if d.is_negative() {
-                DurationMs::ZERO
-            } else {
-                d
-            }
-        });
-        self.last_tick = Some(snapshot.now);
-        for (i, obs) in snapshot.jobs.iter().enumerate() {
-            if obs.recent_tail_latency > obs.spec.slo.latency {
-                self.overload[i] = self.overload[i] + dt;
-                self.underload[i] = DurationMs::ZERO;
-            } else {
-                self.underload[i] = self.underload[i] + dt;
-                self.overload[i] = DurationMs::ZERO;
-            }
-        }
-        dt
-    }
-
-    fn overload_secs(&self, i: usize) -> f64 {
-        self.overload[i].as_secs()
-    }
-
-    fn underload_secs(&self, i: usize) -> f64 {
-        self.underload[i].as_secs()
-    }
-}
+use crate::units::ReplicaCount;
 
 /// Static equal split of the quota (no autoscaling).
 #[derive(Debug, Clone, Default)]
@@ -104,33 +55,23 @@ impl Policy for Oneshot {
     }
 
     fn decide(&mut self, snapshot: &ClusterSnapshot) -> DesiredState {
-        if self.current.len() != snapshot.jobs.len() {
-            self.current = snapshot.jobs.iter().map(JobDecision::keep).collect();
-        }
+        carry(&mut self.current, snapshot);
         self.persistence.tick(snapshot);
         for (i, obs) in snapshot.jobs.iter().enumerate() {
             // Proportional factor latency/SLO, capped so infinite
             // latency (drops) requests a large-but-finite jump.
             let factor = (obs.recent_tail_latency / obs.spec.slo.latency).clamp(0.0, 8.0);
-            if self.persistence.overload_secs(i) >= UP_THRESHOLD_SECS {
-                let target =
-                    ((f64::from(self.current[i].target_replicas) * factor).ceil()).max(1.0);
-                self.current[i].target_replicas = target as u32;
-                self.persistence.overload[i] = DurationMs::ZERO;
-            } else if self.persistence.underload_secs(i) >= DOWN_THRESHOLD_SECS {
-                let target =
-                    ((f64::from(self.current[i].target_replicas) * factor).ceil()).max(1.0);
-                if (target as u32) < self.current[i].target_replicas {
-                    self.current[i].target_replicas = target as u32;
-                }
-                self.persistence.underload[i] = DurationMs::ZERO;
+            let held = self.current[i].target_replicas;
+            let target = ((f64::from(held) * factor).ceil()).max(1.0) as u32;
+            if self.persistence.overloaded(i) {
+                self.current[i].target_replicas = target;
+                self.persistence.restart(i);
+            } else if self.persistence.underloaded(i) {
+                self.current[i].target_replicas = target.min(held);
+                self.persistence.restart(i);
             }
         }
-        let mut out: DesiredState = snapshot
-            .job_ids()
-            .zip(self.current.iter().copied())
-            .collect();
-        self.admission.admit(snapshot, &mut out);
+        let out = emit(snapshot, &self.current, &mut self.admission);
         self.current = out.iter().map(|(_, d)| d).collect();
         out
     }
@@ -150,25 +91,19 @@ impl Policy for Aiad {
     }
 
     fn decide(&mut self, snapshot: &ClusterSnapshot) -> DesiredState {
-        if self.current.len() != snapshot.jobs.len() {
-            self.current = snapshot.jobs.iter().map(JobDecision::keep).collect();
-        }
+        carry(&mut self.current, snapshot);
         self.persistence.tick(snapshot);
         for i in 0..snapshot.jobs.len() {
-            if self.persistence.overload_secs(i) >= UP_THRESHOLD_SECS {
+            if self.persistence.overloaded(i) {
                 self.current[i].target_replicas += 1;
-                self.persistence.overload[i] = DurationMs::ZERO;
-            } else if self.persistence.underload_secs(i) >= DOWN_THRESHOLD_SECS {
+                self.persistence.restart(i);
+            } else if self.persistence.underloaded(i) {
                 self.current[i].target_replicas =
                     self.current[i].target_replicas.saturating_sub(1).max(1);
-                self.persistence.underload[i] = DurationMs::ZERO;
+                self.persistence.restart(i);
             }
         }
-        let mut out: DesiredState = snapshot
-            .job_ids()
-            .zip(self.current.iter().copied())
-            .collect();
-        self.admission.admit(snapshot, &mut out);
+        let out = emit(snapshot, &self.current, &mut self.admission);
         self.current = out.iter().map(|(_, d)| d).collect();
         out
     }
@@ -182,11 +117,7 @@ impl Policy for Aiad {
 /// violations are observed").
 pub struct MarkCocktailBarista {
     predictors: Vec<Box<dyn RatePredictor>>,
-    /// Planning interval in seconds (matches Faro's long-term interval).
-    pub interval: f64,
-    /// Prediction window in minutes.
-    pub window_minutes: usize,
-    last_plan: Option<SimTimeMs>,
+    cadence: Cadence,
     persistence: Persistence,
     current: Vec<JobDecision>,
     admission: RotatingQuota,
@@ -197,9 +128,7 @@ impl MarkCocktailBarista {
     pub fn new(predictors: Vec<Box<dyn RatePredictor>>) -> Self {
         Self {
             predictors,
-            interval: 300.0,
-            window_minutes: 7,
-            last_plan: None,
+            cadence: Cadence::default(),
             persistence: Persistence::default(),
             current: Vec::new(),
             admission: RotatingQuota::new(),
@@ -213,20 +142,17 @@ impl Policy for MarkCocktailBarista {
     }
 
     fn decide(&mut self, snapshot: &ClusterSnapshot) -> DesiredState {
-        if self.current.len() != snapshot.jobs.len() {
-            self.current = snapshot.jobs.iter().map(JobDecision::keep).collect();
-        }
+        carry(&mut self.current, snapshot);
         self.persistence.tick(snapshot);
-        let due = self
-            .last_plan
-            .is_none_or(|t| (snapshot.now - t).as_secs() >= self.interval);
-        if due {
-            self.last_plan = Some(snapshot.now);
+        if self.cadence.due(snapshot.now) {
             for (i, obs) in snapshot.jobs.iter().enumerate() {
-                let forecast = match self.predictors.get_mut(i) {
-                    Some(p) => p.predict(&obs.arrival_rate_history, self.window_minutes),
-                    None => continue,
+                let Some(p) = self.predictors.get_mut(i) else {
+                    continue;
                 };
+                // Minutes a metric outage lost are repaired as Faro
+                // repairs them: a NaN forecast would read as zero load.
+                let history = sanitize_history(&obs.arrival_rate_history);
+                let forecast = p.predict(&history, PREDICTION_WINDOW_MINUTES);
                 // Peak predicted per-second rate over the window.
                 let peak_per_sec =
                     forecast.mu.iter().fold(0.0f64, |a, &b| a.max(b)).max(0.0) / 60.0;
@@ -250,17 +176,13 @@ impl Policy for MarkCocktailBarista {
             // sustained observed violation (the point-prediction
             // underestimate the paper calls out).
             for i in 0..snapshot.jobs.len() {
-                if self.persistence.overload_secs(i) >= UP_THRESHOLD_SECS {
+                if self.persistence.overloaded(i) {
                     self.current[i].target_replicas += 1;
-                    self.persistence.overload[i] = DurationMs::ZERO;
+                    self.persistence.restart(i);
                 }
             }
         }
-        let mut out: DesiredState = snapshot
-            .job_ids()
-            .zip(self.current.iter().copied())
-            .collect();
-        self.admission.admit(snapshot, &mut out);
+        let out = emit(snapshot, &self.current, &mut self.admission);
         self.current = out.iter().map(|(_, d)| d).collect();
         out
     }
@@ -271,6 +193,7 @@ mod tests {
     use super::*;
     use crate::predictor::FlatPredictor;
     use crate::types::{JobId, JobObservation, JobSpec, ResourceModel};
+    use crate::units::SimTimeMs;
 
     fn t0(ds: &DesiredState) -> u32 {
         ds.get(JobId::new(0)).unwrap().target_replicas

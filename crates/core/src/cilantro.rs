@@ -13,11 +13,11 @@
 //! rate forecaster refit each planning round on the last 60 minutes, and
 //! a greedy utility allocation under the quota.
 
-use crate::admission::{Admission, ClampToQuota};
-use crate::policy::Policy;
+use crate::admission::ClampToQuota;
+use crate::policy::{carry, emit, Cadence, Policy};
 use crate::predictor::sanitize_history;
 use crate::types::{ClusterSnapshot, DesiredState, JobDecision};
-use crate::units::{RatePerMin, SimTimeMs};
+use crate::units::RatePerMin;
 use faro_forecast::arma::Ar;
 use faro_forecast::Forecaster;
 
@@ -84,36 +84,25 @@ impl BinnedLatency {
     }
 }
 
-/// The Cilantro-like policy.
-pub struct CilantroLike {
-    /// Planning interval (seconds).
-    pub interval: f64,
-    /// AR window (minutes of history used for refitting).
-    pub ar_window: usize,
-    models: Vec<BinnedLatency>,
-    last_plan: Option<SimTimeMs>,
-    current: Vec<JobDecision>,
-}
+/// AR window: minutes of history used for refitting.
+const AR_WINDOW: usize = 60;
 
-impl Default for CilantroLike {
-    fn default() -> Self {
-        Self {
-            interval: 300.0,
-            ar_window: 60,
-            models: Vec::new(),
-            last_plan: None,
-            current: Vec::new(),
-        }
-    }
+/// The Cilantro-like policy, re-planning at the shared
+/// [`LONG_TERM_INTERVAL`](crate::policy::LONG_TERM_INTERVAL).
+#[derive(Default)]
+pub struct CilantroLike {
+    models: Vec<BinnedLatency>,
+    cadence: Cadence,
+    current: Vec<JobDecision>,
 }
 
 impl CilantroLike {
     /// Forecasts the mean next-window rate (requests/minute) by
     /// refitting AR(8) on the recent fixed-size window, after the repair
     /// Faro's predictor applies to minutes a metric outage lost.
-    fn forecast_rate(&self, history: &[RatePerMin]) -> f64 {
+    fn forecast_rate(history: &[RatePerMin]) -> f64 {
         let history: Vec<f64> = sanitize_history(history).iter().map(|r| r.get()).collect();
-        let window = &history[history.len().saturating_sub(self.ar_window)..];
+        let window = &history[history.len().saturating_sub(AR_WINDOW)..];
         if window.len() < 12 {
             return window.last().copied().unwrap_or(0.0);
         }
@@ -142,8 +131,7 @@ impl Policy for CilantroLike {
 
     fn decide(&mut self, snapshot: &ClusterSnapshot) -> DesiredState {
         let n = snapshot.jobs.len();
-        if self.current.len() != n {
-            self.current = snapshot.jobs.iter().map(JobDecision::keep).collect();
+        if carry(&mut self.current, snapshot) {
             self.models = (0..n).map(|_| BinnedLatency::new()).collect();
         }
         // Continuous learning from every tick's observation.
@@ -153,11 +141,7 @@ impl Policy for CilantroLike {
             self.models[i].observe(load, obs.recent_tail_latency);
         }
 
-        let due = self
-            .last_plan
-            .is_none_or(|t| (snapshot.now - t).as_secs() >= self.interval);
-        if due {
-            self.last_plan = Some(snapshot.now);
+        if self.cadence.due(snapshot.now) {
             let quota = snapshot.replica_quota();
             // Greedy: start everyone at 1 replica, then add the replica
             // with the largest predicted latency improvement toward the
@@ -166,7 +150,7 @@ impl Policy for CilantroLike {
             let rates: Vec<f64> = snapshot
                 .jobs
                 .iter()
-                .map(|obs| self.forecast_rate(&obs.arrival_rate_history) / 60.0)
+                .map(|obs| Self::forecast_rate(&obs.arrival_rate_history) / 60.0)
                 .collect();
             let mut spent: u32 = n as u32;
             while spent < quota.get() {
@@ -199,11 +183,7 @@ impl Policy for CilantroLike {
                 d.target_replicas = alloc[i];
             }
         }
-        let mut out: DesiredState = snapshot
-            .job_ids()
-            .zip(self.current.iter().copied())
-            .collect();
-        ClampToQuota.admit(snapshot, &mut out);
+        let out = emit(snapshot, &self.current, &mut ClampToQuota);
         self.current = out.iter().map(|(_, d)| d).collect();
         out
     }
@@ -213,6 +193,7 @@ impl Policy for CilantroLike {
 mod tests {
     use super::*;
     use crate::types::{JobId, JobObservation, JobSpec, ResourceModel};
+    use crate::units::SimTimeMs;
 
     fn t0(ds: &DesiredState) -> u32 {
         ds.get(JobId::new(0)).unwrap().target_replicas

@@ -18,10 +18,13 @@
 //! 3. **Shrinking** (Sec. 4.3): reclaim replicas from jobs at predicted
 //!    utility 1 while the cluster objective is unchanged.
 //!
-//! The long-term predictive solve runs every [`LONG_TERM_INTERVAL`]
-//! seconds (5 min); between solves, a short-term reactive loop (Sec. 4.4)
-//! adds one replica to any job whose SLO has been violated for
-//! [`REACTIVE_THRESHOLD`] seconds, and never scales down.
+//! The long-term predictive solve runs every
+//! [`LONG_TERM_INTERVAL`](crate::policy::LONG_TERM_INTERVAL) seconds
+//! (5 min); between solves, a short-term reactive loop (Sec. 4.4) adds
+//! one replica to any job whose SLO has been violated for
+//! [`REACTIVE_THRESHOLD`](crate::policy::REACTIVE_THRESHOLD) seconds, and
+//! never scales down. Both are the cadence and the clock every policy
+//! shares ([`crate::policy`]).
 //!
 //! Faults are absorbed by guards that never fire on a healthy cluster,
 //! so every fault-free run is the paper's controller: corrupted history
@@ -31,16 +34,18 @@
 //! solve keeps the previous decisions, and the desired state survives a
 //! quota clamp.
 
-use crate::admission::{Admission, ClampToQuota};
+use crate::admission::ClampToQuota;
 use crate::error::Result;
 use crate::evaluate::Model;
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, LatencyModel, MultiTenantProblem};
-use crate::policy::{Policy, PolicyIntrospection};
+use crate::policy::{
+    carry, emit, Cadence, Persistence, Policy, PolicyIntrospection, PREDICTION_WINDOW_MINUTES,
+};
 use crate::predictor::{sanitize_history, RatePredictor};
 use crate::sharded::{Round, ShardedSolver, SolvePlan};
 use crate::types::{ClassAlloc, ClusterSnapshot, DesiredState, JobDecision, JobObservation};
-use crate::units::{DurationMs, RatePerMin, SimTimeMs};
+use crate::units::DurationMs;
 use faro_solver::Cobyla;
 use rand::prelude::*;
 
@@ -67,17 +72,6 @@ pub struct FaroConfig {
     pub seed: u64,
 }
 
-/// Long-term predictive interval in seconds (paper: 5 min).
-pub const LONG_TERM_INTERVAL: f64 = 300.0;
-
-/// Sustained-violation threshold in seconds before a reactive upscale
-/// (paper: 30 s, the same trigger as the baselines).
-pub const REACTIVE_THRESHOLD: f64 = 30.0;
-
-/// Prediction window in minutes (paper: 7, overlapping the next cycle
-/// and covering cold start).
-const PREDICTION_WINDOW_MINUTES: usize = 7;
-
 /// Cold-start time in minutes skipped at the head of the window.
 const COLD_START_MINUTES: usize = 1;
 
@@ -103,12 +97,11 @@ pub struct FaroAutoscaler {
     config: FaroConfig,
     predictors: Vec<Box<dyn RatePredictor>>,
     solver: Cobyla,
-    /// Time of the last long-term solve.
-    last_long_term: Option<SimTimeMs>,
-    /// Per-job sustained SLO-violation span (reactive trigger).
-    violation: Vec<DurationMs>,
-    /// Time of the previous tick (for violation accounting).
-    last_tick: Option<SimTimeMs>,
+    /// When the long-term solve is due.
+    cadence: Cadence,
+    /// Per-job sustained SLO violation (the reactive trigger), recorded
+    /// on reactive rounds only.
+    clock: Persistence,
     /// Desired decisions, carried between ticks; never replaced by
     /// their quota-clamped form.
     current: Vec<JobDecision>,
@@ -128,9 +121,8 @@ impl FaroAutoscaler {
             rng: StdRng::seed_from_u64(config.seed ^ 0xfa60_5eed),
             solver: Cobyla::fast(),
             predictors,
-            last_long_term: None,
-            violation: Vec::new(),
-            last_tick: None,
+            cadence: Cadence::default(),
+            clock: Persistence::default(),
             current: Vec::new(),
             intro: PolicyIntrospection::default(),
             sharded: ShardedSolver::new(config.solve_plan.shard_config(), config.seed),
@@ -156,15 +148,9 @@ impl FaroAutoscaler {
                 let raw = &obs.arrival_rate_history;
                 let corrupt = raw.iter().filter(|r| r.is_corrupt()).count();
                 self.intro.sanitized_samples += corrupt as u64;
-                let repaired;
-                let history: &[RatePerMin] = if corrupt == 0 {
-                    raw
-                } else {
-                    repaired = sanitize_history(raw);
-                    &repaired
-                };
+                let history = sanitize_history(raw);
                 let forecast = match self.predictors.get_mut(i) {
-                    Some(p) => p.predict(history, w),
+                    Some(p) => p.predict(&history, w),
                     None => {
                         let level = if obs.recent_arrival_rate.is_finite() {
                             obs.recent_arrival_rate * 60.0
@@ -304,21 +290,15 @@ impl FaroAutoscaler {
 
     /// Short-term reactive pass: additive upscale on sustained
     /// violation; never downscales (Sec. 4.4). A NaN tail latency (a
-    /// lost scrape) holds the violation clock instead of resetting it.
+    /// lost scrape) holds the violation clock and boosts nothing.
     fn reactive(&mut self, snapshot: &ClusterSnapshot, dt: DurationMs) {
+        self.clock.record(snapshot, dt);
         for (i, obs) in snapshot.jobs.iter().enumerate() {
-            if obs.recent_tail_latency.is_nan() {
-                continue;
-            }
-            if obs.recent_tail_latency > obs.spec.slo.latency {
-                self.violation[i] = self.violation[i] + dt;
-            } else {
-                self.violation[i] = DurationMs::ZERO;
-            }
-            if self.violation[i].as_secs() >= REACTIVE_THRESHOLD
+            if !obs.recent_tail_latency.is_nan()
+                && self.clock.overloaded(i)
                 && self.add_one_replica(snapshot, i)
             {
-                self.violation[i] = DurationMs::ZERO;
+                self.clock.restart(i);
             }
         }
     }
@@ -352,33 +332,16 @@ impl Policy for FaroAutoscaler {
 
     fn decide(&mut self, snapshot: &ClusterSnapshot) -> DesiredState {
         self.intro = PolicyIntrospection::default();
-        let n = snapshot.jobs.len();
-        if self.current.len() != n {
-            self.current = snapshot.jobs.iter().map(JobDecision::keep).collect();
-            self.violation = vec![DurationMs::ZERO; n];
+        if carry(&mut self.current, snapshot) {
+            self.clock.restart_all();
         }
-        let dt = self.last_tick.map_or(DurationMs::ZERO, |t| {
-            let d = snapshot.now - t;
-            if d.is_negative() {
-                DurationMs::ZERO
-            } else {
-                d
-            }
-        });
-        self.last_tick = Some(snapshot.now);
-
-        let due = self
-            .last_long_term
-            .is_none_or(|t| (snapshot.now - t).as_secs() >= LONG_TERM_INTERVAL);
-        if due {
-            self.last_long_term = Some(snapshot.now);
+        let dt = self.clock.elapsed(snapshot.now);
+        if self.cadence.due(snapshot.now) {
             self.intro.long_term_solve = true;
             match self.long_term(snapshot) {
                 Ok(decisions) if decisions_valid(&decisions) => {
                     self.current = decisions;
-                    self.violation
-                        .iter_mut()
-                        .for_each(|v| *v = DurationMs::ZERO);
+                    self.clock.restart_all();
                 }
                 // Keep the previous decisions on a failed or invalid
                 // solve: an autoscaler must not crash the control loop.
@@ -390,12 +353,7 @@ impl Policy for FaroAutoscaler {
 
         // The clamp shapes what is applied, not what is desired, so
         // capacity snaps back the moment a quota dip ends.
-        let mut out: DesiredState = snapshot
-            .job_ids()
-            .zip(self.current.iter().copied())
-            .collect();
-        ClampToQuota.admit(snapshot, &mut out);
-        out
+        emit(snapshot, &self.current, &mut ClampToQuota)
     }
 }
 
@@ -410,8 +368,10 @@ fn decisions_valid(decisions: &[JobDecision]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::LONG_TERM_INTERVAL;
     use crate::predictor::FlatPredictor;
     use crate::types::{JobObservation, JobSpec, ResourceModel};
+    use crate::units::{RatePerMin, SimTimeMs};
 
     fn obs(rate_per_min: f64, target: u32, tail: f64) -> JobObservation {
         JobObservation {

@@ -6,15 +6,15 @@
 //! [`RatePredictor`] interface:
 //!
 //! - [`ProbabilisticPredictor`]: a fitted [`ProbForecaster`] (N-HiTS
-//!   with the Gaussian head) — Faro's default.
-//! - [`PointPredictor`]: a fitted point [`Forecaster`] with zero sigma —
-//!   the "no probabilistic prediction" ablation (Sec. 6.4) and the
-//!   predictor used by the Mark/Cocktail/Barista baseline.
+//!   with the Gaussian head) — Faro's default; its mean is the point
+//!   forecast of the "no probabilistic prediction" ablation (Sec. 6.4)
+//!   and of the Mark/Cocktail/Barista baseline.
 //! - [`FlatPredictor`]: repeats the recent mean rate — the "no
 //!   time-series prediction" ablation.
 
 use crate::units::RatePerMin;
-use faro_forecast::{Forecaster, GaussianForecast, ProbForecaster};
+use faro_forecast::{GaussianForecast, ProbForecaster};
+use std::borrow::Cow;
 
 /// Predicts the distribution of per-minute arrival rates over the next
 /// `horizon` minutes from a per-minute history.
@@ -39,8 +39,12 @@ fn raw_rates(history: &[RatePerMin]) -> Vec<f64> {
 /// or negative entry is replaced by the closest preceding finite
 /// non-negative value (the last rate the scraper actually observed).
 /// A corrupted prefix borrows the first healthy value instead; an
-/// entirely corrupted history sanitizes to zeros.
-pub fn sanitize_history(history: &[RatePerMin]) -> Vec<RatePerMin> {
+/// entirely corrupted history sanitizes to zeros. A clean history is
+/// borrowed as it is.
+pub fn sanitize_history(history: &[RatePerMin]) -> Cow<'_, [RatePerMin]> {
+    if !history.iter().any(|v| v.is_corrupt()) {
+        return Cow::Borrowed(history);
+    }
     let first_good = history
         .iter()
         .copied()
@@ -106,31 +110,6 @@ impl RatePredictor for ProbabilisticPredictor {
     }
 }
 
-/// A fitted point forecaster exposed with zero predictive sigma.
-pub struct PointPredictor {
-    model: Box<dyn Forecaster + Send>,
-}
-
-impl PointPredictor {
-    /// Wraps a fitted model.
-    pub fn new(model: Box<dyn Forecaster + Send>) -> Self {
-        Self { model }
-    }
-}
-
-impl RatePredictor for PointPredictor {
-    fn predict(&mut self, history: &[RatePerMin], horizon: usize) -> GaussianForecast {
-        let ctx = fit_context(&raw_rates(history), self.model.input_len());
-        match self.model.predict(&ctx) {
-            Ok(mu) => {
-                let sigma = vec![1e-9; mu.len()];
-                fit_horizon(GaussianForecast::new(mu, sigma), horizon)
-            }
-            Err(_) => FlatPredictor::default().predict(history, horizon),
-        }
-    }
-}
-
 /// Repeats the mean of the last `lookback` minutes, with an optional
 /// proportional sigma.
 pub struct FlatPredictor {
@@ -168,8 +147,10 @@ impl RatePredictor for FlatPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faro_forecast::Forecaster;
 
-    /// Predicts two steps of the last context value, once fitted.
+    /// Predicts two steps of the last context value with sigma 1, once
+    /// fitted.
     struct LastValue {
         input_len: usize,
         fitted: bool,
@@ -197,6 +178,13 @@ mod tests {
         }
     }
 
+    impl ProbForecaster for LastValue {
+        fn predict_distribution(&self, context: &[f64]) -> faro_forecast::Result<GaussianForecast> {
+            let mu = self.predict(context)?;
+            Ok(GaussianForecast::new(mu, vec![1.0; 2]))
+        }
+    }
+
     fn rpm(v: &[f64]) -> Vec<RatePerMin> {
         v.iter().map(|&v| RatePerMin::new(v)).collect()
     }
@@ -220,30 +208,27 @@ mod tests {
     }
 
     #[test]
-    fn point_predictor_wraps_forecaster() {
+    fn probabilistic_predictor_wraps_forecaster() {
         let mut model = LastValue {
             input_len: 4,
             fitted: false,
         };
         model.fit(&[1.0]).unwrap();
-        let mut p = PointPredictor::new(Box::new(model));
+        let mut p = ProbabilisticPredictor::new(Box::new(model));
         let f = p.predict(&rpm(&[8.0, 8.0, 8.0, 8.0]), 5);
         assert_eq!(f.horizon(), 5);
-        for &m in &f.mu {
-            assert!((m - 8.0).abs() < 1e-9);
-        }
-        // Sigma is (near) zero for the point ablation.
-        assert!(f.sigma.iter().all(|&s| s < 1e-6));
+        assert_eq!(f.mu, vec![8.0; 5], "the last step stretches");
+        assert_eq!(f.sigma, vec![1.0; 5]);
     }
 
     #[test]
-    fn point_predictor_pads_short_history() {
+    fn probabilistic_predictor_pads_short_history() {
         let mut model = LastValue {
             input_len: 8,
             fitted: false,
         };
         model.fit(&[1.0]).unwrap();
-        let mut p = PointPredictor::new(Box::new(model));
+        let mut p = ProbabilisticPredictor::new(Box::new(model));
         let f = p.predict(&rpm(&[4.0]), 2);
         assert_eq!(f.horizon(), 2);
         assert!((f.mu[0] - 4.0).abs() < 1e-9);
@@ -255,7 +240,7 @@ mod tests {
             input_len: 4,
             fitted: false,
         };
-        let mut p = PointPredictor::new(Box::new(model));
+        let mut p = ProbabilisticPredictor::new(Box::new(model));
         let f = p.predict(&rpm(&[6.0, 6.0]), 3);
         assert_eq!(f.mu, vec![6.0; 3]);
     }
@@ -274,6 +259,9 @@ mod tests {
             vec![RatePerMin::ZERO; 3]
         );
         assert!(sanitize_history(&[]).is_empty());
+        // A clean history is borrowed, not copied.
+        let h = rpm(&[1.0, 2.0]);
+        assert!(matches!(sanitize_history(&h), Cow::Borrowed(_)));
     }
 
     #[test]
