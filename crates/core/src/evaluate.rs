@@ -70,16 +70,30 @@ pub(crate) struct Model {
 
 /// One job's latency table, as the evaluator reads it: the estimator's
 /// answer at every whole count from one up to `width`, one row per
-/// distinct trajectory rate, and which row each step reads.
+/// distinct trajectory rate, and which row each step reads. A row
+/// stores the prefix [`Model::fill_latency_row`] returns; every count
+/// past it and up to `width` is exactly the service time `p`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rows<'a> {
-    /// The rows back to back; row `id` starts at `id * width`, and its
-    /// entry `n - 1` is the latency at `n` replicas.
+    /// The stored prefixes back to back; entry `n - 1` of a row is the
+    /// latency at `n` replicas.
     pub(crate) rows: &'a [f64],
+    /// Row `id` is `rows[starts[id]..starts[id + 1]]`: one start per
+    /// row, and one past the last.
+    pub(crate) starts: &'a [u32],
     /// One row id per trajectory step, in `lambda_trajectories` order.
     pub(crate) steps: &'a [u32],
-    /// Row length: the largest count a row holds.
+    /// The largest count a row answers for, stored or not.
     pub(crate) width: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// The stored prefix of row `id`.
+    #[inline]
+    pub(crate) fn row(&self, id: u32) -> &'a [f64] {
+        let id = id as usize;
+        &self.rows[self.starts[id] as usize..self.starts[id + 1] as usize]
+    }
 }
 
 /// A pool as every trajectory step of one utility evaluation reads it:
@@ -136,9 +150,10 @@ impl Model {
     /// Expected utility of `job` served by `x` (fractional) replicas of
     /// effective service time `p_eff`, averaged over trajectories and
     /// window steps (Sec. 4.1), before the drop multiplier. Each step's
-    /// latency is read from `table` when its rows reach the upper
-    /// bracketing count, and asked of the estimator otherwise. A table
-    /// holds undropped rates, so it is given for zero-drop reads only.
+    /// latency is read from `table` when its width reaches the upper
+    /// bracketing count (`p_eff` past a row's stored prefix), and asked
+    /// of the estimator otherwise. A table holds undropped rates at
+    /// `p_eff`, so it is given for zero-drop reads only.
     #[inline]
     pub(crate) fn expected_utility(
         &self,
@@ -162,8 +177,9 @@ impl Model {
         let [lo, hi] = pool.servers.map(|n| n.get() as usize);
         if let Some(t) = table.filter(|t| hi <= t.width) {
             for &id in t.steps {
-                let row = &t.rows[id as usize * t.width..][..t.width];
-                let l = interpolate([row[lo - 1], row[hi - 1]], pool.frac);
+                let row = t.row(id);
+                let at = |n: usize| row.get(n - 1).copied().unwrap_or(p_eff);
+                let l = interpolate([at(lo), at(hi)], pool.frac);
                 sum += self.step_value(l, slo_latency);
             }
             count = t.steps.len();
@@ -295,13 +311,17 @@ impl Model {
         }
     }
 
-    /// One table row, filled in place with what [`Self::estimate`]
-    /// answers at rate `lambda` and every count `1..=row.len()`: the
-    /// M/D/c sweep, with the counts at which `lambda` is past the
-    /// relaxed knee taken from the relaxed sweep over the job's knee
-    /// prefix — entry for entry what [`RelaxedLatency::latency_sweep`]
-    /// over full-quota knee latencies stores, without the knee latencies
-    /// it never reads.
+    /// One table row at rate `lambda` over the counts `1..=row.len()`:
+    /// fills `row[..len]` with what [`Self::estimate`] answers at counts
+    /// `1..=len` and returns `len`; at every count past `len` the answer
+    /// is exactly `p`, and `row[len..]` holds nothing of use. `len`
+    /// reaches the M/D/c row's first zero-wait count and, under relaxed
+    /// fidelity, the counts at which `lambda` is past the knee, taken
+    /// from the relaxed sweep over the job's knee prefix — entry for
+    /// entry what [`RelaxedLatency::latency_sweep`] over full-quota knee
+    /// latencies stores, without the knee latencies it never reads. A
+    /// row the estimator rejects is infinite throughout, so `len` is
+    /// `row.len()`.
     pub(crate) fn fill_latency_row(
         &self,
         k: f64,
@@ -309,28 +329,61 @@ impl Model {
         lambda: f64,
         row: &mut [f64],
         knees: &[f64],
-    ) {
-        if mdc::latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, row).is_err() {
+    ) -> usize {
+        let Some(waiting) = self.waiting_prefix(k, p, lambda, row) else {
             // Invalid k/p/rate: the direct path errors at every count.
             row.fill(f64::INFINITY);
-            return;
+            return row.len();
+        };
+        if self.fidelity == Fidelity::Precise {
+            return waiting;
         }
-        if self.fidelity == Fidelity::Relaxed {
-            // `knees` reaches the job's largest rate's knee count, so it
-            // covers every row's.
-            let relaxed = self.relaxed_latency;
-            let quota = ReplicaCount::new(row.len() as u32);
-            let past_knee = relaxed.knee_count(p, lambda, quota) as usize;
-            if past_knee > 0 {
-                let head = knees
-                    .get(..past_knee)
-                    .map(|knees| relaxed.latency_sweep(k, p, lambda, knees));
-                match head {
-                    Some(Ok(head)) => row[..past_knee].copy_from_slice(&head),
-                    // No knee latency to scale: the direct path errors.
-                    _ => row.fill(f64::INFINITY),
+        // `knees` reaches the job's largest rate's knee count, so it
+        // covers every row's.
+        let relaxed = self.relaxed_latency;
+        let quota = ReplicaCount::new(row.len() as u32);
+        let past_knee = relaxed.knee_count(p, lambda, quota) as usize;
+        if past_knee > 0 {
+            let head = knees
+                .get(..past_knee)
+                .map(|knees| relaxed.latency_sweep(k, p, lambda, knees));
+            match head {
+                Some(Ok(head)) => row[..past_knee].copy_from_slice(&head),
+                // No knee latency to scale: the direct path errors.
+                _ => {
+                    row.fill(f64::INFINITY);
+                    return row.len();
                 }
             }
+        }
+        waiting.max(past_knee)
+    }
+
+    /// The M/D/c row at `lambda` up to its first zero-wait count, into
+    /// the front of `row`, and that count's offset (`row.len()` when
+    /// every count waits); `None` where the estimator rejects the input.
+    /// The wait ends a few `sqrt(load)` past the offered load, so the
+    /// recurrence first runs over a front of twice the load and is
+    /// rerun over a doubled front until the zero-wait count falls
+    /// inside it: a row costs about its stored length, not `row.len()`,
+    /// which at a five-digit quota is most of the build.
+    fn waiting_prefix(&self, k: f64, p: f64, lambda: f64, row: &mut [f64]) -> Option<usize> {
+        let load = (lambda * p).min(row.len() as f64);
+        let mut reach = (2.0 * load) as usize + 16;
+        loop {
+            reach = reach.min(row.len());
+            let waiting = mdc::latency_percentile_range_into(
+                k,
+                p,
+                lambda,
+                ReplicaCount::ONE,
+                &mut row[..reach],
+            )
+            .ok()?;
+            if waiting < reach || reach == row.len() {
+                return Some(waiting);
+            }
+            reach *= 2;
         }
     }
 }
@@ -413,5 +466,155 @@ pub(crate) fn fold_class_speed(jobs: &mut [JobWorkload], resources: &mut Resourc
             job.processing_time *= class.speed;
         }
         class.speed = 1.0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::Slo;
+
+    /// Row `lambda` of a job at `(k, p)` under `model`, filled into a
+    /// full-width scratch row of NaN: the stored prefix's length, and
+    /// the row read the way the evaluator reads it, `p` past the prefix.
+    fn stored_row(model: Model, k: f64, p: f64, lambda: f64, quota: u32) -> (usize, Vec<f64>) {
+        let job = JobWorkload::constant(
+            lambda,
+            p,
+            Slo {
+                latency: 0.5,
+                percentile: k,
+            },
+            1.0,
+        );
+        let knees = model.knee_prefix(&job, ReplicaCount::new(quota));
+        let mut scratch = vec![f64::NAN; quota as usize];
+        let len = model.fill_latency_row(k, p, lambda, &mut scratch, &knees);
+        assert!(len <= scratch.len());
+        scratch[len..].fill(p);
+        (len, scratch)
+    }
+
+    /// The estimator a row stands for, asked directly at count `n`.
+    fn direct(model: Model, k: f64, p: f64, lambda: f64, n: u32) -> f64 {
+        let n = ReplicaCount::new(n);
+        match model.fidelity {
+            Fidelity::Relaxed => model.relaxed_latency.latency(k, p, lambda, n),
+            Fidelity::Precise => mdc::latency_percentile(k, p, lambda, n),
+        }
+        .unwrap_or(f64::INFINITY)
+    }
+
+    fn assert_row_is_direct(model: Model, k: f64, p: f64, lambda: f64, row: &[f64]) {
+        for (i, got) in row.iter().enumerate() {
+            let want = direct(model, k, p, lambda, i as u32 + 1);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{:?} k={k} p={p} lambda={lambda} n={}: row {got} vs direct {want}",
+                model.fidelity,
+                i + 1
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 16 }))]
+
+        /// A stored prefix plus its `p` tail is the direct estimator at
+        /// every count up to the quota, bit for bit, under both
+        /// fidelities, from idle through the zero-wait crossing to past
+        /// saturation (`load` is the utilization at the quota). Quotas
+        /// are log-uniform up to 16,000: the reference costs a
+        /// recurrence per count.
+        #[test]
+        fn a_stored_row_and_its_tail_are_the_direct_estimator_bitwise(
+            load in 0.0f64..1.6,
+            idle in 0u32..8,
+            p in 0.01f64..0.5,
+            k in 0.5f64..0.9999,
+            log_quota in 0.0f64..(if cfg!(miri) { 24f64 } else { 16_000f64 }).ln(),
+        ) {
+            let quota = log_quota.exp().round().max(1.0) as u32;
+            let lambda = if idle == 0 { 0.0 } else { load * f64::from(quota) / p };
+            for fidelity in [Fidelity::Relaxed, Fidelity::Precise] {
+                let model = Model::new(fidelity);
+                let (_, row) = stored_row(model, k, p, lambda, quota);
+                assert_row_is_direct(model, k, p, lambda, &row);
+            }
+        }
+    }
+
+    /// Under a rate that leaves most of a wide pool idle, a row stores
+    /// up to its first zero-wait count and not the quota.
+    #[test]
+    fn a_row_stores_up_to_its_first_zero_wait_count() {
+        let (k, p, lambda, quota) = (0.99, 0.05, 400.0, 2_000);
+        for fidelity in [Fidelity::Relaxed, Fidelity::Precise] {
+            let model = Model::new(fidelity);
+            let (len, row) = stored_row(model, k, p, lambda, quota);
+            assert!(len > 20 && len < 60, "{fidelity:?}: stored {len}");
+            assert!(
+                row[len - 1] > p,
+                "{fidelity:?}: the last stored count waits"
+            );
+            assert_row_is_direct(model, k, p, lambda, &row);
+        }
+    }
+
+    /// At the median of a large pool the wait is zero while the rate is
+    /// still past the knee (1,000 Erlangs: zero wait from about 1,016
+    /// servers, under the knee from 1,053), so the stored length is the
+    /// knee prefix.
+    #[test]
+    fn a_knee_prefix_past_the_zero_wait_count_is_stored_whole() {
+        let (k, p, lambda, quota) = (0.5, 0.05, 20_000.0, 2_000);
+        let model = Model::new(Fidelity::Relaxed);
+        let mut mdc_row = vec![0.0; quota as usize];
+        let waiting =
+            mdc::latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, &mut mdc_row)
+                .unwrap();
+        let knee = model
+            .relaxed_latency
+            .knee_count(p, lambda, ReplicaCount::new(quota)) as usize;
+        assert!(waiting < knee, "zero wait at {waiting}, knee at {knee}");
+        let (len, row) = stored_row(model, k, p, lambda, quota);
+        assert_eq!(len, knee);
+        assert_row_is_direct(model, k, p, lambda, &row);
+        // Precise fidelity has no knee: the M/D/c prefix alone.
+        let (len, row) = stored_row(Model::new(Fidelity::Precise), k, p, lambda, quota);
+        assert_eq!(len, waiting);
+        assert_row_is_direct(Model::new(Fidelity::Precise), k, p, lambda, &row);
+    }
+
+    /// An idle row stores nothing. A rate, percentile or service time
+    /// the estimator rejects is infinite at every count, and its row is
+    /// stored whole, since no count of it is `p`.
+    #[test]
+    fn idle_rows_store_nothing_and_rejected_rows_store_everything() {
+        let quota = 64;
+        for fidelity in [Fidelity::Relaxed, Fidelity::Precise] {
+            let model = Model::new(fidelity);
+            let (len, row) = stored_row(model, 0.99, 0.18, 0.0, quota);
+            assert_eq!(len, 0, "{fidelity:?}");
+            assert_row_is_direct(model, 0.99, 0.18, 0.0, &row);
+            for (k, p, lambda) in [
+                (0.99, 0.18, f64::NAN),
+                (0.99, 0.18, f64::INFINITY),
+                (0.99, 0.18, -3.0),
+                (1.5, 0.18, 40.0),
+                (f64::NAN, 0.18, 0.0),
+                (0.99, f64::INFINITY, 40.0),
+                (0.99, 0.0, 0.0),
+            ] {
+                let (len, row) = stored_row(model, k, p, lambda, quota);
+                assert_eq!(
+                    len, quota as usize,
+                    "{fidelity:?} k={k} p={p} lambda={lambda}"
+                );
+                assert!(row.iter().all(|l| l.is_infinite()), "{row:?}");
+                assert_row_is_direct(model, k, p, lambda, &row);
+            }
+        }
     }
 }

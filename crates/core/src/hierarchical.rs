@@ -210,13 +210,16 @@ pub(crate) fn solve_grouped(
     // estimated M/D/c replica *need* at its mean predicted rate. Raw
     // offered load would starve small jobs (queueing headroom is not
     // linear in load), forcing the group budget far past the true need.
+    // Each need is a binary search over Erlang recurrences, so it is
+    // computed once per job, not once for the total and once for the
+    // share.
     let quota = flat.resources().replica_quota().max(ReplicaCount::ONE);
-    let need = |j: &JobWorkload| -> f64 { replica_need(j, quota) };
+    let needs: Vec<f64> = jobs.iter().map(|j| replica_need(j, quota)).collect();
     let mut shares = vec![0.0; n];
     for members in &member_lists {
-        let total: f64 = members.iter().map(|&i| need(&jobs[i])).sum();
+        let total: f64 = members.iter().map(|&i| needs[i]).sum();
         for &i in members {
-            shares[i] = need(&jobs[i]) / total.max(1e-9);
+            shares[i] = needs[i] / total.max(1e-9);
         }
     }
 

@@ -41,11 +41,14 @@
 //! every zero-drop read inside the quota, and each job's last few
 //! utilities.
 //! The tables' entry budget, their distinct-rate rows and their flat
-//! layout are decided here. On every other read, and on every read at
-//! C ≥ 2 (where `p_eff` moves continuously with the mix, so there is no
-//! axis to tabulate), the evaluator asks the estimator at `(p_eff, x)`.
+//! layout are decided here: a row stores only its prefix up to its
+//! first zero-wait count, the prefixes go back to back, and every count
+//! past a prefix reads as the service time. On every other read, and on
+//! every read at C ≥ 2 (where `p_eff` moves continuously with the mix,
+//! so there is no axis to tabulate), the evaluator asks the estimator
+//! at `(p_eff, x)`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use crate::error::{Error, Result};
@@ -56,35 +59,43 @@ use crate::utility::RelaxedUtility;
 use faro_queueing::RelaxedLatency;
 use faro_solver::{Problem, Solution, Solver};
 
-/// Dense latency tables are built only while `distinct rates × quota`
-/// stays under this entry budget (~134 MB of `f64`); beyond it every
-/// read asks the evaluator, which returns the same bits.
+/// Latency tables are built only while the entries they store stay
+/// under this budget (~134 MB of `f64`), counted as the rows are
+/// filled; past it every read asks the evaluator, which returns the
+/// same bits. It also keeps every row start in a `u32`.
 const MAX_TABLE_ENTRIES: usize = 1 << 24;
 
 /// Per-solve latency tables over integer replica counts.
 ///
 /// The predicted arrival rates are fixed for the lifetime of a problem,
-/// so for every (job, trajectory rate) pair the latency at *every*
-/// integer replica count `1..=quota` can be computed with one Erlang-B
-/// recurrence sweep ([`faro_queueing::mdc::latency_percentile_sweep`])
-/// instead of re-running the O(c) recurrence in the solver's innermost
-/// loop. Under relaxed fidelity the counts at which a rate is past the
-/// knee ([`RelaxedLatency::knee_count`] of them, about its offered load)
-/// hold the job's knee latency scaled by the rate; knee latencies cost
-/// a recurrence of their own each, so they are computed for those
-/// counts only, not up to the quota. Entries are bit-identical to the
-/// direct estimator calls they replace ([`Model::fill_latency_row`]).
+/// so for every (job, distinct trajectory rate) pair the latency at
+/// *every* integer replica count `1..=quota` is known after one
+/// Erlang-B recurrence ([`Model::fill_latency_row`]) instead of
+/// re-running the O(c) recurrence in the solver's innermost loop. A
+/// row stores only its prefix up to the first count whose wait is
+/// zero, about the rate's offered load: every later count is exactly
+/// the job's service time, which the evaluator reads past the prefix.
+/// Under relaxed fidelity the prefix also covers the counts at which a
+/// rate is past the knee ([`RelaxedLatency::knee_count`] of them),
+/// which hold the job's knee latency scaled by the rate; knee latencies
+/// cost a recurrence of their own each, so they are computed for those
+/// counts only, not up to the quota. Every count reads bit-identically
+/// to the direct estimator call it replaces.
 #[derive(Debug, Default)]
 struct LatencyTables {
-    /// `dense[job]`: the job's rows back to back, one per distinct
-    /// trajectory rate. Row `id` starts at `id * quota`; its entry
-    /// `n - 1` is the latency at `n` replicas.
-    dense: Vec<Vec<f64>>,
+    /// `stored[job]`: the job's stored row prefixes back to back, one
+    /// row per distinct trajectory rate; entry `n - 1` of a row is the
+    /// latency at `n` replicas.
+    stored: Vec<Vec<f64>>,
+    /// `starts[job]`: where each of the job's rows starts in
+    /// `stored[job]`, and one past the last row's end.
+    starts: Vec<Vec<u32>>,
     /// `steps[job]`: one row id per trajectory step, flattened in
     /// `lambda_trajectories` iteration order, so the zero-drop utility
     /// path walks precomputed rows without keying on the rate.
     steps: Vec<Vec<u32>>,
-    /// Row length (the replica quota when the tables were built).
+    /// The largest count a row answers for (the replica quota when the
+    /// tables were built).
     quota: usize,
 }
 
@@ -92,7 +103,8 @@ impl LatencyTables {
     /// Job `i`'s rows, as the evaluator reads them.
     fn rows(&self, i: usize) -> Rows<'_> {
         Rows {
-            rows: &self.dense[i],
+            rows: &self.stored[i],
+            starts: &self.starts[i],
             steps: &self.steps[i],
             width: self.quota,
         }
@@ -414,9 +426,12 @@ impl MultiTenantProblem {
 
     /// Builds the per-job latency tables from the fixed trajectory
     /// rates: per job one knee-latency prefix as long as its largest
-    /// rate is past the knee, per distinct rate one recurrence sweep.
-    /// Replaces the per-evaluation recurrence in the solver's innermost
-    /// loop.
+    /// rate is past the knee, per distinct rate one row, filled into
+    /// one full-width scratch row and stored as far as it is not the
+    /// service time. Replaces the per-evaluation recurrence in the
+    /// solver's innermost loop. `None` once the stored entries pass
+    /// [`MAX_TABLE_ENTRIES`]: at sweep scale (thousands of jobs,
+    /// five-digit quotas, saturated rates) they could reach gigabytes.
     fn build_latency_tables(&self) -> Option<LatencyTables> {
         if self.model.latency_model == LatencyModel::UpperBound {
             return None; // Closed form, O(1): nothing to tabulate.
@@ -425,36 +440,13 @@ impl MultiTenantProblem {
         if quota.is_zero() {
             return None;
         }
-        // The dense tables hold one quota-length row per (job, distinct
-        // rate). At sweep scale (thousands of jobs, five-digit quotas)
-        // that product reaches gigabytes, so past a fixed entry budget
-        // skip the tables and ask the evaluator — bit-identical values,
-        // bounded footprint. Every step is at most one row, so the
-        // distinct rates are counted only when `steps × quota` could
-        // pass the budget.
         let width = quota.get() as usize;
-        let steps_total: usize = self
-            .jobs
-            .iter()
-            .flat_map(|job| &job.lambda_trajectories)
-            .map(Vec::len)
-            .sum();
-        if steps_total.saturating_mul(width) > MAX_TABLE_ENTRIES {
-            let rows_total: usize = self
-                .jobs
-                .iter()
-                .map(|job| {
-                    let distinct: BTreeSet<u64> =
-                        job.rates().map(|raw| raw.max(0.0).to_bits()).collect();
-                    distinct.len()
-                })
-                .sum();
-            if rows_total.saturating_mul(width) > MAX_TABLE_ENTRIES {
-                return None;
-            }
-        }
-        let mut dense = Vec::with_capacity(self.jobs.len());
-        let mut steps = Vec::with_capacity(self.jobs.len());
+        let mut scratch = vec![0.0; width];
+        let mut total = 0usize;
+        let mut tables = LatencyTables {
+            quota: width,
+            ..LatencyTables::default()
+        };
         for job in &self.jobs {
             let k = job.slo.percentile;
             let p = job.processing_time;
@@ -471,18 +463,27 @@ impl MultiTenantProblem {
                     })
                 })
                 .collect();
-            let mut rows = vec![0.0; rates.len() * width];
-            for (row, &lambda) in rows.chunks_exact_mut(width).zip(&rates) {
-                self.model.fill_latency_row(k, p, lambda, row, &knees);
+            let mut stored = Vec::new();
+            let mut starts = Vec::with_capacity(rates.len() + 1);
+            starts.push(0);
+            for &lambda in &rates {
+                let len = self
+                    .model
+                    .fill_latency_row(k, p, lambda, &mut scratch, &knees);
+                total += len;
+                if total > MAX_TABLE_ENTRIES {
+                    return None;
+                }
+                stored.extend_from_slice(&scratch[..len]);
+                starts.push(stored.len() as u32);
             }
-            dense.push(rows);
-            steps.push(step_rows);
+            // Held for the rest of the solve: keep no growth slack.
+            stored.shrink_to_fit();
+            tables.stored.push(stored);
+            tables.starts.push(starts);
+            tables.steps.push(step_rows);
         }
-        Some(LatencyTables {
-            dense,
-            steps,
-            quota: width,
-        })
+        Some(tables)
     }
 
     /// Expected utility of job `i` at fractional per-class replica
@@ -1464,8 +1465,8 @@ mod tests {
             assert_eq!(tables.steps[i].len(), rates.clone().count());
             for (&raw, &row) in rates.zip(&tables.steps[i]) {
                 let lambda = raw.max(0.0);
-                let row = &tables.dense[i][row as usize * tables.quota..][..tables.quota];
-                assert_eq!(row.len(), quota as usize);
+                let row = tables.rows(i).row(row);
+                assert!(row.len() <= quota as usize);
                 for n in 1..=quota {
                     let direct = match p.model.fidelity {
                         Fidelity::Relaxed => relaxed.latency(k, pt, lambda, ReplicaCount::new(n)),
@@ -1474,7 +1475,7 @@ mod tests {
                         }
                     }
                     .unwrap_or(f64::INFINITY);
-                    let got = row[(n - 1) as usize];
+                    let got = row.get((n - 1) as usize).copied().unwrap_or(pt);
                     assert_eq!(
                         got.to_bits(),
                         direct.to_bits(),
@@ -1537,7 +1538,10 @@ mod tests {
                 assert_tables_match_direct(&p, relaxed);
                 let tables = p.tables().unwrap();
                 for i in [3, 4] {
-                    assert!(tables.dense[i].iter().all(|l| l.is_infinite()));
+                    // Stored whole: no count of a rejected row is `p`.
+                    let rows = tables.starts[i].len() - 1;
+                    assert_eq!(tables.stored[i].len(), rows * quota as usize);
+                    assert!(tables.stored[i].iter().all(|l| l.is_infinite()));
                 }
             }
         }
@@ -1612,16 +1616,59 @@ mod tests {
         }
     }
 
+    /// The rows cannot grow back to the quota unnoticed, and no clock
+    /// is read to say so: on a shard shaped like the sharded 1,000-job
+    /// benchmark's (62 jobs of 10-50 req/s at 50 ms, 20 sampled
+    /// trajectories of 7 steps, a budget of 200 replicas) the tables
+    /// store under 5% of `rows × quota` entries, since a row ends at
+    /// its first zero-wait count, a few servers past its offered load.
+    #[test]
+    fn a_sharded_shape_stores_a_small_share_of_its_rows() {
+        let quota = 200;
+        let mut rng = crate::rng::SplitMix64::new(45);
+        let jobs: Vec<JobWorkload> = (0..62)
+            .map(|_| {
+                let base = 10.0 + 40.0 * rng.fraction();
+                JobWorkload {
+                    lambda_trajectories: (0..20)
+                        .map(|_| {
+                            (0..7)
+                                .map(|_| base * (0.9 + 0.2 * rng.fraction()))
+                                .collect()
+                        })
+                        .collect(),
+                    ..JobWorkload::constant(0.0, 0.050, slo(), 1.0)
+                }
+            })
+            .collect();
+        let p = MultiTenantProblem::new(
+            jobs,
+            ResourceModel::replicas(ReplicaCount::new(quota)),
+            ClusterObjective::Sum,
+            Fidelity::Relaxed,
+        )
+        .unwrap();
+        let tables = p.tables().expect("tabulated");
+        let rows: usize = tables.starts.iter().map(|s| s.len() - 1).sum();
+        let stored: usize = tables.stored.iter().map(Vec::len).sum();
+        assert_eq!(rows, 62 * 20 * 7, "every sampled rate is its own row");
+        assert!(
+            stored * 20 < rows * quota as usize,
+            "{stored} entries stored for {rows} rows of {quota}"
+        );
+    }
+
     /// The evaluator's table arm against `RelaxedUtility::value` on rows
     /// no estimator would fill — entries at, one ulp either side of and
     /// far from the target, zero, negative, NaN and both infinities —
     /// under sharpnesses and targets the shortcut must stand aside for
     /// (the field is public: zero, negative, NaN; an infinite or NaN
-    /// target), at whole and fractional counts. A count the rows do not
-    /// reach is the estimator-only read, bit for bit.
+    /// target), at whole and fractional counts. A count past a row's
+    /// stored prefix and inside the width reads the service time; a
+    /// count past the width is the estimator-only read, bit for bit.
     #[test]
     fn tabulated_scoring_is_the_utility_of_every_entry_bitwise() {
-        let width = 4usize;
+        let p = 0.18;
         let targets = [0.72, 0.0, -1.0, f64::INFINITY, f64::NAN];
         let alphas = [4.0, 0.5, 1e-300, f64::INFINITY, 0.0, -0.0, -2.0, f64::NAN];
         for target in targets {
@@ -1630,21 +1677,25 @@ mod tests {
                 f64::from_bits(0.72f64.to_bits() - 1),
                 f64::from_bits(0.72f64.to_bits() + 1),
             );
-            let rows: Vec<f64> = [
-                [t, t, t, t],
-                [below, 0.72, above, 0.18],
-                [3.0, 1.5, 0.9, 0.5],
-                [f64::INFINITY, f64::INFINITY, 2.0, 0.7],
-                [f64::NAN, 0.3, f64::NAN, f64::NEG_INFINITY],
-                [0.0, -0.0, -5.0, f64::MIN_POSITIVE],
-            ]
-            .concat();
-            let steps: [u32; 8] = [0, 1, 2, 3, 4, 5, 1, 0];
-            let table = Rows {
-                rows: &rows,
-                steps: &steps,
-                width,
-            };
+            let prefixes: [&[f64]; 8] = [
+                &[t, t, t, t],
+                &[below, 0.72, above, 0.18],
+                &[3.0, 1.5, 0.9, 0.5],
+                &[f64::INFINITY, f64::INFINITY, 2.0, 0.7],
+                &[f64::NAN, 0.3, f64::NAN, f64::NEG_INFINITY],
+                &[0.0, -0.0, -5.0, f64::MIN_POSITIVE],
+                // Idle, and waiting at one and two replicas only.
+                &[],
+                &[f64::INFINITY, 0.9],
+            ];
+            let rows = prefixes.concat();
+            let starts: Vec<u32> = std::iter::once(0)
+                .chain(prefixes.iter().scan(0, |end, row| {
+                    *end += row.len() as u32;
+                    Some(*end)
+                }))
+                .collect();
+            let steps: [u32; 10] = [0, 1, 2, 3, 4, 5, 1, 0, 6, 7];
             for alpha in alphas {
                 let utility = RelaxedUtility { alpha };
                 let model = Model {
@@ -1656,40 +1707,59 @@ mod tests {
                         latency: target,
                         percentile: 0.99,
                     },
-                    ..JobWorkload::constant(1.0, 0.18, slo(), 1.0)
+                    ..JobWorkload::constant(1.0, p, slo(), 1.0)
                 };
-                let read = |x: f64, table| model.expected_utility(&job, 0.18, x, 0.0, table);
-                for x in [0.5, 1.0, 1.5, 2.0, 2.75, 3.0, 3.999, 4.0] {
-                    let got = read(x, Some(table));
-                    let x: f64 = x.max(1.0);
-                    let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
-                    let mut sum = 0.0;
-                    for &id in &steps {
-                        let row = &rows[id as usize * width..][..width];
-                        let (l_lo, l_hi) = (row[lo - 1], row[hi - 1]);
-                        let l = if lo == hi {
-                            l_lo
-                        } else if l_lo.is_infinite() || l_hi.is_infinite() {
-                            f64::INFINITY
-                        } else {
-                            l_lo + (l_hi - l_lo) * (x - x.floor())
-                        };
-                        sum += utility.value(l, target);
+                let read = |x: f64, table| model.expected_utility(&job, p, x, 0.0, table);
+                // At width 4 every count a row answers for is stored
+                // but the short rows'; at width 6 counts 5 and 6 are
+                // past every prefix.
+                for (width, tabulated, asked) in [
+                    (
+                        4,
+                        &[0.5, 1.0, 1.5, 2.0, 2.75, 3.0, 3.999, 4.0][..],
+                        [4.5, 7.0],
+                    ),
+                    (6, &[0.5, 2.75, 4.0, 4.5, 5.0, 5.25, 6.0][..], [6.5, 7.0]),
+                ] {
+                    let table = Rows {
+                        rows: &rows,
+                        starts: &starts,
+                        steps: &steps,
+                        width,
+                    };
+                    for &x in tabulated {
+                        let got = read(x, Some(table));
+                        let x: f64 = x.max(1.0);
+                        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+                        let mut sum = 0.0;
+                        for &id in &steps {
+                            let row = prefixes[id as usize];
+                            let at = |n: usize| row.get(n - 1).copied().unwrap_or(p);
+                            let (l_lo, l_hi) = (at(lo), at(hi));
+                            let l = if lo == hi {
+                                l_lo
+                            } else if l_lo.is_infinite() || l_hi.is_infinite() {
+                                f64::INFINITY
+                            } else {
+                                l_lo + (l_hi - l_lo) * (x - x.floor())
+                            };
+                            sum += utility.value(l, target);
+                        }
+                        let want = sum / steps.len() as f64;
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "width={width} target={target} alpha={alpha} x={x}: {got} vs {want}"
+                        );
                     }
-                    let want = sum / steps.len() as f64;
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "target={target} alpha={alpha} x={x}: {got} vs {want}"
-                    );
-                }
-                for x in [4.5, 7.0, f64::INFINITY] {
-                    let (got, asked) = (read(x, Some(table)), read(x, None));
-                    assert_eq!(
-                        got.to_bits(),
-                        asked.to_bits(),
-                        "target={target} alpha={alpha} x={x}: {got} vs {asked}"
-                    );
+                    for x in asked.into_iter().chain([f64::INFINITY]) {
+                        let (got, asked) = (read(x, Some(table)), read(x, None));
+                        assert_eq!(
+                            got.to_bits(),
+                            asked.to_bits(),
+                            "width={width} target={target} alpha={alpha} x={x}: {got} vs {asked}"
+                        );
+                    }
                 }
             }
         }
@@ -1739,14 +1809,16 @@ mod tests {
         }
     }
 
-    /// The table budget is decided as at the parent: by steps alone
-    /// while `steps × quota` fits, by the exact distinct-rate count
-    /// once it does not, and past that the evaluator answers.
+    /// The table budget counts the entries the rows store, as they are
+    /// filled: idle rows store none, however many and however wide,
+    /// and rows the queue saturates at every count store the whole
+    /// quota, so the row that passes the budget leaves every read to
+    /// the evaluator, with the same answer.
     #[test]
-    #[cfg_attr(miri, ignore = "4,096-count sweeps; the decision is checked natively")]
-    fn table_budget_counts_distinct_rates_only_past_the_step_bound() {
-        let quota = 1usize << 12;
-        let fitting_steps = MAX_TABLE_ENTRIES / quota;
+    #[cfg_attr(miri, ignore = "65,536-count rows; the budget is checked natively")]
+    fn table_budget_counts_stored_entries() {
+        let quota = 1usize << 16;
+        let fitting_rows = MAX_TABLE_ENTRIES / quota;
         let problem = |rates: Vec<f64>| {
             let job = JobWorkload {
                 lambda_trajectories: vec![rates],
@@ -1756,27 +1828,31 @@ mod tests {
                 vec![job],
                 ResourceModel::replicas(ReplicaCount::new(quota as u32)),
                 ClusterObjective::Sum,
-                Fidelity::Relaxed,
+                Fidelity::Precise,
             )
             .unwrap()
         };
-        let two_rates = |steps: usize| (0..steps).map(|s| [5.0, 40.0][s % 2]).collect();
-        let all_distinct = |steps: usize| (0..steps).map(|s| 1.0 + s as f64 / 128.0).collect();
-        // Just under by steps: tabulated unasked; two rows.
-        let under = problem(two_rates(fitting_steps));
-        assert_eq!(under.tables().expect("fits").dense[0].len(), 2 * quota);
-        // Just over by steps, two distinct rates: counted, tabulated.
-        let counted = problem(two_rates(fitting_steps + 1));
-        let tables = counted.tables().expect("two rows fit");
-        assert_eq!(tables.dense[0].len(), 2 * quota);
-        assert_eq!(tables.steps[0].len(), fitting_steps + 1);
-        // Just over by distinct rates: no tables, the same answer.
-        let over = problem(all_distinct(fitting_steps + 1));
-        assert!(over.tables().is_none());
-        for p in [&under, &counted, &over] {
+        let agrees = |p: &MultiTenantProblem| {
             let got = p.expected_utility(0, &[9.5], 0.0);
             let direct = direct_expected_utility(&p.jobs()[0], p.model, 9.5, 0.0);
             assert_eq!(got.to_bits(), direct.to_bits());
+        };
+        // Four budgets' worth of full-width rows, none of them stored.
+        let idle = problem((0..4 * fitting_rows).map(|s| s as f64 * 1e-6).collect());
+        let tables = idle.tables().expect("idle rows store nothing");
+        assert_eq!(tables.starts[0].len(), 4 * fitting_rows + 1);
+        assert!(tables.stored[0].is_empty());
+        agrees(&idle);
+        // Saturated rows, each stored whole: exactly the budget fits,
+        // one row more does not.
+        for (rows, fits) in [(fitting_rows, true), (fitting_rows + 1, false)] {
+            let saturated = problem((0..rows).map(|s| 1e7 + s as f64).collect());
+            match saturated.tables() {
+                Some(tables) => assert_eq!(tables.stored[0].len(), MAX_TABLE_ENTRIES),
+                None => assert!(!fits, "{rows} rows"),
+            }
+            assert_eq!(saturated.tables().is_some(), fits, "{rows} rows");
+            agrees(&saturated);
         }
     }
 

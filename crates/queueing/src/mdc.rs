@@ -15,6 +15,12 @@
 //! one loop of [`latency_percentile_range_into`], which reads each
 //! count's Erlang-B value off a single recurrence and equals the
 //! reference bit for bit.
+//!
+//! That loop stops at the first count whose wait is zero. The
+//! probability of waiting falls as servers are added, so from there on
+//! every count's latency is exactly `p` (`0.5 * 0.0 + p`): a row ends
+//! where its wait does, about `lambda * p + O(sqrt(lambda * p))`
+//! servers in, however long the row is.
 
 use crate::error::Result;
 use crate::mmc;
@@ -91,11 +97,14 @@ pub fn latency_percentile_sweep(
 /// `first..first + out.len()`, into a caller-owned row: `out[i]` equals
 /// `latency_percentile(k, p, lambda, first + i)` bit-for-bit.
 ///
-/// The Erlang-B recurrence has to climb through every count under
-/// `first` anyway, so the row costs one recurrence of length
-/// `first + out.len() - 1`: a whole table row from `first = 1` (many
-/// rates can then live in one allocation), or the two counts
-/// bracketing a fractional head count for the price of the larger.
+/// Returns the offset in `out` of the first count whose wait is zero
+/// (`out.len()` when every count waits): every entry from there on is
+/// exactly `p`, and the row's recurrence stops there and fills the rest
+/// with `p`. The Erlang-B recurrence has to climb through every count
+/// under `first` anyway, so the row costs at most one recurrence of
+/// length `first + out.len() - 1`: a whole table row from `first = 1`,
+/// or the two counts bracketing a fractional head count for the price
+/// of the larger.
 ///
 /// # Errors
 ///
@@ -109,7 +118,7 @@ pub fn latency_percentile_range_into(
     lambda: f64,
     first: ReplicaCount,
     out: &mut [f64],
-) -> Result<()> {
+) -> Result<usize> {
     let k = crate::error::percentile(k)?;
     let p = crate::error::positive("p", p)?;
     let lambda = crate::error::non_negative("lambda", lambda)?;
@@ -131,7 +140,7 @@ pub fn latency_percentile_range_into(
         c += 1.0;
         b = a * b / (c + a * b);
     }
-    for entry in out {
+    for i in 0..out.len() {
         // One Erlang-B recurrence step: `b` now equals `erlang_b(n, a)`
         // at the server count `c == n` (whole numbers, exact in `f64`).
         c += 1.0;
@@ -151,9 +160,15 @@ pub fn latency_percentile_range_into(
                 (ec / tail).ln() / (c / p - lambda)
             }
         };
-        *entry = 0.5 * wait + p;
+        if wait == 0.0 {
+            // Utilization and the Erlang-C probability of waiting only
+            // fall from here, so no later count waits either.
+            out[i..].fill(p);
+            return Ok(i);
+        }
+        out[i] = 0.5 * wait + p;
     }
-    Ok(())
+    Ok(out.len())
 }
 
 /// Smallest replica count `N <= max_replicas` whose estimated `k`-th
@@ -285,6 +300,46 @@ mod tests {
         assert!(latency_percentile_sweep(0.99, 0.15, 1.0, ReplicaCount::ZERO).is_err());
     }
 
+    /// A row ends at its first zero-wait count: the count before it
+    /// waits, and it and every count after it are exactly `p`, however
+    /// long the row (the recurrence past it is not run).
+    #[test]
+    fn a_row_ends_at_its_first_zero_wait_count() {
+        for (k, p, lambda, first) in [
+            (0.99, 0.15, 40.0, 1),
+            (0.9999, 0.05, 900.0, 1),
+            (0.5, 0.05, 3e4, 1),
+            (0.99, 0.15, 40.0, 7),
+        ] {
+            let mut row = vec![f64::NAN; 16_000];
+            let waiting = latency_percentile_range_into(k, p, lambda, rc(first), &mut row).unwrap();
+            assert!(
+                waiting > 0 && waiting < row.len(),
+                "lambda={lambda}: {waiting}"
+            );
+            let at = |i: usize| latency_percentile(k, p, lambda, rc(first + i as u32)).unwrap();
+            assert!(
+                at(waiting - 1) > p,
+                "lambda={lambda}: the count before waits"
+            );
+            assert_eq!(at(waiting).to_bits(), p.to_bits(), "lambda={lambda}");
+            assert_eq!(row[waiting - 1].to_bits(), at(waiting - 1).to_bits());
+            assert!(row[waiting..].iter().all(|l| l.to_bits() == p.to_bits()));
+        }
+        // An idle row waits nowhere; a saturated one everywhere.
+        let mut row = [f64::NAN; 8];
+        assert_eq!(
+            latency_percentile_range_into(0.99, 0.15, 0.0, rc(1), &mut row),
+            Ok(0)
+        );
+        assert!(row.iter().all(|&l| l == 0.15), "{row:?}");
+        assert_eq!(
+            latency_percentile_range_into(0.99, 0.15, 1e3, rc(1), &mut row),
+            Ok(8)
+        );
+        assert!(row.iter().all(|l| l.is_infinite()), "{row:?}");
+    }
+
     /// A row filled from one server is the sweep.
     #[test]
     fn sweep_into_fills_exactly_what_the_sweep_returns() {
@@ -326,7 +381,10 @@ mod tests {
                 _ => load * f64::from(first) / p,
             };
             let mut row = [f64::NAN; 3];
-            latency_percentile_range_into(k, p, lambda, rc(first), &mut row[..len]).unwrap();
+            let waiting =
+                latency_percentile_range_into(k, p, lambda, rc(first), &mut row[..len]).unwrap();
+            proptest::prop_assert!(waiting <= len);
+            proptest::prop_assert!(row[waiting..len].iter().all(|l| l.to_bits() == p.to_bits()));
             for (i, got) in row[..len].iter().enumerate() {
                 let n = first + i as u32;
                 let direct = latency_percentile(k, p, lambda, rc(n)).unwrap();

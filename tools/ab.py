@@ -6,9 +6,11 @@ change first in odd ones) on one workload and seed, optionally pinned to
 one CPU with `taskset`, for BENCHMARK.json's `run_seconds` each. It
 prints for every end-to-end metric of BENCHMARK.json the median and
 quartiles of each side, the ratio of the medians (change / parent), the
-pairs the change won in the metric's direction, and whether the change's
-median is inside the metric's bound. It also prints every run's digest
-line.
+pairs the change won in the metric's direction, whether every change run
+reads better than every parent run (`sep`: the runs separate, which
+settles a metric whose run-to-run spread is wider than its bound), and
+whether the change's median is inside the metric's bound. It also prints
+every run's digest line.
 
 Exits 1 if the two executables disagree on a digest, if any run reports
 `"correct": false` or exits non-zero, and 0 otherwise. If any run failed,
@@ -112,7 +114,7 @@ def main():
           f" {spec['run_seconds']} s"
           + (f", pinned to CPU {args.cpu}" if args.cpu is not None else ""))
     print(f"{'metric':<18} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36}"
-          f" {'ratio':>6} {'won':>5}  bound")
+          f" {'ratio':>6} {'won':>5} {'sep':>3}  bound")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         base, new = values["parent"][name], values["change"][name]
@@ -121,10 +123,11 @@ def main():
         median = statistics.median(base)
         ratio = statistics.median(new) / median if median else float("nan")
         won = sum((n < b) if lower else (n > b) for b, n in zip(base, new))
+        sep = max(new) < min(base) if lower else min(new) > max(base)
         worse = (ratio - 1.0) if lower else (1.0 - ratio)
         verdict = "ok" if worse <= m["bound"] else f"OUTSIDE {m['bound']:.0%}"
         print(f"{name:<18} {spread(base):>36} {spread(new):>36} {ratio:>6.3f}"
-              f" {won:>2}/{len(base):<2}  {verdict}")
+              f" {won:>2}/{len(base):<2} {'yes' if sep else 'no':>3}  {verdict}")
     return 0
 
 
