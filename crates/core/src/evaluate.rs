@@ -316,11 +316,12 @@ impl Model {
     /// `1..=len` and returns `len`; at every count past `len` the answer
     /// is exactly `p`, and `row[len..]` holds nothing of use. `len`
     /// reaches the M/D/c row's first zero-wait count and, under relaxed
-    /// fidelity, the counts at which `lambda` is past the knee, taken
-    /// from the relaxed sweep over the job's knee prefix — entry for
-    /// entry what [`RelaxedLatency::latency_sweep`] over full-quota knee
-    /// latencies stores, without the knee latencies it never reads. A
-    /// row the estimator rejects is infinite throughout, so `len` is
+    /// fidelity, the counts at which `lambda` is past the knee, whose
+    /// entries are the job's knee prefix scaled in place
+    /// ([`RelaxedLatency::past_knee_into`]) over the M/D/c ones — entry
+    /// for entry what [`RelaxedLatency::latency_sweep`] over full-quota
+    /// knee latencies stores, without the knee latencies it never reads.
+    /// A row the estimator rejects is infinite throughout, so `len` is
     /// `row.len()`.
     pub(crate) fn fill_latency_row(
         &self,
@@ -343,19 +344,13 @@ impl Model {
         let relaxed = self.relaxed_latency;
         let quota = ReplicaCount::new(row.len() as u32);
         let past_knee = relaxed.knee_count(p, lambda, quota) as usize;
-        if past_knee > 0 {
-            let head = knees
-                .get(..past_knee)
-                .map(|knees| relaxed.latency_sweep(k, p, lambda, knees));
-            match head {
-                Some(Ok(head)) => row[..past_knee].copy_from_slice(&head),
-                // No knee latency to scale: the direct path errors.
-                _ => {
-                    row.fill(f64::INFINITY);
-                    return row.len();
-                }
-            }
-        }
+        let Some(knees) = knees.get(..past_knee) else {
+            // No knee latency to scale: the direct path errors.
+            row.fill(f64::INFINITY);
+            return row.len();
+        };
+        // `k`, `p` and `lambda` passed the M/D/c row's checks.
+        relaxed.past_knee_into(p, lambda, knees, &mut row[..past_knee]);
         waiting.max(past_knee)
     }
 

@@ -210,9 +210,9 @@ pub(crate) fn solve_grouped(
     // estimated M/D/c replica *need* at its mean predicted rate. Raw
     // offered load would starve small jobs (queueing headroom is not
     // linear in load), forcing the group budget far past the true need.
-    // Each need is a binary search over Erlang recurrences, so it is
-    // computed once per job, not once for the total and once for the
-    // share.
+    // Each need is one Erlang recurrence walked up to the job's answer,
+    // so it is computed once per job, not once for the total and once
+    // for the share.
     let quota = flat.resources().replica_quota().max(ReplicaCount::ONE);
     let needs: Vec<f64> = jobs.iter().map(|j| replica_need(j, quota)).collect();
     let mut shares = vec![0.0; n];

@@ -60,9 +60,11 @@ use faro_queueing::RelaxedLatency;
 use faro_solver::{Problem, Solution, Solver};
 
 /// Latency tables are built only while the entries they store stay
-/// under this budget (~134 MB of `f64`), counted as the rows are
-/// filled; past it every read asks the evaluator, which returns the
-/// same bits. It also keeps every row start in a `u32`.
+/// under this budget (~134 MB of `f64`): refused before any row is
+/// filled when a lower bound on them passes it, and otherwise counted
+/// as the rows are filled; past it every read asks the evaluator,
+/// which returns the same bits. It also keeps every row start in a
+/// `u32`.
 const MAX_TABLE_ENTRIES: usize = 1 << 24;
 
 /// Per-solve latency tables over integer replica counts.
@@ -253,6 +255,8 @@ pub enum LatencyModel {
 thread_local! {
     /// Pool reductions this thread's C ≥ 2 evaluations have performed.
     pub(crate) static POOL_REDUCTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Latency-table entries this thread's table builds have stored.
+    static TABLE_ENTRIES_STORED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The assembled multi-tenant optimization problem.
@@ -432,6 +436,9 @@ impl MultiTenantProblem {
     /// solver's innermost loop. `None` once the stored entries pass
     /// [`MAX_TABLE_ENTRIES`]: at sweep scale (thousands of jobs,
     /// five-digit quotas, saturated rates) they could reach gigabytes.
+    /// A row stores at least the counts its rate saturates, so an input
+    /// whose saturated counts alone pass the budget is refused before
+    /// anything is allocated.
     fn build_latency_tables(&self) -> Option<LatencyTables> {
         if self.model.latency_model == LatencyModel::UpperBound {
             return None; // Closed form, O(1): nothing to tabulate.
@@ -441,28 +448,48 @@ impl MultiTenantProblem {
             return None;
         }
         let width = quota.get() as usize;
+        // Each job's distinct rates, and a lower bound on the entries
+        // their rows store: every count at or under a rate's offered
+        // load saturates, so it waits. A bound past the budget refuses
+        // before any row is filled; the stored total would pass it too.
+        let mut at_least = 0usize;
+        let distinct: Vec<(Vec<f64>, Vec<u32>)> = self
+            .jobs
+            .iter()
+            .map(|job| {
+                let mut by_rate: BTreeMap<u64, u32> = BTreeMap::new();
+                let mut rates: Vec<f64> = Vec::new();
+                let step_rows: Vec<u32> = job
+                    .rates()
+                    .map(|raw| {
+                        let lambda = raw.max(0.0); // Same clamp as the evaluator.
+                        *by_rate.entry(lambda.to_bits()).or_insert_with(|| {
+                            rates.push(lambda);
+                            (rates.len() - 1) as u32
+                        })
+                    })
+                    .collect();
+                let p = job.processing_time;
+                at_least += rates
+                    .iter()
+                    .map(|lambda| (lambda * p).floor().min(width as f64) as usize)
+                    .sum::<usize>();
+                (rates, step_rows)
+            })
+            .collect();
+        if at_least > MAX_TABLE_ENTRIES {
+            return None;
+        }
         let mut scratch = vec![0.0; width];
         let mut total = 0usize;
         let mut tables = LatencyTables {
             quota: width,
             ..LatencyTables::default()
         };
-        for job in &self.jobs {
+        for (job, (rates, step_rows)) in self.jobs.iter().zip(distinct) {
             let k = job.slo.percentile;
             let p = job.processing_time;
             let knees = self.model.knee_prefix(job, quota);
-            let mut by_rate: BTreeMap<u64, u32> = BTreeMap::new();
-            let mut rates: Vec<f64> = Vec::new();
-            let step_rows: Vec<u32> = job
-                .rates()
-                .map(|raw| {
-                    let lambda = raw.max(0.0); // Same clamp as the evaluator.
-                    *by_rate.entry(lambda.to_bits()).or_insert_with(|| {
-                        rates.push(lambda);
-                        (rates.len() - 1) as u32
-                    })
-                })
-                .collect();
             let mut stored = Vec::new();
             let mut starts = Vec::with_capacity(rates.len() + 1);
             starts.push(0);
@@ -474,6 +501,8 @@ impl MultiTenantProblem {
                 if total > MAX_TABLE_ENTRIES {
                     return None;
                 }
+                #[cfg(test)]
+                TABLE_ENTRIES_STORED.with(|n| n.set(n.get() + len));
                 stored.extend_from_slice(&scratch[..len]);
                 starts.push(stored.len() as u32);
             }
@@ -1809,11 +1838,11 @@ mod tests {
         }
     }
 
-    /// The table budget counts the entries the rows store, as they are
-    /// filled: idle rows store none, however many and however wide,
-    /// and rows the queue saturates at every count store the whole
-    /// quota, so the row that passes the budget leaves every read to
-    /// the evaluator, with the same answer.
+    /// The table budget counts the entries the rows store: idle rows
+    /// store none, however many and however wide, and rows the queue
+    /// saturates at every count store the whole quota, so rows one past
+    /// the budget leave every read to the evaluator, with the same
+    /// answer, and are refused before any of them is stored.
     #[test]
     #[cfg_attr(miri, ignore = "65,536-count rows; the budget is checked natively")]
     fn table_budget_counts_stored_entries() {
@@ -1847,9 +1876,17 @@ mod tests {
         // one row more does not.
         for (rows, fits) in [(fitting_rows, true), (fitting_rows + 1, false)] {
             let saturated = problem((0..rows).map(|s| 1e7 + s as f64).collect());
+            let before = TABLE_ENTRIES_STORED.get();
             match saturated.tables() {
                 Some(tables) => assert_eq!(tables.stored[0].len(), MAX_TABLE_ENTRIES),
-                None => assert!(!fits, "{rows} rows"),
+                None => {
+                    assert!(!fits, "{rows} rows");
+                    assert_eq!(
+                        TABLE_ENTRIES_STORED.get(),
+                        before,
+                        "the refusal stored rows"
+                    );
+                }
             }
             assert_eq!(saturated.tables().is_some(), fits, "{rows} rows");
             agrees(&saturated);

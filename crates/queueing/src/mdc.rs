@@ -5,18 +5,19 @@
 //! distributions exist (Franx 2001) but are expensive; Faro adopts the
 //! common engineering approximation (Tijms 2006) of treating the M/D/c
 //! waiting time as half the M/M/c waiting time, which this module applies
-//! to both the mean and the percentiles.
+//! to the waiting-time percentiles.
 //!
 //! [`latency_percentile`] is the reference: one count, through the
-//! M/M/c and Erlang functions. Every other many-count reader — a whole
-//! table row ([`latency_percentile_sweep`], the optimizer's tables) or
-//! the two counts bracketing a fractional head count
-//! ([`crate::RelaxedLatency::bracket_with_knees`]) — goes through the
-//! one loop of [`latency_percentile_range_into`], which reads each
-//! count's Erlang-B value off a single recurrence and equals the
-//! reference bit for bit.
+//! M/M/c and Erlang functions. Every other reader goes through one walk
+//! up the server counts, which reads each count's Erlang-B value off a
+//! single recurrence from one server and equals the reference bit for
+//! bit: a whole table row ([`latency_percentile_sweep`], the
+//! optimizer's tables) or the two counts bracketing a fractional head
+//! count ([`crate::RelaxedLatency::bracket_with_knees`]) through
+//! [`latency_percentile_range_into`], and the replica need through
+//! [`replicas_for_slo`], which stops at the first count within the SLO.
 //!
-//! That loop stops at the first count whose wait is zero. The
+//! The walk stops at the first count whose wait is zero. The
 //! probability of waiting falls as servers are added, so from there on
 //! every count's latency is exactly `p` (`0.5 * 0.0 + p`): a row ends
 //! where its wait does, about `lambda * p + O(sqrt(lambda * p))`
@@ -25,11 +26,6 @@
 use crate::error::Result;
 use crate::mmc;
 use crate::ReplicaCount;
-
-/// Mean waiting time of an M/D/c queue (half the M/M/c mean wait).
-pub fn mean_wait(lambda: f64, p: f64, servers: ReplicaCount) -> Result<f64> {
-    Ok(0.5 * mmc::mean_wait(lambda, p, servers)?)
-}
 
 /// The `k`-th percentile of the M/D/c waiting time, approximated as half
 /// the M/M/c percentile. Returns [`f64::INFINITY`] for `rho >= 1`.
@@ -132,34 +128,12 @@ pub fn latency_percentile_range_into(
             value: last as f64,
         });
     }
-    let a = lambda * p;
-    let tail = 1.0 - k;
-    let mut b = 1.0f64;
-    let mut c = 0.0f64;
+    let mut walk = Walk::new(k, p, lambda);
     for _ in 1..first.get() {
-        c += 1.0;
-        b = a * b / (c + a * b);
+        walk.step();
     }
     for i in 0..out.len() {
-        // One Erlang-B recurrence step: `b` now equals `erlang_b(n, a)`
-        // at the server count `c == n` (whole numbers, exact in `f64`).
-        c += 1.0;
-        b = a * b / (c + a * b);
-        // Mirrors mmc::wait_percentile arithmetically, branch by branch,
-        // so each entry is bit-identical to the direct call.
-        let rho = lambda * p / c;
-        let wait = if rho >= 1.0 {
-            f64::INFINITY
-        } else if lambda == 0.0 {
-            0.0
-        } else {
-            let ec = b / (1.0 - (a / c) * (1.0 - b));
-            if ec <= tail {
-                0.0
-            } else {
-                (ec / tail).ln() / (c / p - lambda)
-            }
-        };
+        let wait = walk.next_wait();
         if wait == 0.0 {
             // Utilization and the Erlang-C probability of waiting only
             // fall from here, so no later count waits either.
@@ -174,8 +148,19 @@ pub fn latency_percentile_range_into(
 /// Smallest replica count `N <= max_replicas` whose estimated `k`-th
 /// percentile latency meets the SLO target `slo`.
 ///
+/// One walk up the counts from one server, stopped at the first count
+/// within `slo`: O(answer) recurrence steps however large
+/// `max_replicas` is. The latency never rises as servers are added, so
+/// that count is the smallest feasible one. The walk gives up at
+/// `max_replicas`, or at the first count whose wait is zero, since
+/// from there on every latency is exactly `p`: whichever comes first
+/// is what an infeasible target costs.
+///
 /// # Errors
 ///
+/// An invalid `slo` first, then whatever
+/// `latency_percentile(k, p, lambda, max_replicas)` would return
+/// ([`crate::Error::ZeroReplicas`] for a zero `max_replicas`).
 /// Returns [`crate::Error::Infeasible`] when even `max_replicas` replicas
 /// cannot meet the target.
 ///
@@ -198,26 +183,92 @@ pub fn replicas_for_slo(
     max_replicas: ReplicaCount,
 ) -> Result<ReplicaCount> {
     crate::error::positive("slo", slo)?;
-    // The latency estimate is monotone non-increasing in N, so binary
-    // search over [1, max_replicas] finds the smallest feasible N.
-    let feasible = |n: u32| -> Result<bool> {
-        Ok(latency_percentile(k, p, lambda, ReplicaCount::new(n))? <= slo)
-    };
-    if !feasible(max_replicas.get())? {
-        return Err(crate::Error::Infeasible {
-            max_replicas: max_replicas.get(),
-        });
+    // The direct call's checks at `max_replicas`, in its order.
+    let k = crate::error::percentile(k)?;
+    if max_replicas.is_zero() {
+        return Err(crate::Error::ZeroReplicas);
     }
-    let (mut lo, mut hi) = (1u32, max_replicas.get());
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if feasible(mid)? {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+    let lambda = crate::error::non_negative("lambda", lambda)?;
+    let p = crate::error::positive("p", p)?;
+    let mut walk = Walk::new(k, p, lambda);
+    for n in 1..=max_replicas.get() {
+        let wait = walk.next_wait();
+        if 0.5 * wait + p <= slo {
+            return Ok(ReplicaCount::new(n));
+        }
+        if wait == 0.0 {
+            break;
         }
     }
-    Ok(ReplicaCount::new(lo))
+    Err(crate::Error::Infeasible {
+        max_replicas: max_replicas.get(),
+    })
+}
+
+/// A walk up the server counts from one server: one Erlang-B
+/// recurrence step per count, and on request that count's M/M/c `k`-th
+/// waiting percentile. Its inputs are validated by the caller.
+struct Walk {
+    lambda: f64,
+    p: f64,
+    /// The offered load `lambda * p`.
+    a: f64,
+    /// `1 - k`.
+    tail: f64,
+    /// `erlang_b(c, a)`.
+    b: f64,
+    /// The count reached (whole numbers, exact in `f64`); zero before
+    /// the first step.
+    c: f64,
+}
+
+impl Walk {
+    fn new(k: f64, p: f64, lambda: f64) -> Self {
+        Self {
+            lambda,
+            p,
+            a: lambda * p,
+            tail: 1.0 - k,
+            b: 1.0,
+            c: 0.0,
+        }
+    }
+
+    /// Advances to the next count.
+    #[inline]
+    fn step(&mut self) {
+        self.c += 1.0;
+        self.b = self.a * self.b / (self.c + self.a * self.b);
+    }
+
+    /// Advances to the next count and returns its M/M/c waiting
+    /// percentile. Mirrors `mmc::wait_percentile` arithmetically,
+    /// branch by branch, so it is bit-identical to the direct call.
+    #[inline]
+    fn next_wait(&mut self) -> f64 {
+        self.step();
+        let Self {
+            lambda,
+            p,
+            a,
+            tail,
+            b,
+            c,
+        } = *self;
+        let rho = lambda * p / c;
+        if rho >= 1.0 {
+            f64::INFINITY
+        } else if lambda == 0.0 {
+            0.0
+        } else {
+            let ec = b / (1.0 - (a / c) * (1.0 - b));
+            if ec <= tail {
+                0.0
+            } else {
+                (ec / tail).ln() / (c / p - lambda)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -465,6 +516,147 @@ mod tests {
         }
     }
 
+    /// The binary search over `[1, max_replicas]` that the walk
+    /// replaced, probing the direct estimator: the reference the walk
+    /// must equal wherever the latency is monotone in the count.
+    fn searched_replicas_for_slo(
+        k: f64,
+        p: f64,
+        lambda: f64,
+        slo: f64,
+        max_replicas: ReplicaCount,
+    ) -> Result<ReplicaCount> {
+        crate::error::positive("slo", slo)?;
+        let feasible =
+            |n: u32| -> Result<bool> { Ok(latency_percentile(k, p, lambda, rc(n))? <= slo) };
+        if !feasible(max_replicas.get())? {
+            return Err(crate::Error::Infeasible {
+                max_replicas: max_replicas.get(),
+            });
+        }
+        let (mut lo, mut hi) = (1u32, max_replicas.get());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if feasible(mid)? {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Ok(rc(lo))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 512 }))]
+
+        /// The walk answers exactly what the binary search answers, over
+        /// the paper's shapes (p 50–500 ms, up to 200 req/s, quotas up
+        /// to 64), a sharded 1,000-job round's (p 50 ms, 10–50 req/s,
+        /// quotas ~200 and 3,200) and a 5,000-job quota (16,000), from
+        /// idle through saturation at the quota, with SLOs under,
+        /// around and well over the service time, and exactly at the
+        /// service time or at one count's latency.
+        #[test]
+        fn the_walk_answers_what_the_search_answers(
+            shape in 0u32..3,
+            k_at in 0usize..6,
+            p_paper in 0.05f64..0.5,
+            rate in 0.0f64..1.0,
+            load in 0.0f64..1.2,
+            slo_over_p in 0.8f64..6.0,
+            slo_shape in 0u32..4,
+            quota_jitter in 0u32..64,
+        ) {
+            let (p, lambda, quota) = match shape {
+                0 => (p_paper, 200.0 * rate, 1 + quota_jitter),
+                1 => (
+                    0.05,
+                    10.0 + 40.0 * rate,
+                    if quota_jitter % 2 == 0 && !cfg!(miri) { 3_200 } else { 168 + quota_jitter },
+                ),
+                _ if cfg!(miri) => (0.05, load * 64.0 / 0.05, 64),
+                _ => (0.05, load * 16_000.0 / 0.05, 16_000),
+            };
+            let k = [0.5, 0.9, 0.95, 0.99, 0.999, 0.9999][k_at];
+            let slo = match slo_shape {
+                0 => p,
+                1 => {
+                    let n = ((lambda * p) as u32 + quota_jitter % 8).clamp(1, quota);
+                    Some(latency_percentile(k, p, lambda, rc(n)).unwrap())
+                        .filter(|l| l.is_finite())
+                        .unwrap_or(slo_over_p * p)
+                }
+                _ => slo_over_p * p,
+            };
+            let walked = replicas_for_slo(k, p, lambda, slo, rc(quota));
+            let searched = searched_replicas_for_slo(k, p, lambda, slo, rc(quota));
+            proptest::prop_assert_eq!(
+                walked,
+                searched,
+                "k={} p={} lambda={} slo={} quota={}",
+                k,
+                p,
+                lambda,
+                slo,
+                quota
+            );
+        }
+    }
+
+    /// A small job at the largest quota is answered at once: the walk
+    /// stops at its answer, where the search's first probe alone is a
+    /// recurrence over every count up to `u32::MAX`.
+    #[test]
+    fn a_small_job_at_the_largest_quota_is_answered_at_once() {
+        for (k, p, lambda, slo) in [(0.99, 0.05, 20.0, 0.1), (0.9999, 0.15, 40.0, 0.6)] {
+            assert_eq!(
+                replicas_for_slo(k, p, lambda, slo, ReplicaCount::MAX),
+                searched_replicas_for_slo(k, p, lambda, slo, rc(64)),
+            );
+        }
+        // Past its first zero-wait count every latency is `p`, over the
+        // SLO here: infeasible, without walking to the quota.
+        assert_eq!(
+            replicas_for_slo(0.99, 0.15, 40.0, 0.1, ReplicaCount::MAX),
+            Err(crate::Error::Infeasible {
+                max_replicas: u32::MAX
+            })
+        );
+    }
+
+    /// The walk refuses what the search refused, with the same error:
+    /// an invalid SLO first, then what the direct call at the quota
+    /// returns, in its own order.
+    #[test]
+    fn the_walk_refuses_what_the_direct_call_refuses() {
+        let nan = f64::NAN;
+        for (k, p, lambda, slo, quota) in [
+            (0.99, 0.15, 40.0, 0.0, 8),
+            (0.99, 0.15, 40.0, nan, 8),
+            (0.99, 0.15, 40.0, f64::INFINITY, 8),
+            (1.5, 0.0, -1.0, -1.0, 0),
+            (1.5, 0.0, -1.0, 0.6, 0),
+            (nan, 0.15, 40.0, 0.6, 8),
+            (0.99, 0.0, -1.0, 0.6, 0),
+            (0.99, 0.0, -1.0, 0.6, 8),
+            (0.99, 0.0, nan, 0.6, 8),
+            (0.99, 0.15, f64::INFINITY, 0.6, 8),
+            (0.99, 0.0, 40.0, 0.6, 8),
+            (0.99, f64::INFINITY, 40.0, 0.6, 8),
+            (0.99, -0.15, 0.0, 0.6, 8),
+        ] {
+            let walked = replicas_for_slo(k, p, lambda, slo, rc(quota));
+            let searched = searched_replicas_for_slo(k, p, lambda, slo, rc(quota));
+            // Compared as text: a NaN in an error is not equal to itself.
+            assert_eq!(
+                format!("{walked:?}"),
+                format!("{searched:?}"),
+                "k={k} p={p} lambda={lambda} slo={slo} quota={quota}"
+            );
+            assert!(walked.is_err());
+        }
+    }
+
     /// Monte Carlo M/D/c: deterministic service, Poisson arrivals.
     fn simulate_mdc_waits(lambda: f64, p: f64, servers: usize, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -494,7 +686,7 @@ mod tests {
         let mut waits = simulate_mdc_waits(lambda, p, servers.get() as usize, 300_000, 11);
         waits.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let mean_emp: f64 = waits.iter().sum::<f64>() / waits.len() as f64;
-        let mean_est = mean_wait(lambda, p, servers).unwrap();
+        let mean_est = 0.5 * mmc::mean_wait(lambda, p, servers).unwrap();
         assert!(
             (mean_est - mean_emp).abs() < 0.35 * mean_emp.max(0.005),
             "mean: est={mean_est} emp={mean_emp}"

@@ -12,8 +12,12 @@
 //! [`RelaxedLatency::latency_with_knee`], which holds the
 //! rate-independent knee latency between calls); these are the
 //! references. The many-count readers are built on them and equal
-//! them bit for bit: [`RelaxedLatency::latency_sweep`] for a table row,
-//! and [`RelaxedLatency::bracket_with_knees`] for the two consecutive
+//! them bit for bit: [`RelaxedLatency::latency_sweep`] for a whole row;
+//! [`RelaxedLatency::past_knee_into`] for the head of a row, the counts
+//! a rate is past the knee at, which scales held knee latencies in
+//! place and runs no M/D/c recurrence (the optimizer's tables take the
+//! rest of the row from [`mdc::latency_percentile_range_into`]); and
+//! [`RelaxedLatency::bracket_with_knees`] for the two consecutive
 //! counts bracketing a fractional head count, which under the knee
 //! reads both off one Erlang recurrence.
 
@@ -259,6 +263,23 @@ impl RelaxedLatency {
         Ok(out)
     }
 
+    /// The estimate past the knee at the counts `1..=out.len()`, into a
+    /// caller-owned row: `out[n - 1]` is `knees[n - 1]` scaled by how
+    /// fast the queue grows at `n` servers, with no M/D/c recurrence.
+    /// At the counts `lambda` is past the knee at — the first
+    /// [`RelaxedLatency::knee_count`] — that is what
+    /// [`RelaxedLatency::latency`] answers, bit for bit, for a `p` and
+    /// `lambda` it accepts and `knees` from
+    /// [`RelaxedLatency::knee_latencies`] with the same `k`/`p`; at a
+    /// count under the knee it is not the estimate. `knees` and `out`
+    /// have one length.
+    pub fn past_knee_into(&self, p: f64, lambda: f64, knees: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(knees.len(), out.len());
+        for (n, (out, &knee)) in (1..).zip(out.iter_mut().zip(knees)) {
+            *out = self.past_knee(p, lambda, n, knee);
+        }
+    }
+
     /// Relaxed latency with a *fractional* replica count, for use inside
     /// continuous optimization.
     ///
@@ -367,9 +388,9 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 24 }))]
 
         /// `knee_count` knee latencies are all a full-length row reads:
-        /// the sweep over that prefix followed by the plain M/D/c sweep
-        /// is the sweep over `max` knee latencies, bit for bit, from
-        /// idle through the knee to past saturation (`load` is the
+        /// the plain M/D/c sweep with that prefix's head written in
+        /// place is the sweep over `max` knee latencies, bit for bit,
+        /// from idle through the knee to past saturation (`load` is the
         /// utilization at `max`).
         #[test]
         fn knee_prefix_then_mdc_sweep_matches_full_sweep_bitwise(
@@ -385,10 +406,7 @@ mod tests {
             let full = est.latency_sweep(k, p, lambda, &full_knees).unwrap();
             let past = est.knee_count(p, lambda, rc(max)) as usize;
             let mut row = mdc::latency_percentile_sweep(k, p, lambda, rc(max)).unwrap();
-            if past > 0 {
-                let head = est.latency_sweep(k, p, lambda, &full_knees[..past]).unwrap();
-                row[..past].copy_from_slice(&head);
-            }
+            est.past_knee_into(p, lambda, &full_knees[..past], &mut row[..past]);
             for (n, (got, want)) in row.iter().zip(&full).enumerate() {
                 proptest::prop_assert_eq!(
                     got.to_bits(),

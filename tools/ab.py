@@ -12,6 +12,11 @@ settles a metric whose run-to-run spread is wider than its bound), and
 whether the change's median is inside the metric's bound. It also prints
 every run's digest line.
 
+Beside the table it prints, ungated, each side's minor page faults and
+system seconds per run (`getrusage(RUSAGE_CHILDREN)` deltas around each
+run, also on every run's line). Both repeat closely from run to run, so
+a side that moved them without moving its work moved its heap layout.
+
 Exits 1 if the two executables disagree on a digest, if any run reports
 `"correct": false` or exits non-zero, and 0 otherwise. If any run failed,
 no metric table is printed: the pairs would not be like for like. A
@@ -32,6 +37,7 @@ import argparse
 import json
 import pathlib
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -41,12 +47,16 @@ DIGEST = re.compile(r"^(\S+): rounds_attempted (\d+) rounds_failed (\d+) digest 
 
 
 def run(exe, args, seconds):
-    """One benchmark run: (digest line fields, JSON report, exit code)."""
+    """One benchmark run: (digest line fields, JSON report, exit code,
+    (minor page faults, system seconds))."""
     cmd = [str(exe), "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", "0"]
     if args.cpu is not None:
         cmd = ["taskset", "-c", str(args.cpu)] + cmd
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = (after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime)
     digest, report = None, None
     for line in proc.stdout.splitlines():
         m = DIGEST.match(line.strip())
@@ -54,7 +64,7 @@ def run(exe, args, seconds):
             digest = m.groups()
         elif line.startswith("{"):
             report = json.loads(line)
-    return digest, report, proc.returncode
+    return digest, report, proc.returncode, usage
 
 
 def quartiles(values):
@@ -65,10 +75,10 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def spread(values):
+def spread(values, fmt=".4f"):
     """`median [q1, q3]` of `values`."""
     q1, q2, q3 = quartiles(values)
-    return f"{q2:.4f} [{q1:.4f}, {q3:.4f}]"
+    return f"{q2:{fmt}} [{q1:{fmt}}, {q3:{fmt}}]"
 
 
 def main():
@@ -86,14 +96,17 @@ def main():
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     digests = {side: set() for side in sides}
+    usages = {side: [] for side in sides}
     ok = True
 
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            digest, report, code = run(sides[side], args, spec["run_seconds"])
+            digest, report, code, usage = run(sides[side], args, spec["run_seconds"])
+            usages[side].append(usage)
             label = " ".join(digest) if digest else "no digest line"
-            print(f"pair {i + 1:>2} {side:<6} {label}", flush=True)
+            print(f"pair {i + 1:>2} {side:<6} {label}"
+                  f"  minflt {usage[0]} stime {usage[1]:.2f}", flush=True)
             if code != 0 or report is None or not report.get("correct", False):
                 print(f"  run failed: exit {code}, report {report}", flush=True)
                 ok = False
@@ -128,6 +141,13 @@ def main():
         verdict = "ok" if worse <= m["bound"] else f"OUTSIDE {m['bound']:.0%}"
         print(f"{name:<18} {spread(base):>36} {spread(new):>36} {ratio:>6.3f}"
               f" {won:>2}/{len(base):<2} {'yes' if sep else 'no':>3}  {verdict}")
+    print("\nper run, not gated (getrusage of the children)")
+    for label, at, fmt in [("minor_faults", 0, ".0f"), ("system_s", 1, ".3f")]:
+        base = [u[at] for u in usages["parent"]]
+        new = [u[at] for u in usages["change"]]
+        median = statistics.median(base)
+        ratio = statistics.median(new) / median if median else float("nan")
+        print(f"{label:<18} {spread(base, fmt):>36} {spread(new, fmt):>36} {ratio:>6.3f}")
     return 0
 
 
