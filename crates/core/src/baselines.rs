@@ -15,7 +15,9 @@
 //! counted by the one [`Persistence`] clock.
 
 use crate::admission::{Admission, ClampToQuota, RotatingQuota};
-use crate::policy::{carry, emit, Cadence, Persistence, Policy, PREDICTION_WINDOW_MINUTES};
+use crate::policy::{
+    carry, emit, planned_processing_time, Cadence, Persistence, Policy, PREDICTION_WINDOW_MINUTES,
+};
 use crate::predictor::{sanitize_history, RatePredictor};
 use crate::types::{ClusterSnapshot, DesiredState, JobDecision};
 use crate::units::ReplicaCount;
@@ -161,15 +163,21 @@ impl Policy for MarkCocktailBarista {
                 // not at full saturation): the smallest replica count
                 // whose M/D/c tail latency meets the target.
                 let quota = snapshot.replica_quota().max(ReplicaCount::ONE);
-                let needed = faro_queueing::mdc::replicas_for_slo(
+                let target = &mut self.current[i].target_replicas;
+                match faro_queueing::mdc::replicas_for_slo(
                     obs.spec.slo.percentile,
-                    obs.mean_processing_time,
+                    planned_processing_time(obs),
                     peak_per_sec,
                     obs.spec.slo.latency,
                     quota,
-                )
-                .unwrap_or(quota);
-                self.current[i].target_replicas = needed.get();
+                ) {
+                    Ok(needed) => *target = needed.get(),
+                    // Not even the quota meets the SLO: all of it.
+                    Err(faro_queueing::Error::Infeasible { .. }) => *target = quota.get(),
+                    // An input the estimator refuses says nothing about
+                    // the load: keep the target.
+                    Err(_) => {}
+                }
             }
         } else {
             // Reactive fallback: one extra replica per job after a
@@ -290,6 +298,52 @@ mod tests {
         let mut p = MarkCocktailBarista::new(predictors);
         let d = p.decide(&snap(0.0, 64, vec![obs(2400.0, 1, 0.1)]));
         assert_eq!(t0(&d), 8, "{d:?}");
+    }
+
+    /// Mark plans with the processing time Faro plans with. A lost one
+    /// (NaN, which is also what a `null` on the wire parses to) is the
+    /// spec's, and a zero or negative one is floored at a microsecond:
+    /// none sizes the job to the whole quota. Only a target the quota
+    /// cannot meet takes the quota; an input the estimator refuses
+    /// keeps the job's target.
+    #[test]
+    fn mark_sizes_a_lost_processing_time_as_faro_plans_it() {
+        let decide = |o: JobObservation| {
+            let predictors: Vec<Box<dyn RatePredictor>> = vec![Box::new(FlatPredictor {
+                lookback: 3,
+                sigma_fraction: 0.0,
+            })];
+            t0(&MarkCocktailBarista::new(predictors).decide(&snap(0.0, 64, vec![o])))
+        };
+        let with_p = |p: f64| JobObservation {
+            mean_processing_time: p,
+            ..obs(2400.0, 5, 0.1)
+        };
+        // The spec's 180 ms at 40 req/s, as measured.
+        assert_eq!(decide(with_p(f64::NAN)), decide(obs(2400.0, 5, 0.1)));
+        assert_eq!(decide(with_p(f64::NAN)), 8);
+        let json = serde_json::to_string(&with_p(f64::NAN)).unwrap();
+        assert!(json.contains("\"mean_processing_time\":null"), "{json}");
+        let parsed = JobObservation::from_json(&serde_json::from_str(&json).unwrap()).unwrap();
+        assert!(parsed.mean_processing_time.is_nan());
+        assert_eq!(decide(parsed), 8);
+        for p in [0.0, -0.1] {
+            assert_eq!(planned_processing_time(&with_p(p)), 1e-6);
+            assert_eq!(decide(with_p(p)), 1, "p={p}");
+        }
+        // 800 req/s at 180 ms is 144 busy replicas: the quota, all of it.
+        assert_eq!(decide(obs(48_000.0, 5, 0.1)), 64);
+        let refused = JobObservation {
+            spec: std::sync::Arc::new(JobSpec {
+                slo: crate::types::Slo {
+                    latency: 0.72,
+                    percentile: 1.5,
+                },
+                ..JobSpec::resnet34("job")
+            }),
+            ..obs(2400.0, 5, 0.1)
+        };
+        assert_eq!(decide(refused), 5);
     }
 
     #[test]

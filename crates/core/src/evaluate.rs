@@ -314,15 +314,11 @@ impl Model {
     /// One table row at rate `lambda` over the counts `1..=row.len()`:
     /// fills `row[..len]` with what [`Self::estimate`] answers at counts
     /// `1..=len` and returns `len`; at every count past `len` the answer
-    /// is exactly `p`, and `row[len..]` holds nothing of use. `len`
-    /// reaches the M/D/c row's first zero-wait count and, under relaxed
-    /// fidelity, the counts at which `lambda` is past the knee, whose
-    /// entries are the job's knee prefix scaled in place
-    /// ([`RelaxedLatency::past_knee_into`]) over the M/D/c ones — entry
-    /// for entry what [`RelaxedLatency::latency_sweep`] over full-quota
-    /// knee latencies stores, without the knee latencies it never reads.
-    /// A row the estimator rejects is infinite throughout, so `len` is
-    /// `row.len()`.
+    /// is exactly `p`, and `row[len..]` is left unwritten. Under precise
+    /// fidelity the row is [`mdc::latency_percentile_range_into`]'s,
+    /// under relaxed fidelity [`RelaxedLatency::row_into`]'s over the
+    /// job's knee prefix ([`Self::knee_prefix`]). A row the estimator
+    /// rejects is infinite throughout, so `len` is `row.len()`.
     pub(crate) fn fill_latency_row(
         &self,
         k: f64,
@@ -331,55 +327,19 @@ impl Model {
         row: &mut [f64],
         knees: &[f64],
     ) -> usize {
-        let Some(waiting) = self.waiting_prefix(k, p, lambda, row) else {
-            // Invalid k/p/rate: the direct path errors at every count.
-            row.fill(f64::INFINITY);
-            return row.len();
-        };
-        if self.fidelity == Fidelity::Precise {
-            return waiting;
-        }
-        // `knees` reaches the job's largest rate's knee count, so it
-        // covers every row's.
-        let relaxed = self.relaxed_latency;
-        let quota = ReplicaCount::new(row.len() as u32);
-        let past_knee = relaxed.knee_count(p, lambda, quota) as usize;
-        let Some(knees) = knees.get(..past_knee) else {
-            // No knee latency to scale: the direct path errors.
-            row.fill(f64::INFINITY);
-            return row.len();
-        };
-        // `k`, `p` and `lambda` passed the M/D/c row's checks.
-        relaxed.past_knee_into(p, lambda, knees, &mut row[..past_knee]);
-        waiting.max(past_knee)
-    }
-
-    /// The M/D/c row at `lambda` up to its first zero-wait count, into
-    /// the front of `row`, and that count's offset (`row.len()` when
-    /// every count waits); `None` where the estimator rejects the input.
-    /// The wait ends a few `sqrt(load)` past the offered load, so the
-    /// recurrence first runs over a front of twice the load and is
-    /// rerun over a doubled front until the zero-wait count falls
-    /// inside it: a row costs about its stored length, not `row.len()`,
-    /// which at a five-digit quota is most of the build.
-    fn waiting_prefix(&self, k: f64, p: f64, lambda: f64, row: &mut [f64]) -> Option<usize> {
-        let load = (lambda * p).min(row.len() as f64);
-        let mut reach = (2.0 * load) as usize + 16;
-        loop {
-            reach = reach.min(row.len());
-            let waiting = mdc::latency_percentile_range_into(
-                k,
-                p,
-                lambda,
-                ReplicaCount::ONE,
-                &mut row[..reach],
-            )
-            .ok()?;
-            if waiting < reach || reach == row.len() {
-                return Some(waiting);
+        let stored = match self.fidelity {
+            Fidelity::Precise => {
+                mdc::latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, row)
             }
-            reach *= 2;
-        }
+            Fidelity::Relaxed => self.relaxed_latency.row_into(k, p, lambda, knees, row),
+        };
+        stored.unwrap_or_else(|_| {
+            // Invalid k/p/rate: the direct path errors at every count.
+            // (`knees` reaches the job's largest rate's knee count, so it
+            // falls short only where its own k/p were invalid.)
+            row.fill(f64::INFINITY);
+            row.len()
+        })
     }
 }
 
@@ -470,8 +430,9 @@ mod tests {
     use crate::types::Slo;
 
     /// Row `lambda` of a job at `(k, p)` under `model`, filled into a
-    /// full-width scratch row of NaN: the stored prefix's length, and
-    /// the row read the way the evaluator reads it, `p` past the prefix.
+    /// full-width scratch row of NaN, which past the stored prefix must
+    /// stay unwritten: the prefix's length, and the row read the way the
+    /// evaluator reads it, `p` past the prefix.
     fn stored_row(model: Model, k: f64, p: f64, lambda: f64, quota: u32) -> (usize, Vec<f64>) {
         let job = JobWorkload::constant(
             lambda,
@@ -486,6 +447,10 @@ mod tests {
         let mut scratch = vec![f64::NAN; quota as usize];
         let len = model.fill_latency_row(k, p, lambda, &mut scratch, &knees);
         assert!(len <= scratch.len());
+        assert!(
+            scratch[len..].iter().all(|l| l.is_nan()),
+            "wrote past {len}"
+        );
         scratch[len..].fill(p);
         (len, scratch)
     }

@@ -40,7 +40,8 @@ use crate::evaluate::Model;
 use crate::objective::ClusterObjective;
 use crate::opt::{Fidelity, JobWorkload, LatencyModel, MultiTenantProblem};
 use crate::policy::{
-    carry, emit, Cadence, Persistence, Policy, PolicyIntrospection, PREDICTION_WINDOW_MINUTES,
+    carry, emit, planned_processing_time, Cadence, Persistence, Policy, PolicyIntrospection,
+    PREDICTION_WINDOW_MINUTES,
 };
 use crate::predictor::{sanitize_history, RatePredictor};
 use crate::sharded::{Round, ShardedSolver, SolvePlan};
@@ -170,14 +171,9 @@ impl FaroAutoscaler {
                         trajectories.push(per_second(&s[skip..]));
                     }
                 }
-                let processing_time = if obs.mean_processing_time.is_finite() {
-                    obs.mean_processing_time
-                } else {
-                    obs.spec.processing_time
-                };
                 JobWorkload {
                     lambda_trajectories: trajectories,
-                    processing_time: processing_time.max(1e-6),
+                    processing_time: planned_processing_time(obs),
                     slo: obs.spec.slo,
                     priority: obs.spec.priority,
                 }

@@ -1609,6 +1609,50 @@ mod tests {
         }
     }
 
+    /// At whole counts the fractional pool reduction is
+    /// `mixed::effective_pool`, to the bit: the same service time and
+    /// head count over one to four classes, single-class pools and
+    /// empty ones included.
+    #[test]
+    fn pool_is_the_effective_pool_at_whole_counts() {
+        use crate::types::ReplicaClass;
+        use faro_queueing::mixed::effective_pool;
+        let speeds = [1.0, 2.5, 0.7, 3.0];
+        let counts_of = [0u32, 1, 3, 17];
+        for n_classes in 1..=MAX_CLASSES {
+            let classes = speeds[..n_classes]
+                .iter()
+                .enumerate()
+                .map(|(c, &speed)| ReplicaClass::cpu(format!("c{c}"), speed))
+                .collect();
+            let problem = MultiTenantProblem::new(
+                vec![JobWorkload::constant(10.0, 0.18, slo(), 1.0)],
+                ResourceModel::heterogeneous(classes, 64.0, 0.0, 64.0),
+                ClusterObjective::Sum,
+                Fidelity::Relaxed,
+            )
+            .unwrap();
+            let multipliers: Vec<f64> = problem.resources.classes.iter().map(|c| c.speed).collect();
+            for code in 0..4usize.pow(n_classes as u32) {
+                let counts: Vec<u32> = (0..n_classes)
+                    .map(|c| counts_of[code / 4usize.pow(c as u32) % 4])
+                    .collect();
+                let xs: Vec<f64> = counts.iter().map(|&n| f64::from(n)).collect();
+                for p in [0.18, 0.05, 1.3] {
+                    let got = problem.pool(p, &xs);
+                    let want = effective_pool(p, &multipliers, &counts)
+                        .ok()
+                        .map(|pool| (pool.service_time, pool.servers.as_f64()));
+                    assert_eq!(
+                        got.map(|(s, n)| [s.to_bits(), n.to_bits()]),
+                        want.map(|(s, n)| [s.to_bits(), n.to_bits()]),
+                        "p={p} counts={counts:?} speeds={multipliers:?}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
+    }
+
     /// The quadratic cannot come back unnoticed: at the top-level split
     /// of the 1,000-job sharded benchmark (16 pseudo-jobs, each ~62
     /// jobs of 10-50 req/s at 50 ms, quota 3,200) a job's knee

@@ -14,7 +14,7 @@
 
 use crate::admission::Admission;
 use crate::sharded::{ShardSolveRecord, ShardSpan};
-use crate::types::{ClusterSnapshot, DesiredState, JobDecision};
+use crate::types::{ClusterSnapshot, DesiredState, JobDecision, JobObservation};
 use crate::units::{DurationMs, SimTimeMs};
 
 /// Long-term planning interval in seconds (paper: 5 min): Faro's
@@ -145,6 +145,19 @@ pub fn carry(current: &mut Vec<JobDecision>, snapshot: &ClusterSnapshot) -> bool
     }
     *current = snapshot.jobs.iter().map(JobDecision::keep).collect();
     true
+}
+
+/// The per-request processing time a policy plans `obs`'s job with:
+/// the observed mean where it is finite, the spec's where it is not (a
+/// lost scrape, or a `null` on the wire), and never under a
+/// microsecond.
+pub fn planned_processing_time(obs: &JobObservation) -> f64 {
+    let p = if obs.mean_processing_time.is_finite() {
+        obs.mean_processing_time
+    } else {
+        obs.spec.processing_time
+    };
+    p.max(1e-6)
 }
 
 /// The desired state of `current` (in job order), admitted.

@@ -9,10 +9,18 @@
 //!   service) including Erlang-C and closed-form waiting-time percentiles.
 //! - [`mdc`]: the M/D/c queue (Poisson arrivals, deterministic service)
 //!   approximated by Tijms' engineering rule "M/D/c waiting time is about
-//!   half the M/M/c waiting time".
+//!   half the M/M/c waiting time". Every M/D/c estimate — one count, a
+//!   table row, a bracket, a replica need — is one walk up the server
+//!   counts along a single Erlang-B recurrence; the closed form in
+//!   [`mmc`] is its definition, held to it bit for bit by the tests. A
+//!   row is written only as far as it waits: every count past its first
+//!   zero-wait count is exactly the service time.
 //! - [`relaxed`]: the plateau-free estimator used inside Faro's relaxed
 //!   cluster optimization, which replaces the infinite latency of an
 //!   unstable queue with a penalty proportional to the queue growth rate.
+//!   [`RelaxedLatency::row_into`] builds its one kind of table row.
+//! - [`mixed`]: a pool of replica classes of different speeds, reduced to
+//!   one effective M/D/c queue.
 //!
 //! ML inference workloads show Poisson arrival patterns and low-variance
 //! processing times, which is why the M/D/c model fits (paper Sec. 3.3).

@@ -7,37 +7,41 @@
 //! waiting time as half the M/M/c waiting time, which this module applies
 //! to the waiting-time percentiles.
 //!
-//! [`latency_percentile`] is the reference: one count, through the
-//! M/M/c and Erlang functions. Every other reader goes through one walk
-//! up the server counts, which reads each count's Erlang-B value off a
-//! single recurrence from one server and equals the reference bit for
-//! bit: a whole table row ([`latency_percentile_sweep`], the
+//! Every estimate here is one walk up the server counts from one
+//! server, which reads each count's Erlang-B value off a single
+//! recurrence and takes that count's M/M/c waiting percentile in
+//! closed form: one count ([`latency_percentile`], the walk's last
+//! step), a whole table row ([`latency_percentile_sweep`], the
 //! optimizer's tables) or the two counts bracketing a fractional head
 //! count ([`crate::RelaxedLatency::bracket_with_knees`]) through
 //! [`latency_percentile_range_into`], and the replica need through
 //! [`replicas_for_slo`], which stops at the first count within the SLO.
+//! [`crate::mmc::wait_percentile`] over [`crate::erlang`] stays as the
+//! definition the tests hold the walk to, bit for bit.
 //!
-//! The walk stops at the first count whose wait is zero. The
-//! probability of waiting falls as servers are added, so from there on
-//! every count's latency is exactly `p` (`0.5 * 0.0 + p`): a row ends
-//! where its wait does, about `lambda * p + O(sqrt(lambda * p))`
-//! servers in, however long the row is.
+//! A row stops at its first count whose wait is zero. The probability
+//! of waiting falls as servers are added, so from there on every
+//! count's latency is exactly `p` (`0.5 * 0.0 + p`): a row is written
+//! only as far as it waits, about `lambda * p + O(sqrt(lambda * p))`
+//! servers in, however long it is, and a caller that wants the rest
+//! writes `p` there itself.
 
 use crate::error::Result;
-use crate::mmc;
 use crate::ReplicaCount;
 
-/// The `k`-th percentile of the M/D/c waiting time, approximated as half
-/// the M/M/c percentile. Returns [`f64::INFINITY`] for `rho >= 1`.
-pub fn wait_percentile(k: f64, p: f64, lambda: f64, servers: ReplicaCount) -> Result<f64> {
-    Ok(0.5 * mmc::wait_percentile(k, p, lambda, servers)?)
-}
-
 /// The `k`-th percentile of M/D/c *latency*: approximate waiting
-/// percentile plus the deterministic service time `p`.
+/// percentile (half the M/M/c one) plus the deterministic service time
+/// `p`.
 ///
 /// This is the `latency_{M/D/c}(k, p, lambda, N)` estimator of the paper
 /// (Sec. 3.3): finite for a stable queue (`rho < 1`), infinite otherwise.
+/// It walks the Erlang-B recurrence from one server to `servers`.
+///
+/// # Errors
+///
+/// In this order: a `k` outside `(0, 1)`, a zero `servers`
+/// ([`crate::Error::ZeroReplicas`]), a negative or non-finite `lambda`,
+/// and a non-positive or non-finite `p`.
 ///
 /// # Examples
 ///
@@ -47,22 +51,26 @@ pub fn wait_percentile(k: f64, p: f64, lambda: f64, servers: ReplicaCount) -> Re
 /// assert!(l.is_finite() && l >= 0.150);
 /// ```
 pub fn latency_percentile(k: f64, p: f64, lambda: f64, servers: ReplicaCount) -> Result<f64> {
-    Ok(wait_percentile(k, p, lambda, servers)? + p)
+    let mut walk = Walk::checked(k, p, lambda, servers)?;
+    for _ in 1..servers.get() {
+        walk.step();
+    }
+    Ok(0.5 * walk.next_wait() + p)
 }
 
 /// The `k`-th percentile M/D/c latency for **every** server count
 /// `1..=max_servers` in one pass: entry `n - 1` equals
 /// `latency_percentile(k, p, lambda, n)` bit-for-bit.
 ///
-/// A single prefix sweep of the Erlang-B recurrence yields `B(n, a)`
-/// for all `n` at once, so the whole table costs the same O(max)
-/// arithmetic as one direct call at `max_servers` — this is what lets
-/// the optimizer build per-solve latency tables instead of re-running
-/// the recurrence in its innermost loop.
+/// One walk yields `B(n, a)` for all `n` at once, so the whole table
+/// costs the same O(max) arithmetic as one direct call at
+/// `max_servers`, and less where the wait ends first: the row from
+/// [`latency_percentile_range_into`], its unwritten tail filled with
+/// `p`.
 ///
 /// # Errors
 ///
-/// Same domain errors as [`latency_percentile`].
+/// Same domain errors as [`latency_percentile_range_into`].
 ///
 /// # Examples
 ///
@@ -85,29 +93,33 @@ pub fn latency_percentile_sweep(
     max_servers: ReplicaCount,
 ) -> Result<Vec<f64>> {
     let mut out = vec![0.0; max_servers.get() as usize];
-    latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, &mut out)?;
+    let waiting = latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, &mut out)?;
+    out[waiting..].fill(p);
     Ok(out)
 }
 
 /// The `k`-th percentile M/D/c latency at the consecutive server counts
-/// `first..first + out.len()`, into a caller-owned row: `out[i]` equals
-/// `latency_percentile(k, p, lambda, first + i)` bit-for-bit.
+/// `first..first + out.len()`, into a caller-owned row, as far as they
+/// wait: `out[i]` equals `latency_percentile(k, p, lambda, first + i)`
+/// bit-for-bit for every `i` under the returned offset.
 ///
 /// Returns the offset in `out` of the first count whose wait is zero
-/// (`out.len()` when every count waits): every entry from there on is
-/// exactly `p`, and the row's recurrence stops there and fills the rest
-/// with `p`. The Erlang-B recurrence has to climb through every count
-/// under `first` anyway, so the row costs at most one recurrence of
-/// length `first + out.len() - 1`: a whole table row from `first = 1`,
-/// or the two counts bracketing a fractional head count for the price
-/// of the larger.
+/// (`out.len()` when every count waits). The walk stops there and
+/// leaves `out[offset..]` as it was: every count from there on is
+/// exactly `p`, and a caller that reads them writes `p` itself. The
+/// Erlang-B recurrence has to climb through every count under `first`
+/// anyway, so the row costs at most one recurrence of length
+/// `first + out.len() - 1`: a whole table row from `first = 1`, or the
+/// two counts bracketing a fractional head count for the price of the
+/// larger.
 ///
 /// # Errors
 ///
-/// Same domain errors as [`latency_percentile`]; a `first` of zero or
-/// an empty row is [`crate::Error::ZeroReplicas`], and a row reaching
-/// past `u32::MAX` servers is [`crate::Error::InvalidParameter`]. `out`
-/// is left untouched on error.
+/// In this order: a `k` outside `(0, 1)`, a non-positive or non-finite
+/// `p`, a negative or non-finite `lambda`; a `first` of zero or an empty
+/// row is [`crate::Error::ZeroReplicas`], and a row reaching past
+/// `u32::MAX` servers is [`crate::Error::InvalidParameter`]. `out` is
+/// left untouched on error.
 pub fn latency_percentile_range_into(
     k: f64,
     p: f64,
@@ -132,15 +144,14 @@ pub fn latency_percentile_range_into(
     for _ in 1..first.get() {
         walk.step();
     }
-    for i in 0..out.len() {
+    for (i, out) in out.iter_mut().enumerate() {
         let wait = walk.next_wait();
         if wait == 0.0 {
             // Utilization and the Erlang-C probability of waiting only
             // fall from here, so no later count waits either.
-            out[i..].fill(p);
             return Ok(i);
         }
-        out[i] = 0.5 * wait + p;
+        *out = 0.5 * wait + p;
     }
     Ok(out.len())
 }
@@ -183,14 +194,7 @@ pub fn replicas_for_slo(
     max_replicas: ReplicaCount,
 ) -> Result<ReplicaCount> {
     crate::error::positive("slo", slo)?;
-    // The direct call's checks at `max_replicas`, in its order.
-    let k = crate::error::percentile(k)?;
-    if max_replicas.is_zero() {
-        return Err(crate::Error::ZeroReplicas);
-    }
-    let lambda = crate::error::non_negative("lambda", lambda)?;
-    let p = crate::error::positive("p", p)?;
-    let mut walk = Walk::new(k, p, lambda);
+    let mut walk = Walk::checked(k, p, lambda, max_replicas)?;
     for n in 1..=max_replicas.get() {
         let wait = walk.next_wait();
         if 0.5 * wait + p <= slo {
@@ -207,7 +211,7 @@ pub fn replicas_for_slo(
 
 /// A walk up the server counts from one server: one Erlang-B
 /// recurrence step per count, and on request that count's M/M/c `k`-th
-/// waiting percentile. Its inputs are validated by the caller.
+/// waiting percentile.
 struct Walk {
     lambda: f64,
     p: f64,
@@ -223,6 +227,7 @@ struct Walk {
 }
 
 impl Walk {
+    /// A walk over validated inputs.
     fn new(k: f64, p: f64, lambda: f64) -> Self {
         Self {
             lambda,
@@ -234,6 +239,18 @@ impl Walk {
         }
     }
 
+    /// A walk towards `servers`, its inputs checked in the direct
+    /// call's order: `k`, a zero `servers`, `lambda`, `p`.
+    fn checked(k: f64, p: f64, lambda: f64, servers: ReplicaCount) -> Result<Self> {
+        let k = crate::error::percentile(k)?;
+        if servers.is_zero() {
+            return Err(crate::Error::ZeroReplicas);
+        }
+        let lambda = crate::error::non_negative("lambda", lambda)?;
+        let p = crate::error::positive("p", p)?;
+        Ok(Self::new(k, p, lambda))
+    }
+
     /// Advances to the next count.
     #[inline]
     fn step(&mut self) {
@@ -242,8 +259,9 @@ impl Walk {
     }
 
     /// Advances to the next count and returns its M/M/c waiting
-    /// percentile. Mirrors `mmc::wait_percentile` arithmetically,
-    /// branch by branch, so it is bit-identical to the direct call.
+    /// percentile: [`crate::mmc::wait_percentile`]'s closed form, with
+    /// the Erlang-B value the walk holds in place of a recurrence of
+    /// its own. The tests hold the two equal bit for bit.
     #[inline]
     fn next_wait(&mut self) -> f64 {
         self.step();
@@ -274,12 +292,25 @@ impl Walk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::upper_bound;
+    use crate::{mmc, upper_bound};
     use rand::prelude::*;
     use rand_distr::Exp;
 
     fn rc(n: u32) -> ReplicaCount {
         ReplicaCount::new(n)
+    }
+
+    /// The estimator's definition, which shares no code with the walk:
+    /// half the closed-form M/M/c waiting percentile, its Erlang-B value
+    /// from a recurrence of its own, plus `p`.
+    fn closed_form(k: f64, p: f64, lambda: f64, servers: ReplicaCount) -> Result<f64> {
+        Ok(0.5 * mmc::wait_percentile(k, p, lambda, servers)? + p)
+    }
+
+    /// What a result compares as: its bits, or its error (as text: a NaN
+    /// in an error is not equal to itself).
+    fn bits(r: Result<f64>) -> std::result::Result<u64, String> {
+        r.map(f64::to_bits).map_err(|e| format!("{e:?}"))
     }
 
     #[test]
@@ -314,9 +345,55 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The one-pass sweep must be indistinguishable from calling
-        /// `latency_percentile` per server count — bit-for-bit, so the
-        /// optimizer's memo tables cannot drift from the direct path.
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 8 } else { 512 }))]
+
+        /// The direct call, a walk of `servers` steps, is the closed form
+        /// bit for bit and error for error: server counts log-uniform up
+        /// to 16,000, from idle through the knee to past saturation
+        /// (`load` is the utilization), exactly at `rho = 1`, and inputs
+        /// with two or three invalid parameters, whose first error in
+        /// the closed form's order is the one returned.
+        #[test]
+        fn the_direct_call_is_the_closed_form_bitwise(
+            load in 0.0f64..1.6,
+            p in 0.01f64..0.5,
+            k in 0.5f64..0.9999,
+            log_servers in 0.0f64..(if cfg!(miri) { 48f64 } else { 16_000f64 }).ln(),
+            shape in 0u32..16,
+        ) {
+            let servers = log_servers.exp().round() as u32;
+            let n = f64::from(servers);
+            let (k, p, lambda, servers) = match shape {
+                0 => (k, p, 0.0, servers),
+                // `lambda * p` is `n` exactly: `rho = 1`.
+                1 => (k, 0.125, 8.0 * n, servers),
+                2 => (k, p, n / p, servers),
+                3 => (1.5, 0.0, -1.0, servers),
+                4 => (f64::NAN, p, load, 0),
+                5 => (k, 0.0, f64::NAN, servers),
+                6 => (k, -p, load * n / p, 0),
+                7 => (k, f64::INFINITY, f64::INFINITY, servers),
+                8 => (0.0, p, -1.0, 0),
+                _ => (k, p, load * n / p, servers),
+            };
+            let walked = latency_percentile(k, p, lambda, rc(servers));
+            let want = closed_form(k, p, lambda, rc(servers));
+            proptest::prop_assert_eq!(
+                bits(walked),
+                bits(want),
+                "k={} p={} lambda={} servers={}",
+                k,
+                p,
+                lambda,
+                servers
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// The one-pass sweep must be indistinguishable from the
+        /// closed form per server count — bit-for-bit, so the
+        /// optimizer's memo tables cannot drift from the definition.
         #[test]
         fn sweep_matches_direct_calls_bitwise(
             lambda in 0.0f64..500.0,
@@ -326,7 +403,7 @@ mod tests {
         ) {
             let sweep = latency_percentile_sweep(k, p, lambda, rc(max)).unwrap();
             for n in 1..=max {
-                let direct = latency_percentile(k, p, lambda, rc(n)).unwrap();
+                let direct = closed_form(k, p, lambda, rc(n)).unwrap();
                 let got = sweep[(n - 1) as usize];
                 proptest::prop_assert_eq!(
                     got.to_bits(),
@@ -352,8 +429,9 @@ mod tests {
     }
 
     /// A row ends at its first zero-wait count: the count before it
-    /// waits, and it and every count after it are exactly `p`, however
-    /// long the row (the recurrence past it is not run).
+    /// waits, it and every count after it are exactly `p`, and none of
+    /// them is written, however long the row (the recurrence past it is
+    /// not run).
     #[test]
     fn a_row_ends_at_its_first_zero_wait_count() {
         for (k, p, lambda, first) in [
@@ -362,28 +440,29 @@ mod tests {
             (0.5, 0.05, 3e4, 1),
             (0.99, 0.15, 40.0, 7),
         ] {
-            let mut row = vec![f64::NAN; 16_000];
+            let mut row = vec![f64::NAN; if cfg!(miri) { 2_000 } else { 16_000 }];
             let waiting = latency_percentile_range_into(k, p, lambda, rc(first), &mut row).unwrap();
             assert!(
                 waiting > 0 && waiting < row.len(),
                 "lambda={lambda}: {waiting}"
             );
-            let at = |i: usize| latency_percentile(k, p, lambda, rc(first + i as u32)).unwrap();
+            let at = |i: usize| closed_form(k, p, lambda, rc(first + i as u32)).unwrap();
             assert!(
                 at(waiting - 1) > p,
                 "lambda={lambda}: the count before waits"
             );
             assert_eq!(at(waiting).to_bits(), p.to_bits(), "lambda={lambda}");
             assert_eq!(row[waiting - 1].to_bits(), at(waiting - 1).to_bits());
-            assert!(row[waiting..].iter().all(|l| l.to_bits() == p.to_bits()));
+            assert!(row[waiting..].iter().all(|l| l.is_nan()), "wrote the tail");
         }
-        // An idle row waits nowhere; a saturated one everywhere.
+        // An idle row waits nowhere and writes nothing; a saturated one
+        // waits everywhere.
         let mut row = [f64::NAN; 8];
         assert_eq!(
             latency_percentile_range_into(0.99, 0.15, 0.0, rc(1), &mut row),
             Ok(0)
         );
-        assert!(row.iter().all(|&l| l == 0.15), "{row:?}");
+        assert!(row.iter().all(|l| l.is_nan()), "{row:?}");
         assert_eq!(
             latency_percentile_range_into(0.99, 0.15, 1e3, rc(1), &mut row),
             Ok(8)
@@ -391,19 +470,28 @@ mod tests {
         assert!(row.iter().all(|l| l.is_infinite()), "{row:?}");
     }
 
-    /// A row filled from one server is the sweep.
+    /// A row filled from one server is the sweep up to its first
+    /// zero-wait count, and unwritten from there on, where the sweep
+    /// holds `p`.
     #[test]
     fn sweep_into_fills_exactly_what_the_sweep_returns() {
         for max in [1usize, 32, 3_200] {
             for (k, p, lambda) in [(0.99, 0.18, 0.0), (0.99, 0.18, 40.0), (0.5, 0.05, 3e4)] {
                 let sweep = latency_percentile_sweep(k, p, lambda, rc(max as u32)).unwrap();
                 let mut row = vec![f64::NAN; max];
-                latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, &mut row).unwrap();
+                let waiting =
+                    latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, &mut row)
+                        .unwrap();
                 assert_eq!(sweep.len(), max);
-                let direct = latency_percentile(k, p, lambda, rc(max as u32)).unwrap();
-                assert_eq!(row[max - 1].to_bits(), direct.to_bits(), "max={max}");
+                let direct = closed_form(k, p, lambda, rc(max as u32)).unwrap();
+                assert_eq!(sweep[max - 1].to_bits(), direct.to_bits(), "max={max}");
                 for (n, (got, want)) in row.iter().zip(&sweep).enumerate() {
-                    assert_eq!(got.to_bits(), want.to_bits(), "max={max} n={}", n + 1);
+                    if n < waiting {
+                        assert_eq!(got.to_bits(), want.to_bits(), "max={max} n={}", n + 1);
+                    } else {
+                        assert!(got.is_nan(), "max={max} n={}: wrote the tail", n + 1);
+                        assert_eq!(want.to_bits(), p.to_bits(), "max={max} n={}", n + 1);
+                    }
                 }
             }
         }
@@ -412,10 +500,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
 
-        /// A row from any first count is, entry for entry, the direct
-        /// estimator (the M/M/c and Erlang path, which shares no code
-        /// with the row) at that count, from idle through the knee to
-        /// past saturation (`load` is the utilization at `first`).
+        /// A row from any first count is, entry for entry, the closed
+        /// form at that count as far as it waits, and unwritten from its
+        /// first zero-wait count on, where the closed form is `p`: from
+        /// idle through the knee to past saturation (`load` is the
+        /// utilization at `first`).
         #[test]
         fn range_matches_direct_calls_bitwise(
             load in 0.0f64..1.6,
@@ -435,10 +524,11 @@ mod tests {
             let waiting =
                 latency_percentile_range_into(k, p, lambda, rc(first), &mut row[..len]).unwrap();
             proptest::prop_assert!(waiting <= len);
-            proptest::prop_assert!(row[waiting..len].iter().all(|l| l.to_bits() == p.to_bits()));
-            for (i, got) in row[..len].iter().enumerate() {
+            proptest::prop_assert!(row[waiting..].iter().all(|l| l.is_nan()), "wrote past the wait");
+            for (i, &written) in row[..len].iter().enumerate() {
                 let n = first + i as u32;
-                let direct = latency_percentile(k, p, lambda, rc(n)).unwrap();
+                let direct = closed_form(k, p, lambda, rc(n)).unwrap();
+                let got = if i < waiting { written } else { p };
                 proptest::prop_assert_eq!(
                     got.to_bits(),
                     direct.to_bits(),
@@ -448,7 +538,6 @@ mod tests {
                     direct
                 );
             }
-            proptest::prop_assert!(row[len..].iter().all(|l| l.is_nan()), "wrote past the row");
         }
     }
 
@@ -465,7 +554,7 @@ mod tests {
             (0.99, 0.18, -1.0),
         ] {
             let got = latency_percentile_range_into(k, p, lambda, rc(3), &mut row);
-            let direct = latency_percentile(k, p, lambda, rc(3));
+            let direct = closed_form(k, p, lambda, rc(3));
             // Compared as text: a NaN in an error is not equal to itself.
             assert_eq!(
                 format!("{:?}", got.unwrap_err()),
@@ -510,15 +599,15 @@ mod tests {
     #[test]
     fn replicas_for_slo_is_minimal() {
         let n = replicas_for_slo(0.99, 0.150, 40.0, 0.600, rc(64)).unwrap();
-        assert!(latency_percentile(0.99, 0.150, 40.0, n).unwrap() <= 0.600);
+        assert!(closed_form(0.99, 0.150, 40.0, n).unwrap() <= 0.600);
         if n > ReplicaCount::ONE {
-            assert!(latency_percentile(0.99, 0.150, 40.0, n - ReplicaCount::ONE).unwrap() > 0.600);
+            assert!(closed_form(0.99, 0.150, 40.0, n - ReplicaCount::ONE).unwrap() > 0.600);
         }
     }
 
     /// The binary search over `[1, max_replicas]` that the walk
-    /// replaced, probing the direct estimator: the reference the walk
-    /// must equal wherever the latency is monotone in the count.
+    /// replaced, probing the closed form: the reference the walk must
+    /// equal wherever the latency is monotone in the count.
     fn searched_replicas_for_slo(
         k: f64,
         p: f64,
@@ -527,8 +616,7 @@ mod tests {
         max_replicas: ReplicaCount,
     ) -> Result<ReplicaCount> {
         crate::error::positive("slo", slo)?;
-        let feasible =
-            |n: u32| -> Result<bool> { Ok(latency_percentile(k, p, lambda, rc(n))? <= slo) };
+        let feasible = |n: u32| -> Result<bool> { Ok(closed_form(k, p, lambda, rc(n))? <= slo) };
         if !feasible(max_replicas.get())? {
             return Err(crate::Error::Infeasible {
                 max_replicas: max_replicas.get(),
@@ -582,7 +670,7 @@ mod tests {
                 0 => p,
                 1 => {
                     let n = ((lambda * p) as u32 + quota_jitter % 8).clamp(1, quota);
-                    Some(latency_percentile(k, p, lambda, rc(n)).unwrap())
+                    Some(closed_form(k, p, lambda, rc(n)).unwrap())
                         .filter(|l| l.is_finite())
                         .unwrap_or(slo_over_p * p)
                 }
@@ -692,7 +780,7 @@ mod tests {
             "mean: est={mean_est} emp={mean_emp}"
         );
         let p99_emp = waits[(waits.len() as f64 * 0.99) as usize];
-        let p99_est = wait_percentile(0.99, p, lambda, servers).unwrap();
+        let p99_est = 0.5 * mmc::wait_percentile(0.99, p, lambda, servers).unwrap();
         assert!(
             (p99_est - p99_emp).abs() < 0.35 * p99_emp.max(0.01),
             "p99: est={p99_est} emp={p99_emp}"

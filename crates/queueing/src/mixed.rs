@@ -7,7 +7,11 @@
 //! total service rate `R = sum_c n_c / (p * m_c)`, the effective
 //! deterministic service time is `p_eff = N / R` — the harmonic
 //! (capacity-weighted) mean of the per-class service times. The pool
-//! is then scored as M/D/N with service time `p_eff`.
+//! is then scored as M/D/N with service time `p_eff`: the relaxed
+//! estimate is [`relaxed_latency`], and the plain one is
+//! [`crate::mdc::latency_percentile`] at the pool's `service_time` and
+//! `servers`. The classed optimization reduces fractional counts the
+//! same way, to the bit at whole counts.
 //!
 //! This is exact for the total throughput of the pool and a standard
 //! engineering approximation for its waiting-time distribution (a
@@ -23,7 +27,6 @@
 //!   latency never rises.
 
 use crate::error::{self, Result};
-use crate::mdc;
 use crate::relaxed::RelaxedLatency;
 use crate::ReplicaCount;
 
@@ -86,36 +89,6 @@ pub fn effective_pool(p: f64, multipliers: &[f64], counts: &[u32]) -> Result<Eff
     })
 }
 
-/// The `k`-th percentile M/D/c latency of a mixed pool (the
-/// [`mdc::latency_percentile`] of its [`effective_pool`]).
-///
-/// # Errors
-///
-/// Same domain errors as [`effective_pool`] and
-/// [`mdc::latency_percentile`].
-///
-/// # Examples
-///
-/// ```
-/// use faro_queueing::mixed;
-/// // 2 reference replicas + 4 replicas that are 3x slower.
-/// let l = mixed::latency_percentile(0.99, 0.150, 10.0, &[1.0, 3.0], &[2, 4]).unwrap();
-/// // Faster than the all-slow pool, slower than the all-fast pool.
-/// let slow = mixed::latency_percentile(0.99, 0.150, 10.0, &[1.0, 3.0], &[0, 6]).unwrap();
-/// let fast = mixed::latency_percentile(0.99, 0.150, 10.0, &[1.0, 3.0], &[6, 0]).unwrap();
-/// assert!(fast <= l && l <= slow);
-/// ```
-pub fn latency_percentile(
-    k: f64,
-    p: f64,
-    lambda: f64,
-    multipliers: &[f64],
-    counts: &[u32],
-) -> Result<f64> {
-    let pool = effective_pool(p, multipliers, counts)?;
-    mdc::latency_percentile(k, pool.service_time, lambda, pool.servers)
-}
-
 /// The relaxed (plateau-free) latency of a mixed pool: the
 /// [`RelaxedLatency`] estimator applied to the [`effective_pool`].
 ///
@@ -123,6 +96,19 @@ pub fn latency_percentile(
 ///
 /// Same domain errors as [`effective_pool`] and
 /// [`RelaxedLatency::latency`].
+///
+/// # Examples
+///
+/// ```
+/// use faro_queueing::{mixed, RelaxedLatency};
+/// let est = RelaxedLatency::default();
+/// let at = |counts: &[u32]| {
+///     mixed::relaxed_latency(&est, 0.99, 0.150, 10.0, &[1.0, 3.0], counts).unwrap()
+/// };
+/// // 2 reference replicas + 4 replicas that are 3x slower: faster than
+/// // the all-slow pool, slower than the all-fast pool.
+/// assert!(at(&[6, 0]) <= at(&[2, 4]) && at(&[2, 4]) <= at(&[0, 6]));
+/// ```
 pub fn relaxed_latency(
     est: &RelaxedLatency,
     k: f64,
@@ -138,6 +124,19 @@ pub fn relaxed_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mdc;
+
+    /// The plain M/D/c latency of the pool's effective queue.
+    fn latency_percentile(
+        k: f64,
+        p: f64,
+        lambda: f64,
+        multipliers: &[f64],
+        counts: &[u32],
+    ) -> Result<f64> {
+        let pool = effective_pool(p, multipliers, counts)?;
+        mdc::latency_percentile(k, pool.service_time, lambda, pool.servers)
+    }
 
     #[test]
     fn single_reference_class_is_bit_identical_to_homogeneous() {

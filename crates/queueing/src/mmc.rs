@@ -2,7 +2,10 @@
 //!
 //! Faro uses M/M/c as a stepping stone to M/D/c: by Tijms' engineering
 //! approximation, the M/D/c waiting time is about half the M/M/c waiting
-//! time (see [`crate::mdc`]).
+//! time (see [`crate::mdc`]). [`wait_percentile`] is the closed form
+//! that defines that estimate; [`crate::mdc`] computes it by walking one
+//! Erlang-B recurrence up the server counts, and its tests hold the walk
+//! to this function bit for bit.
 //!
 //! The waiting-time distribution of a stable M/M/c queue is
 //! `P(W <= t) = 1 - C(c, a) * exp(-(c*mu - lambda) * t)` where `C` is the
@@ -76,13 +79,6 @@ pub fn wait_percentile(k: f64, p: f64, lambda: f64, servers: ReplicaCount) -> Re
     }
     let cmu_minus_lambda = servers.as_f64() / p - lambda;
     Ok((c / tail).ln() / cmu_minus_lambda)
-}
-
-/// The `k`-th percentile of *latency* (waiting plus one deterministic
-/// service time `p`). Faro treats the inference time as deterministic, so
-/// latency is the waiting percentile shifted by `p`.
-pub fn latency_percentile(k: f64, p: f64, lambda: f64, servers: ReplicaCount) -> Result<f64> {
-    Ok(wait_percentile(k, p, lambda, servers)? + p)
 }
 
 #[cfg(test)]

@@ -12,14 +12,15 @@
 //! [`RelaxedLatency::latency_with_knee`], which holds the
 //! rate-independent knee latency between calls); these are the
 //! references. The many-count readers are built on them and equal
-//! them bit for bit: [`RelaxedLatency::latency_sweep`] for a whole row;
-//! [`RelaxedLatency::past_knee_into`] for the head of a row, the counts
-//! a rate is past the knee at, which scales held knee latencies in
-//! place and runs no M/D/c recurrence (the optimizer's tables take the
-//! rest of the row from [`mdc::latency_percentile_range_into`]); and
-//! [`RelaxedLatency::bracket_with_knees`] for the two consecutive
-//! counts bracketing a fractional head count, which under the knee
-//! reads both off one Erlang recurrence.
+//! them bit for bit. A row is [`RelaxedLatency::row_into`], the one
+//! place a relaxed row is built: the M/D/c row
+//! ([`mdc::latency_percentile_range_into`]) as far as it waits, with
+//! the head of counts the rate is past the knee at written over it in
+//! place from held knee latencies, and the rest, exactly `p`, left
+//! unwritten. [`RelaxedLatency::latency_sweep`] is that row with its
+//! tail filled. [`RelaxedLatency::bracket_with_knees`] gives the two
+//! consecutive counts bracketing a fractional head count, which under
+//! the knee it reads off one Erlang recurrence.
 
 use crate::error::{percentile, positive, Error, Result};
 use crate::mdc;
@@ -158,7 +159,8 @@ impl RelaxedLatency {
         // A `k`, `p` or `lambda` the estimator rejects is rejected by
         // the range too, with the same error and before it writes.
         if !lo.is_zero() && self.below_knee(p, lambda, lo.get()) {
-            let mut pair = [0.0; 2];
+            // A count the range leaves unwritten waits nowhere: it is `p`.
+            let mut pair = [p; 2];
             mdc::latency_percentile_range_into(k, p, lambda, lo, &mut pair)?;
             return Ok(pair);
         }
@@ -196,7 +198,7 @@ impl RelaxedLatency {
     /// `lambda` is past the knee at. Utilization falls as servers are
     /// added, so those are exactly the counts `1..=knee_count`, and the
     /// only ones whose knee latency [`RelaxedLatency::latency`] and
-    /// [`RelaxedLatency::latency_sweep`] read; a smaller rate never has
+    /// [`RelaxedLatency::row_into`] read; a smaller rate never has
     /// a larger count. About `lambda * p / rho_max`, capped at
     /// `max_servers` — so a caller that tabulates
     /// [`RelaxedLatency::knee_latencies`] (one recurrence of length `n`
@@ -234,50 +236,62 @@ impl RelaxedLatency {
     /// arrival rate: entry `n - 1` equals
     /// `self.latency(k, p, lambda, n)` bit-for-bit. `knees` must come
     /// from [`RelaxedLatency::knee_latencies`] with the same `k`/`p`.
-    ///
-    /// Below the knee the values come from one shared
-    /// [`mdc::latency_percentile_sweep`] (a single Erlang recurrence
-    /// pass); past the knee the precomputed knee latency is scaled by
-    /// the queue growth rate, exactly as the direct path does.
+    /// The row of [`RelaxedLatency::row_into`], its tail filled with
+    /// `p`.
     ///
     /// # Errors
     ///
-    /// Same domain errors as [`RelaxedLatency::latency`].
+    /// Those of [`RelaxedLatency::row_into`].
     pub fn latency_sweep(&self, k: f64, p: f64, lambda: f64, knees: &[f64]) -> Result<Vec<f64>> {
-        let _ = percentile(k)?;
-        let _ = positive("p", p)?;
-        let lambda = crate::error::non_negative("lambda", lambda)?;
-        let max_servers = ReplicaCount::new(u32::try_from(knees.len()).unwrap_or(u32::MAX));
-        if max_servers.is_zero() {
-            return Err(Error::ZeroReplicas);
-        }
-        let below_knee = mdc::latency_percentile_sweep(k, p, lambda, max_servers)?;
-        let mut out = Vec::with_capacity(knees.len());
-        for n in 1..=max_servers.get() {
-            if self.below_knee(p, lambda, n) {
-                out.push(below_knee[(n - 1) as usize]);
-            } else {
-                out.push(self.past_knee(p, lambda, n, knees[(n - 1) as usize]));
-            }
-        }
+        let mut out = vec![0.0; knees.len()];
+        let stored = self.row_into(k, p, lambda, knees, &mut out)?;
+        out[stored..].fill(p);
         Ok(out)
     }
 
-    /// The estimate past the knee at the counts `1..=out.len()`, into a
-    /// caller-owned row: `out[n - 1]` is `knees[n - 1]` scaled by how
-    /// fast the queue grows at `n` servers, with no M/D/c recurrence.
-    /// At the counts `lambda` is past the knee at — the first
-    /// [`RelaxedLatency::knee_count`] — that is what
-    /// [`RelaxedLatency::latency`] answers, bit for bit, for a `p` and
-    /// `lambda` it accepts and `knees` from
-    /// [`RelaxedLatency::knee_latencies`] with the same `k`/`p`; at a
-    /// count under the knee it is not the estimate. `knees` and `out`
-    /// have one length.
-    pub fn past_knee_into(&self, p: f64, lambda: f64, knees: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(knees.len(), out.len());
+    /// The relaxed row at rate `lambda` over the counts `1..=out.len()`,
+    /// into a caller-owned row, as far as it differs from `p`: returns
+    /// a length `len` such that `out[n - 1]` equals
+    /// `self.latency(k, p, lambda, n)` bit for bit at every `n <= len`,
+    /// and the estimate at every count past it is exactly `p`, left
+    /// unwritten in `out`.
+    ///
+    /// The M/D/c row ([`mdc::latency_percentile_range_into`]) is
+    /// written up to its first zero-wait count. Then the first
+    /// [`RelaxedLatency::knee_count`] counts, those `lambda` is past the
+    /// knee at, are written over it in place: `knees[n - 1]` scaled by
+    /// how fast the queue grows at `n` servers, with no recurrence.
+    /// `len` is the larger of the two. `knees` must come from
+    /// [`RelaxedLatency::knee_latencies`] with the same `k`/`p`, and
+    /// reach at least the knee count; entries past it are not read.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`mdc::latency_percentile_range_into`] from one server,
+    /// which leave `out` untouched. A `knees` shorter than the knee
+    /// count is [`Error::InvalidParameter`] (`knees`, its length), with
+    /// `out` holding nothing of use.
+    pub fn row_into(
+        &self,
+        k: f64,
+        p: f64,
+        lambda: f64,
+        knees: &[f64],
+        out: &mut [f64],
+    ) -> Result<usize> {
+        let waiting = mdc::latency_percentile_range_into(k, p, lambda, ReplicaCount::ONE, out)?;
+        // The range refuses a row past `u32::MAX` counts.
+        let past_knee = self.knee_count(p, lambda, ReplicaCount::new(out.len() as u32)) as usize;
+        let Some(knees) = knees.get(..past_knee) else {
+            return Err(Error::InvalidParameter {
+                name: "knees",
+                value: knees.len() as f64,
+            });
+        };
         for (n, (out, &knee)) in (1..).zip(out.iter_mut().zip(knees)) {
             *out = self.past_knee(p, lambda, n, knee);
         }
+        Ok(waiting.max(past_knee))
     }
 
     /// Relaxed latency with a *fractional* replica count, for use inside
@@ -309,9 +323,30 @@ impl RelaxedLatency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mmc;
 
     fn rc(n: u32) -> ReplicaCount {
         ReplicaCount::new(n)
+    }
+
+    /// The M/D/c estimator's definition, which shares no code with its
+    /// walk: half the closed-form M/M/c waiting percentile plus `p`.
+    fn closed_form(k: f64, p: f64, lambda: f64, servers: ReplicaCount) -> Result<f64> {
+        Ok(0.5 * mmc::wait_percentile(k, p, lambda, servers)? + p)
+    }
+
+    /// The relaxed estimator's definition over the closed-form M/D/c
+    /// latency, for inputs it accepts: the latency itself at or under
+    /// the knee, and past it the knee's latency scaled by the rate over
+    /// the knee rate.
+    fn definition(est: &RelaxedLatency, k: f64, p: f64, lambda: f64, servers: u32) -> f64 {
+        let n = f64::from(servers);
+        if lambda * p / n <= est.rho_max() {
+            closed_form(k, p, lambda, rc(servers)).unwrap()
+        } else {
+            let knee_rate = est.rho_max() * n / p;
+            lambda / knee_rate * closed_form(k, p, knee_rate, rc(servers)).unwrap()
+        }
     }
 
     #[test]
@@ -319,8 +354,8 @@ mod tests {
         let est = RelaxedLatency::default();
         for lambda in [1.0, 10.0, 20.0] {
             let relaxed = est.latency(0.99, 0.15, lambda, rc(8)).unwrap();
-            let exact = mdc::latency_percentile(0.99, 0.15, lambda, rc(8)).unwrap();
-            assert_eq!(relaxed, exact);
+            let exact = closed_form(0.99, 0.15, lambda, rc(8)).unwrap();
+            assert_eq!(relaxed.to_bits(), exact.to_bits());
         }
     }
 
@@ -358,7 +393,8 @@ mod tests {
 
     proptest::proptest! {
         /// The relaxed sweep (shared Erlang pass + knee scaling) must
-        /// match per-server-count direct calls bit-for-bit.
+        /// match the estimator's definition at every server count
+        /// bit-for-bit.
         #[test]
         fn relaxed_sweep_matches_direct_calls_bitwise(
             lambda in 0.0f64..500.0,
@@ -370,7 +406,7 @@ mod tests {
             let knees = est.knee_latencies(k, p, rc(max)).unwrap();
             let sweep = est.latency_sweep(k, p, lambda, &knees).unwrap();
             for n in 1..=max {
-                let direct = est.latency(k, p, lambda, rc(n)).unwrap();
+                let direct = definition(&est, k, p, lambda, n);
                 let got = sweep[(n - 1) as usize];
                 proptest::prop_assert_eq!(
                     got.to_bits(),
@@ -387,13 +423,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 24 }))]
 
-        /// `knee_count` knee latencies are all a full-length row reads:
-        /// the plain M/D/c sweep with that prefix's head written in
-        /// place is the sweep over `max` knee latencies, bit for bit,
+        /// A row built from `knee_count` knee latencies is `latency` and
+        /// the estimator's definition at every count up to the length it
+        /// returns, bit for bit, is `p` past it, and is unwritten there,
         /// from idle through the knee to past saturation (`load` is the
-        /// utilization at `max`).
+        /// utilization at `max`). One knee latency fewer is refused.
         #[test]
-        fn knee_prefix_then_mdc_sweep_matches_full_sweep_bitwise(
+        fn a_knee_prefix_row_is_latency_at_every_count(
             load in 0.0f64..1.6,
             p in 0.01f64..0.5,
             k in 0.5f64..0.9999,
@@ -402,20 +438,35 @@ mod tests {
         ) {
             let est = RelaxedLatency::default();
             let lambda = if idle == 0 { 0.0 } else { load * f64::from(max) / p };
-            let full_knees = est.knee_latencies(k, p, rc(max)).unwrap();
-            let full = est.latency_sweep(k, p, lambda, &full_knees).unwrap();
             let past = est.knee_count(p, lambda, rc(max)) as usize;
-            let mut row = mdc::latency_percentile_sweep(k, p, lambda, rc(max)).unwrap();
-            est.past_knee_into(p, lambda, &full_knees[..past], &mut row[..past]);
-            for (n, (got, want)) in row.iter().zip(&full).enumerate() {
+            let knees = if past == 0 {
+                Vec::new()
+            } else {
+                est.knee_latencies(k, p, rc(past as u32)).unwrap()
+            };
+            let mut row = vec![f64::NAN; max as usize];
+            let len = est.row_into(k, p, lambda, &knees, &mut row).unwrap();
+            proptest::prop_assert!(len >= past && len <= row.len());
+            proptest::prop_assert!(row[len..].iter().all(|l| l.is_nan()), "wrote past {}", len);
+            for n in 1..=max {
+                let got = if n as usize <= len { row[n as usize - 1] } else { p };
+                let want = definition(&est, k, p, lambda, n);
+                let latency = est.latency(k, p, lambda, rc(n)).unwrap();
                 proptest::prop_assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "n={} of {} lambda={} past={}",
-                    n + 1,
+                    (got.to_bits(), latency.to_bits()),
+                    (want.to_bits(), want.to_bits()),
+                    "n={} of {} lambda={} past={} len={}",
+                    n,
                     max,
                     lambda,
-                    past
+                    past,
+                    len
+                );
+            }
+            if let Some(short) = knees.len().checked_sub(1) {
+                proptest::prop_assert_eq!(
+                    est.row_into(k, p, lambda, &knees[..short], &mut row),
+                    Err(Error::InvalidParameter { name: "knees", value: short as f64 })
                 );
             }
         }
@@ -453,7 +504,7 @@ mod tests {
             };
             let n = f64::from(servers);
             let lambda_knee = est.rho_max() * n / p;
-            let knee_latency = mdc::latency_percentile(k, p, lambda_knee, rc(servers));
+            let knee_latency = closed_form(k, p, lambda_knee, rc(servers));
             let mut rates: Vec<f64> = loads.iter().map(|load| load * n / p).collect();
             rates.extend([0.0, f64::NAN, f64::INFINITY, -1.0]);
             let mut knee = None;
@@ -472,7 +523,7 @@ mod tests {
                     continue;
                 };
                 if lambda * p / n <= est.rho_max() {
-                    let plain = mdc::latency_percentile(k, p, lambda, rc(servers));
+                    let plain = closed_form(k, p, lambda, rc(servers));
                     proptest::prop_assert_eq!(Ok(got.to_bits()), bits(plain));
                     proptest::prop_assert_eq!(knee, held, "a call under the knee moved it");
                 } else {

@@ -8,9 +8,12 @@ prints for every end-to-end metric of BENCHMARK.json the median and
 quartiles of each side, the ratio of the medians (change / parent), the
 pairs the change won in the metric's direction, whether every change run
 reads better than every parent run (`sep`: the runs separate, which
-settles a metric whose run-to-run spread is wider than its bound), and
-whether the change's median is inside the metric's bound. It also prints
-every run's digest line.
+settles a metric whose run-to-run spread is wider than its bound),
+whether the change's median is inside the metric's bound, and `wide`
+when the change's interquartile distance exceeds the bound times the
+parent's median and the runs do not separate: the width a regression
+check compares, so such a metric can be refused on noise alone. It also
+prints every run's digest line.
 
 Beside the table it prints, ungated, each side's minor page faults and
 system seconds per run (`getrusage(RUSAGE_CHILDREN)` deltas around each
@@ -127,7 +130,7 @@ def main():
           f" {spec['run_seconds']} s"
           + (f", pinned to CPU {args.cpu}" if args.cpu is not None else ""))
     print(f"{'metric':<18} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36}"
-          f" {'ratio':>6} {'won':>5} {'sep':>3}  bound")
+          f" {'ratio':>6} {'won':>5} {'sep':>3} {'wide':>4}  bound")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         base, new = values["parent"][name], values["change"][name]
@@ -137,10 +140,13 @@ def main():
         ratio = statistics.median(new) / median if median else float("nan")
         won = sum((n < b) if lower else (n > b) for b, n in zip(base, new))
         sep = max(new) < min(base) if lower else min(new) > max(base)
+        q1, _, q3 = quartiles(new)
+        wide = q3 - q1 > m["bound"] * median and not sep
         worse = (ratio - 1.0) if lower else (1.0 - ratio)
         verdict = "ok" if worse <= m["bound"] else f"OUTSIDE {m['bound']:.0%}"
         print(f"{name:<18} {spread(base):>36} {spread(new):>36} {ratio:>6.3f}"
-              f" {won:>2}/{len(base):<2} {'yes' if sep else 'no':>3}  {verdict}")
+              f" {won:>2}/{len(base):<2} {'yes' if sep else 'no':>3}"
+              f" {'wide' if wide else '-':>4}  {verdict}")
     print("\nper run, not gated (getrusage of the children)")
     for label, at, fmt in [("minor_faults", 0, ".0f"), ("system_s", 1, ".3f")]:
         base = [u[at] for u in usages["parent"]]
