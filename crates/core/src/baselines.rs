@@ -302,8 +302,8 @@ mod tests {
 
     /// Mark plans with the processing time Faro plans with. A lost one
     /// (NaN, which is also what a `null` on the wire parses to) is the
-    /// spec's, and a zero or negative one is floored at a microsecond:
-    /// none sizes the job to the whole quota. Only a target the quota
+    /// spec's, and so is a zero or negative one: each sizes the job as
+    /// the spec's 180 ms does, none to the whole quota. Only a target the quota
     /// cannot meet takes the quota; an input the estimator refuses
     /// keeps the job's target.
     #[test]
@@ -328,8 +328,8 @@ mod tests {
         assert!(parsed.mean_processing_time.is_nan());
         assert_eq!(decide(parsed), 8);
         for p in [0.0, -0.1] {
-            assert_eq!(planned_processing_time(&with_p(p)), 1e-6);
-            assert_eq!(decide(with_p(p)), 1, "p={p}");
+            assert_eq!(planned_processing_time(&with_p(p)), 0.180);
+            assert_eq!(decide(with_p(p)), 8, "p={p}");
         }
         // 800 req/s at 180 ms is 144 busy replicas: the quota, all of it.
         assert_eq!(decide(obs(48_000.0, 5, 0.1)), 64);

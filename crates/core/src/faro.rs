@@ -509,6 +509,25 @@ mod tests {
         o
     }
 
+    /// Faro plans a zero or negative observed processing time at the
+    /// spec's, as it plans a lost one, not at a microsecond that would
+    /// size the job to one replica.
+    #[test]
+    fn a_non_positive_processing_time_is_planned_at_the_spec() {
+        let decide = |p: f64| {
+            let o = JobObservation {
+                mean_processing_time: p,
+                ..obs(2400.0, 1, 0.1)
+            };
+            t0(&faro(ClusterObjective::Sum, 1).decide(&snapshot(0.0, 64, vec![o])))
+        };
+        let spec = decide(0.180);
+        assert!(spec >= 8, "40 req/s at 180 ms: {spec}");
+        for p in [f64::NAN, 0.0, -0.1] {
+            assert_eq!(decide(p), spec, "p={p}");
+        }
+    }
+
     #[test]
     fn name_is_the_objectives() {
         assert_eq!(faro(ClusterObjective::Sum, 1).name(), "Faro-Sum");

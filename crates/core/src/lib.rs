@@ -15,7 +15,8 @@
 //! - [`hierarchical`]: the grouped solve for large job counts (Sec. 3.4).
 //! - [`sharded`]: the one organization of a long-term solve — the whole
 //!   problem on one shard, else deterministic partitioning, a quota
-//!   split, shard solves in shard order and dirty tracking.
+//!   split, concurrent shard solves merged in shard order and dirty
+//!   tracking.
 //! - [`predictor`]: arrival-rate predictor adapters over
 //!   [`faro_forecast`] (Sec. 3.5).
 //! - [`faro`]: the staged hybrid autoscaler (Sec. 4).

@@ -41,14 +41,17 @@
 //! every zero-drop read inside the quota, and each job's last few
 //! utilities.
 //! The tables' entry budget, their distinct-rate rows and their flat
-//! layout are decided here: a row stores only its prefix up to its
-//! first zero-wait count, the prefixes go back to back, and every count
-//! past a prefix reads as the service time. On every other read, and on
+//! layout are decided here: a job's step rates are deduplicated on their
+//! bits in one open-addressed table, linear in the job's steps, with
+//! rows in order of first appearance; a row stores only its prefix up to
+//! its first zero-wait count, the prefixes go back to back, and every
+//! count past a prefix reads as the service time. A sharded round builds
+//! its dirty shards' problems, and so their tables, concurrently, one
+//! problem to a thread. On every other read, and on
 //! every read at C ≥ 2 (where `p_eff` moves continuously with the mix,
 //! so there is no axis to tabulate), the evaluator asks the estimator
 //! at `(p_eff, x)`.
 
-use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use crate::error::{Error, Result};
@@ -110,6 +113,73 @@ impl LatencyTables {
             steps: &self.steps[i],
             width: self.quota,
         }
+    }
+}
+
+/// One job's distinct step rates at a time, keyed on their bits: an
+/// open-addressed table with linear probing, allocated once per table
+/// build for its longest job and cleared for each job, so a job's
+/// dedup is linear in its steps. Sampled step rates rarely repeat (a
+/// forecast's sigma is floored above zero), so nearly every step
+/// inserts.
+struct RateIndex {
+    /// `(rate bits, row id)`; an id of [`RateIndex::FREE`] marks a free
+    /// slot.
+    slots: Vec<(u64, u32)>,
+}
+
+impl RateIndex {
+    const FREE: u32 = u32::MAX;
+
+    /// An index for jobs of up to `steps` steps.
+    fn for_steps(steps: usize) -> Self {
+        Self {
+            slots: vec![(0, Self::FREE); Self::slots_for(steps)],
+        }
+    }
+
+    /// Slots for `steps` keys: a power of two at least twice the keys,
+    /// so the table is at most half full and every probe ends.
+    fn slots_for(steps: usize) -> usize {
+        (2 * steps).next_power_of_two().max(2)
+    }
+
+    /// `job`'s distinct step rates, clamped at zero as the evaluator
+    /// clamps them, in order of first appearance, and one row id per
+    /// step in [`JobWorkload::rates`] order.
+    fn dedup(&mut self, job: &JobWorkload) -> (Vec<f64>, Vec<u32>) {
+        let steps = job.n_steps();
+        let len = Self::slots_for(steps);
+        let slots = &mut self.slots[..len];
+        slots.fill((0, Self::FREE));
+        let shift = 64 - len.trailing_zeros();
+        // Sampled rates rarely repeat: room for every step is about the
+        // room the rates take.
+        let mut rates: Vec<f64> = Vec::with_capacity(steps);
+        let mut step_rows: Vec<u32> = Vec::with_capacity(steps);
+        for raw in job.rates() {
+            let lambda = raw.max(0.0); // Same clamp as the evaluator.
+            let key = lambda.to_bits();
+            // Fibonacci hashing of the folded bits: the top bits of the
+            // product depend on every bit of the key.
+            let hash = (key ^ (key >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut at = (hash >> shift) as usize;
+            let id = loop {
+                let (bits, id) = slots[at];
+                if id == Self::FREE {
+                    let id = rates.len() as u32;
+                    slots[at] = (key, id);
+                    rates.push(lambda);
+                    break id;
+                }
+                if bits == key {
+                    break id;
+                }
+                at = (at + 1) & (len - 1);
+            };
+            step_rows.push(id);
+        }
+        (rates, step_rows)
     }
 }
 
@@ -216,10 +286,14 @@ impl JobWorkload {
         self.lambda_trajectories.iter().flatten().copied()
     }
 
+    /// How many trajectory steps the job has, over every trajectory.
+    pub(crate) fn n_steps(&self) -> usize {
+        self.lambda_trajectories.iter().map(Vec::len).sum()
+    }
+
     /// The mean rate over every trajectory step.
     pub(crate) fn mean_rate(&self) -> f64 {
-        let steps = self.lambda_trajectories.iter().map(Vec::len).sum::<usize>();
-        self.rates().sum::<f64>() / steps.max(1) as f64
+        self.rates().sum::<f64>() / self.n_steps().max(1) as f64
     }
 
     /// A workload with a single constant-rate trajectory.
@@ -453,22 +527,13 @@ impl MultiTenantProblem {
         // load saturates, so it waits. A bound past the budget refuses
         // before any row is filled; the stored total would pass it too.
         let mut at_least = 0usize;
+        let most = self.jobs.iter().map(JobWorkload::n_steps).max();
+        let mut index = RateIndex::for_steps(most.unwrap_or(0));
         let distinct: Vec<(Vec<f64>, Vec<u32>)> = self
             .jobs
             .iter()
             .map(|job| {
-                let mut by_rate: BTreeMap<u64, u32> = BTreeMap::new();
-                let mut rates: Vec<f64> = Vec::new();
-                let step_rows: Vec<u32> = job
-                    .rates()
-                    .map(|raw| {
-                        let lambda = raw.max(0.0); // Same clamp as the evaluator.
-                        *by_rate.entry(lambda.to_bits()).or_insert_with(|| {
-                            rates.push(lambda);
-                            (rates.len() - 1) as u32
-                        })
-                    })
-                    .collect();
+                let (rates, step_rows) = index.dedup(job);
                 let p = job.processing_time;
                 at_least += rates
                     .iter()
@@ -1968,5 +2033,140 @@ mod tests {
                 .unwrap_or(33)
         };
         assert!(first_full(&mdc_p) < first_full(&ub_p));
+    }
+
+    /// The dedup the table build ran before [`RateIndex`]: one ordered
+    /// map per job, keyed on the clamped rate's bits.
+    fn btree_dedup(job: &JobWorkload) -> (Vec<f64>, Vec<u32>) {
+        let mut by_rate: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
+        let mut rates: Vec<f64> = Vec::new();
+        let step_rows = job
+            .rates()
+            .map(|raw| {
+                let lambda = raw.max(0.0);
+                *by_rate.entry(lambda.to_bits()).or_insert_with(|| {
+                    rates.push(lambda);
+                    (rates.len() - 1) as u32
+                })
+            })
+            .collect();
+        (rates, step_rows)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        /// One index, reused job after job, finds each job's distinct
+        /// rates and step rows as a fresh ordered map does: repeats,
+        /// signed zeros, negatives, NaN and infinities, over
+        /// trajectories of unequal (and zero) length.
+        #[test]
+        fn rate_index_dedups_as_an_ordered_map_does(
+            picks in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(
+                    proptest::prop::collection::vec((0usize..16, -5.0f64..300.0), 0..24),
+                    0..4,
+                ),
+                1..5,
+            ),
+        ) {
+            const SPECIAL: [f64; 10] = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                0.0,
+                -3.5,
+                1.5,
+                1.5 + f64::EPSILON,
+                7.25,
+                300.0,
+            ];
+            let jobs: Vec<JobWorkload> = picks
+                .into_iter()
+                .map(|trajectories| JobWorkload {
+                    lambda_trajectories: trajectories
+                        .into_iter()
+                        .map(|steps| {
+                            let rate = |(pick, x): (usize, f64)| SPECIAL.get(pick).copied().unwrap_or(x);
+                            steps.into_iter().map(rate).collect()
+                        })
+                        .collect(),
+                    ..JobWorkload::constant(0.0, 0.180, slo(), 1.0)
+                })
+                .collect();
+            let most = jobs.iter().map(JobWorkload::n_steps).max().unwrap_or(0);
+            let mut index = RateIndex::for_steps(most);
+            for job in &jobs {
+                let (rates, step_rows) = index.dedup(job);
+                let (want_rates, want_rows) = btree_dedup(job);
+                proptest::prop_assert_eq!(bits(&rates), bits(&want_rates));
+                proptest::prop_assert_eq!(step_rows, want_rows);
+            }
+        }
+    }
+
+    /// A paper-shaped problem's tables (ten jobs of sixteen sampled
+    /// 15-step trajectories, half of them on a coarse grid so rates
+    /// repeat) are, entry for entry, the tables the ordered-map dedup
+    /// fills.
+    #[test]
+    fn paper_shaped_tables_are_the_ordered_map_tables() {
+        let mut rng = crate::rng::SplitMix64::new(11);
+        let jobs: Vec<JobWorkload> = (0..10)
+            .map(|j| {
+                let level = 2.0 + 6.0 * f64::from(j);
+                let trajectories = (0..16)
+                    .map(|_| {
+                        (0..15)
+                            .map(|_| {
+                                let rate = level * (0.7 + 0.6 * rng.fraction());
+                                if j % 2 == 0 {
+                                    (rate * 4.0).round() / 4.0
+                                } else {
+                                    rate
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                JobWorkload {
+                    lambda_trajectories: trajectories,
+                    ..JobWorkload::constant(0.0, 0.180, slo(), 1.0)
+                }
+            })
+            .collect();
+        for fidelity in [Fidelity::Precise, Fidelity::Relaxed] {
+            let p = MultiTenantProblem::new(
+                jobs.clone(),
+                ResourceModel::replicas(ReplicaCount::new(64)),
+                ClusterObjective::Sum,
+                fidelity,
+            )
+            .unwrap();
+            let got = p.tables().expect("inside the budget");
+            let quota = p.resources.replica_quota();
+            let mut scratch = vec![0.0; got.quota];
+            assert_eq!(got.quota, 64);
+            for (i, job) in p.jobs().iter().enumerate() {
+                let (rates, steps) = btree_dedup(job);
+                let knees = p.model.knee_prefix(job, quota);
+                let (mut stored, mut starts) = (Vec::new(), vec![0u32]);
+                for &lambda in &rates {
+                    let (k, t) = (job.slo.percentile, job.processing_time);
+                    let len = p.model.fill_latency_row(k, t, lambda, &mut scratch, &knees);
+                    stored.extend_from_slice(&scratch[..len]);
+                    starts.push(stored.len() as u32);
+                }
+                if i % 2 == 0 {
+                    assert!(rates.len() < job.n_steps(), "job {i} repeats rates");
+                }
+                assert_eq!(bits(&got.stored[i]), bits(&stored), "{fidelity:?} job {i}");
+                assert_eq!(got.starts[i], starts, "{fidelity:?} job {i}");
+                assert_eq!(got.steps[i], steps, "{fidelity:?} job {i}");
+            }
+        }
     }
 }

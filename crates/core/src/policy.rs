@@ -148,12 +148,14 @@ pub fn carry(current: &mut Vec<JobDecision>, snapshot: &ClusterSnapshot) -> bool
 }
 
 /// The per-request processing time a policy plans `obs`'s job with:
-/// the observed mean where it is finite, the spec's where it is not (a
-/// lost scrape, or a `null` on the wire), and never under a
+/// the observed mean where it is finite and positive, the spec's where
+/// it is not (a lost scrape, a `null` on the wire, or a zero or
+/// negative mean no request can have taken), and never under a
 /// microsecond.
 pub fn planned_processing_time(obs: &JobObservation) -> f64 {
-    let p = if obs.mean_processing_time.is_finite() {
-        obs.mean_processing_time
+    let p = obs.mean_processing_time;
+    let p = if p.is_finite() && p > 0.0 {
+        p
     } else {
         obs.spec.processing_time
     };

@@ -21,9 +21,13 @@
 //!    replica budget. Budgets are integerized by largest remainder with
 //!    a one-replica-per-member floor, summing exactly to the quota.
 //! 3. **Independent shard solves** — each shard solves its members
-//!    against its own budget with a per-shard child seed, in ascending
-//!    shard index on the calling thread, so every sum over shards runs
-//!    in one fixed order.
+//!    against its own budget with a per-shard child seed. The dirty
+//!    shards solve concurrently, on as many scoped threads as
+//!    [`std::thread::available_parallelism`] reported when the solver
+//!    was built (the calling thread among them), and their answers
+//!    merge in ascending shard index, so every sum over shards runs in
+//!    one fixed order and no byte depends on the thread count. The
+//!    lowest-index failure is the round's.
 //! 4. **Incremental re-solves** — each solved job's workload signature
 //!    (mean predicted rate, processing time, SLO, priority) is cached;
 //!    a shard re-enters the solver only when a member's rate or
@@ -50,6 +54,7 @@ use crate::rng::SplitMix64;
 use crate::types::{ClassAlloc, ReplicaClass, ResourceModel, Slo};
 use crate::units::ReplicaCount;
 use faro_solver::Solver;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Relative change in a job's mean predicted rate or processing time
 /// that marks its shard dirty. SLO or priority changes always do.
@@ -314,6 +319,46 @@ fn solve_flat_or_grouped(
     })
 }
 
+/// `work` on every item on up to `workers` scoped threads, the calling
+/// thread among them, each taking the next item as it comes free; the
+/// answers come back in item order, whichever thread computed them.
+fn on_workers<I: Sync, T: Send>(
+    items: &[I],
+    workers: usize,
+    work: impl Fn(&I) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            // Only the index is shared: each answer travels back with it.
+            let at = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(at) else {
+                return done;
+            };
+            done.push((at, work(item)));
+        }
+    };
+    let mut answers: Vec<Option<T>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(items.len()))
+            .map(|_| scope.spawn(drain))
+            .collect();
+        let mine = drain();
+        let theirs = helpers.into_iter().flat_map(|h| {
+            h.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        for (at, answer) in mine.into_iter().chain(theirs) {
+            answers[at] = Some(answer);
+        }
+    });
+    answers
+        .into_iter()
+        .map(|answer| answer.expect("every item was taken"))
+        .collect()
+}
+
 /// A partition and what was solved on it: the state a sharded round
 /// reads and, once every shard it solves has succeeded, commits.
 #[derive(Debug, Default)]
@@ -423,6 +468,10 @@ impl Partition {
 pub struct ShardedSolver {
     cfg: ShardConfig,
     seed: u64,
+    /// Threads a round's dirty shards solve on, the calling thread
+    /// among them: the machine's width. No byte of a round depends on
+    /// it.
+    workers: usize,
     /// The last successful sharded round's partition and caches.
     part: Partition,
 }
@@ -434,6 +483,7 @@ impl ShardedSolver {
         Self {
             cfg,
             seed,
+            workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             part: Partition::default(),
         }
     }
@@ -441,8 +491,8 @@ impl ShardedSolver {
     /// One long-term round under the paper's default model, with
     /// stage-3 shrinking on, of the problem these arguments build: the
     /// whole problem on one shard, else partition (if stale),
-    /// dirty-check, split, solve the dirty shards in shard order, commit
-    /// and merge. A one-shard round's record is all zero.
+    /// dirty-check, split, solve the dirty shards concurrently, commit
+    /// and merge in shard order. A one-shard round's record is all zero.
     ///
     /// # Errors
     ///
@@ -480,7 +530,7 @@ impl ShardedSolver {
     /// One long-term round of `problem`, shrinking flat solves when
     /// `use_shrinking` says so. One shard solves the whole problem; more
     /// partition (if stale), dirty-check, split, solve the dirty shards
-    /// in shard order, commit and merge.
+    /// concurrently, commit and merge in shard order.
     ///
     /// # Errors
     ///
@@ -549,36 +599,38 @@ impl ShardedSolver {
 
         // A clean shard still re-solves when its new budget no longer
         // covers the cached allocation (the merged total must respect
-        // the quota). Solves run in ascending shard index; the first
-        // failure returns before anything is committed.
+        // the quota). Shards solve concurrently and come back in
+        // ascending shard index; the lowest-index failure returns
+        // before anything is committed.
         let covers =
             |c: &Solved, budget: u32| c.allocs.iter().map(ClassAlloc::total).sum::<u32>() <= budget;
-        let solved_new = (0..s)
+        let todo: Vec<usize> = (0..s)
             .filter(|&shard| {
                 dirty[shard]
                     || part.caches[shard]
                         .as_ref()
                         .is_none_or(|c| !covers(c, budgets[shard]))
             })
-            .map(|shard| {
-                let members = &part.members[shard];
-                let sub_jobs = members.iter().map(|&i| jobs[i].clone()).collect();
-                let sub_current: Vec<u32> = members
-                    .iter()
-                    .map(|&i| current.get(i).copied().unwrap_or(1))
-                    .collect();
-                let sub = MultiTenantProblem::with_model(
-                    sub_jobs,
-                    sub_resources_for_budget(resources, budgets[shard]),
-                    problem.objective(),
-                    problem.model(),
-                )?;
-                let seed = SplitMix64::child_seed(seed, shard as u64);
-                let r =
-                    solve_flat_or_grouped(&sub, solver, &sub_current, use_shrinking, groups, seed)?;
-                Ok((shard, r))
-            })
-            .collect::<Result<Vec<(usize, Solved)>>>()?;
+            .collect();
+        let solved_new = on_workers(&todo, self.workers, |&shard| {
+            let members = &part.members[shard];
+            let sub_jobs = members.iter().map(|&i| jobs[i].clone()).collect();
+            let sub_current: Vec<u32> = members
+                .iter()
+                .map(|&i| current.get(i).copied().unwrap_or(1))
+                .collect();
+            let sub = MultiTenantProblem::with_model(
+                sub_jobs,
+                sub_resources_for_budget(resources, budgets[shard]),
+                problem.objective(),
+                problem.model(),
+            )?;
+            let seed = SplitMix64::child_seed(seed, shard as u64);
+            let r = solve_flat_or_grouped(&sub, solver, &sub_current, use_shrinking, groups, seed)?;
+            Ok((shard, r))
+        })
+        .into_iter()
+        .collect::<Result<Vec<(usize, Solved)>>>()?;
 
         // Commit: a rebuilt partition, the budgets, and the solved
         // shards' signatures and caches.
@@ -864,10 +916,20 @@ mod tests {
     }
 
     /// Cobyla, except that its `fail_at`-th call (counting from 1) fails
-    /// as a NaN objective at the start point would.
+    /// as a NaN objective at the start point would; a `fail_at` of 0
+    /// never fails, and counts the calls.
     struct FailingCall {
-        calls: std::cell::Cell<usize>,
+        calls: AtomicUsize,
         fail_at: usize,
+    }
+
+    impl FailingCall {
+        fn at(fail_at: usize) -> Self {
+            Self {
+                calls: AtomicUsize::new(0),
+                fail_at,
+            }
+        }
     }
 
     impl Solver for FailingCall {
@@ -876,18 +938,19 @@ mod tests {
             problem: &(dyn faro_solver::Problem + Sync),
             x0: &[f64],
         ) -> faro_solver::Result<faro_solver::Solution> {
-            self.calls.set(self.calls.get() + 1);
-            if self.calls.get() == self.fail_at {
+            // Which call fails is all the count decides: no other memory
+            // is published through it.
+            if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.fail_at {
                 return Err(faro_solver::Error::NanObjective);
             }
             Cobyla::fast().solve(problem, x0)
         }
     }
 
-    /// A round that fails part-way commits nothing: its retry is, byte
-    /// for byte, the round of a solver that never failed. Quota 70 after
-    /// 120 rebuilds the partition, and the failing call is the third
-    /// shard's solve, after the split has set the budgets.
+    /// A round that fails part-way commits nothing, whichever of its
+    /// solver calls fails, the split's included: its retry is, byte for
+    /// byte, the round of a solver that never failed. Quota 70 after 120
+    /// rebuilds the partition, so every shard solves.
     #[test]
     fn a_failed_round_leaves_no_state_behind() {
         let js: Vec<JobWorkload> = (0..30u32)
@@ -903,15 +966,65 @@ mod tests {
         };
         let mut never_failed = ShardedSolver::new(ShardConfig::with_shards(5), 7);
         round(&mut never_failed, 120, &Cobyla::fast()).unwrap();
-        let want = round(&mut never_failed, 70, &Cobyla::fast()).unwrap();
-        let mut failed = ShardedSolver::new(ShardConfig::with_shards(5), 7);
-        round(&mut failed, 120, &Cobyla::fast()).unwrap();
-        let failing = FailingCall {
-            calls: std::cell::Cell::new(0),
-            fail_at: 4,
+        let counted = FailingCall::at(0);
+        let want = round(&mut never_failed, 70, &counted).unwrap();
+        let calls = counted.calls.into_inner();
+        assert_eq!(want.record.solved, 5);
+        assert!(calls > 5, "the split and every shard call the solver");
+        for fail_at in 1..=calls {
+            let mut failed = ShardedSolver::new(ShardConfig::with_shards(5), 7);
+            round(&mut failed, 120, &Cobyla::fast()).unwrap();
+            let failing = FailingCall::at(fail_at);
+            assert!(round(&mut failed, 70, &failing).is_err(), "call {fail_at}");
+            let retried = round(&mut failed, 70, &Cobyla::fast()).unwrap();
+            assert_eq!(
+                format!("{retried:?}"),
+                format!("{want:?}"),
+                "call {fail_at}"
+            );
+        }
+    }
+
+    /// How many workers solve a round's shards changes no byte of it: a
+    /// cold round, then a warm one with two dirty shards, a clean shard
+    /// re-solved because its new budget no longer covers its cached
+    /// allocation, and a clean shard served from its cache, each at one
+    /// worker and at three.
+    #[test]
+    fn the_worker_count_changes_no_byte() {
+        let js = jobs(12);
+        let mut moved = js.clone();
+        for j in [0, 1] {
+            moved[j].lambda_trajectories[0][0] *= 2.0;
+        }
+        let rounds = |workers: usize| {
+            let mut solver = ShardedSolver {
+                workers,
+                ..ShardedSolver::new(ShardConfig::with_shards(4), 7)
+            };
+            let out = [&js, &moved].map(|jobs| {
+                let problem = MultiTenantProblem::new(
+                    jobs.clone(),
+                    ResourceModel::replicas(ReplicaCount::new(20)),
+                    ClusterObjective::Sum,
+                    Fidelity::Relaxed,
+                )
+                .unwrap();
+                let round = solver
+                    .solve_problem(&problem, &Cobyla::fast(), &[1; 12], true)
+                    .unwrap();
+                let record = round.record.unwrap();
+                (
+                    format!("{:?} {record:?} {:?}", round.solved, round.spans),
+                    record,
+                )
+            });
+            let shard_of = |j: usize| solver.part.members.iter().position(|m| m.contains(&j));
+            assert_ne!(shard_of(0), shard_of(1), "two dirty shards");
+            out
         };
-        assert!(round(&mut failed, 70, &failing).is_err());
-        let retried = round(&mut failed, 70, &Cobyla::fast()).unwrap();
-        assert_eq!(format!("{retried:?}"), format!("{want:?}"));
+        let [(cold, _), (warm, record)] = rounds(1);
+        assert_eq!((record.solved, record.skipped), (3, 1), "{record:?}");
+        assert_eq!([cold, warm], rounds(3).map(|(debug, _)| debug));
     }
 }

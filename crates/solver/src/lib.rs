@@ -56,8 +56,11 @@ pub use problem::{BoxedProblem, Problem, Solution};
 /// Problems must be `Sync`: population-based solvers evaluate many
 /// candidates concurrently from borrowed scoped threads. Objective
 /// evaluation takes `&self`, so any interior caching a problem does
-/// must already be thread-safe.
-pub trait Solver {
+/// must already be thread-safe. Solvers must be `Sync` too: one solver
+/// serves independent solves on several threads at once (a sharded
+/// round's shards), so any state it keeps across calls must be
+/// thread-safe as well.
+pub trait Solver: Sync {
     /// Minimizes `problem` starting from `x0`.
     ///
     /// # Errors

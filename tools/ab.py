@@ -2,8 +2,11 @@
 """Same-machine A/B of two prebuilt `faro-benchmark` executables.
 
 Runs PAIRS alternating parent/change pairs (parent first in even pairs,
-change first in odd ones) on one workload and seed, optionally pinned to
-one CPU with `taskset`, for BENCHMARK.json's `run_seconds` each. It
+change first in odd ones) on each workload named, at one seed,
+optionally pinned to one CPU with `taskset`, for BENCHMARK.json's
+`run_seconds` each. `--workload` may be given more than once, or as
+`all` for every workload of BENCHMARK.json; the workloads run one after
+another, each with its own pairs and its own table. For each workload it
 prints for every end-to-end metric of BENCHMARK.json the median and
 quartiles of each side, the ratio of the medians (change / parent), the
 pairs the change won in the metric's direction, whether every change run
@@ -21,9 +24,9 @@ run, also on every run's line). Both repeat closely from run to run, so
 a side that moved them without moving its work moved its heap layout.
 
 Exits 1 if the two executables disagree on a digest, if any run reports
-`"correct": false` or exits non-zero, and 0 otherwise. If any run failed,
-no metric table is printed: the pairs would not be like for like. A
-metric outside
+`"correct": false` or exits non-zero, and 0 otherwise. If any run of a
+workload failed, no metric table is printed for it: the pairs would not
+be like for like. A metric outside
 its bound is printed, not failed: what counts as a regression is the
 reader's call. BENCHMARK.json is read, never written.
 
@@ -31,7 +34,8 @@ Usage (both executables built with `cargo build --release --offline
 --manifest-path benchmark/Cargo.toml` into separate target directories):
 
     python3 tools/ab.py --parent A/faro-benchmark --change B/faro-benchmark \\
-        --workload paper10-sim [--seed 1] [--pairs 10] [--cpu 1]
+        --workload paper10-sim [--workload hetero20-classed | --workload all] \\
+        [--seed 1] [--pairs 10] [--cpu 1]
 
 Python 3 standard library only.
 """
@@ -49,10 +53,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIGEST = re.compile(r"^(\S+): rounds_attempted (\d+) rounds_failed (\d+) digest (\S+)$")
 
 
-def run(exe, args, seconds):
+def run(exe, workload, args, seconds):
     """One benchmark run: (digest line fields, JSON report, exit code,
     (minor page faults, system seconds))."""
-    cmd = [str(exe), "--workload", args.workload, "--seed", str(args.seed),
+    cmd = [str(exe), "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", "0"]
     if args.cpu is not None:
         cmd = ["taskset", "-c", str(args.cpu)] + cmd
@@ -84,17 +88,9 @@ def spread(values, fmt=".4f"):
     return f"{q2:{fmt}} [{q1:{fmt}}, {q3:{fmt}}]"
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, type=pathlib.Path)
-    parser.add_argument("--change", required=True, type=pathlib.Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--cpu", type=int, help="pin every run to this CPU")
-    args = parser.parse_args()
-
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+def compare(workload, args, spec):
+    """Runs the pairs of one workload and prints its table; returns
+    whether every run succeeded and the digests agreed."""
     metrics = spec["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
@@ -105,7 +101,7 @@ def main():
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            digest, report, code, usage = run(sides[side], args, spec["run_seconds"])
+            digest, report, code, usage = run(sides[side], workload, args, spec["run_seconds"])
             usages[side].append(usage)
             label = " ".join(digest) if digest else "no digest line"
             print(f"pair {i + 1:>2} {side:<6} {label}"
@@ -123,10 +119,10 @@ def main():
         print("DIGEST MISMATCH:", sorted(digests["parent"] | digests["change"]))
         ok = False
     if not ok:
-        print("\nno metric table: a run failed or the digests differ")
-        return 1
+        print(f"\n{workload}: no metric table: a run failed or the digests differ\n")
+        return False
 
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of"
+    print(f"\n{workload} seed {args.seed}, {args.pairs} pairs of"
           f" {spec['run_seconds']} s"
           + (f", pinned to CPU {args.cpu}" if args.cpu is not None else ""))
     print(f"{'metric':<18} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36}"
@@ -154,7 +150,33 @@ def main():
         median = statistics.median(base)
         ratio = statistics.median(new) / median if median else float("nan")
         print(f"{label:<18} {spread(base, fmt):>36} {spread(new, fmt):>36} {ratio:>6.3f}")
-    return 0
+    print()
+    return True
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=pathlib.Path)
+    parser.add_argument("--change", required=True, type=pathlib.Path)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a BENCHMARK.json workload, or `all`; may repeat")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--cpu", type=int, help="pin every run to this CPU")
+    args = parser.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = []
+    for name in args.workload:
+        for workload in known if name == "all" else [name]:
+            if workload not in workloads:
+                workloads.append(workload)
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(known)}")
+    results = [compare(workload, args, spec) for workload in workloads]
+    return 0 if all(results) else 1
 
 
 if __name__ == "__main__":
