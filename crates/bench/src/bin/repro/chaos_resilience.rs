@@ -18,7 +18,6 @@ use faro_core::admission::OutageClamp;
 use faro_core::types::{ClusterSnapshot, DesiredState, JobDecision, JobSpec};
 use faro_core::Policy;
 use faro_sim::{JobSetup, SimConfig, Simulation};
-use serde::Serialize;
 
 /// Replica quota shared by the two ramp jobs.
 const QUOTA: u32 = 40;
@@ -26,7 +25,7 @@ const QUOTA: u32 = 40;
 const RATES: [f64; 5] = [0.0, 0.05, 0.10, 0.20, 0.30];
 
 /// One (failure-rate, retry-mode, seed-averaged) curve point.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct Row {
     apply_failure_rate: f64,
     retries_enabled: bool,
@@ -36,6 +35,21 @@ struct Row {
     apply_errors_mean: f64,
     apply_retries_mean: f64,
     failed_rounds_mean: f64,
+}
+
+impl serde::Serialize for Row {
+    fn serialize_json(&self, out: &mut String) {
+        serde::object!(out;
+            apply_failure_rate: self.apply_failure_rate,
+            retries_enabled: self.retries_enabled,
+            seeds: self.seeds,
+            slo_attainment_mean: self.slo_attainment_mean,
+            slo_attainment_min: self.slo_attainment_min,
+            apply_errors_mean: self.apply_errors_mean,
+            apply_retries_mean: self.apply_retries_mean,
+            failed_rounds_mean: self.failed_rounds_mean,
+        );
+    }
 }
 
 /// Ramps supply one replica per job every other round toward a

@@ -14,21 +14,6 @@ use faro_bench::prelude::*;
 use faro_sim::{
     ColdStartSpike, FaultPlan, MetricOutage, MetricOutageMode, NodeOutage, ReplicaCrashes,
 };
-use serde::Serialize;
-
-/// One (scenario, policy) row of the JSON report.
-#[derive(Debug, Serialize)]
-struct Row {
-    scenario: String,
-    policy: String,
-    lost_utility_mean: f64,
-    lost_utility_sd: f64,
-    violation_mean: f64,
-    effective_utility_mean: f64,
-    availability_mean: f64,
-    mean_time_to_recover_secs: f64, // faro-lint: allow(raw-time-arith): serialized wire format
-    crash_killed_total: u64,
-}
 
 fn scenarios(n_jobs: usize) -> Vec<(&'static str, FaultPlan)> {
     vec![
@@ -112,7 +97,8 @@ pub fn run() -> Run {
 
     let mut stdout = String::new();
     let mut text = String::new();
-    let mut rows: Vec<Row> = Vec::new();
+    // The JSON report: one object per (scenario, policy) row.
+    let mut json = String::from("[");
     let mut run = Run::default();
     // Faro's lost utility in the no-fault control.
     let mut control = None;
@@ -135,9 +121,12 @@ pub fn run() -> Run {
                 "{:<28} {:>12.4} {:>10.1} {:>12}\n",
                 r.policy, avail, ttr, killed
             );
-            rows.push(Row {
-                scenario: scenario.to_string(),
-                policy: r.policy.clone(),
+            if json.len() > 1 {
+                json.push(',');
+            }
+            serde::object!(&mut json;
+                scenario: scenario,
+                policy: r.policy,
                 lost_utility_mean: r.lost_utility_mean,
                 lost_utility_sd: r.lost_utility_sd,
                 violation_mean: r.violation_mean,
@@ -145,7 +134,7 @@ pub fn run() -> Run {
                 availability_mean: avail,
                 mean_time_to_recover_secs: ttr,
                 crash_killed_total: killed,
-            });
+            );
         }
         text.push('\n');
         stdout += &format!("=== Scenario: {scenario} ===\n{}\n", summarize(&results));
@@ -168,6 +157,6 @@ pub fn run() -> Run {
     }
 
     stdout += &format!("{text}\n");
-    let json = serde_json::to_string(&rows).expect("serialize rows");
+    json.push(']');
     run.print(stdout).file("txt", text).file("json", json)
 }

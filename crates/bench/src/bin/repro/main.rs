@@ -235,6 +235,7 @@ mod tests {
             "chaos_resilience",
             "faro_trace",
             "hetero_mixed",
+            "traces",
         ] {
             let row = ROWS.iter().find(|r| r.name == name).expect("registered");
             assert_eq!(execute(row, true), Vec::<String>::new(), "{name}");

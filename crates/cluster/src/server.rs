@@ -365,6 +365,33 @@ mod tests {
     }
 
     #[test]
+    fn a_seed_past_the_exact_integer_range_gets_a_400() {
+        let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");
+        let addr = server.addr();
+        let max = serde_json::MAX_EXACT_U64;
+        let plan =
+            post(addr, CHAOS_PATH, &format!("{{\"v\":1,\"seed\":{max}}}"), T).expect("an answer");
+        assert_eq!(plan.status, 200, "{}", plan.body);
+        let echo = ChaosConfig::from_json(&serde_json::from_str(&plan.body).expect("json"))
+            .expect("v1 chaos body");
+        assert_eq!(echo.seed, max, "the server seeded exactly the seed sent");
+        // 2^53, 2^53 + 1 (which parses to 2^53) and 2^64.
+        for seed in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            let body = format!("{{\"v\":1,\"seed\":{seed}}}");
+            let plan = post(addr, CHAOS_PATH, &body, T).expect("an answer");
+            assert_eq!(plan.status, 400, "{seed}: {}", plan.body);
+            let err = ErrorBody::from_json(&serde_json::from_str(&plan.body).expect("json"))
+                .expect("v1 error body");
+            assert!(!err.retryable, "the same body can never match");
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn a_latency_past_the_cap_gets_a_400_and_the_server_keeps_answering() {
         use crate::wire::MAX_API_LATENCY_MS;
         let server = ClusterServer::spawn(ClusterConfig::demo(50)).expect("spawn");

@@ -13,6 +13,15 @@
 //! v1 (the tag was introduced together with the protocol, so legacy
 //! bodies are exactly the untagged ones). A payload with an unknown
 //! newer tag is rejected by [`check_version`].
+//!
+//! Integer range: every integer field (`v`, `seq`, counts, job
+//! indices, the chaos seed) is read as a whole number in
+//! `0..=2^53 − 1` ([`serde_json::MAX_EXACT_U64`]), narrowed further where
+//! the field is a `u32`. The parser holds numbers as `f64`, so a larger
+//! one may not be the integer that was sent; it is a malformed body, not
+//! a rounded value, like a count past `u32` is malformed, not its low
+//! bits. The one exception is `age_ms`, which is only compared with a
+//! staleness window: a larger age saturates and reads as stale.
 
 use faro_core::types::{ClusterSnapshot, DesiredState};
 use serde_json::Value;
@@ -62,15 +71,12 @@ pub struct ObserveResponse {
 
 impl serde::Serialize for ObserveResponse {
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"v\":");
-        WIRE_VERSION.serialize_json(out);
-        out.push_str(",\"seq\":");
-        self.seq.serialize_json(out);
-        out.push_str(",\"age_ms\":");
-        self.age_ms.serialize_json(out);
-        out.push_str(",\"snapshot\":");
-        self.snapshot.serialize_json(out);
-        out.push('}');
+        serde::object!(out;
+            v: WIRE_VERSION,
+            seq: self.seq,
+            age_ms: self.age_ms,
+            snapshot: self.snapshot,
+        );
     }
 }
 
@@ -80,7 +86,12 @@ impl ObserveResponse {
         check_version(v)?;
         Some(Self {
             seq: v.get("seq")?.as_u64()?,
-            age_ms: v.get("age_ms")?.as_u64()?,
+            // Past the exact range an age is still older than any
+            // staleness window, so it saturates instead of being refused.
+            age_ms: match v.get("age_ms")?.as_f64()? {
+                age if age >= 0.0 && age.fract() == 0.0 => age as u64,
+                _ => return None,
+            },
             snapshot: ClusterSnapshot::from_json(v.get("snapshot")?)?,
         })
     }
@@ -104,12 +115,7 @@ impl serde::Serialize for ApplyRequest {
 /// encoder behind [`ApplyRequest`], taking the state by reference so
 /// the client can send the caller's every round without owning it.
 pub(crate) fn write_apply_request(desired: &DesiredState, out: &mut String) {
-    use serde::Serialize;
-    out.push_str("{\"v\":");
-    WIRE_VERSION.serialize_json(out);
-    out.push_str(",\"desired\":");
-    desired.serialize_json(out);
-    out.push('}');
+    serde::object!(out; v: WIRE_VERSION, desired: desired);
 }
 
 impl ApplyRequest {
@@ -143,15 +149,12 @@ pub struct ApplyResponse {
 
 impl serde::Serialize for ApplyResponse {
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"v\":");
-        WIRE_VERSION.serialize_json(out);
-        out.push_str(",\"applied\":");
-        self.applied.serialize_json(out);
-        out.push_str(",\"failed\":");
-        self.failed.serialize_json(out);
-        out.push_str(",\"replicas_started\":");
-        self.replicas_started.serialize_json(out);
-        out.push('}');
+        serde::object!(out;
+            v: WIRE_VERSION,
+            applied: self.applied,
+            failed: self.failed,
+            replicas_started: self.replicas_started,
+        );
     }
 }
 
@@ -176,7 +179,9 @@ impl ApplyResponse {
 /// disables every class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfig {
-    /// Seed for the server's fault streams.
+    /// Seed for the server's fault streams, at most
+    /// [`serde_json::MAX_EXACT_U64`] (a larger one is refused, since the
+    /// server could not seed exactly the streams the client asked for).
     pub seed: u64,
     /// Artificial latency added to every API reply, wall milliseconds,
     /// at most [`MAX_API_LATENCY_MS`].
@@ -223,19 +228,14 @@ impl ChaosConfig {
 
 impl serde::Serialize for ChaosConfig {
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"v\":");
-        WIRE_VERSION.serialize_json(out);
-        out.push_str(",\"seed\":");
-        self.seed.serialize_json(out);
-        out.push_str(",\"api_latency_ms\":");
-        self.api_latency_ms.serialize_json(out);
-        out.push_str(",\"apply_fail_per_mille\":");
-        self.apply_fail_per_mille.serialize_json(out);
-        out.push_str(",\"stale_observe_per_mille\":");
-        self.stale_observe_per_mille.serialize_json(out);
-        out.push_str(",\"stale_age_ms\":");
-        self.stale_age_ms.serialize_json(out);
-        out.push('}');
+        serde::object!(out;
+            v: WIRE_VERSION,
+            seed: self.seed,
+            api_latency_ms: self.api_latency_ms,
+            apply_fail_per_mille: self.apply_fail_per_mille,
+            stale_observe_per_mille: self.stale_observe_per_mille,
+            stale_age_ms: self.stale_age_ms,
+        );
     }
 }
 
@@ -250,13 +250,7 @@ pub struct ErrorBody {
 
 impl serde::Serialize for ErrorBody {
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"v\":");
-        WIRE_VERSION.serialize_json(out);
-        out.push_str(",\"error\":");
-        self.error.serialize_json(out);
-        out.push_str(",\"retryable\":");
-        self.retryable.serialize_json(out);
-        out.push('}');
+        serde::object!(out; v: WIRE_VERSION, error: self.error, retryable: self.retryable);
     }
 }
 
@@ -345,6 +339,31 @@ mod tests {
             };
             assert!(at(u64::from(u32::MAX)).is_some());
             assert_eq!(at((1 << 32) + 1000), None, "not 1000 per mille");
+        }
+    }
+
+    #[test]
+    fn a_seed_past_the_exact_integer_range_is_refused() {
+        let at = |seed: &str| {
+            let json = format!("{{\"v\":1,\"seed\":{seed}}}");
+            ChaosConfig::from_json(&serde_json::from_str(&json).expect("parses"))
+        };
+        let max = ChaosConfig {
+            seed: serde_json::MAX_EXACT_U64,
+            ..ChaosConfig::none()
+        };
+        let json = serde_json::to_string(&max).expect("serializes");
+        assert_eq!(
+            ChaosConfig::from_json(&serde_json::from_str(&json).expect("parses")),
+            Some(max)
+        );
+        // 2^53 + 1 parses to 2^53, so 2^53 is refused with it.
+        for seed in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            assert_eq!(at(seed), None, "{seed}");
         }
     }
 

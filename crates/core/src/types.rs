@@ -13,7 +13,6 @@
 //! engages when a class table is configured.
 
 use crate::units::{DurationMs, RatePerMin, ReplicaCount, SimTimeMs};
-use serde::Serialize;
 use std::collections::btree_map;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -59,12 +58,18 @@ impl fmt::Display for JobId {
 
 /// A latency service-level objective: a target and a percentile
 /// (paper Sec. 3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slo {
     /// Latency target in seconds (e.g. 0.720).
     pub latency: f64,
     /// Percentile in `(0, 1)` (e.g. 0.99 for the 99th percentile).
     pub percentile: f64,
+}
+
+impl serde::Serialize for Slo {
+    fn serialize_json(&self, out: &mut String) {
+        serde::object!(out; latency: self.latency, percentile: self.percentile);
+    }
 }
 
 impl Slo {
@@ -107,22 +112,16 @@ pub struct JobSpec {
 }
 
 impl serde::Serialize for JobSpec {
-    /// Hand-written so specs without a class affinity (every
-    /// single-class workload) keep the pre-class wire format.
+    /// `class_affinity` is written only when set, so specs without one
+    /// (every single-class workload) keep the pre-class wire format.
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"name\":");
-        self.name.serialize_json(out);
-        out.push_str(",\"slo\":");
-        self.slo.serialize_json(out);
-        out.push_str(",\"priority\":");
-        self.priority.serialize_json(out);
-        out.push_str(",\"processing_time\":");
-        self.processing_time.serialize_json(out);
-        if !self.class_affinity.is_empty() {
-            out.push_str(",\"class_affinity\":");
-            self.class_affinity.serialize_json(out);
-        }
-        out.push('}');
+        serde::object!(out;
+            name: self.name,
+            slo: self.slo,
+            priority: self.priority,
+            processing_time: self.processing_time,
+            class_affinity?: (!self.class_affinity.is_empty()).then_some(&self.class_affinity),
+        );
     }
 }
 
@@ -186,7 +185,7 @@ impl JobSpec {
 /// processing time: a class with `speed = 3.0` serves each request three
 /// times slower than the reference hardware (class 0 by convention,
 /// typically the GPU class at `speed = 1.0`).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaClass {
     /// Human-readable name (e.g. "gpu-a100", "cpu-avx").
     pub name: String,
@@ -201,6 +200,19 @@ pub struct ReplicaClass {
     pub gpu: f64,
     /// Memory (GB) consumed per replica of this class.
     pub mem: f64,
+}
+
+impl serde::Serialize for ReplicaClass {
+    fn serialize_json(&self, out: &mut String) {
+        serde::object!(out;
+            name: self.name,
+            speed: self.speed,
+            cold_start: self.cold_start,
+            cpu: self.cpu,
+            gpu: self.gpu,
+            mem: self.mem,
+        );
+    }
 }
 
 impl ReplicaClass {
@@ -392,25 +404,19 @@ pub struct ResourceModel {
 }
 
 impl serde::Serialize for ResourceModel {
-    /// Hand-written so the homogeneous wire format stays byte-identical
-    /// to the pre-class derive: the GPU/class fields are emitted only
-    /// when a class table is configured.
+    /// The GPU/class fields are written only when a class table is
+    /// configured, so the homogeneous wire format stays the pre-class
+    /// one byte for byte.
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"cpu_per_replica\":");
-        self.cpu_per_replica.serialize_json(out);
-        out.push_str(",\"mem_per_replica\":");
-        self.mem_per_replica.serialize_json(out);
-        out.push_str(",\"cluster_cpu\":");
-        self.cluster_cpu.serialize_json(out);
-        out.push_str(",\"cluster_mem\":");
-        self.cluster_mem.serialize_json(out);
-        if self.has_classes() {
-            out.push_str(",\"cluster_gpu\":");
-            self.cluster_gpu.serialize_json(out);
-            out.push_str(",\"classes\":");
-            self.classes.serialize_json(out);
-        }
-        out.push('}');
+        let classed = self.has_classes();
+        serde::object!(out;
+            cpu_per_replica: self.cpu_per_replica,
+            mem_per_replica: self.mem_per_replica,
+            cluster_cpu: self.cluster_cpu,
+            cluster_mem: self.cluster_mem,
+            cluster_gpu?: classed.then_some(self.cluster_gpu),
+            classes?: classed.then_some(&self.classes),
+        );
     }
 }
 
@@ -667,36 +673,22 @@ pub struct JobObservation {
 }
 
 impl serde::Serialize for JobObservation {
-    /// Hand-written so homogeneous observations keep the pre-class
-    /// wire format: the per-class fields are emitted only when set.
+    /// The per-class fields are written only when set, so homogeneous
+    /// observations keep the pre-class wire format.
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"spec\":");
-        self.spec.serialize_json(out);
-        out.push_str(",\"target_replicas\":");
-        self.target_replicas.serialize_json(out);
-        out.push_str(",\"ready_replicas\":");
-        self.ready_replicas.serialize_json(out);
-        out.push_str(",\"queue_len\":");
-        self.queue_len.serialize_json(out);
-        out.push_str(",\"arrival_rate_history\":");
-        self.arrival_rate_history.serialize_json(out);
-        out.push_str(",\"recent_arrival_rate\":");
-        self.recent_arrival_rate.serialize_json(out);
-        out.push_str(",\"mean_processing_time\":");
-        self.mean_processing_time.serialize_json(out);
-        out.push_str(",\"recent_tail_latency\":");
-        self.recent_tail_latency.serialize_json(out);
-        out.push_str(",\"drop_rate\":");
-        self.drop_rate.serialize_json(out);
-        if let Some(ct) = &self.class_target {
-            out.push_str(",\"class_target\":");
-            ct.serialize_json(out);
-        }
-        if let Some(cr) = &self.class_ready {
-            out.push_str(",\"class_ready\":");
-            cr.serialize_json(out);
-        }
-        out.push('}');
+        serde::object!(out;
+            spec: self.spec,
+            target_replicas: self.target_replicas,
+            ready_replicas: self.ready_replicas,
+            queue_len: self.queue_len,
+            arrival_rate_history: self.arrival_rate_history,
+            recent_arrival_rate: self.recent_arrival_rate,
+            mean_processing_time: self.mean_processing_time,
+            recent_tail_latency: self.recent_tail_latency,
+            drop_rate: self.drop_rate,
+            class_target?: self.class_target,
+            class_ready?: self.class_ready,
+        );
     }
 }
 
@@ -748,7 +740,7 @@ impl JobObservation {
 }
 
 /// Cluster-wide observation delivered to policies at every tick.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// Simulation/wall time (serialized as `f64` seconds).
     pub now: SimTimeMs,
@@ -756,6 +748,12 @@ pub struct ClusterSnapshot {
     pub resources: ResourceModel,
     /// Per-job observations, indexed by [`JobId`].
     pub jobs: Vec<JobObservation>,
+}
+
+impl serde::Serialize for ClusterSnapshot {
+    fn serialize_json(&self, out: &mut String) {
+        serde::object!(out; now: self.now, resources: self.resources, jobs: self.jobs);
+    }
 }
 
 impl ClusterSnapshot {
@@ -806,18 +804,14 @@ pub struct JobDecision {
 }
 
 impl serde::Serialize for JobDecision {
-    /// Hand-written so class-free decisions (every homogeneous run)
-    /// keep the pre-class wire format.
+    /// `classes` is written only when set, so class-free decisions
+    /// (every homogeneous run) keep the pre-class wire format.
     fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"target_replicas\":");
-        self.target_replicas.serialize_json(out);
-        out.push_str(",\"drop_rate\":");
-        self.drop_rate.serialize_json(out);
-        if let Some(classes) = &self.classes {
-            out.push_str(",\"classes\":");
-            classes.serialize_json(out);
-        }
-        out.push('}');
+        serde::object!(out;
+            target_replicas: self.target_replicas,
+            drop_rate: self.drop_rate,
+            classes?: self.classes,
+        );
     }
 }
 
@@ -996,7 +990,7 @@ impl DesiredState {
 }
 
 impl serde::Serialize for DesiredState {
-    /// Hand-written v1 actuation wire format: an ascending-`JobId`
+    /// The v1 actuation wire format: an ascending-`JobId`
     /// array whose entries are each job's [`JobDecision`] wire object
     /// prefixed with its `"job"` index — the decision fields are
     /// byte-identical to [`JobDecision`]'s own serializer, so a
@@ -1009,17 +1003,12 @@ impl serde::Serialize for DesiredState {
                 out.push(',');
             }
             first = false;
-            out.push_str("{\"job\":");
-            id.index().serialize_json(out);
-            out.push_str(",\"target_replicas\":");
-            d.target_replicas.serialize_json(out);
-            out.push_str(",\"drop_rate\":");
-            d.drop_rate.serialize_json(out);
-            if let Some(classes) = &d.classes {
-                out.push_str(",\"classes\":");
-                classes.serialize_json(out);
-            }
-            out.push('}');
+            serde::object!(out;
+                job: id.index(),
+                target_replicas: d.target_replicas,
+                drop_rate: d.drop_rate,
+                classes?: d.classes,
+            );
         }
         out.push(']');
     }
@@ -1158,9 +1147,9 @@ mod tests {
 
     #[test]
     fn single_class_wire_format_is_unchanged() {
-        // The exact byte strings the pre-class derive emitted; the
-        // hand-written impls must keep emitting them whenever no class
-        // data is present.
+        // The exact byte strings the pre-class writers emitted; the
+        // writers must keep emitting them whenever no class data is
+        // present.
         let model = ResourceModel::replicas(ReplicaCount::new(4));
         assert_eq!(
             serde_json::to_string(&model).unwrap(),

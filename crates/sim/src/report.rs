@@ -9,10 +9,9 @@
 
 use faro_core::penalty::{phi, PenaltyShape};
 use faro_core::utility::RelaxedUtility;
-use serde::Serialize;
 
 /// Per-job outcome of a simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct JobReport {
     /// Job name.
     pub name: String,
@@ -48,6 +47,27 @@ pub struct JobReport {
     pub recoveries: u64,
 }
 
+impl serde::Serialize for JobReport {
+    fn serialize_json(&self, out: &mut String) {
+        serde::object!(out;
+            name: self.name,
+            total_requests: self.total_requests,
+            violations: self.violations,
+            drops: self.drops,
+            violation_rate: self.violation_rate,
+            utility_per_minute: self.utility_per_minute,
+            effective_utility_per_minute: self.effective_utility_per_minute,
+            mean_utility: self.mean_utility,
+            mean_effective_utility: self.mean_effective_utility,
+            arrivals_per_minute: self.arrivals_per_minute,
+            crash_killed: self.crash_killed,
+            availability: self.availability,
+            mean_time_to_recover_secs: self.mean_time_to_recover_secs,
+            recoveries: self.recoveries,
+        );
+    }
+}
+
 impl JobReport {
     /// Mean lost utility (1 - mean utility).
     pub fn lost_utility(&self) -> f64 {
@@ -56,7 +76,7 @@ impl JobReport {
 }
 
 /// Cluster-wide outcome of a simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// Policy that produced this run.
     pub policy: String,
@@ -76,6 +96,22 @@ pub struct ClusterReport {
     pub availability: f64,
     /// Total in-flight requests killed by crashes/evictions.
     pub crash_killed_total: u64,
+}
+
+impl serde::Serialize for ClusterReport {
+    fn serialize_json(&self, out: &mut String) {
+        serde::object!(out;
+            policy: self.policy,
+            quota: self.quota,
+            jobs: self.jobs,
+            cluster_utility_per_minute: self.cluster_utility_per_minute,
+            avg_lost_cluster_utility: self.avg_lost_cluster_utility,
+            cluster_violation_rate: self.cluster_violation_rate,
+            avg_effective_cluster_utility: self.avg_effective_cluster_utility,
+            availability: self.availability,
+            crash_killed_total: self.crash_killed_total,
+        );
+    }
 }
 
 /// Builds per-minute utilities from tail-latency and drop series,

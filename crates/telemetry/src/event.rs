@@ -6,7 +6,6 @@
 //! stream (see the crate docs for the determinism contract).
 
 use faro_core::units::SimTimeMs;
-use serde::Serialize;
 
 /// One phase of a reconcile round (Observe → Decide → Admit →
 /// Actuate).
@@ -172,7 +171,7 @@ impl core::fmt::Display for Sample {
 
 /// One job's slice of a reconcile round: what the policy asked for,
 /// what admission granted, and what the job looked like at the time.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRound {
     /// Job index ([`faro_core::JobId`] position).
     pub job: usize,
@@ -196,10 +195,26 @@ pub struct JobRound {
     pub drop_rate: f64,
 }
 
+impl serde::Serialize for JobRound {
+    fn serialize_json(&self, out: &mut String) {
+        serde::object!(out;
+            job: self.job,
+            requested_replicas: self.requested_replicas,
+            granted_replicas: self.granted_replicas,
+            ready_replicas: self.ready_replicas,
+            queue_depth: self.queue_depth,
+            tail_latency: self.tail_latency,
+            slo_latency: self.slo_latency,
+            slo_attained: self.slo_attained,
+            drop_rate: self.drop_rate,
+        );
+    }
+}
+
 /// The full record of one reconcile round — the decision trace entry
 /// that makes "why did the policy misallocate at minute 4,213?"
 /// answerable without printf archaeology.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRecord {
     /// Round number (1-based, matches `RunStats::rounds`).
     pub round: u64,
@@ -233,12 +248,33 @@ pub struct DecisionRecord {
     pub jobs: Vec<JobRound>,
 }
 
+impl serde::Serialize for DecisionRecord {
+    fn serialize_json(&self, out: &mut String) {
+        serde::object!(out;
+            round: self.round,
+            at: self.at,
+            quota: self.quota,
+            requested_replicas: self.requested_replicas,
+            granted_replicas: self.granted_replicas,
+            clamped: self.clamped,
+            unsatisfiable: self.unsatisfiable,
+            replicas_started: self.replicas_started,
+            jobs_applied: self.jobs_applied,
+            solver_evals: self.solver_evals,
+            long_term_solve: self.long_term_solve,
+            carried_forward: self.carried_forward,
+            sanitized_samples: self.sanitized_samples,
+            jobs: self.jobs,
+        );
+    }
+}
+
 /// A discrete telemetry event.
 ///
-/// Variants are braced (the vendored `serde` derive supports only
-/// struct and unit enum variants) and carry job *indices* rather than
-/// `JobId`s so traces serialize as plain integers.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Each variant is written as `{"Variant":{...}}`, its fields in
+/// declaration order, and carries job *indices* rather than `JobId`s
+/// so traces serialize as plain integers.
+#[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     /// One reconcile round's decision record.
     Decision {
@@ -376,6 +412,67 @@ impl TelemetryEvent {
     }
 }
 
+impl serde::Serialize for TelemetryEvent {
+    fn serialize_json(&self, out: &mut String) {
+        use TelemetryEvent as E;
+        out.push_str("{\"");
+        out.push_str(self.kind());
+        out.push_str("\":");
+        match self {
+            E::Decision { record } => serde::object!(out; record: record),
+            E::ReplicaReady { job, replica } => serde::object!(out; job: job, replica: replica),
+            E::ReplicaCrashed {
+                job,
+                replica,
+                killed_request,
+            } => serde::object!(out; job: job, replica: replica, killed_request: killed_request),
+            E::ColdStartBegan {
+                job,
+                replica,
+                delay_ms,
+            } => serde::object!(out; job: job, replica: replica, delay_ms: delay_ms),
+            E::NodeOutageBegan { quota } | E::NodeOutageEnded { quota } => {
+                serde::object!(out; quota: quota)
+            }
+            E::MetricOutageBegan { mode, jobs } => serde::object!(out; mode: mode, jobs: jobs),
+            E::MetricOutageEnded { mode } => serde::object!(out; mode: mode),
+            E::BackendRetry {
+                phase,
+                attempt,
+                backoff_ms,
+                error,
+            } => serde::object!(out;
+                phase: phase,
+                attempt: attempt,
+                backoff_ms: backoff_ms,
+                error: error,
+            ),
+            E::BreakerTransition { from, to } => serde::object!(out; from: from, to: to),
+            E::DegradedRound { kind } => serde::object!(out; kind: kind),
+            E::DriftDetected { jobs } => serde::object!(out; jobs: jobs),
+            E::WallClockTick { wall_ms, round } => {
+                serde::object!(out; wall_ms: wall_ms, round: round)
+            }
+            E::ShardSolve {
+                shards,
+                solved,
+                skipped,
+                cache_hit_jobs,
+                evals,
+                split_evals,
+            } => serde::object!(out;
+                shards: shards,
+                solved: solved,
+                skipped: skipped,
+                cache_hit_jobs: cache_hit_jobs,
+                evals: evals,
+                split_evals: split_evals,
+            ),
+        }
+        out.push('}');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,14 +485,5 @@ mod tests {
         assert_eq!(Phase::ShardSolve.as_str(), "shard_solve");
         assert_eq!(Phase::ALL.len(), 5);
         assert_eq!(Counter::ALL.len(), 12);
-    }
-
-    #[test]
-    fn events_serialize_as_struct_variants() {
-        let e = TelemetryEvent::ReplicaReady { job: 2, replica: 7 };
-        let mut out = String::new();
-        e.serialize_json(&mut out);
-        assert_eq!(out, r#"{"ReplicaReady":{"job":2,"replica":7}}"#);
-        assert_eq!(e.kind(), "ReplicaReady");
     }
 }

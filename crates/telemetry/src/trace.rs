@@ -8,12 +8,18 @@ use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 
 /// One recorded event with its simulation timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEntry {
     /// Simulation time of the event (serialized as `f64` seconds).
     pub at: SimTimeMs,
     /// The event.
     pub event: TelemetryEvent,
+}
+
+impl Serialize for TraceEntry {
+    fn serialize_json(&self, out: &mut String) {
+        serde::object!(out; at: self.at, event: self.event);
+    }
 }
 
 /// A bounded ring buffer of [`TelemetryEvent`]s plus aggregated

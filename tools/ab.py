@@ -9,7 +9,10 @@ optionally pinned to one CPU with `taskset`, for BENCHMARK.json's
 another, each with its own pairs and its own table. For each workload it
 prints for every end-to-end metric of BENCHMARK.json the median and
 quartiles of each side, the ratio of the medians (change / parent), the
-pairs the change won in the metric's direction, whether every change run
+median and quartiles of the per-pair ratios change_i / parent_i (the two
+runs of a pair are neighbours in time, so host drift that both share
+cancels in their ratio but widens each side's quartiles), the pairs the
+change won in the metric's direction, whether every change run
 reads better than every parent run (`sep`: the runs separate, which
 settles a metric whose run-to-run spread is wider than its bound),
 whether the change's median is inside the metric's bound, and `wide`
@@ -126,7 +129,7 @@ def compare(workload, args, spec):
           f" {spec['run_seconds']} s"
           + (f", pinned to CPU {args.cpu}" if args.cpu is not None else ""))
     print(f"{'metric':<18} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36}"
-          f" {'ratio':>6} {'won':>5} {'sep':>3} {'wide':>4}  bound")
+          f" {'ratio':>6} {'per-pair ratio [q1, q3]':>25} {'won':>5} {'sep':>3} {'wide':>4}  bound")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         base, new = values["parent"][name], values["change"][name]
@@ -134,6 +137,8 @@ def compare(workload, args, spec):
             continue
         median = statistics.median(base)
         ratio = statistics.median(new) / median if median else float("nan")
+        pairs = [n / b for b, n in zip(base, new) if b]
+        per_pair = spread(pairs, ".3f") if pairs else "-"
         won = sum((n < b) if lower else (n > b) for b, n in zip(base, new))
         sep = max(new) < min(base) if lower else min(new) > max(base)
         q1, _, q3 = quartiles(new)
@@ -141,7 +146,7 @@ def compare(workload, args, spec):
         worse = (ratio - 1.0) if lower else (1.0 - ratio)
         verdict = "ok" if worse <= m["bound"] else f"OUTSIDE {m['bound']:.0%}"
         print(f"{name:<18} {spread(base):>36} {spread(new):>36} {ratio:>6.3f}"
-              f" {won:>2}/{len(base):<2} {'yes' if sep else 'no':>3}"
+              f" {per_pair:>25} {won:>2}/{len(base):<2} {'yes' if sep else 'no':>3}"
               f" {'wide' if wide else '-':>4}  {verdict}")
     print("\nper run, not gated (getrusage of the children)")
     for label, at, fmt in [("minor_faults", 0, ".0f"), ("system_s", 1, ".3f")]:
