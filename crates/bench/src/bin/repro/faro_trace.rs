@@ -17,6 +17,7 @@
 use crate::Run;
 use faro_bench::prelude::*;
 use faro_core::types::JobId;
+use faro_core::units::{DurationMs, SimTimeMs};
 use faro_sim::{MetricOutage, MetricOutageMode, NodeOutage, ReplicaCrashes, SimRun};
 use faro_telemetry::{Phase, Tee};
 use std::collections::BTreeMap;
@@ -50,15 +51,17 @@ fn fig15_cell() -> (WorkloadSet, SimConfig) {
 /// the first 30 minutes.
 fn faults() -> FaultPlan {
     FaultPlan {
-        replica_crashes: Some(ReplicaCrashes { mttf_secs: 600.0 }),
+        replica_crashes: Some(ReplicaCrashes {
+            mttf: DurationMs::from_secs(600.0),
+        }),
         node_outage: Some(NodeOutage {
-            start_secs: 600.0,
-            duration_secs: 120.0,
+            start: SimTimeMs::from_secs(600.0),
+            duration: DurationMs::from_secs(120.0),
             quota_fraction: 0.25,
         }),
         metric_outage: Some(MetricOutage {
-            start_secs: 1200.0,
-            duration_secs: 120.0,
+            start: SimTimeMs::from_secs(1200.0),
+            duration: DurationMs::from_secs(120.0),
             jobs: vec![JobId::new(3)],
             mode: MetricOutageMode::Stale,
         }),

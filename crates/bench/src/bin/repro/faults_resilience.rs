@@ -11,6 +11,7 @@
 
 use crate::Run;
 use faro_bench::prelude::*;
+use faro_core::units::{DurationMs, SimTimeMs};
 use faro_sim::{
     ColdStartSpike, FaultPlan, MetricOutage, MetricOutageMode, NodeOutage, ReplicaCrashes,
 };
@@ -21,7 +22,9 @@ fn scenarios(n_jobs: usize) -> Vec<(&'static str, FaultPlan)> {
         (
             "replica-crashes",
             FaultPlan {
-                replica_crashes: Some(ReplicaCrashes { mttf_secs: 450.0 }),
+                replica_crashes: Some(ReplicaCrashes {
+                    mttf: DurationMs::from_secs(450.0),
+                }),
                 ..FaultPlan::none()
             },
         ),
@@ -29,8 +32,8 @@ fn scenarios(n_jobs: usize) -> Vec<(&'static str, FaultPlan)> {
             "node-outage",
             FaultPlan {
                 node_outage: Some(NodeOutage {
-                    start_secs: 1200.0,
-                    duration_secs: 600.0,
+                    start: SimTimeMs::from_secs(1200.0),
+                    duration: DurationMs::from_secs(600.0),
                     quota_fraction: 0.4,
                 }),
                 ..FaultPlan::none()
@@ -40,8 +43,8 @@ fn scenarios(n_jobs: usize) -> Vec<(&'static str, FaultPlan)> {
             "cold-start-spike",
             FaultPlan {
                 cold_start_spike: Some(ColdStartSpike {
-                    start_secs: 600.0,
-                    duration_secs: 900.0,
+                    start: SimTimeMs::from_secs(600.0),
+                    duration: DurationMs::from_secs(900.0),
                     median_multiplier: 4.0,
                     sigma: 0.3,
                 }),
@@ -52,8 +55,8 @@ fn scenarios(n_jobs: usize) -> Vec<(&'static str, FaultPlan)> {
             "metric-outage",
             FaultPlan {
                 metric_outage: Some(MetricOutage {
-                    start_secs: 900.0,
-                    duration_secs: 900.0,
+                    start: SimTimeMs::from_secs(900.0),
+                    duration: DurationMs::from_secs(900.0),
                     jobs: (0..n_jobs.div_ceil(2))
                         .map(faro_core::types::JobId::new)
                         .collect(),

@@ -37,7 +37,7 @@ struct ScaleRow {
     jobs: usize,
     shards: usize,
     quota: u32,
-    sharded_warm_max_ms: f64, // faro-lint: allow(raw-time-arith): wall time, checked
+    sharded_warm_max_ms: f64,
     utility_gap_pct: f64,
     global_attainment: f64,
     sharded_attainment: f64,
@@ -171,7 +171,6 @@ fn run_rounds(
 
 fn run_row(n: usize, warm_rounds: usize, seed: u64) -> ScaleRow {
     let base = synth_jobs(n, seed);
-    // faro-lint: allow(raw-time-arith): reported wire-format aggregate
     let aggregate_req_per_min: f64 = base
         .iter()
         .map(|j| 60.0 * j.lambda_trajectories[0].iter().sum::<f64>() / 6.0)

@@ -10,6 +10,7 @@
 
 use crate::Run;
 use faro_bench::prelude::*;
+use faro_core::units::DurationMs;
 use faro_metrics::kendall_tau_distance;
 
 fn ranked(results: &[PolicyResult], size: u32) -> Vec<(String, f64, f64)> {
@@ -37,7 +38,7 @@ pub fn run() -> Run {
         .with_trials(trials);
     cluster_spec.sim = SimConfig {
         service_cv: 0.15,
-        cold_start_secs: 70.0,
+        cold_start: DurationMs::from_secs(70.0),
         seed: 0xc1u64, // Overridden per cell, but offsets the stream.
         ..SimConfig::default()
     };

@@ -4,9 +4,10 @@
 //! minute**, service times are **milliseconds**, SLOs are **seconds** —
 //! and a raw `f64` cannot tell them apart. These newtypes give each
 //! quantity a distinct type so unit mix-ups are compile errors, and give
-//! every conversion one audited home. `raw-time-arith`, the one check
-//! `cargo xtask lint` runs, rejects new raw-`f64` time/rate fields and
-//! bare cross-unit conversion constants outside this module.
+//! every conversion one audited home. The raw-time check
+//! (`xtask::raw_time_findings`, a Tier-1 test) rejects new raw-`f64`
+//! time/rate fields and bare cross-unit conversion constants outside
+//! this module and `sim::events`, except those `xtask::ALLOWLIST` argues.
 //!
 //! All conversions are chosen to be *bit-preserving* with respect to the
 //! arithmetic the simulator previously performed on raw `f64`s:
@@ -58,8 +59,9 @@ impl SimTimeMs {
 
     /// An instant from `f64` seconds, rounded to the nearest millisecond.
     ///
-    /// Non-finite inputs map to the matching sentinel ([`SimTimeMs::MIN`]
-    /// / [`SimTimeMs::MAX`]) rather than a bogus instant.
+    /// Infinities and seconds past the `i64` range saturate to the
+    /// matching sentinel ([`SimTimeMs::MIN`] / [`SimTimeMs::MAX`]); NaN
+    /// maps to [`SimTimeMs::ZERO`].
     pub fn from_secs(secs: f64) -> Self {
         if secs.is_nan() {
             return Self::ZERO;
@@ -153,6 +155,8 @@ pub struct DurationMs(i64);
 impl DurationMs {
     /// The empty span.
     pub const ZERO: Self = Self(0);
+    /// The longest span, which `+∞` seconds saturates to.
+    pub const MAX: Self = Self(i64::MAX);
 
     /// A span from whole milliseconds.
     pub const fn from_millis(ms: i64) -> Self {
@@ -160,6 +164,9 @@ impl DurationMs {
     }
 
     /// A span from `f64` seconds, rounded to the nearest millisecond.
+    ///
+    /// Saturates as [`SimTimeMs::from_secs`] does: `+∞` is
+    /// [`DurationMs::MAX`], and NaN is [`DurationMs::ZERO`].
     pub fn from_secs(secs: f64) -> Self {
         Self(SimTimeMs::from_secs(secs).as_millis())
     }
@@ -387,6 +394,8 @@ mod tests {
         assert_eq!(SimTimeMs::from_secs(f64::NAN), SimTimeMs::ZERO);
         assert_eq!(SimTimeMs::from_secs(f64::INFINITY), SimTimeMs::MAX);
         assert_eq!(SimTimeMs::from_secs(f64::NEG_INFINITY), SimTimeMs::MIN);
+        assert_eq!(DurationMs::from_secs(f64::NAN), DurationMs::ZERO);
+        assert_eq!(DurationMs::from_secs(f64::INFINITY), DurationMs::MAX);
     }
 
     #[test]

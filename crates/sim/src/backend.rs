@@ -37,7 +37,9 @@
 //! interval in every config), so it keeps the smaller sequence number
 //! and pops first, exactly as when applies scheduled ticks themselves.
 
-use crate::events::{micros, seconds, Event, EventQueue, Micros};
+use crate::events::{
+    instant_micros, micros, seconds, span_micros, Event, EventQueue, Micros, MINUTE,
+};
 use crate::faults::{FaultInjector, MetricOutageMode};
 use crate::report::{cluster_report, utilities_from_minutes, ClusterReport, JobReport};
 use crate::runtime::{ArrivalOutcome, JobRuntime};
@@ -117,8 +119,8 @@ impl SimBackend {
         } = sim;
         let mut queue = EventQueue::new();
         let rng = StdRng::seed_from_u64(config.seed ^ 0x51b0_11fe);
-        let end: Micros = duration_minutes as u64 * 60_000_000; // faro-lint: allow(raw-time-arith): micros-domain event-loop horizon, minutes->micros at the boundary
-        let cold = micros(config.cold_start_secs);
+        let end: Micros = duration_minutes as u64 * MINUTE;
+        let cold = span_micros(config.cold_start);
 
         // The fault layer is strictly opt-in: with an empty plan no
         // injector exists, no fault events are scheduled, and no extra
@@ -310,12 +312,11 @@ impl SimBackend {
             buf.clear();
             self.arrival_idx[j] = 0;
             if rate > 0.0 && rate.is_finite() {
-                let gap_scale = 60e6 / rate; // faro-lint: allow(raw-time-arith): per-minute rate to micros gap, hot arrival-generation path
+                let gap_scale = MINUTE as f64 / rate;
                 let mut t = now as f64;
                 loop {
                     t += -(1.0 - self.rng.gen::<f64>()).ln() * gap_scale;
-                    // faro-lint: allow(raw-time-arith): minute boundary in the micros domain
-                    if t >= (now + 60_000_000) as f64 {
+                    if t >= (now + MINUTE) as f64 {
                         break;
                     }
                     buf.push(t as Micros);
@@ -325,10 +326,8 @@ impl SimBackend {
         }
         self.refresh_arrival_cursor();
         if minute + 1 < self.duration_minutes {
-            self.queue.push(
-                now + 60_000_000, // faro-lint: allow(raw-time-arith): next minute boundary in the micros event clock
-                Event::MinuteBoundary { minute: minute + 1 },
-            );
+            self.queue
+                .push(now + MINUTE, Event::MinuteBoundary { minute: minute + 1 });
         }
     }
 
@@ -569,12 +568,12 @@ impl SimBackend {
                     Some(res) => res
                         .classes
                         .get(class as usize)
-                        .map_or(self.config.cold_start_secs, |c| c.cold_start.as_secs()),
-                    None => self.config.cold_start_secs,
+                        .map_or(self.config.cold_start, |c| c.cold_start),
+                    None => self.config.cold_start,
                 };
                 let delay = match self.injector.as_mut() {
-                    Some(inj) => micros(base_cold * inj.cold_start_multiplier(now)),
-                    None if hetero.is_some() => micros(base_cold),
+                    Some(inj) => micros(base_cold.as_secs() * inj.cold_start_multiplier(now)),
+                    None if hetero.is_some() => span_micros(base_cold),
                     None => self.cold,
                 };
                 self.queue
@@ -596,8 +595,12 @@ impl SimBackend {
                 );
                 if let Some(inj) = self.injector.as_mut() {
                     if let Some(dt) = inj.crash_after() {
-                        self.queue
-                            .push(now + dt, Event::ReplicaCrash { job: id, replica });
+                        // A draw past `u64::MAX` µs saturates; its crash
+                        // lands after the horizon and never fires.
+                        self.queue.push(
+                            now.saturating_add(dt),
+                            Event::ReplicaCrash { job: id, replica },
+                        );
                     }
                 }
             }
@@ -684,7 +687,7 @@ impl ClusterBackend for SimBackend {
             .injector
             .as_ref()
             .and_then(|i| i.plan().metric_outage.as_ref())
-            .filter(|m| m.mode == MetricOutageMode::Stale && now < micros(m.start_secs));
+            .filter(|m| m.mode == MetricOutageMode::Stale && now < instant_micros(m.start));
         let mut jobs = Vec::with_capacity(self.jobs.len());
         for (j, job) in self.jobs.iter_mut().enumerate() {
             let id = JobId::new(j);
@@ -705,7 +708,7 @@ impl ClusterBackend for SimBackend {
                         MetricOutageMode::Missing => {
                             obs.recent_arrival_rate = f64::NAN;
                             obs.recent_tail_latency = f64::NAN;
-                            let cut = (m.start_secs / 60.0).floor() as usize;
+                            let cut = (m.start.as_secs() / 60.0).floor() as usize;
                             // Detach from the runtime's shared history
                             // before poisoning the outage window.
                             let history = std::sync::Arc::make_mut(&mut obs.arrival_rate_history);

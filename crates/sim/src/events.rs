@@ -4,11 +4,28 @@
 //! number as the tiebreaker, making the simulation fully deterministic.
 
 use faro_core::types::JobId;
+use faro_core::units::{DurationMs, SimTimeMs};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Simulated time in microseconds.
 pub type Micros = u64;
+
+/// One minute of the event clock: the arrival calendar's period and
+/// the report's bucket.
+pub const MINUTE: Micros = 60_000_000;
+
+/// An instant on the event clock. Instants before `t = 0` map to 0,
+/// and the sentinel [`SimTimeMs::MAX`] to the far future, as
+/// [`micros`] maps seconds.
+pub fn instant_micros(t: SimTimeMs) -> Micros {
+    span_micros(t - SimTimeMs::ZERO)
+}
+
+/// A span on the event clock (a negative span is 0).
+pub fn span_micros(d: DurationMs) -> Micros {
+    u64::try_from(d.as_millis()).map_or(0, |ms| ms.saturating_mul(1000))
+}
 
 /// Converts seconds to [`Micros`] (saturating).
 pub fn micros(seconds: f64) -> Micros {
@@ -168,6 +185,33 @@ mod tests {
         assert_eq!(seconds(2_000_000), 2.0);
         assert_eq!(micros(-1.0), 0);
         assert_eq!(micros(0.0), 0);
+    }
+
+    /// The typed conversions give what [`micros`] gives the same
+    /// seconds, for every millisecond of the first hours and at the
+    /// sentinels; `MINUTE` is `60e6` bit for bit in `f64`.
+    #[test]
+    fn typed_conversions_agree_with_micros() {
+        for ms in (0..=4 * 3_600_000i64)
+            .step_by(7)
+            .chain([86_400_000, 1 << 40])
+        {
+            let secs = ms as f64 / 1e3;
+            assert_eq!(
+                span_micros(DurationMs::from_secs(secs)),
+                micros(secs),
+                "{ms}"
+            );
+            assert_eq!(
+                instant_micros(SimTimeMs::from_secs(secs)),
+                micros(secs),
+                "{ms}"
+            );
+        }
+        assert_eq!(span_micros(DurationMs::from_secs(-5.0)), 0);
+        assert_eq!(instant_micros(SimTimeMs::MIN), 0);
+        assert_eq!(instant_micros(SimTimeMs::MAX), micros(f64::INFINITY));
+        assert_eq!((MINUTE as f64).to_bits(), 60e6f64.to_bits());
     }
 
     /// What `nearest` replaced.

@@ -22,10 +22,11 @@
 //! [`FaultPlan::none`] leaves every existing event stream byte-for-byte
 //! identical and any plan replays deterministically for a fixed seed.
 
-use crate::events::{micros, Micros};
+use crate::events::{instant_micros, micros, Micros};
 use crate::runtime::CrashOutcome;
 use crate::{Error, Result};
 use faro_core::types::JobId;
+use faro_core::units::{DurationMs, SimTimeMs};
 use faro_telemetry::TelemetryEvent;
 use rand::prelude::*;
 use rand_distr::{Distribution, Exp, LogNormal};
@@ -33,17 +34,17 @@ use rand_distr::{Distribution, Exp, LogNormal};
 /// Independent replica crashes with an exponential time-to-failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaCrashes {
-    /// Mean time to failure of one replica, in seconds.
-    pub mttf_secs: f64, // faro-lint: allow(raw-time-arith): legacy public fault-plan API, seconds by contract
+    /// Mean time to failure of one replica.
+    pub mttf: DurationMs,
 }
 
 /// A correlated outage: part of the quota vanishes for a window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeOutage {
-    /// Outage start (seconds of simulated time).
-    pub start_secs: f64, // faro-lint: allow(raw-time-arith): legacy public fault-plan API, seconds by contract
-    /// Outage duration in seconds.
-    pub duration_secs: f64, // faro-lint: allow(raw-time-arith): legacy public fault-plan API, seconds by contract
+    /// Outage start.
+    pub start: SimTimeMs,
+    /// Outage duration.
+    pub duration: DurationMs,
     /// Fraction of the total quota that disappears, in `(0, 1)`.
     pub quota_fraction: f64,
 }
@@ -51,10 +52,10 @@ pub struct NodeOutage {
 /// A window during which replica cold starts are lognormally inflated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColdStartSpike {
-    /// Spike start (seconds of simulated time).
-    pub start_secs: f64, // faro-lint: allow(raw-time-arith): legacy public fault-plan API, seconds by contract
-    /// Spike duration in seconds.
-    pub duration_secs: f64, // faro-lint: allow(raw-time-arith): legacy public fault-plan API, seconds by contract
+    /// Spike start.
+    pub start: SimTimeMs,
+    /// Spike duration.
+    pub duration: DurationMs,
     /// Median startup multiplier (must be >= 1).
     pub median_multiplier: f64,
     /// Lognormal sigma of the multiplier (0 for a deterministic spike).
@@ -75,10 +76,10 @@ pub enum MetricOutageMode {
 /// A window during which selected jobs' observations are degraded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricOutage {
-    /// Outage start (seconds of simulated time).
-    pub start_secs: f64, // faro-lint: allow(raw-time-arith): legacy public fault-plan API, seconds by contract
-    /// Outage duration in seconds.
-    pub duration_secs: f64, // faro-lint: allow(raw-time-arith): legacy public fault-plan API, seconds by contract
+    /// Outage start.
+    pub start: SimTimeMs,
+    /// Outage duration.
+    pub duration: DurationMs,
     /// The affected jobs.
     pub jobs: Vec<JobId>,
     /// Stale or missing delivery.
@@ -98,8 +99,11 @@ pub struct FaultPlan {
     pub metric_outage: Option<MetricOutage>,
 }
 
-fn window_valid(start: f64, duration: f64) -> bool {
-    start.is_finite() && start >= 0.0 && duration.is_finite() && duration > 0.0
+/// A window opens at or after `t = 0`, lasts a positive span and
+/// closes before the far-future sentinel an infinite start or duration
+/// saturates to.
+fn window_valid(start: SimTimeMs, duration: DurationMs) -> bool {
+    start >= SimTimeMs::ZERO && duration > DurationMs::ZERO && start + duration < SimTimeMs::MAX
 }
 
 impl FaultPlan {
@@ -122,18 +126,24 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Fails on non-finite or out-of-domain parameters, empty windows,
-    /// or metric-outage job indices beyond `n_jobs`.
+    /// or metric-outage job indices beyond `n_jobs`. The times are
+    /// typed, so a plan built from NaN seconds
+    /// ([`DurationMs::from_secs`], [`SimTimeMs::from_secs`]) carries
+    /// 0 ms: a NaN MTTF or window duration is refused as non-positive,
+    /// while a NaN window start opens the window at 0 s. Infinite
+    /// seconds saturate to [`DurationMs::MAX`] or [`SimTimeMs::MAX`] and
+    /// are refused.
     pub fn validate(&self, n_jobs: usize) -> Result<()> {
         if let Some(c) = &self.replica_crashes {
-            if !c.mttf_secs.is_finite() || c.mttf_secs <= 0.0 {
+            if c.mttf <= DurationMs::ZERO || c.mttf == DurationMs::MAX {
                 return Err(Error::InvalidSetup(format!(
                     "replica-crash MTTF must be positive and finite, got {}",
-                    c.mttf_secs
+                    c.mttf
                 )));
             }
         }
         if let Some(o) = &self.node_outage {
-            if !window_valid(o.start_secs, o.duration_secs) {
+            if !window_valid(o.start, o.duration) {
                 return Err(Error::InvalidSetup("node outage window invalid".into()));
             }
             if !o.quota_fraction.is_finite() || !(0.0..1.0).contains(&o.quota_fraction) {
@@ -144,7 +154,7 @@ impl FaultPlan {
             }
         }
         if let Some(s) = &self.cold_start_spike {
-            if !window_valid(s.start_secs, s.duration_secs) {
+            if !window_valid(s.start, s.duration) {
                 return Err(Error::InvalidSetup(
                     "cold-start spike window invalid".into(),
                 ));
@@ -163,7 +173,7 @@ impl FaultPlan {
             }
         }
         if let Some(m) = &self.metric_outage {
-            if !window_valid(m.start_secs, m.duration_secs) {
+            if !window_valid(m.start, m.duration) {
                 return Err(Error::InvalidSetup("metric outage window invalid".into()));
             }
             if m.jobs.is_empty() {
@@ -203,7 +213,8 @@ impl FaultInjector {
             reason = "invariant: validate() checked the MTTF is positive"
         )]
         let crash_dist = plan.replica_crashes.as_ref().map(|c| {
-            Exp::new(1.0 / c.mttf_secs).expect("invariant: validate() checked the MTTF is positive")
+            Exp::new(1.0 / c.mttf.as_secs())
+                .expect("invariant: validate() checked the MTTF is positive")
         });
         #[expect(
             clippy::expect_used,
@@ -243,8 +254,8 @@ impl FaultInjector {
         let Some(s) = &self.plan.cold_start_spike else {
             return 1.0;
         };
-        let start = micros(s.start_secs);
-        let end = micros(s.start_secs + s.duration_secs);
+        let start = instant_micros(s.start);
+        let end = instant_micros(s.start + s.duration);
         if now < start || now >= end {
             return 1.0;
         }
@@ -263,8 +274,8 @@ impl FaultInjector {
     pub fn outage_window(&self) -> Option<(Micros, Micros, f64)> {
         self.plan.node_outage.as_ref().map(|o| {
             (
-                micros(o.start_secs),
-                micros(o.start_secs + o.duration_secs),
+                instant_micros(o.start),
+                instant_micros(o.start + o.duration),
                 o.quota_fraction,
             )
         })
@@ -273,8 +284,8 @@ impl FaultInjector {
     /// The metric outage active at `now`, if any.
     pub fn metric_outage_at(&self, now: Micros) -> Option<&MetricOutage> {
         let m = self.plan.metric_outage.as_ref()?;
-        let start = micros(m.start_secs);
-        let end = micros(m.start_secs + m.duration_secs);
+        let start = instant_micros(m.start);
+        let end = instant_micros(m.start + m.duration);
         (now >= start && now < end).then_some(m)
     }
 
@@ -338,7 +349,9 @@ mod tests {
 
     fn crash_plan(mttf: f64) -> FaultPlan {
         FaultPlan {
-            replica_crashes: Some(ReplicaCrashes { mttf_secs: mttf }),
+            replica_crashes: Some(ReplicaCrashes {
+                mttf: DurationMs::from_secs(mttf),
+            }),
             ..FaultPlan::none()
         }
     }
@@ -356,8 +369,8 @@ mod tests {
         assert!(crash_plan(f64::NAN).validate(1).is_err());
         let bad_outage = FaultPlan {
             node_outage: Some(NodeOutage {
-                start_secs: 10.0,
-                duration_secs: 60.0,
+                start: SimTimeMs::from_secs(10.0),
+                duration: DurationMs::from_secs(60.0),
                 quota_fraction: 1.0,
             }),
             ..FaultPlan::none()
@@ -365,8 +378,8 @@ mod tests {
         assert!(bad_outage.validate(1).is_err());
         let bad_spike = FaultPlan {
             cold_start_spike: Some(ColdStartSpike {
-                start_secs: 0.0,
-                duration_secs: 60.0,
+                start: SimTimeMs::from_secs(0.0),
+                duration: DurationMs::from_secs(60.0),
                 median_multiplier: 0.5,
                 sigma: 0.1,
             }),
@@ -375,8 +388,8 @@ mod tests {
         assert!(bad_spike.validate(1).is_err());
         let bad_metric = FaultPlan {
             metric_outage: Some(MetricOutage {
-                start_secs: 0.0,
-                duration_secs: 60.0,
+                start: SimTimeMs::from_secs(0.0),
+                duration: DurationMs::from_secs(60.0),
                 jobs: vec![JobId::new(3)],
                 mode: MetricOutageMode::Missing,
             }),
@@ -384,6 +397,39 @@ mod tests {
         };
         assert!(bad_metric.validate(2).is_err());
         assert!(bad_metric.validate(4).is_ok());
+    }
+
+    /// Times built from NaN seconds are 0 ms: a NaN MTTF or duration is
+    /// refused as non-positive, a NaN start opens the window at 0 s.
+    /// Infinite seconds saturate and are refused.
+    #[test]
+    fn nan_and_infinite_seconds_follow_the_typed_rule() {
+        assert!(crash_plan(f64::INFINITY).validate(1).is_err());
+        let window = |start: f64, duration: f64| FaultPlan {
+            metric_outage: Some(MetricOutage {
+                start: SimTimeMs::from_secs(start),
+                duration: DurationMs::from_secs(duration),
+                jobs: vec![JobId::new(0)],
+                mode: MetricOutageMode::Stale,
+            }),
+            ..FaultPlan::none()
+        };
+        let nan_start = window(f64::NAN, 60.0);
+        assert!(nan_start.validate(1).is_ok());
+        assert!(FaultInjector::new(nan_start, 0)
+            .metric_outage_at(0)
+            .is_some());
+        for (start, duration) in [
+            (0.0, f64::NAN),
+            (-1.0, 60.0),
+            (f64::INFINITY, 60.0),
+            (0.0, f64::INFINITY),
+        ] {
+            assert!(
+                window(start, duration).validate(1).is_err(),
+                "{start} {duration}"
+            );
+        }
     }
 
     #[test]
@@ -408,8 +454,8 @@ mod tests {
     fn spike_multiplier_only_inside_window() {
         let plan = FaultPlan {
             cold_start_spike: Some(ColdStartSpike {
-                start_secs: 100.0,
-                duration_secs: 50.0,
+                start: SimTimeMs::from_secs(100.0),
+                duration: DurationMs::from_secs(50.0),
                 median_multiplier: 4.0,
                 sigma: 0.0,
             }),
@@ -426,8 +472,8 @@ mod tests {
     fn metric_outage_window_lookup() {
         let plan = FaultPlan {
             metric_outage: Some(MetricOutage {
-                start_secs: 60.0,
-                duration_secs: 120.0,
+                start: SimTimeMs::from_secs(60.0),
+                duration: DurationMs::from_secs(120.0),
                 jobs: vec![JobId::new(0)],
                 mode: MetricOutageMode::Stale,
             }),

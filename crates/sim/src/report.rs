@@ -25,15 +25,15 @@ pub struct JobReport {
     pub violation_rate: f64,
     /// Per-minute utility (Eq. 1 applied to the per-minute tail
     /// latency; idle minutes count as utility 1).
-    pub utility_per_minute: Vec<f64>, // faro-lint: allow(raw-time-arith): serialized report wire format stays raw f64
+    pub utility_per_minute: Vec<f64>,
     /// Per-minute effective utility (drop-penalized).
-    pub effective_utility_per_minute: Vec<f64>, // faro-lint: allow(raw-time-arith): serialized report wire format stays raw f64
+    pub effective_utility_per_minute: Vec<f64>,
     /// Mean utility across minutes.
     pub mean_utility: f64,
     /// Mean effective utility across minutes.
     pub mean_effective_utility: f64,
     /// Per-minute arrivals (workload view).
-    pub arrivals_per_minute: Vec<f64>, // faro-lint: allow(raw-time-arith): serialized report wire format stays raw f64
+    pub arrivals_per_minute: Vec<f64>,
     /// In-flight requests killed by replica crashes/evictions (zero
     /// without fault injection).
     pub crash_killed: u64,
@@ -42,7 +42,7 @@ pub struct JobReport {
     pub availability: f64,
     /// Mean duration of ready-capacity deficits in seconds (0 when the
     /// job never had a deficit).
-    pub mean_time_to_recover_secs: f64, // faro-lint: allow(raw-time-arith): serialized report wire format stays raw f64
+    pub mean_time_to_recover_secs: f64,
     /// Number of completed deficit-recovery episodes.
     pub recoveries: u64,
 }
@@ -85,7 +85,7 @@ pub struct ClusterReport {
     /// Per-job reports.
     pub jobs: Vec<JobReport>,
     /// Cluster utility per minute (sum over jobs).
-    pub cluster_utility_per_minute: Vec<f64>, // faro-lint: allow(raw-time-arith): serialized report wire format stays raw f64
+    pub cluster_utility_per_minute: Vec<f64>,
     /// Average lost cluster utility (max = job count).
     pub avg_lost_cluster_utility: f64,
     /// Average of per-job SLO violation rates.

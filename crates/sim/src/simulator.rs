@@ -43,7 +43,7 @@ use faro_control::{Driver, DriverOutcome, RunStats};
 use faro_core::admission::{Admission, OutageClamp};
 use faro_core::policy::Policy;
 use faro_core::types::{JobObservation, JobSpec, ResourceModel};
-use faro_core::units::RatePerMin;
+use faro_core::units::{DurationMs, RatePerMin};
 use faro_metrics::AvailabilityTracker;
 
 /// One job's simulation inputs.
@@ -52,7 +52,7 @@ pub struct JobSetup {
     /// The job spec (SLO, nominal processing time, priority).
     pub spec: JobSpec,
     /// Per-minute arrival rates driving the load generator.
-    pub rates_per_minute: Vec<f64>, // faro-lint: allow(raw-time-arith): legacy public config API, seconds by contract
+    pub rates_per_minute: Vec<f64>,
     /// Replicas at time zero.
     pub initial_replicas: u32,
 }
@@ -67,9 +67,8 @@ pub struct JobSetup {
 pub struct SimConfig {
     /// Total replica quota (Kubernetes resource quota).
     pub total_replicas: u32,
-    /// Replica cold-start delay in seconds (paper: up to 70 s; 60 s
-    /// default).
-    pub cold_start_secs: f64, // faro-lint: allow(raw-time-arith): legacy public config API, seconds by contract
+    /// Replica cold-start delay (paper: up to 70 s; 60 s default).
+    pub cold_start: DurationMs,
     /// Coefficient of variation of service times (ML inference is
     /// near-deterministic).
     pub service_cv: f64,
@@ -82,8 +81,8 @@ pub struct SimConfig {
     /// backend to classed actuation: [`SimBackend::observe`] reports
     /// this model (so policies see the class table), per-replica
     /// service times are scaled by the class's `speed` multiplier, and
-    /// cold starts use the class's `cold_start` instead of
-    /// `cold_start_secs`. Node-outage quota shrinking is not modeled
+    /// cold starts use the class's `cold_start` instead of this
+    /// config's. Node-outage quota shrinking is not modeled
     /// in this regime (fault plans that resize the cluster are
     /// rejected at setup).
     ///
@@ -95,7 +94,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             total_replicas: 32,
-            cold_start_secs: 60.0,
+            cold_start: DurationMs::from_secs(60.0),
             service_cv: 0.05,
             seed: 0,
             hetero_resources: None,
@@ -130,11 +129,18 @@ pub struct Simulation {
     pub(crate) trackers: Vec<AvailabilityTracker>,
 }
 
+/// A cold start built from NaN seconds ([`DurationMs::from_secs`]) is
+/// 0 ms and passes; a negative one, or `+∞` seconds saturated to
+/// [`DurationMs::MAX`], is refused.
+fn cold_start_valid(cold_start: DurationMs) -> bool {
+    !cold_start.is_negative() && cold_start < DurationMs::MAX
+}
+
 fn validate_config(config: &SimConfig) -> Result<()> {
-    if !config.cold_start_secs.is_finite() || config.cold_start_secs < 0.0 {
+    if !cold_start_valid(config.cold_start) {
         return Err(Error::InvalidSetup(format!(
-            "cold_start_secs must be non-negative and finite, got {}",
-            config.cold_start_secs
+            "cold_start must be non-negative and finite, got {}",
+            config.cold_start
         )));
     }
     if !config.service_cv.is_finite() || config.service_cv < 0.0 {
@@ -156,11 +162,10 @@ fn validate_config(config: &SimConfig) -> Result<()> {
                     class.name, class.speed
                 )));
             }
-            let cold = class.cold_start.as_secs();
-            if !cold.is_finite() || cold < 0.0 {
+            if !cold_start_valid(class.cold_start) {
                 return Err(Error::InvalidSetup(format!(
-                    "replica class {:?} has invalid cold start {cold}",
-                    class.name
+                    "replica class {:?} has invalid cold start {}",
+                    class.name, class.cold_start
                 )));
             }
         }
@@ -176,8 +181,8 @@ impl Simulation {
     /// Fails when no jobs are given, rates are empty or contain
     /// NaN/negative entries, a job starts with zero replicas, the
     /// quota cannot host one replica per job, or the [`SimConfig`]
-    /// itself is out of domain (negative or NaN `cold_start_secs` or
-    /// `service_cv`, an invalid replica class).
+    /// itself is out of domain (a negative or infinite `cold_start`, a
+    /// negative or NaN `service_cv`, an invalid replica class).
     pub fn new(config: SimConfig, setups: Vec<JobSetup>) -> Result<Self> {
         validate_config(&config)?;
         if setups.is_empty() {
@@ -354,6 +359,7 @@ mod tests {
     use faro_core::baselines::{Aiad, FairShare};
     use faro_core::cilantro::CilantroLike;
     use faro_core::types::{ClusterSnapshot, DesiredState, JobDecision, JobId};
+    use faro_core::units::SimTimeMs;
 
     fn setup(rate: f64, minutes: usize, initial: u32) -> JobSetup {
         JobSetup {
@@ -521,7 +527,7 @@ mod tests {
         let cfg = SimConfig {
             total_replicas: 8,
             seed: 6,
-            cold_start_secs: 120.0,
+            cold_start: DurationMs::from_secs(120.0),
             ..Default::default()
         };
         let report = Simulation::new(cfg, vec![setup(2400.0, 8, 1)])
@@ -590,7 +596,11 @@ mod tests {
         let run = |cfg: SimConfig| Simulation::new(cfg, vec![setup(60.0, 2, 1)]);
         for cfg in [
             SimConfig {
-                cold_start_secs: -1.0,
+                cold_start: DurationMs::from_secs(-1.0),
+                ..Default::default()
+            },
+            SimConfig {
+                cold_start: DurationMs::from_secs(f64::INFINITY),
                 ..Default::default()
             },
             SimConfig {
@@ -600,6 +610,13 @@ mod tests {
         ] {
             assert!(run(cfg).is_err());
         }
+        // NaN seconds make a 0 ms cold start, which is in domain.
+        let nan_cold = SimConfig {
+            cold_start: DurationMs::from_secs(f64::NAN),
+            ..Default::default()
+        };
+        assert_eq!(nan_cold.cold_start, DurationMs::ZERO);
+        assert!(run(nan_cold).is_ok());
         // Invalid per-job inputs: NaN/negative rates, zero replicas.
         let mut bad_rate = setup(60.0, 3, 1);
         bad_rate.rates_per_minute[1] = f64::NAN;
@@ -639,21 +656,23 @@ mod tests {
 
     fn full_plan() -> FaultPlan {
         FaultPlan {
-            replica_crashes: Some(ReplicaCrashes { mttf_secs: 240.0 }),
+            replica_crashes: Some(ReplicaCrashes {
+                mttf: DurationMs::from_secs(240.0),
+            }),
             node_outage: Some(NodeOutage {
-                start_secs: 120.0,
-                duration_secs: 120.0,
+                start: SimTimeMs::from_secs(120.0),
+                duration: DurationMs::from_secs(120.0),
                 quota_fraction: 0.5,
             }),
             cold_start_spike: Some(ColdStartSpike {
-                start_secs: 60.0,
-                duration_secs: 180.0,
+                start: SimTimeMs::from_secs(60.0),
+                duration: DurationMs::from_secs(180.0),
                 median_multiplier: 3.0,
                 sigma: 0.5,
             }),
             metric_outage: Some(MetricOutage {
-                start_secs: 180.0,
-                duration_secs: 120.0,
+                start: SimTimeMs::from_secs(180.0),
+                duration: DurationMs::from_secs(120.0),
                 jobs: vec![JobId::new(0)],
                 mode: MetricOutageMode::Missing,
             }),
@@ -689,7 +708,9 @@ mod tests {
             ..Default::default()
         };
         let plan = FaultPlan {
-            replica_crashes: Some(ReplicaCrashes { mttf_secs: 120.0 }),
+            replica_crashes: Some(ReplicaCrashes {
+                mttf: DurationMs::from_secs(120.0),
+            }),
             ..FaultPlan::none()
         };
         let report = Simulation::new(cfg, vec![setup(600.0, 10, 4)])
@@ -716,6 +737,35 @@ mod tests {
         );
     }
 
+    /// An MTTF far past the run draws crash delays past `u64::MAX` µs:
+    /// no replica crashes, and the run matches the fault-free one.
+    #[test]
+    fn an_mttf_past_the_clock_crashes_nothing() {
+        let run = |plan: FaultPlan| {
+            let cfg = SimConfig {
+                total_replicas: 8,
+                seed: 1,
+                ..Default::default()
+            };
+            let report = Simulation::new(cfg, vec![setup(2400.0, 6, 1)])
+                .unwrap()
+                .with_faults(plan)
+                .unwrap()
+                .driver(Box::new(Aiad::default()))
+                .run()
+                .into_outcome()
+                .report;
+            serde_json::to_string(&report).unwrap()
+        };
+        let far = run(FaultPlan {
+            replica_crashes: Some(ReplicaCrashes {
+                mttf: DurationMs::from_secs(1e15),
+            }),
+            ..FaultPlan::none()
+        });
+        assert_eq!(far, run(FaultPlan::none()));
+    }
+
     fn cfg_slack() -> usize {
         // Residual in-flight + queued requests at end of run.
         32 + crate::runtime::QUEUE_THRESHOLD
@@ -736,8 +786,8 @@ mod tests {
         };
         let plan = FaultPlan {
             node_outage: Some(NodeOutage {
-                start_secs: 120.0,
-                duration_secs: 120.0,
+                start: SimTimeMs::from_secs(120.0),
+                duration: DurationMs::from_secs(120.0),
                 quota_fraction: 0.5,
             }),
             ..FaultPlan::none()
@@ -773,8 +823,8 @@ mod tests {
         };
         let plan = FaultPlan {
             metric_outage: Some(MetricOutage {
-                start_secs: 120.0,
-                duration_secs: 120.0,
+                start: SimTimeMs::from_secs(120.0),
+                duration: DurationMs::from_secs(120.0),
                 jobs: vec![JobId::new(0)],
                 mode: MetricOutageMode::Missing,
             }),
@@ -829,8 +879,8 @@ mod tests {
         };
         let plan = FaultPlan {
             metric_outage: Some(MetricOutage {
-                start_secs: 600.0,
-                duration_secs: 700.0,
+                start: SimTimeMs::from_secs(600.0),
+                duration: DurationMs::from_secs(700.0),
                 jobs: vec![JobId::new(0)],
                 mode: MetricOutageMode::Missing,
             }),
@@ -865,8 +915,8 @@ mod tests {
         };
         let plan = FaultPlan {
             metric_outage: Some(MetricOutage {
-                start_secs: 120.0,
-                duration_secs: 120.0,
+                start: SimTimeMs::from_secs(120.0),
+                duration: DurationMs::from_secs(120.0),
                 jobs: vec![JobId::new(0)],
                 mode: MetricOutageMode::Stale,
             }),
@@ -896,8 +946,8 @@ mod tests {
         let sim = Simulation::new(SimConfig::default(), vec![setup(60.0, 2, 1)]).unwrap();
         let plan = FaultPlan {
             metric_outage: Some(MetricOutage {
-                start_secs: 0.0,
-                duration_secs: 60.0,
+                start: SimTimeMs::from_secs(0.0),
+                duration: DurationMs::from_secs(60.0),
                 jobs: vec![JobId::new(7)],
                 mode: MetricOutageMode::Missing,
             }),
@@ -934,8 +984,8 @@ mod tests {
             .report;
         let plan = FaultPlan {
             cold_start_spike: Some(ColdStartSpike {
-                start_secs: 0.0,
-                duration_secs: 900.0,
+                start: SimTimeMs::from_secs(0.0),
+                duration: DurationMs::from_secs(900.0),
                 median_multiplier: 8.0,
                 sigma: 0.0,
             }),

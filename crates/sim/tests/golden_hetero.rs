@@ -9,6 +9,7 @@ use faro_core::admission::ClampToQuota;
 use faro_core::faro::{FaroAutoscaler, FaroConfig};
 use faro_core::predictor::{FlatPredictor, RatePredictor};
 use faro_core::types::{JobSpec, ReplicaClass, ResourceModel};
+use faro_core::units::{DurationMs, SimTimeMs};
 use faro_core::ClusterObjective;
 use faro_sim::{FaultPlan, JobSetup, RunOutcome, SimConfig, SimRun, Simulation};
 
@@ -188,8 +189,8 @@ fn hetero_setup_rejections() {
     };
     let plan = FaultPlan {
         node_outage: Some(faro_sim::NodeOutage {
-            start_secs: 60.0,
-            duration_secs: 60.0,
+            start: SimTimeMs::from_secs(60.0),
+            duration: DurationMs::from_secs(60.0),
             quota_fraction: 0.5,
         }),
         ..FaultPlan::none()

@@ -16,7 +16,7 @@ use faro_core::faro::{FaroAutoscaler, FaroConfig};
 use faro_core::predictor::{FlatPredictor, RatePredictor};
 use faro_core::sharded::{ShardConfig, SolvePlan};
 use faro_core::types::{JobId, JobSpec};
-use faro_core::units::DurationMs;
+use faro_core::units::{DurationMs, SimTimeMs};
 use faro_core::ClusterObjective;
 use faro_sim::SimRun;
 use faro_sim::{
@@ -48,15 +48,17 @@ fn sim() -> Simulation {
 
 fn faults() -> FaultPlan {
     FaultPlan {
-        replica_crashes: Some(ReplicaCrashes { mttf_secs: 180.0 }),
+        replica_crashes: Some(ReplicaCrashes {
+            mttf: DurationMs::from_secs(180.0),
+        }),
         node_outage: Some(NodeOutage {
-            start_secs: 120.0,
-            duration_secs: 90.0,
+            start: SimTimeMs::from_secs(120.0),
+            duration: DurationMs::from_secs(90.0),
             quota_fraction: 0.4,
         }),
         metric_outage: Some(MetricOutage {
-            start_secs: 240.0,
-            duration_secs: 60.0,
+            start: SimTimeMs::from_secs(240.0),
+            duration: DurationMs::from_secs(60.0),
             jobs: vec![JobId::new(0)],
             mode: MetricOutageMode::Stale,
         }),

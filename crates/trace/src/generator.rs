@@ -54,7 +54,7 @@ impl Default for TraceSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Requests per minute, one entry per minute.
-    pub rates_per_minute: Vec<f64>, // faro-lint: allow(raw-time-arith): legacy public trace API, per-minute by contract
+    pub rates_per_minute: Vec<f64>,
 }
 
 impl TraceSpec {

@@ -5,26 +5,6 @@
 //! them into 4-minute windows and averaging them to reduce experiment
 //! time while retaining the temporal patterns" (Sec. 6).
 
-/// Linearly rescales a series so its minimum maps to `lo` and its
-/// maximum to `hi`. A constant series maps to the midpoint.
-///
-/// # Panics
-///
-/// Panics when the series is empty or `hi <= lo`.
-pub fn rescale(series: &[f64], lo: f64, hi: f64) -> Vec<f64> {
-    assert!(!series.is_empty(), "cannot rescale an empty series");
-    assert!(hi > lo, "invalid target range");
-    let min = series.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = series.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if (max - min).abs() < 1e-12 {
-        return vec![(lo + hi) / 2.0; series.len()];
-    }
-    series
-        .iter()
-        .map(|&x| lo + (x - min) / (max - min) * (hi - lo))
-        .collect()
-}
-
 /// Rescales a series by quantile anchors: the `q_lo` quantile maps to
 /// `lo` and the `q_hi` quantile to `hi * body_fraction`, with values
 /// beyond the anchors extrapolated linearly and clipped into
@@ -94,27 +74,6 @@ pub fn window_average(series: &[f64], window: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rescale_endpoints() {
-        let out = rescale(&[2.0, 4.0, 6.0], 1.0, 1600.0);
-        assert!((out[0] - 1.0).abs() < 1e-9);
-        assert!((out[2] - 1600.0).abs() < 1e-9);
-        assert!((out[1] - 800.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rescale_constant_series() {
-        let out = rescale(&[5.0; 4], 0.0, 10.0);
-        assert_eq!(out, vec![5.0; 4]);
-    }
-
-    #[test]
-    fn rescale_preserves_order() {
-        let input = [3.0, 1.0, 2.0, 10.0];
-        let out = rescale(&input, 0.0, 1.0);
-        assert!(out[1] < out[2] && out[2] < out[0] && out[0] < out[3]);
-    }
 
     #[test]
     fn window_average_preserves_mean() {

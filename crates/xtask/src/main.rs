@@ -9,9 +9,8 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match (args.first().map(String::as_str), args.len()) {
-        (Some("lint"), 1) => return lint(),
         (Some("ledger"), 1) => return ledger(),
-        (Some(task @ ("lint" | "ledger")), _) => eprintln!("`{task}` takes no options"),
+        (Some("ledger"), _) => eprintln!("`ledger` takes no options"),
         (Some(other), _) => eprintln!("unknown task `{other}`"),
         (None, _) => {}
     }
@@ -23,34 +22,8 @@ fn usage() {
     eprintln!("usage: cargo xtask <task>");
     eprintln!();
     eprintln!("tasks:");
-    eprintln!("  lint    run raw-time-arith over the workspace: no raw-f64");
-    eprintln!("          time/rate fields or bare unit-conversion constants,");
-    eprintln!("          no stale or foreign `faro-lint:` annotations (clippy");
-    eprintln!("          and rustc own the other invariants); exits 1 on any");
-    eprintln!("          diagnostic");
     eprintln!("  ledger  print the non-test code lines of each crate's src/");
     eprintln!("          (the root package as `facade`) and their total");
-}
-
-/// Runs the `raw-time-arith` check over the workspace's file contents
-/// and prints rustc-style diagnostics.
-fn lint() -> ExitCode {
-    let started = std::time::Instant::now();
-    let diags = xtask::lint_workspace(&workspace_root());
-    let elapsed = started.elapsed().as_secs_f64();
-    for d in &diags {
-        println!("{d}\n");
-    }
-    if diags.is_empty() {
-        eprintln!("raw-time-arith: clean ({elapsed:.2}s)");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "raw-time-arith: {} diagnostic(s) in {elapsed:.2}s",
-            diags.len()
-        );
-        ExitCode::FAILURE
-    }
 }
 
 /// Prints the line ledger: [`code_lines`] summed over the `.rs` files
@@ -76,13 +49,9 @@ fn ledger() -> ExitCode {
 /// `#[cfg(test)] mod tests`. Other `#[cfg(test)]` items, such as
 /// `thread_local!` test counters, count as code.
 fn code_lines(text: &str) -> usize {
-    let lines: Vec<&str> = text.lines().map(str::trim).collect();
-    let end = lines
-        .windows(2)
-        .position(|w| w[0] == "#[cfg(test)]" && w[1].starts_with("mod tests"))
-        .unwrap_or(lines.len());
-    lines[..end]
+    xtask::library_lines(text)
         .iter()
+        .map(|l| l.trim())
         .filter(|l| !l.is_empty() && !l.starts_with("//"))
         .count()
 }

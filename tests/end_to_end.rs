@@ -7,6 +7,7 @@ use faro::bench::WorkloadSet;
 use faro::control::{BreakerState, Clock, DriverStats, Reconciler};
 use faro::core::admission::OutageClamp;
 use faro::core::types::{JobId, ReplicaClass, ResourceModel};
+use faro::core::units::{DurationMs, SimTimeMs};
 use faro::core::ClusterObjective;
 use faro::sim::{
     ClusterReport, FaultPlan, MetricOutage, MetricOutageMode, NodeOutage, ReplicaCrashes,
@@ -144,15 +145,17 @@ fn oversubscription_degrades_everyone_but_faro_least() {
 #[test]
 fn the_one_arm_on_a_clean_simulator_is_reconcile_stepped_by_hand() {
     let faults = FaultPlan {
-        replica_crashes: Some(ReplicaCrashes { mttf_secs: 600.0 }),
+        replica_crashes: Some(ReplicaCrashes {
+            mttf: DurationMs::from_secs(600.0),
+        }),
         node_outage: Some(NodeOutage {
-            start_secs: 600.0,
-            duration_secs: 120.0,
+            start: SimTimeMs::from_secs(600.0),
+            duration: DurationMs::from_secs(120.0),
             quota_fraction: 0.25,
         }),
         metric_outage: Some(MetricOutage {
-            start_secs: 1200.0,
-            duration_secs: 120.0,
+            start: SimTimeMs::from_secs(1200.0),
+            duration: DurationMs::from_secs(120.0),
             jobs: vec![JobId::new(3)],
             mode: MetricOutageMode::Stale,
         }),

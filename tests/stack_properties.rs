@@ -4,6 +4,7 @@
 use faro::core::baselines::Aiad;
 use faro::core::opt::{Fidelity, JobWorkload, MultiTenantProblem};
 use faro::core::types::{ClassAlloc, JobSpec, ResourceModel, Slo};
+use faro::core::units::{DurationMs, SimTimeMs};
 use faro::core::ClusterObjective;
 use faro::sim::{
     ColdStartSpike, FaultPlan, JobSetup, MetricOutage, MetricOutageMode, NodeOutage,
@@ -63,7 +64,7 @@ proptest! {
             initial_replicas: 3,
         };
         let plan = FaultPlan {
-            replica_crashes: Some(ReplicaCrashes { mttf_secs: mttf }),
+            replica_crashes: Some(ReplicaCrashes { mttf: DurationMs::from_secs(mttf) }),
             ..FaultPlan::none()
         };
         let report = Simulation::new(cfg, vec![setup]).unwrap()
@@ -162,21 +163,23 @@ fn fault_injection_is_deterministic_across_runs() {
     // Every fault class armed at once; two runs from the same seed
     // must produce byte-identical reports.
     let plan = FaultPlan {
-        replica_crashes: Some(ReplicaCrashes { mttf_secs: 300.0 }),
+        replica_crashes: Some(ReplicaCrashes {
+            mttf: DurationMs::from_secs(300.0),
+        }),
         node_outage: Some(NodeOutage {
-            start_secs: 240.0,
-            duration_secs: 180.0,
+            start: SimTimeMs::from_secs(240.0),
+            duration: DurationMs::from_secs(180.0),
             quota_fraction: 0.5,
         }),
         cold_start_spike: Some(ColdStartSpike {
-            start_secs: 60.0,
-            duration_secs: 120.0,
+            start: SimTimeMs::from_secs(60.0),
+            duration: DurationMs::from_secs(120.0),
             median_multiplier: 3.0,
             sigma: 0.4,
         }),
         metric_outage: Some(MetricOutage {
-            start_secs: 120.0,
-            duration_secs: 180.0,
+            start: SimTimeMs::from_secs(120.0),
+            duration: DurationMs::from_secs(180.0),
             jobs: vec![faro::core::types::JobId::new(0)],
             mode: MetricOutageMode::Stale,
         }),
