@@ -1,89 +1,133 @@
-//! Fixture tests: the check, the audit of its annotations included,
-//! fires on its violation fixtures with exactly the snapshotted
-//! diagnostics, and stays silent on the clean twins.
-//!
-//! Snapshots live in `tests/expected/*.txt`; refresh after an
-//! intentional diagnostic change with
-//! `FARO_UPDATE_EXPECT=1 cargo test -p xtask --test rules`.
+//! The raw-time check on whole files through the public API: it fires
+//! with exactly the expected findings on a violating file and stays
+//! silent on its typed twin, in the unit homes and, for literals,
+//! outside the five scoped crates; an allowlist entry silences its site
+//! and one that covers nothing is a finding.
 
-use std::path::Path;
-use xtask::{lint_file, Diagnostic};
+use xtask::raw_time_findings;
 
-/// The logical path fixtures are linted under: inside `crates/sim/src/`
+/// The logical path files are checked under: inside `crates/sim/src/`
 /// puts them in scope of both the declaration and the literal checks.
 const SCOPE: &str = "crates/sim/src/fixture.rs";
 
-fn render(diags: &[Diagnostic]) -> String {
-    diags
-        .iter()
-        .map(Diagnostic::to_string)
-        .collect::<Vec<_>>()
-        .join("\n\n")
+/// Raw f64 time and rate declarations and bare cross-unit constants,
+/// suffixed ones included.
+const VIOLATION: &str = "\
+pub struct Window {
+    pub start_secs: f64,
+    pub width_ms: f64,
+    pub rates_per_minute: Vec<f64>,
 }
 
-fn check_snapshot(name: &str, got: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/expected/{name}.txt"));
-    if std::env::var("FARO_UPDATE_EXPECT").is_ok() {
-        std::fs::write(&path, got).expect("write snapshot");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|_| panic!("missing snapshot {name}; generate with FARO_UPDATE_EXPECT=1"));
-    assert_eq!(
-        got,
-        want.trim_end_matches('\n'),
-        "diagnostics for {name} diverged from the snapshot; if intentional, \
-         refresh with FARO_UPDATE_EXPECT=1"
-    );
+pub fn to_micros(start_secs: f64) -> u64 {
+    (start_secs * 1e6) as u64
+}
+
+pub fn per_minute_to_per_micro(rate: f64) -> f64 {
+    rate / 60e6
+}
+
+pub fn suffixed(rate: f64) -> (f64, f64, u64) {
+    (rate / 60e6_f64, rate / 60e6f64, 60_000_000u64)
+}
+";
+
+/// The typed twin: times and rates wear their units as types and
+/// conversions live behind the newtype APIs.
+const CLEAN: &str = "\
+pub struct Window {
+    pub start: SimTimeMs,
+    pub width: DurationMs,
+    pub rates: Vec<RatePerMin>,
+}
+
+pub fn to_micros(start: SimTimeMs) -> i64 {
+    start.as_millis() * 1000
+}
+";
+
+/// A serialized report field that stays a raw f64.
+const WIRE: &str = "\
+pub struct WireReport {
+    pub elapsed_secs: f64,
+}
+";
+
+fn check(path: &str, source: &str, allow: &[&str]) -> Vec<String> {
+    raw_time_findings(&[(path.to_owned(), source.to_owned())], allow)
 }
 
 #[test]
 fn raw_time_arith_fires_with_exact_diagnostics() {
-    let src = include_str!("fixtures/raw_time_arith_violation.rs");
-    let diags = lint_file(SCOPE, src);
-    // start_secs field, width_ms field, rates_per_minute field,
-    // start_secs param, 1e6, 60e6, 60e6_f64, 60e6f64, 60_000_000u64.
-    assert_eq!(diags.len(), 9, "{diags:?}");
-    check_snapshot("raw_time_arith", &render(&diags));
+    assert_eq!(
+        check(SCOPE, VIOLATION, &[]),
+        [
+            "crates/sim/src/fixture.rs:2: start_secs",
+            "crates/sim/src/fixture.rs:3: width_ms",
+            "crates/sim/src/fixture.rs:4: rates_per_minute",
+            "crates/sim/src/fixture.rs:7: start_secs",
+            "crates/sim/src/fixture.rs:8: 1e6",
+            "crates/sim/src/fixture.rs:12: 60e6",
+            "crates/sim/src/fixture.rs:16: 60e6_f64",
+            "crates/sim/src/fixture.rs:16: 60e6f64",
+            "crates/sim/src/fixture.rs:16: 60_000_000u64",
+        ]
+    );
 }
 
 #[test]
 fn raw_time_arith_clean_is_silent() {
-    let src = include_str!("fixtures/raw_time_arith_clean.rs");
-    assert_eq!(lint_file(SCOPE, src), Vec::new());
+    assert_eq!(check(SCOPE, CLEAN, &[]), Vec::<String>::new());
 }
 
 #[test]
 fn raw_time_arith_is_silent_in_unit_home_modules() {
-    let src = include_str!("fixtures/raw_time_arith_violation.rs");
-    assert_eq!(lint_file("crates/core/src/units.rs", src), Vec::new());
-    assert_eq!(lint_file("crates/sim/src/events.rs", src), Vec::new());
+    for home in [
+        "crates/core/src/units.rs",
+        "crates/sim/src/events.rs",
+        "crates/queueing/src/count.rs",
+    ] {
+        assert_eq!(check(home, VIOLATION, &[]), Vec::<String>::new(), "{home}");
+    }
 }
 
 #[test]
 fn rules_stay_out_of_unscoped_crates() {
     // The metrics crate is outside the literal check's scope: only the
     // four declarations, which every crate's `src/` is held to, fire.
-    let src = include_str!("fixtures/raw_time_arith_violation.rs");
-    let diags = lint_file("crates/metrics/src/fixture.rs", src);
-    assert_eq!(diags.len(), 4, "{diags:?}");
-    assert!(
-        diags.iter().all(|d| d.message.contains("declaration")),
-        "{diags:?}"
+    assert_eq!(
+        check("crates/metrics/src/fixture.rs", VIOLATION, &[]),
+        [
+            "crates/metrics/src/fixture.rs:2: start_secs",
+            "crates/metrics/src/fixture.rs:3: width_ms",
+            "crates/metrics/src/fixture.rs:4: rates_per_minute",
+            "crates/metrics/src/fixture.rs:7: start_secs",
+        ]
     );
 }
 
 #[test]
 fn unused_allow_fires_with_exact_diagnostics() {
-    let src = include_str!("fixtures/unused_allow_violation.rs");
-    let diags = lint_file(SCOPE, src);
-    // A dead allow, a retired rule id, an unknown rule id, an allow-file.
-    assert_eq!(diags.len(), 4, "{diags:?}");
-    check_snapshot("unused_allow", &render(&diags));
+    // A name typed since, a name in another file and an entry without a
+    // reason each cover nothing; the last leaves its site a finding.
+    let allow = [
+        "crates/sim/src/fixture.rs start_secs: the field is typed now",
+        "crates/sim/src/other.rs elapsed_secs: another file's field",
+        "crates/sim/src/fixture.rs elapsed_secs",
+    ];
+    assert_eq!(
+        check(SCOPE, WIRE, &allow),
+        [
+            "crates/sim/src/fixture.rs:2: elapsed_secs".to_owned(),
+            format!("allowlist entry `{}` matches nothing", allow[0]),
+            format!("allowlist entry `{}` matches nothing", allow[1]),
+            format!("allowlist entry `{}` matches nothing", allow[2]),
+        ]
+    );
 }
 
 #[test]
 fn unused_allow_clean_is_silent() {
-    let src = include_str!("fixtures/unused_allow_clean.rs");
-    assert_eq!(lint_file(SCOPE, src), Vec::new());
+    let allow = ["crates/sim/src/fixture.rs elapsed_secs: serialized report wire format"];
+    assert_eq!(check(SCOPE, WIRE, &allow), Vec::<String>::new());
 }
